@@ -1,11 +1,10 @@
 """Invariants of open subgroups of GL2(Z_ell) acting on prime-power torsion,
 and the candidate filter for isolated points on X1(ell^n) and X0(ell^n)."""
 
-from .errors import (DataFileError, EllimageError, EnumerationCapError,
-                     LabelError, ModulusMismatchError, NotInvertibleError,
-                     SearchBudgetError)
-from .modarith import (PrimePowerModulus, ResidueMatrix, mat_det, mat_inv,
-                       mat_mul, mat_order, reduce_matrix)
+from .errors import (CertificateError, DataFileError, EllimageError,
+                     EnumerationCapError, LabelError, ModulusMismatchError,
+                     NotInvertibleError, SearchBudgetError)
+from .modarith import PrimePowerModulus, ResidueMatrix
 from .gl2 import (CartanSpec, MatrixGroup, ambient_order, build_cartan,
                   conjugate_into, full_gl2, is_conjugate)
 from .modcurves import (GenusProfile, MapDegreeSpec, genus_X0, genus_X1,
@@ -24,10 +23,9 @@ from .lattice import (KernelModule, RigidityResult, SubgroupClass,
                       verify_counterexample)
 
 __all__ = [
-    "DataFileError", "EllimageError", "EnumerationCapError", "LabelError",
-    "ModulusMismatchError", "NotInvertibleError", "SearchBudgetError",
-    "PrimePowerModulus", "ResidueMatrix", "mat_det", "mat_inv", "mat_mul",
-    "mat_order", "reduce_matrix",
+    "CertificateError", "DataFileError", "EllimageError", "EnumerationCapError",
+    "LabelError", "ModulusMismatchError", "NotInvertibleError", "SearchBudgetError",
+    "PrimePowerModulus", "ResidueMatrix",
     "CartanSpec", "MatrixGroup", "ambient_order", "build_cartan",
     "conjugate_into", "full_gl2", "is_conjugate",
     "GenusProfile", "MapDegreeSpec", "genus_X0", "genus_X1", "genus_XG",

@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import EllimageError, SearchBudgetError
+from .errors import CertificateError, EllimageError, SearchBudgetError
 from .gl2 import CARTAN_KINDS, CartanSpec, DEFAULT_CAP, build_cartan, is_conjugate
 from .isolated import analyze
 from .labelio import (parse_label, read_generators_file, read_generators_text,
@@ -113,7 +113,7 @@ def _emit(text, config):
 
 def cmd_info(args, config):
     group = _resolve_group(args, config)
-    dets, surj = group.det_image(config.cap)
+    dets, surj = group.det_image()
     prof = genus_XG(group, config.cap)
     lines = [
         "label: %s" % (group.label or "(unlabeled)"),
@@ -223,7 +223,7 @@ def cmd_lattice_check(args, config):
         lines.append("RESULT\tcertified")
         _emit("\n".join(lines) + "\n", config)
         return 0
-    except SearchBudgetError as exc:
+    except (SearchBudgetError, CertificateError) as exc:
         lines.append("RESULT\tFAILED\t%s" % exc)
         _emit("\n".join(lines) + "\n", config)
         return 3

@@ -21,6 +21,10 @@ class SearchBudgetError(EllimageError):
     "A search exhausted its budget or hit an unsupported structure; hard error, never a silent truncation."
 
 
+class CertificateError(EllimageError):
+    "A computed certificate (conjugating matrix, section, counterexample) failed its verification."
+
+
 class LabelError(EllimageError):
     "Malformed subgroup label."
 

@@ -11,15 +11,21 @@ H cap K_e in that quotient is the F_ell-span of the Schreier generators of
 ker(H(ell^{e+1}) -> H(ell^e)).  Then |H| = |H(ell)| * prod ell^(dim L_e),
 and the level is the smallest ell^d with L_e full for all e >= d.  This
 avoids enumerating H at its own modulus, which matters for full preimages.
+
+Conjugacy search solves the linear conditions c*g = h*c over Z/ell^n with
+modarith.nullspace_span and looks for an invertible c in the solution
+module; every witness is checked before it is returned, and a failed check
+raises CertificateError.
 """
 
 from dataclasses import dataclass
-from math import gcd
+from itertools import product
 
-from .errors import (EnumerationCapError, ModulusMismatchError,
+from .errors import (CertificateError, EnumerationCapError, ModulusMismatchError,
                      NotInvertibleError, SearchBudgetError)
-from .modarith import (PrimePowerModulus, ResidueMatrix,
-                       mdet, minv, mmul, mneg, morder, mpow, mreduce, mtrace)
+from .modarith import (Echelon, PrimePowerModulus, ResidueMatrix, lincomb, mdet,
+                       minv, mmul, mneg, morder, mpow, mreduce, mtrace,
+                       nullspace_span)
 
 DEFAULT_CAP = 10 ** 7
 
@@ -218,7 +224,7 @@ class MatrixGroup:
 
     # -- determinant, -I ----------------------------------------------
 
-    def det_image(self, cap=DEFAULT_CAP):
+    def det_image(self):
         """(sorted tuple of unit residues generated by generator dets,
         surjectivity flag).  Equals the det set of the full enumeration."""
         m = self.mod.modulus
@@ -250,7 +256,7 @@ class MatrixGroup:
 
     # -- reduction / preimage / conjugation ----------------------------
 
-    def reduce_to(self, target, cap=DEFAULT_CAP):
+    def reduce_to(self, target):
         "Generator-wise reduction to a divisor modulus; label dropped."
         if isinstance(target, int):
             target = PrimePowerModulus(self.ell, target)
@@ -277,7 +283,7 @@ class MatrixGroup:
         gens += [(1 + s, 0, 0, 1), (1, s, 0, 1), (1, 0, s, 1), (1, 0, 0, 1 + s)]
         return MatrixGroup(target, gens, label=label)
 
-    def conjugated_by(self, c, cap=DEFAULT_CAP):
+    def conjugated_by(self, c):
         m = self.mod.modulus
         if isinstance(c, ResidueMatrix):
             c = c.entries
@@ -322,20 +328,7 @@ def _layer_dim(gens, ell, e, cap):
     ident_low = (1 % low, 0, 0, 1 % low)
     lift = {ident_low: (1, 0, 0, 1)}
     queue = [ident_low]
-    basis = []
-
-    def absorb(vec):
-        v = list(vec)
-        for b in basis:
-            p = next(i for i in range(4) if b[i])
-            if v[p]:
-                f = v[p] * pow(b[p], -1, ell) % ell
-                v = [(v[i] - f * b[i]) % ell for i in range(4)]
-        if any(v):
-            basis.append(tuple(v))
-            return True
-        return False
-
+    basis = Echelon(ell)
     while queue and len(basis) < 4:
         nxt = []
         for x in queue:
@@ -353,7 +346,7 @@ def _layer_dim(gens, ell, e, cap):
                     vec = tuple(((s[i] - (1, 0, 0, 1)[i]) % high) // low % ell
                                 for i in range(4))
                     if any(vec):
-                        absorb(vec)
+                        basis.add(vec)
                         if len(basis) == 4:
                             break
             if len(basis) == 4:
@@ -477,72 +470,6 @@ def build_cartan(spec, cap=DEFAULT_CAP):
 # ---------------------------------------------------------------------------
 # conjugacy
 
-def _snf_transform(rows):
-    """Smith form of an integer matrix given as a list of row tuples.
-
-    Returns (diag, T) with S*A*T diagonal for unimodular S (discarded) and T;
-    only T is needed to parameterize nullspaces.
-    """
-    A = [list(r) for r in rows]
-    nrows = len(A)
-    ncols = 4
-    T = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-    diag = []
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-
-    def swap_cols(i, j):
-        for r in A:
-            r[i], r[j] = r[j], r[i]
-        T[i], T[j] = T[j], T[i]
-
-    def addmul_row(dst, src, f):
-        for k in range(ncols):
-            A[dst][k] += f * A[src][k]
-
-    def addmul_col(dst, src, f):
-        for r in A:
-            r[dst] += f * r[src]
-        for k in range(ncols):
-            T[dst][k] += f * T[src][k]
-
-    r = 0
-    while r < min(nrows, ncols):
-        # locate a nonzero pivot of least absolute value
-        best = None
-        for i in range(r, nrows):
-            for j in range(r, ncols):
-                if A[i][j] and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(r, best[0])
-        swap_cols(r, best[1])
-        while True:
-            done = True
-            for i in range(r + 1, nrows):
-                if A[i][r]:
-                    addmul_row(i, r, -(A[i][r] // A[r][r]))
-                    if A[i][r]:
-                        swap_rows(r, i)
-                        done = False
-            for j in range(r + 1, ncols):
-                if A[r][j]:
-                    addmul_col(j, r, -(A[r][j] // A[r][r]))
-                    if A[r][j]:
-                        swap_cols(r, j)
-                        done = False
-            if done:
-                break
-        diag.append(abs(A[r][r]))
-        r += 1
-    # T is stored transposed (row k = column k of the accumulated transform),
-    # so row k is the basis direction for solution coordinate k.
-    cols = [tuple(T[k]) for k in range(ncols)]
-    return diag, cols
-
-
 def _conj_equation_rows(g, h, m):
     """Rows of the linear system c*g - h*c = 0 in the entries of c."""
     g11, g12, g21, g22 = g
@@ -556,78 +483,17 @@ def _conj_equation_rows(g, h, m):
     ]
 
 
-def _nullspace_span(rows, m):
-    "Spanning vectors of {x : A x = 0 mod m} for a stacked row list."
-    if not rows:
-        return [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-    diag, cols = _snf_transform(rows)
-    span = []
-    for k in range(4):
-        if k < len(diag) and diag[k]:
-            scale = m // gcd(diag[k], m)
-        else:
-            scale = 1
-        if scale % m == 0 and m > 1:
-            continue
-        vec = tuple((cols[k][i] * scale) % m for i in range(4))
-        if any(vec):
-            span.append(vec)
-    return span
-
-
 def _unit_solution(span, m, ell):
-    """An invertible matrix in the span (as a 4-tuple mod m), or None.
+    """An invertible matrix in the Z/m-span of `span` (a 4-tuple), or None.
 
-    Invertibility only depends on the reduction mod ell, so the mod-ell span
-    is searched and any witness is lifted back through the combination.
+    Invertibility only depends on the reduction mod ell, so the F_ell
+    combinations of an echelon basis kept mod m are walked.
     """
-    reduced = []
-    for v in span:
-        reduced.append(tuple(x % ell for x in v))
-    # echelonize, remembering combinations of original span vectors
-    basis = []
-    for idx, v in enumerate(reduced):
-        combo = [0] * len(span)
-        combo[idx] = 1
-        v = list(v)
-        for b, bc in basis:
-            p = next(i for i in range(4) if b[i])
-            if v[p]:
-                f = v[p] * pow(b[p], -1, ell) % ell
-                v = [(v[i] - f * b[i]) % ell for i in range(4)]
-                combo = [(combo[i] - f * bc[i]) % ell for i in range(len(span))]
-        if any(v):
-            basis.append((tuple(v), combo))
-    k = len(basis)
-    if k == 0:
-        return None
-    # walk all F_ell combinations of the basis
-    coeffs = [0] * k
-    total = ell ** k
-    for step in range(1, total):
-        i = 0
-        while True:
-            coeffs[i] = (coeffs[i] + 1) % ell
-            if coeffs[i]:
-                break
-            i += 1
-        cand = [0, 0, 0, 0]
-        for c, (b, _) in zip(coeffs, basis):
-            if c:
-                for i in range(4):
-                    cand[i] = (cand[i] + c * b[i]) % ell
+    basis = Echelon(ell, span, m).rows
+    for coeffs in product(range(ell), repeat=len(basis)):
+        cand = lincomb(coeffs, basis, m)
         if (cand[0] * cand[3] - cand[1] * cand[2]) % ell:
-            combo = [0] * len(span)
-            for c, (_, bc) in zip(coeffs, basis):
-                if c:
-                    for i in range(len(span)):
-                        combo[i] = (combo[i] + c * bc[i]) % ell
-            out = [0, 0, 0, 0]
-            for f, v in zip(combo, span):
-                if f:
-                    for i in range(4):
-                        out[i] = (out[i] + f * v[i]) % m
-            return tuple(out)
+            return cand
     return None
 
 
@@ -654,8 +520,7 @@ def _conjugating_matrix(source_gens, target_elements, mod, budget):
     def recurse(i, rows):
         nonlocal nodes
         if i == len(gens):
-            span = _nullspace_span(rows, m)
-            return _unit_solution(span, m, ell)
+            return _unit_solution(nullspace_span(rows, m), m, ell)
         g = gens[i]
         if g[1] == 0 and g[2] == 0 and g[0] == g[3]:
             # scalars are conjugation-invariant
@@ -667,7 +532,7 @@ def _conjugating_matrix(source_gens, target_elements, mod, budget):
             if nodes > budget:
                 raise SearchBudgetError("conjugacy search exceeded %d nodes" % budget)
             rows2 = rows + _conj_equation_rows(g, h, m)
-            span = _nullspace_span(rows2, m)
+            span = nullspace_span(rows2, m)
             if len(span) >= 3 or _unit_solution(span, m, ell) is not None:
                 got = recurse(i + 1, rows2)
                 if got is not None:
@@ -688,7 +553,7 @@ def is_conjugate(g, h, cap=DEFAULT_CAP, budget=500_000):
     mod = g.mod
     if g.order(cap) != h.order(cap):
         return False, None
-    if g.det_image(cap) != h.det_image(cap):
+    if g.det_image() != h.det_image():
         return False, None
     ge, he = g.elements(cap), h.elements(cap)
     m = mod.modulus
@@ -701,8 +566,9 @@ def is_conjugate(g, h, cap=DEFAULT_CAP, budget=500_000):
     if c is None:
         return False, None
     ci = minv(c, m, mod.ell)
-    conj = {mmul(mmul(c, x, m), ci, m) for x in ge}
-    assert conj == set(he)
+    if {mmul(mmul(c, x, m), ci, m) for x in ge} != set(he):
+        raise CertificateError("conjugating matrix %r does not map %r onto %r"
+                               % (c, g, h))
     return True, ResidueMatrix.make(c, mod)
 
 
@@ -735,6 +601,7 @@ def conjugate_into(h, big, cap=DEFAULT_CAP, budget=500_000):
     ci = minv(c, m, mod.ell)
     bset = set(be)
     # c conjugates every generator into big, so the whole conjugate lands there.
-    for x in he:
-        assert mmul(mmul(c, x, m), ci, m) in bset
+    if any(mmul(mmul(c, x, m), ci, m) not in bset for x in he):
+        raise CertificateError("conjugating matrix %r does not map %r into %r"
+                               % (c, h, big))
     return True, ResidueMatrix.make(c, mod), bo // ho

@@ -64,7 +64,6 @@ class ImageRecord:
     rszb_label: str
     modulus: PrimePowerModulus
     generators: tuple          # of ResidueMatrix
-    sutherland_label: str | None = None
 
     def group(self):
         return MatrixGroup(self.modulus, list(self.generators), label=self.rszb_label)

@@ -9,7 +9,8 @@ The searches lean on the layered structure of subgroups of GL2(Z/ell^n):
   prime to ell, subgroups that keep the full mod-ell image correspond, by
   Schur-Zassenhaus, to the G(ell)-stable subspaces W of the kernel part of
   G: there is exactly one conjugacy class per W, realized as (complement
-  over the kernel) * N_W with the complement built by cocycle averaging.
+  over the kernel) * N_W with the complement built by cocycle averaging
+  (_averaged_section, which preimage_rigidity also uses for coprime G).
 
 * preimage_rigidity decides whether any proper det-surjective subgroup of
   the one-step full preimage reduces exactly onto G.  Candidate kernel
@@ -23,15 +24,19 @@ The searches lean on the layered structure of subgroups of GL2(Z/ell^n):
   determinant image is rigid across complements unless G has nontrivial
   homomorphisms to F_ell, and that corner raises rather than guesses.
 
-All search budgets are explicit and exhaustion is a hard error.
+F_ell linear algebra on kernel coordinate vectors goes through
+modarith.Echelon.  All search budgets are explicit and exhaustion is a hard
+error; every subgroup, section and counterexample the searches build is
+verified, and a failed verification raises CertificateError.
 """
 
 from dataclasses import dataclass
 
-from .errors import EnumerationCapError, SearchBudgetError
+from .errors import CertificateError, EnumerationCapError, SearchBudgetError
 from .gl2 import (CartanSpec, DEFAULT_CAP, MatrixGroup, build_cartan,
                   conjugate_into, mulclose)
-from .modarith import PrimePowerModulus, mdet, minv, mmul, mpow, mreduce
+from .modarith import (Echelon, PrimePowerModulus, lincomb, mdet, minv, mmul,
+                       mpow, mreduce)
 
 BRUTE_LIMIT = 1000
 
@@ -52,72 +57,7 @@ class RigidityResult:
 
 
 # ---------------------------------------------------------------------------
-# F_ell linear algebra on 4-coordinate kernel vectors
-
-def _echelon(vectors, ell):
-    basis = []
-    for v in vectors:
-        v = list(x % ell for x in v)
-        for b in basis:
-            p = next(i for i in range(4) if b[i])
-            if v[p]:
-                f = v[p] * pow(b[p], -1, ell) % ell
-                v = [(v[i] - f * b[i]) % ell for i in range(4)]
-        if any(v):
-            basis.append(tuple(v))
-    basis.sort(key=lambda b: next(i for i in range(4) if b[i]))
-    return basis
-
-
-def _normalize_basis(basis, ell):
-    "Precompute (pivot, inverse of pivot entry, row) triples for fast reduction."
-    out = []
-    for b in basis:
-        p = next(i for i in range(4) if b[i])
-        out.append((p, pow(b[p], -1, ell), b))
-    return out
-
-
-def _rref(vectors, ell):
-    "Reduced row echelon basis: the canonical form of a subspace."
-    rows = [list(x % ell for x in v) for v in vectors]
-    out = []
-    r = 0
-    for col in range(4):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = pow(rows[r][col], -1, ell)
-        rows[r] = [x * inv % ell for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [(rows[i][j] - f * rows[r][j]) % ell for j in range(4)]
-        r += 1
-    return [tuple(row) for row in rows[:r]]
-
-
-def _reduce_norm(v, norm_basis, ell):
-    v = list(v)
-    for p, inv, b in norm_basis:
-        if v[p]:
-            f = v[p] * inv % ell
-            v = [(v[i] - f * b[i]) % ell for i in range(4)]
-    return tuple(v)
-
-
-def _reduce_against(v, basis, ell):
-    return _reduce_norm(tuple(x % ell for x in v), _normalize_basis(basis, ell), ell)
-
-
-def _in_span(v, basis, ell):
-    return not any(_reduce_against(v, basis, ell))
-
+# subspaces of the kernel module F_ell^4
 
 def _subspaces_of(basis, ell):
     """All subspaces of the span of `basis`, each as an echelon basis list."""
@@ -140,15 +80,7 @@ def _subspaces_of(basis, ell):
                     rows.append(row)
                 for (i, c), val in zip(free_positions, values):
                     rows[i][c] = val
-                sub = []
-                for row in rows:
-                    vec = [0, 0, 0, 0]
-                    for c, coeff in enumerate(row):
-                        if coeff:
-                            for t in range(4):
-                                vec[t] = (vec[t] + coeff * basis[c][t]) % ell
-                    sub.append(tuple(vec))
-                subspaces.append(sub)
+                subspaces.append([lincomb(row, basis, ell) for row in rows])
     return subspaces
 
 
@@ -160,11 +92,8 @@ def _conj_coords(gbar, v, ell):
 
 
 def _is_stable(basis, gens_bar, ell):
-    for g in gens_bar:
-        for b in basis:
-            if not _in_span(_conj_coords(g, b, ell), basis, ell):
-                return False
-    return True
+    span = Echelon(ell, basis)
+    return all(_conj_coords(g, b, ell) in span for g in gens_bar for b in basis)
 
 
 def _trace_nonzero(basis, ell):
@@ -194,22 +123,18 @@ class KernelModule:
         "Smallest stable subspace containing the vector, in canonical form."
         ell = self.ell
         action = action or self._action_matrices()
-        basis = _echelon([vector], ell)
-        frontier = list(basis)
-        while frontier and len(basis) < 4:
+        span = Echelon(ell, [vector])
+        frontier = span.rows
+        while frontier and len(span) < 4:
             new = []
-            norm = _normalize_basis(basis, ell)
             for v in frontier:
                 for cols in action:
-                    w = tuple(sum(v[j] * cols[j][i] for j in range(4)) % ell
-                              for i in range(4))
-                    w = _reduce_norm(w, norm, ell)
-                    if any(w):
-                        basis.append(w)
+                    w = span.add(tuple(sum(v[j] * cols[j][i] for j in range(4))
+                                       for i in range(4)))
+                    if w is not None:
                         new.append(w)
-                        norm = _normalize_basis(basis, ell)
             frontier = new
-        return _rref(basis, ell)
+        return span.rref()
 
     def stable_subspaces(self, ambient_basis=None):
         """All stable subspaces: every stable subspace is a join of cyclic
@@ -234,7 +159,7 @@ class KernelModule:
             new = set()
             for a in frontier:
                 for b in spins:
-                    j = tuple(_rref(list(a) + list(b), ell))
+                    j = tuple(Echelon(ell, a + b).rref())
                     if j not in lattice:
                         lattice.add(j)
                         new.add(j)
@@ -322,47 +247,28 @@ def _kernel_matrix(coords, layer, m):
     return tuple((ident[i] + layer * coords[i]) % m for i in range(4))
 
 
-def _hall_complement_over_kernel(group, cap=DEFAULT_CAP):
-    """Complement L of the kernel part N1 = {x = I mod ell} in a group of
-    modulus ell^2 whose mod-ell image has order prime to ell.
+def _averaged_section(reps, layer, m, ell):
+    """Homomorphic section of an extension by the kernel I + layer*M2(F_ell).
 
-    Returns the complement as a dict (mod-ell element) -> (lift in L).
-    Averaging the transversal cocycle gives a corrected section, which is
-    verified to be a homomorphism before returning.
+    `reps` maps each element x (mod layer) of a group Q of order prime to
+    ell to a lift mod m = layer*ell.  The lifts are corrected by the average
+    of their cocycle (Schur-Zassenhaus), and the corrected section, a dict
+    x -> lift, is verified to be a homomorphism.
     """
-    mod = group.mod
-    ell, m = mod.ell, mod.modulus
-    assert mod.exponent == 2
-    els = group.elements(cap)
-    reps = {}
-    for x in sorted(els):
-        xb = mreduce(x, ell)
-        if xb not in reps:
-            reps[xb] = x
-    order_bar = len(reps)
-    if order_bar % ell == 0:
-        raise SearchBudgetError("mod-ell quotient not prime to ell")
-    inv_n = pow(order_bar, -1, ell)
-    bars = sorted(reps)
-    # cocycle sums C(x) = sum_y c(x, y), coordinates in F_ell^4
-    eta = {}
-    for xb in bars:
-        tx = reps[xb]
+    inv_n = pow(len(reps), -1, ell)
+    section = {}
+    for x, tx in reps.items():
         acc = (0, 0, 0, 0)
-        for yb in bars:
-            ty = reps[yb]
+        for ty in reps.values():
             prod = mmul(tx, ty, m)
-            txy = reps[mreduce(prod, ell)]
-            c = mmul(prod, minv(txy, m, ell), m)
-            cc = _kernel_coords(c, ell, ell)
-            acc = tuple((acc[i] + cc[i]) % ell for i in range(4))
-        eta[xb] = tuple((-inv_n * acc[i]) % ell for i in range(4))
-    section = {xb: mmul(_kernel_matrix(eta[xb], ell, m), reps[xb], m) for xb in bars}
-    for xb in bars:
-        for yb in bars:
-            zb = mreduce(mmul(xb, yb, ell), ell)
-            assert mmul(section[xb], section[yb], m) == section[zb], \
-                "averaged section is not a homomorphism"
+            c = mmul(prod, minv(reps[mreduce(prod, layer)], m, ell), m)
+            acc = tuple(a + b for a, b in zip(acc, _kernel_coords(c, layer, ell)))
+        eta = tuple((-inv_n * a) % ell for a in acc)
+        section[x] = mmul(_kernel_matrix(eta, layer, m), tx, m)
+    for x in reps:
+        for y in reps:
+            if mmul(section[x], section[y], m) != section[mmul(x, y, layer)]:
+                raise CertificateError("averaged section is not a homomorphism")
     return section
 
 
@@ -370,7 +276,7 @@ def _hall_complement_over_kernel(group, cap=DEFAULT_CAP):
 # low-index det-surjective subgroup classification
 
 def proper_detsurjective_subgroups(group, index_bound, fix_mod_ell_reduction=True,
-                                   cap=DEFAULT_CAP, budget=10 ** 6):
+                                   cap=DEFAULT_CAP):
     """Conjugacy classes (under the parent) of proper subgroups with
     surjective determinant and index <= index_bound.
 
@@ -424,15 +330,18 @@ def proper_detsurjective_subgroups(group, index_bound, fix_mod_ell_reduction=Tru
     els = group.elements(cap)
     ident = group.identity_tuple()
     kernel_part = [x for x in els if mreduce(x, ell) == (1, 0, 0, 1)]
-    u_basis = _echelon([_kernel_coords(x, ell, ell) for x in kernel_part
-                        if x != ident], ell)
+    u_basis = Echelon(ell, [_kernel_coords(x, ell, ell) for x in kernel_part
+                            if x != ident]).rows
     bar_order = len(els) // len(kernel_part)
     if bar_order % ell == 0:
         raise SearchBudgetError("structured search needs |G(ell)| prime to ell")
     gens_bar = tuple(mreduce(g, ell) for g in group.gens)
-    section = _hall_complement_over_kernel(group, cap)
-    complement_els = sorted(section.values())
     m = mod.modulus
+    # a complement of the kernel part: lifts of the mod-ell elements, averaged
+    reps = {}
+    for x in els:
+        reps.setdefault(mreduce(x, ell), x)
+    section = _averaged_section(reps, ell, m, ell)
 
     out = []
     for W in _subspaces_of(u_basis, ell):
@@ -446,10 +355,10 @@ def proper_detsurjective_subgroups(group, index_bound, fix_mod_ell_reduction=Tru
         rep_gens += [_kernel_matrix(w, ell, m) for w in W]
         rep = MatrixGroup(mod, rep_gens)
         expected = bar_order * ell ** len(W)
-        got = rep.order(cap)
-        assert got == expected, (got, expected)
-        assert set(rep.elements(cap)) <= set(els)
-        if not rep.det_image(cap)[1]:
+        if rep.order(cap) != expected or not set(rep.elements(cap)) <= set(els):
+            raise CertificateError("subgroup over W = %r is not a subgroup of order "
+                                   "%d in the parent" % (W, expected))
+        if not rep.det_image()[1]:
             continue
         rep_set = frozenset(rep.elements(cap))
         classes = _conjugacy_classes_of_subgroups([rep_set], group, cap)
@@ -483,19 +392,23 @@ class _KernelQuotient:
     def _image_basis(self, xbar):
         if xbar not in self._bar_cache:
             vecs = [mmul(xbar, u, self.ell) for u in self.u_basis]
-            self._bar_cache[xbar] = _normalize_basis(_echelon(vecs, self.ell), self.ell)
+            self._bar_cache[xbar] = Echelon(self.ell, vecs)
         return self._bar_cache[xbar]
 
     def canon(self, x):
         base = tuple(e % self.layer for e in x)
         d = tuple(((x[i] - base[i]) // self.layer) % self.ell for i in range(4))
         if self.u_basis:
-            d = _reduce_norm(d, self._image_basis(tuple(e % self.ell for e in x)),
-                             self.ell)
+            d = self._image_basis(tuple(e % self.ell for e in x)).reduce(d)
         return tuple((base[i] + self.layer * d[i]) % self.m for i in range(4))
 
     def mul(self, a, b):
         return self.canon(mmul(a, b, self.m))
+
+    def kernel(self, coeffs, basis):
+        "The class of I + layer * (the F_ell-combination of `basis`)."
+        k = lincomb(coeffs, basis, self.ell)
+        return self.canon(_kernel_matrix(k, self.layer, self.m))
 
     def closure(self, gens, cap):
         ident = self.canon((1, 0, 0, 1))
@@ -566,11 +479,8 @@ def _complement_in_sylow(quot, syl_gens, v_basis, ell, complement_order, budget)
         raise SearchBudgetError("Sylow complement search needs %d combos" % combos)
     coeff_space = list(product(range(ell), repeat=len(v_basis)))
     for assignment in product(coeff_space, repeat=len(lifts)):
-        adjusted = []
-        for lift, coeffs in zip(lifts, assignment):
-            k = tuple(sum(c * v[i] for c, v in zip(coeffs, v_basis)) % ell
-                      for i in range(4))
-            adjusted.append(quot.mul(lift, quot.canon(_kernel_matrix(k, quot.layer, quot.m))))
+        adjusted = [quot.mul(lift, quot.kernel(coeffs, v_basis))
+                    for lift, coeffs in zip(lifts, assignment)]
         try:
             closure = quot.closure(adjusted, complement_order)
         except EnumerationCapError:
@@ -595,12 +505,7 @@ def _complement_over_group(quot, group, v_basis, ell, cap, budget):
     for i in range(1, len(gens) + 1):
         prefix.append(len(mulclose(gens[:i], m_low, cap)))
     coeff_space = list(product(range(ell), repeat=len(v_basis)))
-    v_nontrivial = set()
-    for coeffs in coeff_space:
-        if any(coeffs):
-            k = tuple(sum(c * v[i] for c, v in zip(coeffs, v_basis)) % ell
-                      for i in range(4))
-            v_nontrivial.add(quot.canon(_kernel_matrix(k, quot.layer, quot.m)))
+    v_nontrivial = {quot.kernel(c, v_basis) for c in coeff_space if any(c)}
     ident = quot.canon((1, 0, 0, 1))
     attempts = 0
 
@@ -641,9 +546,7 @@ def _complement_over_group(quot, group, v_basis, ell, cap, budget):
             if attempts > budget:
                 raise SearchBudgetError("complement search exceeded %d lift "
                                         "attempts" % budget)
-            k = tuple(sum(c * v[j] for c, v in zip(coeffs, v_basis)) % ell
-                      for j in range(4))
-            t = quot.mul(base, quot.canon(_kernel_matrix(k, quot.layer, quot.m)))
+            t = quot.mul(base, quot.kernel(coeffs, v_basis))
             new = grow(closed, adjusted, t, prefix[i + 1])
             if new is None:
                 continue
@@ -701,7 +604,7 @@ def verify_counterexample(group, candidate, cap=DEFAULT_CAP):
     red = candidate.reduce_to(n)
     if set(red.elements(cap)) != set(group.elements(cap)):
         return False
-    if not candidate.det_image(cap)[1]:
+    if not candidate.det_image()[1]:
         return False
     full = group.order(cap) * group.mod.ell ** 4
     return candidate.order(cap) < full
@@ -743,7 +646,7 @@ def preimage_rigidity(group, target_exponent=None, cap=DEFAULT_CAP, budget=10 **
                     sq = mmul(a, a, 2)
                     a = tuple((a[i] + sq[i]) % 2 for i in range(4))
                 pi_vecs.append(a)
-    pi_basis = _echelon(pi_vecs, ell)
+    pi_basis = Echelon(ell, pi_vecs).rows
 
     coprime = order % ell != 0
     full_section = None
@@ -756,22 +659,27 @@ def preimage_rigidity(group, target_exponent=None, cap=DEFAULT_CAP, budget=10 **
     for U in subspaces:
         if len(U) == 4:
             continue
-        if pi_basis and not all(_in_span(v, U, ell) for v in pi_basis):
+        span_u = Echelon(ell, U)
+        if not all(v in span_u for v in pi_basis):
             continue
         checked += 1
         quot = _KernelQuotient(ell, n, U)
-        v_basis = _echelon([_reduce_against(v, U, ell) for v in
-                            ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))],
-                           ell)
+        v_basis = Echelon(ell, [span_u.reduce(v) for v in
+                                ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
+                          ).rows
 
         if coprime:
             if full_section is None:
-                full_section = _coprime_section(group, mod_high, cap)
+                # G lifts to itself mod ell^(n+1); averaging makes it a complement
+                full_section = _averaged_section({x: x for x in els}, mod.modulus,
+                                                 mod_high.modulus, ell)
             cand_gens = [full_section[g] for g in group.small_generating_set(cap)]
             candidate = _build_candidate(group, U, cand_gens, mod_high)
-            if candidate.det_image(cap)[1]:
-                assert candidate.order(cap) == order * ell ** len(U)
-                assert verify_counterexample(group, candidate, cap)
+            if candidate.det_image()[1]:
+                if (candidate.order(cap) != order * ell ** len(U)
+                        or not verify_counterexample(group, candidate, cap)):
+                    raise CertificateError("counterexample over U = %r failed "
+                                           "verification" % (U,))
                 return RigidityResult(False, candidate, checked)
             continue
 
@@ -786,8 +694,10 @@ def preimage_rigidity(group, target_exponent=None, cap=DEFAULT_CAP, budget=10 **
             raise SearchBudgetError("split extension but no complement found "
                                     "within budget")
         candidate = _build_candidate(group, U, lifts, mod_high)
-        if candidate.det_image(cap)[1]:
-            assert verify_counterexample(group, candidate, cap)
+        if candidate.det_image()[1]:
+            if not verify_counterexample(group, candidate, cap):
+                raise CertificateError("counterexample over U = %r failed "
+                                       "verification" % (U,))
             return RigidityResult(False, candidate, checked)
         if _trace_nonzero(v_basis, ell) and not _ell_hom_trivial(group, cap):
             # determinant images of other complements over this subspace may
@@ -799,37 +709,3 @@ def preimage_rigidity(group, target_exponent=None, cap=DEFAULT_CAP, budget=10 **
         raise SearchBudgetError("undecided: split subspaces with variable "
                                 "determinant image: %r" % (undecided,))
     return RigidityResult(True, None, checked)
-
-
-def _coprime_section(group, mod_high, cap):
-    """Section of G into GL2(Z/ell^(n+1)) with image a complement of the
-    kernel (Schur-Zassenhaus, constructive averaging); keyed by element."""
-    mod = group.mod
-    ell = mod.ell
-    m_high = mod_high.modulus
-    layer = mod.modulus
-    els = group.elements(cap)
-    order = len(els)
-    assert order % ell
-    inv_n = pow(order, -1, ell)
-    reps = {x: tuple(e % m_high for e in x) for x in els}
-    eta = {}
-    for x in els:
-        tx = reps[x]
-        acc = (0, 0, 0, 0)
-        for y in els:
-            ty = reps[y]
-            prod = mmul(tx, ty, m_high)
-            txy = reps[mreduce(prod, layer)]
-            c = mmul(prod, minv(txy, m_high, ell), m_high)
-            cc = _kernel_coords(c, layer, ell)
-            acc = tuple((acc[i] + cc[i]) % ell for i in range(4))
-        eta[x] = tuple((-inv_n * acc[i]) % ell for i in range(4))
-    section = {x: mmul(_kernel_matrix(eta[x], layer, m_high), reps[x], m_high)
-               for x in els}
-    for x in els:
-        for y in els:
-            z = mmul(x, y, layer)
-            assert mmul(section[x], section[y], m_high) == section[z], \
-                "averaged section is not a homomorphism"
-    return section

@@ -4,9 +4,14 @@ Matrices are stored as canonical representatives in [0, m); every operation
 re-canonicalizes, so equality and hashing are structural.  Hot loops work on
 plain 4-tuples (m11, m12, m21, m22) through the module-level helpers; the
 ResidueMatrix dataclass is the hashable public wrapper.
+
+All linear algebra of the package lives here too: nullspace_span solves
+linear systems over the chain ring Z/m, and Echelon is the one F_ell echelon
+form (span membership, reduction, canonical subspace bases).
 """
 
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import ModulusMismatchError, NotInvertibleError
 
@@ -242,23 +247,114 @@ class ResidueMatrix:
         return "[%d %d; %d %d] mod %d" % (*self.entries, self.mod.modulus)
 
 
-# Named operation surface.
+# ---------------------------------------------------------------------------
+# linear algebra on 4-coordinate vectors
 
-def mat_mul(a, b):
-    return a * b
-
-
-def mat_det(a):
-    return a.det()
+def lincomb(coeffs, vectors, m):
+    "Sum of c * v over the pairs of coeffs and vectors, mod m."
+    return tuple(sum(c * v[i] for c, v in zip(coeffs, vectors)) % m for i in range(4))
 
 
-def mat_inv(a):
-    return a.inv()
+def nullspace_span(rows, m):
+    """Spanning vectors of {x in (Z/m)^4 : r.x = 0 mod m for every row r},
+    for m a prime power.
+
+    Smith form over the chain ring Z/m: each pivot is a remaining entry of
+    least valuation (smallest gcd with m), which divides every other
+    remaining entry, so each elimination is one exact division and every
+    entry stays in [0, m).  Only the column transform is kept (T[k] is its
+    k-th column); with x = T y the diagonal system d_k y_k = 0 is solved
+    coordinatewise.
+    """
+    A = [[x % m for x in r] for r in rows]
+    T = [[int(i == j) for j in range(4)] for i in range(4)]
+    diag = []
+    for k in range(4):
+        best = min(((gcd(A[i][j], m), i, j) for i in range(k, len(A))
+                    for j in range(k, 4) if A[i][j]), default=None)
+        if best is None:
+            break
+        g, i, j = best
+        A[k], A[i] = A[i], A[k]
+        for r in A:
+            r[k], r[j] = r[j], r[k]
+        T[k], T[j] = T[j], T[k]
+        inv = pow(A[k][k] // g, -1, m)
+        for r in A[k + 1:]:
+            f = r[k] // g * inv % m
+            r[:] = [(x - f * y) % m for x, y in zip(r, A[k])]
+        # column operations clear row k, which is not read again; the rows
+        # below are already 0 in column k, so only the transform changes
+        for c in range(k + 1, 4):
+            f = A[k][c] // g * inv % m
+            T[c] = [(x - f * y) % m for x, y in zip(T[c], T[k])]
+        diag.append(g)
+    span = []
+    for k in range(4):
+        scale = m // diag[k] if k < len(diag) else 1
+        vec = tuple(x * scale % m for x in T[k])
+        if any(vec):
+            span.append(vec)
+    return span
 
 
-def mat_order(a):
-    return a.order()
+class Echelon:
+    """Echelon basis of the F_ell-span of 4-coordinate vectors.
 
+    `rows` are sorted by pivot (the first coordinate nonzero mod ell) and are
+    not back-substituted: they are the pivot-sorted echelon form of the
+    vectors in the order they were added.  With m a power of ell the rows
+    are kept mod m: pivots are read mod ell and the row operations run mod m,
+    so the rows lift the F_ell echelon rows and stay in the Z/m-span of the
+    input vectors.
+    """
 
-def reduce_matrix(a, target):
-    return a.reduce_to(target)
+    def __init__(self, ell, vectors=(), m=None):
+        self.ell = ell
+        self.m = m or ell
+        self._pivots = []   # (pivot, inverse of the pivot entry mod m, row)
+        for v in vectors:
+            if len(self._pivots) == 4:
+                break
+            self.add(v)
+
+    def __len__(self):
+        return len(self._pivots)
+
+    @property
+    def rows(self):
+        return [b for _, _, b in self._pivots]
+
+    def reduce(self, v):
+        """v minus the combination of rows that clears every pivot coordinate;
+        mod ell this is the normal form of v modulo the span."""
+        ell, m = self.ell, self.m
+        v = list(v)
+        for p, inv, b in self._pivots:
+            if v[p] % ell:
+                f = v[p] * inv % m
+                v = [(v[i] - f * b[i]) % m for i in range(4)]
+        return tuple(v)
+
+    def __contains__(self, v):
+        return not any(x % self.ell for x in self.reduce(v))
+
+    def add(self, v):
+        "Adds v when it is independent mod ell; returns the added row or None."
+        v = self.reduce([x % self.m for x in v])
+        for p in range(4):
+            if v[p] % self.ell:
+                self._pivots.append((p, pow(v[p], -1, self.m), v))
+                self._pivots.sort()
+                return v
+        return None
+
+    def rref(self):
+        "Reduced row echelon rows over F_ell: the canonical basis of the span."
+        ell = self.ell
+        done = Echelon(ell)
+        # back-substitute from the last pivot; rows below are 0 at pivot p
+        for p, inv, b in reversed(self._pivots):
+            b = done.reduce(b)
+            done._pivots.insert(0, (p, 1, tuple(x * inv % ell for x in b)))
+        return done.rows

@@ -114,6 +114,32 @@ def test_lattice_check_image49():
     assert "CLAIM\tpreimage-rigidity\tmodulus=343\trigid=true" in r.stdout
 
 
+OPTIMIZED_CHECK = """
+import sys
+from ellimage import gl2
+from ellimage.cli import main
+from ellimage.errors import CertificateError
+from ellimage.modarith import PrimePowerModulus
+assert False, "run this under python -O"
+gl2._conjugating_matrix = lambda *args: (1, 0, 0, 1)  # never a witness here
+borel = gl2.build_cartan(gl2.CartanSpec("borel", PrimePowerModulus(7, 1)))
+try:
+    gl2.is_conjugate(borel, borel.conjugated_by((0, 1, 1, 0)))
+    sys.exit("a non-witness passed is_conjugate")
+except CertificateError:
+    pass
+sys.exit(main(["lattice-check", "--label", "49.196.9.1"]))
+"""
+
+
+def test_certificate_checks_survive_optimize():
+    # python -O strips asserts; the witness checks must still run
+    r = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECK],
+                       capture_output=True, text=True)
+    assert r.returncode == 3, r.stderr
+    assert "RESULT\tFAILED\tconjugating matrix" in r.stdout
+
+
 def test_validate_bundled():
     r = run("validate")
     assert r.returncode == 0

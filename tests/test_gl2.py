@@ -214,33 +214,62 @@ def test_small_generating_set():
     assert MatrixGroup(M49, list(small)).elements() == g.elements()
 
 
+def _random_invertible(rng, m, ell):
+    while True:
+        c = tuple(rng.randrange(m) for _ in range(4))
+        if (c[0] * c[3] - c[1] * c[2]) % ell:
+            return c
+
+
 def test_nullspace_solver_against_brute_force():
     # oracle: enumerate all of (Z/m)^4 for tiny m and compare solution sets
-    from ellimage.gl2 import _nullspace_span
+    from ellimage.gl2 import _conj_equation_rows
+    from ellimage.modarith import nullspace_span
     from itertools import product
     rng = random.Random(5)
+    cases = []
     for m in (4, 9, 8):
         for _ in range(8):
             rows = [tuple(rng.randrange(-6, 7) for _ in range(4))
                     for _ in range(rng.randrange(1, 5))]
-            span = _nullspace_span(rows, m)
-            for v in span:
-                for r in rows:
-                    assert sum(a * b for a, b in zip(r, v)) % m == 0
-            brute = {x for x in product(range(m), repeat=4)
-                     if all(sum(a * b for a, b in zip(r, x)) % m == 0 for r in rows)}
-            spanned = {(0, 0, 0, 0)}
-            frontier = [(0, 0, 0, 0)]
-            while frontier:
-                new = []
-                for x in frontier:
-                    for v in span:
-                        y = tuple((a + b) % m for a, b in zip(x, v))
-                        if y not in spanned:
-                            spanned.add(y)
-                            new.append(y)
-                frontier = new
-            assert spanned == brute
+            cases.append((rows, m))
+    # tall stacks as the conjugacy search builds them: the equations
+    # c*g = h*c for two or three pairs h = c0*g*c0^-1, topped up to 8-12 rows
+    # with ell-divisible rows
+    rng = random.Random(103)
+    for m, ell in ((25, 5), (27, 3), (8, 2), (9, 3)):
+        for pairs in (2, 3):
+            c0 = _random_invertible(rng, m, ell)
+            rows = []
+            for _ in range(pairs):
+                g = _random_invertible(rng, m, ell)
+                h = mmul(mmul(c0, g, m), minv(c0, m, ell), m)
+                rows += _conj_equation_rows(g, h, m)
+            while len(rows) < 12 and rng.randrange(3):
+                rows.append(tuple(ell * rng.randrange(m) for _ in range(4)))
+            cases.append((rows, m))
+    for rows, m in cases:
+        span = nullspace_span(rows, m)
+        for v in span:
+            assert all(0 <= x < m for x in v)
+            for r in rows:
+                assert sum(a * b for a, b in zip(r, v)) % m == 0
+        brute = product(range(m), repeat=4)
+        for r0, r1, r2, r3 in rows:
+            brute = [x for x in brute
+                     if (r0 * x[0] + r1 * x[1] + r2 * x[2] + r3 * x[3]) % m == 0]
+        spanned = {(0, 0, 0, 0)}
+        frontier = [(0, 0, 0, 0)]
+        while frontier:
+            new = []
+            for x in frontier:
+                for v in span:
+                    y = tuple((a + b) % m for a, b in zip(x, v))
+                    if y not in spanned:
+                        spanned.add(y)
+                        new.append(y)
+            frontier = new
+        assert spanned == set(brute)
 
 
 def test_layered_order_matches_enumeration():

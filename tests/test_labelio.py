@@ -98,9 +98,3 @@ def test_known_j_tables():
         if not r.cm:
             assert r.ell in (11, 17, 37)
             assert r.j_invariant.denominator in (1, 2, 2 ** 17)
-
-
-def test_sutherland_labels_opaque(records):
-    # the parser never infers structure from auxiliary tags
-    for rec in records:
-        assert rec.sutherland_label is None

@@ -3,6 +3,7 @@ import pytest
 from ellimage.errors import SearchBudgetError
 from ellimage.gl2 import (CartanSpec, build_cartan, full_gl2,
                           is_conjugate, mulclose)
+from ellimage.labelio import read_generators_text
 from ellimage.lattice import (KernelModule, all_subgroups, preimage_rigidity,
                               proper_detsurjective_subgroups,
                               split_cartan_membership, verify_counterexample,
@@ -74,6 +75,17 @@ def test_unique_index49_class(image49, printed_index49):
     assert set(rep.elements()) <= set(image49.elements())
     ok, _ = is_conjugate(rep, printed_index49)
     assert ok
+
+
+def test_unique_index49_class_of_hard_conjugate(printed_index49):
+    # a conjugate of 49.196.9.1 on which the conjugacy test's linear algebra
+    # once grew entries of hundreds of bits and never returned
+    rec, = read_generators_text(
+        "49.196.9.1|49|20,25,26,12;12,24,23,20;6,7,30,43;8,0,0,8;"
+        "36,14,35,15;8,35,28,43\n")
+    rep = proper_detsurjective_subgroups(rec.group(), 49, True)[0].representative
+    ok, witness = is_conjugate(rep, printed_index49)
+    assert ok and witness is not None
 
 
 def test_gl2_f7_has_no_constrained_classes():

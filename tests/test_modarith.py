@@ -4,8 +4,7 @@ import pytest
 
 from ellimage.errors import ModulusMismatchError, NotInvertibleError
 from ellimage.gl2 import ambient_order
-from ellimage.modarith import (PrimePowerModulus, ResidueMatrix, mat_det,
-                               mat_inv, mat_mul, mat_order, reduce_matrix)
+from ellimage.modarith import PrimePowerModulus, ResidueMatrix
 
 M49 = PrimePowerModulus(7, 2)
 M7 = PrimePowerModulus(7, 1)
@@ -28,45 +27,45 @@ def test_modulus_validation():
 def test_mul_identity_and_inverse():
     ident = ResidueMatrix.identity(M49)
     g = mk((1, 0, 37, 48))
-    assert mat_mul(ident, g) == g
-    assert mat_mul(g, mat_inv(g)) == ident
+    assert ident * g == g
+    assert g * g.inv() == ident
     # the generator has eigenvalues 1 and -1, so its square is the identity
-    assert mat_mul(g, g) == ident
+    assert g * g == ident
 
 
 def test_mul_modulus_mismatch():
     with pytest.raises(ModulusMismatchError):
-        mat_mul(mk((1, 0, 0, 1)), ResidueMatrix.identity(M7))
+        mk((1, 0, 0, 1)) * ResidueMatrix.identity(M7)
 
 
 def test_det_examples():
-    assert mat_det(ResidueMatrix.identity(M49)) == 1
-    assert mat_det(mk((1, 0, 37, 48))) == 48
-    assert mat_det(mk((22, 0, 0, 22))) == 43
+    assert ResidueMatrix.identity(M49).det() == 1
+    assert mk((1, 0, 37, 48)).det() == 48
+    assert mk((22, 0, 0, 22)).det() == 43
 
 
 def test_inv_examples():
-    assert mat_inv(mk((2, 0, 0, 1))) == mk((25, 0, 0, 1))
+    assert mk((2, 0, 0, 1)).inv() == mk((25, 0, 0, 1))
     with pytest.raises(NotInvertibleError):
-        mat_inv(mk((7, 0, 0, 1)))
+        mk((7, 0, 0, 1)).inv()
 
 
 def test_order_examples():
-    assert mat_order(ResidueMatrix.identity(M7)) == 1
-    assert mat_order(ResidueMatrix.make((0, -1, 1, 0), M7)) == 4
-    assert mat_order(ResidueMatrix.make((0, -1, 1, -1), M7)) == 3
+    assert ResidueMatrix.identity(M7).order() == 1
+    assert ResidueMatrix.make((0, -1, 1, 0), M7).order() == 4
+    assert ResidueMatrix.make((0, -1, 1, -1), M7).order() == 3
     with pytest.raises(NotInvertibleError):
-        mat_order(mk((7, 0, 0, 1)))
+        mk((7, 0, 0, 1)).order()
 
 
 def test_reduce_examples():
     g = mk((1, 0, 37, 48))
-    assert reduce_matrix(g, M49) == g
-    assert reduce_matrix(g, M7) == ResidueMatrix.make((1, 0, 2, 6), M7)
+    assert g.reduce_to(M49) == g
+    assert g.reduce_to(M7) == ResidueMatrix.make((1, 0, 2, 6), M7)
     one = PrimePowerModulus(7, 0)
-    assert reduce_matrix(g, one).entries == (0, 0, 0, 0)
+    assert g.reduce_to(one).entries == (0, 0, 0, 0)
     with pytest.raises(ModulusMismatchError):
-        reduce_matrix(ResidueMatrix.identity(M7), M49)
+        ResidueMatrix.identity(M7).reduce_to(M49)
 
 
 def _random_invertible(rng, mod):
@@ -82,22 +81,22 @@ def test_associativity_and_det_multiplicative():
     for _ in range(60):
         a, b, c = (_random_invertible(rng, M49) for _ in range(3))
         assert (a * b) * c == a * (b * c)
-        assert mat_det(a * b) == mat_det(a) * mat_det(b) % 49
+        assert (a * b).det() == a.det() * b.det() % 49
 
 
 def test_reduction_is_ring_hom():
     rng = random.Random(11)
     for _ in range(40):
         a, b = (_random_invertible(rng, M49) for _ in range(2))
-        assert reduce_matrix(a * b, M7) == reduce_matrix(a, M7) * reduce_matrix(b, M7)
-        assert mat_det(reduce_matrix(a, M7)) == mat_det(a) % 7
+        assert (a * b).reduce_to(M7) == a.reduce_to(M7) * b.reduce_to(M7)
+        assert a.reduce_to(M7).det() == a.det() % 7
 
 
 def test_order_divides_group_order():
     rng = random.Random(13)
     total = ambient_order(M49)
     for _ in range(40):
-        assert total % mat_order(_random_invertible(rng, M49)) == 0
+        assert total % _random_invertible(rng, M49).order() == 0
 
 
 def test_entries_canonicalized():
@@ -105,3 +104,35 @@ def test_entries_canonicalized():
     assert m.entries == (48, 0, 1, 2)
     with pytest.raises(ValueError):
         ResidueMatrix(49, 0, 0, 1, M49)
+
+
+def _f_span(vectors, ell):
+    "Brute-force F_ell-span of 4-vectors."
+    span = {(0, 0, 0, 0)}
+    for v in vectors:
+        span = {tuple((a + c * b) % ell for a, b in zip(w, v))
+                for w in span for c in range(ell)}
+    return span
+
+
+def test_echelon_against_brute_force_span():
+    from ellimage.modarith import Echelon
+    rng = random.Random(19)
+    for ell, m in ((2, 8), (3, 9), (5, 25), (7, 49)):
+        for _ in range(10):
+            vecs = [tuple(rng.randrange(m) for _ in range(4))
+                    for _ in range(rng.randrange(1, 6))]
+            if rng.randrange(2):
+                vecs.append(tuple(3 * x for x in vecs[0]))  # a dependent vector
+            span = _f_span(vecs, ell)
+            ech = Echelon(ell, vecs)
+            pivots = [next(i for i in range(4) if b[i]) for b in ech.rows]
+            assert pivots == sorted(set(pivots))
+            assert _f_span(ech.rows, ell) == span
+            assert ech.rref() == Echelon(ell, vecs[::-1]).rref()
+            for w in list(span)[:20] + [tuple(rng.randrange(ell) for _ in range(4))]:
+                assert (w in ech) == (w in span)
+            # rows kept mod m stay reduced and span the same space mod ell
+            lifted = Echelon(ell, vecs, m).rows
+            assert all(0 <= x < m for b in lifted for x in b)
+            assert _f_span(lifted, ell) == span
