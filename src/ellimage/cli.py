@@ -10,7 +10,9 @@ Verbs:
 
 Exit codes: 0 success (filter: empty final set), 10 filter produced a
 nonempty final set, 3 certificate failure / search budget exhausted,
-4 validation mismatches, 2 usage errors.
+4 validation mismatches, 5 batch records that failed (SUMMARY then ends
+with "N failed" and each failure has a "# error" line), 2 usage errors,
+1 other errors.
 
 The enumeration cap and worker count read ELLIMAGE_MAX_ENUM and
 ELLIMAGE_THREADS from the environment; command-line flags win.
@@ -65,27 +67,6 @@ def _load_records(config):
     return _bundled_records()
 
 
-def _prime_power_modulus(m):
-    if m < 2:
-        raise ValueError("modulus must be a prime power >= 2, got %d" % m)
-    n, p = 0, None
-    mm = m
-    d = 2
-    while d * d <= mm:
-        if mm % d == 0:
-            p = d
-            while mm % d == 0:
-                mm //= d
-                n += 1
-            break
-        d += 1
-    if mm > 1 and p is None:
-        p, n = mm, 1
-    elif mm > 1:
-        raise ValueError("%d is not a prime power" % m)
-    return PrimePowerModulus(p, n)
-
-
 def _resolve_group(args, config):
     if getattr(args, "label", None):
         parse_label(args.label)
@@ -96,7 +77,7 @@ def _resolve_group(args, config):
     if getattr(args, "cartan", None):
         if not getattr(args, "mod", None):
             raise EllimageError("--cartan needs --mod")
-        mod = _prime_power_modulus(args.mod)
+        mod = PrimePowerModulus.from_int(args.mod)
         return build_cartan(CartanSpec(args.cartan, mod, args.eps), config.cap)
     raise EllimageError("give --label or --cartan/--mod")
 
@@ -172,12 +153,11 @@ def cmd_batch(args, config):
         chunks.append(text)
         if final:
             summary.append("%s\t%s" % (label, ",".join("%d:%d" % p for p in final)))
-    tail = ["SUMMARY\t%s\t%d records\t%d nonempty"
-            % (args.family, len(records), len(summary))]
-    tail += summary
-    tail += errors
-    _emit("".join(chunks) + "\n".join(tail) + "\n", config)
-    return 0
+    head = "SUMMARY\t%s\t%d records\t%d nonempty" % (args.family, len(records), len(summary))
+    if errors:
+        head += "\t%d failed" % len(errors)
+    _emit("".join(chunks) + "\n".join([head] + summary + errors) + "\n", config)
+    return 5 if errors else 0
 
 
 def _gens_syntax(group):

@@ -136,7 +136,9 @@ def candidate_pairs(group, family, cap=DEFAULT_CAP):
         for rec in orbits(group, k, family):
             tower = dict(orbit_degree_tower(group, rec))
             deg_k = rec.size
-            assert tower[k] == deg_k
+            if tower[k] != deg_k:
+                raise ArithmeticError("orbit of %r has size %d but tower degree %d"
+                                      % (rec.representative, deg_k, tower[k]))
             for a in range(0, k + 1):
                 if deg_k == tower[a] * map_degree_tower(family, ell, a, k):
                     pair_key = (a, tower[a])

@@ -27,22 +27,6 @@ from .modarith import PrimePowerModulus, ResidueMatrix
 from .modcurves import genus_XG
 
 
-def _prime_power_base(n):
-    "Returns (p, e) with n = p**e, or None."
-    if n < 2:
-        return None
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            return (p, e) if n == 1 else None
-        p += 1
-    return (n, 1)
-
-
 def parse_label(text):
     "N.i.g.n -> (N, i, g, n); N must be a prime power."
     parts = text.strip().split(".")
@@ -54,8 +38,10 @@ def parse_label(text):
         raise LabelError("label %r has non-integer fields" % (text,)) from None
     if n < 1 or i < 1 or g < 0 or tiebreak < 1:
         raise LabelError("label %r has out-of-range fields" % (text,))
-    if _prime_power_base(n) is None:
-        raise LabelError("label level %d is not a prime power" % (n,))
+    try:
+        PrimePowerModulus.from_int(n)
+    except ValueError:
+        raise LabelError("label level %d is not a prime power" % (n,)) from None
     return n, i, g, tiebreak
 
 
@@ -88,8 +74,7 @@ def _parse_record_line(line, lineno):
         raise DataFileError("modulus %r is not an integer" % (modtext,), lineno) from None
     if modulus != n:
         raise DataFileError("label level %d does not match modulus %d" % (n, modulus), lineno)
-    base = _prime_power_base(modulus)
-    mod = PrimePowerModulus(base[0], base[1])
+    mod = PrimePowerModulus.from_int(modulus)
     gens = []
     for chunk in genstext.split(";"):
         chunk = chunk.strip()

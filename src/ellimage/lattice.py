@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from .errors import CertificateError, EnumerationCapError, SearchBudgetError
 from .gl2 import (CartanSpec, DEFAULT_CAP, MatrixGroup, build_cartan,
-                  conjugate_into, mulclose)
+                  conjugate_into, mulclose, orbit)
 from .modarith import (Echelon, PrimePowerModulus, lincomb, mdet, minv, mmul,
                        mpow, mreduce)
 
@@ -153,20 +153,11 @@ class KernelModule:
             for rest in iproduct(range(ell), repeat=tail):
                 v = tuple([0] * pivot + [1] + list(rest))
                 spins.add(tuple(self.spin(v, action)))
-        lattice = {()} | spins
-        frontier = set(spins)
-        while frontier:
-            new = set()
-            for a in frontier:
-                for b in spins:
-                    j = tuple(Echelon(ell, a + b).rref())
-                    if j not in lattice:
-                        lattice.add(j)
-                        new.add(j)
-            frontier = new
+        lattice = orbit((), spins, lambda a, b: tuple(Echelon(ell, a + b).rref()))
         out = [list(s) for s in sorted(lattice, key=lambda s: (len(s), s))]
         for s in out:
-            assert _is_stable(s, self.gens_bar, ell)
+            if not _is_stable(s, self.gens_bar, ell):
+                raise CertificateError("join of stable subspaces %r is not stable" % (s,))
         return out
 
 
@@ -186,44 +177,27 @@ def all_subgroups(group, cap=DEFAULT_CAP):
         while c[-1] != ident:
             c.append(mmul(c[-1], x, m))
         cyclics.add(frozenset(c))
-    subs = {frozenset([ident])} | cyclics
-    frontier = set(cyclics)
-    while frontier:
-        new = set()
-        for S in frontier:
-            for C in cyclics:
-                if C <= S:
-                    continue
-                J = frozenset(mulclose(sorted(S | C), m, cap))
-                if J not in subs:
-                    subs.add(J)
-                    new.add(J)
-        frontier = new
-    return subs
+
+    def join(S, C):
+        return S if C <= S else frozenset(mulclose(sorted(S | C), m, cap))
+
+    return orbit(frozenset([ident]), cyclics, join, cap)
 
 
-def _conjugacy_classes_of_subgroups(subsets, group, cap=DEFAULT_CAP):
+def _conjugacy_classes_of_subgroups(subsets, group):
     "Partition subgroup element-sets into conjugacy classes under the group."
     m = group.mod.modulus
     ell = group.mod.ell
-    gens = group.gens
+    inv = {g: minv(g, m, ell) for g in group.gens}
+    conj = lambda T, g: frozenset(mmul(mmul(g, x, m), inv[g], m) for x in T)
     classes = []
     seen = set()
     for S in sorted(subsets, key=lambda s: (len(s), tuple(sorted(s)))):
         if S in seen:
             continue
-        orbit = {S}
-        queue = [S]
-        while queue:
-            T = queue.pop()
-            for g in gens:
-                gi = minv(g, m, ell)
-                U = frozenset(mmul(mmul(g, x, m), gi, m) for x in T)
-                if U not in orbit:
-                    orbit.add(U)
-                    queue.append(U)
-        seen |= orbit
-        classes.append((min(orbit, key=lambda s: tuple(sorted(s))), len(orbit)))
+        points = orbit(S, group.gens, conj)
+        seen |= points
+        classes.append((min(points, key=lambda s: tuple(sorted(s))), len(points)))
     return classes
 
 
@@ -312,7 +286,7 @@ def proper_detsurjective_subgroups(group, index_bound, fix_mod_ell_reduction=Tru
                 if frozenset(mreduce(x, ell) for x in S) != bar_parent:
                     continue
             picked.append(S)
-        classes = _conjugacy_classes_of_subgroups(picked, group, cap)
+        classes = _conjugacy_classes_of_subgroups(picked, group)
         out = []
         for rep_set, size in classes:
             rep = MatrixGroup(mod, sorted(rep_set))
@@ -361,7 +335,7 @@ def proper_detsurjective_subgroups(group, index_bound, fix_mod_ell_reduction=Tru
         if not rep.det_image()[1]:
             continue
         rep_set = frozenset(rep.elements(cap))
-        classes = _conjugacy_classes_of_subgroups([rep_set], group, cap)
+        classes = _conjugacy_classes_of_subgroups([rep_set], group)
         # the orbit of the single representative is its full class
         class_size = classes[0][1]
         out.append(SubgroupClass(rep, parent_order // expected, True, class_size))
@@ -410,25 +384,6 @@ class _KernelQuotient:
         k = lincomb(coeffs, basis, self.ell)
         return self.canon(_kernel_matrix(k, self.layer, self.m))
 
-    def closure(self, gens, cap):
-        ident = self.canon((1, 0, 0, 1))
-        els = {ident}
-        gens = [self.canon(g) for g in gens]
-        els.update(gens)
-        bdy = sorted(els)
-        while bdy:
-            new = []
-            for b in bdy:
-                for g in gens:
-                    c = self.mul(b, g)
-                    if c not in els:
-                        els.add(c)
-                        new.append(c)
-                        if len(els) > cap:
-                            raise EnumerationCapError("quotient closure exceeded %d" % cap)
-            bdy = new
-        return els
-
 
 def _sylow_subgroup(group, cap=DEFAULT_CAP):
     "An ell-Sylow subgroup of an enumerated group, by normalizer climbing."
@@ -457,7 +412,9 @@ def _sylow_subgroup(group, cap=DEFAULT_CAP):
             lp = len(new)
             while lp % ell == 0:
                 lp //= ell
-            assert lp == 1, "Sylow climb left the ell-world"
+            if lp != 1:
+                raise CertificateError("Sylow climb reached a group of order %d, "
+                                       "not a power of %d" % (len(new), ell))
             sgens.append(z)
             sset = new
             progressed = True
@@ -482,7 +439,8 @@ def _complement_in_sylow(quot, syl_gens, v_basis, ell, complement_order, budget)
         adjusted = [quot.mul(lift, quot.kernel(coeffs, v_basis))
                     for lift, coeffs in zip(lifts, assignment)]
         try:
-            closure = quot.closure(adjusted, complement_order)
+            closure = orbit(quot.canon((1, 0, 0, 1)), adjusted, quot.mul,
+                            complement_order)
         except EnumerationCapError:
             continue
         if len(closure) == complement_order:

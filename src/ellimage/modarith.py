@@ -63,6 +63,18 @@ class PrimePowerModulus:
     def modulus(self):
         return self.ell ** self.exponent
 
+    @classmethod
+    def from_int(cls, m):
+        """The modulus ell**e equal to m; ValueError unless m is a prime power
+        in [2, MAX_MODULUS]."""
+        if not 2 <= m <= MAX_MODULUS:
+            raise ValueError("modulus must be a prime power in [2, %d], got %d"
+                             % (MAX_MODULUS, m))
+        (ell, e), *rest = factorize(m).items()
+        if rest:
+            raise ValueError("%d is not a prime power" % m)
+        return cls(ell, e)
+
     def to_exponent(self, exponent):
         return PrimePowerModulus(self.ell, exponent)
 
@@ -139,7 +151,8 @@ def mvec(a, v, m):
     return ((a[0] * v[0] + a[1] * v[1]) % m, (a[2] * v[0] + a[3] * v[1]) % m)
 
 
-def _factorize(n):
+def factorize(n):
+    "{prime: exponent} of n >= 1 by trial division, primes in increasing order."
     out = {}
     d = 2
     while d * d <= n:
@@ -165,7 +178,7 @@ def morder(a, mod):
     if mpow(a, e, m) != IDENTITY:
         raise ArithmeticError("order computation failed for %r mod %d" % (a, m))
     order = e
-    for p in _factorize(e):
+    for p in factorize(e):
         while order % p == 0 and mpow(a, order // p, m) == IDENTITY:
             order //= p
     return order

@@ -4,37 +4,27 @@ Closed formulas handle X1(N) and X0(N).  For an arbitrary subgroup the genus
 is computed from the action on the right cosets of (+-G cap SL2) in
 SL2(Z/N): mu is the coset count, nu2/nu3 count cosets fixed by the standard
 order-4/order-3 elements s = [0 -1; 1 0] and t = [0 -1; 1 -1], and nu_inf
-counts orbits of u = [1 1; 0 1].  -I is always adjoined first (X_G depends
-only on +-G).  Cosets here are right cosets Hx with the right multiplication
-action; the Borel-vs-X0 and Gamma1-shape-vs-X1 oracle tests pin this
-convention against the closed formulas.
+counts orbits of u = [1 1; 0 1].  X_G depends only on +-G, so H is taken as
+(G cap SL2) together with its negatives, which is +-G cap SL2.  Cosets here
+are right cosets Hx with the right multiplication action, found by an orbit
+BFS from H under s and t (P^1-style coset enumeration, as for Gamma0 in
+Diamond-Shurman ch. 3) rather than by listing SL2(Z/N); the Borel-vs-X0 and
+Gamma1-shape-vs-X1 oracle tests pin this convention against the closed
+formulas, and the tests keep an SL2-enumerating coset count as an oracle.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .gl2 import DEFAULT_CAP, mulclose
-from .modarith import mdet, mmul, mreduce
-
-
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+from .errors import EnumerationCapError
+from .gl2 import DEFAULT_CAP, ambient_order, orbit
+from .modarith import factorize, mdet, mmul, mneg, mreduce
 
 
 def _euler_phi(n):
     r = n
-    for p in _prime_factors(n):
+    for p in factorize(n):
         r -= r // p
     return r
 
@@ -47,13 +37,20 @@ def _legendre(a, p):
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
+def _genus(g, what):
+    "g as an int; ArithmeticError unless it is a non-negative integer."
+    if g.denominator != 1 or g < 0:
+        raise ArithmeticError("genus of %s came out as %s" % (what, g))
+    return int(g)
+
+
 def genus_X0(N):
     "Genus of X0(N) by the classical index/elliptic-point/cusp counts."
     if N < 1:
         raise ValueError("N must be >= 1")
     if N == 1:
         return 0
-    primes = _prime_factors(N)
+    primes = factorize(N)
     mu = N
     for p in primes:
         mu += mu // p
@@ -78,8 +75,7 @@ def genus_X0(N):
             nu3 *= 1 + _legendre(-3, p)
     nu_inf = sum(_euler_phi(gcd(d, N // d)) for d in range(1, N + 1) if N % d == 0)
     g = 1 + Fraction(mu, 12) - Fraction(nu2, 4) - Fraction(nu3, 3) - Fraction(nu_inf, 2)
-    assert g.denominator == 1 and g >= 0, (N, g)
-    return int(g)
+    return _genus(g, N)
 
 
 def genus_X1(N):
@@ -89,13 +85,12 @@ def genus_X1(N):
     if N <= 4:
         return 0
     mu = Fraction(N * N, 2)
-    for p in _prime_factors(N):
+    for p in factorize(N):
         mu *= Fraction(p * p - 1, p * p)
     nu_inf = Fraction(sum(_euler_phi(d) * _euler_phi(N // d)
                           for d in range(1, N + 1) if N % d == 0), 2)
     g = 1 + mu / 12 - nu_inf / 2
-    assert g.denominator == 1 and g >= 0, (N, g)
-    return int(g)
+    return _genus(g, N)
 
 
 @dataclass(frozen=True)
@@ -121,19 +116,20 @@ class MapDegreeSpec:
 
 
 def map_degree(spec):
-    "Degree of the natural map described by a MapDegreeSpec; asserted integral."
+    "Degree of the natural map described by a MapDegreeSpec; checked integral."
     a, b = spec.a, spec.b
     if spec.family == "gamma1":
         deg = spec.c_f * b * b
-        for p in _prime_factors(b):
+        for p in factorize(b):
             if a % p:
                 deg *= Fraction(p * p - 1, p * p)
     else:
         deg = Fraction(b)
-        for p in _prime_factors(b):
+        for p in factorize(b):
             if a % p:
                 deg *= Fraction(p + 1, p)
-    assert deg.denominator == 1 and deg >= 1, (spec, deg)
+    if deg.denominator != 1 or deg < 1:
+        raise ArithmeticError("degree of %s came out as %s" % (spec, deg))
     return int(deg)
 
 
@@ -155,50 +151,44 @@ class GenusProfile:
 
 _X1_PROFILE_LEVEL1 = GenusProfile(1, 1, 1, 1, 0)
 
-_SL2_CACHE = {}
-
-
-def sl2_elements(modulus):
-    "Sorted tuple of SL2(Z/m); cached per modulus, built once."
-    m = int(modulus)
-    if m not in _SL2_CACHE:
-        els = mulclose([(1, 1, 0, 1), (1, 0, 1, 1)], m, cap=DEFAULT_CAP)
-        facs = _prime_factors(m)
-        expected = m ** 3
-        for p in facs:
-            expected = expected // (p * p) * (p * p - 1)
-        assert len(els) == expected
-        _SL2_CACHE[m] = tuple(sorted(els))
-    return _SL2_CACHE[m]
-
 
 def genus_XG(group, cap=DEFAULT_CAP):
     """GenusProfile of the modular curve attached to a subgroup of GL2(Z/N).
 
     mu = [SL2(Z/N) : +-G cap SL2]; the level-1 marker yields the j-line.
+    The cosets are found by BFS from H under s and t, which generate
+    SL2(Z/N); the coset table holds every element of SL2(Z/N) once, so
+    EnumerationCapError is raised when |SL2(Z/N)| exceeds cap.
     """
     mod = group.mod
     if mod.exponent == 0:
         return _X1_PROFILE_LEVEL1
     m = mod.modulus
-    pm = group.adjoin_minus_identity()
-    H = sorted(x for x in pm.elements(cap) if mdet(x, m) == 1)
-    S = sl2_elements(m)
-    if len(S) % len(H):
-        raise ArithmeticError("|H| = %d does not divide |SL2| = %d" % (len(H), len(S)))
+    total = ambient_order(mod, "SL2")
+    if total > cap:
+        raise EnumerationCapError("coset table of SL2(Z/%d) needs %d entries, above "
+                                  "the cap %d" % (m, total, cap))
+    sl2 = [x for x in group.elements(cap) if mdet(x, m) == 1]
+    H = set(sl2) | {mneg(x, m) for x in sl2}
     coset_of = {}
     reps = []
-    for x in S:
-        if x in coset_of:
-            continue
-        idx = len(reps)
-        reps.append(x)
-        for h in H:
-            coset_of[mmul(h, x, m)] = idx
-    mu = len(reps)
+
+    def coset(x):
+        "Index of the right coset Hx, numbered on first sight."
+        if x not in coset_of:
+            for h in H:
+                coset_of[mmul(h, x, m)] = len(reps)
+            reps.append(x)
+        return coset_of[x]
+
     s = mreduce((0, -1, 1, 0), m)
     t = mreduce((0, -1, 1, -1), m)
     u = (1, 1 % m, 0, 1)
+    orbit(coset((1, 0, 0, 1)), (s, t), lambda i, g: coset(mmul(reps[i], g, m)), cap)
+    mu = len(reps)
+    if mu * len(H) != total:
+        raise ArithmeticError("%d cosets of |H| = %d do not fill |SL2| = %d"
+                              % (mu, len(H), total))
     nu2 = sum(1 for i, r in enumerate(reps) if coset_of[mmul(r, s, m)] == i)
     nu3 = sum(1 for i, r in enumerate(reps) if coset_of[mmul(r, t, m)] == i)
     perm = [coset_of[mmul(r, u, m)] for r in reps]
@@ -212,5 +202,4 @@ def genus_XG(group, cap=DEFAULT_CAP):
                 seen[j] = True
                 j = perm[j]
     g = 1 + Fraction(mu, 12) - Fraction(nu2, 4) - Fraction(nu3, 3) - Fraction(nu_inf, 2)
-    assert g.denominator == 1 and g >= 0, (group, mu, nu2, nu3, nu_inf, g)
-    return GenusProfile(mu, nu2, nu3, nu_inf, int(g))
+    return GenusProfile(mu, nu2, nu3, nu_inf, _genus(g, group))

@@ -10,10 +10,16 @@ For the orbit sizes to carry their field-degree meaning the input group must
 be an actual Galois image (the full image, not an arbitrary subgroup), and
 the j-invariant must be outside {0, 1728}; the functions themselves are pure
 group theory and do not check this.
+
+Every orbit is one gl2.orbit BFS over the carrier in normal form: a +-class
+is stored as the lesser of v and -v, a line as its lexicographically least
+generator, which has the closed form (1, y/x) for x a unit,
+(ell^j, y/x' mod ell^(k-j)) for x = ell^j x' and (0, 1) for x = 0.
 """
 
 from dataclasses import dataclass
 
+from .gl2 import orbit
 from .modarith import PrimePowerModulus, mreduce, mvec
 
 
@@ -40,8 +46,8 @@ class CyclicSubmodule:
     level: PrimePowerModulus
 
     def __post_init__(self):
-        m = self.level.modulus
-        canon = _line_canon((self.x, self.y), m, _units(self.level))
+        TorsionVector(self.x, self.y, self.level)  # the generator has exact order ell^k
+        canon = _line_canon((self.x, self.y), self.level)
         if canon != (self.x, self.y):
             raise ValueError("(%d, %d) is not the canonical generator %r"
                              % (self.x, self.y, canon))
@@ -65,25 +71,30 @@ def _pm_canon(v, m):
     return v if v <= w else w
 
 
-_UNIT_CACHE = {}
+def _line_canon(v, level):
+    """Lexicographically least unit multiple of v, a vector of exact order
+    ell^k: with x = ell^j * x' (x' a unit, j < k) it is
+    (ell^j, y * x'^-1 mod ell^(k-j)), and (0, 1) when x = 0."""
+    x, y = v
+    if x == 0:
+        return (0, 1)
+    ell = level.ell
+    j, unit = 0, x
+    while unit % ell == 0:
+        unit //= ell
+        j += 1
+    q = level.modulus // ell ** j
+    return (ell ** j, y * pow(unit, -1, q) % q)
 
 
-def _units(level):
-    m = level.modulus
-    if m not in _UNIT_CACHE:
-        ell = level.ell
-        _UNIT_CACHE[m] = tuple(u for u in range(1, m) if u % ell) if m > 1 else (0,)
-    return _UNIT_CACHE[m]
-
-
-def _line_canon(v, m, units):
-    "Lexicographically least generator among the unit multiples of v."
-    best = None
-    for u in units:
-        w = (u * v[0] % m, u * v[1] % m)
-        if best is None or w < best:
-            best = w
-    return best
+def _canon(family, level):
+    "Normal form of the carrier points: +-classes (gamma1) or lines (gamma0)."
+    if family == "gamma1":
+        m = level.modulus
+        return lambda v: _pm_canon(v, m)
+    if family == "gamma0":
+        return lambda v: _line_canon(v, level)
+    raise ValueError("family must be gamma1 or gamma0, got %r" % (family,))
 
 
 def _exact_vectors(level):
@@ -108,57 +119,42 @@ def _reduced_gens(group, level):
     return gens
 
 
+def _single_orbit_size(group, v, k, family):
+    "Size of the orbit of the carrier point through v at level ell^k."
+    level = PrimePowerModulus(group.mod.ell, k)
+    m = level.modulus
+    canon = _canon(family, level)
+    seed = canon((v[0] % m, v[1] % m))
+    return len(orbit(seed, _reduced_gens(group, level),
+                     lambda w, g: canon(mvec(g, w, m))))
+
+
+def _orbits(group, k, family):
+    "OrbitRecords of the group mod ell^k on the family's carrier, by least point."
+    level = PrimePowerModulus(group.mod.ell, k)
+    m = level.modulus
+    canon = _canon(family, level)
+    gens = _reduced_gens(group, level)
+    seen = set()
+    out = []
+    for v0 in sorted({canon(v) for v in _exact_vectors(level)}):
+        if v0 not in seen:
+            points = orbit(v0, gens, lambda w, g: canon(mvec(g, w, m)))
+            seen |= points
+            out.append(OrbitRecord(family, level, v0, len(points)))
+    return out
+
+
 def gamma1_orbits(group, k):
     """Orbits of <group mod ell^k, -I> on +-classes of exact order ell^k
     vectors; each orbit size is the degree of the induced point on X1(ell^k)."""
-    level = PrimePowerModulus(group.mod.ell, k)
-    gens = _reduced_gens(group, level)
-    m = level.modulus
-    carrier = sorted({_pm_canon(v, m) for v in _exact_vectors(level)})
-    seen = set()
-    out = []
-    for v0 in carrier:
-        if v0 in seen:
-            continue
-        orbit = {v0}
-        queue = [v0]
-        while queue:
-            v = queue.pop()
-            for g in gens:
-                w = _pm_canon(mvec(g, v, m), m)
-                if w not in orbit:
-                    orbit.add(w)
-                    queue.append(w)
-        seen |= orbit
-        out.append(OrbitRecord("gamma1", level, v0, len(orbit)))
-    return out
+    return _orbits(group, k, "gamma1")
 
 
 def gamma0_orbits(group, k):
     """Orbits of group mod ell^k on cyclic submodules of order ell^k; each
     orbit size is the degree of the induced point on X0(ell^k)."""
-    level = PrimePowerModulus(group.mod.ell, k)
-    gens = _reduced_gens(group, level)
-    m = level.modulus
-    units = _units(level)
-    carrier = sorted({_line_canon(v, m, units) for v in _exact_vectors(level)})
-    seen = set()
-    out = []
-    for v0 in carrier:
-        if v0 in seen:
-            continue
-        orbit = {v0}
-        queue = [v0]
-        while queue:
-            v = queue.pop()
-            for g in gens:
-                w = _line_canon(mvec(g, v, m), m, units)
-                if w not in orbit:
-                    orbit.add(w)
-                    queue.append(w)
-        seen |= orbit
-        out.append(OrbitRecord("gamma0", level, v0, len(orbit)))
-    return out
+    return _orbits(group, k, "gamma0")
 
 
 def orbits(group, k, family):
@@ -167,28 +163,6 @@ def orbits(group, k, family):
     if family == "gamma0":
         return gamma0_orbits(group, k)
     raise ValueError("family must be gamma1 or gamma0, got %r" % (family,))
-
-
-def _single_orbit_size(group, v, k, family):
-    level = PrimePowerModulus(group.mod.ell, k)
-    gens = _reduced_gens(group, level)
-    m = level.modulus
-    if family == "gamma1":
-        canon = lambda w: _pm_canon(w, m)
-    else:
-        units = _units(level)
-        canon = lambda w: _line_canon(w, m, units)
-    v0 = canon((v[0] % m, v[1] % m))
-    orbit = {v0}
-    queue = [v0]
-    while queue:
-        w = queue.pop()
-        for g in gens:
-            u = canon(mvec(g, w, m))
-            if u not in orbit:
-                orbit.add(u)
-                queue.append(u)
-    return len(orbit)
 
 
 def orbit_degree_tower(group, rec):
@@ -201,7 +175,6 @@ def orbit_degree_tower(group, rec):
     k = rec.level.exponent
     out = []
     for a in range(k, 0, -1):
-        size = _single_orbit_size(group, rec.representative, a, rec.family)
-        out.append((a, size))
+        out.append((a, _single_orbit_size(group, rec.representative, a, rec.family)))
     out.append((0, 1))
     return out

@@ -38,26 +38,13 @@ def test_criterion_02_genus_oracle_equivalence():
     t0 = time.time()
     ok = True
     for N in (7, 9, 11, 13, 25, 49):
-        base = _prime_power(N)
+        base = PrimePowerModulus.from_int(N)
         borel = build_cartan(CartanSpec("borel", base))
         ok = ok and genus_XG(borel).genus == genus_X0(N)
         gens = [(1, 1, 0, 1), (N - 1, 0, 0, N - 1)]
         gens += [(1, 0, 0, u) for u in unit_group_generators(base)]
         ok = ok and genus_XG(MatrixGroup(base, gens)).genus == genus_X1(N)
     _report(2, ok, "coset-space genus equals closed-form genus, N in {7,...,49}", t0)
-
-
-def _prime_power(N):
-    p = 2
-    while p * p <= N:
-        if N % p == 0:
-            e = 0
-            while N % p == 0:
-                N //= p
-                e += 1
-            return PrimePowerModulus(p, e)
-        p += 1
-    return PrimePowerModulus(N, 1)
 
 
 def test_criterion_03_cartan_degrees():

@@ -83,6 +83,16 @@ def test_batch_empty_file(tmp_path):
     assert "0 records\t0 nonempty" in r.stdout
 
 
+def test_batch_reports_failed_records():
+    r = run("batch", "--family", "gamma1", "--max-enum", "10000", "--threads", "1")
+    assert r.returncode == 5
+    errors = [l for l in r.stdout.splitlines() if l.startswith("# error ")]
+    summary = [l for l in r.stdout.splitlines() if l.startswith("SUMMARY")]
+    assert summary == ["SUMMARY\tgamma1\t42 records\t1 nonempty\t%d failed" % len(errors)]
+    failed = {l[len("# error "):].split(":", 1)[0] for l in errors}
+    assert {"37.114.4.1", "37.114.4.2"} <= failed
+
+
 def test_out_flag(tmp_path):
     p = tmp_path / "report.txt"
     r = run("filter", "--family", "gamma1", "--label", "17.72.1.2", "--out", str(p))
@@ -152,3 +162,23 @@ def test_validate_mismatch(tmp_path):
     r = run("validate", "--gens-file", str(p))
     assert r.returncode == 4
     assert "MISMATCH" in r.stdout
+
+
+OPTIMIZED_GENUS_CHECK = """
+import sys
+from ellimage import modcurves
+assert False, "run this under python -O"
+modcurves.factorize = lambda n: {}  # drops every prime factor
+try:
+    modcurves.genus_X0(11)
+except ArithmeticError as exc:
+    sys.exit("raised: %s" % exc)
+"""
+
+
+def test_integrality_checks_survive_optimize():
+    # with the wrong prime factors the genus of X0(11) comes out as 1/3
+    r = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_GENUS_CHECK],
+                       capture_output=True, text=True)
+    assert r.returncode == 1
+    assert r.stderr.startswith("raised: genus of 11 came out as 1/3")

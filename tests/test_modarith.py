@@ -4,7 +4,7 @@ import pytest
 
 from ellimage.errors import ModulusMismatchError, NotInvertibleError
 from ellimage.gl2 import ambient_order
-from ellimage.modarith import PrimePowerModulus, ResidueMatrix
+from ellimage.modarith import MAX_MODULUS, PrimePowerModulus, ResidueMatrix, factorize, is_prime
 
 M49 = PrimePowerModulus(7, 2)
 M7 = PrimePowerModulus(7, 1)
@@ -136,3 +136,23 @@ def test_echelon_against_brute_force_span():
             lifted = Echelon(ell, vecs, m).rows
             assert all(0 <= x < m for b in lifted for x in b)
             assert _f_span(lifted, ell) == span
+
+
+def test_factorize_and_from_int():
+    cases = {1: {}, 12: {2: 2, 3: 1}, 2 ** 10: {2: 10}, 343: {7: 3},
+             3_037_000_493: {3_037_000_493: 1}}
+    for n, want in cases.items():
+        assert factorize(n) == want
+    top = factorize(MAX_MODULUS + 1)
+    assert all(is_prime(p) for p in top)
+    assert list(top) == sorted(top)
+    prod = 1
+    for p, e in top.items():
+        prod *= p ** e
+    assert prod == MAX_MODULUS + 1
+    assert PrimePowerModulus.from_int(2 ** 10) == PrimePowerModulus(2, 10)
+    assert PrimePowerModulus.from_int(343) == PrimePowerModulus(7, 3)
+    assert PrimePowerModulus.from_int(3_037_000_493) == PrimePowerModulus(3_037_000_493, 1)
+    for bad in (1, 12, MAX_MODULUS + 1):
+        with pytest.raises(ValueError):
+            PrimePowerModulus.from_int(bad)

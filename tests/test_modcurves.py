@@ -1,7 +1,9 @@
 import pytest
 
-from ellimage.gl2 import CartanSpec, MatrixGroup, build_cartan, full_gl2, unit_group_generators
-from ellimage.modarith import PrimePowerModulus
+from ellimage.errors import EnumerationCapError
+from ellimage.gl2 import (CartanSpec, MatrixGroup, ambient_order, build_cartan, full_gl2,
+                          mulclose, unit_group_generators)
+from ellimage.modarith import PrimePowerModulus, mdet, mmul, mreduce
 from ellimage.modcurves import (GenusProfile, MapDegreeSpec, genus_X0,
                                 genus_X1, genus_XG, map_degree,
                                 map_degree_tower)
@@ -103,3 +105,62 @@ def test_profile_consistency():
         p = genus_XG(build_cartan(CartanSpec(kind, PrimePowerModulus(7, 1))))
         assert (12 + p.mu - 3 * p.nu2 - 4 * p.nu3 - 6 * p.nu_inf) % 12 == 0
         assert p.genus == 1 + (p.mu - 3 * p.nu2 - 4 * p.nu3 - 6 * p.nu_inf) // 12
+
+
+def _profile_by_sl2_enumeration(group):
+    """GenusProfile from the right cosets of +-G cap SL2, found by listing all
+    of SL2(Z/N): the enumeration genus_XG used before its coset BFS."""
+    m = group.mod.modulus
+    H = sorted(x for x in group.adjoin_minus_identity().elements()
+               if mdet(x, m) == 1)
+    coset_of, reps = {}, []
+    for x in sorted(mulclose([(1, 1, 0, 1), (1, 0, 1, 1)], m)):
+        if x not in coset_of:
+            for h in H:
+                coset_of[mmul(h, x, m)] = len(reps)
+            reps.append(x)
+    s, t, u = mreduce((0, -1, 1, 0), m), mreduce((0, -1, 1, -1), m), (1, 1, 0, 1)
+    nu2 = sum(coset_of[mmul(r, s, m)] == i for i, r in enumerate(reps))
+    nu3 = sum(coset_of[mmul(r, t, m)] == i for i, r in enumerate(reps))
+    perm = [coset_of[mmul(r, u, m)] for r in reps]
+    cycles, seen = 0, set()
+    for i in range(len(reps)):
+        if i not in seen:
+            cycles += 1
+            while i not in seen:
+                seen.add(i)
+                i = perm[i]
+    mu = len(reps)
+    twelve_g = 12 + mu - 3 * nu2 - 4 * nu3 - 6 * cycles
+    assert twelve_g % 12 == 0
+    return GenusProfile(mu, nu2, nu3, cycles, twelve_g // 12)
+
+
+@pytest.mark.parametrize("kind", ["borel", "split-normalizer", "nonsplit-normalizer"])
+@pytest.mark.parametrize("ell,e", [(7, 1), (3, 2), (5, 2)])
+def test_genus_XG_against_sl2_enumeration(kind, ell, e):
+    group = build_cartan(CartanSpec(kind, PrimePowerModulus(ell, e)))
+    assert genus_XG(group) == _profile_by_sl2_enumeration(group)
+
+
+def test_genus_XG_against_sl2_enumeration_image49(image49):
+    for group in (image49, image49.conjugated_by((1, 3, 5, 2))):
+        assert genus_XG(group) == _profile_by_sl2_enumeration(group)
+
+
+@pytest.mark.parametrize("ell,e", [(7, 1), (3, 2), (5, 2)])
+def test_genus_XG_against_sl2_enumeration_without_minus_identity(ell, e):
+    # {[1 b; 0 d]} does not contain -I, so genus_XG must add the negatives
+    mod = PrimePowerModulus(ell, e)
+    group = MatrixGroup(mod, [(1, 1, 0, 1)] + [(1, 0, 0, u) for u in unit_group_generators(mod)])
+    assert not group.contains_minus_identity()
+    assert genus_XG(group) == _profile_by_sl2_enumeration(group)
+
+
+def test_genus_XG_honours_cap():
+    borel = build_cartan(CartanSpec("borel", PrimePowerModulus(5, 2)))
+    sl2_order = ambient_order(borel.mod, "SL2")
+    assert sl2_order == 15000 and borel.order() == 10000
+    with pytest.raises(EnumerationCapError):
+        genus_XG(borel, cap=sl2_order - 1)
+    assert genus_XG(borel, cap=sl2_order).genus == genus_X0(25)

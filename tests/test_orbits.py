@@ -5,8 +5,8 @@ import pytest
 from ellimage.gl2 import CartanSpec, MatrixGroup, build_cartan, full_gl2
 from ellimage.modarith import PrimePowerModulus
 from ellimage.modcurves import map_degree_tower
-from ellimage.orbits import (CyclicSubmodule, TorsionVector, gamma0_orbits,
-                             gamma1_orbits, orbit_degree_tower)
+from ellimage.orbits import (CyclicSubmodule, TorsionVector, _line_canon,
+                             gamma0_orbits, gamma1_orbits, orbit_degree_tower)
 
 M7 = PrimePowerModulus(7, 1)
 M49 = PrimePowerModulus(7, 2)
@@ -23,8 +23,38 @@ def test_torsion_vector_validation():
 
 def test_cyclic_submodule_canonical_form():
     CyclicSubmodule(1, 3, M7)
+    CyclicSubmodule(7, 1, M49)
     with pytest.raises(ValueError):
         CyclicSubmodule(2, 6, M7)  # 2*(1,3): not the canonical generator
+    for x, y in ((0, 0), (7, 0), (0, 7)):  # order below 49
+        with pytest.raises(ValueError):
+            CyclicSubmodule(x, y, M49)
+    with pytest.raises(ValueError):
+        CyclicSubmodule(0, 0, PrimePowerModulus(7, 0))
+
+
+def _unit_scan_line_canon(level):
+    "v -> least unit multiple of v for every exact-order v, by scanning all units."
+    ell, m = level.ell, level.modulus
+    units = [u for u in range(1, m) if u % ell]
+    out = {}
+    for x in range(m):
+        for y in range(m):
+            if (x % ell or y % ell) and (x, y) not in out:
+                line = [(u * x % m, u * y % m) for u in units]
+                least = min(line)
+                for w in line:
+                    out[w] = least
+    return out
+
+
+@pytest.mark.parametrize("ell,k", [(2, 1), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2),
+                                   (7, 2), (11, 2), (17, 2)])
+def test_line_canon_against_unit_scan(ell, k):
+    level = PrimePowerModulus(ell, k)
+    want = _unit_scan_line_canon(level)
+    assert len(want) == ell ** (2 * k) - ell ** (2 * k - 2)
+    assert all(_line_canon(v, level) == c for v, c in want.items())
 
 
 def test_gamma1_full_image():
