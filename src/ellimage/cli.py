@@ -10,9 +10,9 @@ Verbs:
 
 Exit codes: 0 success (filter: empty final set), 10 filter produced a
 nonempty final set, 3 certificate failure / search budget exhausted,
-4 validation mismatches, 5 batch records that failed (SUMMARY then ends
-with "N failed" and each failure has a "# error" line), 2 usage errors,
-1 other errors.
+4 validation mismatches, 5 batch or validate records that failed (SUMMARY
+or VALIDATED then ends with "N failed" and each failure has a "# error"
+line; 5 wins over 4), 2 usage errors, 1 other errors.
 
 The enumeration cap and worker count read ELLIMAGE_MAX_ENUM and
 ELLIMAGE_THREADS from the environment; command-line flags win.
@@ -215,15 +215,22 @@ def cmd_validate(args, config):
     else:
         records = _bundled_records() + _special_records()
     lines = []
+    errors = []
     bad = 0
     for rec in records:
-        rep = validate_record(rec, config.cap)
+        try:
+            rep = validate_record(rec, config.cap)
+        except Exception as exc:  # per-record errors are collected, not fatal
+            errors.append("# error %s: %s: %s" % (rec.rszb_label, type(exc).__name__, exc))
+            continue
         lines.append(rep.to_line())
         if not rep.ok:
             bad += 1
-    lines.append("VALIDATED\t%d records\t%d mismatches" % (len(records), bad))
-    _emit("\n".join(lines) + "\n", config)
-    return 4 if bad else 0
+    head = "VALIDATED\t%d records\t%d mismatches" % (len(records), bad)
+    if errors:
+        head += "\t%d failed" % len(errors)
+    _emit("\n".join(lines + [head] + errors) + "\n", config)
+    return 5 if errors else 4 if bad else 0
 
 
 # ---------------------------------------------------------------------------

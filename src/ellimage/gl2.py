@@ -4,9 +4,14 @@ Provides BFS enumeration, order/index/level via kernel-layer dimensions,
 determinant image, -I handling, reduction and full preimage, conjugacy
 search, and the named Cartan/Borel constructions.
 
-orbit() is the one orbit/closure BFS of the package: torsion orbits, the
-coset action behind genus_XG, determinant images and lattice join closures
-run through it; mulclose keeps its own loop for speed.
+orbit() is the one orbit BFS of the package: torsion orbits, the coset
+action behind genus_XG, determinant images and lattice join closures run
+through it.  extend() is the one group closure: it adds one element to a
+closed finite group by Dimino's coset extension (Holt, Eick and O'Brien,
+Handbook of Computational Group Theory, 4.1), each new left coset entering
+whole.  mulclose is a fold of extend over the generators; subgroup joins,
+greedy generating sets, the Sylow climb, normal closures and the complement
+search of the lattice module extend the closure they already hold.
 
 Orders and levels are computed layer by layer: for H <= GL2(Z/ell^n) the
 kernel filtration K_e = ker(GL2(ell^n) -> GL2(ell^e)) has elementary
@@ -22,6 +27,7 @@ module; every witness is checked before it is returned, and a failed check
 raises CertificateError.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
@@ -66,24 +72,35 @@ def orbit(seed, gens, act, cap=DEFAULT_CAP):
     return seen
 
 
+def extend(closed, g, mul, cap=DEFAULT_CAP):
+    """<closed, g> for a finite group `closed` (a set holding the identity)
+    under the multiplication `mul`, by left-coset extension: every element
+    is multiplied by g once, and a product z outside the set brings in its
+    whole coset z*closed.  The result is closed under right multiplication
+    by closed and by g, hence a group.  Returns `closed` itself when it
+    holds g; raises EnumerationCapError before the set grows past cap."""
+    if g in closed:
+        return closed
+    base = list(closed)
+    els = set(base)
+    todo = list(base)
+    for x in todo:
+        z = mul(x, g)
+        if z not in els:
+            if len(els) + len(base) > cap:
+                raise EnumerationCapError("closure exceeded cap %d" % cap)
+            coset = [mul(z, h) for h in base]
+            els.update(coset)
+            todo.extend(coset)
+    return els
+
+
 def mulclose(gens, m, cap=DEFAULT_CAP):
-    """BFS closure of 4-tuple generators under multiplication mod m."""
-    # not routed through orbit(): an mmul lambda made all_subgroups 10-25% slower
+    """Closure of 4-tuple generators under multiplication mod m."""
+    mul = lambda a, b: mmul(a, b, m)
     els = {(1 % m, 0, 0, 1 % m)}
-    els.update(gens)
-    bdy = sorted(els)
-    while bdy:
-        new = []
-        for b in bdy:
-            for g in gens:
-                c = mmul(b, g, m)
-                if c not in els:
-                    els.add(c)
-                    new.append(c)
-                    if len(els) > cap:
-                        raise EnumerationCapError(
-                            "closure exceeded cap %d (mod %d)" % (cap, m))
-        bdy = new
+    for g in gens:
+        els = extend(els, g, mul, cap)
     return els
 
 
@@ -314,13 +331,14 @@ class MatrixGroup:
         if len(els) == 1:
             return ()
         ranked = sorted(els, key=lambda g: (-morder(g, self.mod), g))
+        mul = lambda a, b: mmul(a, b, m)
         gens = []
         closure = {ident}
         for g in ranked:
             if g in closure:
                 continue
             gens.append(g)
-            closure = mulclose(gens, m, cap)
+            closure = extend(closure, g, mul, cap)
             if len(closure) == len(els):
                 break
         if len(gens) >= len(self.gens) and self.gens:
@@ -562,31 +580,15 @@ def _conjugating_matrix(source_gens, target_elements, mod, budget):
 def is_conjugate(g, h, cap=DEFAULT_CAP, budget=500_000):
     """Whether some c in GL2 conjugates g onto h; returns (bool, witness).
 
-    Prunes with order, determinant image, and the element order/trace
-    multisets before the generator-image backtracking.
+    For groups of equal order a conjugate of g inside h is h itself, so this
+    is the order check plus conjugate_into.
     """
     if g.mod != h.mod:
         raise ModulusMismatchError("groups live over different moduli")
-    mod = g.mod
     if g.order(cap) != h.order(cap):
         return False, None
-    if g.det_image() != h.det_image():
-        return False, None
-    ge, he = g.elements(cap), h.elements(cap)
-    m = mod.modulus
-    gkeys = sorted(_invariant_key(x, mod) for x in ge)
-    hkeys = sorted(_invariant_key(x, mod) for x in he)
-    if gkeys != hkeys:
-        return False, None
-    gens = g.small_generating_set(cap)
-    c = _conjugating_matrix(gens, set(he), mod, budget)
-    if c is None:
-        return False, None
-    ci = minv(c, m, mod.ell)
-    if {mmul(mmul(c, x, m), ci, m) for x in ge} != set(he):
-        raise CertificateError("conjugating matrix %r does not map %r onto %r"
-                               % (c, g, h))
-    return True, ResidueMatrix.make(c, mod)
+    ok, witness, _ = conjugate_into(g, h, cap, budget)
+    return ok, witness
 
 
 def conjugate_into(h, big, cap=DEFAULT_CAP, budget=500_000):
@@ -598,25 +600,15 @@ def conjugate_into(h, big, cap=DEFAULT_CAP, budget=500_000):
     ho, bo = h.order(cap), big.order(cap)
     if bo % ho:
         return False, None, None
-    he, be = h.elements(cap), big.elements(cap)
-    hkeys = {}
-    for x in he:
-        k = _invariant_key(x, mod)
-        hkeys[k] = hkeys.get(k, 0) + 1
-    bkeys = {}
-    for x in be:
-        k = _invariant_key(x, mod)
-        bkeys[k] = bkeys.get(k, 0) + 1
-    for k, cnt in hkeys.items():
-        if bkeys.get(k, 0) < cnt:
-            return False, None, None
-    gens = h.small_generating_set(cap)
-    c = _conjugating_matrix(gens, set(be), mod, budget)
+    he, bset = h.elements(cap), set(big.elements(cap))
+    hkeys = Counter(_invariant_key(x, mod) for x in he)
+    if hkeys - Counter(_invariant_key(x, mod) for x in bset):
+        return False, None, None
+    c = _conjugating_matrix(h.small_generating_set(cap), bset, mod, budget)
     if c is None:
         return False, None, None
     m = mod.modulus
     ci = minv(c, m, mod.ell)
-    bset = set(be)
     # c conjugates every generator into big, so the whole conjugate lands there.
     if any(mmul(mmul(c, x, m), ci, m) not in bset for x in he):
         raise CertificateError("conjugating matrix %r does not map %r into %r"

@@ -234,6 +234,3 @@ GAMMA0_ISOLATED_J = _cm_rows("gamma0") + (
     KnownJRecord(Fraction(-7 * 137 ** 3 * 2083 ** 3), False, "gamma0", 37,
                  "rational point on X0(37)"),
 )
-
-assert len(GAMMA1_ISOLATED_J) == 15
-assert len(GAMMA0_ISOLATED_J) == 19

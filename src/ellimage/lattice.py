@@ -5,8 +5,9 @@ The searches lean on the layered structure of subgroups of GL2(Z/ell^n):
 
 * proper_detsurjective_subgroups classifies H <= G up to G-conjugacy.  For
   tiny G a brute-force subgroup lattice is built (cyclic subgroups, then
-  join closure).  For exponent-2 moduli whose mod-ell quotient has order
-  prime to ell, subgroups that keep the full mod-ell image correspond, by
+  join closure, each join extending a subgroup by one cyclic generator).
+  For exponent-2 moduli whose mod-ell quotient has order prime to ell,
+  subgroups that keep the full mod-ell image correspond, by
   Schur-Zassenhaus, to the G(ell)-stable subspaces W of the kernel part of
   G: there is exactly one conjugacy class per W, realized as (complement
   over the kernel) * N_W with the complement built by cocycle averaging
@@ -17,9 +18,15 @@ The searches lean on the layered structure of subgroups of GL2(Z/ell^n):
   intersections U are the G-stable subspaces of M2(F_ell); U must contain
   the ell-th-power image of G's top kernel layer (x -> x^ell pushes layer
   n-1 into layer n), which usually collapses the list.  Existence of a
-  subgroup over a given U is a complement-splitting question, decided on an
-  ell-Sylow subgroup (Gaschutz: an abelian normal ell-subgroup has a
-  complement iff it has one there).  Determinant surjectivity of the found
+  subgroup over a given U is the question whether V = (I + ell^n M2)/N_U
+  has a complement in the quotient.  One generator-lift DFS
+  (_complement_over_group) answers it: each lift extends the closure of
+  the lifts before it by gl2.extend, capped at the order of the subgroup
+  the generators so far generate, and a closure over the cap meets V.  The
+  DFS runs first on the generators of an ell-Sylow subgroup, found by a
+  normalizer climb that extends its own closure (Gaschutz: an abelian
+  normal ell-subgroup has a complement iff it has one there), then on G's
+  generators for the lifts.  Determinant surjectivity of the found
   complement settles the det-surjective variant; for traceless U the
   determinant image is rigid across complements unless G has nontrivial
   homomorphisms to F_ell, and that corner raises rather than guesses.
@@ -34,7 +41,7 @@ from dataclasses import dataclass
 
 from .errors import CertificateError, EnumerationCapError, SearchBudgetError
 from .gl2 import (CartanSpec, DEFAULT_CAP, MatrixGroup, build_cartan,
-                  conjugate_into, mulclose, orbit)
+                  conjugate_into, extend, mulclose, orbit)
 from .modarith import (Echelon, PrimePowerModulus, lincomb, mdet, minv, mmul,
                        mpow, mreduce)
 
@@ -136,14 +143,10 @@ class KernelModule:
             frontier = new
         return span.rref()
 
-    def stable_subspaces(self, ambient_basis=None):
+    def stable_subspaces(self):
         """All stable subspaces: every stable subspace is a join of cyclic
         ones (spins), so the join closure of the spins is the full list."""
         ell = self.ell
-        if ambient_basis is not None:
-            # restricted ambients stay small; filter the plain enumeration
-            return [s for s in _subspaces_of(ambient_basis, ell)
-                    if _is_stable(s, self.gens_bar, ell)]
         action = self._action_matrices()
         spins = set()
         # projective vectors: first nonzero coordinate = 1
@@ -170,18 +173,20 @@ def all_subgroups(group, cap=DEFAULT_CAP):
     if len(els) > BRUTE_LIMIT:
         raise SearchBudgetError("brute-force lattice limited to order <= %d" % BRUTE_LIMIT)
     m = group.mod.modulus
+    mul = lambda a, b: mmul(a, b, m)
     ident = group.identity_tuple()
-    cyclics = set()
+    cyclics = {}
     for x in els:
         c = [x]
         while c[-1] != ident:
             c.append(mmul(c[-1], x, m))
-        cyclics.add(frozenset(c))
+        cyclics.setdefault(frozenset(c), x)
 
-    def join(S, C):
-        return S if C <= S else frozenset(mulclose(sorted(S | C), m, cap))
+    def join(S, x):
+        "S v <x>, by extending S with the one generator x."
+        return S if x in S else frozenset(extend(S, x, mul, cap))
 
-    return orbit(frozenset([ident]), cyclics, join, cap)
+    return orbit(frozenset([ident]), cyclics.values(), join, cap)
 
 
 def _conjugacy_classes_of_subgroups(subsets, group):
@@ -386,10 +391,11 @@ class _KernelQuotient:
 
 
 def _sylow_subgroup(group, cap=DEFAULT_CAP):
-    "An ell-Sylow subgroup of an enumerated group, by normalizer climbing."
+    "Generators of an ell-Sylow subgroup of the group, by normalizer climbing."
     els = group.elements(cap)
     mod = group.mod
     ell, m = mod.ell, mod.modulus
+    mul = lambda a, b: mmul(a, b, m)
     target, ell_free = 1, len(els)
     while ell_free % ell == 0:
         target *= ell
@@ -405,10 +411,10 @@ def _sylow_subgroup(group, cap=DEFAULT_CAP):
                 continue
             # the ell-part of y: y^(ell-free part of |G|) has ell-power order
             z = mpow(y, ell_free, m)
-            if z == ident or z in sset:
+            if z in sset:
                 continue
             # z normalizes S, so <S, z> = S<z> is again an ell-group
-            new = mulclose(sgens + [z], m, cap)
+            new = extend(sset, z, mul, cap)
             lp = len(new)
             while lp % ell == 0:
                 lp //= ell
@@ -422,76 +428,28 @@ def _sylow_subgroup(group, cap=DEFAULT_CAP):
         if not progressed:
             raise SearchBudgetError("Sylow climb stalled (|S| = %d of %d)"
                                     % (len(sset), target))
-    return sgens, sset
+    return sgens
 
 
-def _complement_in_sylow(quot, syl_gens, v_basis, ell, complement_order, budget):
-    """Search a complement of V in the Sylow lift inside the quotient: lift
-    choices are exhausted over kernel-coset adjustments of the Sylow
-    generators; a choice works iff its closure has the complement's order."""
-    from itertools import product
-    lifts = [quot.canon(g) for g in syl_gens]
-    combos = (ell ** len(v_basis)) ** len(lifts)
-    if combos > budget:
-        raise SearchBudgetError("Sylow complement search needs %d combos" % combos)
-    coeff_space = list(product(range(ell), repeat=len(v_basis)))
-    for assignment in product(coeff_space, repeat=len(lifts)):
-        adjusted = [quot.mul(lift, quot.kernel(coeffs, v_basis))
-                    for lift, coeffs in zip(lifts, assignment)]
-        try:
-            closure = orbit(quot.canon((1, 0, 0, 1)), adjusted, quot.mul,
-                            complement_order)
-        except EnumerationCapError:
-            continue
-        if len(closure) == complement_order:
-            return adjusted
-    return None
+def _complement_over_group(quot, gens, m, v_basis, ell, cap, budget):
+    """Generator-lift DFS for a complement of V in P/N_U over the group
+    generated by `gens` (4-tuples mod m); returns the lifts or None.
 
-
-def _complement_over_group(quot, group, v_basis, ell, cap, budget):
-    """Generator-lift DFS for a complement of V in P/N_U over G.
-
-    Lifts are assigned one generator at a time; a partial assignment is kept
-    only while its closure matches the order of the subgroup the processed
-    generators generate inside G (any excess means the closure already meets
-    V nontrivially, and adding generators never shrinks it).
+    Lifts are assigned one generator at a time.  The closure of the first
+    i+1 lifts maps onto <gens[:i+1]>, so its order is that order times the
+    order of its intersection with V; extend() capped at the order of
+    <gens[:i+1]> therefore fails exactly when the closure meets V, and
+    adding generators never shrinks that intersection.
     """
     from itertools import product
-    gens = list(group.small_generating_set(cap))
-    m_low = group.mod.modulus
+    mul = lambda a, b: mmul(a, b, m)
+    closure = {(1 % m, 0, 0, 1 % m)}
     prefix = [1]
-    for i in range(1, len(gens) + 1):
-        prefix.append(len(mulclose(gens[:i], m_low, cap)))
+    for g in gens:
+        closure = extend(closure, g, mul, cap)
+        prefix.append(len(closure))
     coeff_space = list(product(range(ell), repeat=len(v_basis)))
-    v_nontrivial = {quot.kernel(c, v_basis) for c in coeff_space if any(c)}
-    ident = quot.canon((1, 0, 0, 1))
     attempts = 0
-
-    def grow(closed, adjusted, t, target):
-        "Extend a closed partial subgroup by one more generator, or None."
-        els = set(closed)
-        all_gens = adjusted + [t]
-        bdy = []
-        for b in closed:
-            c = quot.mul(b, t)
-            if c not in els:
-                if c in v_nontrivial or len(els) >= target:
-                    return None
-                els.add(c)
-                bdy.append(c)
-        while bdy:
-            new = []
-            for b in bdy:
-                for g in all_gens:
-                    c = quot.mul(b, g)
-                    if c not in els:
-                        if c in v_nontrivial or len(els) >= target:
-                            return None
-                        els.add(c)
-                        new.append(c)
-            bdy = new
-        return els if len(els) == target else None
-
     adjusted = []
 
     def dfs(i, closed):
@@ -505,17 +463,18 @@ def _complement_over_group(quot, group, v_basis, ell, cap, budget):
                 raise SearchBudgetError("complement search exceeded %d lift "
                                         "attempts" % budget)
             t = quot.mul(base, quot.kernel(coeffs, v_basis))
-            new = grow(closed, adjusted, t, prefix[i + 1])
-            if new is None:
-                continue
+            try:
+                new = extend(closed, t, quot.mul, prefix[i + 1])
+            except EnumerationCapError:
+                continue  # the closure meets V: reject this lift
             adjusted.append(t)
             if dfs(i + 1, new):
                 return True
             adjusted.pop()
         return False
 
-    if dfs(0, {ident}):
-        return list(adjusted)
+    if dfs(0, {quot.canon((1, 0, 0, 1))}):
+        return adjusted
     return None
 
 
@@ -523,6 +482,7 @@ def _ell_hom_trivial(group, cap=DEFAULT_CAP):
     "Whether Hom(G, F_ell) = 0, via the normal closure of powers and commutators."
     mod = group.mod
     ell, m = mod.ell, mod.modulus
+    mul = lambda a, b: mmul(a, b, m)
     gens = group.gens
     seeds = [mpow(g, ell, m) for g in gens]
     for a in gens:
@@ -530,20 +490,14 @@ def _ell_hom_trivial(group, cap=DEFAULT_CAP):
         for b in gens:
             bi = minv(b, m, ell)
             seeds.append(mmul(mmul(a, b, m), mmul(ai, bi, m), m))
-    current = [s for s in seeds]
-    closure = mulclose(current, m, cap)
-    while True:
-        new = []
+    closure = mulclose(seeds, m, cap)
+    # normal closure: conjugates of every generator found, by every g in G
+    for s in seeds:
         for g in gens:
-            gi = minv(g, m, ell)
-            for s in current:
-                c = mmul(mmul(g, s, m), gi, m)
-                if c not in closure:
-                    new.append(c)
-        if not new:
-            break
-        current += new
-        closure = mulclose(current, m, cap)
+            c = mmul(mmul(g, s, m), minv(g, m, ell), m)
+            if c not in closure:
+                closure = extend(closure, c, mul, cap)
+                seeds.append(c)
     return len(closure) == group.order(cap)
 
 
@@ -568,7 +522,46 @@ def verify_counterexample(group, candidate, cap=DEFAULT_CAP):
     return candidate.order(cap) < full
 
 
-def preimage_rigidity(group, target_exponent=None, cap=DEFAULT_CAP, budget=10 ** 6):
+def _rigidity_subspaces(group, cap=DEFAULT_CAP):
+    """The kernel intersections U that preimage_rigidity examines, in scan
+    order, each with the basis v_basis of a complement V of U in M2(F_ell).
+
+    U runs over the proper G-stable subspaces that contain the power
+    constraint, by descending dimension: witnesses over large subspaces have
+    small complement search spaces, and the rigid verdict examines them all.
+    """
+    mod = group.mod
+    ell, n = mod.ell, mod.exponent
+    gens_bar = tuple(mreduce(g, ell) for g in group.gens)
+    # power constraint: the ell-th power of any lift of a top-layer kernel
+    # element of G lands in the new kernel, with the same coordinates except
+    # for ell = 2 at exponent 2, where squaring contributes A + A^2
+    ident = group.identity_tuple()
+    pi_vecs = []
+    if n >= 2:
+        layer_low = ell ** (n - 1)
+        for x in group.elements(cap):
+            if x != ident and mreduce(x, layer_low) == (1 % layer_low, 0, 0, 1 % layer_low):
+                a = tuple((((x[i] - ident[i]) % mod.modulus) // layer_low) % ell
+                          for i in range(4))
+                if ell == 2 and n == 2:
+                    sq = mmul(a, a, 2)
+                    a = tuple((a[i] + sq[i]) % 2 for i in range(4))
+                pi_vecs.append(a)
+    pi_basis = Echelon(ell, pi_vecs).rows
+    out = []
+    for U in sorted(KernelModule(ell, gens_bar).stable_subspaces(), key=len, reverse=True):
+        span_u = Echelon(ell, U)
+        if len(U) == 4 or not all(v in span_u for v in pi_basis):
+            continue
+        v_basis = Echelon(ell, [span_u.reduce(v) for v in
+                                ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
+                          ).rows
+        out.append((U, v_basis))
+    return out
+
+
+def preimage_rigidity(group, cap=DEFAULT_CAP, budget=10 ** 6):
     """Whether only the full preimage of the group, one ell-power level up,
     reduces exactly onto it with surjective determinant.
 
@@ -579,53 +572,15 @@ def preimage_rigidity(group, target_exponent=None, cap=DEFAULT_CAP, budget=10 **
     ell, n = mod.ell, mod.exponent
     if n < 1:
         raise ValueError("rigidity needs a group of exponent >= 1")
-    if target_exponent is None:
-        target_exponent = n + 1
-    if target_exponent != n + 1:
-        raise SearchBudgetError("rigidity is implemented one level up only")
     mod_high = PrimePowerModulus(ell, n + 1)
     els = group.elements(cap)
     order = len(els)
-    gens_bar = tuple(mreduce(g, ell) for g in group.gens)
-    kernel_mod = KernelModule(ell, gens_bar)
-
-    # power constraint: the ell-th power of any lift of a top-layer kernel
-    # element of G lands in the new kernel, with the same coordinates except
-    # for ell = 2 at exponent 2, where squaring contributes A + A^2
-    ident = group.identity_tuple()
-    pi_vecs = []
-    if n >= 2:
-        layer_low = ell ** (n - 1)
-        for x in els:
-            if x != ident and mreduce(x, layer_low) == (1 % layer_low, 0, 0, 1 % layer_low):
-                a = tuple((((x[i] - ident[i]) % mod.modulus) // layer_low) % ell
-                          for i in range(4))
-                if ell == 2 and n == 2:
-                    sq = mmul(a, a, 2)
-                    a = tuple((a[i] + sq[i]) % 2 for i in range(4))
-                pi_vecs.append(a)
-    pi_basis = Echelon(ell, pi_vecs).rows
-
     coprime = order % ell != 0
     full_section = None
     sylow = None
-    checked = 0
     undecided = []
-    # descending dimension: witnesses over large subspaces have small
-    # complement search spaces, and the rigid verdict examines all of them
-    subspaces = sorted(kernel_mod.stable_subspaces(), key=len, reverse=True)
-    for U in subspaces:
-        if len(U) == 4:
-            continue
-        span_u = Echelon(ell, U)
-        if not all(v in span_u for v in pi_basis):
-            continue
-        checked += 1
-        quot = _KernelQuotient(ell, n, U)
-        v_basis = Echelon(ell, [span_u.reduce(v) for v in
-                                ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
-                          ).rows
-
+    subspaces = _rigidity_subspaces(group, cap)
+    for checked, (U, v_basis) in enumerate(subspaces, 1):
         if coprime:
             if full_section is None:
                 # G lifts to itself mod ell^(n+1); averaging makes it a complement
@@ -641,13 +596,14 @@ def preimage_rigidity(group, target_exponent=None, cap=DEFAULT_CAP, budget=10 **
                 return RigidityResult(False, candidate, checked)
             continue
 
+        quot = _KernelQuotient(ell, n, U)
         if sylow is None:
             sylow = _sylow_subgroup(group, cap)
-        syl_gens, syl_set = sylow
-        t = _complement_in_sylow(quot, syl_gens, v_basis, ell, len(syl_set), budget)
-        if t is None:
+        if _complement_over_group(quot, sylow, mod.modulus, v_basis, ell, cap,
+                                  budget) is None:
             continue  # Gaschutz: no complement anywhere
-        lifts = _complement_over_group(quot, group, v_basis, ell, cap, budget)
+        lifts = _complement_over_group(quot, group.small_generating_set(cap), mod.modulus,
+                                       v_basis, ell, cap, budget)
         if lifts is None:
             raise SearchBudgetError("split extension but no complement found "
                                     "within budget")
@@ -666,4 +622,4 @@ def preimage_rigidity(group, target_exponent=None, cap=DEFAULT_CAP, budget=10 **
     if undecided:
         raise SearchBudgetError("undecided: split subspaces with variable "
                                 "determinant image: %r" % (undecided,))
-    return RigidityResult(True, None, checked)
+    return RigidityResult(True, None, len(subspaces))

@@ -93,6 +93,31 @@ def test_batch_reports_failed_records():
     assert {"37.114.4.1", "37.114.4.2"} <= failed
 
 
+def test_validate_reports_failed_records():
+    from ellimage.cli import _bundled_records, _special_records
+    from ellimage.errors import EnumerationCapError
+    from ellimage.labelio import validate_record
+    records = _bundled_records() + _special_records()
+    expected = set()
+    for rec in records:
+        try:
+            validate_record(rec, 10000)
+        except EnumerationCapError:
+            expected.add(rec.rszb_label)
+    assert expected == {"25.30.0.1", "49.196.9.1", "37.114.4.1", "37.114.4.2",
+                        "49.9604.694.1"}
+    r = run("validate", "--max-enum", "10000", "--threads", "1")
+    assert r.returncode == 5
+    lines = r.stdout.splitlines()
+    failed = [l[len("# error "):].split(":", 1)[0] for l in lines
+              if l.startswith("# error ")]
+    reported = [l.split("\t", 1)[0] for l in lines
+                if not l.startswith(("# error ", "VALIDATED"))]
+    assert sorted(failed + reported) == sorted(rec.rszb_label for rec in records)
+    assert set(failed) == expected
+    assert "VALIDATED\t%d records\t0 mismatches\t5 failed" % len(records) in lines
+
+
 def test_out_flag(tmp_path):
     p = tmp_path / "report.txt"
     r = run("filter", "--family", "gamma1", "--label", "17.72.1.2", "--out", str(p))

@@ -1,10 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ellimage.errors import NotInvertibleError
+from ellimage.errors import EnumerationCapError, NotInvertibleError
 from ellimage.gl2 import (CartanSpec, MatrixGroup, ambient_order, build_cartan,
-                          conjugate_into, full_gl2, is_conjugate,
+                          conjugate_into, extend, full_gl2, is_conjugate, mulclose,
                           unit_group_generators)
 from ellimage.modarith import PrimePowerModulus, mdet, minv, mmul
 
@@ -294,3 +295,64 @@ def test_is_conjugate_random_conjugates():
                 break
         ok, wit = is_conjugate(base, base.conjugated_by(c))
         assert ok and wit is not None
+
+
+BFS_LIMIT = 4000
+
+
+def _bfs_closure(gens, m):
+    """The plain BFS closure mulclose used to run (every element times every
+    generator), or None once it holds more than BFS_LIMIT elements."""
+    els = {(1 % m, 0, 0, 1 % m)}
+    frontier = list(els)
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = mmul(x, g, m)
+                if y not in els:
+                    els.add(y)
+                    new.append(y)
+        if len(els) > BFS_LIMIT:
+            return None
+        frontier = new
+    return els
+
+
+def _matrices(m, ell):
+    "Invertible 4-tuples mod m: arbitrary ones and kernel elements I + ell*X."
+    anything = st.tuples(*[st.integers(0, m - 1)] * 4)
+    kernel = st.tuples(*[st.integers(0, m // ell - 1)] * 4).map(
+        lambda x: ((1 + ell * x[0]) % m, ell * x[1] % m, ell * x[2] % m,
+                   (1 + ell * x[3]) % m))
+    return st.one_of(anything, kernel).filter(lambda a: (a[0] * a[3] - a[1] * a[2]) % ell)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mulclose_and_extend_against_bfs(data):
+    m = data.draw(st.sampled_from((4, 8, 9, 25, 27, 49)))
+    ell = next(p for p in (2, 3, 5, 7) if m % p == 0)
+    gens = data.draw(st.lists(_matrices(m, ell), max_size=3))
+    g = data.draw(_matrices(m, ell))
+    mul = lambda a, b: mmul(a, b, m)
+    old = _bfs_closure(gens, m)
+    if old is None:
+        with pytest.raises(EnumerationCapError):
+            mulclose(gens, m, BFS_LIMIT)
+        return
+    closed = mulclose(gens, m, BFS_LIMIT)
+    assert closed == old
+    if len(old) > 1:
+        with pytest.raises(EnumerationCapError):
+            mulclose(gens, m, len(old) - 1)
+    old = _bfs_closure(gens + [g], m)
+    if old is None:
+        with pytest.raises(EnumerationCapError):
+            extend(closed, g, mul, BFS_LIMIT)
+        return
+    assert extend(closed, g, mul, len(old)) == old
+    # the cap is exact: extend raises iff the closure is larger than cap
+    if len(old) > len(closed):
+        with pytest.raises(EnumerationCapError):
+            extend(closed, g, mul, len(old) - 1)

@@ -1,14 +1,18 @@
+from itertools import product
+
 import pytest
 
-from ellimage.errors import SearchBudgetError
-from ellimage.gl2 import (CartanSpec, build_cartan, full_gl2,
-                          is_conjugate, mulclose)
+from ellimage.errors import EnumerationCapError, SearchBudgetError
+from ellimage.gl2 import (CartanSpec, DEFAULT_CAP, MatrixGroup, build_cartan,
+                          full_gl2, is_conjugate, mulclose, orbit)
 from ellimage.labelio import read_generators_text
 from ellimage.lattice import (KernelModule, all_subgroups, preimage_rigidity,
                               proper_detsurjective_subgroups,
                               split_cartan_membership, verify_counterexample,
-                              _det_surjective_set)
-from ellimage.modarith import PrimePowerModulus, mreduce
+                              _KernelQuotient, _complement_over_group,
+                              _det_surjective_set, _ell_hom_trivial,
+                              _rigidity_subspaces, _sylow_subgroup)
+from ellimage.modarith import PrimePowerModulus, minv, mmul, mpow, mreduce
 
 M3 = PrimePowerModulus(3, 1)
 M7 = PrimePowerModulus(7, 1)
@@ -178,3 +182,84 @@ def test_counterexample_reduction_and_properness():
 def test_brute_limit_is_hard_error(image49):
     with pytest.raises(SearchBudgetError):
         proper_detsurjective_subgroups(image49, 49, fix_mod_ell_reduction=False)
+
+
+def _complement_by_product_search(quot, gens, m, v_basis, ell):
+    """The exhaustive search the lift DFS replaced: every choice of V-coset
+    adjustments of the generator lifts, in lexicographic order, kept when
+    its closure has the order of <gens>."""
+    order = len(mulclose(gens, m))
+    lifts = [quot.canon(g) for g in gens]
+    coeff_space = list(product(range(ell), repeat=len(v_basis)))
+    for assignment in product(coeff_space, repeat=len(lifts)):
+        adjusted = [quot.mul(lift, quot.kernel(coeffs, v_basis))
+                    for lift, coeffs in zip(lifts, assignment)]
+        try:
+            closure = orbit(quot.canon((1, 0, 0, 1)), adjusted, quot.mul, order)
+        except EnumerationCapError:
+            continue
+        if len(closure) == order:
+            return adjusted
+    return None
+
+
+# the conjugates move the lexicographically first complement, so that a
+# DFS skipping the first or the last coefficient gives a different answer
+@pytest.mark.parametrize("name,conj", [("49.196.9.1", None)] + [
+    (name, conj) for name in ("borel5", "gl2_2", "nsn3") for conj in (None, (2, 1, 1, 1))])
+def test_complement_dfs_against_product_search(name, conj, image49):
+    group = {"49.196.9.1": image49,
+             "borel5": build_cartan(CartanSpec("borel", PrimePowerModulus(5, 1))),
+             "gl2_2": full_gl2(PrimePowerModulus(2, 1)),
+             "nsn3": build_cartan(CartanSpec("nonsplit-normalizer", M3))}[name]
+    if conj:
+        group = group.conjugated_by(conj)
+    ell, n, m = group.mod.ell, group.mod.exponent, group.mod.modulus
+    generator_lists = [_sylow_subgroup(group), group.small_generating_set()]
+    compared = 0
+    for U, v_basis in _rigidity_subspaces(group):
+        quot = _KernelQuotient(ell, n, U)
+        for gens in generator_lists:
+            if ell ** (len(v_basis) * len(gens)) > 1000:
+                continue  # beyond what the product search gets through
+            old = _complement_by_product_search(quot, gens, m, v_basis, ell)
+            new = _complement_over_group(quot, gens, m, v_basis, ell, DEFAULT_CAP, 10 ** 6)
+            # both return the lexicographically first complement
+            assert new == old, (U, gens)
+            compared += 1
+    assert compared
+
+
+def _ell_hom_trivial_by_reclosing(group):
+    """The normal-closure loop _ell_hom_trivial used to run: add every
+    conjugate outside the closure, then close the whole list again."""
+    ell, m = group.mod.ell, group.mod.modulus
+    gens = group.gens
+    current = [mpow(g, ell, m) for g in gens]
+    current += [mmul(mmul(a, b, m), mmul(minv(a, m, ell), minv(b, m, ell), m), m)
+                for a in gens for b in gens]
+    closure = mulclose(current, m)
+    while True:
+        new = []
+        for g in gens:
+            gi = minv(g, m, ell)
+            conjugates = (mmul(mmul(g, s, m), gi, m) for s in current)
+            new += [c for c in conjugates if c not in closure]
+        if not new:
+            return len(closure) == group.order()
+        current += new
+        closure = mulclose(current, m)
+
+
+def test_ell_hom_trivial_against_reclosing():
+    groups = [full_gl2(PrimePowerModulus(2, e)) for e in (1, 2)] + [full_gl2(M3)]
+    groups += [build_cartan(CartanSpec(kind, mod))
+               for kind in ("borel", "split", "split-normalizer", "nonsplit-normalizer")
+               for mod in (M3, PrimePowerModulus(5, 1), M7, PrimePowerModulus(3, 2))]
+    # generating sets of GL2(F_3) and GL2(F_5) whose powers and commutators
+    # need one and two rounds of conjugation to become normal
+    groups += [MatrixGroup(M3, [(1, 2, 0, 1), (2, 0, 2, 1)]),
+               MatrixGroup(PrimePowerModulus(5, 1), [(1, 1, 1, 0), (2, 3, 1, 3)])]
+    answers = [_ell_hom_trivial(g) for g in groups]
+    assert answers == [_ell_hom_trivial_by_reclosing(g) for g in groups]
+    assert True in answers and False in answers
