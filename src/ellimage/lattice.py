@@ -22,7 +22,11 @@ The searches lean on the layered structure of subgroups of GL2(Z/ell^n):
   has a complement in the quotient.  One generator-lift DFS
   (_complement_over_group) answers it: each lift extends the closure of
   the lifts before it by gl2.extend, capped at the order of the subgroup
-  the generators so far generate, and a closure over the cap meets V.  The
+  the generators so far generate, and a closure over the cap meets V.
+  Before that closure a lift must satisfy the power and conjugation
+  relations its generator has with the earlier ones; along the normal
+  chain of the Sylow climb these decide alone, so the cost of a failed
+  search does not depend on the order of the generators.  The
   DFS runs first on the generators of an ell-Sylow subgroup, found by a
   normalizer climb that extends its own closure (Gaschutz: an abelian
   normal ell-subgroup has a complement iff it has one there), then on G's
@@ -440,17 +444,41 @@ def _complement_over_group(quot, gens, m, v_basis, ell, cap, budget):
     order of its intersection with V; extend() capped at the order of
     <gens[:i+1]> therefore fails exactly when the closure meets V, and
     adding generators never shrinks that intersection.
+
+    Before that closure a lift t of g = gens[i] must pass two checks, each a
+    few products: if the closure is a complement it maps isomorphically onto
+    <gens[:i+1]>, so t^k lies in the closure of the earlier lifts when g^k
+    lies in <gens[:i]>, and so does t c t^-1 for the lift c of every gens[j]
+    with g gens[j] g^-1 in <gens[:i]>.  Along a chain of normal subgroups,
+    as the Sylow climb builds, the checks decide alone, and a rejected lift
+    costs a few products instead of a closure.
     """
     from itertools import product
     mul = lambda a, b: mmul(a, b, m)
     closure = {(1 % m, 0, 0, 1 % m)}
-    prefix = [1]
-    for g in gens:
+    prefix, relations = [1], []
+    for i, g in enumerate(gens):
+        k, x = 1, g
+        while x not in closure:
+            x, k = mmul(x, g, m), k + 1
+        gi = minv(g, m, ell)
+        kept = [j for j in range(i) if mmul(mmul(g, gens[j], m), gi, m) in closure]
+        relations.append((k, kept))
         closure = extend(closure, g, mul, cap)
         prefix.append(len(closure))
     coeff_space = list(product(range(ell), repeat=len(v_basis)))
     attempts = 0
     adjusted = []
+
+    def obeys_relations(t, i, closed):
+        k, kept = relations[i]
+        ti = quot.canon(minv(t, quot.m, ell))
+        if any(quot.mul(quot.mul(t, adjusted[j]), ti) not in closed for j in kept):
+            return False
+        x = t
+        for _ in range(k - 1):
+            x = quot.mul(x, t)
+        return x in closed
 
     def dfs(i, closed):
         nonlocal attempts
@@ -463,6 +491,8 @@ def _complement_over_group(quot, gens, m, v_basis, ell, cap, budget):
                 raise SearchBudgetError("complement search exceeded %d lift "
                                         "attempts" % budget)
             t = quot.mul(base, quot.kernel(coeffs, v_basis))
+            if not obeys_relations(t, i, closed):
+                continue
             try:
                 new = extend(closed, t, quot.mul, prefix[i + 1])
             except EnumerationCapError:

@@ -1,11 +1,12 @@
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
 from ellimage.errors import EnumerationCapError, SearchBudgetError
 from ellimage.gl2 import (CartanSpec, DEFAULT_CAP, MatrixGroup, build_cartan,
-                          full_gl2, is_conjugate, mulclose, orbit)
+                          extend, full_gl2, is_conjugate, mulclose, orbit)
 from ellimage.labelio import read_generators_text
+from ellimage import lattice
 from ellimage.lattice import (KernelModule, all_subgroups, preimage_rigidity,
                               proper_detsurjective_subgroups,
                               split_cartan_membership, verify_counterexample,
@@ -228,6 +229,34 @@ def test_complement_dfs_against_product_search(name, conj, image49):
             assert new == old, (U, gens)
             compared += 1
     assert compared
+
+
+@pytest.mark.parametrize("conj", [None, (2, 1, 1, 1), (3, 5, 1, 2)])
+def test_sylow_complement_search_builds_no_rejected_closure(conj, image49, monkeypatch):
+    """The Sylow subgroup of 49.196.9.1 is elementary abelian, so every order
+    of its generators is a normal chain, along which the power and
+    conjugation relations decide each lift: no closure is built for a lift
+    that is then rejected, whatever the presentation."""
+    group = image49 if conj is None else image49.conjugated_by(conj)
+    ell, n, m = group.mod.ell, group.mod.exponent, group.mod.modulus
+    sylow = _sylow_subgroup(group)
+    rejected = []
+
+    def counting_extend(closed, g, mul, cap=DEFAULT_CAP):
+        try:
+            return extend(closed, g, mul, cap)
+        except EnumerationCapError:
+            rejected.append(cap)
+            raise
+
+    monkeypatch.setattr(lattice, "extend", counting_extend)
+    searched = 0
+    for U, v_basis in _rigidity_subspaces(group):
+        quot = _KernelQuotient(ell, n, U)
+        for gens in permutations(sylow):
+            _complement_over_group(quot, list(gens), m, v_basis, ell, DEFAULT_CAP, 10 ** 6)
+            searched += 1
+    assert searched and rejected == []
 
 
 def _ell_hom_trivial_by_reclosing(group):
