@@ -24,7 +24,10 @@ avoids enumerating H at its own modulus, which matters for full preimages.
 Conjugacy search solves the linear conditions c*g = h*c over Z/ell^n with
 modarith.nullspace_span and looks for an invertible c in the solution
 module; every witness is checked before it is returned, and a failed check
-raises CertificateError.
+raises CertificateError.  Candidate images are matched by their (order, det,
+trace) key, which invariant_keys() computes once per element of a group and
+caches beside the enumeration; the key multisets, the candidate buckets and
+the generator orders of small_generating_set all read that table.
 """
 
 from collections import Counter
@@ -144,7 +147,8 @@ class MatrixGroup:
     and cached (read-only thereafter, safe to share).
     """
 
-    __slots__ = ("mod", "gens", "label", "_elements", "_order", "_layers", "_level")
+    __slots__ = ("mod", "gens", "label", "_elements", "_keys", "_order", "_layers",
+                 "_level")
 
     def __init__(self, mod, gens, label=None):
         self.mod = mod
@@ -164,6 +168,7 @@ class MatrixGroup:
         self.gens = tuple(canon)
         self.label = label
         self._elements = None
+        self._keys = None
         self._order = None
         self._layers = None
         self._level = None
@@ -190,6 +195,15 @@ class MatrixGroup:
 
     def element_set(self, cap=DEFAULT_CAP):
         return set(self.elements(cap))
+
+    def invariant_keys(self, cap=DEFAULT_CAP):
+        """{element: (order, det, trace)} over the whole group (cached).
+
+        Filled in the iteration order of element_set(), which fixes the
+        order in which the conjugacy search tries candidate images."""
+        if self._keys is None:
+            self._keys = {g: _invariant_key(g, self.mod) for g in self.element_set(cap)}
+        return self._keys
 
     def __contains__(self, g):
         if isinstance(g, ResidueMatrix):
@@ -330,7 +344,8 @@ class MatrixGroup:
         ident = self.identity_tuple()
         if len(els) == 1:
             return ()
-        ranked = sorted(els, key=lambda g: (-morder(g, self.mod), g))
+        keys = self.invariant_keys(cap)
+        ranked = sorted(els, key=lambda g: (-keys[g][0], g))
         mul = lambda a, b: mmul(a, b, m)
         gens = []
         closure = {ident}
@@ -537,19 +552,21 @@ def _invariant_key(g, mod):
     return (morder(g, mod), mdet(g, m), mtrace(g, m))
 
 
-def _conjugating_matrix(source_gens, target_elements, mod, budget):
+def _conjugating_matrix(source_gens, target_keys, mod, budget):
     """Backtracking search for c with c*g_i*c^-1 = (an element of the target)
     for every source generator; returns the witness 4-tuple or None.
 
-    Candidate images are bucketed by (order, det, trace); partial assignments
-    are pruned by solvability of the linear system c*g = h*c over Z/m with an
-    invertible c.
+    source_gens and target_keys map the source generators and the target
+    elements to their (order, det, trace) keys; candidate images are
+    bucketed by key in the iteration order of target_keys.  Partial
+    assignments are pruned by solvability of the linear system c*g = h*c
+    over Z/m with an invertible c.
     """
     m, ell = mod.modulus, mod.ell
     buckets = {}
-    for h in target_elements:
-        buckets.setdefault(_invariant_key(h, mod), []).append(h)
-    gens = sorted(source_gens, key=lambda g: (-morder(g, mod), g))
+    for h, key in target_keys.items():
+        buckets.setdefault(key, []).append(h)
+    gens = sorted(source_gens, key=lambda g: (-source_gens[g][0], g))
     nodes = 0
 
     def recurse(i, rows):
@@ -559,10 +576,10 @@ def _conjugating_matrix(source_gens, target_elements, mod, budget):
         g = gens[i]
         if g[1] == 0 and g[2] == 0 and g[0] == g[3]:
             # scalars are conjugation-invariant
-            if g not in target_elements:
+            if g not in target_keys:
                 return None
             return recurse(i + 1, rows)
-        for h in buckets.get(_invariant_key(g, mod), ()):
+        for h in buckets.get(source_gens[g], ()):
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetError("conjugacy search exceeded %d nodes" % budget)
@@ -600,17 +617,17 @@ def conjugate_into(h, big, cap=DEFAULT_CAP, budget=500_000):
     ho, bo = h.order(cap), big.order(cap)
     if bo % ho:
         return False, None, None
-    he, bset = h.elements(cap), set(big.elements(cap))
-    hkeys = Counter(_invariant_key(x, mod) for x in he)
-    if hkeys - Counter(_invariant_key(x, mod) for x in bset):
+    hkeys, bkeys = h.invariant_keys(cap), big.invariant_keys(cap)
+    if Counter(hkeys.values()) - Counter(bkeys.values()):
         return False, None, None
-    c = _conjugating_matrix(h.small_generating_set(cap), bset, mod, budget)
+    c = _conjugating_matrix({g: hkeys[g] for g in h.small_generating_set(cap)}, bkeys,
+                            mod, budget)
     if c is None:
         return False, None, None
     m = mod.modulus
     ci = minv(c, m, mod.ell)
     # c conjugates every generator into big, so the whole conjugate lands there.
-    if any(mmul(mmul(c, x, m), ci, m) not in bset for x in he):
+    if any(mmul(mmul(c, x, m), ci, m) not in bkeys for x in hkeys):
         raise CertificateError("conjugating matrix %r does not map %r into %r"
                                % (c, h, big))
     return True, ResidueMatrix.make(c, mod), bo // ho

@@ -273,6 +273,10 @@ def proper_detsurjective_subgroups(group, index_bound, fix_mod_ell_reduction=Tru
     ell = mod.ell
     parent_order = group.order(cap)
 
+    if fix_mod_ell_reduction and mod.exponent == 1:
+        # mod-ell reduction of a subgroup equals the subgroup itself, so only
+        # the parent survives the constraint
+        return []
     if not fix_mod_ell_reduction or parent_order <= BRUTE_LIMIT:
         if parent_order > BRUTE_LIMIT:
             raise SearchBudgetError(
@@ -303,10 +307,6 @@ def proper_detsurjective_subgroups(group, index_bound, fix_mod_ell_reduction=Tru
             out.append(SubgroupClass(rep, parent_order // len(rep_set), True, size))
         return sorted(out, key=lambda c: (c.index_in_parent, c.representative.gens))
 
-    if mod.exponent == 1:
-        # mod-ell reduction of a subgroup equals the subgroup itself, so only
-        # the parent survives the constraint
-        return []
     if mod.exponent != 2:
         raise SearchBudgetError("structured search supports exponent-2 moduli only")
 

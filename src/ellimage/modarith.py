@@ -166,21 +166,33 @@ def factorize(n):
 
 
 def morder(a, mod):
-    """Least k >= 1 with a**k = I.  Requires a invertible."""
-    m = mod.modulus
-    n = mod.exponent
+    """Least k >= 1 with a**k = I.  Requires a invertible.
+
+    The order k of a mod ell divides ell*(ell^2 - 1), the exponent of
+    GL2(F_ell), and is found by peeling the primes of that number.  a**k
+    lies in the kernel of reduction mod ell, whose e-th layer the ell-th
+    power maps into the (e+1)-th, so the order is k*ell^j for the least j
+    with (a**k)**(ell^j) = I, and j <= n - 1.
+    """
+    ell, n = mod.ell, mod.exponent
     if n == 0:
         return 1
-    if mdet(a, m) % mod.ell == 0:
+    m = mod.modulus
+    if mdet(a, m) % ell == 0:
         raise NotInvertibleError("matrix %r has non-unit determinant" % (a,))
-    # The order divides |GL2(Z/m)|; peel primes off that exponent.
-    e = mod.ell ** (4 * n - 3) * (mod.ell - 1) * (mod.ell ** 2 - 1)
-    if mpow(a, e, m) != IDENTITY:
-        raise ArithmeticError("order computation failed for %r mod %d" % (a, m))
-    order = e
-    for p in factorize(e):
-        while order % p == 0 and mpow(a, order // p, m) == IDENTITY:
+    a1 = mreduce(a, ell)
+    order = ell * (ell * ell - 1)
+    for p in {ell, *factorize(ell - 1), *factorize(ell + 1)}:
+        while order % p == 0 and mpow(a1, order // p, ell) == IDENTITY:
             order //= p
+    b = mpow(a, order, m)
+    for _ in range(n - 1):
+        if b == IDENTITY:
+            break
+        b = mpow(b, ell, m)
+        order *= ell
+    if b != IDENTITY:
+        raise ArithmeticError("order computation failed for %r mod %d" % (a, m))
     return order
 
 

@@ -2,6 +2,9 @@ import os
 import subprocess
 import sys
 
+from ellimage import gl2
+from ellimage.cli import main
+
 BASE = [sys.executable, "-m", "ellimage.cli"]
 
 
@@ -147,6 +150,36 @@ def test_lattice_check_image49():
     assert "CLASS\tindex=49" in r.stdout
     assert "CLAIM\tsplit-normalizer-membership\ttrue\tindex=7" in r.stdout
     assert "CLAIM\tpreimage-rigidity\tmodulus=343\trigid=true" in r.stdout
+
+
+def test_lattice_check_orders_each_element_once(monkeypatch, capsys):
+    calls = []
+    keyed = set()
+    morder, invariant_keys = gl2.morder, gl2.MatrixGroup.invariant_keys
+
+    def counting_morder(a, mod):
+        calls.append(a)
+        return morder(a, mod)
+
+    def recording_keys(self, *args):
+        keyed.add(self.elements())
+        return invariant_keys(self, *args)
+
+    monkeypatch.setattr(gl2, "morder", counting_morder)
+    monkeypatch.setattr(gl2.MatrixGroup, "invariant_keys", recording_keys)
+    assert main(["lattice-check", "--label", "49.196.9.1"]) == 0
+    assert "RESULT\tcertified" in capsys.readouterr().out
+    # the class representative (504), split-normalizer(49) (3528) and
+    # 49.9604.694.1 (504): at most one order per element of each
+    assert sum(map(len, keyed)) == 4536
+    assert len(calls) <= 4536
+
+
+def test_lattice_check_exponent_one():
+    r = run("lattice-check", "--label", "13.28.0.1")
+    assert r.returncode == 0
+    assert "CLAIM\tsubgroup-classes\tindex_bound=49\tcount=0" in r.stdout
+    assert "RESULT\tcertified" in r.stdout
 
 
 OPTIMIZED_CHECK = """

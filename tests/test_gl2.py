@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ellimage.errors import EnumerationCapError, NotInvertibleError
-from ellimage.gl2 import (CartanSpec, MatrixGroup, ambient_order, build_cartan,
-                          conjugate_into, extend, full_gl2, is_conjugate, mulclose,
-                          unit_group_generators)
+from ellimage.gl2 import (CartanSpec, MatrixGroup, _invariant_key, ambient_order,
+                          build_cartan, conjugate_into, extend, full_gl2, is_conjugate,
+                          mulclose, unit_group_generators)
 from ellimage.modarith import PrimePowerModulus, mdet, minv, mmul
 
 M7 = PrimePowerModulus(7, 1)
@@ -213,6 +213,16 @@ def test_small_generating_set():
     small = g.small_generating_set()
     assert len(small) <= len(g.gens)
     assert MatrixGroup(M49, list(small)).elements() == g.elements()
+
+
+def test_invariant_keys_table(image49):
+    for group in (build_cartan(CartanSpec("borel", M49)), image49,
+                  build_cartan(CartanSpec("split-normalizer", M49))):
+        keys = group.invariant_keys()
+        # the conjugacy search tries candidate images in this order
+        assert list(keys) == list(group.element_set())
+        assert all(keys[g] == _invariant_key(g, M49) for g in group.elements())
+        assert group.invariant_keys() is keys
 
 
 def _random_invertible(rng, m, ell):

@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ellimage.errors import ModulusMismatchError, NotInvertibleError
 from ellimage.gl2 import ambient_order
-from ellimage.modarith import MAX_MODULUS, PrimePowerModulus, ResidueMatrix, factorize, is_prime
+from ellimage.modarith import (IDENTITY, MAX_MODULUS, PrimePowerModulus, ResidueMatrix,
+                               factorize, is_prime, mdet, mmul, morder, mpow)
 
 M49 = PrimePowerModulus(7, 2)
 M7 = PrimePowerModulus(7, 1)
@@ -97,6 +99,50 @@ def test_order_divides_group_order():
     total = ambient_order(M49)
     for _ in range(40):
         assert total % _random_invertible(rng, M49).order() == 0
+
+
+def _old_morder(a, mod):
+    "The order by peeling the primes of |GL2(Z/m)|, which morder replaced."
+    m = mod.modulus
+    e = mod.ell ** (4 * mod.exponent - 3) * (mod.ell - 1) * (mod.ell ** 2 - 1)
+    assert mpow(a, e, m) == IDENTITY
+    order = e
+    for p in factorize(e):
+        while order % p == 0 and mpow(a, order // p, m) == IDENTITY:
+            order //= p
+    return order
+
+
+def _stepped_order(a, m):
+    "The order by multiplying by a until the identity comes back."
+    x, k = a, 1
+    while x != IDENTITY:
+        x, k = mmul(x, a, m), k + 1
+    return k
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_morder_against_old_and_stepping(data):
+    m = data.draw(st.sampled_from((2, 4, 16, 3, 27, 5, 25, 125, 7, 49, 343, 13, 37)))
+    mod = PrimePowerModulus.from_int(m)
+    ell = mod.ell
+    anything = st.tuples(*[st.integers(0, m - 1)] * 4)
+    # kernel elements I + ell*X and scalars reach the ell-power steps and
+    # the orders 1 and ell^j more often than arbitrary matrices
+    kernel = st.tuples(*[st.integers(0, m // ell - 1)] * 4).map(
+        lambda x: ((1 + ell * x[0]) % m, ell * x[1] % m, ell * x[2] % m,
+                   (1 + ell * x[3]) % m))
+    scalar = st.integers(1, m - 1).map(lambda x: (x, 0, 0, x))
+    a = data.draw(st.one_of(anything, kernel, scalar))
+    if mdet(a, m) % ell == 0:
+        with pytest.raises(NotInvertibleError):
+            morder(a, mod)
+        return
+    order = morder(a, mod)
+    assert order == _old_morder(a, mod)
+    if m <= 49:
+        assert order == _stepped_order(a, m)
 
 
 def test_entries_canonicalized():

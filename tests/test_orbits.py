@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ellimage.gl2 import CartanSpec, MatrixGroup, build_cartan, full_gl2
+from ellimage.cli import _bundled_records
+from ellimage.gl2 import CARTAN_KINDS, CartanSpec, MatrixGroup, build_cartan, full_gl2
 from ellimage.modarith import PrimePowerModulus
-from ellimage.modcurves import map_degree_tower
+from ellimage.modcurves import genus_XG, map_degree_tower
 from ellimage.orbits import (CyclicSubmodule, TorsionVector, _line_canon,
                              gamma0_orbits, gamma1_orbits, orbit_degree_tower)
 
@@ -189,3 +191,37 @@ def test_cartan_degree_check_small():
         want0 = (ell + 1) * ell ** (k - 1)
         assert {r.size for r in gamma1_orbits(pre, k)} == {want1}
         assert {r.size for r in gamma0_orbits(pre, k)} == {want0}
+
+
+@pytest.fixture(scope="module")
+def small_groups():
+    "Catalog records and named Cartans of modulus <= 49."
+    groups = [r.group() for r in _bundled_records() if r.modulus.modulus <= 49]
+    for kind in CARTAN_KINDS:
+        for mod in (PrimePowerModulus(2, 3), PrimePowerModulus(3, 2), PrimePowerModulus(5, 1),
+                    M7, PrimePowerModulus(5, 2), M49):
+            try:
+                groups.append(build_cartan(CartanSpec(kind, mod)))
+            except ValueError:
+                pass  # nonsplit kinds need an odd prime, the semidirect one ell^2
+    return groups
+
+
+def _conjugation_invariants(group):
+    mod = group.mod
+    orbit_sizes = []
+    for k in range(1, mod.exponent + 1):
+        if mod.ell ** k > 2:
+            orbit_sizes.append(sorted(r.size for r in gamma1_orbits(group, k)))
+        orbit_sizes.append(sorted(r.size for r in gamma0_orbits(group, k)))
+    return group.order(), group.level(), genus_XG(group), orbit_sizes
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_invariants_under_random_conjugation(small_groups, data):
+    group = data.draw(st.sampled_from(small_groups))
+    m, ell = group.mod.modulus, group.ell
+    c = data.draw(st.tuples(*[st.integers(0, m - 1)] * 4).filter(
+        lambda c: (c[0] * c[3] - c[1] * c[2]) % ell))
+    assert _conjugation_invariants(group.conjugated_by(c)) == _conjugation_invariants(group)
