@@ -1,8 +1,8 @@
 """Subgroups of GL2(Z/ell^n) given by generators.
 
-Provides BFS enumeration, order/index/level via kernel-layer dimensions,
-determinant image, -I handling, reduction and full preimage, conjugacy
-search, and the named Cartan/Borel constructions.
+Provides BFS enumeration, order/index/level/membership via the congruence
+filtration, determinant image, -I handling, reduction and full preimage,
+conjugacy search, and the named Cartan/Borel constructions.
 
 orbit() is the one orbit BFS of the package: torsion orbits, the coset
 action behind genus_XG, determinant images and lattice join closures run
@@ -13,13 +13,16 @@ whole.  mulclose is a fold of extend over the generators; subgroup joins,
 greedy generating sets, the Sylow climb, normal closures and the complement
 search of the lattice module extend the closure they already hold.
 
-Orders and levels are computed layer by layer: for H <= GL2(Z/ell^n) the
-kernel filtration K_e = ker(GL2(ell^n) -> GL2(ell^e)) has elementary
-abelian quotients K_e/K_{e+1} ~ M2(F_ell), and the image L_e of
-H cap K_e in that quotient is the F_ell-span of the Schreier generators of
-ker(H(ell^{e+1}) -> H(ell^e)).  Then |H| = |H(ell)| * prod ell^(dim L_e),
-and the level is the smallest ell^d with L_e full for all e >= d.  This
-avoids enumerating H at its own modulus, which matters for full preimages.
+Orders, levels, membership and equality read one cached Filtration per
+group: for H <= GL2(Z/ell^n) the kernels K_e = ker(GL2(ell^n) -> GL2(ell^e))
+have elementary abelian quotients K_e/K_{e+1} ~ M2(F_ell).  The filtration
+holds H(ell) with a lift of each element, and for each layer an F_ell basis
+of the image L_e of H cap K_e with elements of H that realise it.  Then
+|H| = |H(ell)| * prod ell^(dim L_e), the level is the smallest ell^d with
+L_e full for all e >= d, and g is in H when its lift mod ell exists and the
+quotient sifts to I through the layers.  None of this enumerates H, which
+matters for full preimages and levels ell^3; modcurves.genus_XG keys right
+cosets with the same layer reduction.
 
 Conjugacy search solves the linear conditions c*g = h*c over Z/ell^n with
 modarith.nullspace_span and looks for an invertible c in the solution
@@ -36,8 +39,8 @@ from itertools import product
 
 from .errors import (CertificateError, EnumerationCapError, ModulusMismatchError,
                      NotInvertibleError, SearchBudgetError)
-from .modarith import (Echelon, PrimePowerModulus, ResidueMatrix, lincomb, mdet,
-                       minv, mmul, mneg, morder, mpow, mreduce, mtrace,
+from .modarith import (IDENTITY, Echelon, PrimePowerModulus, ResidueMatrix, lincomb,
+                       mdet, minv, mmul, mneg, morder, mpow, mreduce, mtrace,
                        nullspace_span)
 
 DEFAULT_CAP = 10 ** 7
@@ -143,12 +146,12 @@ def full_gl2(mod, label=None):
 class MatrixGroup:
     """A subgroup of GL2(Z/ell^n) given by modulus and generators.
 
-    Immutable after construction; the element enumeration is computed once
-    and cached (read-only thereafter, safe to share).
+    Immutable after construction; the element enumeration and the
+    congruence filtration are computed once, on first use, and cached
+    (read-only thereafter, safe to share).
     """
 
-    __slots__ = ("mod", "gens", "label", "_elements", "_keys", "_order", "_layers",
-                 "_level")
+    __slots__ = ("mod", "gens", "label", "_elements", "_keys", "_filtration")
 
     def __init__(self, mod, gens, label=None):
         self.mod = mod
@@ -169,9 +172,7 @@ class MatrixGroup:
         self.label = label
         self._elements = None
         self._keys = None
-        self._order = None
-        self._layers = None
-        self._level = None
+        self._filtration = None
 
     # -- basic views --------------------------------------------------
 
@@ -205,48 +206,48 @@ class MatrixGroup:
             self._keys = {g: _invariant_key(g, self.mod) for g in self.element_set(cap)}
         return self._keys
 
+    def filtration(self, cap=DEFAULT_CAP):
+        "The congruence Filtration of the group (cached); needs exponent >= 1."
+        if self._filtration is None:
+            self._filtration = Filtration(self.gens, self.mod, cap)
+        return self._filtration
+
     def __contains__(self, g):
         if isinstance(g, ResidueMatrix):
             g = g.entries
-        return g in self.element_set()
+        return self._sifts(g, DEFAULT_CAP)
+
+    def _sifts(self, g, cap):
+        """Membership of g mod ell^n: g is in the group when its lift t of
+        g mod ell exists and t^-1 * g reduces to I through the layers."""
+        if self.mod.exponent == 0:
+            return g == self.identity_tuple()
+        filt, m = self.filtration(cap), self.mod.modulus
+        lift = filt.top.get(mreduce(g, self.ell))
+        return lift is not None and filt.reduce(mmul(minv(lift, m, self.ell), g, m)) == IDENTITY
 
     def __eq__(self, other):
+        """Same modulus, same order, and every generator of one lies in the
+        other, which then contains the whole of it."""
         return (isinstance(other, MatrixGroup) and self.mod == other.mod
-                and self.elements() == other.elements())
+                and self.order() == other.order() and all(g in other for g in self.gens))
 
     def __hash__(self):
-        return hash((self.mod, self.elements()))
+        return hash((self.mod, self.order()))
 
     def __repr__(self):
         tag = self.label or "%d gens" % len(self.gens)
         return "MatrixGroup(mod %d, %s)" % (self.mod.modulus, tag)
 
-    # -- layered order / level ----------------------------------------
-
-    def _kernel_layers(self, cap=DEFAULT_CAP):
-        """dims[e] = dim of the e-th kernel layer of the group, e = 1..n-1."""
-        if self._layers is not None:
-            return self._layers
-        ell, n = self.ell, self.mod.exponent
-        dims = {}
-        for e in range(1, n):
-            dims[e] = _layer_dim(self.gens, ell, e, cap)
-        self._layers = dims
-        return dims
+    # -- order / level from the filtration ----------------------------
 
     def order(self, cap=DEFAULT_CAP):
-        if self._order is None:
-            n = self.mod.exponent
-            if n == 0:
-                self._order = 1
-            elif self._elements is not None:
-                self._order = len(self._elements)
-            else:
-                ell = self.ell
-                base = len(mulclose([mreduce(g, ell) for g in self.gens], ell, cap))
-                dims = self._kernel_layers(cap)
-                self._order = base * ell ** sum(dims.values())
-        return self._order
+        if self.mod.exponent == 0:
+            return 1
+        if self._elements is not None:
+            return len(self._elements)
+        base, dims = self.filtration(cap).sizes()
+        return base * self.ell ** sum(dims)
 
     def index_in_ambient(self, cap=DEFAULT_CAP):
         total = ambient_order(self.mod)
@@ -257,26 +258,18 @@ class MatrixGroup:
 
     def level(self, cap=DEFAULT_CAP):
         """Smallest ell^d such that the group is the full preimage of its
-        reduction mod ell^d; the exponent-0 marker when the group is full."""
-        if self._level is not None:
-            return self._level
+        reduction mod ell^d (all layers from d on are full); the exponent-0
+        marker when the group is full."""
         ell, n = self.ell, self.mod.exponent
         if n == 0:
-            self._level = self.mod
-            return self._level
-        dims = self._kernel_layers(cap)
+            return self.mod
+        base, dims = self.filtration(cap).sizes()
         d = n
-        for e in range(n - 1, 0, -1):
-            if dims[e] == 4:
-                d = e
-            else:
-                break
-        if d == 1:
-            base = len(mulclose([mreduce(g, ell) for g in self.gens], ell, cap))
-            if base == ambient_order(PrimePowerModulus(ell, 1)):
-                d = 0
-        self._level = PrimePowerModulus(ell, d)
-        return self._level
+        while d > 1 and dims[d - 2] == 4:
+            d -= 1
+        if d == 1 and base == ambient_order(PrimePowerModulus(ell, 1)):
+            d = 0
+        return PrimePowerModulus(ell, d)
 
     # -- determinant, -I ----------------------------------------------
 
@@ -291,8 +284,7 @@ class MatrixGroup:
         return tuple(sorted(closure)), len(closure) == self.mod.unit_count()
 
     def contains_minus_identity(self, cap=DEFAULT_CAP):
-        m = self.mod.modulus
-        return mneg(self.identity_tuple(), m) in self.element_set(cap)
+        return self._sifts(mneg(self.identity_tuple(), self.mod.modulus), cap)
 
     def adjoin_minus_identity(self, label=None):
         "Group generated by the generators together with -I; idempotent."
@@ -361,46 +353,91 @@ class MatrixGroup:
         return tuple(gens)
 
 
-def _layer_dim(gens, ell, e, cap):
-    """dim over F_ell of the image of (H cap K_e) in K_e/K_{e+1}.
+class Filtration:
+    """The congruence filtration of a group G <= GL2(Z/ell^n), n >= 1.
 
-    Schreier generators of ker(H(ell^{e+1}) -> H(ell^e)) are collected while
-    BFS-ing the reduction mod ell^e with lifts mod ell^{e+1}; the kernel is
-    elementary abelian, so the subgroup they generate is their span.  Once
-    the span is full the BFS can stop early (it cannot grow further).
+    `top` maps each element of G(ell) to a lift in G.  For e = 1..n-1,
+    `layers[e-1]` is (an Echelon of L_e, {row: [b^0, b^-1, ..., b^-(ell-1)]})
+    with b in G cap K_e of layer-e digit `row`; L_e is the image of G cap K_e
+    in K_e/K_{e+1} ~ M2(F_ell), and the layer-e digit of x in K_e,
+    (x - I)/ell^e mod ell, is the e-th base-ell digit of each entry.
+
+    The rows are found by sifting (Sims 1970): `top` is built by one BFS
+    that carries lifts mod ell^n, and each Schreier generator t(x)*g*t(xg)^-1
+    of G cap K_1 is reduced through the layers; a residue b != I becomes a
+    row of its first nonzero layer, and its ell-th power and commutators with
+    the earlier rows are sifted in turn.  When all of them sift to I, the
+    products of rows in layer order form a group (Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, ch. 8): it holds every Schreier
+    generator, so it is G cap K_1.
     """
-    low = ell ** e
-    high = low * ell
-    gens_high = [mreduce(g, high) for g in gens]
-    gens_low = [mreduce(g, low) for g in gens_high]
-    ident_low = (1 % low, 0, 0, 1 % low)
-    lift = {ident_low: (1, 0, 0, 1)}
-    queue = [ident_low]
-    basis = Echelon(ell)
-    while queue and len(basis) < 4:
-        nxt = []
+
+    def __init__(self, gens, mod, cap=DEFAULT_CAP):
+        ell, m = mod.ell, mod.modulus
+        self.ell, self.m = ell, m
+        self.layers = [(Echelon(ell), {}) for _ in range(mod.exponent - 1)]
+        self._rows = []
+        top = self.top = {IDENTITY: IDENTITY}
+        queue = [IDENTITY]
         for x in queue:
-            tx = lift[x]
-            for gh, gl in zip(gens_high, gens_low):
-                y = mmul(x, gl, low)
-                ty = mmul(tx, gh, high)
-                if y not in lift:
-                    lift[y] = ty
-                    nxt.append(y)
-                    if len(lift) > cap:
-                        raise EnumerationCapError("layer BFS exceeded cap %d" % cap)
-                else:
-                    s = mmul(ty, minv(lift[y], high, ell), high)
-                    vec = tuple(((s[i] - (1, 0, 0, 1)[i]) % high) // low % ell
-                                for i in range(4))
-                    if any(vec):
-                        basis.add(vec)
-                        if len(basis) == 4:
-                            break
-            if len(basis) == 4:
-                break
-        queue = nxt
-    return len(basis)
+            tx = top[x]
+            for g in gens:
+                ty = mmul(tx, g, m)
+                y = mreduce(ty, ell)
+                old = top.get(y)
+                if old is None:
+                    top[y] = ty
+                    queue.append(y)
+                    if len(top) > cap:
+                        raise EnumerationCapError("G(%d) table exceeded cap %d" % (ell, cap))
+                elif ty != old and len(self._rows) < 4 * len(self.layers):
+                    # once every layer is full the rows give all of K_1
+                    self._sift_in([mmul(ty, minv(old, m, ell), m)])
+
+    def _sift_in(self, todo):
+        """Sifts each element of G cap K_1 in todo; a residue b != I becomes a
+        row, and b^ell and the commutators of b with the earlier rows join
+        todo."""
+        ell, m = self.ell, self.m
+        while todo:
+            b = self.reduce(todo.pop())
+            if b == IDENTITY:
+                continue
+            e, q = 1, ell
+            while not any(a // q % ell for a in b):
+                e, q = e + 1, q * ell
+            echelon, powers = self.layers[e - 1]
+            row = echelon.add(tuple(a // q % ell for a in b))
+            binv = minv(b, m, ell)
+            powers[row] = [IDENTITY]
+            for _ in range(ell - 1):
+                powers[row].append(mmul(powers[row][-1], binv, m))
+            todo.append(mpow(b, ell, m))
+            for c in self._rows:
+                todo.append(mmul(mmul(binv, minv(c, m, ell), m), mmul(b, c, m), m))
+            self._rows.append(b)
+
+    def reduce(self, x, cinv=IDENTITY):
+        """x times an element of G cap K_1 that puts every layer digit of x
+        in normal form, for x = c mod ell and cinv = c^-1 mod ell.
+
+        Layer by layer, multiplying by k in G cap K_e moves the digit D of x
+        by digit(k)*c, so D*cinv is brought to Echelon normal form modulo
+        L_e.  Elements of one coset (G cap K_1)*x reduce to the same matrix;
+        with c = I the result is I exactly when x lies in G cap K_1.
+        """
+        ell, m = self.ell, self.m
+        q = 1
+        for echelon, powers in self.layers:
+            q *= ell
+            digit = mmul(tuple(a // q for a in x), cinv, ell)
+            for row, f in echelon.decompose(digit)[1]:
+                x = mmul(powers[row][f], x, m)
+        return x
+
+    def sizes(self):
+        "(|G(ell)|, [dim L_1, ..., dim L_{n-1}])."
+        return len(self.top), [len(echelon) for echelon, _ in self.layers]
 
 
 # ---------------------------------------------------------------------------

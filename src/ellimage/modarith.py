@@ -353,13 +353,20 @@ class Echelon:
     def reduce(self, v):
         """v minus the combination of rows that clears every pivot coordinate;
         mod ell this is the normal form of v modulo the span."""
+        return self.decompose(v)[0]
+
+    def decompose(self, v):
+        """(reduce(v), steps): steps lists the pairs (row, f), in pivot
+        order, such that reduce(v) = v - sum of f*row."""
         ell, m = self.ell, self.m
         v = list(v)
+        steps = []
         for p, inv, b in self._pivots:
             if v[p] % ell:
                 f = v[p] * inv % m
                 v = [(v[i] - f * b[i]) % m for i in range(4)]
-        return tuple(v)
+                steps.append((b, f))
+        return tuple(v), steps
 
     def __contains__(self, v):
         return not any(x % self.ell for x in self.reduce(v))

@@ -6,9 +6,12 @@ SL2(Z/N): mu is the coset count, nu2/nu3 count cosets fixed by the standard
 order-4/order-3 elements s = [0 -1; 1 0] and t = [0 -1; 1 -1], and nu_inf
 counts orbits of u = [1 1; 0 1].  X_G depends only on +-G, so H is taken as
 (G cap SL2) together with its negatives, which is +-G cap SL2.  Cosets here
-are right cosets Hx with the right multiplication action, found by an orbit
-BFS from H under s and t (P^1-style coset enumeration, as for Gamma0 in
-Diamond-Shurman ch. 3) rather than by listing SL2(Z/N); the Borel-vs-X0 and
+are right cosets Hx with the right multiplication action.  Hx is the part in
+SL2 of the coset +-G*x in GL2, whose canonical representative comes from a
+level-1 table over SL2(F_ell) and the layer reduction of the group's
+congruence filtration (gl2.Filtration), so neither SL2(Z/N) nor G is listed;
+an orbit BFS from H under s, t and u finds the mu cosets (P^1-style coset
+enumeration, as for Gamma0 in Diamond-Shurman ch. 3).  The Borel-vs-X0 and
 Gamma1-shape-vs-X1 oracle tests pin this convention against the closed
 formulas, and the tests keep an SL2-enumerating coset count as an oracle.
 """
@@ -19,7 +22,7 @@ from math import gcd
 
 from .errors import EnumerationCapError
 from .gl2 import DEFAULT_CAP, ambient_order, orbit
-from .modarith import factorize, mdet, mmul, mneg, mreduce
+from .modarith import IDENTITY, factorize, mdet, minv, mmul, mreduce
 
 
 def _euler_phi(n):
@@ -152,54 +155,81 @@ class GenusProfile:
 _X1_PROFILE_LEVEL1 = GenusProfile(1, 1, 1, 1, 0)
 
 
+def _right_coset_key(group, cap=DEFAULT_CAP):
+    """(key, +-G): key(x) is a canonical representative of the right coset
+    +-G*x, for x in GL2(Z/N) with det x mod ell in det G(ell).
+
+    1. x is multiplied by a fixed element of +-G whose determinant is
+       inverse to det x mod ell, so that x mod ell lies in SL2(F_ell).
+    2. A level-1 table over SL2(F_ell), filled one right coset of
+       +-G(ell) cap SL2(F_ell) at a time as cosets are met, gives an element
+       h of +-G with h*x = c mod ell, c the first-met element of the coset.
+    3. Filtration.reduce puts each layer digit of h*x in normal form.
+    The G(ell) table of +-G and the level-1 table are the tables held;
+    EnumerationCapError is raised once either exceeds cap.
+    """
+    ell, m = group.ell, group.mod.modulus
+    pm = group if group.contains_minus_identity(cap) else group.adjoin_minus_identity()
+    filt = pm.filtration(cap)
+    fix = {}
+    for x, lift in filt.top.items():
+        fix.setdefault(pow(mdet(x, ell), -1, ell), lift)
+    sl2_part = [(minv(x, ell, ell), lift) for x, lift in filt.top.items()
+                if mdet(x, ell) == 1]
+    level1 = {}
+
+    def key(x):
+        x = mmul(fix[mdet(x, ell)], x, m)
+        c = mreduce(x, ell)
+        if c not in level1:
+            cinv = minv(c, ell, ell)
+            for hinv, lift in sl2_part:
+                level1[mmul(hinv, c, ell)] = (lift, cinv)
+            if len(level1) > cap:
+                raise EnumerationCapError("level-1 coset table exceeded cap %d" % cap)
+        lift, cinv = level1[c]
+        return filt.reduce(mmul(lift, x, m), cinv)
+
+    return key, pm
+
+
 def genus_XG(group, cap=DEFAULT_CAP):
     """GenusProfile of the modular curve attached to a subgroup of GL2(Z/N).
 
     mu = [SL2(Z/N) : +-G cap SL2]; the level-1 marker yields the j-line.
-    The cosets are found by BFS from H under s and t, which generate
-    SL2(Z/N); the coset table holds every element of SL2(Z/N) once, so
-    EnumerationCapError is raised when |SL2(Z/N)| exceeds cap.
+    The cosets are keyed by _right_coset_key and found by BFS from the
+    identity coset under s, t and u, recording each image.  The coset set is
+    held beside the key's tables, and EnumerationCapError is raised once it
+    exceeds cap.  mu * |+-G| / |det G| = |SL2(Z/N)| is checked.
     """
     mod = group.mod
     if mod.exponent == 0:
         return _X1_PROFILE_LEVEL1
     m = mod.modulus
-    total = ambient_order(mod, "SL2")
-    if total > cap:
-        raise EnumerationCapError("coset table of SL2(Z/%d) needs %d entries, above "
-                                  "the cap %d" % (m, total, cap))
-    sl2 = [x for x in group.elements(cap) if mdet(x, m) == 1]
-    H = set(sl2) | {mneg(x, m) for x in sl2}
-    coset_of = {}
-    reps = []
-
-    def coset(x):
-        "Index of the right coset Hx, numbered on first sight."
-        if x not in coset_of:
-            for h in H:
-                coset_of[mmul(h, x, m)] = len(reps)
-            reps.append(x)
-        return coset_of[x]
-
+    key, pm = _right_coset_key(group, cap)
     s = mreduce((0, -1, 1, 0), m)
     t = mreduce((0, -1, 1, -1), m)
     u = (1, 1 % m, 0, 1)
-    orbit(coset((1, 0, 0, 1)), (s, t), lambda i, g: coset(mmul(reps[i], g, m)), cap)
-    mu = len(reps)
-    if mu * len(H) != total:
-        raise ArithmeticError("%d cosets of |H| = %d do not fill |SL2| = %d"
-                              % (mu, len(H), total))
-    nu2 = sum(1 for i, r in enumerate(reps) if coset_of[mmul(r, s, m)] == i)
-    nu3 = sum(1 for i, r in enumerate(reps) if coset_of[mmul(r, t, m)] == i)
-    perm = [coset_of[mmul(r, u, m)] for r in reps]
-    seen = [False] * mu
-    nu_inf = 0
-    for i in range(mu):
-        if not seen[i]:
+    step = {}
+
+    def act(r, g):
+        y = step[r, g] = key(mmul(r, g, m))
+        return y
+
+    cosets = orbit(key(IDENTITY), (s, t, u), act, cap)
+    mu = len(cosets)
+    total, order, dets = ambient_order(mod, "SL2"), pm.order(cap), len(group.det_image()[0])
+    if mu * order != total * dets:
+        raise ArithmeticError("%d cosets of |+-G| = %d with %d determinants do not fill "
+                              "|SL2| = %d" % (mu, order, dets, total))
+    nu2 = sum(1 for r in cosets if step[r, s] == r)
+    nu3 = sum(1 for r in cosets if step[r, t] == r)
+    nu_inf, seen = 0, set()
+    for r in cosets:
+        if r not in seen:
             nu_inf += 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
+            while r not in seen:
+                seen.add(r)
+                r = step[r, u]
     g = 1 + Fraction(mu, 12) - Fraction(nu2, 4) - Fraction(nu3, 3) - Fraction(nu_inf, 2)
     return GenusProfile(mu, nu2, nu3, nu_inf, _genus(g, group))

@@ -7,7 +7,7 @@ from ellimage.errors import EnumerationCapError, NotInvertibleError
 from ellimage.gl2 import (CartanSpec, MatrixGroup, _invariant_key, ambient_order,
                           build_cartan, conjugate_into, extend, full_gl2, is_conjugate,
                           mulclose, unit_group_generators)
-from ellimage.modarith import PrimePowerModulus, mdet, minv, mmul
+from ellimage.modarith import PrimePowerModulus, mdet, minv, mmul, mreduce
 
 M7 = PrimePowerModulus(7, 1)
 M49 = PrimePowerModulus(7, 2)
@@ -366,3 +366,72 @@ def test_mulclose_and_extend_against_bfs(data):
     if len(old) > len(closed):
         with pytest.raises(EnumerationCapError):
             extend(closed, g, mul, len(old) - 1)
+
+
+def _level_by_enumeration(els, mod):
+    "Level exponent from the element set: the least d whose full preimage it is."
+    ell, n = mod.ell, mod.exponent
+    if len(els) == ambient_order(mod):
+        return 0
+    return next(d for d in range(1, n + 1)
+                if len(els) == len({mreduce(x, ell ** d) for x in els}) * ell ** (4 * (n - d)))
+
+
+SIFT_MODULI = (2, 4, 8, 16, 3, 9, 27, 5, 25, 7, 49)
+
+
+def _small_group(data):
+    """(modulus, generators, element set) of a random group of at most
+    BFS_LIMIT elements, or None when the drawn group is larger."""
+    m = data.draw(st.sampled_from(SIFT_MODULI))
+    ell = next(p for p in (2, 3, 5, 7) if m % p == 0)
+    gens = data.draw(st.lists(_matrices(m, ell), max_size=3))
+    els = _bfs_closure(gens, m)
+    return None if els is None else (PrimePowerModulus.from_int(m), gens, els)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sifting_against_enumeration(data):
+    drawn = _small_group(data)
+    if drawn is None:
+        return
+    mod, gens, els = drawn
+    m, ell = mod.modulus, mod.ell
+    group = MatrixGroup(mod, gens)
+    assert group.order() == len(els)
+    assert group.level().exponent == _level_by_enumeration(els, mod)
+    assert group.index_in_ambient() * len(els) == ambient_order(mod)
+    assert group.contains_minus_identity() == ((m - 1, 0, 0, m - 1) in els)
+    probes = data.draw(st.lists(_matrices(m, ell), max_size=8))
+    probes += data.draw(st.lists(st.sampled_from(sorted(els)), min_size=1, max_size=8))
+    probes.append((ell, 0, 0, 1))  # not invertible
+    for x in probes:
+        assert (x in group) == (x in els)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_equality_without_enumeration(data):
+    drawn = _small_group(data)
+    if drawn is None:
+        return
+    mod, gens, els = drawn
+    m, ell = mod.modulus, mod.ell
+    how = data.draw(st.sampled_from(("regenerate", "drop", "other")))
+    if how == "regenerate":
+        # the same group from other generators: reversed, with products added
+        other = gens[::-1] + [mmul(a, b, m) for a in gens for b in gens]
+    elif how == "drop":
+        other = gens[:-1]
+    else:
+        other = data.draw(st.lists(_matrices(m, ell), max_size=3))
+    other_els = _bfs_closure(other, m)
+    if other_els is None:
+        return
+    a, b = MatrixGroup(mod, gens), MatrixGroup(mod, other)
+    assert (a == b) == (b == a) == (els == other_els)
+    if els == other_els:
+        assert hash(a) == hash(b)
+    assert a._elements is None and b._elements is None
+    assert a != MatrixGroup(PrimePowerModulus(ell, mod.exponent + 1), gens)

@@ -66,6 +66,19 @@ def test_every_shipped_record_validates(records, special_records):
         assert rep.ok, rep.to_line()
 
 
+def test_records_validate_at_level_ell_cubed(records, special_records):
+    # the full preimage mod ell^max(3, n) keeps the label's level, index and
+    # genus; the level-2 records are left out because full_preimage from
+    # modulus 2 to 8 does not generate all of the kernel K_1 mod 8
+    for rec in records + special_records:
+        if rec.modulus.modulus == 2:
+            continue
+        pre = rec.group().full_preimage(max(3, rec.modulus.exponent))
+        big = ImageRecord(rec.rszb_label, pre.mod, pre.generator_matrices())
+        rep = validate_record(big)
+        assert rep.ok, rep.to_line()
+
+
 def test_validation_catches_injected_faults(record_map):
     good = record_map["17.72.1.2"]
     wrong_genus = ImageRecord("17.72.2.2", good.modulus, good.generators)

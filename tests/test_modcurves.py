@@ -1,12 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ellimage.errors import EnumerationCapError
 from ellimage.gl2 import (CartanSpec, MatrixGroup, ambient_order, build_cartan, full_gl2,
                           mulclose, unit_group_generators)
-from ellimage.modarith import PrimePowerModulus, mdet, mmul, mreduce
-from ellimage.modcurves import (GenusProfile, MapDegreeSpec, genus_X0,
-                                genus_X1, genus_XG, map_degree,
-                                map_degree_tower)
+from ellimage.modarith import PrimePowerModulus, mdet, minv, mmul, mreduce
+from ellimage.modcurves import (GenusProfile, MapDegreeSpec, _right_coset_key, genus_X0,
+                                genus_X1, genus_XG, map_degree, map_degree_tower)
 
 
 def test_genus_tables():
@@ -157,10 +157,77 @@ def test_genus_XG_against_sl2_enumeration_without_minus_identity(ell, e):
     assert genus_XG(group) == _profile_by_sl2_enumeration(group)
 
 
+def test_genus_XG_against_sl2_enumeration_catalog(records, special_records):
+    # every reduction, which includes each reduce_to(a) filter_genus_zero makes
+    for rec in records + special_records:
+        group = rec.group()
+        for a in range(1, group.mod.exponent + 1):
+            red = group.reduce_to(a)
+            assert genus_XG(red) == _profile_by_sl2_enumeration(red), (rec.rszb_label, a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_coset_key_against_enumeration(data):
+    m = data.draw(st.sampled_from((2, 4, 8, 3, 9, 27, 5, 25, 7, 49)))
+    mod = PrimePowerModulus.from_int(m)
+    ell = mod.ell
+    unit = st.tuples(*[st.integers(0, m - 1)] * 4).filter(lambda a: mdet(a, ell))
+    gens = data.draw(st.lists(unit, max_size=3))
+    try:
+        pm = mulclose(gens + [(m - 1, 0, 0, m - 1)], m, 4000)
+    except EnumerationCapError:
+        return
+    key, _ = _right_coset_key(MatrixGroup(mod, gens))
+
+    def sl2(a):
+        "a times diag(1, det(a)^-1), which has determinant 1"
+        return mmul(a, (1, 0, 0, pow(mdet(a, m), -1, m)), m)
+
+    xs = [sl2(a) for a in data.draw(st.lists(unit, min_size=2, max_size=6))]
+    for x in xs:
+        k = key(x)
+        assert mmul(k, minv(x, m, ell), m) in pm          # k lies in +-G*x
+        g = data.draw(st.sampled_from(sorted(pm)))
+        assert key(mmul(g, x, m)) == k
+    for x in xs:
+        for y in xs:
+            same_coset = mmul(x, minv(y, m, ell), m) in pm
+            assert (key(x) == key(y)) == same_coset
+
+
+@pytest.mark.parametrize("N", [81, 121, 125, 169, 343])
+def test_genus_XG_reach(N):
+    # a coset key per coset: no table holds SL2(Z/N) or the group
+    mod = PrimePowerModulus.from_int(N)
+    assert genus_XG(build_cartan(CartanSpec("borel", mod))).genus == genus_X0(N)
+    if N != 343:
+        assert genus_XG(gamma1_shape(mod)).genus == genus_X1(N)
+
+
+def test_genus_XG_checks_coset_count(monkeypatch):
+    # mu * |+-G| / |det G| must be |SL2(Z/N)|; a wrong group order breaks it
+    borel = build_cartan(CartanSpec("borel", PrimePowerModulus(7, 2)))
+    monkeypatch.setattr(MatrixGroup, "order", lambda self, cap=None: 49)
+    with pytest.raises(ArithmeticError, match="do not fill"):
+        genus_XG(borel)
+
+
 def test_genus_XG_honours_cap():
-    borel = build_cartan(CartanSpec("borel", PrimePowerModulus(5, 2)))
-    sl2_order = ambient_order(borel.mod, "SL2")
-    assert sl2_order == 15000 and borel.order() == 10000
-    with pytest.raises(EnumerationCapError):
-        genus_XG(borel, cap=sl2_order - 1)
-    assert genus_XG(borel, cap=sl2_order).genus == genus_X0(25)
+    # genus_XG holds three tables: the G(ell) table of +-G, the level-1 table
+    # over SL2(F_ell) and the coset set.  It raises exactly when one of them
+    # is larger than the cap; each group here has a different largest table.
+    m25, m49 = PrimePowerModulus(5, 2), PrimePowerModulus(7, 2)
+    cases = [(lambda: build_cartan(CartanSpec("borel", m25)), 120),  # |SL2(F_5)|
+             (lambda: gamma1_shape(m49), 1176),                       # mu
+             (lambda: full_gl2(m49), 2016)]                           # |GL2(F_7)|
+    for make, largest in cases:
+        group = make()
+        ell = group.ell
+        pm_bar = mulclose([mreduce(g, ell) for g in group.gens] + [(ell - 1, 0, 0, ell - 1)], ell)
+        prof = genus_XG(group)
+        assert largest == max(len(pm_bar), ambient_order(PrimePowerModulus(ell, 1), "SL2"),
+                              prof.mu)
+        with pytest.raises(EnumerationCapError):
+            genus_XG(make(), cap=largest - 1)
+        assert genus_XG(make(), cap=largest) == prof
