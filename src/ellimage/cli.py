@@ -21,7 +21,6 @@ ELLIMAGE_THREADS from the environment; command-line flags win.
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 
@@ -139,6 +138,7 @@ def cmd_batch(args, config):
                  config.fmt == "text")
                 for rec in records]
     if config.threads > 1 and len(payloads) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
             results = list(pool.map(_batch_one, payloads))
     else:

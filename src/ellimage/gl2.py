@@ -307,7 +307,9 @@ class MatrixGroup:
 
     def full_preimage(self, target, label=None):
         """Full preimage in GL2(Z/ell^t): lifted generators plus the kernel
-        generators I + ell^s * E_ij."""
+        generators I + ell^j * E_ij of every layer j from the source exponent
+        up to t (from modulus 2 the layer-1 ones alone miss part of the
+        kernel: their squares reach only half of layer 2)."""
         if isinstance(target, int):
             target = PrimePowerModulus(self.ell, target)
         if not self.mod.divides(target):
@@ -316,9 +318,10 @@ class MatrixGroup:
             return MatrixGroup(target, list(self.gens), label=label)
         if self.mod.exponent == 0:
             return full_gl2(target, label=label)
-        s = self.mod.modulus
-        gens = [g for g in self.gens]
-        gens += [(1 + s, 0, 0, 1), (1, s, 0, 1), (1, 0, s, 1), (1, 0, 0, 1 + s)]
+        gens = list(self.gens)
+        for j in range(self.mod.exponent, target.exponent):
+            s = self.ell ** j
+            gens += [(1 + s, 0, 0, 1), (1, s, 0, 1), (1, 0, s, 1), (1, 0, 0, 1 + s)]
         return MatrixGroup(target, gens, label=label)
 
     def conjugated_by(self, c):

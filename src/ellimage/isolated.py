@@ -7,7 +7,9 @@ to:
 
   1. for every k up to the level exponent and every orbit at level ell^k,
      push the point down to the smallest ell^a where its degree is
-     multiplicative through the natural map (degree = orbit size);
+     multiplicative through the natural map (degree = orbit size, read at
+     each level a from the orbits of level a; orbits.orbit_degree_tower is
+     the reference);
   2. discard pairs with degree above the genus of X1(ell^a) / X0(ell^a)
      (Riemann-Roch gives a pencil);
   3. discard pairs whose reduced image corresponds to a genus-0 curve.
@@ -21,8 +23,9 @@ import warnings
 from dataclasses import dataclass, replace
 
 from .gl2 import DEFAULT_CAP
+from .modarith import PrimePowerModulus
 from .modcurves import genus_X0, genus_X1, genus_XG, map_degree_tower
-from .orbits import orbit_degree_tower, orbits
+from .orbits import carrier_point, orbits
 
 FAMILIES = ("gamma1", "gamma0")
 
@@ -122,6 +125,11 @@ def candidate_pairs(group, family, cap=DEFAULT_CAP):
     Levels k beyond the level exponent of the group contribute nothing new
     (their orbits are kernel-saturated and multiplicative down to the level),
     so the loop stops there; the level-stability tests exercise this.
+
+    The degree of an orbit's point at each level a <= k is read from the
+    orbits of level a, found earlier in the same loop: reduction mod ell^a is
+    an equivariant map from the level-k orbit onto that orbit, so its degree
+    divides the level-k one, which is checked.
     """
     if family not in FAMILIES:
         raise ValueError("family must be gamma1 or gamma0")
@@ -132,13 +140,22 @@ def candidate_pairs(group, family, cap=DEFAULT_CAP):
                       "interpretation of orbit sizes is invalid", stacklevel=2)
     m_exp = group.level(cap).exponent
     found = {}
+    tables = []                      # per level ell^a, a >= 1: (level, carrier point -> orbit size)
     for k in range(1, max(m_exp, 1) + 1):
-        for rec in orbits(group, k, family):
-            tower = dict(orbit_degree_tower(group, rec))
+        recs = orbits(group, k, family)
+        tables.append((PrimePowerModulus(ell, k),
+                       {p: rec.size for rec in recs for p in rec.points}))
+        for rec in recs:
             deg_k = rec.size
+            tower = [1] + [sizes[carrier_point(family, rec.representative, level)]
+                           for level, sizes in tables]
             if tower[k] != deg_k:
-                raise ArithmeticError("orbit of %r has size %d but tower degree %d"
+                raise ArithmeticError("orbit of %r has size %d but table degree %d"
                                       % (rec.representative, deg_k, tower[k]))
+            for a, deg_a in enumerate(tower):
+                if deg_k % deg_a:
+                    raise ArithmeticError("orbit of %r has size %d but degree %d at level %d"
+                                          % (rec.representative, deg_k, deg_a, ell ** a))
             for a in range(0, k + 1):
                 if deg_k == tower[a] * map_degree_tower(family, ell, a, k):
                     pair_key = (a, tower[a])
@@ -171,7 +188,8 @@ def filter_genus_zero(pairs, group, family, cap=DEFAULT_CAP):
         if p.elimination is None:
             a = p.level_exp
             if a not in genus_cache:
-                genus_cache[a] = genus_XG(group.reduce_to(a), cap).genus
+                image = group if a == group.mod.exponent else group.reduce_to(a)
+                genus_cache[a] = genus_XG(image, cap).genus
             if genus_cache[a] == 0:
                 p = replace(p, elimination=ELIM_GENUS_ZERO)
         out.append(p)

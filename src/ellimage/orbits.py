@@ -14,10 +14,15 @@ group theory and do not check this.
 Every orbit is one gl2.orbit BFS over the carrier in normal form: a +-class
 is stored as the lesser of v and -v, a line as its lexicographically least
 generator, which has the closed form (1, y/x) for x a unit,
-(ell^j, y/x' mod ell^(k-j)) for x = ell^j x' and (0, 1) for x = 0.
+(ell^j, y/x' mod ell^(k-j)) for x = ell^j x' and (0, 1) for x = 0.  The
+seeds are the carrier points listed directly in that form, in sorted order,
+and each OrbitRecord keeps its point set, so a caller that holds the orbits of
+every level reads the degree of a reduced point from them (the filter in
+`isolated` does).  `orbit_degree_tower` finds the same degrees with one BFS
+per level and is kept as the reference.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .gl2 import orbit
 from .modarith import PrimePowerModulus, mreduce, mvec
@@ -59,6 +64,7 @@ class OrbitRecord:
     level: PrimePowerModulus
     representative: tuple            # canonical vector (gamma1) or line generator (gamma0)
     size: int
+    points: frozenset = field(default=frozenset(), compare=False, repr=False)
 
     def typed_representative(self):
         cls = TorsionVector if self.family == "gamma1" else CyclicSubmodule
@@ -97,11 +103,28 @@ def _canon(family, level):
     raise ValueError("family must be gamma1 or gamma0, got %r" % (family,))
 
 
-def _exact_vectors(level):
-    "All vectors of exact order ell^k, sorted."
-    ell, m = level.ell, level.modulus
-    return [(x, y) for x in range(m) for y in range(m)
-            if x % ell or y % ell]
+def carrier_point(family, v, level):
+    "The carrier point at `level` through v, a vector of exact order at least `level`."
+    m = level.modulus
+    return _canon(family, level)((v[0] % m, v[1] % m))
+
+
+def _carrier_points(family, level):
+    """The carrier points in normal form, sorted: the v of exact order ell^k
+    with v <= -v (gamma1), or (0, 1), the (1, y) and the (ell^j, y) with y a
+    unit mod ell^(k-j) (gamma0)."""
+    ell, m, k = level.ell, level.modulus, level.exponent
+    out = []
+    if family == "gamma1":
+        for x in range(m // 2 + 1):
+            top = m // 2 + 1 if 2 * x % m == 0 else m  # x = -x: then y <= -y
+            out += [(x, y) for y in range(top) if x % ell or y % ell]
+        return out
+    out.append((0, 1))
+    for j in range(k):
+        q = ell ** (k - j)
+        out += [(ell ** j, y) for y in range(q) if j == 0 or y % ell]
+    return out
 
 
 def _reduced_gens(group, level):
@@ -137,11 +160,11 @@ def _orbits(group, k, family):
     gens = _reduced_gens(group, level)
     seen = set()
     out = []
-    for v0 in sorted({canon(v) for v in _exact_vectors(level)}):
+    for v0 in _carrier_points(family, level):
         if v0 not in seen:
             points = orbit(v0, gens, lambda w, g: canon(mvec(g, w, m)))
             seen |= points
-            out.append(OrbitRecord(family, level, v0, len(points)))
+            out.append(OrbitRecord(family, level, v0, len(points), frozenset(points)))
     return out
 
 

@@ -98,6 +98,15 @@ def test_batch_deterministic_across_threads(tmp_path):
     assert "SUMMARY\tgamma0\t42 records\t6 nonempty" in outs[0]
 
 
+def test_import_leaves_multiprocessing_unloaded():
+    # the process pool is imported by batch only when it runs with threads > 1
+    r = subprocess.run([sys.executable, "-c", "import sys, ellimage.cli; "
+                        "print('multiprocessing' in sys.modules)"],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "False\n"
+
+
 def test_batch_empty_file(tmp_path):
     p = tmp_path / "empty.txt"
     p.write_text("# nothing here\n")

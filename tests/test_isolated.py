@@ -1,12 +1,21 @@
+import importlib
+import random
+import subprocess
+import sys
 import warnings
 
 import pytest
 
-from ellimage.gl2 import CartanSpec, MatrixGroup, build_cartan, full_gl2
+from ellimage import gl2
+from ellimage.gl2 import DEFAULT_CAP, CartanSpec, MatrixGroup, build_cartan, full_gl2
 from ellimage.isolated import (CandidatePair, analyze, candidate_pairs,
                                filter_genus_zero, filter_riemann_roch)
 from ellimage.labelio import parse_report_lines
 from ellimage.modarith import PrimePowerModulus
+from ellimage.modcurves import map_degree_tower
+from ellimage.orbits import orbit_degree_tower, orbits
+
+ORBITS = importlib.import_module("ellimage.orbits")  # the package exports a function orbits
 
 M7 = PrimePowerModulus(7, 1)
 M49 = PrimePowerModulus(7, 2)
@@ -142,3 +151,102 @@ def test_provenance_recorded(record_map):
 def test_bad_family_rejected():
     with pytest.raises(ValueError):
         candidate_pairs(full_gl2(M7), "gamma2")
+
+
+def _candidate_pairs_by_tower(group, family, cap=DEFAULT_CAP):
+    """Step 1 as it was before the per-level orbit tables: each orbit's
+    degrees come from orbit_degree_tower, one fresh BFS per level."""
+    ell = group.mod.ell
+    found = {}
+    for k in range(1, max(group.level(cap).exponent, 1) + 1):
+        for rec in orbits(group, k, family):
+            tower = dict(orbit_degree_tower(group, rec))
+            if tower[k] != rec.size:
+                raise ArithmeticError("orbit of %r has size %d but tower degree %d"
+                                      % (rec.representative, rec.size, tower[k]))
+            for a in range(0, k + 1):
+                if rec.size == tower[a] * map_degree_tower(family, ell, a, k):
+                    found[a, tower[a]] = found.get((a, tower[a]), ()) + ((k, rec.representative),)
+                    break
+    return [CandidatePair(a, d, ell, provenance=found[a, d]) for (a, d) in sorted(found)]
+
+
+def _random_group(rng, mod):
+    gens = []
+    m = mod.modulus
+    for _ in range(rng.randrange(1, 4)):
+        while True:
+            t = tuple(rng.randrange(m) for _ in range(4))
+            if (t[0] * t[3] - t[1] * t[2]) % mod.ell:
+                gens.append(t)
+                break
+    return MatrixGroup(mod, gens)
+
+
+def test_candidate_pairs_match_tower_oracle(records, special_records):
+    groups = [rec.group() for rec in records + special_records]
+    rng = random.Random(8)
+    for pe in ((2, 3), (3, 2), (5, 2), (7, 2)):
+        groups += [_random_group(rng, PrimePowerModulus(*pe)) for _ in range(6)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # random groups need not have surjective det
+        for g in groups:
+            for family in ("gamma1", "gamma0"):
+                assert candidate_pairs(g, family) == _candidate_pairs_by_tower(g, family), \
+                    (g.label, g.mod, g.gens, family)
+
+
+def test_one_orbit_bfs_per_orbit_and_level(monkeypatch):
+    g = build_cartan(CartanSpec("nonsplit-normalizer", PrimePowerModulus(17, 2)))
+    assert g.level().modulus == 289
+    for family in ("gamma1", "gamma0"):
+        n_orbits = sum(len(orbits(g, k, family)) for k in (1, 2))
+        seeds = []
+
+        def counting_orbit(seed, *args, _orbit=gl2.orbit, **kwargs):
+            seeds.append(seed)
+            return _orbit(seed, *args, **kwargs)
+
+        monkeypatch.setattr(ORBITS, "orbit", counting_orbit)
+        candidate_pairs(g, family)
+        monkeypatch.undo()
+        assert len(seeds) == n_orbits == 2
+
+
+OPTIMIZED_TABLE_CHECK = """
+import sys
+from dataclasses import replace
+from ellimage import isolated
+from ellimage.gl2 import CartanSpec, build_cartan
+from ellimage.modarith import PrimePowerModulus
+assert False, "run this under python -O"
+real = isolated.orbits
+# a level-7 orbit of 25 points cannot be the image of an orbit of 1176
+isolated.orbits = lambda g, k, fam: [replace(r, size=25) if k == 1 else r
+                                     for r in real(g, k, fam)]
+try:
+    g = build_cartan(CartanSpec("nonsplit-normalizer", PrimePowerModulus(7, 2)))
+    isolated.candidate_pairs(g, "gamma1")
+except ArithmeticError as exc:
+    sys.exit("raised: %s" % exc)
+"""
+
+
+def test_table_checks_survive_optimize():
+    r = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_TABLE_CHECK],
+                       capture_output=True, text=True)
+    assert r.returncode == 1, r.stderr
+    assert r.stderr.startswith("raised: orbit of (0, 1) has size 1176 but degree 25 at level 7")
+
+
+def test_genus_at_the_full_level_reuses_the_filtration(record_map, monkeypatch):
+    built = []
+
+    class CountingFiltration(gl2.Filtration):
+        def __init__(self, *args):
+            built.append(args[1])
+            super().__init__(*args)
+
+    monkeypatch.setattr(gl2, "Filtration", CountingFiltration)
+    analyze(record_map["37.114.4.1"].group(), "gamma1")
+    assert built == [PrimePowerModulus(37, 1)]

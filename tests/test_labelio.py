@@ -68,15 +68,22 @@ def test_every_shipped_record_validates(records, special_records):
 
 def test_records_validate_at_level_ell_cubed(records, special_records):
     # the full preimage mod ell^max(3, n) keeps the label's level, index and
-    # genus; the level-2 records are left out because full_preimage from
-    # modulus 2 to 8 does not generate all of the kernel K_1 mod 8
+    # genus
     for rec in records + special_records:
-        if rec.modulus.modulus == 2:
-            continue
         pre = rec.group().full_preimage(max(3, rec.modulus.exponent))
         big = ImageRecord(rec.rszb_label, pre.mod, pre.generator_matrices())
         rep = validate_record(big)
         assert rep.ok, rep.to_line()
+
+
+def test_full_preimage_order(records, special_records):
+    # |preimage mod ell^t| = |G| * ell^(4(t - n)): the kernel of reduction
+    # mod ell^n in GL2(Z/ell^t) is all of I + ell^n M2
+    for rec in records + special_records:
+        g, n = rec.group(), rec.modulus.exponent
+        for t in range(n, n + 3):
+            assert g.full_preimage(t).order() == g.order() * rec.modulus.ell ** (4 * (t - n)), \
+                (rec.rszb_label, t)
 
 
 def test_validation_catches_injected_faults(record_map):

@@ -7,8 +7,9 @@ from ellimage.cli import _bundled_records
 from ellimage.gl2 import CARTAN_KINDS, CartanSpec, MatrixGroup, build_cartan, full_gl2
 from ellimage.modarith import PrimePowerModulus
 from ellimage.modcurves import genus_XG, map_degree_tower
-from ellimage.orbits import (CyclicSubmodule, TorsionVector, _line_canon,
-                             gamma0_orbits, gamma1_orbits, orbit_degree_tower)
+from ellimage.orbits import (CyclicSubmodule, TorsionVector, _canon, _carrier_points,
+                             _line_canon, carrier_point, gamma0_orbits, gamma1_orbits,
+                             orbit_degree_tower, orbits)
 
 M7 = PrimePowerModulus(7, 1)
 M49 = PrimePowerModulus(7, 2)
@@ -57,6 +58,37 @@ def test_line_canon_against_unit_scan(ell, k):
     want = _unit_scan_line_canon(level)
     assert len(want) == ell ** (2 * k) - ell ** (2 * k - 2)
     assert all(_line_canon(v, level) == c for v, c in want.items())
+
+
+def _exact_vectors(level):
+    "All vectors of exact order ell^k, sorted."
+    ell, m = level.ell, level.modulus
+    return [(x, y) for x in range(m) for y in range(m)
+            if x % ell or y % ell]
+
+
+@pytest.mark.parametrize("ell,k", [(2, 1), (2, 4), (3, 3), (5, 2), (7, 2), (17, 2)])
+def test_carrier_points_against_canonicalised_vectors(ell, k):
+    level = PrimePowerModulus(ell, k)
+    for family in ("gamma1", "gamma0"):
+        canon = _canon(family, level)
+        want = sorted({canon(v) for v in _exact_vectors(level)})
+        assert _carrier_points(family, level) == want
+        assert all(carrier_point(family, v, level) == v for v in want)
+
+
+def test_orbit_records_carry_their_points():
+    g = build_cartan(CartanSpec("borel", M49))
+    for family in ("gamma1", "gamma0"):
+        for k in (1, 2):
+            level = PrimePowerModulus(7, k)
+            recs = orbits(g, k, family)
+            assert sorted(p for r in recs for p in r.points) == _carrier_points(family, level)
+            for r in recs:
+                assert r.representative == min(r.points) and r.size == len(r.points)
+                # the points are left out of equality, hashing and repr
+                bare = type(r)(r.family, r.level, r.representative, r.size)
+                assert r == bare and hash(r) == hash(bare) and repr(r) == repr(bare)
 
 
 def test_gamma1_full_image():
