@@ -16,13 +16,18 @@ search of the lattice module extend the closure they already hold.
 Orders, levels, membership and equality read one cached Filtration per
 group: for H <= GL2(Z/ell^n) the kernels K_e = ker(GL2(ell^n) -> GL2(ell^e))
 have elementary abelian quotients K_e/K_{e+1} ~ M2(F_ell).  The filtration
-holds H(ell) with a lift of each element, and for each layer an F_ell basis
-of the image L_e of H cap K_e with elements of H that realise it.  Then
-|H| = |H(ell)| * prod ell^(dim L_e), the level is the smallest ell^d with
-L_e full for all e >= d, and g is in H when its lift mod ell exists and the
-quotient sifts to I through the layers.  None of this enumerates H, which
-matters for full preimages and levels ell^3; modcurves.genus_XG keys right
-cosets with the same layer reduction.
+holds a stabilizer chain of H(ell) acting on the rows of F_ell^2 (Sims 1970):
+the orbit O_1 of (1, 0) under H and the orbit O_2 of (0, 1) under the
+stabilizer of (1, 0), each row with an element of H that reaches it, so
+|H(ell)| = |O_1| * |O_2| and H(ell) itself is never listed.  For each layer
+it holds an F_ell basis of the image L_e of H cap K_e with elements of H
+that realise it; H cap K_1 is the normal closure of the residues the chain
+leaves.  Then |H| = |H(ell)| * prod ell^(dim L_e), the level is the
+smallest ell^d with L_e full for all e >= d, and g is in H when a lift of g
+mod ell comes out of the chain and the quotient sifts to I through the
+layers.  None of this enumerates H, which matters for full preimages, large
+ell and levels ell^3; modcurves.genus_XG keys right cosets with the same
+chain and layer reduction.
 
 Conjugacy search solves the linear conditions c*g = h*c over Z/ell^n with
 modarith.nullspace_span and looks for an invertible c in the solution
@@ -41,7 +46,7 @@ from .errors import (CertificateError, EnumerationCapError, ModulusMismatchError
                      NotInvertibleError, SearchBudgetError)
 from .modarith import (IDENTITY, Echelon, PrimePowerModulus, ResidueMatrix, lincomb,
                        mdet, minv, mmul, mneg, morder, mpow, mreduce, mtrace,
-                       nullspace_span)
+                       nullspace_span, rowmul)
 
 DEFAULT_CAP = 10 ** 7
 
@@ -222,9 +227,9 @@ class MatrixGroup:
         g mod ell exists and t^-1 * g reduces to I through the layers."""
         if self.mod.exponent == 0:
             return g == self.identity_tuple()
-        filt, m = self.filtration(cap), self.mod.modulus
-        lift = filt.top.get(mreduce(g, self.ell))
-        return lift is not None and filt.reduce(mmul(minv(lift, m, self.ell), g, m)) == IDENTITY
+        filt = self.filtration(cap)
+        lift = filt.lift(g)
+        return lift is not None and filt.reduce(mmul(lift[1], g, self.mod.modulus)) == IDENTITY
 
     def __eq__(self, other):
         """Same modulus, same order, and every generator of one lies in the
@@ -357,52 +362,86 @@ class MatrixGroup:
 
 
 class Filtration:
-    """The congruence filtration of a group G <= GL2(Z/ell^n), n >= 1.
+    """The congruence filtration of a group G <= GL2(Z/ell^n), n >= 1, over a
+    stabilizer chain of G(ell).
 
-    `top` maps each element of G(ell) to a lift in G.  For e = 1..n-1,
-    `layers[e-1]` is (an Echelon of L_e, {row: [b^0, b^-1, ..., b^-(ell-1)]})
-    with b in G cap K_e of layer-e digit `row`; L_e is the image of G cap K_e
-    in K_e/K_{e+1} ~ M2(F_ell), and the layer-e digit of x in K_e,
-    (x - I)/ell^e mod ell, is the e-th base-ell digit of each entry.
+    G acts on row vectors mod ell from the right.  The chain has the base
+    rows (1, 0) and (0, 1) (Sims 1970; Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, 4.4): `orbits[0]` maps each row v of the
+    orbit O_1 of (1, 0) under G to (t, t^-1) with t in G and (1, 0)*t = v
+    mod ell, and `orbits[1]` does the same for the orbit O_2 of (0, 1) under
+    the stabilizer G_1 of (1, 0), with t in G_1.  The stabilizer of both rows
+    is G cap K_1, so |G(ell)| = |O_1| * |O_2| and lift() finds an element of
+    G over any c mod ell with one lookup in each table.  No table grows past
+    ell^2 - 1 rows, however large G(ell) is.
 
-    The rows are found by sifting (Sims 1970): `top` is built by one BFS
-    that carries lifts mod ell^n, and each Schreier generator t(x)*g*t(xg)^-1
-    of G cap K_1 is reduced through the layers; a residue b != I becomes a
-    row of its first nonzero layer, and its ell-th power and commutators with
-    the earlier rows are sifted in turn.  When all of them sift to I, the
-    products of rows in layer order form a group (Holt, Eick and O'Brien,
-    Handbook of Computational Group Theory, ch. 8): it holds every Schreier
-    generator, so it is G cap K_1.
+    For e = 1..n-1, `layers[e-1]` is (an Echelon of L_e, {row: [b^0, b^-1,
+    ..., b^-(ell-1)]}) with b in G cap K_e of layer-e digit `row`; L_e is the
+    image of G cap K_e in K_e/K_{e+1} ~ M2(F_ell), and the layer-e digit of x
+    in K_e, (x - I)/ell^e mod ell, is the e-th base-ell digit of each entry.
+
+    The chain is built by sifting Schreier generators.  Those of O_1,
+    t(v)*g*t(vg)^-1, lie in G_1; one whose row (0, 1)*s is new to O_2
+    becomes a generator of G_1 and extends O_2, the others leave s*t(w)^-1
+    in G cap K_1.  Those residues and the Schreier generators of O_2 are
+    reduced through the layers; a residue b != I becomes a row of its first
+    nonzero layer, and b^ell, the commutators of b with the earlier rows and
+    the conjugates g*b*g^-1 by the generators g of G are sifted in turn.
+    The conjugates are needed: G_1 is spanned by the generators it keeps
+    and the residues, so G cap K_1 is spanned by the Schreier generators of
+    O_2 and the conjugates of the residues, not by the residues alone.  When
+    all of them sift to I, the products of rows in layer order form a normal
+    subgroup of G (Holt, Eick and O'Brien, ch. 8) that holds every residue,
+    so it is G cap K_1.
     """
 
     def __init__(self, gens, mod, cap=DEFAULT_CAP):
         ell, m = mod.ell, mod.modulus
-        self.ell, self.m = ell, m
+        self.ell, self.m, self.cap = ell, m, cap
         self.layers = [(Echelon(ell), {}) for _ in range(mod.exponent - 1)]
         self._rows = []
-        top = self.top = {IDENTITY: IDENTITY}
-        queue = [IDENTITY]
-        for x in queue:
-            tx = top[x]
-            for g in gens:
-                ty = mmul(tx, g, m)
-                y = mreduce(ty, ell)
-                old = top.get(y)
+        self._gens = [(g, minv(g, m, ell)) for g in gens]
+        self.orbits = ({(1, 0): (IDENTITY, IDENTITY)}, {(0, 1): (IDENTITY, IDENTITY)})
+        self._chain_gens = ([], [])
+        self._extend(0, self._gens)
+
+    def _extend(self, level, new):
+        """Adds the (generator, inverse) pairs `new` to the chain table
+        `orbits[level]`: every row meets each new generator once and every new
+        row meets all generators.  A Schreier generator t(v)*g*t(vg)^-1 != I
+        goes on down the chain."""
+        ell, m = self.ell, self.m
+        table, gens = self.orbits[level], self._chain_gens[level]
+        gens += new
+        todo = [(v, new) for v in table]
+        for v, moves in todo:
+            t, tinv = table[v]
+            for g, ginv in moves:
+                w, tg = rowmul(v, g, ell), mmul(t, g, m)
+                old = table.get(w)
                 if old is None:
-                    top[y] = ty
-                    queue.append(y)
-                    if len(top) > cap:
-                        raise EnumerationCapError("G(%d) table exceeded cap %d" % (ell, cap))
-                elif ty != old and len(self._rows) < 4 * len(self.layers):
-                    # once every layer is full the rows give all of K_1
-                    self._sift_in([mmul(ty, minv(old, m, ell), m)])
+                    table[w] = (tg, mmul(ginv, tinv, m))
+                    todo.append((w, gens))
+                    if len(table) > self.cap:
+                        raise EnumerationCapError("orbit table %d of G(%d) exceeded cap %d"
+                                                  % (level + 1, ell, self.cap))
+                elif tg != old[0]:
+                    s = mmul(tg, old[1], m)
+                    if level == 0:
+                        lift = self.orbits[1].get((s[2] % ell, s[3] % ell))
+                        if lift is None:
+                            self._extend(1, [(s, minv(s, m, ell))])
+                            continue
+                        s = mmul(s, lift[1], m)
+                    self._sift_in([s])
 
     def _sift_in(self, todo):
         """Sifts each element of G cap K_1 in todo; a residue b != I becomes a
-        row, and b^ell and the commutators of b with the earlier rows join
-        todo."""
+        row, and b^ell, the commutators of b with the earlier rows and the
+        conjugates of b by the generators of G join todo.  Once every layer
+        is full the rows give all of K_1 and nothing is left to sift."""
         ell, m = self.ell, self.m
-        while todo:
+        while todo and len(self._rows) < 4 * len(self.layers):
             b = self.reduce(todo.pop())
             if b == IDENTITY:
                 continue
@@ -418,7 +457,24 @@ class Filtration:
             todo.append(mpow(b, ell, m))
             for c in self._rows:
                 todo.append(mmul(mmul(binv, minv(c, m, ell), m), mmul(b, c, m), m))
+            for g, ginv in self._gens:
+                todo.append(mmul(mmul(g, b, m), ginv, m))
             self._rows.append(b)
+
+    def lift(self, c):
+        """(t, t^-1) for an element t of G with t = c mod ell, or None when c
+        mod ell is not in G(ell).  t = t_2 * t_1, where (1, 0)*t_1 is the
+        first row of c and (0, 1)*t_2 the second row of c*t_1^-1."""
+        ell, m = self.ell, self.m
+        one = self.orbits[0].get((c[0] % ell, c[1] % ell))
+        if one is None:
+            return None
+        t1, t1inv = one
+        two = self.orbits[1].get(rowmul((c[2], c[3]), t1inv, ell))
+        if two is None:
+            return None
+        t2, t2inv = two
+        return mmul(t2, t1, m), mmul(t1inv, t2inv, m)
 
     def reduce(self, x, cinv=IDENTITY):
         """x times an element of G cap K_1 that puts every layer digit of x
@@ -439,8 +495,9 @@ class Filtration:
         return x
 
     def sizes(self):
-        "(|G(ell)|, [dim L_1, ..., dim L_{n-1}])."
-        return len(self.top), [len(echelon) for echelon, _ in self.layers]
+        "(|G(ell)| = |O_1| * |O_2|, [dim L_1, ..., dim L_{n-1}])."
+        return (len(self.orbits[0]) * len(self.orbits[1]),
+                [len(echelon) for echelon, _ in self.layers])
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,11 @@ def mvec(a, v, m):
     return ((a[0] * v[0] + a[1] * v[1]) % m, (a[2] * v[0] + a[3] * v[1]) % m)
 
 
+def rowmul(v, a, m):
+    "Row vector times a matrix (the matrix acting from the right)."
+    return ((v[0] * a[0] + v[1] * a[2]) % m, (v[0] * a[1] + v[1] * a[3]) % m)
+
+
 def factorize(n):
     "{prime: exponent} of n >= 1 by trial division, primes in increasing order."
     out = {}

@@ -7,10 +7,10 @@ order-4/order-3 elements s = [0 -1; 1 0] and t = [0 -1; 1 -1], and nu_inf
 counts orbits of u = [1 1; 0 1].  X_G depends only on +-G, so H is taken as
 (G cap SL2) together with its negatives, which is +-G cap SL2.  Cosets here
 are right cosets Hx with the right multiplication action.  Hx is the part in
-SL2 of the coset +-G*x in GL2, whose canonical representative comes from a
-level-1 table over SL2(F_ell) and the layer reduction of the group's
+SL2 of the coset +-G*x in GL2, whose canonical representative comes from
+the stabilizer chain of +-G(ell) and the layer reduction of the group's
 congruence filtration (gl2.Filtration), so neither SL2(Z/N) nor G is listed;
-an orbit BFS from H under s, t and u finds the mu cosets (P^1-style coset
+an orbit BFS from H under s and u finds the mu cosets (P^1-style coset
 enumeration, as for Gamma0 in Diamond-Shurman ch. 3).  The Borel-vs-X0 and
 Gamma1-shape-vs-X1 oracle tests pin this convention against the closed
 formulas, and the tests keep an SL2-enumerating coset count as an oracle.
@@ -18,11 +18,12 @@ formulas, and the tests keep an SL2-enumerating coset count as an oracle.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 from .errors import EnumerationCapError
 from .gl2 import DEFAULT_CAP, ambient_order, orbit
-from .modarith import IDENTITY, factorize, mdet, minv, mmul, mreduce
+from .modarith import IDENTITY, factorize, minv, mmul, mreduce, rowmul
 
 
 def _euler_phi(n):
@@ -157,38 +158,49 @@ _X1_PROFILE_LEVEL1 = GenusProfile(1, 1, 1, 1, 0)
 
 def _right_coset_key(group, cap=DEFAULT_CAP):
     """(key, +-G): key(x) is a canonical representative of the right coset
-    +-G*x, for x in GL2(Z/N) with det x mod ell in det G(ell).
+    +-G*x, for x in GL2(Z/N).
 
-    1. x is multiplied by a fixed element of +-G whose determinant is
-       inverse to det x mod ell, so that x mod ell lies in SL2(F_ell).
-    2. A level-1 table over SL2(F_ell), filled one right coset of
-       +-G(ell) cap SL2(F_ell) at a time as cosets are met, gives an element
-       h of +-G with h*x = c mod ell, c the first-met element of the coset.
-    3. Filtration.reduce puts each layer digit of h*x in normal form.
-    The G(ell) table of +-G and the level-1 table are the tables held;
-    EnumerationCapError is raised once either exceeds cap.
+    Mod ell the representative is h*x with h in +-G chosen by the stabilizer
+    chain of +-G(ell) (gl2.Filtration.orbits): its first row is the least of
+    O_1*x, the rows v*x for v in O_1, and, with t_1 in the first table taking
+    (1, 0) to the v that attains it and x_1 = t_1*x, its second row is the
+    least of O_2*x_1.  Both sets depend on the coset only, and the two rows
+    fix h mod ell.  Each least row comes from a scan of the orbit O or from a
+    scan of all rows r in lexicographic order, stopping at the first with
+    r*x^-1 in O; the first costs |O| steps, the second about (ell^2 - 1)/|O|,
+    and the smaller is taken.  h = t_2*t_1 mod N is memoised per x mod ell,
+    and Filtration.reduce then puts each layer digit of h*x in normal form.
+    The chain's two orbit tables and the memo are the tables held;
+    EnumerationCapError is raised once any of them exceeds cap.
     """
     ell, m = group.ell, group.mod.modulus
     pm = group if group.contains_minus_identity(cap) else group.adjoin_minus_identity()
     filt = pm.filtration(cap)
-    fix = {}
-    for x, lift in filt.top.items():
-        fix.setdefault(pow(mdet(x, ell), -1, ell), lift)
-    sl2_part = [(minv(x, ell, ell), lift) for x, lift in filt.top.items()
-                if mdet(x, ell) == 1]
-    level1 = {}
+    memo = {}
+
+    def least(orbit, x, xinv):
+        "The row w of orbit with w*x least."
+        if len(orbit) ** 2 <= ell * ell - 1:
+            return min(orbit, key=lambda w: rowmul(w, x, ell))
+        for r in product(range(ell), repeat=2):
+            w = rowmul(r, xinv, ell)
+            if w in orbit:
+                return w
 
     def key(x):
-        x = mmul(fix[mdet(x, ell)], x, m)
         c = mreduce(x, ell)
-        if c not in level1:
+        got = memo.get(c)
+        if got is None:
+            one, two = filt.orbits
             cinv = minv(c, ell, ell)
-            for hinv, lift in sl2_part:
-                level1[mmul(hinv, c, ell)] = (lift, cinv)
-            if len(level1) > cap:
-                raise EnumerationCapError("level-1 coset table exceeded cap %d" % cap)
-        lift, cinv = level1[c]
-        return filt.reduce(mmul(lift, x, m), cinv)
+            t1, t1inv = one[least(one, c, cinv)]
+            t2 = two[least(two, mmul(t1, c, ell), mmul(cinv, t1inv, ell))][0]
+            h = mmul(t2, t1, m)
+            got = memo[c] = h, minv(mmul(h, c, ell), ell, ell)
+            if len(memo) > cap:
+                raise EnumerationCapError("coset key memo exceeded cap %d" % cap)
+        h, hcinv = got
+        return filt.reduce(mmul(h, x, m), hcinv)
 
     return key, pm
 
@@ -198,9 +210,11 @@ def genus_XG(group, cap=DEFAULT_CAP):
 
     mu = [SL2(Z/N) : +-G cap SL2]; the level-1 marker yields the j-line.
     The cosets are keyed by _right_coset_key and found by BFS from the
-    identity coset under s, t and u, recording each image.  The coset set is
-    held beside the key's tables, and EnumerationCapError is raised once it
-    exceeds cap.  mu * |+-G| / |det G| = |SL2(Z/N)| is checked.
+    identity coset under s and u, which generate SL2(Z/N), recording each
+    image.  Since t = s*u^-1, a coset r is fixed by t exactly when r*s = r*u,
+    so nu3 needs no third generator.  The coset set is held beside the key's
+    tables, and EnumerationCapError is raised once it exceeds cap.
+    mu * |+-G| / |det G| = |SL2(Z/N)| is checked.
     """
     mod = group.mod
     if mod.exponent == 0:
@@ -208,7 +222,6 @@ def genus_XG(group, cap=DEFAULT_CAP):
     m = mod.modulus
     key, pm = _right_coset_key(group, cap)
     s = mreduce((0, -1, 1, 0), m)
-    t = mreduce((0, -1, 1, -1), m)
     u = (1, 1 % m, 0, 1)
     step = {}
 
@@ -216,14 +229,14 @@ def genus_XG(group, cap=DEFAULT_CAP):
         y = step[r, g] = key(mmul(r, g, m))
         return y
 
-    cosets = orbit(key(IDENTITY), (s, t, u), act, cap)
+    cosets = orbit(key(IDENTITY), (s, u), act, cap)
     mu = len(cosets)
     total, order, dets = ambient_order(mod, "SL2"), pm.order(cap), len(group.det_image()[0])
     if mu * order != total * dets:
         raise ArithmeticError("%d cosets of |+-G| = %d with %d determinants do not fill "
                               "|SL2| = %d" % (mu, order, dets, total))
     nu2 = sum(1 for r in cosets if step[r, s] == r)
-    nu3 = sum(1 for r in cosets if step[r, t] == r)
+    nu3 = sum(1 for r in cosets if step[r, s] == step[r, u])
     nu_inf, seen = 0, set()
     for r in cosets:
         if r not in seen:

@@ -3,7 +3,12 @@ import subprocess
 import sys
 
 from ellimage import gl2
-from ellimage.cli import main
+from ellimage.cli import _bundled_records, _special_records, main
+from ellimage.errors import EnumerationCapError
+from ellimage.gl2 import CartanSpec, build_cartan
+from ellimage.isolated import analyze
+from ellimage.labelio import read_generators_file, validate_record
+from ellimage.modarith import PrimePowerModulus
 
 BASE = [sys.executable, "-m", "ellimage.cli"]
 
@@ -40,20 +45,40 @@ BUDGET_CHECK = """
 import resource, sys, time
 start = time.perf_counter()
 from ellimage.cli import main
-code = main(["info", "--cartan", "borel", "--mod", "121"])
+code = main(["info"] + sys.argv[1:])
 print(code, time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
       file=sys.stderr)
 """
 
 
-def test_info_borel_121_within_budget():
-    # level ell^2 at ell = 11: |SL2(Z/121)| = 1,932,480, mu = 132
-    r = subprocess.run([sys.executable, "-c", BUDGET_CHECK], capture_output=True, text=True)
+def _info_within_budget(*args):
+    "stdout of `info args`, checked to exit 0 within 1 s and 100 MB of the child."
+    r = subprocess.run([sys.executable, "-c", BUDGET_CHECK] + list(args),
+                       capture_output=True, text=True)
     code, seconds, max_rss_kb = r.stderr.split()
     assert code == "0"
-    assert "genus profile: mu=132 nu2=0 nu3=0 nu_inf=12 genus=6" in r.stdout
     assert float(seconds) < 1.0
     assert int(max_rss_kb) < 100 * 1024
+    return r.stdout
+
+
+def test_info_borel_121_within_budget():
+    # level ell^2 at ell = 11: |SL2(Z/121)| = 1,932,480, mu = 132
+    stdout = _info_within_budget("--cartan", "borel", "--mod", "121")
+    assert "genus profile: mu=132 nu2=0 nu3=0 nu_inf=12 genus=6" in stdout
+
+
+def test_info_borel_101_within_budget():
+    # |G(101)| = 1,010,000; the chain holds 10,100 + 100 rows
+    stdout = _info_within_budget("--cartan", "borel", "--mod", "101")
+    assert "order: 1010000" in stdout
+    assert "genus profile: mu=102 nu2=2 nu3=0 nu_inf=2 genus=8" in stdout
+
+
+def test_info_nonsplit_normalizer_101():
+    r = run("info", "--cartan", "nonsplit-normalizer", "--mod", "101")
+    assert r.returncode == 0
+    assert "genus profile: mu=5050 nu2=50 nu3=1 nu_inf=50 genus=384" in r.stdout
 
 
 def test_info_unknown_label():
@@ -115,30 +140,54 @@ def test_batch_empty_file(tmp_path):
     assert "0 records\t0 nonempty" in r.stdout
 
 
-def test_batch_reports_failed_records():
-    r = run("batch", "--family", "gamma1", "--max-enum", "10000", "--threads", "1")
+# The nonsplit Cartan normalizer mod 101 acts transitively on the 10,200
+# nonzero rows, so its first chain table is above --max-enum 10000 while
+# every table of the bundled records stays below it.
+CAPPED = "101.5050.384.1"
+
+
+def _capped_gens_file(tmp_path, records):
+    "A generator file of records plus the normalizer mod 101 as CAPPED."
+    group = build_cartan(CartanSpec("nonsplit-normalizer", PrimePowerModulus(101, 1)))
+    gens = ";".join(",".join(str(e) for e in g) for g in group.gens)
+    path = tmp_path / "capped.txt"
+    path.write_text("".join(rec.to_line() + "\n" for rec in records)
+                    + "%s|101|%s\n" % (CAPPED, gens))
+    return path, read_generators_file(str(path))
+
+
+def test_batch_reports_failed_records(tmp_path):
+    path, records = _capped_gens_file(tmp_path, _bundled_records())
+    expected = set()
+    for rec in records:
+        try:
+            analyze(rec.group(), "gamma1", cap=10000)
+        except EnumerationCapError:
+            expected.add(rec.rszb_label)
+    assert expected == {CAPPED}
+    r = run("batch", "--family", "gamma1", "--gens-file", str(path), "--max-enum", "10000",
+            "--threads", "1")
     assert r.returncode == 5
-    errors = [l for l in r.stdout.splitlines() if l.startswith("# error ")]
-    summary = [l for l in r.stdout.splitlines() if l.startswith("SUMMARY")]
-    assert summary == ["SUMMARY\tgamma1\t42 records\t1 nonempty\t%d failed" % len(errors)]
+    lines = r.stdout.splitlines()
+    errors = [l for l in lines if l.startswith("# error ")]
+    head = lines.index("SUMMARY\tgamma1\t%d records\t3 nonempty\t%d failed"
+                       % (len(records), len(errors)))
+    assert lines[head + 1:head + 4] == ["17.72.1.2\t17:4", "37.114.4.1\t37:6",
+                                        "37.114.4.2\t37:18"]
     failed = {l[len("# error "):].split(":", 1)[0] for l in errors}
-    assert {"37.114.4.1", "37.114.4.2"} <= failed
+    assert failed == expected
 
 
-def test_validate_reports_failed_records():
-    from ellimage.cli import _bundled_records, _special_records
-    from ellimage.errors import EnumerationCapError
-    from ellimage.labelio import validate_record
-    records = _bundled_records() + _special_records()
+def test_validate_reports_failed_records(tmp_path):
+    path, records = _capped_gens_file(tmp_path, _bundled_records() + _special_records())
     expected = set()
     for rec in records:
         try:
             validate_record(rec, 10000)
         except EnumerationCapError:
             expected.add(rec.rszb_label)
-    # |G(37)| = 15,984 is above the cap; every other table stays below it
-    assert expected == {"37.114.4.1", "37.114.4.2"}
-    r = run("validate", "--max-enum", "10000", "--threads", "1")
+    assert expected == {CAPPED}
+    r = run("validate", "--gens-file", str(path), "--max-enum", "10000", "--threads", "1")
     assert r.returncode == 5
     lines = r.stdout.splitlines()
     failed = [l[len("# error "):].split(":", 1)[0] for l in lines
@@ -147,7 +196,7 @@ def test_validate_reports_failed_records():
                 if not l.startswith(("# error ", "VALIDATED"))]
     assert sorted(failed + reported) == sorted(rec.rszb_label for rec in records)
     assert set(failed) == expected
-    assert "VALIDATED\t%d records\t0 mismatches\t2 failed" % len(records) in lines
+    assert "VALIDATED\t%d records\t0 mismatches\t1 failed" % len(records) in lines
 
 
 def test_out_flag(tmp_path):
@@ -214,7 +263,12 @@ def test_lattice_check_exponent_one():
 OPTIMIZED_CHECK = """
 import sys
 from ellimage import gl2
-from ellimage.cli import main
+from ellimage.cli import _bundled_records, _special_records, main
+from ellimage.errors import EnumerationCapError
+from ellimage.gl2 import CartanSpec, build_cartan
+from ellimage.isolated import analyze
+from ellimage.labelio import read_generators_file, validate_record
+from ellimage.modarith import PrimePowerModulus
 from ellimage.errors import CertificateError
 from ellimage.modarith import PrimePowerModulus
 assert False, "run this under python -O"

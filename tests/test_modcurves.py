@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ellimage.errors import EnumerationCapError
-from ellimage.gl2 import (CartanSpec, MatrixGroup, ambient_order, build_cartan, full_gl2,
-                          mulclose, unit_group_generators)
+from ellimage.gl2 import (CartanSpec, MatrixGroup, build_cartan, full_gl2, mulclose,
+                          unit_group_generators)
 from ellimage.modarith import PrimePowerModulus, mdet, minv, mmul, mreduce
 from ellimage.modcurves import (GenusProfile, MapDegreeSpec, _right_coset_key, genus_X0,
                                 genus_X1, genus_XG, map_degree, map_degree_tower)
@@ -214,20 +214,25 @@ def test_genus_XG_checks_coset_count(monkeypatch):
 
 
 def test_genus_XG_honours_cap():
-    # genus_XG holds three tables: the G(ell) table of +-G, the level-1 table
-    # over SL2(F_ell) and the coset set.  It raises exactly when one of them
-    # is larger than the cap; each group here has a different largest table.
-    m25, m49 = PrimePowerModulus(5, 2), PrimePowerModulus(7, 2)
-    cases = [(lambda: build_cartan(CartanSpec("borel", m25)), 120),  # |SL2(F_5)|
-             (lambda: gamma1_shape(m49), 1176),                       # mu
-             (lambda: full_gl2(m49), 2016)]                           # |GL2(F_7)|
-    for make, largest in cases:
+    # genus_XG holds four tables: the two orbit tables of the stabilizer chain
+    # of +-G(ell), the coset key memo (one entry per x mod ell met) and the
+    # coset set.  It raises exactly when one of them is larger than the cap;
+    # each group here has a different largest table.
+    m49, m5 = PrimePowerModulus(7, 2), PrimePowerModulus(5, 1)
+    cases = [(lambda: full_gl2(m49), 48, "orbit"),          # O_1: every nonzero row mod 7
+             (lambda: MatrixGroup(m5, []), 90, "memo"),     # mu = 60 cosets of {+-I}
+             (lambda: gamma1_shape(m49), 1176, "mu")]
+    for make, largest, which in cases:
         group = make()
-        ell = group.ell
-        pm_bar = mulclose([mreduce(g, ell) for g in group.gens] + [(ell - 1, 0, 0, ell - 1)], ell)
+        orbits = group.adjoin_minus_identity().filtration().orbits
         prof = genus_XG(group)
-        assert largest == max(len(pm_bar), ambient_order(PrimePowerModulus(ell, 1), "SL2"),
-                              prof.mu)
+        others = max(len(orbits[0]), len(orbits[1]), prof.mu)
+        if which == "orbit":
+            assert largest == len(orbits[0]) == others
+        elif which == "mu":
+            assert largest == prof.mu == others
+        else:
+            assert largest > others
         with pytest.raises(EnumerationCapError):
             genus_XG(make(), cap=largest - 1)
         assert genus_XG(make(), cap=largest) == prof
