@@ -32,15 +32,17 @@ chain and layer reduction.
 Conjugacy search solves the linear conditions c*g = h*c over Z/ell^n with
 modarith.nullspace_span and looks for an invertible c in the solution
 module; every witness is checked before it is returned, and a failed check
-raises CertificateError.  Candidate images are matched by their (order, det,
-trace) key, which invariant_keys() computes once per element of a group and
-caches beside the enumeration; the key multisets, the candidate buckets and
-the generator orders of small_generating_set all read that table.
+raises CertificateError.  invariant_keys() caches the key (order, det,
+trace, scalar level) of every element of a group; small_generating_set and
+the source side of the search read it.  The target is not keyed: its
+multiset of shapes (det, trace, scalar level) must contain the source's,
+and only target elements shaped like a source generator get an order.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
+from math import gcd
 
 from .errors import (CertificateError, EnumerationCapError, ModulusMismatchError,
                      NotInvertibleError, SearchBudgetError)
@@ -203,10 +205,7 @@ class MatrixGroup:
         return set(self.elements(cap))
 
     def invariant_keys(self, cap=DEFAULT_CAP):
-        """{element: (order, det, trace)} over the whole group (cached).
-
-        Filled in the iteration order of element_set(), which fixes the
-        order in which the conjugacy search tries candidate images."""
+        "{element: (order, det, trace, scalar level)} over the whole group (cached)."
         if self._keys is None:
             self._keys = {g: _invariant_key(g, self.mod) for g in self.element_set(cap)}
         return self._keys
@@ -644,25 +643,33 @@ def _unit_solution(span, m, ell):
     return None
 
 
+def _shape_key(g, m):
+    """(det, trace, ell^k) for g scalar mod ell^k and no higher power:
+    conjugation invariants that take no powers."""
+    return mdet(g, m), mtrace(g, m), gcd(g[1], g[2], g[0] - g[3], m)
+
+
 def _invariant_key(g, mod):
-    m = mod.modulus
-    return (morder(g, mod), mdet(g, m), mtrace(g, m))
+    return (morder(g, mod),) + _shape_key(g, mod.modulus)
 
 
-def _conjugating_matrix(source_gens, target_keys, mod, budget):
+def _conjugating_matrix(source_gens, targets, mod, budget):
     """Backtracking search for c with c*g_i*c^-1 = (an element of the target)
     for every source generator; returns the witness 4-tuple or None.
 
-    source_gens and target_keys map the source generators and the target
-    elements to their (order, det, trace) keys; candidate images are
-    bucketed by key in the iteration order of target_keys.  Partial
+    source_gens maps the source generators to their _invariant_key and
+    targets maps the target elements to their _shape_key.  A target element
+    whose shape matches a source generator's gets its order, and joins the
+    bucket of its key in the iteration order of targets.  Partial
     assignments are pruned by solvability of the linear system c*g = h*c
     over Z/m with an invertible c.
     """
     m, ell = mod.modulus, mod.ell
+    wanted = {key[1:] for key in source_gens.values()}
     buckets = {}
-    for h, key in target_keys.items():
-        buckets.setdefault(key, []).append(h)
+    for h, shape in targets.items():
+        if shape in wanted:
+            buckets.setdefault((morder(h, mod),) + shape, []).append(h)
     gens = sorted(source_gens, key=lambda g: (-source_gens[g][0], g))
     nodes = 0
 
@@ -673,7 +680,7 @@ def _conjugating_matrix(source_gens, target_keys, mod, budget):
         g = gens[i]
         if g[1] == 0 and g[2] == 0 and g[0] == g[3]:
             # scalars are conjugation-invariant
-            if g not in target_keys:
+            if g not in targets:
                 return None
             return recurse(i + 1, rows)
         for h in buckets.get(source_gens[g], ()):
@@ -707,24 +714,27 @@ def is_conjugate(g, h, cap=DEFAULT_CAP, budget=500_000):
 
 def conjugate_into(h, big, cap=DEFAULT_CAP, budget=500_000):
     """Whether some GL2-conjugate of h is a subgroup of big; returns
-    (bool, witness, index of the image in big)."""
+    (bool, witness, index of the image in big).  The shapes of h must fit
+    among those of big, and the witness is checked on every element of h
+    against the element set of big."""
     if h.mod != big.mod:
         raise ModulusMismatchError("groups live over different moduli")
     mod = h.mod
+    m = mod.modulus
     ho, bo = h.order(cap), big.order(cap)
     if bo % ho:
         return False, None, None
-    hkeys, bkeys = h.invariant_keys(cap), big.invariant_keys(cap)
-    if Counter(hkeys.values()) - Counter(bkeys.values()):
+    hkeys = h.invariant_keys(cap)
+    targets = {x: _shape_key(x, m) for x in big.element_set(cap)}
+    if Counter(key[1:] for key in hkeys.values()) - Counter(targets.values()):
         return False, None, None
-    c = _conjugating_matrix({g: hkeys[g] for g in h.small_generating_set(cap)}, bkeys,
+    c = _conjugating_matrix({g: hkeys[g] for g in h.small_generating_set(cap)}, targets,
                             mod, budget)
     if c is None:
         return False, None, None
-    m = mod.modulus
     ci = minv(c, m, mod.ell)
     # c conjugates every generator into big, so the whole conjugate lands there.
-    if any(mmul(mmul(c, x, m), ci, m) not in bkeys for x in hkeys):
+    if any(mmul(mmul(c, x, m), ci, m) not in targets for x in hkeys):
         raise CertificateError("conjugating matrix %r does not map %r into %r"
                                % (c, h, big))
     return True, ResidueMatrix.make(c, mod), bo // ho

@@ -12,6 +12,11 @@ The searches lean on the layered structure of subgroups of GL2(Z/ell^n):
   G: there is exactly one conjugacy class per W, realized as (complement
   over the kernel) * N_W with the complement built by cocycle averaging
   (_averaged_section, which preimage_rigidity also uses for coprime G).
+  The class size is read off the kernel action, not an orbit: G = H * K
+  for K = I + ell*U abelian, so the class has [K : N_K(H)] members, and
+  N_K(H) is the subspace of u in U with g u g^-1 - u in W for every
+  generator g (KernelModule.class_size).  The brute-force path orbits
+  each subgroup under the generators (_conjugacy_classes_of_subgroups).
 
 * preimage_rigidity decides whether any proper det-surjective subgroup of
   the one-step full preimage reduces exactly onto G.  Candidate kernel
@@ -42,12 +47,13 @@ verified, and a failed verification raises CertificateError.
 """
 
 from dataclasses import dataclass
+from itertools import combinations, product
 
 from .errors import CertificateError, EnumerationCapError, SearchBudgetError
 from .gl2 import (CartanSpec, DEFAULT_CAP, MatrixGroup, build_cartan,
                   conjugate_into, extend, mulclose, orbit)
 from .modarith import (Echelon, PrimePowerModulus, lincomb, mdet, minv, mmul,
-                       mpow, mreduce)
+                       mpow, mreduce, nullspace_span)
 
 BRUTE_LIMIT = 1000
 
@@ -74,7 +80,6 @@ def _subspaces_of(basis, ell):
     """All subspaces of the span of `basis`, each as an echelon basis list."""
     dim = len(basis)
     # enumerate echelon bases in coordinate space F_ell^dim, then map back
-    from itertools import combinations, product
     subspaces = [[]]
     for r in range(1, dim + 1):
         for pivots in combinations(range(dim), r):
@@ -156,8 +161,7 @@ class KernelModule:
         # projective vectors: first nonzero coordinate = 1
         for pivot in range(4):
             tail = 4 - pivot - 1
-            from itertools import product as iproduct
-            for rest in iproduct(range(ell), repeat=tail):
+            for rest in product(range(ell), repeat=tail):
                 v = tuple([0] * pivot + [1] + list(rest))
                 spins.add(tuple(self.spin(v, action)))
         lattice = orbit((), spins, lambda a, b: tuple(Echelon(ell, a + b).rref()))
@@ -166,6 +170,23 @@ class KernelModule:
             if not _is_stable(s, self.gens_bar, ell):
                 raise CertificateError("join of stable subspaces %r is not stable" % (s,))
         return out
+
+    def class_size(self, u_basis, w_basis):
+        """Number of G-conjugates of H = S * (I + ell*W), for G = S * K with S
+        of order prime to ell, K = I + ell*U abelian and normal and W <= U
+        stable.  G = H * K, so the class has [K : N_K(H)] members (Holt, Eick
+        and O'Brien, ch. 8), and I + ell*u normalizes H exactly when
+        g u g^-1 - u lies in W for every generator g.  N_K(H) is therefore
+        the solution space N of the annihilator of U and, per generator, the
+        annihilator of W pulled back along u -> g u g^-1 - u; the class has
+        ell^(dim U - dim N) members."""
+        ell = self.ell
+        rows = nullspace_span(u_basis, ell)
+        annihilator_w = nullspace_span(w_basis, ell)
+        for cols in self._action_matrices():
+            rows += [tuple(sum(a[i] * cols[j][i] for i in range(4)) - a[j]
+                           for j in range(4)) for a in annihilator_w]
+        return ell ** (len(u_basis) - len(Echelon(ell, nullspace_span(rows, ell))))
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +328,15 @@ def proper_detsurjective_subgroups(group, index_bound, fix_mod_ell_reduction=Tru
             out.append(SubgroupClass(rep, parent_order // len(rep_set), True, size))
         return sorted(out, key=lambda c: (c.index_in_parent, c.representative.gens))
 
+    return _stable_subspace_classes(group, index_bound, cap)
+
+
+def _stable_subspace_classes(group, index_bound, cap=DEFAULT_CAP):
+    """The structured path of proper_detsurjective_subgroups: one class per
+    proper G(ell)-stable subspace W of the kernel part U, for exponent 2 and
+    |G(ell)| prime to ell."""
+    mod = group.mod
+    ell = mod.ell
     if mod.exponent != 2:
         raise SearchBudgetError("structured search supports exponent-2 moduli only")
 
@@ -319,6 +349,7 @@ def proper_detsurjective_subgroups(group, index_bound, fix_mod_ell_reduction=Tru
     if bar_order % ell == 0:
         raise SearchBudgetError("structured search needs |G(ell)| prime to ell")
     gens_bar = tuple(mreduce(g, ell) for g in group.gens)
+    module = KernelModule(ell, gens_bar)
     m = mod.modulus
     # a complement of the kernel part: lifts of the mod-ell elements, averaged
     reps = {}
@@ -338,16 +369,13 @@ def proper_detsurjective_subgroups(group, index_bound, fix_mod_ell_reduction=Tru
         rep_gens += [_kernel_matrix(w, ell, m) for w in W]
         rep = MatrixGroup(mod, rep_gens)
         expected = bar_order * ell ** len(W)
-        if rep.order(cap) != expected or not set(rep.elements(cap)) <= set(els):
+        if rep.order(cap) != expected or not all(g in group for g in rep.gens):
             raise CertificateError("subgroup over W = %r is not a subgroup of order "
                                    "%d in the parent" % (W, expected))
         if not rep.det_image()[1]:
             continue
-        rep_set = frozenset(rep.elements(cap))
-        classes = _conjugacy_classes_of_subgroups([rep_set], group)
-        # the orbit of the single representative is its full class
-        class_size = classes[0][1]
-        out.append(SubgroupClass(rep, parent_order // expected, True, class_size))
+        out.append(SubgroupClass(rep, len(els) // expected, True,
+                                 module.class_size(u_basis, W)))
     return sorted(out, key=lambda c: (c.index_in_parent, c.representative.gens))
 
 
@@ -453,7 +481,6 @@ def _complement_over_group(quot, gens, m, v_basis, ell, cap, budget):
     as the Sylow climb builds, the checks decide alone, and a rejected lift
     costs a few products instead of a closure.
     """
-    from itertools import product
     mul = lambda a, b: mmul(a, b, m)
     closure = {(1 % m, 0, 0, 1 % m)}
     prefix, relations = [1], []

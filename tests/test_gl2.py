@@ -1,14 +1,17 @@
 import random
+from collections import Counter
 from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ellimage.errors import EnumerationCapError, NotInvertibleError
-from ellimage.gl2 import (CartanSpec, Filtration, MatrixGroup, _invariant_key,
-                          ambient_order, build_cartan, conjugate_into, extend, full_gl2,
-                          is_conjugate, mulclose, unit_group_generators)
-from ellimage.modarith import IDENTITY, Echelon, PrimePowerModulus, mdet, minv, mmul, mreduce
+from ellimage.errors import EnumerationCapError, NotInvertibleError, SearchBudgetError
+from ellimage.gl2 import (CartanSpec, Filtration, MatrixGroup, _conj_equation_rows,
+                          _invariant_key, _unit_solution, ambient_order, build_cartan,
+                          conjugate_into, extend, full_gl2, is_conjugate, mulclose,
+                          unit_group_generators)
+from ellimage.modarith import (IDENTITY, Echelon, PrimePowerModulus, ResidueMatrix, mdet,
+                               minv, mmul, morder, mreduce, mtrace, nullspace_span)
 
 M7 = PrimePowerModulus(7, 1)
 M49 = PrimePowerModulus(7, 2)
@@ -156,6 +159,97 @@ def test_conjugate_into_examples(printed_index49):
     nonsplit = build_cartan(CartanSpec("nonsplit", M7))
     borel = build_cartan(CartanSpec("borel", M7))
     assert conjugate_into(nonsplit, borel) == (False, None, None)
+
+
+def _conjugating_matrix_by_full_keys(source_gens, target_keys, mod, budget):
+    """The backtracking search as it was when every target element was
+    keyed: candidate images are bucketed by (order, det, trace) in the
+    iteration order of target_keys."""
+    m, ell = mod.modulus, mod.ell
+    buckets = {}
+    for h, key in target_keys.items():
+        buckets.setdefault(key, []).append(h)
+    gens = sorted(source_gens, key=lambda g: (-source_gens[g][0], g))
+    nodes = 0
+
+    def recurse(i, rows):
+        nonlocal nodes
+        if i == len(gens):
+            return _unit_solution(nullspace_span(rows, m), m, ell)
+        g = gens[i]
+        if g[1] == 0 and g[2] == 0 and g[0] == g[3]:
+            if g not in target_keys:
+                return None
+            return recurse(i + 1, rows)
+        for h in buckets.get(source_gens[g], ()):
+            nodes += 1
+            if nodes > budget:
+                raise SearchBudgetError("conjugacy search exceeded %d nodes" % budget)
+            rows2 = rows + _conj_equation_rows(g, h, m)
+            span = nullspace_span(rows2, m)
+            if len(span) >= 3 or _unit_solution(span, m, ell) is not None:
+                got = recurse(i + 1, rows2)
+                if got is not None:
+                    return got
+        return None
+
+    return recurse(0, [])
+
+
+def _conjugate_into_by_full_keys(h, hkeys, big, bkeys, budget=500_000):
+    """conjugate_into as it was when it keyed every element of both groups
+    by (order, det, trace) and compared the key multisets first; hkeys and
+    bkeys are those keys."""
+    mod = h.mod
+    ho, bo = h.order(), big.order()
+    if bo % ho:
+        return False, None, None
+    if Counter(hkeys.values()) - Counter(bkeys.values()):
+        return False, None, None
+    c = _conjugating_matrix_by_full_keys(
+        {g: hkeys[g] for g in h.small_generating_set()}, bkeys, mod, budget)
+    if c is None:
+        return False, None, None
+    m = mod.modulus
+    ci = minv(c, m, mod.ell)
+    assert all(mmul(mmul(c, x, m), ci, m) in bkeys for x in hkeys)
+    return True, ResidueMatrix.make(c, mod), bo // ho
+
+
+def test_conjugate_into_against_full_keys():
+    """Same (ok, witness, index) as the search that keyed both groups whole,
+    on every ordered pair of the named constructions at 9, 25 and 49 and a
+    seeded conjugate of each; Borel(49) and section4-semidirect(49) are left
+    out, as the oracle would key their 86,436 and 32,928 elements.  Pairs
+    the old pre-check rejected come back (False, None, None) within the
+    default budget: the kernel I + ell*M2 in Borel (the same (det, trace)
+    multiset, other orders) and the cyclic group of [1 1; 0 1] in the
+    kernel."""
+    rng = random.Random(11)
+    old_rejects = 0
+    for mod in (PrimePowerModulus(3, 2), PrimePowerModulus(5, 2), M49):
+        ell, m = mod.ell, mod.modulus
+        kinds = ("split", "split-normalizer", "nonsplit", "nonsplit-normalizer")
+        if ell < 7:
+            kinds += ("borel", "section4-semidirect")
+        groups = [build_cartan(CartanSpec(kind, mod)) for kind in kinds]
+        groups += [g.conjugated_by(_random_invertible(rng, m, ell)) for g in groups]
+        kernel = MatrixGroup(PrimePowerModulus(ell, 1), []).full_preimage(mod)
+        unipotent = MatrixGroup(mod, [(1, 1, 0, 1)])
+        pairs = [(h, big) for h in groups for big in groups] + [(unipotent, kernel)]
+        if ell < 7:
+            pairs.append((kernel, groups[kinds.index("borel")]))
+        keys = {id(g): {x: (morder(x, mod), mdet(x, m), mtrace(x, m)) for x in g.element_set()}
+                for g in groups + [kernel, unipotent]}
+        for h, big in pairs:
+            hkeys, bkeys = keys[id(h)], keys[id(big)]
+            got = conjugate_into(h, big)
+            assert got == _conjugate_into_by_full_keys(h, hkeys, big, bkeys), (h, big)
+            if big.order() % h.order() == 0 and Counter(hkeys.values()) - Counter(
+                    bkeys.values()):
+                old_rejects += 1
+                assert got == (False, None, None)
+    assert old_rejects == 49
 
 
 def test_cartan_orders_match_formula():

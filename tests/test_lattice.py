@@ -1,3 +1,6 @@
+import random
+import subprocess
+import sys
 from itertools import permutations, product
 
 import pytest
@@ -11,12 +14,16 @@ from ellimage.lattice import (KernelModule, all_subgroups, preimage_rigidity,
                               proper_detsurjective_subgroups,
                               split_cartan_membership, verify_counterexample,
                               _KernelQuotient, _complement_over_group,
-                              _det_surjective_set, _ell_hom_trivial,
-                              _rigidity_subspaces, _sylow_subgroup)
+                              _conjugacy_classes_of_subgroups, _det_surjective_set,
+                              _ell_hom_trivial, _rigidity_subspaces,
+                              _stable_subspace_classes, _sylow_subgroup)
 from ellimage.modarith import PrimePowerModulus, minv, mmul, mpow, mreduce
 
 M3 = PrimePowerModulus(3, 1)
+M5 = PrimePowerModulus(5, 1)
 M7 = PrimePowerModulus(7, 1)
+M9 = PrimePowerModulus(3, 2)
+M25 = PrimePowerModulus(5, 2)
 M49 = PrimePowerModulus(7, 2)
 
 
@@ -91,6 +98,99 @@ def test_unique_index49_class_of_hard_conjugate(printed_index49):
     rep = proper_detsurjective_subgroups(rec.group(), 49, True)[0].representative
     ok, witness = is_conjugate(rep, printed_index49)
     assert ok and witness is not None
+
+
+# the full preimages of split Cartans have classes of every size from 1 to
+# the index; in the torus case kernel vectors outside U meet the
+# normalizer condition, so N must be cut down to U
+STRUCTURED_EXTRA = {
+    "preimage of split(3) mod 9":
+        lambda: build_cartan(CartanSpec("split", M3)).full_preimage(M9),
+    "preimage of split(5) mod 25":
+        lambda: build_cartan(CartanSpec("split", M5)).full_preimage(M25),
+    "nonsplit torus and I + 5*[2 3; 3 1] mod 25":
+        lambda: MatrixGroup(M25, [(1, 4, 2, 1), (11, 15, 15, 6)]),
+}
+STRUCTURED = ["49.196.9.1", "9.54.1.1", "9.27.0.1"] + list(STRUCTURED_EXTRA) + [
+    "%s(%d)" % (kind, ell * ell) for kind in ("split", "split-normalizer", "nonsplit",
+                                              "nonsplit-normalizer") for ell in (3, 5, 7)]
+
+
+@pytest.mark.parametrize("name", STRUCTURED)
+def test_class_size_against_orbit(name, record_map):
+    """The class sizes of the structured path, from the kernel action, equal
+    the orbit of the representative under the parent's generators, on each
+    group and a seeded conjugate.  Where the parent has order <= 144 the
+    brute-force lattice lists the same (index, class size) pairs."""
+    if name in record_map:
+        group = record_map[name].group()
+    elif name in STRUCTURED_EXTRA:
+        group = STRUCTURED_EXTRA[name]()
+    else:
+        kind, m = name[:-1].split("(")
+        ell = round(int(m) ** 0.5)
+        group = build_cartan(CartanSpec(kind, PrimePowerModulus(ell, 2)))
+    ell, m = group.mod.ell, group.mod.modulus
+    rng = random.Random(name)
+    while True:
+        c = tuple(rng.randrange(m) for _ in range(4))
+        if (c[0] * c[3] - c[1] * c[2]) % ell:
+            break
+    for g in (group, group.conjugated_by(c)):
+        classes = _stable_subspace_classes(g, ell ** 4)
+        assert classes
+        for cls in classes:
+            rep_set = frozenset(cls.representative.elements())
+            (_, size), = _conjugacy_classes_of_subgroups([rep_set], g)
+            assert cls.class_size == size, cls
+        if g.order() <= 144:
+            brute = proper_detsurjective_subgroups(g, ell ** 4)
+            assert (sorted((k.index_in_parent, k.class_size) for k in brute)
+                    == sorted((k.index_in_parent, k.class_size) for k in classes))
+
+
+def test_structured_path_needs_prime_to_ell_reduction(record_map):
+    # G(3) has order divisible by 3 here, so only the brute-force lattice
+    # classifies these
+    for group in (record_map["9.12.0.1"].group(),
+                  build_cartan(CartanSpec("borel", PrimePowerModulus(3, 2)))):
+        with pytest.raises(SearchBudgetError):
+            _stable_subspace_classes(group, 81)
+
+
+OPTIMIZED_REPRESENTATIVE_CHECK = """
+import sys
+from ellimage import lattice
+from ellimage.cli import _bundled_records
+from ellimage.errors import CertificateError
+from ellimage.modarith import mmul
+assert False, "run this under python -O"
+averaged = lattice._averaged_section
+
+
+def moved_section(reps, layer, m, ell):
+    # conjugating the complement by I + ell*E11 moves it out of the parent
+    c, ci = (1 + ell, 0, 0, 1), (1 - ell, 0, 0, 1)
+    return {x: mmul(mmul(c, t, m), ci, m) for x, t in averaged(reps, layer, m, ell).items()}
+
+
+lattice._averaged_section = moved_section
+group = {r.rszb_label: r for r in _bundled_records()}["49.196.9.1"].group()
+try:
+    lattice.proper_detsurjective_subgroups(group, 49)
+except CertificateError as exc:
+    sys.exit(str(exc))
+"""
+
+
+def test_representative_check_survives_optimize():
+    # a representative of the right order whose generators do not sift
+    # through the parent is refused, also with asserts stripped
+    r = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_REPRESENTATIVE_CHECK],
+                       capture_output=True, text=True)
+    assert r.returncode == 1
+    assert r.stderr.startswith("subgroup over W = ")
+    assert r.stderr.endswith("is not a subgroup of order 504 in the parent\n")
 
 
 def test_gl2_f7_has_no_constrained_classes():
