@@ -10,7 +10,7 @@ from .gl2 import (CartanSpec, MatrixGroup, ambient_order, build_cartan,
 from .modcurves import (GenusProfile, MapDegreeSpec, genus_X0, genus_X1,
                         genus_XG, map_degree, map_degree_tower)
 from .orbits import (CyclicSubmodule, OrbitRecord, TorsionVector,
-                     gamma0_orbits, gamma1_orbits, orbit_degree_tower, orbits)
+                     gamma0_orbits, gamma1_orbits, orbit_degree_tower)
 from .isolated import (CandidatePair, FilterReport, analyze, candidate_pairs,
                        filter_genus_zero, filter_riemann_roch)
 from .labelio import (GAMMA0_ISOLATED_J, GAMMA1_ISOLATED_J, ImageRecord,
@@ -31,7 +31,7 @@ __all__ = [
     "GenusProfile", "MapDegreeSpec", "genus_X0", "genus_X1", "genus_XG",
     "map_degree", "map_degree_tower",
     "CyclicSubmodule", "OrbitRecord", "TorsionVector", "gamma0_orbits",
-    "gamma1_orbits", "orbit_degree_tower", "orbits",
+    "gamma1_orbits", "orbit_degree_tower",
     "CandidatePair", "FilterReport", "analyze", "candidate_pairs",
     "filter_genus_zero", "filter_riemann_roch",
     "GAMMA0_ISOLATED_J", "GAMMA1_ISOLATED_J", "ImageRecord", "KnownJRecord",

@@ -10,8 +10,8 @@ through it.  extend() is the one group closure: it adds one element to a
 closed finite group by Dimino's coset extension (Holt, Eick and O'Brien,
 Handbook of Computational Group Theory, 4.1), each new left coset entering
 whole.  mulclose is a fold of extend over the generators; subgroup joins,
-greedy generating sets, the Sylow climb, normal closures and the complement
-search of the lattice module extend the closure they already hold.
+greedy generating sets and the complement search of the lattice module
+extend the closure they already hold.
 
 Orders, levels, membership and equality read one cached Filtration per
 group: for H <= GL2(Z/ell^n) the kernels K_e = ker(GL2(ell^n) -> GL2(ell^e))
@@ -493,6 +493,13 @@ class Filtration:
                 x = mmul(powers[row][f], x, m)
         return x
 
+    def transversal(self):
+        """The |O_1| * |O_2| products t_2 * t_1 of the two tables: one element
+        of G over each element of G(ell)."""
+        m = self.m
+        return [mmul(t2, t1, m) for t1, _ in self.orbits[0].values()
+                for t2, _ in self.orbits[1].values()]
+
     def sizes(self):
         "(|G(ell)| = |O_1| * |O_2|, [dim L_1, ..., dim L_{n-1}])."
         return (len(self.orbits[0]) * len(self.orbits[1]),
@@ -606,7 +613,7 @@ def build_cartan(spec, cap=DEFAULT_CAP):
     group = MatrixGroup(mod, [teich, sigma] + kgens,
                         label="section4-semidirect(%d)" % m)
     expected = 2 * (ell * ell - 1) * ell ** 3
-    got = len(group.elements(cap))
+    got = group.order(cap)
     if got != expected:
         raise ArithmeticError("semidirect construction has order %d, expected %d"
                               % (got, expected))

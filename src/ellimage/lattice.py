@@ -1,44 +1,54 @@
 """Subgroup-lattice verifications: low-index determinant-surjective
 subgroups, split-Cartan-normalizer membership, and preimage rigidity.
 
-The searches lean on the layered structure of subgroups of GL2(Z/ell^n):
+The searches read the layered structure of subgroups of GL2(Z/ell^n) from
+the congruence filtration of gl2 (group.filtration(): G(ell) as a
+stabilizer chain and an Echelon of each kernel layer L_e; Holt, Eick and
+O'Brien, 4.4 and ch. 8).  Only the brute-force lattice and the witness
+generators of small_generating_set list the elements of a parent group:
 
 * proper_detsurjective_subgroups classifies H <= G up to G-conjugacy.  For
   tiny G a brute-force subgroup lattice is built (cyclic subgroups, then
   join closure, each join extending a subgroup by one cyclic generator).
   For exponent-2 moduli whose mod-ell quotient has order prime to ell,
   subgroups that keep the full mod-ell image correspond, by
-  Schur-Zassenhaus, to the G(ell)-stable subspaces W of the kernel part of
-  G: there is exactly one conjugacy class per W, realized as (complement
-  over the kernel) * N_W with the complement built by cocycle averaging
-  (_averaged_section, which preimage_rigidity also uses for coprime G).
-  The class size is read off the kernel action, not an orbit: G = H * K
-  for K = I + ell*U abelian, so the class has [K : N_K(H)] members, and
-  N_K(H) is the subspace of u in U with g u g^-1 - u in W for every
-  generator g (KernelModule.class_size).  The brute-force path orbits
-  each subgroup under the generators (_conjugacy_classes_of_subgroups).
+  Schur-Zassenhaus, to the G(ell)-stable subspaces W of the kernel part
+  U = L_1 of G (KernelModule.stable_subspaces spins the lines of U): there
+  is exactly one conjugacy class per W, realized as (complement over the
+  kernel) * N_W.  The complement comes from cocycle averaging
+  (_averaged_section, which preimage_rigidity also uses for coprime G)
+  over the least lift in G of each element of G(ell): for each element t
+  of the chain's transversal, the lift of t mod ell whose layer digit is
+  in normal form modulo (t mod ell)*U.  The class size is read off the
+  kernel action, not an orbit: G = H * K for K = I + ell*U abelian, so the
+  class has [K : N_K(H)] members, and N_K(H) is the subspace of u in U
+  with g u g^-1 - u in W for every generator g (KernelModule.class_size).
+  The brute-force path orbits each subgroup under the generators
+  (_conjugacy_classes_of_subgroups).
 
 * preimage_rigidity decides whether any proper det-surjective subgroup of
   the one-step full preimage reduces exactly onto G.  Candidate kernel
   intersections U are the G-stable subspaces of M2(F_ell); U must contain
-  the ell-th-power image of G's top kernel layer (x -> x^ell pushes layer
-  n-1 into layer n), which usually collapses the list.  Existence of a
-  subgroup over a given U is the question whether V = (I + ell^n M2)/N_U
-  has a complement in the quotient.  One generator-lift DFS
-  (_complement_over_group) answers it: each lift extends the closure of
-  the lifts before it by gl2.extend, capped at the order of the subgroup
-  the generators so far generate, and a closure over the cap meets V.
+  the ell-th-power image of G's top kernel layer L_{n-1} (x -> x^ell
+  pushes layer n-1 into layer n), which usually collapses the list.
+  Existence of a subgroup over a given U is the question whether
+  V = (I + ell^n M2)/N_U has a complement in the quotient.  One
+  generator-lift DFS (_complement_over_group) answers it: each lift
+  extends the closure of the lifts before it by gl2.extend, capped at the
+  order of the subgroup the generators so far generate, and a closure over
+  the cap meets V.
   Before that closure a lift must satisfy the power and conjugation
-  relations its generator has with the earlier ones; along the normal
-  chain of the Sylow climb these decide alone, so the cost of a failed
-  search does not depend on the order of the generators.  The
-  DFS runs first on the generators of an ell-Sylow subgroup, found by a
-  normalizer climb that extends its own closure (Gaschutz: an abelian
-  normal ell-subgroup has a complement iff it has one there), then on G's
-  generators for the lifts.  Determinant surjectivity of the found
-  complement settles the det-surjective variant; for traceless U the
-  determinant image is rigid across complements unless G has nontrivial
-  homomorphisms to F_ell, and that corner raises rather than guesses.
+  relations its generator has with the earlier ones; along a normal chain
+  these decide alone.  The DFS runs first on the generators of an
+  ell-Sylow subgroup (Gaschutz: an abelian normal ell-subgroup has a
+  complement iff it has one there, whichever Sylow subgroup is searched),
+  then on G's generators for the lifts.  The ell-part of |GL2(F_ell)| is
+  ell, so the Sylow subgroup is the preimage of <I + N> for one unipotent
+  I + N != I of G(ell): the layer rows of G cap K_1, deepest layer first,
+  and a lift of I + N.  Determinant surjectivity of the found complement
+  settles the det-surjective variant; for traceless U the determinant
+  image is rigid across complements unless G has nontrivial homomorphisms
+  to F_ell, and that corner raises rather than guesses.
 
 F_ell linear algebra on kernel coordinate vectors goes through
 modarith.Echelon.  All search budgets are explicit and exhaustion is a hard
@@ -47,15 +57,16 @@ verified, and a failed verification raises CertificateError.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 from .errors import CertificateError, EnumerationCapError, SearchBudgetError
 from .gl2 import (CartanSpec, DEFAULT_CAP, MatrixGroup, build_cartan,
-                  conjugate_into, extend, mulclose, orbit)
+                  conjugate_into, extend, orbit)
 from .modarith import (Echelon, PrimePowerModulus, lincomb, mdet, minv, mmul,
                        mpow, mreduce, nullspace_span)
 
 BRUTE_LIMIT = 1000
+M2_BASIS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 @dataclass(frozen=True)
@@ -74,31 +85,7 @@ class RigidityResult:
 
 
 # ---------------------------------------------------------------------------
-# subspaces of the kernel module F_ell^4
-
-def _subspaces_of(basis, ell):
-    """All subspaces of the span of `basis`, each as an echelon basis list."""
-    dim = len(basis)
-    # enumerate echelon bases in coordinate space F_ell^dim, then map back
-    subspaces = [[]]
-    for r in range(1, dim + 1):
-        for pivots in combinations(range(dim), r):
-            free_positions = []
-            for i, p in enumerate(pivots):
-                for c in range(p + 1, dim):
-                    if c not in pivots:
-                        free_positions.append((i, c))
-            for values in product(range(ell), repeat=len(free_positions)):
-                rows = []
-                for i, p in enumerate(pivots):
-                    row = [0] * dim
-                    row[p] = 1
-                    rows.append(row)
-                for (i, c), val in zip(free_positions, values):
-                    rows[i][c] = val
-                subspaces.append([lincomb(row, basis, ell) for row in rows])
-    return subspaces
-
+# stable subspaces of the kernel module F_ell^4
 
 def _conj_coords(gbar, v, ell):
     "Conjugation action of a mod-ell matrix on a kernel coordinate vector."
@@ -128,10 +115,9 @@ class KernelModule:
         "Conjugation by each generator as a linear map on coordinate vectors."
         ell = self.ell
         mats = []
-        basis = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
         for g in self.gens_bar:
             gi = minv(g, ell, ell)
-            cols = [mmul(mmul(g, b, ell), gi, ell) for b in basis]
+            cols = [mmul(mmul(g, b, ell), gi, ell) for b in M2_BASIS]
             mats.append(cols)
         return mats
 
@@ -152,18 +138,21 @@ class KernelModule:
             frontier = new
         return span.rref()
 
-    def stable_subspaces(self):
-        """All stable subspaces: every stable subspace is a join of cyclic
-        ones (spins), so the join closure of the spins is the full list."""
-        ell = self.ell
+    def stable_subspaces(self, span=M2_BASIS):
+        """All stable subspaces inside the stable span of the RREF basis
+        `span` (the whole module by default), each in RREF: every one is a
+        join of cyclic ones, the spins of its lines, so the join closure of
+        the spins of the lines of the span is the full list."""
+        ell, dim = self.ell, len(span)
         action = self._action_matrices()
         spins = set()
-        # projective vectors: first nonzero coordinate = 1
-        for pivot in range(4):
-            tail = 4 - pivot - 1
-            for rest in product(range(ell), repeat=tail):
-                v = tuple([0] * pivot + [1] + list(rest))
-                spins.add(tuple(self.spin(v, action)))
+        # lines: coefficient vectors whose first nonzero coordinate is 1; the
+        # RREF basis of the whole module is the identity
+        for pivot in range(dim):
+            for rest in product(range(ell), repeat=dim - pivot - 1):
+                v = (0,) * pivot + (1,) + rest
+                spins.add(tuple(self.spin(v if dim == 4 else lincomb(v, span, ell),
+                                          action)))
         lattice = orbit((), spins, lambda a, b: tuple(Echelon(ell, a + b).rref()))
         out = [list(s) for s in sorted(lattice, key=lambda s: (len(s), s))]
         for s in out:
@@ -333,38 +322,32 @@ def proper_detsurjective_subgroups(group, index_bound, fix_mod_ell_reduction=Tru
 
 def _stable_subspace_classes(group, index_bound, cap=DEFAULT_CAP):
     """The structured path of proper_detsurjective_subgroups: one class per
-    proper G(ell)-stable subspace W of the kernel part U, for exponent 2 and
-    |G(ell)| prime to ell."""
+    proper G(ell)-stable subspace W of the kernel part U = L_1 of the
+    filtration, for exponent 2 and |G(ell)| prime to ell."""
     mod = group.mod
-    ell = mod.ell
+    ell, m = mod.ell, mod.modulus
     if mod.exponent != 2:
         raise SearchBudgetError("structured search supports exponent-2 moduli only")
 
-    els = group.elements(cap)
-    ident = group.identity_tuple()
-    kernel_part = [x for x in els if mreduce(x, ell) == (1, 0, 0, 1)]
-    u_basis = Echelon(ell, [_kernel_coords(x, ell, ell) for x in kernel_part
-                            if x != ident]).rows
-    bar_order = len(els) // len(kernel_part)
+    filt = group.filtration(cap)
+    u_basis = filt.layers[0][0].rref()
+    bar_order = filt.sizes()[0]
     if bar_order % ell == 0:
         raise SearchBudgetError("structured search needs |G(ell)| prime to ell")
+    order = bar_order * ell ** len(u_basis)
     gens_bar = tuple(mreduce(g, ell) for g in group.gens)
     module = KernelModule(ell, gens_bar)
-    m = mod.modulus
-    # a complement of the kernel part: lifts of the mod-ell elements, averaged
-    reps = {}
-    for x in els:
-        reps.setdefault(mreduce(x, ell), x)
-    section = _averaged_section(reps, ell, m, ell)
+    # a complement of the kernel part: the least lift in G of each element of
+    # G(ell), averaged; the lifts of t mod ell are t*(I + ell*U), and the
+    # least of them has its digit in normal form modulo (t mod ell)*U
+    least = _KernelQuotient(ell, 1, u_basis).canon
+    section = _averaged_section({mreduce(t, ell): least(t) for t in filt.transversal()},
+                                ell, m, ell)
 
     out = []
-    for W in _subspaces_of(u_basis, ell):
-        if len(W) == len(u_basis):
-            continue  # the parent itself
-        if ell ** (len(u_basis) - len(W)) > index_bound:
-            continue
-        if not _is_stable(W, gens_bar, ell):
-            continue
+    for W in module.stable_subspaces(u_basis):
+        if len(W) == len(u_basis) or ell ** (len(u_basis) - len(W)) > index_bound:
+            continue  # the parent itself, or an index over the bound
         rep_gens = [section[mreduce(g, ell)] for g in group.gens]
         rep_gens += [_kernel_matrix(w, ell, m) for w in W]
         rep = MatrixGroup(mod, rep_gens)
@@ -374,7 +357,7 @@ def _stable_subspace_classes(group, index_bound, cap=DEFAULT_CAP):
                                    "%d in the parent" % (W, expected))
         if not rep.det_image()[1]:
             continue
-        out.append(SubgroupClass(rep, len(els) // expected, True,
+        out.append(SubgroupClass(rep, order // expected, True,
                                  module.class_size(u_basis, W)))
     return sorted(out, key=lambda c: (c.index_in_parent, c.representative.gens))
 
@@ -423,44 +406,19 @@ class _KernelQuotient:
 
 
 def _sylow_subgroup(group, cap=DEFAULT_CAP):
-    "Generators of an ell-Sylow subgroup of the group, by normalizer climbing."
-    els = group.elements(cap)
-    mod = group.mod
-    ell, m = mod.ell, mod.modulus
-    mul = lambda a, b: mmul(a, b, m)
-    target, ell_free = 1, len(els)
-    while ell_free % ell == 0:
-        target *= ell
-        ell_free //= ell
-    ident = group.identity_tuple()
-    sgens = []
-    sset = {ident}
-    while len(sset) < target:
-        progressed = False
-        for y in els:
-            yi = minv(y, m, ell)
-            if any(mmul(mmul(y, s, m), yi, m) not in sset for s in sgens):
-                continue
-            # the ell-part of y: y^(ell-free part of |G|) has ell-power order
-            z = mpow(y, ell_free, m)
-            if z in sset:
-                continue
-            # z normalizes S, so <S, z> = S<z> is again an ell-group
-            new = extend(sset, z, mul, cap)
-            lp = len(new)
-            while lp % ell == 0:
-                lp //= ell
-            if lp != 1:
-                raise CertificateError("Sylow climb reached a group of order %d, "
-                                       "not a power of %d" % (len(new), ell))
-            sgens.append(z)
-            sset = new
-            progressed = True
-            break
-        if not progressed:
-            raise SearchBudgetError("Sylow climb stalled (|S| = %d of %d)"
-                                    % (len(sset), target))
-    return sgens
+    """Generators of an ell-Sylow subgroup of the group, the preimage in G
+    of an ell-Sylow subgroup of G(ell).  The ell-part of |GL2(F_ell)| is
+    ell, so these are the layer rows of G cap K_1 (deepest layer first) and
+    a lift of one unipotent I + N != I of G(ell) if there is one."""
+    filt = group.filtration(cap)
+    ell = group.mod.ell
+    # each layer row keeps the powers of an inverse b^-1 of its realiser
+    gens = [powers[1] for _, rows in reversed(filt.layers) for powers in rows.values()]
+    for t in filt.transversal():
+        n = ((t[0] - 1) % ell, t[1] % ell, t[2] % ell, (t[3] - 1) % ell)
+        if any(n) and not any(mmul(n, n, ell)):
+            return gens + [t]
+    return gens
 
 
 def _complement_over_group(quot, gens, m, v_basis, ell, cap, budget):
@@ -477,9 +435,9 @@ def _complement_over_group(quot, gens, m, v_basis, ell, cap, budget):
     few products: if the closure is a complement it maps isomorphically onto
     <gens[:i+1]>, so t^k lies in the closure of the earlier lifts when g^k
     lies in <gens[:i]>, and so does t c t^-1 for the lift c of every gens[j]
-    with g gens[j] g^-1 in <gens[:i]>.  Along a chain of normal subgroups,
-    as the Sylow climb builds, the checks decide alone, and a rejected lift
-    costs a few products instead of a closure.
+    with g gens[j] g^-1 in <gens[:i]>.  Along a chain of normal subgroups
+    the checks decide alone, and a rejected lift costs a few products
+    instead of a closure.
     """
     mul = lambda a, b: mmul(a, b, m)
     closure = {(1 % m, 0, 0, 1 % m)}
@@ -536,10 +494,11 @@ def _complement_over_group(quot, gens, m, v_basis, ell, cap, budget):
 
 
 def _ell_hom_trivial(group, cap=DEFAULT_CAP):
-    "Whether Hom(G, F_ell) = 0, via the normal closure of powers and commutators."
+    """Whether Hom(G, F_ell) = 0, via the normal closure of powers and
+    commutators; a conjugate that does not sift through the closure joins
+    its generators."""
     mod = group.mod
     ell, m = mod.ell, mod.modulus
-    mul = lambda a, b: mmul(a, b, m)
     gens = group.gens
     seeds = [mpow(g, ell, m) for g in gens]
     for a in gens:
@@ -547,15 +506,15 @@ def _ell_hom_trivial(group, cap=DEFAULT_CAP):
         for b in gens:
             bi = minv(b, m, ell)
             seeds.append(mmul(mmul(a, b, m), mmul(ai, bi, m), m))
-    closure = mulclose(seeds, m, cap)
+    closure = MatrixGroup(mod, seeds)
     # normal closure: conjugates of every generator found, by every g in G
     for s in seeds:
         for g in gens:
             c = mmul(mmul(g, s, m), minv(g, m, ell), m)
             if c not in closure:
-                closure = extend(closure, c, mul, cap)
                 seeds.append(c)
-    return len(closure) == group.order(cap)
+                closure = MatrixGroup(mod, seeds)
+    return closure.order(cap) == group.order(cap)
 
 
 def _build_candidate(group, u_basis, complement_lifts, mod_high):
@@ -569,9 +528,7 @@ def _build_candidate(group, u_basis, complement_lifts, mod_high):
 
 def verify_counterexample(group, candidate, cap=DEFAULT_CAP):
     "Checks reduction, determinant surjectivity and properness of a witness."
-    n = group.mod.exponent
-    red = candidate.reduce_to(n)
-    if set(red.elements(cap)) != set(group.elements(cap)):
+    if candidate.reduce_to(group.mod.exponent) != group:
         return False
     if not candidate.det_image()[1]:
         return False
@@ -591,29 +548,19 @@ def _rigidity_subspaces(group, cap=DEFAULT_CAP):
     ell, n = mod.ell, mod.exponent
     gens_bar = tuple(mreduce(g, ell) for g in group.gens)
     # power constraint: the ell-th power of any lift of a top-layer kernel
-    # element of G lands in the new kernel, with the same coordinates except
-    # for ell = 2 at exponent 2, where squaring contributes A + A^2
-    ident = group.identity_tuple()
-    pi_vecs = []
-    if n >= 2:
-        layer_low = ell ** (n - 1)
-        for x in group.elements(cap):
-            if x != ident and mreduce(x, layer_low) == (1 % layer_low, 0, 0, 1 % layer_low):
-                a = tuple((((x[i] - ident[i]) % mod.modulus) // layer_low) % ell
-                          for i in range(4))
-                if ell == 2 and n == 2:
-                    sq = mmul(a, a, 2)
-                    a = tuple((a[i] + sq[i]) % 2 for i in range(4))
-                pi_vecs.append(a)
-    pi_basis = Echelon(ell, pi_vecs).rows
+    # element of G lands in the new kernel, with the same coordinates (the
+    # top layer L_{n-1} of the filtration) except for ell = 2 at exponent 2,
+    # where squaring I + 2A contributes A + A^2, which is not linear in A
+    top = group.filtration(cap).layers[-1][0].rows if n >= 2 else []
+    if ell == 2 and n == 2:
+        top = [lincomb(c, top, 2) for c in product(range(2), repeat=len(top))]
+        top = [lincomb((1, 1), (a, mmul(a, a, 2)), 2) for a in top]
     out = []
     for U in sorted(KernelModule(ell, gens_bar).stable_subspaces(), key=len, reverse=True):
         span_u = Echelon(ell, U)
-        if len(U) == 4 or not all(v in span_u for v in pi_basis):
+        if len(U) == 4 or not all(v in span_u for v in top):
             continue
-        v_basis = Echelon(ell, [span_u.reduce(v) for v in
-                                ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
-                          ).rows
+        v_basis = Echelon(ell, [span_u.reduce(v) for v in M2_BASIS]).rows
         out.append((U, v_basis))
     return out
 
@@ -630,8 +577,7 @@ def preimage_rigidity(group, cap=DEFAULT_CAP, budget=10 ** 6):
     if n < 1:
         raise ValueError("rigidity needs a group of exponent >= 1")
     mod_high = PrimePowerModulus(ell, n + 1)
-    els = group.elements(cap)
-    order = len(els)
+    order = group.order(cap)
     coprime = order % ell != 0
     full_section = None
     sylow = None
@@ -640,9 +586,11 @@ def preimage_rigidity(group, cap=DEFAULT_CAP, budget=10 ** 6):
     for checked, (U, v_basis) in enumerate(subspaces, 1):
         if coprime:
             if full_section is None:
-                # G lifts to itself mod ell^(n+1); averaging makes it a complement
-                full_section = _averaged_section({x: x for x in els}, mod.modulus,
-                                                 mod_high.modulus, ell)
+                # G meets K_1 trivially, so the transversal is G, which lifts
+                # to itself mod ell^(n+1); averaging makes it a complement
+                full_section = _averaged_section(
+                    {t: t for t in group.filtration(cap).transversal()}, mod.modulus,
+                    mod_high.modulus, ell)
             cand_gens = [full_section[g] for g in group.small_generating_set(cap)]
             candidate = _build_candidate(group, U, cand_gens, mod_high)
             if candidate.det_image()[1]:

@@ -2,7 +2,7 @@ import os
 import subprocess
 import sys
 
-from ellimage import gl2
+from ellimage import gl2, lattice
 from ellimage.cli import _bundled_records, _special_records, main
 from ellimage.errors import EnumerationCapError
 from ellimage.gl2 import CartanSpec, build_cartan
@@ -252,6 +252,65 @@ def test_lattice_check_orders_each_element_once(monkeypatch, capsys):
     # shaped like a generator of the representative get an order: 148 here
     assert sum(map(len, keyed)) == 504
     assert len(calls) <= 652
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "lattice_check.txt")
+
+
+def test_lattice_check_golden(capsys):
+    # every line of the certificate, gens= and witness= included, for a set
+    # covering the structured classes, the ell = 2 power constraint, the
+    # Sylow complement search, a failed certificate and the normalizers
+    with open(GOLDEN, encoding="ascii") as fh:
+        blocks = fh.read().split("$ ")[1:]
+    assert len(blocks) == 8
+    for block in blocks:
+        argv, *lines, code = block.rstrip("\n").split("\n")
+        assert main(argv.split()) == int(code.split()[1]), argv
+        assert capsys.readouterr().out == "\n".join(lines) + "\n", argv
+
+
+def test_lattice_check_enumerates_no_parent(monkeypatch, capsys):
+    # the certificate of 49.196.9.1 (order 24,696) lists only the class
+    # representative and 49.9604.694.1 (504 each) and split-normalizer(49)
+    # (3,528); no closure reaches the order of the parent
+    closures = []
+    mulclose, extend = gl2.mulclose, gl2.extend
+
+    def recording(closure):
+        def wrapped(*args):
+            els = closure(*args)
+            closures.append(len(els))
+            return els
+        return wrapped
+
+    recording_extend = recording(extend)
+
+    monkeypatch.setattr(gl2, "mulclose", recording(mulclose))
+    monkeypatch.setattr(gl2, "extend", recording_extend)
+    monkeypatch.setattr(lattice, "extend", recording_extend)
+    enumerated = []
+    elements = gl2.MatrixGroup.elements
+
+    def recording_elements(self, *args):
+        if self._elements is None:
+            enumerated.append(self.order())
+        return elements(self, *args)
+
+    monkeypatch.setattr(gl2.MatrixGroup, "elements", recording_elements)
+    assert main(["lattice-check", "--label", "49.196.9.1"]) == 0
+    assert "RESULT\tcertified" in capsys.readouterr().out
+    assert sorted(enumerated) == [504, 504, 3528]
+    assert max(closures) == 3528
+
+
+def test_lattice_check_under_small_cap(capsys):
+    # no table of the certificate of 49.196.9.1 holds more than 3,528
+    # elements, so it is the same under --max-enum 10000
+    assert main(["lattice-check", "--label", "49.196.9.1"]) == 0
+    full = capsys.readouterr().out
+    assert main(["lattice-check", "--label", "49.196.9.1", "--max-enum", "10000"]) == 0
+    assert capsys.readouterr().out == full
 
 
 def test_lattice_check_exponent_one():

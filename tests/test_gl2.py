@@ -270,6 +270,14 @@ def test_section4_semidirect_order():
         CartanSpec("section4-semidirect", M7)
 
 
+def test_section4_semidirect_checked_without_enumeration():
+    # build_cartan checks the order from the filtration; at modulus 121 the
+    # group has 319,440 elements
+    g = build_cartan(CartanSpec("section4-semidirect", PrimePowerModulus(11, 2)))
+    assert g._elements is None
+    assert g.order() == 2 * 120 * 11 ** 3
+
+
 def test_cartan_spec_validation():
     with pytest.raises(ValueError):
         CartanSpec("nonsplit", M7, epsilon=2)  # 2 is a square mod 7
@@ -485,24 +493,43 @@ def _small_group(data):
     return None if els is None else (PrimePowerModulus.from_int(m), gens, els)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_sifting_against_enumeration(data):
-    drawn = _small_group(data)
-    if drawn is None:
-        return
-    mod, gens, els = drawn
+# G(2) is all of GL2(F_2) and G cap K_1 all of K_1, but the residues the
+# chain leaves span only half of K_1 (test_chain_takes_the_normal_closure).
+# The two hypothesis tests below run on this group first, every time.
+NORMAL_CLOSURE_CASE = (PrimePowerModulus(2, 2), [(0, 1, 1, 0), (0, 1, 1, 1)])
+
+
+def _check_sifting(mod, gens, els, probes):
+    """Order, level, index, -I and the membership of probes and of a
+    non-invertible matrix against the element set els of <gens>."""
     m, ell = mod.modulus, mod.ell
     group = MatrixGroup(mod, gens)
     assert group.order() == len(els)
     assert group.level().exponent == _level_by_enumeration(els, mod)
     assert group.index_in_ambient() * len(els) == ambient_order(mod)
     assert group.contains_minus_identity() == ((m - 1, 0, 0, m - 1) in els)
+    for x in list(probes) + [(ell, 0, 0, 1)]:
+        assert (x in group) == (x in els)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def _sifting_on_drawn_groups(data):
+    drawn = _small_group(data)
+    if drawn is None:
+        return
+    mod, gens, els = drawn
+    m, ell = mod.modulus, mod.ell
     probes = data.draw(st.lists(_matrices(m, ell), max_size=8))
     probes += data.draw(st.lists(st.sampled_from(sorted(els)), min_size=1, max_size=8))
-    probes.append((ell, 0, 0, 1))  # not invertible
-    for x in probes:
-        assert (x in group) == (x in els)
+    _check_sifting(mod, gens, els, probes)
+
+
+def test_sifting_against_enumeration():
+    mod, gens = NORMAL_CLOSURE_CASE
+    els = _bfs_closure(gens, mod.modulus)
+    _check_sifting(mod, gens, els, sorted(els))
+    _sifting_on_drawn_groups()
 
 
 @settings(max_examples=150, deadline=None)
@@ -566,18 +593,16 @@ class _TableFiltration(Filtration):
 
 
 # Mutation check: with the conjugates g*b*g^-1 dropped from
-# Filtration._sift_in, the chain misses part of G cap K_1.  The pinned mod-4
-# group below then fails on every run; test_chain_against_lift_table and
-# test_sifting_against_enumeration fail only when hypothesis draws such a group
-# (in two of three runs with an empty example database).
+# Filtration._sift_in, the chain misses part of G cap K_1.  The mod-4 group
+# NORMAL_CLOSURE_CASE then fails test_chain_takes_the_normal_closure,
+# test_chain_against_lift_table and test_sifting_against_enumeration on every
+# run; the drawn groups alone caught it in two of three runs.
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_chain_against_lift_table(data):
-    m = data.draw(st.sampled_from(SIFT_MODULI))
-    mod = PrimePowerModulus.from_int(m)
-    ell = mod.ell
-    gens = data.draw(st.lists(_matrices(m, ell), max_size=3))
+def _check_chain(mod, gens, members, probes):
+    """The chain of <gens> against the lift table: sizes, the lift of every
+    element of G(ell), the transversal, and the membership of members (words
+    in gens), of probes and of a non-invertible matrix."""
+    m, ell = mod.modulus, mod.ell
     oracle = _TableFiltration(gens, mod)
     group = MatrixGroup(mod, gens)
     filt = group.filtration()
@@ -587,21 +612,38 @@ def test_chain_against_lift_table(data):
         assert mreduce(t, ell) == c
         assert mmul(t, tinv, m) == IDENTITY
         assert t in oracle
-    words = st.lists(st.sampled_from(gens), max_size=6) if gens else st.just([])
-    members = [reduce(lambda a, b: mmul(a, b, m), w, IDENTITY)
-               for w in data.draw(st.lists(words, min_size=1, max_size=4))]
-    probes = members + data.draw(st.lists(_matrices(m, ell), max_size=8))
-    probes.append((ell, 0, 0, 1))  # not invertible
-    for x in probes:
+    transversal = filt.transversal()
+    assert sorted(mreduce(t, ell) for t in transversal) == sorted(oracle.top)
+    assert all(t in oracle for t in transversal)
+    for x in list(members) + list(probes) + [(ell, 0, 0, 1)]:
         assert (filt.lift(x) is None) == (mreduce(x, ell) not in oracle.top)
         assert (x in group) == (x in oracle)
     assert all(x in group for x in members)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def _chain_on_drawn_groups(data):
+    m = data.draw(st.sampled_from(SIFT_MODULI))
+    mod = PrimePowerModulus.from_int(m)
+    ell = mod.ell
+    gens = data.draw(st.lists(_matrices(m, ell), max_size=3))
+    words = st.lists(st.sampled_from(gens), max_size=6) if gens else st.just([])
+    members = [reduce(lambda a, b: mmul(a, b, m), w, IDENTITY)
+               for w in data.draw(st.lists(words, min_size=1, max_size=4))]
+    _check_chain(mod, gens, members, data.draw(st.lists(_matrices(m, ell), max_size=8)))
+
+
+def test_chain_against_lift_table():
+    mod, gens = NORMAL_CLOSURE_CASE
+    _check_chain(mod, gens, _bfs_closure(gens, mod.modulus), [])
+    _chain_on_drawn_groups()
 
 
 def test_chain_takes_the_normal_closure():
     # G(2) is all of GL2(F_2) and G cap K_1 all of K_1 (order 16).  The
     # residues the chain leaves span only half of K_1, so without their
     # conjugates by the generators the order comes out as 48.
-    group = MatrixGroup(PrimePowerModulus(2, 2), [(0, 1, 1, 0), (0, 1, 1, 1)])
+    group = MatrixGroup(*NORMAL_CLOSURE_CASE)
     assert group.order() == 96 == len(mulclose(group.gens, 4))
     assert len(_TableFiltration(group.gens, group.mod).top) == 6

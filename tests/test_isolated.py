@@ -1,4 +1,3 @@
-import importlib
 import random
 import subprocess
 import sys
@@ -6,6 +5,7 @@ import warnings
 
 import pytest
 
+import ellimage.orbits as ORBITS
 from ellimage import gl2
 from ellimage.gl2 import DEFAULT_CAP, CartanSpec, MatrixGroup, build_cartan, full_gl2
 from ellimage.isolated import (CandidatePair, analyze, candidate_pairs,
@@ -14,8 +14,6 @@ from ellimage.labelio import parse_report_lines
 from ellimage.modarith import PrimePowerModulus
 from ellimage.modcurves import map_degree_tower
 from ellimage.orbits import orbit_degree_tower, orbits
-
-ORBITS = importlib.import_module("ellimage.orbits")  # the package exports a function orbits
 
 M7 = PrimePowerModulus(7, 1)
 M49 = PrimePowerModulus(7, 2)

@@ -1,7 +1,7 @@
 import random
 import subprocess
 import sys
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -10,14 +10,16 @@ from ellimage.gl2 import (CartanSpec, DEFAULT_CAP, MatrixGroup, build_cartan,
                           extend, full_gl2, is_conjugate, mulclose, orbit)
 from ellimage.labelio import read_generators_text
 from ellimage import lattice
-from ellimage.lattice import (KernelModule, all_subgroups, preimage_rigidity,
-                              proper_detsurjective_subgroups,
+from ellimage.lattice import (KernelModule, SubgroupClass, all_subgroups,
+                              preimage_rigidity, proper_detsurjective_subgroups,
                               split_cartan_membership, verify_counterexample,
-                              _KernelQuotient, _complement_over_group,
+                              _KernelQuotient, _averaged_section, _complement_over_group,
                               _conjugacy_classes_of_subgroups, _det_surjective_set,
-                              _ell_hom_trivial, _rigidity_subspaces,
+                              _ell_hom_trivial, _is_stable, _kernel_coords,
+                              _kernel_matrix, _rigidity_subspaces,
                               _stable_subspace_classes, _sylow_subgroup)
-from ellimage.modarith import PrimePowerModulus, minv, mmul, mpow, mreduce
+from ellimage.modarith import (Echelon, PrimePowerModulus, lincomb, minv, mmul, mpow,
+                               mreduce)
 
 M3 = PrimePowerModulus(3, 1)
 M5 = PrimePowerModulus(5, 1)
@@ -116,27 +118,34 @@ STRUCTURED = ["49.196.9.1", "9.54.1.1", "9.27.0.1"] + list(STRUCTURED_EXTRA) + [
                                               "nonsplit-normalizer") for ell in (3, 5, 7)]
 
 
+def _structured_group(name, record_map):
+    if name in record_map:
+        return record_map[name].group()
+    if name in STRUCTURED_EXTRA:
+        return STRUCTURED_EXTRA[name]()
+    kind, m = name[:-1].split("(")
+    ell = round(int(m) ** 0.5)
+    return build_cartan(CartanSpec(kind, PrimePowerModulus(ell, 2)))
+
+
+def _with_conjugate(name, group):
+    "The group and its conjugate by a matrix drawn from random.Random(name)."
+    ell, m = group.mod.ell, group.mod.modulus
+    rng = random.Random(name)
+    while True:
+        c = tuple(rng.randrange(m) for _ in range(4))
+        if (c[0] * c[3] - c[1] * c[2]) % ell:
+            return [group, group.conjugated_by(c)]
+
+
 @pytest.mark.parametrize("name", STRUCTURED)
 def test_class_size_against_orbit(name, record_map):
     """The class sizes of the structured path, from the kernel action, equal
     the orbit of the representative under the parent's generators, on each
     group and a seeded conjugate.  Where the parent has order <= 144 the
     brute-force lattice lists the same (index, class size) pairs."""
-    if name in record_map:
-        group = record_map[name].group()
-    elif name in STRUCTURED_EXTRA:
-        group = STRUCTURED_EXTRA[name]()
-    else:
-        kind, m = name[:-1].split("(")
-        ell = round(int(m) ** 0.5)
-        group = build_cartan(CartanSpec(kind, PrimePowerModulus(ell, 2)))
-    ell, m = group.mod.ell, group.mod.modulus
-    rng = random.Random(name)
-    while True:
-        c = tuple(rng.randrange(m) for _ in range(4))
-        if (c[0] * c[3] - c[1] * c[2]) % ell:
-            break
-    for g in (group, group.conjugated_by(c)):
+    for g in _with_conjugate(name, _structured_group(name, record_map)):
+        ell = g.mod.ell
         classes = _stable_subspace_classes(g, ell ** 4)
         assert classes
         for cls in classes:
@@ -392,3 +401,230 @@ def test_ell_hom_trivial_against_reclosing():
     answers = [_ell_hom_trivial(g) for g in groups]
     assert answers == [_ell_hom_trivial_by_reclosing(g) for g in groups]
     assert True in answers and False in answers
+
+
+# ---------------------------------------------------------------------------
+# The element scans that the filtration replaced, kept as oracles.  Each is
+# compared on the bundled and special records it applies to, on STRUCTURED
+# and on a seeded conjugate of each group.
+
+def _oracle_groups(record_map, special_records, applies):
+    "(name, group) for each record, STRUCTURED name and conjugate where applies(group)."
+    named = [(r.rszb_label, r.group()) for r in list(record_map.values()) + special_records]
+    named += [(name, _structured_group(name, record_map)) for name in STRUCTURED]
+    seen = set()
+    for name, group in named:
+        if name not in seen and applies(group):
+            seen.add(name)
+            for g in _with_conjugate(name, group):
+                yield name, g
+
+
+def _subspaces_of(basis, ell):
+    """All subspaces of the span of `basis`, each as an echelon basis list."""
+    dim = len(basis)
+    # enumerate echelon bases in coordinate space F_ell^dim, then map back
+    subspaces = [[]]
+    for r in range(1, dim + 1):
+        for pivots in combinations(range(dim), r):
+            free_positions = []
+            for i, p in enumerate(pivots):
+                for c in range(p + 1, dim):
+                    if c not in pivots:
+                        free_positions.append((i, c))
+            for values in product(range(ell), repeat=len(free_positions)):
+                rows = []
+                for i, p in enumerate(pivots):
+                    row = [0] * dim
+                    row[p] = 1
+                    rows.append(row)
+                for (i, c), val in zip(free_positions, values):
+                    rows[i][c] = val
+                subspaces.append([lincomb(row, basis, ell) for row in rows])
+    return subspaces
+
+
+def _stable_subspace_classes_by_elements(group, index_bound):
+    """The structured path as it read the element list: U from the sorted
+    kernel elements, the least element over each element of G(ell), and
+    every subspace of U tested for stability.  Returns (U, lifts, classes)."""
+    mod = group.mod
+    ell, m = mod.ell, mod.modulus
+    els = group.elements()
+    ident = group.identity_tuple()
+    kernel_part = [x for x in els if mreduce(x, ell) == (1, 0, 0, 1)]
+    u_basis = Echelon(ell, [_kernel_coords(x, ell, ell) for x in kernel_part
+                            if x != ident]).rows
+    bar_order = len(els) // len(kernel_part)
+    gens_bar = tuple(mreduce(g, ell) for g in group.gens)
+    module = KernelModule(ell, gens_bar)
+    reps = {}
+    for x in els:
+        reps.setdefault(mreduce(x, ell), x)
+    section = _averaged_section(reps, ell, m, ell)
+    out = []
+    for W in _subspaces_of(u_basis, ell):
+        if len(W) == len(u_basis) or ell ** (len(u_basis) - len(W)) > index_bound:
+            continue
+        if not _is_stable(W, gens_bar, ell):
+            continue
+        rep = MatrixGroup(mod, [section[mreduce(g, ell)] for g in group.gens]
+                          + [_kernel_matrix(w, ell, m) for w in W])
+        expected = bar_order * ell ** len(W)
+        assert rep.order() == expected and all(g in group for g in rep.gens)
+        if rep.det_image()[1]:
+            out.append(SubgroupClass(rep, len(els) // expected, True,
+                                     module.class_size(u_basis, W)))
+    return u_basis, reps, sorted(out, key=lambda c: (c.index_in_parent, c.representative.gens))
+
+
+def _structured_applies(group):
+    return group.mod.exponent == 2 and group.filtration().sizes()[0] % group.ell != 0
+
+
+def test_structured_path_against_element_scan(record_map, special_records):
+    """The kernel part U is the RREF of L_1, the least element of G over each
+    element of G(ell) is the least lift canon() returns, the stable
+    subspaces of U are those _subspaces_of lists (each in RREF) that are
+    stable, and the classes are the same, representative generators
+    included."""
+    compared = set()
+    for name, group in _oracle_groups(record_map, special_records, _structured_applies):
+        ell = group.ell
+        filt = group.filtration()
+        u_basis, reps, classes = _stable_subspace_classes_by_elements(group, ell ** 4)
+        assert u_basis == filt.layers[0][0].rref(), name
+        least = _KernelQuotient(ell, 1, u_basis).canon
+        assert reps == {mreduce(t, ell): least(t) for t in filt.transversal()}, name
+        subspaces = _subspaces_of(u_basis, ell)
+        assert all(W == Echelon(ell, W).rref() for W in subspaces), name
+        module = KernelModule(ell, tuple(mreduce(g, ell) for g in group.gens))
+        assert (sorted(W for W in subspaces if _is_stable(W, module.gens_bar, ell))
+                == sorted(module.stable_subspaces(u_basis))), name
+        new = _stable_subspace_classes(group, ell ** 4)
+        assert ([(c.index_in_parent, c.class_size, c.det_surjective, c.representative.gens)
+                 for c in new]
+                == [(c.index_in_parent, c.class_size, c.det_surjective,
+                     c.representative.gens) for c in classes]), name
+        compared.add(name)
+    assert set(STRUCTURED) | {"49.9604.694.1"} <= compared
+
+
+def test_stable_subspaces_spin_only_lines_of_the_span(image49, monkeypatch):
+    spun = []
+    spin = KernelModule.spin
+
+    def counting_spin(self, vector, action=None):
+        spun.append(vector)
+        return spin(self, vector, action)
+
+    monkeypatch.setattr(KernelModule, "spin", counting_spin)
+    module = KernelModule(7, tuple(mreduce(g, 7) for g in image49.gens))
+    u_basis = image49.filtration().layers[0][0].rref()
+    inside = module.stable_subspaces(u_basis)
+    assert len(u_basis) == 3 and len(spun) == (7 ** 3 - 1) // 6
+    span = Echelon(7, u_basis)
+    assert all(v in span for v in spun)
+    spun.clear()
+    everything = module.stable_subspaces()
+    assert len(spun) == (7 ** 4 - 1) // 6
+    assert inside == [W for W in everything if all(w in span for w in W)]
+
+
+def _sylow_by_climb(group):
+    "Generators of an ell-Sylow subgroup of the group, by normalizer climbing."
+    els = group.elements()
+    mod = group.mod
+    ell, m = mod.ell, mod.modulus
+    mul = lambda a, b: mmul(a, b, m)
+    target, ell_free = 1, len(els)
+    while ell_free % ell == 0:
+        target *= ell
+        ell_free //= ell
+    sgens = []
+    sset = {group.identity_tuple()}
+    while len(sset) < target:
+        for y in els:
+            yi = minv(y, m, ell)
+            if any(mmul(mmul(y, s, m), yi, m) not in sset for s in sgens):
+                continue
+            # the ell-part of y: y^(ell-free part of |G|) has ell-power order
+            z = mpow(y, ell_free, m)
+            if z in sset:
+                continue
+            # z normalizes S, so <S, z> = S<z> is again an ell-group
+            sgens.append(z)
+            sset = extend(sset, z, mul)
+            break
+        else:
+            raise AssertionError("Sylow climb stalled")
+    return sgens
+
+
+def test_sylow_subgroup_against_climb(record_map, special_records):
+    """The layer rows and the unipotent lift generate a subgroup of G whose
+    order is the ell-part of |G|, as the climb's generators do; and, by
+    Gaschutz, the complement search over either Sylow subgroup gives the
+    same verdict on every subspace preimage_rigidity examines."""
+    searched = 0
+    for name, group in _oracle_groups(record_map, special_records,
+                                      lambda g: g.order() % g.ell == 0):
+        ell, n, m = group.mod.ell, group.mod.exponent, group.mod.modulus
+        ell_part = 1
+        while group.order() % (ell_part * ell) == 0:
+            ell_part *= ell
+        sylow = _sylow_subgroup(group)
+        assert all(g in group for g in sylow), name
+        assert MatrixGroup(group.mod, sylow).order() == ell_part, name
+        climb = _sylow_by_climb(group)
+        assert len(mulclose(climb, m)) == ell_part, name
+        if group.order() > 1000 or ell > 7:
+            continue  # a closure per lift, and up to ell^4 lifts per generator
+        for U, v_basis in _rigidity_subspaces(group):
+            quot = _KernelQuotient(ell, n, U)
+            verdicts = {_complement_over_group(quot, gens, m, v_basis, ell, DEFAULT_CAP,
+                                               10 ** 6) is None for gens in (sylow, climb)}
+            assert len(verdicts) == 1, (name, U)
+            searched += 1
+    assert searched
+
+
+def _rigidity_subspaces_by_elements(group):
+    """_rigidity_subspaces with the power constraint read from the element
+    list: the top-layer digit of every element of G cap K_{n-1}."""
+    mod = group.mod
+    ell, n = mod.ell, mod.exponent
+    gens_bar = tuple(mreduce(g, ell) for g in group.gens)
+    ident = group.identity_tuple()
+    pi_vecs = []
+    layer_low = ell ** (n - 1)
+    for x in group.elements():
+        if x != ident and mreduce(x, layer_low) == (1 % layer_low, 0, 0, 1 % layer_low):
+            a = tuple((((x[i] - ident[i]) % mod.modulus) // layer_low) % ell
+                      for i in range(4))
+            if ell == 2 and n == 2:
+                sq = mmul(a, a, 2)
+                a = tuple((a[i] + sq[i]) % 2 for i in range(4))
+            pi_vecs.append(a)
+    pi_basis = Echelon(ell, pi_vecs).rows
+    out = []
+    for U in sorted(KernelModule(ell, gens_bar).stable_subspaces(), key=len, reverse=True):
+        span_u = Echelon(ell, U)
+        if len(U) == 4 or not all(v in span_u for v in pi_basis):
+            continue
+        v_basis = Echelon(ell, [span_u.reduce(v) for v in
+                                ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
+                          ).rows
+        out.append((U, v_basis))
+    return out
+
+
+def test_power_constraint_against_element_scan(record_map, special_records):
+    # at exponent 1 there is no constraint, and both lists are every proper
+    # stable subspace
+    compared = set()
+    for name, group in _oracle_groups(record_map, special_records,
+                                      lambda g: g.mod.exponent >= 2):
+        assert _rigidity_subspaces(group) == _rigidity_subspaces_by_elements(group), name
+        compared.add(name)
+    assert {"4.12.0.1", "8.12.0.1", "16.24.0.1", "49.196.9.1"} <= compared

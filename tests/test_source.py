@@ -1,6 +1,7 @@
 import ast
 import re
 import sys
+import types
 from pathlib import Path
 
 import ellimage
@@ -40,3 +41,14 @@ def test_no_third_party_dependencies():
             found += ["%s:%d %s" % (path.name, node.lineno, name) for name in names
                       if name.split(".")[0] not in sys.stdlib_module_names]
     assert found == []
+
+
+def test_orbits_submodule_is_not_shadowed():
+    # the package exports gamma0_orbits and gamma1_orbits but not the
+    # function orbits, which would hide the submodule of the same name
+    import ellimage.orbits as module
+    assert isinstance(ellimage.orbits, types.ModuleType)
+    assert module is sys.modules["ellimage.orbits"]
+    assert "orbits" not in ellimage.__all__
+    assert ellimage.gamma1_orbits is module.gamma1_orbits
+    assert ellimage.gamma0_orbits is module.gamma0_orbits
