@@ -26,29 +26,24 @@ leaves.  Then |H| = |H(ell)| * prod ell^(dim L_e), the level is the
 smallest ell^d with L_e full for all e >= d, and g is in H when a lift of g
 mod ell comes out of the chain and the quotient sifts to I through the
 layers.  None of this enumerates H, which matters for full preimages, large
-ell and levels ell^3; modcurves.genus_XG keys right cosets with the same
-chain and layer reduction.
+ell and levels ell^3.  _right_coset_key keys right cosets +-G*x with the
+same chain and layer reduction; modcurves.genus_XG and the conjugacy
+search share it.
 
-Conjugacy search solves the linear conditions c*g = h*c over Z/ell^n with
-modarith.nullspace_span and looks for an invertible c in the solution
-module; every witness is checked before it is returned, and a failed check
-raises CertificateError.  invariant_keys() caches the key (order, det,
-trace, scalar level) of every element of a group; small_generating_set and
-the source side of the search read it.  The target is not keyed: its
-multiset of shapes (det, trace, scalar level) must contain the source's,
-and only target elements shaped like a source generator get an order.
+The conjugacy search (_conjugating_matrix) lifts a conjugator one
+congruence level at a time and reads both groups only through their
+filtrations and membership.  Every witness is checked by sifting the
+conjugated generators through the target before it is returned, and a
+failed check raises CertificateError.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import product
-from math import gcd
 
 from .errors import (CertificateError, EnumerationCapError, ModulusMismatchError,
                      NotInvertibleError, SearchBudgetError)
-from .modarith import (IDENTITY, Echelon, PrimePowerModulus, ResidueMatrix, lincomb,
-                       mdet, minv, mmul, mneg, morder, mpow, mreduce, mtrace,
-                       nullspace_span, rowmul)
+from .modarith import (IDENTITY, Echelon, PrimePowerModulus, ResidueMatrix, mdet, minv,
+                       mmul, mneg, morder, mpow, mreduce, rowmul)
 
 DEFAULT_CAP = 10 ** 7
 
@@ -158,7 +153,7 @@ class MatrixGroup:
     (read-only thereafter, safe to share).
     """
 
-    __slots__ = ("mod", "gens", "label", "_elements", "_keys", "_filtration")
+    __slots__ = ("mod", "gens", "label", "_elements", "_filtration")
 
     def __init__(self, mod, gens, label=None):
         self.mod = mod
@@ -178,7 +173,6 @@ class MatrixGroup:
         self.gens = tuple(canon)
         self.label = label
         self._elements = None
-        self._keys = None
         self._filtration = None
 
     # -- basic views --------------------------------------------------
@@ -203,12 +197,6 @@ class MatrixGroup:
 
     def element_set(self, cap=DEFAULT_CAP):
         return set(self.elements(cap))
-
-    def invariant_keys(self, cap=DEFAULT_CAP):
-        "{element: (order, det, trace, scalar level)} over the whole group (cached)."
-        if self._keys is None:
-            self._keys = {g: _invariant_key(g, self.mod) for g in self.element_set(cap)}
-        return self._keys
 
     def filtration(self, cap=DEFAULT_CAP):
         "The congruence Filtration of the group (cached); needs exponent >= 1."
@@ -343,8 +331,7 @@ class MatrixGroup:
         ident = self.identity_tuple()
         if len(els) == 1:
             return ()
-        keys = self.invariant_keys(cap)
-        ranked = sorted(els, key=lambda g: (-keys[g][0], g))
+        ranked = sorted(els, key=lambda g: (-morder(g, self.mod), g))
         mul = lambda a, b: mmul(a, b, m)
         gens = []
         closure = {ident}
@@ -621,88 +608,116 @@ def build_cartan(spec, cap=DEFAULT_CAP):
 
 
 # ---------------------------------------------------------------------------
-# conjugacy
+# right cosets and conjugacy
 
-def _conj_equation_rows(g, h, m):
-    """Rows of the linear system c*g - h*c = 0 in the entries of c."""
-    g11, g12, g21, g22 = g
-    h11, h12, h21, h22 = h
-    # unknowns (c11, c12, c21, c22); one row per matrix entry of c*g - h*c
-    return [
-        (g11 - h11, g21, -h12, 0),
-        (g12, g22 - h11, 0, -h12),
-        (-h21, 0, g11 - h22, g21),
-        (0, -h21, g12, g22 - h22),
-    ]
+def _right_coset_key(group, cap=DEFAULT_CAP):
+    """(key, +-G): key(x) is a canonical representative of the right coset
+    +-G*x, for x in GL2(Z/N).
 
-
-def _unit_solution(span, m, ell):
-    """An invertible matrix in the Z/m-span of `span` (a 4-tuple), or None.
-
-    Invertibility only depends on the reduction mod ell, so the F_ell
-    combinations of an echelon basis kept mod m are walked.
+    Mod ell the representative is h*x with h in +-G chosen by the stabilizer
+    chain of +-G(ell) (Filtration.orbits): its first row is the least of
+    O_1*x, the rows v*x for v in O_1, and, with t_1 in the first table taking
+    (1, 0) to the v that attains it and x_1 = t_1*x, its second row is the
+    least of O_2*x_1.  Both sets depend on the coset only, and the two rows
+    fix h mod ell.  Each least row comes from a scan of the orbit O or from a
+    scan of all rows r in lexicographic order, stopping at the first with
+    r*x^-1 in O; the first costs |O| steps, the second about (ell^2 - 1)/|O|,
+    and the smaller is taken.  h = t_2*t_1 mod N is memoised per x mod ell,
+    and Filtration.reduce then puts each layer digit of h*x in normal form.
+    The chain's two orbit tables and the memo are the tables held;
+    EnumerationCapError is raised once any of them exceeds cap.
     """
-    basis = Echelon(ell, span, m).rows
-    for coeffs in product(range(ell), repeat=len(basis)):
-        cand = lincomb(coeffs, basis, m)
-        if (cand[0] * cand[3] - cand[1] * cand[2]) % ell:
-            return cand
-    return None
+    ell, m = group.ell, group.mod.modulus
+    pm = group if group.contains_minus_identity(cap) else group.adjoin_minus_identity()
+    filt = pm.filtration(cap)
+    memo = {}
+
+    def least(orbit, x, xinv):
+        "The row w of orbit with w*x least."
+        if len(orbit) ** 2 <= ell * ell - 1:
+            return min(orbit, key=lambda w: rowmul(w, x, ell))
+        for r in product(range(ell), repeat=2):
+            w = rowmul(r, xinv, ell)
+            if w in orbit:
+                return w
+
+    def key(x):
+        c = mreduce(x, ell)
+        got = memo.get(c)
+        if got is None:
+            one, two = filt.orbits
+            cinv = minv(c, ell, ell)
+            t1, t1inv = one[least(one, c, cinv)]
+            t2 = two[least(two, mmul(t1, c, ell), mmul(cinv, t1inv, ell))][0]
+            h = mmul(t2, t1, m)
+            got = memo[c] = h, minv(mmul(h, c, ell), ell, ell)
+            if len(memo) > cap:
+                raise EnumerationCapError("coset key memo exceeded cap %d" % cap)
+        h, hcinv = got
+        return filt.reduce(mmul(h, x, m), hcinv)
+
+    return key, pm
 
 
-def _shape_key(g, m):
-    """(det, trace, ell^k) for g scalar mod ell^k and no higher power:
-    conjugation invariants that take no powers."""
-    return mdet(g, m), mtrace(g, m), gcd(g[1], g[2], g[0] - g[3], m)
+def _conjugating_matrix(h, big, cap, budget):
+    """Search for c with c*g*c^-1 in big for every generator g of h, one
+    congruence level at a time; returns the witness 4-tuple mod ell^n or None.
 
-
-def _invariant_key(g, mod):
-    return (morder(g, mod),) + _shape_key(g, mod.modulus)
-
-
-def _conjugating_matrix(source_gens, targets, mod, budget):
-    """Backtracking search for c with c*g_i*c^-1 = (an element of the target)
-    for every source generator; returns the witness 4-tuple or None.
-
-    source_gens maps the source generators to their _invariant_key and
-    targets maps the target elements to their _shape_key.  A target element
-    whose shape matches a source generator's gets its order, and joins the
-    bucket of its key in the iteration order of targets.  Partial
-    assignments are pruned by solvability of the linear system c*g = h*c
-    over Z/m with an invertible c.
+    When c is a witness, so is s*b*c*k for a scalar s, b in big and k in h.
+    Mod ell, c therefore runs over one representative of each right coset
+    +-B(ell)*x of GL2(F_ell), found by an orbit BFS under the generators of
+    GL2(F_ell) keyed by _right_coset_key, and must conjugate every generator
+    into B(ell).  A c mod ell^j lifts to the candidates (I + ell^j*Y)*c mod
+    ell^(j+1); scalars, B cap K_j on the left and h cap K_j on the right move
+    Y by span(I, L_j(B), cbar*L_j(h)*cbar^-1), so Y runs over the vectors
+    supported off the pivots of that span, and a candidate is kept when it
+    conjugates every generator into B mod ell^(j+1).  The search backtracks
+    when no Y fits (Holt, Eick and O'Brien, ch. 8).  Every coset and every Y
+    tried counts against budget.
     """
-    m, ell = mod.modulus, mod.ell
-    wanted = {key[1:] for key in source_gens.values()}
-    buckets = {}
-    for h, shape in targets.items():
-        if shape in wanted:
-            buckets.setdefault((morder(h, mod),) + shape, []).append(h)
-    gens = sorted(source_gens, key=lambda g: (-source_gens[g][0], g))
+    ell, n = h.mod.ell, h.mod.exponent
+    levels = [big.reduce_to(e) for e in range(1, n)] + [big]
+    h_layers = [echelon.rows for echelon, _ in h.filtration(cap).layers]
+    big_layers = [echelon.rows for echelon, _ in big.filtration(cap).layers]
     nodes = 0
 
-    def recurse(i, rows):
+    def fits(c, j):
+        "Whether c conjugates every generator of h into B mod ell^j."
         nonlocal nodes
-        if i == len(gens):
-            return _unit_solution(nullspace_span(rows, m), m, ell)
-        g = gens[i]
-        if g[1] == 0 and g[2] == 0 and g[0] == g[3]:
-            # scalars are conjugation-invariant
-            if g not in targets:
-                return None
-            return recurse(i + 1, rows)
-        for h in buckets.get(source_gens[g], ()):
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetError("conjugacy search exceeded %d nodes" % budget)
-            rows2 = rows + _conj_equation_rows(g, h, m)
-            span = nullspace_span(rows2, m)
-            if len(span) >= 3 or _unit_solution(span, m, ell) is not None:
-                got = recurse(i + 1, rows2)
+        nodes += 1
+        if nodes > budget:
+            raise SearchBudgetError("conjugacy search exceeded %d nodes" % budget)
+        q = ell ** j
+        ci = minv(c, q, ell)
+        return all(levels[j - 1]._sifts(mmul(mmul(c, g, q), ci, q), cap) for g in h.gens)
+
+    def lifts(c, j):
+        "The candidates mod ell^(j+1) over c mod ell^j; the cosets for j = 0."
+        if j == 0:
+            key, _ = _right_coset_key(levels[0], cap)
+            return sorted(orbit(key(IDENTITY), full_gl2(PrimePowerModulus(ell, 1)).gens,
+                                lambda r, g: key(mmul(r, g, ell)), cap))
+        cbar = mreduce(c, ell)
+        cbarinv = minv(cbar, ell, ell)
+        span = Echelon(ell, [IDENTITY] + big_layers[j - 1]
+                       + [mmul(mmul(cbar, d, ell), cbarinv, ell) for d in h_layers[j - 1]])
+        pivots = {next(i for i in range(4) if b[i]) for b in span.rows}
+        q, m = ell ** j, ell ** (j + 1)
+        ys = product(*[(0,) if i in pivots else range(ell) for i in range(4)])
+        return (mmul(tuple(a + q * b for a, b in zip(IDENTITY, y)), c, m) for y in ys)
+
+    def search(c, j):
+        "A witness mod ell^n over c mod ell^j, or None."
+        if j == n:
+            return c
+        for cand in lifts(c, j):
+            if fits(cand, j + 1):
+                got = search(cand, j + 1)
                 if got is not None:
                     return got
         return None
 
-    return recurse(0, [])
+    return search(None, 0)
 
 
 def is_conjugate(g, h, cap=DEFAULT_CAP, budget=500_000):
@@ -721,9 +736,8 @@ def is_conjugate(g, h, cap=DEFAULT_CAP, budget=500_000):
 
 def conjugate_into(h, big, cap=DEFAULT_CAP, budget=500_000):
     """Whether some GL2-conjugate of h is a subgroup of big; returns
-    (bool, witness, index of the image in big).  The shapes of h must fit
-    among those of big, and the witness is checked on every element of h
-    against the element set of big."""
+    (bool, witness, index of the image in big).  The witness is checked by
+    sifting each conjugated generator of h through big."""
     if h.mod != big.mod:
         raise ModulusMismatchError("groups live over different moduli")
     mod = h.mod
@@ -731,17 +745,12 @@ def conjugate_into(h, big, cap=DEFAULT_CAP, budget=500_000):
     ho, bo = h.order(cap), big.order(cap)
     if bo % ho:
         return False, None, None
-    hkeys = h.invariant_keys(cap)
-    targets = {x: _shape_key(x, m) for x in big.element_set(cap)}
-    if Counter(key[1:] for key in hkeys.values()) - Counter(targets.values()):
-        return False, None, None
-    c = _conjugating_matrix({g: hkeys[g] for g in h.small_generating_set(cap)}, targets,
-                            mod, budget)
+    c = _conjugating_matrix(h, big, cap, budget)
     if c is None:
         return False, None, None
     ci = minv(c, m, mod.ell)
     # c conjugates every generator into big, so the whole conjugate lands there.
-    if any(mmul(mmul(c, x, m), ci, m) not in targets for x in hkeys):
+    if any(mmul(mmul(c, g, m), ci, m) not in big for g in h.gens):
         raise CertificateError("conjugating matrix %r does not map %r into %r"
                                % (c, h, big))
     return True, ResidueMatrix.make(c, mod), bo // ho

@@ -579,19 +579,20 @@ def preimage_rigidity(group, cap=DEFAULT_CAP, budget=10 ** 6):
     mod_high = PrimePowerModulus(ell, n + 1)
     order = group.order(cap)
     coprime = order % ell != 0
-    full_section = None
-    sylow = None
+    # the complement lifts of the coprime case, the Sylow generators and the
+    # small generating set are each built once, when a subspace first needs them
+    cand_gens = sylow = small_gens = None
     undecided = []
     subspaces = _rigidity_subspaces(group, cap)
     for checked, (U, v_basis) in enumerate(subspaces, 1):
         if coprime:
-            if full_section is None:
+            if cand_gens is None:
                 # G meets K_1 trivially, so the transversal is G, which lifts
                 # to itself mod ell^(n+1); averaging makes it a complement
                 full_section = _averaged_section(
                     {t: t for t in group.filtration(cap).transversal()}, mod.modulus,
                     mod_high.modulus, ell)
-            cand_gens = [full_section[g] for g in group.small_generating_set(cap)]
+                cand_gens = [full_section[g] for g in group.small_generating_set(cap)]
             candidate = _build_candidate(group, U, cand_gens, mod_high)
             if candidate.det_image()[1]:
                 if (candidate.order(cap) != order * ell ** len(U)
@@ -607,8 +608,10 @@ def preimage_rigidity(group, cap=DEFAULT_CAP, budget=10 ** 6):
         if _complement_over_group(quot, sylow, mod.modulus, v_basis, ell, cap,
                                   budget) is None:
             continue  # Gaschutz: no complement anywhere
-        lifts = _complement_over_group(quot, group.small_generating_set(cap), mod.modulus,
-                                       v_basis, ell, cap, budget)
+        if small_gens is None:
+            small_gens = group.small_generating_set(cap)
+        lifts = _complement_over_group(quot, small_gens, mod.modulus, v_basis, ell, cap,
+                                       budget)
         if lifts is None:
             raise SearchBudgetError("split extension but no complement found "
                                     "within budget")

@@ -331,18 +331,14 @@ def nullspace_span(rows, m):
 class Echelon:
     """Echelon basis of the F_ell-span of 4-coordinate vectors.
 
-    `rows` are sorted by pivot (the first coordinate nonzero mod ell) and are
-    not back-substituted: they are the pivot-sorted echelon form of the
-    vectors in the order they were added.  With m a power of ell the rows
-    are kept mod m: pivots are read mod ell and the row operations run mod m,
-    so the rows lift the F_ell echelon rows and stay in the Z/m-span of the
-    input vectors.
+    `rows` are sorted by pivot (the first nonzero coordinate) and are not
+    back-substituted: they are the pivot-sorted echelon form of the vectors
+    in the order they were added.
     """
 
-    def __init__(self, ell, vectors=(), m=None):
+    def __init__(self, ell, vectors=()):
         self.ell = ell
-        self.m = m or ell
-        self._pivots = []   # (pivot, inverse of the pivot entry mod m, row)
+        self._pivots = []   # (pivot, inverse of the pivot entry, row)
         for v in vectors:
             if len(self._pivots) == 4:
                 break
@@ -363,13 +359,13 @@ class Echelon:
     def decompose(self, v):
         """(reduce(v), steps): steps lists the pairs (row, f), in pivot
         order, such that reduce(v) = v - sum of f*row."""
-        ell, m = self.ell, self.m
+        ell = self.ell
         v = list(v)
         steps = []
         for p, inv, b in self._pivots:
             if v[p] % ell:
-                f = v[p] * inv % m
-                v = [(v[i] - f * b[i]) % m for i in range(4)]
+                f = v[p] * inv % ell
+                v = [(v[i] - f * b[i]) % ell for i in range(4)]
                 steps.append((b, f))
         return tuple(v), steps
 
@@ -378,10 +374,10 @@ class Echelon:
 
     def add(self, v):
         "Adds v when it is independent mod ell; returns the added row or None."
-        v = self.reduce([x % self.m for x in v])
+        v = self.reduce([x % self.ell for x in v])
         for p in range(4):
-            if v[p] % self.ell:
-                self._pivots.append((p, pow(v[p], -1, self.m), v))
+            if v[p]:
+                self._pivots.append((p, pow(v[p], -1, self.ell), v))
                 self._pivots.sort()
                 return v
         return None

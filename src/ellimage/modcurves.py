@@ -7,23 +7,22 @@ order-4/order-3 elements s = [0 -1; 1 0] and t = [0 -1; 1 -1], and nu_inf
 counts orbits of u = [1 1; 0 1].  X_G depends only on +-G, so H is taken as
 (G cap SL2) together with its negatives, which is +-G cap SL2.  Cosets here
 are right cosets Hx with the right multiplication action.  Hx is the part in
-SL2 of the coset +-G*x in GL2, whose canonical representative comes from
-the stabilizer chain of +-G(ell) and the layer reduction of the group's
-congruence filtration (gl2.Filtration), so neither SL2(Z/N) nor G is listed;
-an orbit BFS from H under s and u finds the mu cosets (P^1-style coset
-enumeration, as for Gamma0 in Diamond-Shurman ch. 3).  The Borel-vs-X0 and
-Gamma1-shape-vs-X1 oracle tests pin this convention against the closed
-formulas, and the tests keep an SL2-enumerating coset count as an oracle.
+SL2 of the coset +-G*x in GL2, whose canonical representative
+gl2._right_coset_key reads from the stabilizer chain of +-G(ell) and the
+layer reduction of the group's congruence filtration (gl2.Filtration), so
+neither SL2(Z/N) nor G is listed; an orbit BFS from H under s and u finds
+the mu cosets (P^1-style coset enumeration, as for Gamma0 in
+Diamond-Shurman ch. 3).  The Borel-vs-X0 and Gamma1-shape-vs-X1 oracle
+tests pin this convention against the closed formulas, and the tests keep
+an SL2-enumerating coset count as an oracle.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import gcd
 
-from .errors import EnumerationCapError
-from .gl2 import DEFAULT_CAP, ambient_order, orbit
-from .modarith import IDENTITY, factorize, minv, mmul, mreduce, rowmul
+from .gl2 import DEFAULT_CAP, _right_coset_key, ambient_order, orbit
+from .modarith import IDENTITY, factorize, mmul, mreduce
 
 
 def _euler_phi(n):
@@ -154,55 +153,6 @@ class GenusProfile:
 
 
 _X1_PROFILE_LEVEL1 = GenusProfile(1, 1, 1, 1, 0)
-
-
-def _right_coset_key(group, cap=DEFAULT_CAP):
-    """(key, +-G): key(x) is a canonical representative of the right coset
-    +-G*x, for x in GL2(Z/N).
-
-    Mod ell the representative is h*x with h in +-G chosen by the stabilizer
-    chain of +-G(ell) (gl2.Filtration.orbits): its first row is the least of
-    O_1*x, the rows v*x for v in O_1, and, with t_1 in the first table taking
-    (1, 0) to the v that attains it and x_1 = t_1*x, its second row is the
-    least of O_2*x_1.  Both sets depend on the coset only, and the two rows
-    fix h mod ell.  Each least row comes from a scan of the orbit O or from a
-    scan of all rows r in lexicographic order, stopping at the first with
-    r*x^-1 in O; the first costs |O| steps, the second about (ell^2 - 1)/|O|,
-    and the smaller is taken.  h = t_2*t_1 mod N is memoised per x mod ell,
-    and Filtration.reduce then puts each layer digit of h*x in normal form.
-    The chain's two orbit tables and the memo are the tables held;
-    EnumerationCapError is raised once any of them exceeds cap.
-    """
-    ell, m = group.ell, group.mod.modulus
-    pm = group if group.contains_minus_identity(cap) else group.adjoin_minus_identity()
-    filt = pm.filtration(cap)
-    memo = {}
-
-    def least(orbit, x, xinv):
-        "The row w of orbit with w*x least."
-        if len(orbit) ** 2 <= ell * ell - 1:
-            return min(orbit, key=lambda w: rowmul(w, x, ell))
-        for r in product(range(ell), repeat=2):
-            w = rowmul(r, xinv, ell)
-            if w in orbit:
-                return w
-
-    def key(x):
-        c = mreduce(x, ell)
-        got = memo.get(c)
-        if got is None:
-            one, two = filt.orbits
-            cinv = minv(c, ell, ell)
-            t1, t1inv = one[least(one, c, cinv)]
-            t2 = two[least(two, mmul(t1, c, ell), mmul(cinv, t1inv, ell))][0]
-            h = mmul(t2, t1, m)
-            got = memo[c] = h, minv(mmul(h, c, ell), ell, ell)
-            if len(memo) > cap:
-                raise EnumerationCapError("coset key memo exceeded cap %d" % cap)
-        h, hcinv = got
-        return filt.reduce(mmul(h, x, m), hcinv)
-
-    return key, pm
 
 
 def genus_XG(group, cap=DEFAULT_CAP):

@@ -8,7 +8,7 @@ from ellimage.errors import EnumerationCapError
 from ellimage.gl2 import CartanSpec, build_cartan
 from ellimage.isolated import analyze
 from ellimage.labelio import read_generators_file, validate_record
-from ellimage.modarith import PrimePowerModulus
+from ellimage.modarith import PrimePowerModulus, minv, mmul
 
 BASE = [sys.executable, "-m", "ellimage.cli"]
 
@@ -232,26 +232,17 @@ def test_lattice_check_image49():
 
 def test_lattice_check_orders_each_element_once(monkeypatch, capsys):
     calls = []
-    keyed = set()
-    morder, invariant_keys = gl2.morder, gl2.MatrixGroup.invariant_keys
+    morder = gl2.morder
 
     def counting_morder(a, mod):
         calls.append(a)
         return morder(a, mod)
 
-    def recording_keys(self, *args):
-        keyed.add(self.elements())
-        return invariant_keys(self, *args)
-
     monkeypatch.setattr(gl2, "morder", counting_morder)
-    monkeypatch.setattr(gl2.MatrixGroup, "invariant_keys", recording_keys)
     assert main(["lattice-check", "--label", "49.196.9.1"]) == 0
     assert "RESULT\tcertified" in capsys.readouterr().out
-    # only the class representative (504 elements) is keyed whole; of
-    # split-normalizer(49) (3528) and 49.9604.694.1 (504) only the elements
-    # shaped like a generator of the representative get an order: 148 here
-    assert sum(map(len, keyed)) == 504
-    assert len(calls) <= 652
+    # the conjugacy searches read the filtrations and take no element order
+    assert calls == []
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "lattice_check.txt")
@@ -270,10 +261,42 @@ def test_lattice_check_golden(capsys):
         assert capsys.readouterr().out == "\n".join(lines) + "\n", argv
 
 
+# The split-normalizer-membership witnesses these certificates printed while
+# the conjugacy search keyed group elements: (modulus, witness).
+OLD_WITNESSES = {"49.196.9.1": (49, "0,44,1,0"), "split-normalizer(49)": (49, "0,44,1,0"),
+                 "4.12.0.1": (4, "0,3,1,0"), "9.54.1.1": (9, "0,5,1,0")}
+
+
+def test_old_and_new_witnesses_conjugate_into_split_normalizer():
+    # each certificate's old and golden witness conjugate its printed class
+    # representative into the split-Cartan normalizer at its modulus
+    with open(GOLDEN, encoding="ascii") as fh:
+        blocks = fh.read().split("$ ")[1:]
+    matrices = lambda text: [tuple(map(int, g.split(","))) for g in text.split(";")]
+    seen = set()
+    for block in blocks:
+        fields = [line.split("\t") for line in block.split("\n")]
+        label = fields[1][1]
+        if label not in OLD_WITNESSES:
+            continue
+        m, old = OLD_WITNESSES[label]
+        mod = PrimePowerModulus.from_int(m)
+        rep = next(f[4] for f in fields if f[0] == "CLASS").removeprefix("gens=")
+        new = next(f[4] for f in fields
+                   if f[:2] == ["CLAIM", "split-normalizer-membership"])
+        big = build_cartan(CartanSpec("split-normalizer", mod))
+        for witness in (old, new.removeprefix("witness=")):
+            c = matrices(witness)[0]
+            ci = minv(c, m, mod.ell)
+            assert all(mmul(mmul(c, g, m), ci, m) in big for g in matrices(rep)), \
+                (label, witness)
+        seen.add(label)
+    assert seen == set(OLD_WITNESSES)
+
+
 def test_lattice_check_enumerates_no_parent(monkeypatch, capsys):
-    # the certificate of 49.196.9.1 (order 24,696) lists only the class
-    # representative and 49.9604.694.1 (504 each) and split-normalizer(49)
-    # (3,528); no closure reaches the order of the parent
+    # the certificate of 49.196.9.1 (order 24,696) lists no group; the only
+    # closures are those of the complement search in a quotient of order 343
     closures = []
     mulclose, extend = gl2.mulclose, gl2.extend
 
@@ -300,8 +323,8 @@ def test_lattice_check_enumerates_no_parent(monkeypatch, capsys):
     monkeypatch.setattr(gl2.MatrixGroup, "elements", recording_elements)
     assert main(["lattice-check", "--label", "49.196.9.1"]) == 0
     assert "RESULT\tcertified" in capsys.readouterr().out
-    assert sorted(enumerated) == [504, 504, 3528]
-    assert max(closures) == 3528
+    assert enumerated == []
+    assert max(closures) == 343
 
 
 def test_lattice_check_under_small_cap(capsys):

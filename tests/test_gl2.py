@@ -1,17 +1,19 @@
 import random
+import time
 from collections import Counter
 from functools import reduce
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ellimage import gl2
 from ellimage.errors import EnumerationCapError, NotInvertibleError, SearchBudgetError
-from ellimage.gl2 import (CartanSpec, Filtration, MatrixGroup, _conj_equation_rows,
-                          _invariant_key, _unit_solution, ambient_order, build_cartan,
+from ellimage.gl2 import (CartanSpec, Filtration, MatrixGroup, ambient_order, build_cartan,
                           conjugate_into, extend, full_gl2, is_conjugate, mulclose,
                           unit_group_generators)
-from ellimage.modarith import (IDENTITY, Echelon, PrimePowerModulus, ResidueMatrix, mdet,
-                               minv, mmul, morder, mreduce, mtrace, nullspace_span)
+from ellimage.modarith import (IDENTITY, Echelon, PrimePowerModulus, ResidueMatrix, lincomb,
+                               mdet, minv, mmul, morder, mreduce, mtrace, nullspace_span)
 
 M7 = PrimePowerModulus(7, 1)
 M49 = PrimePowerModulus(7, 2)
@@ -161,6 +163,32 @@ def test_conjugate_into_examples(printed_index49):
     assert conjugate_into(nonsplit, borel) == (False, None, None)
 
 
+def _conj_equation_rows(g, h, m):
+    """Rows of the linear system c*g - h*c = 0 in the entries of c."""
+    g11, g12, g21, g22 = g
+    h11, h12, h21, h22 = h
+    # unknowns (c11, c12, c21, c22); one row per matrix entry of c*g - h*c
+    return [
+        (g11 - h11, g21, -h12, 0),
+        (g12, g22 - h11, 0, -h12),
+        (-h21, 0, g11 - h22, g21),
+        (0, -h21, g12, g22 - h22),
+    ]
+
+
+def _unit_solution(span, m, ell):
+    """An invertible matrix in the Z/m-span of `span` (4-tuples), or None.
+
+    Invertibility only depends on the reduction mod ell, so the F_ell
+    combinations of the span vectors are walked.
+    """
+    for coeffs in product(range(ell), repeat=len(span)):
+        cand = lincomb(coeffs, span, m)
+        if (cand[0] * cand[3] - cand[1] * cand[2]) % ell:
+            return cand
+    return None
+
+
 def _conjugating_matrix_by_full_keys(source_gens, target_keys, mod, budget):
     """The backtracking search as it was when every target element was
     keyed: candidate images are bucketed by (order, det, trace) in the
@@ -216,8 +244,30 @@ def _conjugate_into_by_full_keys(h, hkeys, big, bkeys, budget=500_000):
     return True, ResidueMatrix.make(c, mod), bo // ho
 
 
+def _check_against_full_keys(h, big, keys):
+    """conjugate_into(h, big) gives the oracle's (ok, index), and a witness
+    maps every element of h into the element set of big; keys caches the
+    full key table of each group by id."""
+    mod = h.mod
+    m = mod.modulus
+    for g in (h, big):
+        if id(g) not in keys:
+            keys[id(g)] = {x: (morder(x, mod), mdet(x, m), mtrace(x, m))
+                           for x in g.element_set()}
+    hkeys, bkeys = keys[id(h)], keys[id(big)]
+    ok, witness, index = conjugate_into(h, big)
+    want = _conjugate_into_by_full_keys(h, hkeys, big, bkeys)
+    assert (ok, index) == (want[0], want[2]), (h.gens, big.gens)
+    if ok:
+        c = witness.entries
+        ci = minv(c, m, mod.ell)
+        assert all(mmul(mmul(c, x, m), ci, m) in bkeys for x in hkeys), (h.gens, big.gens)
+    return ok
+
+
 def test_conjugate_into_against_full_keys():
-    """Same (ok, witness, index) as the search that keyed both groups whole,
+    """Same (ok, index) as the search that keyed both groups whole, and a
+    witness that maps h into big,
     on every ordered pair of the named constructions at 9, 25 and 49 and a
     seeded conjugate of each; Borel(49) and section4-semidirect(49) are left
     out, as the oracle would key their 86,436 and 32,928 elements.  Pairs
@@ -239,17 +289,82 @@ def test_conjugate_into_against_full_keys():
         pairs = [(h, big) for h in groups for big in groups] + [(unipotent, kernel)]
         if ell < 7:
             pairs.append((kernel, groups[kinds.index("borel")]))
-        keys = {id(g): {x: (morder(x, mod), mdet(x, m), mtrace(x, m)) for x in g.element_set()}
-                for g in groups + [kernel, unipotent]}
+        keys = {}
         for h, big in pairs:
+            ok = _check_against_full_keys(h, big, keys)
             hkeys, bkeys = keys[id(h)], keys[id(big)]
-            got = conjugate_into(h, big)
-            assert got == _conjugate_into_by_full_keys(h, hkeys, big, bkeys), (h, big)
             if big.order() % h.order() == 0 and Counter(hkeys.values()) - Counter(
                     bkeys.values()):
                 old_rejects += 1
-                assert got == (False, None, None)
+                assert not ok
     assert old_rejects == 49
+
+
+def _random_subgroups(rng, mod, count, limit=3000):
+    """count random groups of order <= limit, in families: <g>, <g, g'> and
+    a random conjugate of each, for random invertible or (above exponent 1)
+    kernel elements g and g'."""
+    m, ell = mod.modulus, mod.ell
+
+    def element():
+        if m == ell or rng.randrange(2):
+            return _random_invertible(rng, m, ell)
+        return tuple((a + ell * rng.randrange(m)) % m for a in IDENTITY)
+
+    groups = []
+    while len(groups) < count:
+        g, g2 = element(), element()
+        family = [MatrixGroup(mod, [g]), MatrixGroup(mod, [g, g2])]
+        family = [x for x in family if x.order() <= limit]
+        groups += family + [x.conjugated_by(_random_invertible(rng, m, ell)) for x in family]
+    return groups[:count]
+
+
+def test_conjugate_into_against_full_keys_on_random_subgroups():
+    """The lifting search against the full-key search on every ordered pair
+    of 12 seeded random subgroups at each of 8 moduli (1,152 pairs)."""
+    rng = random.Random(29)
+    found = 0
+    for m in (3, 4, 5, 7, 8, 9, 16, 27):
+        groups = _random_subgroups(rng, PrimePowerModulus.from_int(m), 12)
+        keys = {}
+        for h in groups:
+            for big in groups:
+                found += _check_against_full_keys(h, big, keys)
+    assert found == 432
+
+
+def test_conjugate_kernel_into_itself():
+    # for kernel elements c*g = h*c only constrains c mod ell; the search
+    # that solved those equations element by element took 15 s at modulus 9
+    for ell, e in ((3, 2), (5, 2), (3, 3), (7, 2)):
+        mod = PrimePowerModulus(ell, e)
+        kernel = MatrixGroup(PrimePowerModulus(ell, 1), []).full_preimage(mod)
+        start = time.perf_counter()
+        ok, witness, index = conjugate_into(kernel, kernel)
+        assert time.perf_counter() - start < 1
+        assert ok and witness is not None and index == 1
+
+
+def test_conjugacy_search_budget():
+    borel = build_cartan(CartanSpec("borel", M49))
+    with pytest.raises(SearchBudgetError):
+        is_conjugate(borel, borel.conjugated_by((1, 2, 3, 5)), budget=2)
+
+
+def test_conjugacy_reads_no_element_list(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the conjugacy search listed a group")
+
+    for name in ("mulclose", "morder"):
+        monkeypatch.setattr(gl2, name, refuse)
+    monkeypatch.setattr(gl2.MatrixGroup, "elements", refuse)
+    borel = build_cartan(CartanSpec("borel", M49))
+    start = time.perf_counter()
+    ok, _ = is_conjugate(borel, borel.conjugated_by((1, 2, 3, 5)))
+    assert ok and time.perf_counter() - start < 1
+    kernel = MatrixGroup(M7, []).full_preimage(M49)
+    assert conjugate_into(kernel, borel) == (False, None, None)
 
 
 def test_cartan_orders_match_formula():
@@ -318,16 +433,6 @@ def test_small_generating_set():
     assert MatrixGroup(M49, list(small)).elements() == g.elements()
 
 
-def test_invariant_keys_table(image49):
-    for group in (build_cartan(CartanSpec("borel", M49)), image49,
-                  build_cartan(CartanSpec("split-normalizer", M49))):
-        keys = group.invariant_keys()
-        # the conjugacy search tries candidate images in this order
-        assert list(keys) == list(group.element_set())
-        assert all(keys[g] == _invariant_key(g, M49) for g in group.elements())
-        assert group.invariant_keys() is keys
-
-
 def _random_invertible(rng, m, ell):
     while True:
         c = tuple(rng.randrange(m) for _ in range(4))
@@ -337,9 +442,6 @@ def _random_invertible(rng, m, ell):
 
 def test_nullspace_solver_against_brute_force():
     # oracle: enumerate all of (Z/m)^4 for tiny m and compare solution sets
-    from ellimage.gl2 import _conj_equation_rows
-    from ellimage.modarith import nullspace_span
-    from itertools import product
     rng = random.Random(5)
     cases = []
     for m in (4, 9, 8):

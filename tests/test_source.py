@@ -7,7 +7,8 @@ from pathlib import Path
 import ellimage
 
 PACKAGE = Path(ellimage.__file__).parent
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+TESTS = Path(__file__).resolve().parent
+PYPROJECT = TESTS.parent / "pyproject.toml"
 
 
 def _trees():
@@ -41,6 +42,27 @@ def test_no_third_party_dependencies():
             found += ["%s:%d %s" % (path.name, node.lineno, name) for name in names
                       if name.split(".")[0] not in sys.stdlib_module_names]
     assert found == []
+
+
+def test_test_imports_are_in_the_test_extra():
+    # `pip install -e .[test]` must install every third-party package that a
+    # test module imports
+    extra = re.search(r"^test = \[(.*)\]$", PYPROJECT.read_text(), re.MULTILINE)
+    named = set(re.findall(r'"([^"]+)"', extra.group(1)))
+    local = {"ellimage"} | {path.stem for path in TESTS.glob("*.py")}
+    found = []
+    for path in sorted(TESTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [name.split(".")[0] for name in names]
+    third_party = {name for name in found
+                   if name not in sys.stdlib_module_names and name not in local}
+    assert {"pytest", "hypothesis"} <= third_party <= named
 
 
 def test_orbits_submodule_is_not_shadowed():
