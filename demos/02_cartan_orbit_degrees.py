@@ -12,7 +12,18 @@ transitive, which is exactly the multiplicativity the filter exploits.
 """
 
 from ellimage import (CartanSpec, PrimePowerModulus, build_cartan,
-                      gamma0_orbits, gamma1_orbits, orbit_degree_tower)
+                      gamma0_orbits, gamma1_orbits)
+from ellimage.orbits import KernelClasses
+
+
+def degree_at(group, k, v):
+    """Degree on X1(ell^k) of the point through v: the size of the level-k
+    orbit record whose classes hold the class of v mod ell^k."""
+    level = PrimePowerModulus(group.ell, k)
+    m = level.modulus
+    c = KernelClasses(group, level, "gamma1").canon((v[0] % m, v[1] % m))
+    return next(r.size for r in gamma1_orbits(group, k) if c in r.points)
+
 
 for ell in (5, 7, 17):
     mod1 = PrimePowerModulus(ell, 1)
@@ -27,7 +38,8 @@ for ell in (5, 7, 17):
         print("  k=%d  X1-degrees %-12s formula %-8d X0-degrees %-8s formula %d"
               % (k, sorted(g1), f1, sorted(g0), f0))
     rec = gamma1_orbits(pre, 2)[0]
-    print("  degree tower of one orbit:", orbit_degree_tower(pre, rec))
+    print("  degree tower of one orbit:",
+          [(k, degree_at(pre, k, rec.representative)) for k in (2, 1)] + [(0, 1)])
     print()
 
 print("contrast: a Borel-type image fixes a line, so X0 degrees start at 1")

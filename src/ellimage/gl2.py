@@ -741,6 +741,8 @@ def conjugate_into(h, big, cap=DEFAULT_CAP, budget=500_000):
     if h.mod != big.mod:
         raise ModulusMismatchError("groups live over different moduli")
     mod = h.mod
+    if mod.exponent == 0:  # two level-1 markers: both trivial
+        return True, ResidueMatrix.make(h.identity_tuple(), mod), 1
     m = mod.modulus
     ho, bo = h.order(cap), big.order(cap)
     if bo % ho:

@@ -8,8 +8,8 @@ to:
   1. for every k up to the level exponent and every orbit at level ell^k,
      push the point down to the smallest ell^a where its degree is
      multiplicative through the natural map (degree = orbit size, read at
-     each level a from the orbits of level a; orbits.orbit_degree_tower is
-     the reference);
+     each level a from the orbits of level a; the tests keep one BFS per
+     level as the reference);
   2. discard pairs with degree above the genus of X1(ell^a) / X0(ell^a)
      (Riemann-Roch gives a pencil);
   3. discard pairs whose reduced image corresponds to a genus-0 curve.
@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from .gl2 import DEFAULT_CAP
 from .modarith import PrimePowerModulus
 from .modcurves import genus_X0, genus_X1, genus_XG, map_degree_tower
-from .orbits import carrier_point, orbits
+from .orbits import KernelClasses, orbits
 
 FAMILIES = ("gamma1", "gamma0")
 
@@ -127,9 +127,10 @@ def candidate_pairs(group, family, cap=DEFAULT_CAP):
     so the loop stops there; the level-stability tests exercise this.
 
     The degree of an orbit's point at each level a <= k is read from the
-    orbits of level a, found earlier in the same loop: reduction mod ell^a is
-    an equivariant map from the level-k orbit onto that orbit, so its degree
-    divides the level-k one, which is checked.
+    orbits of level a, found earlier in the same loop, through a table keyed
+    by the KernelClasses normal form of the representative mod ell^a:
+    reduction mod ell^a is an equivariant map from the level-k orbit onto
+    that orbit, so its degree divides the level-k one, which is checked.
     """
     if family not in FAMILIES:
         raise ValueError("family must be gamma1 or gamma0")
@@ -140,15 +141,16 @@ def candidate_pairs(group, family, cap=DEFAULT_CAP):
                       "interpretation of orbit sizes is invalid", stacklevel=2)
     m_exp = group.level(cap).exponent
     found = {}
-    tables = []                      # per level ell^a, a >= 1: (level, carrier point -> orbit size)
+    tables = []                      # per level a >= 1: (ell^a, class canon, class -> orbit size)
     for k in range(1, max(m_exp, 1) + 1):
+        level = PrimePowerModulus(ell, k)
         recs = orbits(group, k, family)
-        tables.append((PrimePowerModulus(ell, k),
-                       {p: rec.size for rec in recs for p in rec.points}))
+        tables.append((level.modulus, KernelClasses(group, level, family).canon,
+                       {c: rec.size for rec in recs for c in rec.points}))
         for rec in recs:
             deg_k = rec.size
-            tower = [1] + [sizes[carrier_point(family, rec.representative, level)]
-                           for level, sizes in tables]
+            x, y = rec.representative
+            tower = [1] + [sizes[canon((x % m, y % m))] for m, canon, sizes in tables]
             if tower[k] != deg_k:
                 raise ArithmeticError("orbit of %r has size %d but table degree %d"
                                       % (rec.representative, deg_k, tower[k]))

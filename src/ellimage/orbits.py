@@ -11,21 +11,24 @@ be an actual Galois image (the full image, not an arbitrary subgroup), and
 the j-invariant must be outside {0, 1728}; the functions themselves are pure
 group theory and do not check this.
 
-Every orbit is one gl2.orbit BFS over the carrier in normal form: a +-class
-is stored as the lesser of v and -v, a line as its lexicographically least
-generator, which has the closed form (1, y/x) for x a unit,
-(ell^j, y/x' mod ell^(k-j)) for x = ell^j x' and (0, 1) for x = 0.  The
-seeds are the carrier points listed directly in that form, in sorted order,
-and each OrbitRecord keeps its point set, so a caller that holds the orbits of
-every level reads the degree of a reduced point from them (the filter in
-`isolated` does).  `orbit_degree_tower` finds the same degrees with one BFS
-per level and is kept as the reference.
+A carrier point is stored in normal form: a +-class as the lesser of v and
+-v, a line as its lexicographically least generator, which has the closed
+form (1, y/x) for x a unit, (ell^j, y/x' mod ell^(k-j)) for x = ell^j x' and
+(0, 1) for x = 0.  For k >= 2 the congruence kernel of G mod ell^k moves the
+carrier points in whole classes (KernelClasses), so every orbit is one
+gl2.orbit BFS over class normal forms, each the least carrier point of its
+class; the seeds are all the normal forms in sorted order, so each orbit's
+representative is its least carrier point, and its size is the sum of its
+class sizes.  Each OrbitRecord keeps its classes, so a caller that holds the
+orbits of every level reads the degree of a reduced point from them (the
+filter in `isolated` does).  The full-carrier BFS and the one-BFS-per-level
+degree tower are kept in the tests as references.
 """
 
 from dataclasses import dataclass, field
 
 from .gl2 import orbit
-from .modarith import PrimePowerModulus, mreduce, mvec
+from .modarith import Echelon, PrimePowerModulus, mreduce, mvec
 
 
 @dataclass(frozen=True, order=True)
@@ -63,8 +66,8 @@ class OrbitRecord:
     family: str                      # "gamma1" | "gamma0"
     level: PrimePowerModulus
     representative: tuple            # canonical vector (gamma1) or line generator (gamma0)
-    size: int
-    points: frozenset = field(default=frozenset(), compare=False, repr=False)
+    size: int                        # carrier points in the orbit
+    points: frozenset = field(default=frozenset(), compare=False, repr=False)  # class normal forms
 
     def typed_representative(self):
         cls = TorsionVector if self.family == "gamma1" else CyclicSubmodule
@@ -103,12 +106,6 @@ def _canon(family, level):
     raise ValueError("family must be gamma1 or gamma0, got %r" % (family,))
 
 
-def carrier_point(family, v, level):
-    "The carrier point at `level` through v, a vector of exact order at least `level`."
-    m = level.modulus
-    return _canon(family, level)((v[0] % m, v[1] % m))
-
-
 def _carrier_points(family, level):
     """The carrier points in normal form, sorted: the v of exact order ell^k
     with v <= -v (gamma1), or (0, 1), the (1, y) and the (ell^j, y) with y a
@@ -142,29 +139,123 @@ def _reduced_gens(group, level):
     return gens
 
 
-def _single_orbit_size(group, v, k, family):
-    "Size of the orbit of the carrier point through v at level ell^k."
-    level = PrimePowerModulus(group.mod.ell, k)
-    m = level.modulus
-    canon = _canon(family, level)
-    seed = canon((v[0] % m, v[1] % m))
-    return len(orbit(seed, _reduced_gens(group, level),
-                     lambda w, g: canon(mvec(g, w, m))))
+class KernelClasses:
+    """The carrier at level ell^k cut into classes of the congruence kernel.
+
+    For k >= 2 the kernel N = G cap K_(k-1) of G mod ell^k -> G mod ell^(k-1)
+    is normal in G and acts by translations, v -> v + ell^(k-1)*X*vbar for X
+    in the layer L_(k-1) and vbar = v mod ell.  So the N-orbit of v is
+    v + ell^(k-1)*T, where T = L_(k-1)*vbar <= F_ell^2, and G permutes these
+    classes (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+    4.1 and ch. 8).  A class is stored by its least carrier point:
+
+    - gamma1: the class of +-v is +-(v + ell^(k-1)*T), stored as the lesser
+      of low(v) and low(-v), where low(v) clears the pivots of the RREF of T
+      in the top base-ell digit of v; this is the least point of v +
+      ell^(k-1)*T.  It holds |T| carrier points, or |T|/2 when -v lies in
+      v + ell^(k-1)*T, which happens only for ell = 2, k = 2 and vbar in T.
+    - gamma0: the ell lines over one line mod ell^(k-1) form one class when
+      T is not inside F_ell*vbar, stored as the least of them, which is the
+      canonical generator mod ell^(k-1); otherwise each line is its own class.
+
+    At k = 1 every class is a single carrier point.
+    """
+
+    def __init__(self, group, level, family):
+        self.family, self.level = family, level
+        self.ell, self.k, self.m = level.ell, level.exponent, level.modulus
+        self.q = self.m // self.ell
+        self._point = _canon(family, level)
+        if self.k > 1:
+            self._layer = group.filtration().layers[self.k - 2][0].rows
+            self._lower = PrimePowerModulus(self.ell, self.k - 1)
+        self._spans = {}
+
+    def _span(self, v):
+        "[(pivot, row)] of the RREF of T = L_(k-1)*vbar over F_ell^2."
+        ell = self.ell
+        key = (v[0] % ell, v[1] % ell)
+        rows = self._spans.get(key)
+        if rows is None:
+            x, y = key
+            basis = Echelon(ell, [(a * x + b * y, c * x + d * y, 0, 0)
+                                  for a, b, c, d in self._layer]).rref()
+            rows = self._spans[key] = [(0 if r[0] else 1, r[:2]) for r in basis]
+        return rows
+
+    def _low(self, v):
+        "The least point of v + ell^(k-1)*T."
+        ell, q = self.ell, self.q
+        x, y = v
+        top = [x // q, y // q]
+        for p, (r0, r1) in self._span(v):
+            f = top[p]
+            top = [(top[0] - f * r0) % ell, (top[1] - f * r1) % ell]
+        return (x % q + q * top[0], y % q + q * top[1])
+
+    def _moves(self, v):
+        "Whether T leaves F_ell*vbar, i.e. N moves the line of v (gamma0)."
+        x, y = v
+        return any((x * r1 - y * r0) % self.ell for _, (r0, r1) in self._span(v))
+
+    def canon(self, v):
+        "The normal form of the class of v, a vector of exact order ell^k in [0, ell^k)^2."
+        if self.k == 1:
+            return self._point(v)
+        if self.family == "gamma1":
+            m = self.m
+            w, u = self._low(v), self._low(((-v[0]) % m, (-v[1]) % m))
+            return w if w <= u else u
+        if self._moves(v):
+            q = self.q
+            return _line_canon((v[0] % q, v[1] % q), self._lower)
+        return self._point(v)
+
+    def size(self, c):
+        "The number of carrier points in the class of normal form c."
+        if self.k == 1:
+            return 1
+        if self.family == "gamma0":
+            return self.ell if self._moves(c) else 1
+        m, n = self.m, self.ell ** len(self._span(c))
+        return n // 2 if self._low(((-c[0]) % m, (-c[1]) % m)) == c else n  # -c in c + ell^(k-1)*T
+
+    def seeds(self):
+        """Every normal form, sorted.  Each is the normal form of a lift c +
+        ell^(k-1)*d of a carrier point c mod ell^(k-1), with the digit d zero
+        on the pivots of T (gamma1) or of T + F_ell*cbar (gamma0)."""
+        if self.k == 1:
+            return _carrier_points(self.family, self.level)
+        ell, q = self.ell, self.q
+        out = set()
+        for c in _carrier_points(self.family, self._lower):
+            if self.family == "gamma1":
+                pivots = {p for p, _ in self._span(c)}
+            else:
+                pivots = {0, 1} if self._moves(c) else {0 if c[0] % ell else 1}
+            out.update(self.canon((c[0] + q * dx, c[1] + q * dy))
+                       for dx in ((0,) if 0 in pivots else range(ell))
+                       for dy in ((0,) if 1 in pivots else range(ell)))
+        return sorted(out)
 
 
 def _orbits(group, k, family):
-    "OrbitRecords of the group mod ell^k on the family's carrier, by least point."
+    """OrbitRecords of the group mod ell^k on the family's carrier: one BFS
+    over the KernelClasses normal forms per orbit, seeded in sorted order, so
+    each representative is the least carrier point of its orbit."""
     level = PrimePowerModulus(group.mod.ell, k)
     m = level.modulus
-    canon = _canon(family, level)
     gens = _reduced_gens(group, level)
+    classes = KernelClasses(group, level, family)
+    canon = classes.canon
     seen = set()
     out = []
-    for v0 in _carrier_points(family, level):
-        if v0 not in seen:
-            points = orbit(v0, gens, lambda w, g: canon(mvec(g, w, m)))
-            seen |= points
-            out.append(OrbitRecord(family, level, v0, len(points), frozenset(points)))
+    for c0 in classes.seeds():
+        if c0 not in seen:
+            found = orbit(c0, gens, lambda c, g: canon(mvec(g, c, m)))
+            seen |= found
+            out.append(OrbitRecord(family, level, c0, sum(map(classes.size, found)),
+                                   frozenset(found)))
     return out
 
 
@@ -186,18 +277,3 @@ def orbits(group, k, family):
     if family == "gamma0":
         return gamma0_orbits(group, k)
     raise ValueError("family must be gamma1 or gamma0, got %r" % (family,))
-
-
-def orbit_degree_tower(group, rec):
-    """Degrees of the reduced point at each level ell^a for a = k down to 0.
-
-    A vector of exact order ell^k reduces to one of exact order ell^a for
-    every a >= 1, so each entry is again an orbit size; the level-0 entry is
-    1 (the point on the j-line is rational).
-    """
-    k = rec.level.exponent
-    out = []
-    for a in range(k, 0, -1):
-        out.append((a, _single_orbit_size(group, rec.representative, a, rec.family)))
-    out.append((0, 1))
-    return out

@@ -346,6 +346,14 @@ def test_conjugate_kernel_into_itself():
         assert ok and witness is not None and index == 1
 
 
+def test_level_one_markers_are_conjugate():
+    marker = full_gl2(M49).reduce_to(0)
+    other = build_cartan(CartanSpec("borel", M7)).reduce_to(0)
+    ok, witness, index = conjugate_into(marker, other)
+    assert ok and index == 1 and witness == ResidueMatrix.make(marker.identity_tuple(), marker.mod)
+    assert is_conjugate(marker, other) == (True, witness)
+
+
 def test_conjugacy_search_budget():
     borel = build_cartan(CartanSpec("borel", M49))
     with pytest.raises(SearchBudgetError):

@@ -13,7 +13,9 @@ from ellimage.isolated import (CandidatePair, analyze, candidate_pairs,
 from ellimage.labelio import parse_report_lines
 from ellimage.modarith import PrimePowerModulus
 from ellimage.modcurves import map_degree_tower
-from ellimage.orbits import orbit_degree_tower, orbits
+from ellimage.orbits import orbits
+
+from test_orbits import orbit_degree_tower
 
 M7 = PrimePowerModulus(7, 1)
 M49 = PrimePowerModulus(7, 2)

@@ -1,15 +1,19 @@
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ellimage.cli import _bundled_records
-from ellimage.gl2 import CARTAN_KINDS, CartanSpec, MatrixGroup, build_cartan, full_gl2
-from ellimage.modarith import PrimePowerModulus
+import ellimage.orbits as ORBITS
+from ellimage import gl2
+from ellimage.cli import _bundled_records, _special_records
+from ellimage.gl2 import CARTAN_KINDS, CartanSpec, MatrixGroup, build_cartan, full_gl2, orbit
+from ellimage.isolated import CandidatePair, candidate_pairs
+from ellimage.modarith import PrimePowerModulus, mvec
 from ellimage.modcurves import genus_XG, map_degree_tower
-from ellimage.orbits import (CyclicSubmodule, TorsionVector, _canon, _carrier_points,
-                             _line_canon, carrier_point, gamma0_orbits, gamma1_orbits,
-                             orbit_degree_tower, orbits)
+from ellimage.orbits import (CyclicSubmodule, KernelClasses, OrbitRecord, TorsionVector,
+                             _canon, _carrier_points, _line_canon, _reduced_gens,
+                             gamma0_orbits, gamma1_orbits, orbits)
 
 M7 = PrimePowerModulus(7, 1)
 M49 = PrimePowerModulus(7, 2)
@@ -74,7 +78,16 @@ def test_carrier_points_against_canonicalised_vectors(ell, k):
         canon = _canon(family, level)
         want = sorted({canon(v) for v in _exact_vectors(level)})
         assert _carrier_points(family, level) == want
-        assert all(carrier_point(family, v, level) == v for v in want)
+        assert all(canon(v) == v for v in want)
+
+
+def _expanded(group, level, family):
+    "{class normal form: its carrier points, sorted}, by canonicalising every carrier point."
+    canon = KernelClasses(group, level, family).canon
+    out = {}
+    for p in _carrier_points(family, level):
+        out.setdefault(canon(p), []).append(p)
+    return out
 
 
 def test_orbit_records_carry_their_points():
@@ -82,13 +95,32 @@ def test_orbit_records_carry_their_points():
     for family in ("gamma1", "gamma0"):
         for k in (1, 2):
             level = PrimePowerModulus(7, k)
+            expanded = _expanded(g, level, family)
             recs = orbits(g, k, family)
-            assert sorted(p for r in recs for p in r.points) == _carrier_points(family, level)
-            for r in recs:
-                assert r.representative == min(r.points) and r.size == len(r.points)
-                # the points are left out of equality, hashing and repr
+            points = [sorted(p for c in r.points for p in expanded[c]) for r in recs]
+            assert sorted(p for ps in points for p in ps) == _carrier_points(family, level)
+            for r, ps in zip(recs, points):
+                assert r.representative == min(r.points) == ps[0] and r.size == len(ps)
+                # the classes are left out of equality, hashing and repr
                 bare = type(r)(r.family, r.level, r.representative, r.size)
                 assert r == bare and hash(r) == hash(bare) and repr(r) == repr(bare)
+
+
+def test_bfs_visits_classes_not_points(monkeypatch):
+    # layer 1 of the nonsplit normalizer mod 17^2 moves every vbar onto all
+    # of F_17^2: 144 classes of 289 +-classes, 18 classes of 17 lines
+    g = build_cartan(CartanSpec("nonsplit-normalizer", PrimePowerModulus(17, 2)))
+    visited = []
+
+    def counting_orbit(*args, **kwargs):
+        found = gl2.orbit(*args, **kwargs)
+        visited.append(len(found))
+        return found
+
+    monkeypatch.setattr(ORBITS, "orbit", counting_orbit)
+    for get, classes, points in ((gamma1_orbits, 144, 41616), (gamma0_orbits, 18, 306)):
+        visited.clear()
+        assert sum(r.size for r in get(g, 2)) == points and sum(visited) == classes
 
 
 def test_gamma1_full_image():
@@ -127,6 +159,71 @@ def test_borel_fixes_a_line():
 def test_k_above_modulus_rejected():
     with pytest.raises(ValueError):
         gamma1_orbits(full_gl2(M7), 2)
+
+
+# ---------------------------------------------------------------------------
+# references: the full-carrier BFS, one BFS per orbit and level for the
+# degree tower, and the filter's step 1 over carrier-point tables
+
+def _point_orbits(group, k, family):
+    "OrbitRecords by one gl2.orbit BFS over every carrier point; points holds the orbit."
+    level = PrimePowerModulus(group.mod.ell, k)
+    m = level.modulus
+    canon = _canon(family, level)
+    gens = _reduced_gens(group, level)
+    seen = set()
+    out = []
+    for v0 in _carrier_points(family, level):
+        if v0 not in seen:
+            points = orbit(v0, gens, lambda w, g: canon(mvec(g, w, m)))
+            seen |= points
+            out.append(OrbitRecord(family, level, v0, len(points), frozenset(points)))
+    return out
+
+
+def _single_orbit_size(group, v, k, family):
+    "Size of the orbit of the carrier point through v at level ell^k."
+    level = PrimePowerModulus(group.mod.ell, k)
+    m = level.modulus
+    canon = _canon(family, level)
+    seed = canon((v[0] % m, v[1] % m))
+    return len(orbit(seed, _reduced_gens(group, level),
+                     lambda w, g: canon(mvec(g, w, m))))
+
+
+def orbit_degree_tower(group, rec):
+    """Degrees of the reduced point at each level ell^a for a = k down to 0.
+
+    A vector of exact order ell^k reduces to one of exact order ell^a for
+    every a >= 1, so each entry is again an orbit size; the level-0 entry is
+    1 (the point on the j-line is rational).
+    """
+    k = rec.level.exponent
+    out = []
+    for a in range(k, 0, -1):
+        out.append((a, _single_orbit_size(group, rec.representative, a, rec.family)))
+    out.append((0, 1))
+    return out
+
+
+def _candidate_pairs_by_points(group, family):
+    "Step 1 of the filter over the full-carrier orbits, each level keyed by carrier point."
+    ell = group.mod.ell
+    found = {}
+    tables = []
+    for k in range(1, max(group.level().exponent, 1) + 1):
+        level = PrimePowerModulus(ell, k)
+        recs = _point_orbits(group, k, family)
+        tables.append((level, {p: rec.size for rec in recs for p in rec.points}))
+        for rec in recs:
+            x, y = rec.representative
+            tower = [1] + [sizes[_canon(family, lv)((x % lv.modulus, y % lv.modulus))]
+                           for lv, sizes in tables]
+            for a in range(k + 1):
+                if rec.size == tower[a] * map_degree_tower(family, ell, a, k):
+                    found[a, tower[a]] = found.get((a, tower[a]), ()) + ((k, rec.representative),)
+                    break
+    return [CandidatePair(a, d, ell, provenance=found[a, d]) for (a, d) in sorted(found)]
 
 
 def test_tower_full_image():
@@ -257,3 +354,78 @@ def test_invariants_under_random_conjugation(small_groups, data):
     c = data.draw(st.tuples(*[st.integers(0, m - 1)] * 4).filter(
         lambda c: (c[0] * c[3] - c[1] * c[2]) % ell))
     assert _conjugation_invariants(group.conjugated_by(c)) == _conjugation_invariants(group)
+
+
+# ---------------------------------------------------------------------------
+# the class BFS against the full-carrier BFS
+
+def _assert_matches_point_orbits(group):
+    """For every level ell^k, k <= n, and both families: the expanded classes
+    partition the carrier as the full-carrier BFS does, with equal
+    representatives and sizes, each class holds `size` carrier points with
+    its normal form least, and the filter's step 1 is unchanged."""
+    ell, n = group.mod.ell, group.mod.exponent
+    for family in ("gamma1", "gamma0"):
+        for k in range(1, n + 1):
+            level = PrimePowerModulus(ell, k)
+            classes = KernelClasses(group, level, family)
+            expanded = _expanded(group, level, family)
+            assert classes.seeds() == sorted(expanded)
+            for c, ps in expanded.items():
+                assert ps[0] == c and classes.size(c) == len(ps), (c, ps)
+            recs, want = orbits(group, k, family), _point_orbits(group, k, family)
+            assert [(r.representative, r.size) for r in recs] == \
+                [(w.representative, w.size) for w in want]
+            assert [frozenset(p for c in r.points for p in expanded[c]) for r in recs] == \
+                [w.points for w in want]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # subgroups need not have surjective det
+            assert candidate_pairs(group, family) == _candidate_pairs_by_points(group, family)
+
+
+def test_class_sizes_at_four():
+    """At ell = 2, k = 2 the class of +-v holds |T|/2 points when vbar lies in
+    T, because -v = v + 2*vbar; assuming |T| doubles the orbit sizes of these
+    five records at level 4."""
+    records = {r.rszb_label: r for r in _bundled_records()}
+    for label in ("4.12.0.1", "4.6.0.1", "8.12.0.1", "8.48.1.1", "16.24.0.1"):
+        group = records[label].group()
+        for family in ("gamma1", "gamma0"):
+            assert [(r.representative, r.size) for r in orbits(group, 2, family)] == \
+                [(w.representative, w.size) for w in _point_orbits(group, 2, family)], label
+
+
+def test_classes_against_point_orbits_on_records():
+    rng = random.Random(1313)
+    for rec in _bundled_records() + _special_records():
+        group = rec.group()
+        _assert_matches_point_orbits(group)
+        m, ell = group.mod.modulus, group.ell
+        while True:
+            c = tuple(rng.randrange(m) for _ in range(4))
+            if (c[0] * c[3] - c[1] * c[2]) % ell:
+                break
+        _assert_matches_point_orbits(group.conjugated_by(c))
+
+
+def test_classes_against_point_orbits_borel_81():
+    _assert_matches_point_orbits(build_cartan(CartanSpec("borel", PrimePowerModulus(3, 4))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_classes_against_point_orbits_on_subgroups(data):
+    """Random subgroups mod 4, 8, 16, 9, 27, 25, 49, some generators drawn
+    from a congruence kernel so that the layers, and with them the classes,
+    are small."""
+    ell, n = data.draw(st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2)]))
+    m = ell ** n
+    gens = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        j = data.draw(st.integers(0, n - 1))
+        g = data.draw(st.tuples(*[st.integers(0, m - 1)] * 4).filter(
+            lambda g: (g[0] * g[3] - g[1] * g[2]) % ell))
+        if j:
+            g = tuple((i + ell ** j * a) % m for i, a in zip((1, 0, 0, 1), g))
+        gens.append(g)
+    _assert_matches_point_orbits(MatrixGroup(PrimePowerModulus(ell, n), gens))
