@@ -4,51 +4,47 @@ subgroups, split-Cartan-normalizer membership, and preimage rigidity.
 The searches read the layered structure of subgroups of GL2(Z/ell^n) from
 the congruence filtration of gl2 (group.filtration(): G(ell) as a
 stabilizer chain and an Echelon of each kernel layer L_e; Holt, Eick and
-O'Brien, 4.4 and ch. 8).  Only the brute-force lattice and the witness
-generators of small_generating_set list the elements of a parent group:
+O'Brien, 4.4 and ch. 8).  Only the brute-force lattice and the generators
+of small_generating_set list the elements of a parent group:
 
-* proper_detsurjective_subgroups classifies H <= G up to G-conjugacy.  For
-  tiny G a brute-force subgroup lattice is built (cyclic subgroups, then
-  join closure, each join extending a subgroup by one cyclic generator).
+* proper_detsurjective_subgroups classifies H <= G up to G-conjugacy.
   For exponent-2 moduli whose mod-ell quotient has order prime to ell,
-  subgroups that keep the full mod-ell image correspond, by
+  whatever |G|, subgroups that keep the full mod-ell image correspond, by
   Schur-Zassenhaus, to the G(ell)-stable subspaces W of the kernel part
-  U = L_1 of G (KernelModule.stable_subspaces spins the lines of U): there
-  is exactly one conjugacy class per W, realized as (complement over the
-  kernel) * N_W.  The complement comes from cocycle averaging
-  (_averaged_section, which preimage_rigidity also uses for coprime G)
-  over the least lift in G of each element of G(ell): for each element t
-  of the chain's transversal, the lift of t mod ell whose layer digit is
-  in normal form modulo (t mod ell)*U.  The class size is read off the
-  kernel action, not an orbit: G = H * K for K = I + ell*U abelian, so the
-  class has [K : N_K(H)] members, and N_K(H) is the subspace of u in U
-  with g u g^-1 - u in W for every generator g (KernelModule.class_size).
-  The brute-force path orbits each subgroup under the generators
-  (_conjugacy_classes_of_subgroups).
+  U = L_1 of G, one conjugacy class per W, realized as (complement over
+  the kernel) * N_W.  KernelModule.stable_subspaces spins one line per
+  G(ell)-orbit on the lines of U (conjugate lines have the same spin) and
+  closes the spins under joins.  The complement averages the cocycle of
+  the least lifts in G of the elements of G(ell) (_averaged_section, also
+  used by preimage_rigidity for coprime G), evaluated at the generators
+  only and checked by the order of the group its values generate.  The
+  class has [K : N_K(H)] members for K = I + ell*U, read off the kernel
+  action (KernelModule.class_size).  Other parents of order <=
+  BRUTE_LIMIT get the brute-force lattice (cyclic subgroups, then join
+  closure), whose subgroups are orbited under the generators.
 
 * preimage_rigidity decides whether any proper det-surjective subgroup of
   the one-step full preimage reduces exactly onto G.  Candidate kernel
-  intersections U are the G-stable subspaces of M2(F_ell); U must contain
-  the ell-th-power image of G's top kernel layer L_{n-1} (x -> x^ell
-  pushes layer n-1 into layer n), which usually collapses the list.
-  Existence of a subgroup over a given U is the question whether
-  V = (I + ell^n M2)/N_U has a complement in the quotient.  One
-  generator-lift DFS (_complement_over_group) answers it: each lift
-  extends the closure of the lifts before it by gl2.extend, capped at the
-  order of the subgroup the generators so far generate, and a closure over
-  the cap meets V.
-  Before that closure a lift must satisfy the power and conjugation
-  relations its generator has with the earlier ones; along a normal chain
-  these decide alone.  The DFS runs first on the generators of an
-  ell-Sylow subgroup (Gaschutz: an abelian normal ell-subgroup has a
-  complement iff it has one there, whichever Sylow subgroup is searched),
-  then on G's generators for the lifts.  The ell-part of |GL2(F_ell)| is
-  ell, so the Sylow subgroup is the preimage of <I + N> for one unipotent
-  I + N != I of G(ell): the layer rows of G cap K_1, deepest layer first,
-  and a lift of I + N.  Determinant surjectivity of the found complement
-  settles the det-surjective variant; for traceless U the determinant
-  image is rigid across complements unless G has nontrivial homomorphisms
-  to F_ell, and that corner raises rather than guesses.
+  intersections U are the G-stable subspaces of M2(F_ell) above the span
+  of the ell-th-power image of G's top kernel layer L_{n-1}, a stable
+  floor, so only the lines of M2/floor are spun, one per orbit.  A
+  subgroup over U exists iff V = (I + ell^n M2)/N_U has a complement,
+  and by Gaschutz iff an ell-Sylow subgroup splits over V.  Its
+  generators, the layer rows of G cap K_1 (deepest layer first) and a lift
+  of one unipotent I + N of G(ell), form a polycyclic sequence; its power
+  and conjugation relators, sifted into words in earlier generators, are
+  affine in the lifts g_i * (I + ell^n v_i), so one linear system over
+  F_ell decides the split (the layer step of the Cannon-Cox-Holt lifting
+  method; Holt, Eick and O'Brien, 7.6 and ch. 8).  A vector y that kills
+  the columns and not the constant certifies "no complement" and is
+  checked on the relator values.  Only for a split does the lift DFS
+  (_complement_over_group) build the G-level witness over
+  small_generating_set, each lift checked against the power and
+  conjugation relations before its closure.  Determinant surjectivity of
+  the found complement settles the det-surjective variant; for traceless
+  U the determinant image is rigid across complements unless G has
+  nontrivial homomorphisms to F_ell, and that corner raises rather than
+  guesses.
 
 F_ell linear algebra on kernel coordinate vectors goes through
 modarith.Echelon.  All search budgets are explicit and exhaustion is a hard
@@ -62,8 +58,8 @@ from itertools import product
 from .errors import CertificateError, EnumerationCapError, SearchBudgetError
 from .gl2 import (CartanSpec, DEFAULT_CAP, MatrixGroup, build_cartan,
                   conjugate_into, extend, orbit)
-from .modarith import (Echelon, PrimePowerModulus, lincomb, mdet, minv, mmul,
-                       mpow, mreduce, nullspace_span)
+from .modarith import (IDENTITY, Echelon, PrimePowerModulus, lincomb, mdet, minv,
+                       mmul, mpow, mreduce, nullspace_span)
 
 BRUTE_LIMIT = 1000
 M2_BASIS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
@@ -99,6 +95,11 @@ def _is_stable(basis, gens_bar, ell):
     return all(_conj_coords(g, b, ell) in span for g in gens_bar for b in basis)
 
 
+def _apply(v, cols, ell):
+    "The image of a coordinate vector under a linear map given by its columns."
+    return tuple(sum(v[j] * cols[j][i] for j in range(4)) % ell for i in range(4))
+
+
 def _trace_nonzero(basis, ell):
     return any((b[0] + b[3]) % ell for b in basis)
 
@@ -121,39 +122,53 @@ class KernelModule:
             mats.append(cols)
         return mats
 
-    def spin(self, vector, action=None):
-        "Smallest stable subspace containing the vector, in canonical form."
+    def spin(self, vectors, action=None):
+        "Smallest stable subspace containing the vectors, in canonical form."
         ell = self.ell
         action = action or self._action_matrices()
-        span = Echelon(ell, [vector])
+        span = Echelon(ell, vectors)
         frontier = span.rows
         while frontier and len(span) < 4:
             new = []
             for v in frontier:
                 for cols in action:
-                    w = span.add(tuple(sum(v[j] * cols[j][i] for j in range(4))
-                                       for i in range(4)))
+                    w = span.add(_apply(v, cols, ell))
                     if w is not None:
                         new.append(w)
             frontier = new
         return span.rref()
 
-    def stable_subspaces(self, span=M2_BASIS):
-        """All stable subspaces inside the stable span of the RREF basis
-        `span` (the whole module by default), each in RREF: every one is a
-        join of cyclic ones, the spins of its lines, so the join closure of
-        the spins of the lines of the span is the full list."""
-        ell, dim = self.ell, len(span)
+    def stable_subspaces(self, floor=(), span=M2_BASIS):
+        """All stable subspaces W with floor <= W <= span, for stable RREF
+        bases `floor` and `span` (the zero space and the whole module by
+        default), each in RREF.  Every such W is the join of floor and the
+        spins of floor + v for its vectors v, and for a stable floor the spin
+        of floor + g v g^-1 is the spin of floor + v: so one line per
+        G(ell)-orbit on the lines of span/floor is spun, and the join closure
+        of those spins over floor is the full list."""
+        ell = self.ell
+        if not _is_stable(floor, self.gens_bar, ell):
+            raise CertificateError("floor %r is not stable" % (floor,))
         action = self._action_matrices()
-        spins = set()
-        # lines: coefficient vectors whose first nonzero coordinate is 1; the
-        # RREF basis of the whole module is the identity
+        base, grown = Echelon(ell, floor), Echelon(ell, floor)
+        complement = [row for row in map(grown.add, span) if row is not None]
+        inverse = [0] + [pow(x, -1, ell) for x in range(1, ell)]
+
+        def line(v):
+            "The canonical vector of the line of v in span/floor: lead entry 1."
+            v = base.reduce(v)
+            lead = inverse[next(x for x in v if x)]
+            return tuple(x * lead % ell for x in v)
+
+        seen, spins = set(), set()
+        dim = len(complement)
         for pivot in range(dim):
             for rest in product(range(ell), repeat=dim - pivot - 1):
-                v = (0,) * pivot + (1,) + rest
-                spins.add(tuple(self.spin(v if dim == 4 else lincomb(v, span, ell),
-                                          action)))
-        lattice = orbit((), spins, lambda a, b: tuple(Echelon(ell, a + b).rref()))
+                v = line(lincomb((0,) * pivot + (1,) + rest, complement, ell))
+                if v not in seen:
+                    seen |= orbit(v, action, lambda w, cols: line(_apply(w, cols, ell)))
+                    spins.add(tuple(self.spin(list(floor) + [v], action)))
+        lattice = orbit(tuple(floor), spins, lambda a, b: tuple(Echelon(ell, a + b).rref()))
         out = [list(s) for s in sorted(lattice, key=lambda s: (len(s), s))]
         for s in out:
             if not _is_stable(s, self.gens_bar, ell):
@@ -170,12 +185,12 @@ class KernelModule:
         annihilator of W pulled back along u -> g u g^-1 - u; the class has
         ell^(dim U - dim N) members."""
         ell = self.ell
-        rows = nullspace_span(u_basis, ell)
-        annihilator_w = nullspace_span(w_basis, ell)
+        rows = nullspace_span(u_basis, ell, 4)
+        annihilator_w = nullspace_span(w_basis, ell, 4)
         for cols in self._action_matrices():
             rows += [tuple(sum(a[i] * cols[j][i] for i in range(4)) - a[j]
                            for j in range(4)) for a in annihilator_w]
-        return ell ** (len(u_basis) - len(Echelon(ell, nullspace_span(rows, ell))))
+        return ell ** (len(u_basis) - len(Echelon(ell, nullspace_span(rows, ell, 4))))
 
 
 # ---------------------------------------------------------------------------
@@ -240,29 +255,34 @@ def _kernel_matrix(coords, layer, m):
     return tuple((ident[i] + layer * coords[i]) % m for i in range(4))
 
 
-def _averaged_section(reps, layer, m, ell):
-    """Homomorphic section of an extension by the kernel I + layer*M2(F_ell).
+def _averaged_section(reps, layer, m, ell, at):
+    """Values at the elements `at`, which generate Q, of a homomorphic section
+    of an extension by the kernel I + layer*M2(F_ell).
 
     `reps` maps each element x (mod layer) of a group Q of order prime to
-    ell to a lift mod m = layer*ell.  The lifts are corrected by the average
-    of their cocycle (Schur-Zassenhaus), and the corrected section, a dict
-    x -> lift, is verified to be a homomorphism.
+    ell to a lift mod m = layer*ell.  The lift of each x in `at` is
+    corrected by the average of its cocycle over Q (Schur-Zassenhaus), so
+    the cost is |at| * |Q| products.  The corrected values are verified to
+    generate a group of order |Q| that maps onto Q: it meets the kernel
+    trivially, so they are the values of a homomorphic section.
     """
     inv_n = pow(len(reps), -1, ell)
-    section = {}
-    for x, tx in reps.items():
+    values = []
+    for x in at:
+        tx = reps[x]
         acc = (0, 0, 0, 0)
         for ty in reps.values():
             prod = mmul(tx, ty, m)
             c = mmul(prod, minv(reps[mreduce(prod, layer)], m, ell), m)
             acc = tuple(a + b for a, b in zip(acc, _kernel_coords(c, layer, ell)))
         eta = tuple((-inv_n * a) % ell for a in acc)
-        section[x] = mmul(_kernel_matrix(eta, layer, m), tx, m)
-    for x in reps:
-        for y in reps:
-            if mmul(section[x], section[y], m) != section[mmul(x, y, layer)]:
-                raise CertificateError("averaged section is not a homomorphism")
-    return section
+        values.append(mmul(_kernel_matrix(eta, layer, m), tx, m))
+    high = PrimePowerModulus.from_int(m)
+    image = MatrixGroup(high, values)
+    if (image.order() != len(reps)
+            or image.reduce_to(high.exponent - 1).order() != len(reps)):
+        raise CertificateError("averaged section is not a homomorphism")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +307,9 @@ def proper_detsurjective_subgroups(group, index_bound, fix_mod_ell_reduction=Tru
         # mod-ell reduction of a subgroup equals the subgroup itself, so only
         # the parent survives the constraint
         return []
-    if not fix_mod_ell_reduction or parent_order <= BRUTE_LIMIT:
+    # the structured path takes every parent it applies to, whatever its order
+    if not fix_mod_ell_reduction or (parent_order <= BRUTE_LIMIT and not (
+            mod.exponent == 2 and group.filtration(cap).sizes()[0] % ell)):
         if parent_order > BRUTE_LIMIT:
             raise SearchBudgetError(
                 "unconstrained subgroup search needs |G| <= %d, got %d"
@@ -342,14 +364,13 @@ def _stable_subspace_classes(group, index_bound, cap=DEFAULT_CAP):
     # least of them has its digit in normal form modulo (t mod ell)*U
     least = _KernelQuotient(ell, 1, u_basis).canon
     section = _averaged_section({mreduce(t, ell): least(t) for t in filt.transversal()},
-                                ell, m, ell)
+                                ell, m, ell, gens_bar)
 
     out = []
-    for W in module.stable_subspaces(u_basis):
+    for W in module.stable_subspaces(span=u_basis):
         if len(W) == len(u_basis) or ell ** (len(u_basis) - len(W)) > index_bound:
             continue  # the parent itself, or an index over the bound
-        rep_gens = [section[mreduce(g, ell)] for g in group.gens]
-        rep_gens += [_kernel_matrix(w, ell, m) for w in W]
+        rep_gens = section + [_kernel_matrix(w, ell, m) for w in W]
         rep = MatrixGroup(mod, rep_gens)
         expected = bar_order * ell ** len(W)
         if rep.order(cap) != expected or not all(g in group for g in rep.gens):
@@ -419,6 +440,96 @@ def _sylow_subgroup(group, cap=DEFAULT_CAP):
         if any(n) and not any(mmul(n, n, ell)):
             return gens + [t]
     return gens
+
+
+def _sylow_relator_digits(group, cap=DEFAULT_CAP):
+    """The relators of the ell-Sylow sequence g_1, ..., g_k of _sylow_subgroup,
+    evaluated at lifts mod ell^(n+1): a list whose entry 0 holds the layer-n
+    digit of every relator at the lifts g_i (entries in [0, ell^n)), and
+    whose entry 1 + 4i + j holds them at the lifts with g_i replaced by
+    g_i * (I + ell^n E_j).
+
+    Each prefix of the sequence is normal in the next with index ell: the
+    deeper layer rows generate G cap K_(e+1), normal in G, commutators of
+    layer-e rows lie there, and the unipotent lift normalizes G cap K_1.  So
+    g_i^ell and g_i g_j g_i^-1 (j < i) lie in G cap K_1, and the layer steps
+    of Filtration.reduce write each as a word in g_1, ..., g_(i-1): these
+    are the relators of a polycyclic presentation (Holt, Eick and O'Brien,
+    8.1).  A relator's value at lifts g_i * (I + ell^n v_i) lies in
+    I + ell^n M2, and its digit is affine in the v_i over F_ell, since that
+    kernel is abelian and G acts on it through G(ell).
+    """
+    filt = group.filtration(cap)
+    ell, layer = group.mod.ell, group.mod.modulus
+    m = layer * ell
+    gens = _sylow_subgroup(group, cap)
+    index = {g: i for i, g in enumerate(gens)}
+
+    def sift(x):
+        "Letters (i, f) of a word w in the layer rows with w * x = I."
+        letters, q = [], 1
+        for echelon, powers in filt.layers:
+            q *= ell
+            for row, f in echelon.decompose(tuple(a // q % ell for a in x))[1]:
+                # the row's generator is g = powers[row][1], and powers[row][f] = g^f
+                x = mmul(powers[row][f], x, layer)
+                letters.append((index[powers[row][1]], f))
+        if x != IDENTITY:
+            raise CertificateError("relator %r does not sift through the layer rows" % (x,))
+        return letters[::-1]
+
+    words = []
+    for i, g in enumerate(gens):
+        gi = minv(g, layer, ell)
+        words.append(sift(mpow(g, ell, layer)) + [(i, ell)])
+        words += [sift(mmul(mmul(g, h, layer), gi, layer)) + [(i, 1), (j, 1), (i, -1)]
+                  for j, h in enumerate(gens[:i])]
+
+    def digits(lifts):
+        out = []
+        for word in words:
+            x = IDENTITY
+            for i, f in word:
+                x = mmul(x, minv(lifts[i], m, ell) if f < 0 else mpow(lifts[i], f, m), m)
+            out.append(_kernel_coords(x, layer, ell))
+        return out
+
+    return [digits(gens)] + [
+        digits(gens[:i] + [mmul(g, _kernel_matrix(b, layer, m), m)] + gens[i + 1:])
+        for i, g in enumerate(gens) for b in M2_BASIS]
+
+
+def _split_system(digits, U, ell):
+    """(columns, constant) of the linear system over F_ell whose solutions a
+    are the lifts g_i * (I + ell^n sum_j a_(4i+j) E_j) of the Sylow sequence
+    that satisfy every relator modulo N_U: the relator digits reduced
+    modulo U are constant + sum of a_u * columns[u]."""
+    span_u = Echelon(ell, U)
+    project = lambda values: [x for v in values for x in span_u.reduce(v)]
+    constant = project(digits[0])
+    return [[(a - b) % ell for a, b in zip(project(d), constant)]
+            for d in digits[1:]], constant
+
+
+def _sylow_splits(digits, U, ell):
+    """Whether the ell-Sylow subgroup splits over V = (I + ell^n M2)/N_U,
+    i.e. whether the system of _split_system is consistent.  If it is not,
+    some y with y.columns = 0 has y.constant != 0; y then pairs with the
+    reduced relator digits to one nonzero value at the base lifts and after
+    each change of one lift coordinate, so at every choice of lifts (the
+    digits are affine in them), and no choice satisfies every relator.
+    That certificate is checked on the digits themselves."""
+    columns, constant = _split_system(digits, U, ell)
+    span_u = Echelon(ell, U)
+    for y in nullspace_span(columns, ell, len(constant)):
+        if sum(a * c for a, c in zip(y, constant)) % ell:
+            pairs = {sum(a * x for a, x in zip(y, (x for v in d for x in span_u.reduce(v))))
+                     % ell for d in digits}
+            if len(pairs) != 1 or pairs == {0}:
+                raise CertificateError("no-complement certificate over U = %r does "
+                                       "not hold on the relators" % (U,))
+            return False
+    return True
 
 
 def _complement_over_group(quot, gens, m, v_basis, ell, cap, budget):
@@ -555,13 +666,15 @@ def _rigidity_subspaces(group, cap=DEFAULT_CAP):
     if ell == 2 and n == 2:
         top = [lincomb(c, top, 2) for c in product(range(2), repeat=len(top))]
         top = [lincomb((1, 1), (a, mmul(a, a, 2)), 2) for a in top]
+    # the set of constraint vectors is stable (L_(n-1) is), so its span is
+    # the floor of the stable subspaces that contain it
+    floor = Echelon(ell, top).rref()
     out = []
-    for U in sorted(KernelModule(ell, gens_bar).stable_subspaces(), key=len, reverse=True):
-        span_u = Echelon(ell, U)
-        if len(U) == 4 or not all(v in span_u for v in top):
-            continue
-        v_basis = Echelon(ell, [span_u.reduce(v) for v in M2_BASIS]).rows
-        out.append((U, v_basis))
+    for U in sorted(KernelModule(ell, gens_bar).stable_subspaces(floor), key=len,
+                    reverse=True):
+        if len(U) < 4:
+            span_u = Echelon(ell, U)
+            out.append((U, Echelon(ell, [span_u.reduce(v) for v in M2_BASIS]).rows))
     return out
 
 
@@ -579,9 +692,10 @@ def preimage_rigidity(group, cap=DEFAULT_CAP, budget=10 ** 6):
     mod_high = PrimePowerModulus(ell, n + 1)
     order = group.order(cap)
     coprime = order % ell != 0
-    # the complement lifts of the coprime case, the Sylow generators and the
-    # small generating set are each built once, when a subspace first needs them
-    cand_gens = sylow = small_gens = None
+    # the complement lifts of the coprime case, the Sylow relator digits and
+    # the small generating set are each built once, when a subspace first
+    # needs them
+    cand_gens = digits = small_gens = None
     undecided = []
     subspaces = _rigidity_subspaces(group, cap)
     for checked, (U, v_basis) in enumerate(subspaces, 1):
@@ -589,10 +703,9 @@ def preimage_rigidity(group, cap=DEFAULT_CAP, budget=10 ** 6):
             if cand_gens is None:
                 # G meets K_1 trivially, so the transversal is G, which lifts
                 # to itself mod ell^(n+1); averaging makes it a complement
-                full_section = _averaged_section(
+                cand_gens = _averaged_section(
                     {t: t for t in group.filtration(cap).transversal()}, mod.modulus,
-                    mod_high.modulus, ell)
-                cand_gens = [full_section[g] for g in group.small_generating_set(cap)]
+                    mod_high.modulus, ell, group.small_generating_set(cap))
             candidate = _build_candidate(group, U, cand_gens, mod_high)
             if candidate.det_image()[1]:
                 if (candidate.order(cap) != order * ell ** len(U)
@@ -602,16 +715,14 @@ def preimage_rigidity(group, cap=DEFAULT_CAP, budget=10 ** 6):
                 return RigidityResult(False, candidate, checked)
             continue
 
-        quot = _KernelQuotient(ell, n, U)
-        if sylow is None:
-            sylow = _sylow_subgroup(group, cap)
-        if _complement_over_group(quot, sylow, mod.modulus, v_basis, ell, cap,
-                                  budget) is None:
+        if digits is None:
+            digits = _sylow_relator_digits(group, cap)
+        if not _sylow_splits(digits, U, ell):
             continue  # Gaschutz: no complement anywhere
         if small_gens is None:
             small_gens = group.small_generating_set(cap)
-        lifts = _complement_over_group(quot, small_gens, mod.modulus, v_basis, ell, cap,
-                                       budget)
+        lifts = _complement_over_group(_KernelQuotient(ell, n, U), small_gens, mod.modulus,
+                                       v_basis, ell, cap, budget)
         if lifts is None:
             raise SearchBudgetError("split extension but no complement found "
                                     "within budget")

@@ -278,16 +278,17 @@ class ResidueMatrix:
 
 
 # ---------------------------------------------------------------------------
-# linear algebra on 4-coordinate vectors
+# linear algebra on coordinate vectors
 
 def lincomb(coeffs, vectors, m):
     "Sum of c * v over the pairs of coeffs and vectors, mod m."
     return tuple(sum(c * v[i] for c, v in zip(coeffs, vectors)) % m for i in range(4))
 
 
-def nullspace_span(rows, m):
-    """Spanning vectors of {x in (Z/m)^4 : r.x = 0 mod m for every row r},
-    for m a prime power.
+def nullspace_span(rows, m, width=None):
+    """Spanning vectors of {x in (Z/m)^w : r.x = 0 mod m for every row r},
+    for m a prime power; w is the length of the rows, or `width` when there
+    are none.
 
     Smith form over the chain ring Z/m: each pivot is a remaining entry of
     least valuation (smallest gcd with m), which divides every other
@@ -296,12 +297,13 @@ def nullspace_span(rows, m):
     k-th column); with x = T y the diagonal system d_k y_k = 0 is solved
     coordinatewise.
     """
+    width = len(rows[0]) if rows else width
     A = [[x % m for x in r] for r in rows]
-    T = [[int(i == j) for j in range(4)] for i in range(4)]
+    T = [[int(i == j) for j in range(width)] for i in range(width)]
     diag = []
-    for k in range(4):
+    for k in range(width):
         best = min(((gcd(A[i][j], m), i, j) for i in range(k, len(A))
-                    for j in range(k, 4) if A[i][j]), default=None)
+                    for j in range(k, width) if A[i][j]), default=None)
         if best is None:
             break
         g, i, j = best
@@ -315,12 +317,12 @@ def nullspace_span(rows, m):
             r[:] = [(x - f * y) % m for x, y in zip(r, A[k])]
         # column operations clear row k, which is not read again; the rows
         # below are already 0 in column k, so only the transform changes
-        for c in range(k + 1, 4):
+        for c in range(k + 1, width):
             f = A[k][c] // g * inv % m
             T[c] = [(x - f * y) % m for x, y in zip(T[c], T[k])]
         diag.append(g)
     span = []
-    for k in range(4):
+    for k in range(width):
         scale = m // diag[k] if k < len(diag) else 1
         vec = tuple(x * scale % m for x in T[k])
         if any(vec):
@@ -329,7 +331,7 @@ def nullspace_span(rows, m):
 
 
 class Echelon:
-    """Echelon basis of the F_ell-span of 4-coordinate vectors.
+    """Echelon basis of the F_ell-span of coordinate vectors of one length.
 
     `rows` are sorted by pivot (the first nonzero coordinate) and are not
     back-substituted: they are the pivot-sorted echelon form of the vectors
@@ -340,7 +342,7 @@ class Echelon:
         self.ell = ell
         self._pivots = []   # (pivot, inverse of the pivot entry, row)
         for v in vectors:
-            if len(self._pivots) == 4:
+            if len(self._pivots) == len(v):
                 break
             self.add(v)
 
@@ -365,7 +367,7 @@ class Echelon:
         for p, inv, b in self._pivots:
             if v[p] % ell:
                 f = v[p] * inv % ell
-                v = [(v[i] - f * b[i]) % ell for i in range(4)]
+                v = [(x - f * y) % ell for x, y in zip(v, b)]
                 steps.append((b, f))
         return tuple(v), steps
 
@@ -375,9 +377,9 @@ class Echelon:
     def add(self, v):
         "Adds v when it is independent mod ell; returns the added row or None."
         v = self.reduce([x % self.ell for x in v])
-        for p in range(4):
-            if v[p]:
-                self._pivots.append((p, pow(v[p], -1, self.ell), v))
+        for p, x in enumerate(v):
+            if x:
+                self._pivots.append((p, pow(x, -1, self.ell), v))
                 self._pivots.sort()
                 return v
         return None

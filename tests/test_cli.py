@@ -251,10 +251,10 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "data", "lattice_check.txt")
 def test_lattice_check_golden(capsys):
     # every line of the certificate, gens= and witness= included, for a set
     # covering the structured classes, the ell = 2 power constraint, the
-    # Sylow complement search, a failed certificate and the normalizers
+    # Sylow split test, a failed certificate and the normalizers
     with open(GOLDEN, encoding="ascii") as fh:
         blocks = fh.read().split("$ ")[1:]
-    assert len(blocks) == 8
+    assert len(blocks) == 9
     for block in blocks:
         argv, *lines, code = block.rstrip("\n").split("\n")
         assert main(argv.split()) == int(code.split()[1]), argv
@@ -295,8 +295,8 @@ def test_old_and_new_witnesses_conjugate_into_split_normalizer():
 
 
 def test_lattice_check_enumerates_no_parent(monkeypatch, capsys):
-    # the certificate of 49.196.9.1 (order 24,696) lists no group; the only
-    # closures are those of the complement search in a quotient of order 343
+    # the certificate of 49.196.9.1 (order 24,696) lists no group and, since
+    # the Sylow split test is a linear system, builds no closure at all
     closures = []
     mulclose, extend = gl2.mulclose, gl2.extend
 
@@ -324,7 +324,18 @@ def test_lattice_check_enumerates_no_parent(monkeypatch, capsys):
     assert main(["lattice-check", "--label", "49.196.9.1"]) == 0
     assert "RESULT\tcertified" in capsys.readouterr().out
     assert enumerated == []
-    assert max(closures) == 343
+    assert closures == []
+
+
+def test_lattice_check_makes_no_complement_search(monkeypatch, capsys):
+    # 49.196.9.1 is rigid: the linear system refutes a Sylow complement over
+    # its one subspace, so the lift DFS, kept for split witnesses, never runs
+    calls = []
+    monkeypatch.setattr(lattice, "_complement_over_group",
+                        lambda *args: calls.append(args))
+    assert main(["lattice-check", "--label", "49.196.9.1"]) == 0
+    assert "rigid=true\tchecked=1" in capsys.readouterr().out
+    assert calls == []
 
 
 def test_lattice_check_under_small_cap(capsys):

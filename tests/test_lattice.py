@@ -1,23 +1,26 @@
+import functools
 import random
 import subprocess
 import sys
 from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ellimage.errors import EnumerationCapError, SearchBudgetError
 from ellimage.gl2 import (CartanSpec, DEFAULT_CAP, MatrixGroup, build_cartan,
                           extend, full_gl2, is_conjugate, mulclose, orbit)
 from ellimage.labelio import read_generators_text
 from ellimage import lattice
-from ellimage.lattice import (KernelModule, SubgroupClass, all_subgroups,
+from ellimage.lattice import (KernelModule, M2_BASIS, SubgroupClass, all_subgroups,
                               preimage_rigidity, proper_detsurjective_subgroups,
                               split_cartan_membership, verify_counterexample,
                               _KernelQuotient, _averaged_section, _complement_over_group,
                               _conjugacy_classes_of_subgroups, _det_surjective_set,
-                              _ell_hom_trivial, _is_stable, _kernel_coords,
-                              _kernel_matrix, _rigidity_subspaces,
-                              _stable_subspace_classes, _sylow_subgroup)
+                              _ell_hom_trivial, _is_stable,
+                              _kernel_coords, _kernel_matrix, _rigidity_subspaces,
+                              _stable_subspace_classes, _sylow_relator_digits,
+                              _sylow_splits, _sylow_subgroup)
 from ellimage.modarith import (Echelon, PrimePowerModulus, lincomb, minv, mmul, mpow,
                                mreduce)
 
@@ -153,7 +156,9 @@ def test_class_size_against_orbit(name, record_map):
             (_, size), = _conjugacy_classes_of_subgroups([rep_set], g)
             assert cls.class_size == size, cls
         if g.order() <= 144:
-            brute = proper_detsurjective_subgroups(g, ell ** 4)
+            # the unconstrained brute-force classes that keep G(ell)
+            brute = [k for k in proper_detsurjective_subgroups(g, ell ** 4, False)
+                     if k.representative.reduce_to(1) == g.reduce_to(1)]
             assert (sorted((k.index_in_parent, k.class_size) for k in brute)
                     == sorted((k.index_in_parent, k.class_size) for k in classes))
 
@@ -177,10 +182,10 @@ assert False, "run this under python -O"
 averaged = lattice._averaged_section
 
 
-def moved_section(reps, layer, m, ell):
+def moved_section(reps, layer, m, ell, at):
     # conjugating the complement by I + ell*E11 moves it out of the parent
     c, ci = (1 + ell, 0, 0, 1), (1 - ell, 0, 0, 1)
-    return {x: mmul(mmul(c, t, m), ci, m) for x, t in averaged(reps, layer, m, ell).items()}
+    return [mmul(mmul(c, t, m), ci, m) for t in averaged(reps, layer, m, ell, at)]
 
 
 lattice._averaged_section = moved_section
@@ -444,6 +449,26 @@ def _subspaces_of(basis, ell):
     return subspaces
 
 
+def _averaged_section_by_pairs(reps, layer, m, ell):
+    """The averaged section at every element of Q, checked on all |Q|^2
+    products: _averaged_section as it was before it was evaluated at the
+    generators only."""
+    inv_n = pow(len(reps), -1, ell)
+    section = {}
+    for x, tx in reps.items():
+        acc = (0, 0, 0, 0)
+        for ty in reps.values():
+            prod = mmul(tx, ty, m)
+            c = mmul(prod, minv(reps[mreduce(prod, layer)], m, ell), m)
+            acc = tuple(a + b for a, b in zip(acc, _kernel_coords(c, layer, ell)))
+        eta = tuple((-inv_n * a) % ell for a in acc)
+        section[x] = mmul(_kernel_matrix(eta, layer, m), tx, m)
+    for x in reps:
+        for y in reps:
+            assert mmul(section[x], section[y], m) == section[mmul(x, y, layer)]
+    return section
+
+
 def _stable_subspace_classes_by_elements(group, index_bound):
     """The structured path as it read the element list: U from the sorted
     kernel elements, the least element over each element of G(ell), and
@@ -461,7 +486,7 @@ def _stable_subspace_classes_by_elements(group, index_bound):
     reps = {}
     for x in els:
         reps.setdefault(mreduce(x, ell), x)
-    section = _averaged_section(reps, ell, m, ell)
+    section = _averaged_section_by_pairs(reps, ell, m, ell)
     out = []
     for W in _subspaces_of(u_basis, ell):
         if len(W) == len(u_basis) or ell ** (len(u_basis) - len(W)) > index_bound:
@@ -500,7 +525,7 @@ def test_structured_path_against_element_scan(record_map, special_records):
         assert all(W == Echelon(ell, W).rref() for W in subspaces), name
         module = KernelModule(ell, tuple(mreduce(g, ell) for g in group.gens))
         assert (sorted(W for W in subspaces if _is_stable(W, module.gens_bar, ell))
-                == sorted(module.stable_subspaces(u_basis))), name
+                == sorted(module.stable_subspaces(span=u_basis))), name
         new = _stable_subspace_classes(group, ell ** 4)
         assert ([(c.index_in_parent, c.class_size, c.det_surjective, c.representative.gens)
                  for c in new]
@@ -510,25 +535,61 @@ def test_structured_path_against_element_scan(record_map, special_records):
     assert set(STRUCTURED) | {"49.9604.694.1"} <= compared
 
 
+@functools.lru_cache(maxsize=None)
+def _stable_subspaces_all_lines(module, span=M2_BASIS):
+    """KernelModule.stable_subspaces as it was before it spun one line per
+    orbit: the join closure of the spins of every line of the span (a
+    tuple).  Cached, since two tests read it on the same modules."""
+    ell, dim = module.ell, len(span)
+    spins = set()
+    for pivot in range(dim):
+        for rest in product(range(ell), repeat=dim - pivot - 1):
+            v = (0,) * pivot + (1,) + rest
+            spins.add(tuple(module.spin([lincomb(v, span, ell)])))
+    lattice = orbit((), spins, lambda a, b: tuple(Echelon(ell, a + b).rref()))
+    return [list(s) for s in sorted(lattice, key=lambda s: (len(s), s))]
+
+
+def test_stable_subspaces_against_all_lines(record_map, special_records):
+    """The orbit-representative lists equal the all-lines lists, in M2 and in
+    the kernel part U (test_power_constraint_against_element_scan compares
+    them over the power-constraint floor)."""
+    compared = set()
+    for name, group in _oracle_groups(record_map, special_records, lambda g: g.ell <= 7):
+        ell = group.ell
+        module = KernelModule(ell, tuple(mreduce(g, ell) for g in group.gens))
+        assert module.stable_subspaces() == _stable_subspaces_all_lines(module), name
+        if group.mod.exponent >= 2:
+            u_basis = group.filtration().layers[0][0].rref()
+            assert (module.stable_subspaces(span=u_basis)
+                    == _stable_subspaces_all_lines(module, tuple(u_basis))), name
+        compared.add(name)
+    assert {"49.196.9.1", "7.8.0.1", "2.2.0.1", "25.30.0.1"} <= compared
+
+
 def test_stable_subspaces_spin_only_lines_of_the_span(image49, monkeypatch):
     spun = []
     spin = KernelModule.spin
 
-    def counting_spin(self, vector, action=None):
-        spun.append(vector)
-        return spin(self, vector, action)
+    def counting_spin(self, vectors, action=None):
+        spun.append(vectors)
+        return spin(self, vectors, action)
 
     monkeypatch.setattr(KernelModule, "spin", counting_spin)
     module = KernelModule(7, tuple(mreduce(g, 7) for g in image49.gens))
     u_basis = image49.filtration().layers[0][0].rref()
-    inside = module.stable_subspaces(u_basis)
-    assert len(u_basis) == 3 and len(spun) == (7 ** 3 - 1) // 6
+    inside = module.stable_subspaces(span=u_basis)
+    # G(7) has 11 orbits on the 57 lines of U and 46 on the 400 of M2(F_7)
+    assert len(u_basis) == 3 and len(spun) == 11
     span = Echelon(7, u_basis)
-    assert all(v in span for v in spun)
+    assert all(v in span for vectors in spun for v in vectors)
     spun.clear()
     everything = module.stable_subspaces()
-    assert len(spun) == (7 ** 4 - 1) // 6
+    assert len(spun) == 46
     assert inside == [W for W in everything if all(w in span for w in W)]
+    # the power constraint spans the 3-dimensional floor, so M2/floor has one line
+    spun.clear()
+    assert len(_rigidity_subspaces(image49)) == 1 and len(spun) == 1
 
 
 def _sylow_by_climb(group):
@@ -598,7 +659,7 @@ def _rigidity_subspaces_by_elements(group):
     ident = group.identity_tuple()
     pi_vecs = []
     layer_low = ell ** (n - 1)
-    for x in group.elements():
+    for x in group.elements() if n >= 2 else ():
         if x != ident and mreduce(x, layer_low) == (1 % layer_low, 0, 0, 1 % layer_low):
             a = tuple((((x[i] - ident[i]) % mod.modulus) // layer_low) % ell
                       for i in range(4))
@@ -608,7 +669,8 @@ def _rigidity_subspaces_by_elements(group):
             pi_vecs.append(a)
     pi_basis = Echelon(ell, pi_vecs).rows
     out = []
-    for U in sorted(KernelModule(ell, gens_bar).stable_subspaces(), key=len, reverse=True):
+    for U in sorted(_stable_subspaces_all_lines(KernelModule(ell, gens_bar)), key=len,
+                    reverse=True):
         span_u = Echelon(ell, U)
         if len(U) == 4 or not all(v in span_u for v in pi_basis):
             continue
@@ -621,10 +683,209 @@ def _rigidity_subspaces_by_elements(group):
 
 def test_power_constraint_against_element_scan(record_map, special_records):
     # at exponent 1 there is no constraint, and both lists are every proper
-    # stable subspace
+    # stable subspace; the all-lines oracle is kept to ell <= 7 there
     compared = set()
     for name, group in _oracle_groups(record_map, special_records,
-                                      lambda g: g.mod.exponent >= 2):
+                                      lambda g: g.mod.exponent >= 2 or g.ell <= 7):
         assert _rigidity_subspaces(group) == _rigidity_subspaces_by_elements(group), name
         compared.add(name)
-    assert {"4.12.0.1", "8.12.0.1", "16.24.0.1", "49.196.9.1"} <= compared
+    assert {"4.12.0.1", "8.12.0.1", "16.24.0.1", "49.196.9.1", "2.2.0.1",
+            "7.8.0.1"} <= compared
+
+
+# ---------------------------------------------------------------------------
+# The Sylow split test as one linear system, against the lift DFS it replaced
+
+def _split_verdicts(group):
+    """(linear verdict, DFS verdict) on the Sylow sequence for each subspace
+    preimage_rigidity examines, where the DFS tries at most 20,000/ell lifts
+    per generator (each lift costs about ell products)."""
+    ell, n, m = group.mod.ell, group.mod.exponent, group.mod.modulus
+    sylow = _sylow_subgroup(group)
+    digits = _sylow_relator_digits(group)
+    return [(_sylow_splits(digits, U, ell),
+             _complement_over_group(_KernelQuotient(ell, n, U), sylow, m, v_basis, ell,
+                                    DEFAULT_CAP, 10 ** 6) is not None)
+            for U, v_basis in _rigidity_subspaces(group)
+            if ell ** (len(v_basis) + 1) <= 20000]
+
+
+def test_linear_split_test_against_sylow_dfs(record_map, special_records):
+    verdicts, compared = set(), set()
+    for name, group in _oracle_groups(record_map, special_records,
+                                      lambda g: g.order() % g.ell == 0):
+        for linear, dfs in _split_verdicts(group):
+            assert linear == dfs, name
+            verdicts.add(linear)
+        compared.add(name)
+    assert verdicts == {True, False}
+    assert {"4.12.0.1", "8.12.0.1", "16.24.0.1", "9.12.0.1", "25.30.0.1", "49.196.9.1",
+            "7.8.0.1", "37.114.4.1"} <= compared
+
+
+def _kernel_element(ell, e, a):
+    "I + ell^e * a mod ell^(e+1); a != 0 mod ell."
+    return tuple((i + ell ** e * x) for i, x in zip((1, 0, 0, 1), a))
+
+
+@st.composite
+def _groups_with_kernel_elements(draw):
+    """A group mod 4, 8, 9, 27, 25 or 49 generated by an upper triangular
+    matrix (with a unipotent part mod ell when its corner is a unit), maybe
+    the swap [0 1; 1 0], and one or two congruence-kernel elements."""
+    ell, n = draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (7, 2)]))
+    m = ell ** n
+    unit = st.integers(1, m - 1).filter(lambda x: x % ell)
+    gens = [(draw(unit), draw(st.integers(0, m - 1)), 0, draw(unit))]
+    if draw(st.booleans()):
+        gens.append((0, 1, 1, 0))
+    for _ in range(draw(st.integers(1, 2))):
+        e = draw(st.integers(1, n - 1))
+        a = draw(st.tuples(*[st.integers(0, ell - 1)] * 4).filter(any))
+        gens.append(_kernel_element(ell, e, a))
+    return MatrixGroup(PrimePowerModulus(ell, n), gens)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_groups_with_kernel_elements())
+def test_linear_split_test_on_drawn_groups(group):
+    sylow = _sylow_subgroup(group)
+    assume(group.ell ** len(sylow) <= 7 ** 4)  # the DFS closes each lift choice
+    for linear, dfs in _split_verdicts(group):
+        assert linear == dfs
+
+
+OPTIMIZED_SPLIT_CHECK = """
+import sys
+from ellimage import lattice
+from ellimage.cli import _bundled_records
+from ellimage.errors import CertificateError
+from ellimage.modarith import nullspace_span
+assert False, "run this under python -O"
+system = lattice._split_system
+
+
+def tampered(digits, U, ell):
+    # moving the constant off the span of the columns along a coordinate
+    # some y with y.columns = 0 reads makes the system inconsistent
+    columns, constant = system(digits, U, ell)
+    y = nullspace_span(columns, ell, len(constant))[0]
+    i = next(i for i, a in enumerate(y) if a)
+    return columns, constant[:i] + [(constant[i] + 1) % ell] + constant[i + 1:]
+
+
+lattice._split_system = tampered
+group = {r.rszb_label: r for r in _bundled_records()}["4.12.0.1"].group()
+try:
+    lattice.preimage_rigidity(group)
+except CertificateError as exc:
+    sys.exit(str(exc))
+"""
+
+
+def test_split_certificate_check_survives_optimize():
+    # 4.12.0.1 splits over its first subspace; a wrong constant makes the
+    # system claim otherwise, and the certificate fails on the relators
+    r = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SPLIT_CHECK],
+                       capture_output=True, text=True)
+    assert r.returncode == 1
+    assert r.stderr.startswith("no-complement certificate over U = ")
+    assert r.stderr.endswith("does not hold on the relators\n")
+
+
+OPTIMIZED_SECTION_CHECK = """
+import sys
+from ellimage import lattice
+from ellimage.cli import _bundled_records
+from ellimage.errors import CertificateError
+assert False, "run this under python -O"
+# without the averaging correction the least lifts are not a homomorphism
+lattice._kernel_matrix = lambda coords, layer, m: (1, 0, 0, 1)
+group = {r.rszb_label: r for r in _bundled_records()}["49.196.9.1"].group()
+try:
+    lattice.proper_detsurjective_subgroups(group, 49)
+except CertificateError as exc:
+    sys.exit(str(exc))
+"""
+
+
+def test_section_order_check_survives_optimize():
+    r = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SECTION_CHECK],
+                       capture_output=True, text=True)
+    assert r.returncode == 1
+    assert r.stderr == "averaged section is not a homomorphism\n"
+
+
+def test_section_at_generators_against_all_pairs(record_map, special_records):
+    """The section at the generators equals the O(|Q|^2) section there: on
+    the structured path (Q = G(ell), least lifts) and on the coprime path of
+    preimage_rigidity (Q = G, lifted to itself one level up)."""
+    compared = set()
+    for name, group in _oracle_groups(record_map, special_records, _structured_applies):
+        ell, m = group.ell, group.mod.modulus
+        least = _KernelQuotient(ell, 1, group.filtration().layers[0][0].rref()).canon
+        reps = {mreduce(t, ell): least(t) for t in group.filtration().transversal()}
+        at = [mreduce(g, ell) for g in group.gens]
+        old = _averaged_section_by_pairs(reps, ell, m, ell)
+        assert _averaged_section(reps, ell, m, ell, at) == [old[x] for x in at], name
+        compared.add(name)
+    for name, group in _oracle_groups(record_map, special_records,
+                                      lambda g: g.order() % g.ell and g.order() <= 200):
+        m = group.mod.modulus
+        reps = {t: t for t in group.filtration().transversal()}
+        at = group.small_generating_set()
+        old = _averaged_section_by_pairs(reps, m, m * group.ell, group.ell)
+        assert (_averaged_section(reps, m, m * group.ell, group.ell, at)
+                == [old[x] for x in at]), name
+        compared.add(name)
+    assert {"49.196.9.1", "9.54.1.1", "7.21.0.1", "5.10.0.1", "2.2.0.1"} <= compared
+
+
+# ---------------------------------------------------------------------------
+# Parents that left the brute-force lattice for the structured path
+
+# (index, class size, generators) of each class the brute-force lattice
+# printed for these parents of order <= BRUTE_LIMIT
+BRUTE_FORCE_REPRESENTATIVES = {
+    "9.54.1.1": [(3, 3, "0,2,7,0;0,2,2,0")],
+    "9.27.0.1": [(3, 3, "1,4,2,1;1,4,7,8")],
+    "split(9)": [(3, 1, "1,0,0,2;8,0,0,2"), (3, 1, "2,0,0,1;2,0,0,8"),
+                 (3, 1, "2,0,0,2;2,0,0,7")],
+    "split(25)": [(5, 1, "1,0,0,2;7,0,0,2"), (5, 1, "2,0,0,1;2,0,0,7"),
+                  (5, 1, "2,0,0,2;2,0,0,11"), (5, 1, "2,0,0,3;2,0,0,4"),
+                  (5, 1, "2,0,0,6;2,0,0,8")],
+    "split-normalizer(9)": [(3, 3, "0,2,7,0;0,2,2,0")],
+    "split-normalizer(25)": [(5, 5, "0,2,11,0;0,2,14,0;0,2,2,0")],
+    "nonsplit(9)": [(3, 1, "1,1,5,1"), (3, 1, "1,4,2,1"), (3, 1, "1,8,4,1")],
+    "nonsplit(25)": [(5, 1, "1,1,13,1"), (5, 1, "1,9,17,1"), (5, 1, "2,3,14,2"),
+                     (5, 1, "2,8,4,2"), (5, 1, "2,18,9,2")],
+    "nonsplit-normalizer(9)": [(3, 3, "1,4,2,1;1,4,7,8")],
+    "section4-semidirect(9)": [(9, 9, "1,1,8,1;1,1,1,8")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRUTE_FORCE_REPRESENTATIVES))
+def test_structured_classes_match_brute_force_representatives(name, record_map):
+    """Same (index, class size) list as the brute-force lattice printed, and
+    each new representative is conjugate in the parent, hence in GL2, to
+    exactly one old one of its index and class size."""
+    group = _structured_group(name, record_map)
+    m, ell = group.mod.modulus, group.ell
+    new = proper_detsurjective_subgroups(group, 49)
+    old = [(index, size, MatrixGroup(group.mod, [tuple(map(int, g.split(",")))
+                                                 for g in gens.split(";")]))
+           for index, size, gens in BRUTE_FORCE_REPRESENTATIVES[name]]
+    assert ([(c.index_in_parent, c.class_size, c.det_surjective) for c in new]
+            == [(index, size, True) for index, size, _ in old])
+    inv = {g: minv(g, m, ell) for g in group.gens}
+    conj = lambda T, g: frozenset(mmul(mmul(g, x, m), inv[g], m) for x in T)
+    matched = []
+    for cls in new:
+        points = orbit(frozenset(cls.representative.elements()), group.gens, conj)
+        hits = [i for i, (index, size, rep) in enumerate(old)
+                if (index, size) == (cls.index_in_parent, cls.class_size)
+                and frozenset(rep.elements()) in points]
+        assert len(hits) == 1, cls
+        assert is_conjugate(cls.representative, old[hits[0]][2])[0]
+        matched += hits
+    assert sorted(matched) == list(range(len(old)))

@@ -1,4 +1,6 @@
+import math
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -152,9 +154,9 @@ def test_entries_canonicalized():
         ResidueMatrix(49, 0, 0, 1, M49)
 
 
-def _f_span(vectors, ell):
-    "Brute-force F_ell-span of 4-vectors."
-    span = {(0, 0, 0, 0)}
+def _f_span(vectors, ell, width=4):
+    "Brute-force F_ell-span of vectors of the given width."
+    span = {(0,) * width}
     for v in vectors:
         span = {tuple((a + c * b) % ell for a, b in zip(w, v))
                 for w in span for c in range(ell)}
@@ -178,6 +180,43 @@ def test_echelon_against_brute_force_span():
             assert ech.rref() == Echelon(ell, vecs[::-1]).rref()
             for w in list(span)[:20] + [tuple(rng.randrange(ell) for _ in range(4))]:
                 assert (w in ech) == (w in span)
+
+
+def _f_solutions(rows, ell, width):
+    """Brute-force {x in F_ell^width : r.x = 0 for every row r}, meeting in
+    the middle: x = (x1, x2) solves the rows when the partial products of x1
+    and x2 cancel, so each half is enumerated once."""
+    half = width // 2
+    halves = lambda lo, hi: product(range(ell), repeat=hi - lo)
+    partial = lambda x, lo: tuple(sum(a * b for a, b in zip(r[lo:], x)) % ell for r in rows)
+    right = {}
+    for x2 in halves(half, width):
+        right.setdefault(partial(x2, half), []).append(x2)
+    return {x1 + x2 for x1 in halves(0, half)
+            for x2 in right.get(tuple(-y % ell for y in partial(x1, 0)), ())}
+
+
+def test_echelon_and_nullspace_of_any_width():
+    from ellimage.modarith import Echelon, nullspace_span
+    rng = random.Random(23)
+    for ell in (2, 3, 5, 7):
+        for width in range(1, 9):
+            for _ in range(4):
+                # few vectors, so that the brute-force span stays small
+                vecs = [tuple(rng.randrange(ell) for _ in range(width))
+                        for _ in range(rng.randrange(1, 4))]
+                ech = Echelon(ell, vecs)
+                span = _f_span(vecs, ell, width)
+                assert _f_span(ech.rows, ell, width) == span
+                assert len(ech) == round(math.log(len(span), ell))
+                probes = list(span)[:10] + [tuple(rng.randrange(ell) for _ in range(width))]
+                assert all((w in ech) == (w in span) for w in probes)
+                # enough rows that the solution space stays small as well
+                rows = [tuple(rng.randrange(ell) for _ in range(width))
+                        for _ in range(rng.randrange(max(0, width - 3), width + 2))]
+                null = nullspace_span(rows, ell, width)
+                assert all(len(v) == width for v in null)
+                assert _f_span(null, ell, width) == _f_solutions(rows, ell, width)
 
 
 def test_factorize_and_from_int():
