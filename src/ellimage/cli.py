@@ -21,33 +21,26 @@ ELLIMAGE_THREADS from the environment; command-line flags win.
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from importlib import resources
 
 from .errors import CertificateError, EllimageError, SearchBudgetError
 from .gl2 import CARTAN_KINDS, CartanSpec, DEFAULT_CAP, build_cartan, is_conjugate
-from .isolated import analyze
 from .labelio import (parse_label, read_generators_file, read_generators_text,
                       validate_record)
-from .lattice import (preimage_rigidity, proper_detsurjective_subgroups,
-                      split_cartan_membership)
 from .modarith import PrimePowerModulus
 from .modcurves import genus_XG
 
 
-@dataclass
-class RunConfig:
-    cap: int = DEFAULT_CAP
-    threads: int = 1
-    data_path: str | None = None
-    out_path: str | None = None
-    fmt: str = "text"
+class RunConfig(namedtuple("RunConfig", "cap threads data_path out_path fmt")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.cap < 10 ** 4:
+    def __new__(cls, cap=DEFAULT_CAP, threads=1, data_path=None, out_path=None, fmt="text"):
+        if cap < 10 ** 4:
             raise ValueError("enumeration cap must be >= 10^4")
-        if self.threads < 1:
+        if threads < 1:
             raise ValueError("thread count must be >= 1")
+        return super().__new__(cls, cap, threads, data_path, out_path, fmt)
 
 
 def _bundled_records():
@@ -112,6 +105,7 @@ def cmd_info(args, config):
 
 
 def cmd_filter(args, config):
+    from .isolated import analyze
     group = _resolve_group(args, config)
     report = analyze(group, args.family, cap=config.cap)
     _emit(report.to_text(comments=config.fmt == "text"), config)
@@ -121,6 +115,7 @@ def cmd_filter(args, config):
 def _batch_one(payload):
     label, modulus_ell, modulus_exp, gens, family, cap, comments = payload
     from .gl2 import MatrixGroup
+    from .isolated import analyze
     mod = PrimePowerModulus(modulus_ell, modulus_exp)
     group = MatrixGroup(mod, list(gens), label=label)
     try:
@@ -165,6 +160,8 @@ def _gens_syntax(group):
 
 
 def cmd_lattice_check(args, config):
+    from .lattice import (preimage_rigidity, proper_detsurjective_subgroups,
+                          split_cartan_membership)
     group = _resolve_group(args, config)
     if group.mod.modulus > 49:
         raise EllimageError("lattice-check supports modulus <= 49")

@@ -37,7 +37,7 @@ conjugated generators through the target before it is returned, and a
 failed check raises CertificateError.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 
 from .errors import (CertificateError, EnumerationCapError, ModulusMismatchError,
@@ -500,26 +500,27 @@ CARTAN_KINDS = ("split", "split-normalizer", "nonsplit", "nonsplit-normalizer",
                 "borel", "section4-semidirect")
 
 
-@dataclass(frozen=True)
-class CartanSpec:
-    kind: str
-    modulus: PrimePowerModulus
-    epsilon: int | None = None
+class CartanSpec(namedtuple("CartanSpec", "kind modulus epsilon")):
+    "A named construction: kind, PrimePowerModulus, epsilon (int or None)."
 
-    def __post_init__(self):
-        if self.kind not in CARTAN_KINDS:
-            raise ValueError("unknown kind %r" % (self.kind,))
-        if self.modulus.exponent < 1:
+    __slots__ = ()
+
+    def __new__(cls, kind, modulus, epsilon=None):
+        self = super().__new__(cls, kind, modulus, epsilon)
+        if kind not in CARTAN_KINDS:
+            raise ValueError("unknown kind %r" % (kind,))
+        if modulus.exponent < 1:
             raise ValueError("modulus must have exponent >= 1")
-        if self.kind == "section4-semidirect" and self.modulus.exponent != 2:
+        if kind == "section4-semidirect" and modulus.exponent != 2:
             raise ValueError("section4-semidirect requires exponent 2")
-        if self.kind.startswith("nonsplit") or self.kind == "section4-semidirect":
+        if kind.startswith("nonsplit") or kind == "section4-semidirect":
             eps = self.resolved_epsilon()
-            ell = self.modulus.ell
+            ell = modulus.ell
             if ell == 2:
                 raise ValueError("nonsplit kinds need an odd prime")
             if pow(eps, (ell - 1) // 2, ell) != ell - 1:
                 raise ValueError("epsilon %d is a quadratic residue mod %d" % (eps, ell))
+        return self
 
     def resolved_epsilon(self):
         if self.epsilon is not None:

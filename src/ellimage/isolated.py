@@ -20,7 +20,7 @@ a static citation table and are never computed.
 """
 
 import warnings
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .gl2 import DEFAULT_CAP
 from .modarith import PrimePowerModulus
@@ -33,13 +33,13 @@ ELIM_RIEMANN_ROCH = "riemann_roch"
 ELIM_GENUS_ZERO = "genus_zero_image"
 
 
-@dataclass(frozen=True)
-class CandidatePair:
-    level_exp: int                   # pair level is ell**level_exp
-    degree: int
-    ell: int
-    provenance: tuple = ()           # ((source level exponent, orbit representative), ...)
-    elimination: str | None = None
+class CandidatePair(namedtuple("CandidatePair", "level_exp degree ell provenance elimination",
+                               defaults=((), None))):
+    """A (level, degree) pair at level ell**level_exp, with its provenance
+    ((source level exponent, orbit representative), ...) and its elimination
+    reason, None while it survives."""
+
+    __slots__ = ()
 
     @property
     def level(self):
@@ -49,21 +49,14 @@ class CandidatePair:
         return (self.level_exp, self.degree)
 
 
-@dataclass(frozen=True)
-class Annotation:
-    level: int
-    degree: int
-    text: str
+Annotation = namedtuple("Annotation", "level degree text")
 
 
-@dataclass(frozen=True)
-class FilterReport:
-    label: str
-    family: str
-    ell: int
-    pairs: tuple                     # all CandidatePairs, eliminated ones included
-    det_surjective: bool
-    annotations: tuple = ()
+class FilterReport(namedtuple("FilterReport", "label family ell pairs det_surjective annotations",
+                              defaults=((),))):
+    "`pairs` holds every CandidatePair, eliminated ones included."
+
+    __slots__ = ()
 
     @property
     def final(self):
@@ -177,7 +170,7 @@ def filter_riemann_roch(pairs, family):
     out = []
     for p in pairs:
         if p.elimination is None and p.degree > _genus_at(family, p.level):
-            p = replace(p, elimination=ELIM_RIEMANN_ROCH)
+            p = p._replace(elimination=ELIM_RIEMANN_ROCH)
         out.append(p)
     return out
 
@@ -193,7 +186,7 @@ def filter_genus_zero(pairs, group, family, cap=DEFAULT_CAP):
                 image = group if a == group.mod.exponent else group.reduce_to(a)
                 genus_cache[a] = genus_XG(image, cap).genus
             if genus_cache[a] == 0:
-                p = replace(p, elimination=ELIM_GENUS_ZERO)
+                p = p._replace(elimination=ELIM_GENUS_ZERO)
         out.append(p)
     return out
 

@@ -18,7 +18,7 @@ Filter reports serialize as tab-separated lines
 and parse back with parse_report_lines (comments pass through).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DataFileError, LabelError
@@ -45,11 +45,10 @@ def parse_label(text):
     return n, i, g, tiebreak
 
 
-@dataclass(frozen=True)
-class ImageRecord:
-    rszb_label: str
-    modulus: PrimePowerModulus
-    generators: tuple          # of ResidueMatrix
+class ImageRecord(namedtuple("ImageRecord", "rszb_label modulus generators")):
+    "A labelled image: its PrimePowerModulus and a tuple of ResidueMatrix."
+
+    __slots__ = ()
 
     def group(self):
         return MatrixGroup(self.modulus, list(self.generators), label=self.rszb_label)
@@ -121,13 +120,11 @@ def serialize_records(records):
     return "\n".join(r.to_line() for r in records) + "\n"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    label: str
-    level_ok: bool
-    index_ok: bool
-    genus_ok: bool
-    computed: tuple     # (level, index, genus)
+class ValidationReport(namedtuple("ValidationReport",
+                                  "label level_ok index_ok genus_ok computed")):
+    "`computed` is (level, index, genus)."
+
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -190,13 +187,8 @@ def parse_report_lines(text):
 # ---------------------------------------------------------------------------
 # the rational isolated j-invariants (shipped tables)
 
-@dataclass(frozen=True)
-class KnownJRecord:
-    j_invariant: Fraction
-    cm: bool
-    family: str
-    ell: int | None            # None for CM rows: the statement is ell-free
-    citation: str
+# `ell` is None for CM rows: the statement is ell-free
+KnownJRecord = namedtuple("KnownJRecord", "j_invariant cm family ell citation")
 
 
 _CM_J = (

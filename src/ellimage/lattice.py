@@ -52,7 +52,7 @@ error; every subgroup, section and counterexample the searches build is
 verified, and a failed verification raises CertificateError.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 
 from .errors import CertificateError, EnumerationCapError, SearchBudgetError
@@ -65,19 +65,10 @@ BRUTE_LIMIT = 1000
 M2_BASIS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
-@dataclass(frozen=True)
-class SubgroupClass:
-    representative: MatrixGroup
-    index_in_parent: int
-    det_surjective: bool
-    class_size: int
-
-
-@dataclass(frozen=True)
-class RigidityResult:
-    rigid: bool
-    counterexample: MatrixGroup | None
-    checked_subspaces: int
+SubgroupClass = namedtuple("SubgroupClass",
+                           "representative index_in_parent det_surjective class_size")
+# counterexample is a MatrixGroup, or None when rigid
+RigidityResult = namedtuple("RigidityResult", "rigid counterexample checked_subspaces")
 
 
 # ---------------------------------------------------------------------------
@@ -104,13 +95,11 @@ def _trace_nonzero(basis, ell):
     return any((b[0] + b[3]) % ell for b in basis)
 
 
-@dataclass(frozen=True)
-class KernelModule:
+class KernelModule(namedtuple("KernelModule", "ell gens_bar")):
     """ker(GL2(ell^(n+1)) -> GL2(ell^n)) as F_ell^4 with G-conjugation,
     the action factoring through the mod-ell image."""
 
-    ell: int
-    gens_bar: tuple
+    __slots__ = ()
 
     def _action_matrices(self):
         "Conjugation by each generator as a linear map on coordinate vectors."
@@ -442,12 +431,9 @@ def _sylow_subgroup(group, cap=DEFAULT_CAP):
     return gens
 
 
-def _sylow_relator_digits(group, cap=DEFAULT_CAP):
-    """The relators of the ell-Sylow sequence g_1, ..., g_k of _sylow_subgroup,
-    evaluated at lifts mod ell^(n+1): a list whose entry 0 holds the layer-n
-    digit of every relator at the lifts g_i (entries in [0, ell^n)), and
-    whose entry 1 + 4i + j holds them at the lifts with g_i replaced by
-    g_i * (I + ell^n E_j).
+def _sylow_relators(group, cap=DEFAULT_CAP):
+    """(gens, words): the ell-Sylow sequence g_1, ..., g_k of _sylow_subgroup
+    and its relators, each a list of letters (i, f) standing for g_i^f.
 
     Each prefix of the sequence is normal in the next with index ell: the
     deeper layer rows generate G cap K_(e+1), normal in G, commutators of
@@ -455,13 +441,10 @@ def _sylow_relator_digits(group, cap=DEFAULT_CAP):
     g_i^ell and g_i g_j g_i^-1 (j < i) lie in G cap K_1, and the layer steps
     of Filtration.reduce write each as a word in g_1, ..., g_(i-1): these
     are the relators of a polycyclic presentation (Holt, Eick and O'Brien,
-    8.1).  A relator's value at lifts g_i * (I + ell^n v_i) lies in
-    I + ell^n M2, and its digit is affine in the v_i over F_ell, since that
-    kernel is abelian and G acts on it through G(ell).
+    8.1).
     """
     filt = group.filtration(cap)
     ell, layer = group.mod.ell, group.mod.modulus
-    m = layer * ell
     gens = _sylow_subgroup(group, cap)
     index = {g: i for i, g in enumerate(gens)}
 
@@ -484,19 +467,41 @@ def _sylow_relator_digits(group, cap=DEFAULT_CAP):
         words.append(sift(mpow(g, ell, layer)) + [(i, ell)])
         words += [sift(mmul(mmul(g, h, layer), gi, layer)) + [(i, 1), (j, 1), (i, -1)]
                   for j, h in enumerate(gens[:i])]
+    return gens, words
 
-    def digits(lifts):
-        out = []
-        for word in words:
-            x = IDENTITY
-            for i, f in word:
-                x = mmul(x, minv(lifts[i], m, ell) if f < 0 else mpow(lifts[i], f, m), m)
-            out.append(_kernel_coords(x, layer, ell))
-        return out
 
-    return [digits(gens)] + [
-        digits(gens[:i] + [mmul(g, _kernel_matrix(b, layer, m), m)] + gens[i + 1:])
-        for i, g in enumerate(gens) for b in M2_BASIS]
+def _relator_digit(word, lifts, layer, ell):
+    "The layer digit of a relator word at lifts mod layer * ell."
+    m, x = layer * ell, IDENTITY
+    for i, f in word:
+        x = mmul(x, minv(lifts[i], m, ell) if f < 0 else mpow(lifts[i], f, m), m)
+    return _kernel_coords(x, layer, ell)
+
+
+def _sylow_relator_digits(group, cap=DEFAULT_CAP):
+    """The relators of _sylow_relators evaluated at lifts mod ell^(n+1): a
+    list whose entry 0 holds the layer-n digit of every relator at the lifts
+    g_i (entries in [0, ell^n)), and whose entry 1 + 4i + j holds them at
+    the lifts with g_i replaced by g_i * (I + ell^n E_j).  A relator's value
+    at lifts g_i * (I + ell^n v_i) lies in I + ell^n M2, and its digit is
+    affine in the v_i over F_ell, since that kernel is abelian and G acts on
+    it through G(ell).  Changing the lift of g_i changes only the digits of
+    the relators with a letter i, so only those are evaluated again.
+    """
+    ell, layer = group.mod.ell, group.mod.modulus
+    m = layer * ell
+    gens, words = _sylow_relators(group, cap)
+    base = [_relator_digit(word, gens, layer, ell) for word in words]
+    out = [base]
+    for i, g in enumerate(gens):
+        uses = [w for w, word in enumerate(words) if any(j == i for j, _ in word)]
+        for b in M2_BASIS:
+            lifts = gens[:i] + [mmul(g, _kernel_matrix(b, layer, m), m)] + gens[i + 1:]
+            digits = list(base)
+            for w in uses:
+                digits[w] = _relator_digit(words[w], lifts, layer, ell)
+            out.append(digits)
+    return out
 
 
 def _split_system(digits, U, ell):

@@ -3,14 +3,14 @@
 Matrices are stored as canonical representatives in [0, m); every operation
 re-canonicalizes, so equality and hashing are structural.  Hot loops work on
 plain 4-tuples (m11, m12, m21, m22) through the module-level helpers; the
-ResidueMatrix dataclass is the hashable public wrapper.
+ResidueMatrix record is the hashable public wrapper.
 
 All linear algebra of the package lives here too: nullspace_span solves
 linear systems over the chain ring Z/m, and Echelon is the one F_ell echelon
 form (span membership, reduction, canonical subspace bases).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .errors import ModulusMismatchError, NotInvertibleError
@@ -44,20 +44,19 @@ def is_prime(n):
     return True
 
 
-@dataclass(frozen=True, order=True)
-class PrimePowerModulus:
+class PrimePowerModulus(namedtuple("PrimePowerModulus", "ell exponent")):
     """m = ell**exponent.  Exponent 0 is the degenerate level-1 marker."""
 
-    ell: int
-    exponent: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_prime(self.ell):
-            raise ValueError("ell = %r is not prime" % (self.ell,))
-        if self.exponent < 0:
+    def __new__(cls, ell, exponent):
+        if not is_prime(ell):
+            raise ValueError("ell = %r is not prime" % (ell,))
+        if exponent < 0:
             raise ValueError("exponent must be >= 0")
-        if self.ell ** self.exponent > MAX_MODULUS:
-            raise ValueError("modulus %d**%d too large" % (self.ell, self.exponent))
+        if ell ** exponent > MAX_MODULUS:
+            raise ValueError("modulus %d**%d too large" % (ell, exponent))
+        return super().__new__(cls, ell, exponent)
 
     @property
     def modulus(self):
@@ -208,19 +207,15 @@ def mreduce(a, m_target):
 # ---------------------------------------------------------------------------
 # public wrapper
 
-@dataclass(frozen=True, order=True)
-class ResidueMatrix:
-    m11: int
-    m12: int
-    m21: int
-    m22: int
-    mod: PrimePowerModulus
+class ResidueMatrix(namedtuple("ResidueMatrix", "m11 m12 m21 m22 mod")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        m = self.mod.modulus
-        for x in (self.m11, self.m12, self.m21, self.m22):
+    def __new__(cls, m11, m12, m21, m22, mod):
+        m = mod.modulus
+        for x in (m11, m12, m21, m22):
             if not 0 <= x < m:
                 raise ValueError("entry %d not reduced into [0, %d)" % (x, m))
+        return super().__new__(cls, m11, m12, m21, m22, mod)
 
     @classmethod
     def make(cls, entries, mod):

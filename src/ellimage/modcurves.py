@@ -17,7 +17,7 @@ tests pin this convention against the closed formulas, and the tests keep
 an SL2-enumerating coset count as an oracle.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -96,20 +96,18 @@ def genus_X1(N):
     return _genus(g, N)
 
 
-@dataclass(frozen=True)
-class MapDegreeSpec:
+class MapDegreeSpec(namedtuple("MapDegreeSpec", "family a b")):
     """Natural map X_family(a*b) -> X_family(a); c_f is 1/2 exactly when
     family is Gamma1, a <= 2 and a*b > 2."""
 
-    family: str
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in ("gamma1", "gamma0"):
+    def __new__(cls, family, a, b):
+        if family not in ("gamma1", "gamma0"):
             raise ValueError("family must be gamma1 or gamma0")
-        if self.a < 1 or self.b < 1:
+        if a < 1 or b < 1:
             raise ValueError("a, b must be >= 1")
+        return super().__new__(cls, family, a, b)
 
     @property
     def c_f(self):
@@ -143,13 +141,7 @@ def map_degree_tower(family, ell, a_exp, k_exp):
     return map_degree(MapDegreeSpec(family, ell ** a_exp, ell ** (k_exp - a_exp)))
 
 
-@dataclass(frozen=True)
-class GenusProfile:
-    mu: int
-    nu2: int
-    nu3: int
-    nu_inf: int
-    genus: int
+GenusProfile = namedtuple("GenusProfile", "mu nu2 nu3 nu_inf genus")
 
 
 _X1_PROFILE_LEVEL1 = GenusProfile(1, 1, 1, 1, 0)

@@ -25,49 +25,59 @@ filter in `isolated` does).  The full-carrier BFS and the one-BFS-per-level
 degree tower are kept in the tests as references.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .gl2 import orbit
 from .modarith import Echelon, PrimePowerModulus, mreduce, mvec
 
 
-@dataclass(frozen=True, order=True)
-class TorsionVector:
+class TorsionVector(namedtuple("TorsionVector", "x y level")):
     "A point of exact order ell^k in (Z/ell^k)^2."
-    x: int
-    y: int
-    level: PrimePowerModulus
 
-    def __post_init__(self):
-        ell = self.level.ell
-        if self.level.exponent < 1:
+    __slots__ = ()
+
+    def __new__(cls, x, y, level):
+        ell = level.ell
+        if level.exponent < 1:
             raise ValueError("exact order requires exponent >= 1")
-        if self.x % ell == 0 and self.y % ell == 0:
-            raise ValueError("(%d, %d) has order below %d" % (self.x, self.y, self.level.modulus))
+        if x % ell == 0 and y % ell == 0:
+            raise ValueError("(%d, %d) has order below %d" % (x, y, level.modulus))
+        return super().__new__(cls, x, y, level)
 
 
-@dataclass(frozen=True, order=True)
-class CyclicSubmodule:
+class CyclicSubmodule(namedtuple("CyclicSubmodule", "x y level")):
     "A cyclic submodule of order ell^k, stored by its canonical generator."
-    x: int
-    y: int
-    level: PrimePowerModulus
 
-    def __post_init__(self):
-        TorsionVector(self.x, self.y, self.level)  # the generator has exact order ell^k
-        canon = _line_canon((self.x, self.y), self.level)
-        if canon != (self.x, self.y):
-            raise ValueError("(%d, %d) is not the canonical generator %r"
-                             % (self.x, self.y, canon))
+    __slots__ = ()
+
+    def __new__(cls, x, y, level):
+        TorsionVector(x, y, level)  # the generator has exact order ell^k
+        canon = _line_canon((x, y), level)
+        if canon != (x, y):
+            raise ValueError("(%d, %d) is not the canonical generator %r" % (x, y, canon))
+        return super().__new__(cls, x, y, level)
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
-    family: str                      # "gamma1" | "gamma0"
-    level: PrimePowerModulus
-    representative: tuple            # canonical vector (gamma1) or line generator (gamma0)
-    size: int                        # carrier points in the orbit
-    points: frozenset = field(default=frozenset(), compare=False, repr=False)  # class normal forms
+class OrbitRecord(namedtuple("OrbitRecord", "family level representative size points",
+                             defaults=(frozenset(),))):
+    """An orbit of a family ("gamma1" | "gamma0") at a level: its canonical
+    vector (gamma1) or line generator (gamma0), the number of carrier points
+    in it, and the normal forms of its classes, which ==, hash and repr
+    leave out."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return isinstance(other, OrbitRecord) and self[:4] == other[:4]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:4])
+
+    def __repr__(self):
+        return "OrbitRecord(family=%r, level=%r, representative=%r, size=%r)" % self[:4]
 
     def typed_representative(self):
         cls = TorsionVector if self.family == "gamma1" else CyclicSubmodule

@@ -215,14 +215,13 @@ def test_one_orbit_bfs_per_orbit_and_level(monkeypatch):
 
 OPTIMIZED_TABLE_CHECK = """
 import sys
-from dataclasses import replace
 from ellimage import isolated
 from ellimage.gl2 import CartanSpec, build_cartan
 from ellimage.modarith import PrimePowerModulus
 assert False, "run this under python -O"
 real = isolated.orbits
 # a level-7 orbit of 25 points cannot be the image of an orbit of 1176
-isolated.orbits = lambda g, k, fam: [replace(r, size=25) if k == 1 else r
+isolated.orbits = lambda g, k, fam: [r._replace(size=25) if k == 1 else r
                                      for r in real(g, k, fam)]
 try:
     g = build_cartan(CartanSpec("nonsplit-normalizer", PrimePowerModulus(7, 2)))

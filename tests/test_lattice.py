@@ -19,8 +19,9 @@ from ellimage.lattice import (KernelModule, M2_BASIS, SubgroupClass, all_subgrou
                               _conjugacy_classes_of_subgroups, _det_surjective_set,
                               _ell_hom_trivial, _is_stable,
                               _kernel_coords, _kernel_matrix, _rigidity_subspaces,
-                              _stable_subspace_classes, _sylow_relator_digits,
-                              _sylow_splits, _sylow_subgroup)
+                              _relator_digit, _stable_subspace_classes,
+                              _sylow_relator_digits, _sylow_relators, _sylow_splits,
+                              _sylow_subgroup)
 from ellimage.modarith import (Echelon, PrimePowerModulus, lincomb, minv, mmul, mpow,
                                mreduce)
 
@@ -708,6 +709,26 @@ def _split_verdicts(group):
                                     DEFAULT_CAP, 10 ** 6) is not None)
             for U, v_basis in _rigidity_subspaces(group)
             if ell ** (len(v_basis) + 1) <= 20000]
+
+
+def _relator_digits_in_full(group):
+    """Every relator evaluated at each of the 4k + 1 lift choices, the
+    reference for _sylow_relator_digits, which evaluates again only the
+    relators a changed lift appears in."""
+    ell, layer = group.mod.ell, group.mod.modulus
+    gens, words = _sylow_relators(group)
+    choices = [gens] + [gens[:i] + [mmul(g, _kernel_matrix(b, layer, layer * ell),
+                                         layer * ell)] + gens[i + 1:]
+                        for i, g in enumerate(gens) for b in M2_BASIS]
+    return [[_relator_digit(word, lifts, layer, ell) for word in words] for lifts in choices]
+
+
+def test_relator_digits_against_full_evaluation(record_map):
+    for group in (record_map["49.196.9.1"].group(), record_map["16.24.0.1"].group(),
+                  build_cartan(CartanSpec("borel", M25))):
+        digits = _sylow_relator_digits(group)
+        assert len(digits) == 4 * len(_sylow_subgroup(group)) + 1
+        assert digits == _relator_digits_in_full(group)
 
 
 def test_linear_split_test_against_sylow_dfs(record_map, special_records):

@@ -1,8 +1,14 @@
 import ast
+import importlib
+import json
+import os
 import re
+import subprocess
 import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import ellimage
 
@@ -26,11 +32,8 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
-def test_no_third_party_dependencies():
-    # the package is pure Python: pyproject declares no dependencies and
-    # every import is package-relative or from the standard library
-    assert re.search(r"^dependencies = \[\]$", PYPROJECT.read_text(), re.MULTILINE)
-    found = []
+def _absolute_imports():
+    "'file:line module' for every absolute import in the package."
     for path, tree in _trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -39,9 +42,24 @@ def test_no_third_party_dependencies():
                 names = [node.module]
             else:
                 continue
-            found += ["%s:%d %s" % (path.name, node.lineno, name) for name in names
-                      if name.split(".")[0] not in sys.stdlib_module_names]
+            for name in names:
+                yield "%s:%d %s" % (path.name, node.lineno, name)
+
+
+def test_no_third_party_dependencies():
+    # the package is pure Python: pyproject declares no dependencies and
+    # every import is package-relative or from the standard library
+    assert re.search(r"^dependencies = \[\]$", PYPROJECT.read_text(), re.MULTILINE)
+    found = [imp for imp in _absolute_imports()
+             if imp.split()[1].split(".")[0] not in sys.stdlib_module_names]
     assert found == []
+
+
+def test_package_does_not_import_dataclasses():
+    # records are namedtuples: importing dataclasses pulls in inspect, ast
+    # and dis, which every fresh CLI process would pay for
+    assert [imp for imp in _absolute_imports()
+            if imp.split()[1].split(".")[0] == "dataclasses"] == []
 
 
 def test_test_imports_are_in_the_test_extra():
@@ -74,3 +92,69 @@ def test_orbits_submodule_is_not_shadowed():
     assert "orbits" not in ellimage.__all__
     assert ellimage.gamma1_orbits is module.gamma1_orbits
     assert ellimage.gamma0_orbits is module.gamma0_orbits
+
+
+# ---------------------------------------------------------------------------
+# import footprint: each CLI verb loads only the modules it runs
+
+LOADED = """
+import json, sys
+%s
+print(json.dumps([sorted(m for m in sys.modules if m.split(".")[0] == "ellimage"),
+                  "dataclasses" in sys.modules]))
+"""
+
+CORE = ["ellimage", "ellimage.errors", "ellimage.gl2", "ellimage.labelio",
+        "ellimage.modarith", "ellimage.modcurves"]
+
+
+def _loaded(code):
+    "The ellimage modules loaded by running code in a fresh interpreter, and dataclasses."
+    r = subprocess.run([sys.executable, "-c", LOADED % code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    modules, dataclasses = json.loads(r.stdout.splitlines()[-1])
+    return modules, dataclasses
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert _loaded("import ellimage") == (["ellimage"], False)
+    assert _loaded("import ellimage.cli") == (sorted(CORE + ["ellimage.cli"]), False)
+
+
+@pytest.fixture(scope="module")
+def small_file(tmp_path_factory):
+    from ellimage.cli import _bundled_records
+    from ellimage.labelio import serialize_records
+    path = tmp_path_factory.mktemp("footprint") / "small.txt"
+    path.write_text(serialize_records([r for r in _bundled_records()
+                                       if r.rszb_label in ("5.6.0.1", "7.8.0.1")]))
+    return str(path)
+
+
+@pytest.mark.parametrize("verb, args, extra", [
+    ("info", ["--cartan", "borel", "--mod", "7"], []),
+    ("validate", ["--gens-file", "{small}"], []),
+    ("filter", ["--family", "gamma1", "--cartan", "borel", "--mod", "7"],
+     ["ellimage.isolated", "ellimage.orbits"]),
+    ("batch", ["--family", "gamma0", "--gens-file", "{small}"],
+     ["ellimage.isolated", "ellimage.orbits"]),
+    ("lattice-check", ["--cartan", "borel", "--mod", "5"], ["ellimage.lattice"]),
+])
+def test_verb_loads_only_its_modules(verb, args, extra, small_file):
+    argv = [verb] + [a.format(small=small_file) for a in args]
+    argv += ["--threads", "1", "--out", os.devnull]
+    code = "from ellimage.cli import main\nassert main(%r) in (0, 10)" % argv
+    assert _loaded(code) == (sorted(CORE + ["ellimage.cli"] + extra), False)
+
+
+def test_exports_resolve_to_the_submodule_objects():
+    names = set(dir(ellimage))
+    for name in ellimage.__all__:
+        obj = getattr(ellimage, name)
+        # the two j-invariant tables are the only exports that are not
+        # classes or functions; they live in labelio
+        home = importlib.import_module(getattr(obj, "__module__", "ellimage.labelio"))
+        assert home.__name__.startswith("ellimage.") and getattr(home, name) is obj, name
+        assert name in names
+    with pytest.raises(AttributeError):
+        ellimage.no_such_name
