@@ -22,7 +22,6 @@ import argparse
 import os
 import sys
 from collections import namedtuple
-from importlib import resources
 
 from .errors import CertificateError, EllimageError, SearchBudgetError
 from .gl2 import CARTAN_KINDS, CartanSpec, DEFAULT_CAP, build_cartan, is_conjugate
@@ -43,14 +42,19 @@ class RunConfig(namedtuple("RunConfig", "cap threads data_path out_path fmt")):
         return super().__new__(cls, cap, threads, data_path, out_path, fmt)
 
 
+def _data_records(name):
+    "The records of a generator file bundled in the package's data directory."
+    path = os.path.join(os.path.dirname(__file__), "data", name)
+    with open(path, encoding="utf-8") as fh:
+        return read_generators_text(fh.read())
+
+
 def _bundled_records():
-    text = resources.files("ellimage").joinpath("data/known_images.txt").read_text()
-    return read_generators_text(text)
+    return _data_records("known_images.txt")
 
 
 def _special_records():
-    text = resources.files("ellimage").joinpath("data/special_groups.txt").read_text()
-    return read_generators_text(text)
+    return _data_records("special_groups.txt")
 
 
 def _load_records(config):

@@ -9,9 +9,8 @@ action behind genus_XG, determinant images and lattice join closures run
 through it.  extend() is the one group closure: it adds one element to a
 closed finite group by Dimino's coset extension (Holt, Eick and O'Brien,
 Handbook of Computational Group Theory, 4.1), each new left coset entering
-whole.  mulclose is a fold of extend over the generators; subgroup joins,
-greedy generating sets and the complement search of the lattice module
-extend the closure they already hold.
+whole.  mulclose is a fold of extend over the generators; subgroup joins
+and greedy generating sets extend the closure they already hold.
 
 Orders, levels, membership and equality read one cached Filtration per
 group: for H <= GL2(Z/ell^n) the kernels K_e = ker(GL2(ell^n) -> GL2(ell^e))

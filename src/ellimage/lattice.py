@@ -4,8 +4,8 @@ subgroups, split-Cartan-normalizer membership, and preimage rigidity.
 The searches read the layered structure of subgroups of GL2(Z/ell^n) from
 the congruence filtration of gl2 (group.filtration(): G(ell) as a
 stabilizer chain and an Echelon of each kernel layer L_e; Holt, Eick and
-O'Brien, 4.4 and ch. 8).  Only the brute-force lattice and the generators
-of small_generating_set list the elements of a parent group:
+O'Brien, 4.4 and ch. 8).  Only the brute-force lattice lists the elements
+of a parent group:
 
 * proper_detsurjective_subgroups classifies H <= G up to G-conjugacy.
   For exponent-2 moduli whose mod-ell quotient has order prime to ell,
@@ -15,11 +15,11 @@ of small_generating_set list the elements of a parent group:
   the kernel) * N_W.  KernelModule.stable_subspaces spins one line per
   G(ell)-orbit on the lines of U (conjugate lines have the same spin) and
   closes the spins under joins.  The complement averages the cocycle of
-  the least lifts in G of the elements of G(ell) (_averaged_section, also
-  used by preimage_rigidity for coprime G), evaluated at the generators
-  only and checked by the order of the group its values generate.  The
-  class has [K : N_K(H)] members for K = I + ell*U, read off the kernel
-  action (KernelModule.class_size).  Other parents of order <=
+  the least lifts in G of the elements of G(ell) (_averaged_section, the
+  case S = 1 of the Gaschutz average of preimage_rigidity), evaluated at
+  the generators only and checked by the order of the group its values
+  generate.  The class has [K : N_K(H)] members for K = I + ell*U, read off
+  the kernel action (KernelModule.class_size).  Other parents of order <=
   BRUTE_LIMIT get the brute-force lattice (cyclic subgroups, then join
   closure), whose subgroups are orbited under the generators.
 
@@ -37,14 +37,14 @@ of small_generating_set list the elements of a parent group:
   F_ell decides the split (the layer step of the Cannon-Cox-Holt lifting
   method; Holt, Eick and O'Brien, 7.6 and ch. 8).  A vector y that kills
   the columns and not the constant certifies "no complement" and is
-  checked on the relator values.  Only for a split does the lift DFS
-  (_complement_over_group) build the G-level witness over
-  small_generating_set, each lift checked against the power and
-  conjugation relations before its closure.  Determinant surjectivity of
-  the found complement settles the det-surjective variant; for traceless
-  U the determinant image is rigid across complements unless G has
-  nontrivial homomorphisms to F_ell, and that corner raises rather than
-  guesses.
+  checked on the relator values.  A solution lifts the sequence to a
+  complement over S, and averaging the cocycle of the section it induces
+  over one lift of each coset of S in G turns it into a complement over G
+  (Gaschutz 1952), evaluated at the generators of G and checked by the
+  order of the group it generates with N_U.  Determinant surjectivity of
+  that complement settles the det-surjective variant; for traceless U the
+  determinant image is rigid across complements unless G has nontrivial
+  homomorphisms to F_ell, and that corner raises rather than guesses.
 
 F_ell linear algebra on kernel coordinate vectors goes through
 modarith.Echelon.  All search budgets are explicit and exhaustion is a hard
@@ -55,7 +55,7 @@ verified, and a failed verification raises CertificateError.
 from collections import namedtuple
 from itertools import product
 
-from .errors import CertificateError, EnumerationCapError, SearchBudgetError
+from .errors import CertificateError, SearchBudgetError
 from .gl2 import (CartanSpec, DEFAULT_CAP, MatrixGroup, build_cartan,
                   conjugate_into, extend, orbit)
 from .modarith import (IDENTITY, Echelon, PrimePowerModulus, lincomb, mdet, minv,
@@ -244,33 +244,32 @@ def _kernel_matrix(coords, layer, m):
     return tuple((ident[i] + layer * coords[i]) % m for i in range(4))
 
 
-def _averaged_section(reps, layer, m, ell, at):
+def _averaged_section(reps, layer, m, ell, at, section=None):
     """Values at the elements `at`, which generate Q, of a homomorphic section
-    of an extension by the kernel I + layer*M2(F_ell).
+    of an extension of Q by a quotient V of the kernel I + layer*M2(F_ell)
+    (Gaschutz 1952; Holt, Eick and O'Brien, ch. 7).
 
-    `reps` maps each element x (mod layer) of a group Q of order prime to
-    ell to a lift mod m = layer*ell.  The lift of each x in `at` is
-    corrected by the average of its cocycle over Q (Schur-Zassenhaus), so
-    the cost is |at| * |Q| products.  The corrected values are verified to
-    generate a group of order |Q| that maps onto Q: it meets the kernel
-    trivially, so they are the values of a homomorphic section.
+    `reps` holds a lift mod m = layer*ell of one element t of each coset tS
+    of a subgroup S of Q of index prime to ell, and `section(x)` lifts each
+    x in Q to s(x), with s(t) the lift in `reps` and s(ty) = s(t)*sigma(y)
+    for a homomorphic section sigma over S.  By default S = 1 and `reps`
+    maps each x (mod layer) to s(x).  The cocycle s(x)s(t)s(xt)^-1 is then
+    constant on each coset tS, and the lift of each x in `at` is corrected
+    by its average over the cosets, so the cost is |at| * [Q : S] products.
+    The callers check the values by the order of the group they generate.
     """
+    section = section or (lambda x: reps[mreduce(x, layer)])
     inv_n = pow(len(reps), -1, ell)
     values = []
     for x in at:
-        tx = reps[x]
+        tx = section(x)
         acc = (0, 0, 0, 0)
         for ty in reps.values():
             prod = mmul(tx, ty, m)
-            c = mmul(prod, minv(reps[mreduce(prod, layer)], m, ell), m)
+            c = mmul(prod, minv(section(prod), m, ell), m)
             acc = tuple(a + b for a, b in zip(acc, _kernel_coords(c, layer, ell)))
         eta = tuple((-inv_n * a) % ell for a in acc)
         values.append(mmul(_kernel_matrix(eta, layer, m), tx, m))
-    high = PrimePowerModulus.from_int(m)
-    image = MatrixGroup(high, values)
-    if (image.order() != len(reps)
-            or image.reduce_to(high.exponent - 1).order() != len(reps)):
-        raise CertificateError("averaged section is not a homomorphism")
     return values
 
 
@@ -354,6 +353,9 @@ def _stable_subspace_classes(group, index_bound, cap=DEFAULT_CAP):
     least = _KernelQuotient(ell, 1, u_basis).canon
     section = _averaged_section({mreduce(t, ell): least(t) for t in filt.transversal()},
                                 ell, m, ell, gens_bar)
+    image = MatrixGroup(mod, section)
+    if image.order(cap) != bar_order or image.reduce_to(1).order(cap) != bar_order:
+        raise CertificateError("averaged section is not a homomorphism")
 
     out = []
     for W in module.stable_subspaces(span=u_basis):
@@ -384,7 +386,7 @@ def split_cartan_membership(h, cap=DEFAULT_CAP, budget=500_000):
 # preimage rigidity
 
 class _KernelQuotient:
-    "Arithmetic in P/N_U for P <= GL2(Z/ell^(n+1)), N_U = I + ell^n * U."
+    "Normal forms canon(x) of the cosets x * N_U, N_U = I + ell^n * U."
 
     def __init__(self, ell, n, u_basis):
         self.ell = ell
@@ -406,14 +408,6 @@ class _KernelQuotient:
             d = self._image_basis(tuple(e % self.ell for e in x)).reduce(d)
         return tuple((base[i] + self.layer * d[i]) % self.m for i in range(4))
 
-    def mul(self, a, b):
-        return self.canon(mmul(a, b, self.m))
-
-    def kernel(self, coeffs, basis):
-        "The class of I + layer * (the F_ell-combination of `basis`)."
-        k = lincomb(coeffs, basis, self.ell)
-        return self.canon(_kernel_matrix(k, self.layer, self.m))
-
 
 def _sylow_subgroup(group, cap=DEFAULT_CAP):
     """Generators of an ell-Sylow subgroup of the group, the preimage in G
@@ -429,6 +423,21 @@ def _sylow_subgroup(group, cap=DEFAULT_CAP):
         if any(n) and not any(mmul(n, n, ell)):
             return gens + [t]
     return gens
+
+
+def _sift(filt, index, x):
+    """Letters (i, f) of a word w in the layer rows of the filtration with
+    w * x = I, for x in G cap K_1; `index` numbers the rows' generators."""
+    ell, letters, q = filt.ell, [], 1
+    for echelon, powers in filt.layers:
+        q *= ell
+        for row, f in echelon.decompose(tuple(a // q % ell for a in x))[1]:
+            # the row's generator is g = powers[row][1], and powers[row][f] = g^f
+            x = mmul(powers[row][f], x, filt.m)
+            letters.append((index[powers[row][1]], f))
+    if x != IDENTITY:
+        raise CertificateError("%r does not sift through the layer rows" % (x,))
+    return letters[::-1]
 
 
 def _sylow_relators(group, cap=DEFAULT_CAP):
@@ -447,35 +456,26 @@ def _sylow_relators(group, cap=DEFAULT_CAP):
     ell, layer = group.mod.ell, group.mod.modulus
     gens = _sylow_subgroup(group, cap)
     index = {g: i for i, g in enumerate(gens)}
-
-    def sift(x):
-        "Letters (i, f) of a word w in the layer rows with w * x = I."
-        letters, q = [], 1
-        for echelon, powers in filt.layers:
-            q *= ell
-            for row, f in echelon.decompose(tuple(a // q % ell for a in x))[1]:
-                # the row's generator is g = powers[row][1], and powers[row][f] = g^f
-                x = mmul(powers[row][f], x, layer)
-                letters.append((index[powers[row][1]], f))
-        if x != IDENTITY:
-            raise CertificateError("relator %r does not sift through the layer rows" % (x,))
-        return letters[::-1]
-
     words = []
     for i, g in enumerate(gens):
         gi = minv(g, layer, ell)
-        words.append(sift(mpow(g, ell, layer)) + [(i, ell)])
-        words += [sift(mmul(mmul(g, h, layer), gi, layer)) + [(i, 1), (j, 1), (i, -1)]
-                  for j, h in enumerate(gens[:i])]
+        words.append(_sift(filt, index, mpow(g, ell, layer)) + [(i, ell)])
+        words += [_sift(filt, index, mmul(mmul(g, h, layer), gi, layer))
+                  + [(i, 1), (j, 1), (i, -1)] for j, h in enumerate(gens[:i])]
     return gens, words
+
+
+def _word_value(word, lifts, m, ell):
+    "The product mod m of the letters (i, f) of a word, each lifts[i]^f."
+    x = IDENTITY
+    for i, f in word:
+        x = mmul(x, minv(lifts[i], m, ell) if f < 0 else mpow(lifts[i], f, m), m)
+    return x
 
 
 def _relator_digit(word, lifts, layer, ell):
     "The layer digit of a relator word at lifts mod layer * ell."
-    m, x = layer * ell, IDENTITY
-    for i, f in word:
-        x = mmul(x, minv(lifts[i], m, ell) if f < 0 else mpow(lifts[i], f, m), m)
-    return _kernel_coords(x, layer, ell)
+    return _kernel_coords(_word_value(word, lifts, layer * ell, ell), layer, ell)
 
 
 def _sylow_relator_digits(group, cap=DEFAULT_CAP):
@@ -516,15 +516,23 @@ def _split_system(digits, U, ell):
             for d in digits[1:]], constant
 
 
-def _sylow_splits(digits, U, ell):
-    """Whether the ell-Sylow subgroup splits over V = (I + ell^n M2)/N_U,
-    i.e. whether the system of _split_system is consistent.  If it is not,
-    some y with y.columns = 0 has y.constant != 0; y then pairs with the
-    reduced relator digits to one nonzero value at the base lifts and after
-    each change of one lift coordinate, so at every choice of lifts (the
-    digits are affine in them), and no choice satisfies every relator.
-    That certificate is checked on the digits themselves."""
+def _split_solution(digits, U, ell):
+    """A solution a of the system of _split_system, or None when the
+    ell-Sylow subgroup does not split over V = (I + ell^n M2)/N_U.
+
+    A solution is x/x_0 for a null vector (x, x_0) of the columns and the
+    constant with x_0 != 0.  If there is none, some y with y.columns = 0
+    has y.constant != 0; y then pairs with the reduced relator digits to
+    one nonzero value at the base lifts and after each change of one lift
+    coordinate, so at every choice of lifts (the digits are affine in them),
+    and no choice satisfies every relator.  That certificate is checked on
+    the digits themselves."""
     columns, constant = _split_system(digits, U, ell)
+    rows = [[column[e] for column in columns] + [c] for e, c in enumerate(constant)]
+    for x in nullspace_span(rows, ell, len(columns) + 1):
+        if x[-1]:
+            scale = pow(x[-1], -1, ell)
+            return tuple(a * scale % ell for a in x[:-1])
     span_u = Echelon(ell, U)
     for y in nullspace_span(columns, ell, len(constant)):
         if sum(a * c for a, c in zip(y, constant)) % ell:
@@ -533,80 +541,70 @@ def _sylow_splits(digits, U, ell):
             if len(pairs) != 1 or pairs == {0}:
                 raise CertificateError("no-complement certificate over U = %r does "
                                        "not hold on the relators" % (U,))
-            return False
-    return True
+            return None
+    raise CertificateError("split system over U = %r is neither solved nor refuted"
+                           % (U,))
 
 
-def _complement_over_group(quot, gens, m, v_basis, ell, cap, budget):
-    """Generator-lift DFS for a complement of V in P/N_U over the group
-    generated by `gens` (4-tuples mod m); returns the lifts or None.
+def _gaschutz_complement(group, cap=DEFAULT_CAP):
+    """A function taking a solution of _split_system to the values at the
+    generators of G of a homomorphic section G -> P/N_U.
 
-    Lifts are assigned one generator at a time.  The closure of the first
-    i+1 lifts maps onto <gens[:i+1]>, so its order is that order times the
-    order of its intersection with V; extend() capped at the order of
-    <gens[:i+1]> therefore fails exactly when the closure meets V, and
-    adding generators never shrinks that intersection.
-
-    Before that closure a lift t of g = gens[i] must pass two checks, each a
-    few products: if the closure is a complement it maps isomorphically onto
-    <gens[:i+1]>, so t^k lies in the closure of the earlier lifts when g^k
-    lies in <gens[:i]>, and so does t c t^-1 for the lift c of every gens[j]
-    with g gens[j] g^-1 in <gens[:i]>.  Along a chain of normal subgroups
-    the checks decide alone, and a rejected lift costs a few products
-    instead of a closure.
+    The solution lifts the Sylow sequence g_i to g_i * (I + ell^n a_i),
+    which satisfy its relators modulo N_U, so g_i -> lift_i extends to a
+    homomorphism sigma over S.  S(ell) is 1 or <I + N>, N^2 = 0, for the
+    last element u of the sequence, and S contains G cap K_1, so an element
+    y of S is u^a * k with I + aN = y mod ell and k in G cap K_1, and
+    sigma(y) = sigma(u)^a * sigma(w)^-1 for the word w with w * k = I that
+    _sift reads off.  The cosets of S in G are those of S(ell) in G(ell),
+    and c*S(ell) = {c + a*cN} is named by its member with entry q equal to
+    0, q the first nonzero entry of cN.  One lift t of each, read off the
+    filtration's transversal, and s(ty) = t * sigma(y) make the section that
+    _averaged_section corrects.
     """
-    mul = lambda a, b: mmul(a, b, m)
-    closure = {(1 % m, 0, 0, 1 % m)}
-    prefix, relations = [1], []
-    for i, g in enumerate(gens):
-        k, x = 1, g
-        while x not in closure:
-            x, k = mmul(x, g, m), k + 1
-        gi = minv(g, m, ell)
-        kept = [j for j in range(i) if mmul(mmul(g, gens[j], m), gi, m) in closure]
-        relations.append((k, kept))
-        closure = extend(closure, g, mul, cap)
-        prefix.append(len(closure))
-    coeff_space = list(product(range(ell), repeat=len(v_basis)))
-    attempts = 0
-    adjusted = []
+    mod = group.mod
+    ell, layer = mod.ell, mod.modulus
+    m = layer * ell
+    filt = group.filtration(cap)
+    gens = _sylow_subgroup(group, cap)
+    index = {g: i for i, g in enumerate(gens)}
+    u = gens[-1] if gens and mreduce(gens[-1], ell) != IDENTITY else None
+    if u:
+        nbar = ((u[0] - 1) % ell, u[1] % ell, u[2] % ell, (u[3] - 1) % ell)
+        p = next(i for i, x in enumerate(nbar) if x)
+        unit, uinv = pow(nbar[p], -1, ell), minv(u, layer, ell)
 
-    def obeys_relations(t, i, closed):
-        k, kept = relations[i]
-        ti = quot.canon(minv(t, quot.m, ell))
-        if any(quot.mul(quot.mul(t, adjusted[j]), ti) not in closed for j in kept):
-            return False
-        x = t
-        for _ in range(k - 1):
-            x = quot.mul(x, t)
-        return x in closed
+    def key(c):
+        if not u:
+            return c
+        d = mmul(c, nbar, ell)
+        q = next(i for i, x in enumerate(d) if x)
+        f = c[q] * pow(d[q], -1, ell)
+        return tuple((x - f * y) % ell for x, y in zip(c, d))
 
-    def dfs(i, closed):
-        nonlocal attempts
-        if i == len(gens):
-            return True
-        base = quot.canon(gens[i])
-        for coeffs in coeff_space:
-            attempts += 1
-            if attempts > budget:
-                raise SearchBudgetError("complement search exceeded %d lift "
-                                        "attempts" % budget)
-            t = quot.mul(base, quot.kernel(coeffs, v_basis))
-            if not obeys_relations(t, i, closed):
-                continue
-            try:
-                new = extend(closed, t, quot.mul, prefix[i + 1])
-            except EnumerationCapError:
-                continue  # the closure meets V: reject this lift
-            adjusted.append(t)
-            if dfs(i + 1, new):
-                return True
-            adjusted.pop()
-        return False
+    reps = {}
+    for t in filt.transversal():
+        reps.setdefault(key(mreduce(t, ell)), t)
+    inverse = {k: minv(t, layer, ell) for k, t in reps.items()}
 
-    if dfs(0, {quot.canon((1, 0, 0, 1))}):
-        return adjusted
-    return None
+    def complement(solution):
+        lifts = [mmul(g, _kernel_matrix(solution[4 * i:4 * i + 4], layer, m), m)
+                 for i, g in enumerate(gens)]
+
+        def section(x):
+            k = key(mreduce(x, ell))
+            y, a = mmul(inverse[k], x, layer), 0
+            if u:
+                a = (y[p] - IDENTITY[p]) * unit % ell
+                y = mmul(mpow(uinv, a, layer), y, layer)
+            sigma = minv(_word_value(_sift(filt, index, y), lifts, m, ell), m, ell)
+            if a:
+                sigma = mmul(mpow(lifts[-1], a, m), sigma, m)
+            return mmul(reps[k], sigma, m)
+
+        return _averaged_section(reps, layer, m, ell, group.gens, section)
+
+    return complement
 
 
 def _ell_hom_trivial(group, cap=DEFAULT_CAP):
@@ -657,8 +655,8 @@ def _rigidity_subspaces(group, cap=DEFAULT_CAP):
     order, each with the basis v_basis of a complement V of U in M2(F_ell).
 
     U runs over the proper G-stable subspaces that contain the power
-    constraint, by descending dimension: witnesses over large subspaces have
-    small complement search spaces, and the rigid verdict examines them all.
+    constraint, by descending dimension, the order checked_subspaces counts
+    in; the rigid verdict examines them all.
     """
     mod = group.mod
     ell, n = mod.ell, mod.exponent
@@ -683,7 +681,7 @@ def _rigidity_subspaces(group, cap=DEFAULT_CAP):
     return out
 
 
-def preimage_rigidity(group, cap=DEFAULT_CAP, budget=10 ** 6):
+def preimage_rigidity(group, cap=DEFAULT_CAP):
     """Whether only the full preimage of the group, one ell-power level up,
     reduces exactly onto it with surjective determinant.
 
@@ -696,42 +694,25 @@ def preimage_rigidity(group, cap=DEFAULT_CAP, budget=10 ** 6):
         raise ValueError("rigidity needs a group of exponent >= 1")
     mod_high = PrimePowerModulus(ell, n + 1)
     order = group.order(cap)
-    coprime = order % ell != 0
-    # the complement lifts of the coprime case, the Sylow relator digits and
-    # the small generating set are each built once, when a subspace first
-    # needs them
-    cand_gens = digits = small_gens = None
+    # the Sylow relator digits and the coset lifts are built once, when a
+    # subspace first needs them; a complement is averaged once per solution
+    digits = complement = None
+    values = {}
     undecided = []
     subspaces = _rigidity_subspaces(group, cap)
     for checked, (U, v_basis) in enumerate(subspaces, 1):
-        if coprime:
-            if cand_gens is None:
-                # G meets K_1 trivially, so the transversal is G, which lifts
-                # to itself mod ell^(n+1); averaging makes it a complement
-                cand_gens = _averaged_section(
-                    {t: t for t in group.filtration(cap).transversal()}, mod.modulus,
-                    mod_high.modulus, ell, group.small_generating_set(cap))
-            candidate = _build_candidate(group, U, cand_gens, mod_high)
-            if candidate.det_image()[1]:
-                if (candidate.order(cap) != order * ell ** len(U)
-                        or not verify_counterexample(group, candidate, cap)):
-                    raise CertificateError("counterexample over U = %r failed "
-                                           "verification" % (U,))
-                return RigidityResult(False, candidate, checked)
-            continue
-
         if digits is None:
             digits = _sylow_relator_digits(group, cap)
-        if not _sylow_splits(digits, U, ell):
+            complement = _gaschutz_complement(group, cap)
+        solution = _split_solution(digits, U, ell)
+        if solution is None:
             continue  # Gaschutz: no complement anywhere
-        if small_gens is None:
-            small_gens = group.small_generating_set(cap)
-        lifts = _complement_over_group(_KernelQuotient(ell, n, U), small_gens, mod.modulus,
-                                       v_basis, ell, cap, budget)
-        if lifts is None:
-            raise SearchBudgetError("split extension but no complement found "
-                                    "within budget")
-        candidate = _build_candidate(group, U, lifts, mod_high)
+        if solution not in values:
+            values[solution] = complement(solution)
+        candidate = _build_candidate(group, U, values[solution], mod_high)
+        if candidate.order(cap) != order * ell ** len(U):
+            raise CertificateError("averaged complement over U = %r is not a complement"
+                                   % (U,))
         if candidate.det_image()[1]:
             if not verify_counterexample(group, candidate, cap):
                 raise CertificateError("counterexample over U = %r failed "

@@ -2,7 +2,7 @@ import os
 import subprocess
 import sys
 
-from ellimage import gl2, lattice
+from ellimage import gl2, lattice, modarith
 from ellimage.cli import _bundled_records, _special_records, main
 from ellimage.errors import EnumerationCapError
 from ellimage.gl2 import CartanSpec, build_cartan
@@ -294,6 +294,47 @@ def test_old_and_new_witnesses_conjugate_into_split_normalizer():
     assert seen == set(OLD_WITNESSES)
 
 
+# The preimage-rigidity witnesses these certificates printed while a lift
+# search over a small generating set built them: (modulus, witness).
+OLD_RIGIDITY_WITNESSES = {
+    "4.12.0.1": (8, "0,1,3,0;0,1,1,0;5,0,0,1;1,4,4,1;1,0,0,5"),
+    "7.8.0.1": (49, "3,1,0,3;1,0,0,3;8,0,0,1;1,7,0,1;1,0,0,8"),
+    "9.54.1.1": (27, "2,0,0,1;1,0,0,2;0,1,1,0;10,0,0,1;1,9,9,1;1,0,0,10"),
+    "13.14.0.1": (169, "2,1,0,2;1,0,0,2;14,0,0,1;1,13,0,1;1,0,0,14"),
+    "nonsplit-normalizer(25)": (125, "1,1,13,1;1,9,117,1;0,1,112,0;26,0,0,26;1,25,75,1"),
+    "split-normalizer(49)": (343, "3,0,0,1;1,0,0,3;0,1,1,0;50,0,0,1;1,0,0,50"),
+    "split-normalizer(25)": (125, "2,0,0,1;1,0,0,2;0,1,1,0;26,0,0,1;1,0,0,26"),
+}
+
+
+def test_old_and_new_rigidity_witnesses_verify():
+    # each certificate's old and golden witness is a proper det-surjective
+    # subgroup one level up that reduces exactly onto the parent
+    with open(GOLDEN, encoding="ascii") as fh:
+        blocks = fh.read().split("$ ")[1:]
+    records = {r.rszb_label: r for r in _bundled_records() + _special_records()}
+    matrices = lambda text: [tuple(map(int, g.split(","))) for g in text.split(";")]
+    seen = set()
+    for block in blocks:
+        fields = [line.split("\t") for line in block.split("\n")]
+        label = fields[1][1]
+        if label not in OLD_RIGIDITY_WITNESSES:
+            continue
+        if label in records:
+            group = records[label].group()
+        else:
+            kind, m = label[:-1].split("(")
+            group = build_cartan(CartanSpec(kind, PrimePowerModulus.from_int(int(m))))
+        m, old = OLD_RIGIDITY_WITNESSES[label]
+        claim = next(f for f in fields if f[:2] == ["CLAIM", "preimage-rigidity"])
+        assert claim[3:] == ["rigid=false", claim[4]] and claim[4].startswith("witness=")
+        for witness in (old, claim[4].removeprefix("witness=")):
+            candidate = gl2.MatrixGroup(PrimePowerModulus.from_int(m), matrices(witness))
+            assert lattice.verify_counterexample(group, candidate), (label, witness)
+        seen.add(label)
+    assert seen == set(OLD_RIGIDITY_WITNESSES)
+
+
 def test_lattice_check_enumerates_no_parent(monkeypatch, capsys):
     # the certificate of 49.196.9.1 (order 24,696) lists no group and, since
     # the Sylow split test is a linear system, builds no closure at all
@@ -327,15 +368,24 @@ def test_lattice_check_enumerates_no_parent(monkeypatch, capsys):
     assert closures == []
 
 
-def test_lattice_check_makes_no_complement_search(monkeypatch, capsys):
-    # 49.196.9.1 is rigid: the linear system refutes a Sylow complement over
-    # its one subspace, so the lift DFS, kept for split witnesses, never runs
+def test_preimage_rigidity_enumerates_nothing(rigidity_inputs, monkeypatch):
+    # the split test is a linear system and the witness a Gaschutz average
+    # over the filtration's transversal: no parent is listed, no generating
+    # set chosen, no closure extended and no element ordered
     calls = []
-    monkeypatch.setattr(lattice, "_complement_over_group",
-                        lambda *args: calls.append(args))
-    assert main(["lattice-check", "--label", "49.196.9.1"]) == 0
-    assert "rigid=true\tchecked=1" in capsys.readouterr().out
-    assert calls == []
+
+    def counting(name, fn):
+        def wrapped(*args, **kw):
+            calls.append(name)
+            return fn(*args, **kw)
+        return wrapped
+
+    for owner, name in ((gl2.MatrixGroup, "elements"),
+                        (gl2.MatrixGroup, "small_generating_set"), (lattice, "extend"),
+                        (gl2, "morder"), (modarith, "morder")):
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    verdicts = {lattice.preimage_rigidity(group).rigid for _, group in rigidity_inputs}
+    assert calls == [] and verdicts == {True, False}
 
 
 def test_lattice_check_under_small_cap(capsys):

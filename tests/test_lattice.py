@@ -11,17 +11,16 @@ from ellimage.errors import EnumerationCapError, SearchBudgetError
 from ellimage.gl2 import (CartanSpec, DEFAULT_CAP, MatrixGroup, build_cartan,
                           extend, full_gl2, is_conjugate, mulclose, orbit)
 from ellimage.labelio import read_generators_text
-from ellimage import lattice
 from ellimage.lattice import (KernelModule, M2_BASIS, SubgroupClass, all_subgroups,
                               preimage_rigidity, proper_detsurjective_subgroups,
                               split_cartan_membership, verify_counterexample,
-                              _KernelQuotient, _averaged_section, _complement_over_group,
+                              _KernelQuotient, _averaged_section, _build_candidate,
                               _conjugacy_classes_of_subgroups, _det_surjective_set,
                               _ell_hom_trivial, _is_stable,
                               _kernel_coords, _kernel_matrix, _rigidity_subspaces,
                               _relator_digit, _stable_subspace_classes,
-                              _sylow_relator_digits, _sylow_relators, _sylow_splits,
-                              _sylow_subgroup)
+                              _gaschutz_complement, _split_solution,
+                              _sylow_relator_digits, _sylow_relators, _sylow_subgroup)
 from ellimage.modarith import (Echelon, PrimePowerModulus, lincomb, minv, mmul, mpow,
                                mreduce)
 
@@ -300,6 +299,94 @@ def test_brute_limit_is_hard_error(image49):
         proper_detsurjective_subgroups(image49, 49, fix_mod_ell_reduction=False)
 
 
+# ---------------------------------------------------------------------------
+# The generator-lift DFS that built the rigidity witnesses before the
+# Gaschutz average, kept as the oracle for whether a complement exists
+
+class _Quotient(_KernelQuotient):
+    "Arithmetic in P/N_U for P <= GL2(Z/ell^(n+1)), N_U = I + ell^n * U."
+
+    def mul(self, a, b):
+        return self.canon(mmul(a, b, self.m))
+
+    def kernel(self, coeffs, basis):
+        "The class of I + layer * (the F_ell-combination of `basis`)."
+        k = lincomb(coeffs, basis, self.ell)
+        return self.canon(_kernel_matrix(k, self.layer, self.m))
+
+
+def _complement_over_group(quot, gens, m, v_basis, ell, cap, budget):
+    """Generator-lift DFS for a complement of V in P/N_U over the group
+    generated by `gens` (4-tuples mod m); returns the lifts or None.
+
+    Lifts are assigned one generator at a time.  The closure of the first
+    i+1 lifts maps onto <gens[:i+1]>, so its order is that order times the
+    order of its intersection with V; extend() capped at the order of
+    <gens[:i+1]> therefore fails exactly when the closure meets V, and
+    adding generators never shrinks that intersection.
+
+    Before that closure a lift t of g = gens[i] must pass two checks, each a
+    few products: if the closure is a complement it maps isomorphically onto
+    <gens[:i+1]>, so t^k lies in the closure of the earlier lifts when g^k
+    lies in <gens[:i]>, and so does t c t^-1 for the lift c of every gens[j]
+    with g gens[j] g^-1 in <gens[:i]>.  Along a chain of normal subgroups
+    the checks decide alone, and a rejected lift costs a few products
+    instead of a closure.
+    """
+    mul = lambda a, b: mmul(a, b, m)
+    closure = {(1 % m, 0, 0, 1 % m)}
+    prefix, relations = [1], []
+    for i, g in enumerate(gens):
+        k, x = 1, g
+        while x not in closure:
+            x, k = mmul(x, g, m), k + 1
+        gi = minv(g, m, ell)
+        kept = [j for j in range(i) if mmul(mmul(g, gens[j], m), gi, m) in closure]
+        relations.append((k, kept))
+        closure = extend(closure, g, mul, cap)
+        prefix.append(len(closure))
+    coeff_space = list(product(range(ell), repeat=len(v_basis)))
+    attempts = 0
+    adjusted = []
+
+    def obeys_relations(t, i, closed):
+        k, kept = relations[i]
+        ti = quot.canon(minv(t, quot.m, ell))
+        if any(quot.mul(quot.mul(t, adjusted[j]), ti) not in closed for j in kept):
+            return False
+        x = t
+        for _ in range(k - 1):
+            x = quot.mul(x, t)
+        return x in closed
+
+    def dfs(i, closed):
+        nonlocal attempts
+        if i == len(gens):
+            return True
+        base = quot.canon(gens[i])
+        for coeffs in coeff_space:
+            attempts += 1
+            if attempts > budget:
+                raise SearchBudgetError("complement search exceeded %d lift "
+                                        "attempts" % budget)
+            t = quot.mul(base, quot.kernel(coeffs, v_basis))
+            if not obeys_relations(t, i, closed):
+                continue
+            try:
+                new = extend(closed, t, quot.mul, prefix[i + 1])
+            except EnumerationCapError:
+                continue  # the closure meets V: reject this lift
+            adjusted.append(t)
+            if dfs(i + 1, new):
+                return True
+            adjusted.pop()
+        return False
+
+    if dfs(0, {quot.canon((1, 0, 0, 1))}):
+        return adjusted
+    return None
+
+
 def _complement_by_product_search(quot, gens, m, v_basis, ell):
     """The exhaustive search the lift DFS replaced: every choice of V-coset
     adjustments of the generator lifts, in lexicographic order, kept when
@@ -334,7 +421,7 @@ def test_complement_dfs_against_product_search(name, conj, image49):
     generator_lists = [_sylow_subgroup(group), group.small_generating_set()]
     compared = 0
     for U, v_basis in _rigidity_subspaces(group):
-        quot = _KernelQuotient(ell, n, U)
+        quot = _Quotient(ell, n, U)
         for gens in generator_lists:
             if ell ** (len(v_basis) * len(gens)) > 1000:
                 continue  # beyond what the product search gets through
@@ -356,18 +443,19 @@ def test_sylow_complement_search_builds_no_rejected_closure(conj, image49, monke
     ell, n, m = group.mod.ell, group.mod.exponent, group.mod.modulus
     sylow = _sylow_subgroup(group)
     rejected = []
+    original = extend
 
     def counting_extend(closed, g, mul, cap=DEFAULT_CAP):
         try:
-            return extend(closed, g, mul, cap)
+            return original(closed, g, mul, cap)
         except EnumerationCapError:
             rejected.append(cap)
             raise
 
-    monkeypatch.setattr(lattice, "extend", counting_extend)
+    monkeypatch.setattr(sys.modules[__name__], "extend", counting_extend)
     searched = 0
     for U, v_basis in _rigidity_subspaces(group):
-        quot = _KernelQuotient(ell, n, U)
+        quot = _Quotient(ell, n, U)
         for gens in permutations(sylow):
             _complement_over_group(quot, list(gens), m, v_basis, ell, DEFAULT_CAP, 10 ** 6)
             searched += 1
@@ -643,7 +731,7 @@ def test_sylow_subgroup_against_climb(record_map, special_records):
         if group.order() > 1000 or ell > 7:
             continue  # a closure per lift, and up to ell^4 lifts per generator
         for U, v_basis in _rigidity_subspaces(group):
-            quot = _KernelQuotient(ell, n, U)
+            quot = _Quotient(ell, n, U)
             verdicts = {_complement_over_group(quot, gens, m, v_basis, ell, DEFAULT_CAP,
                                                10 ** 6) is None for gens in (sylow, climb)}
             assert len(verdicts) == 1, (name, U)
@@ -704,8 +792,8 @@ def _split_verdicts(group):
     ell, n, m = group.mod.ell, group.mod.exponent, group.mod.modulus
     sylow = _sylow_subgroup(group)
     digits = _sylow_relator_digits(group)
-    return [(_sylow_splits(digits, U, ell),
-             _complement_over_group(_KernelQuotient(ell, n, U), sylow, m, v_basis, ell,
+    return [(_split_solution(digits, U, ell) is not None,
+             _complement_over_group(_Quotient(ell, n, U), sylow, m, v_basis, ell,
                                     DEFAULT_CAP, 10 ** 6) is not None)
             for U, v_basis in _rigidity_subspaces(group)
             if ell ** (len(v_basis) + 1) <= 20000]
@@ -776,6 +864,42 @@ def test_linear_split_test_on_drawn_groups(group):
         assert linear == dfs
 
 
+def test_averaged_complement_against_dfs(rigidity_inputs):
+    """On every subspace preimage_rigidity examines, within _split_verdicts'
+    bound, the lift DFS finds a complement exactly when the linear system is
+    solvable: over the Sylow sequence, and over the generators of G for
+    |G| <= 100 (a closure per lift).  Every solution averages to a
+    complement over G, of order |G| * ell^dim U, that passes
+    verify_counterexample when it is det-surjective."""
+    verdicts, witnesses = set(), 0
+    for name, group in rigidity_inputs:
+        mod = group.mod
+        ell, n, m = mod.ell, mod.exponent, mod.modulus
+        mod_high = PrimePowerModulus(ell, n + 1)
+        digits = _sylow_relator_digits(group)
+        complement = _gaschutz_complement(group)
+        searches = [_sylow_subgroup(group)]
+        if group.order() <= 100:
+            searches.append(list(group.gens))
+        for U, v_basis in _rigidity_subspaces(group):
+            if ell ** (len(v_basis) + 1) > 20000:
+                continue
+            solution = _split_solution(digits, U, ell)
+            for gens in searches:
+                dfs = _complement_over_group(_Quotient(ell, n, U), gens, m, v_basis, ell,
+                                             DEFAULT_CAP, 10 ** 6)
+                assert (dfs is None) == (solution is None), (name, U, gens)
+            verdicts.add(solution is not None)
+            if solution is None:
+                continue
+            candidate = _build_candidate(group, U, complement(solution), mod_high)
+            assert candidate.order() == group.order() * ell ** len(U), (name, U)
+            if candidate.det_image()[1]:
+                assert verify_counterexample(group, candidate), (name, U)
+                witnesses += 1
+    assert verdicts == {True, False} and witnesses
+
+
 OPTIMIZED_SPLIT_CHECK = """
 import sys
 from ellimage import lattice
@@ -814,6 +938,44 @@ def test_split_certificate_check_survives_optimize():
     assert r.stderr.endswith("does not hold on the relators\n")
 
 
+OPTIMIZED_COMPLEMENT_CHECK = """
+import sys
+from ellimage import lattice
+from ellimage.cli import _bundled_records
+from ellimage.errors import CertificateError
+assert False, "run this under python -O"
+solve = lattice._split_solution
+
+
+def perturbed(digits, U, ell):
+    # moving a solution along a coordinate whose column is nonzero leaves
+    # the solution space: the lifts no longer satisfy every relator
+    columns, _ = lattice._split_system(digits, U, ell)
+    a = solve(digits, U, ell)
+    i = next(i for i, column in enumerate(columns) if any(column))
+    return a[:i] + ((a[i] + 1) % ell,) + a[i + 1:]
+
+
+lattice._split_solution = perturbed
+group = {r.rszb_label: r for r in _bundled_records()}["4.12.0.1"].group()
+try:
+    result = lattice.preimage_rigidity(group)
+except CertificateError as exc:
+    sys.exit(str(exc))
+print(result.counterexample.gens)
+"""
+
+
+def test_complement_order_check_survives_optimize():
+    # lifts off the solution space of 4.12.0.1's first subspace average to
+    # values that generate too large a group with N_U; no witness comes out
+    r = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_COMPLEMENT_CHECK],
+                       capture_output=True, text=True)
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr.startswith("averaged complement over U = ")
+    assert r.stderr.endswith("is not a complement\n")
+
+
 OPTIMIZED_SECTION_CHECK = """
 import sys
 from ellimage import lattice
@@ -839,8 +1001,8 @@ def test_section_order_check_survives_optimize():
 
 def test_section_at_generators_against_all_pairs(record_map, special_records):
     """The section at the generators equals the O(|Q|^2) section there: on
-    the structured path (Q = G(ell), least lifts) and on the coprime path of
-    preimage_rigidity (Q = G, lifted to itself one level up)."""
+    the structured path (Q = G(ell), least lifts) and on the Gaschutz average
+    of preimage_rigidity for S = 1 (Q = G, lifted to itself one level up)."""
     compared = set()
     for name, group in _oracle_groups(record_map, special_records, _structured_applies):
         ell, m = group.ell, group.mod.modulus
@@ -854,10 +1016,8 @@ def test_section_at_generators_against_all_pairs(record_map, special_records):
                                       lambda g: g.order() % g.ell and g.order() <= 200):
         m = group.mod.modulus
         reps = {t: t for t in group.filtration().transversal()}
-        at = group.small_generating_set()
         old = _averaged_section_by_pairs(reps, m, m * group.ell, group.ell)
-        assert (_averaged_section(reps, m, m * group.ell, group.ell, at)
-                == [old[x] for x in at]), name
+        assert _gaschutz_complement(group)(()) == [old[x] for x in group.gens], name
         compared.add(name)
     assert {"49.196.9.1", "9.54.1.1", "7.21.0.1", "5.10.0.1", "2.2.0.1"} <= compared
 

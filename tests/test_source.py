@@ -121,6 +121,17 @@ def test_importing_the_package_loads_no_submodule():
     assert _loaded("import ellimage.cli") == (sorted(CORE + ["ellimage.cli"]), False)
 
 
+def test_cli_import_leaves_importlib_resources_unloaded():
+    # the bundled data files are read next to cli.py; -S keeps site's own
+    # imports out of the picture
+    code = "import sys, ellimage.cli; print('importlib.resources' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    r = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                       env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "False\n"
+
+
 @pytest.fixture(scope="module")
 def small_file(tmp_path_factory):
     from ellimage.cli import _bundled_records
