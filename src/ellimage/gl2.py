@@ -5,12 +5,13 @@ filtration, determinant image, -I handling, reduction and full preimage,
 conjugacy search, and the named Cartan/Borel constructions.
 
 orbit() is the one orbit BFS of the package: torsion orbits, the coset
-action behind genus_XG, determinant images and lattice join closures run
-through it.  extend() is the one group closure: it adds one element to a
-closed finite group by Dimino's coset extension (Holt, Eick and O'Brien,
-Handbook of Computational Group Theory, 4.1), each new left coset entering
-whole.  mulclose is a fold of extend over the generators; subgroup joins
-and greedy generating sets extend the closure they already hold.
+action mod ell behind genus_XG, determinant images and lattice join
+closures run through it.  extend() is the one group closure: it adds one
+element to a closed finite group by Dimino's coset extension (Holt, Eick
+and O'Brien, Handbook of Computational Group Theory, 4.1), each new left
+coset entering whole.  mulclose is a fold of extend over the generators;
+subgroup joins and greedy generating sets extend the closure they already
+hold.
 
 Orders, levels, membership and equality read one cached Filtration per
 group: for H <= GL2(Z/ell^n) the kernels K_e = ker(GL2(ell^n) -> GL2(ell^e))
@@ -26,8 +27,9 @@ smallest ell^d with L_e full for all e >= d, and g is in H when a lift of g
 mod ell comes out of the chain and the quotient sifts to I through the
 layers.  None of this enumerates H, which matters for full preimages, large
 ell and levels ell^3.  _right_coset_key keys right cosets +-G*x with the
-same chain and layer reduction; modcurves.genus_XG and the conjugacy
-search share it.
+same chain and layer reduction; the conjugacy search and modcurves.genus_XG
+use it mod ell, where genus_XG then lifts through the layers of +-G's
+filtration.
 
 The conjugacy search (_conjugating_matrix) lifts a conjugator one
 congruence level at a time and reads both groups only through their
@@ -480,11 +482,12 @@ class Filtration:
         return x
 
     def transversal(self):
-        """The |O_1| * |O_2| products t_2 * t_1 of the two tables: one element
-        of G over each element of G(ell)."""
+        """The |O_1| * |O_2| products t_2 * t_1 of the two tables, one element
+        of G over each element of G(ell), generated one at a time."""
         m = self.m
-        return [mmul(t2, t1, m) for t1, _ in self.orbits[0].values()
-                for t2, _ in self.orbits[1].values()]
+        for t1, _ in self.orbits[0].values():
+            for t2, _ in self.orbits[1].values():
+                yield mmul(t2, t1, m)
 
     def sizes(self):
         "(|G(ell)| = |O_1| * |O_2|, [dim L_1, ..., dim L_{n-1}])."
@@ -513,12 +516,15 @@ class CartanSpec(namedtuple("CartanSpec", "kind modulus epsilon")):
         if kind == "section4-semidirect" and modulus.exponent != 2:
             raise ValueError("section4-semidirect requires exponent 2")
         if kind.startswith("nonsplit") or kind == "section4-semidirect":
-            eps = self.resolved_epsilon()
             ell = modulus.ell
-            if ell == 2:
-                raise ValueError("nonsplit kinds need an odd prime")
-            if pow(eps, (ell - 1) // 2, ell) != ell - 1:
-                raise ValueError("epsilon %d is a quadratic residue mod %d" % (eps, ell))
+            if ell != 2:
+                eps = self.resolved_epsilon()
+                if pow(eps, (ell - 1) // 2, ell) != ell - 1:
+                    raise ValueError("epsilon %d is a quadratic residue mod %d" % (eps, ell))
+            elif kind == "section4-semidirect":
+                raise ValueError("section4-semidirect needs an odd prime")
+            elif epsilon is not None:
+                raise ValueError("epsilon is not used at ell = 2")
         return self
 
     def resolved_epsilon(self):
@@ -552,8 +558,11 @@ def _crt_exponent(coprime_order, ell):
 def build_cartan(spec, cap=DEFAULT_CAP):
     """Construct the group described by a CartanSpec.
 
-    nonsplit            {[a eps*b; b a]}, (a,b) != (0,0) mod ell
-    nonsplit-normalizer adjoins [1 0; 0 -1]
+    nonsplit            {[a eps*b; b a]}, (a,b) != (0,0) mod ell; for ell = 2
+                        {[a -b; b a-b]}, multiplication by a + b*w on
+                        Z[w]/2^n with w^2 + w + 1 = 0, of order 3*4^(n-1)
+    nonsplit-normalizer adjoins [1 0; 0 -1]; for ell = 2 the conjugation
+                        w -> w^2, [1 -1; 0 -1]
     split               invertible diagonal matrices
     split-normalizer    adjoins the antidiagonal involution [0 1; 1 0]
     borel               invertible upper triangular matrices
@@ -573,6 +582,15 @@ def build_cartan(spec, cap=DEFAULT_CAP):
             gens.append((0, 1, 1, 0))
         if kind == "borel":
             gens.append((1, 1, 0, 1))
+        return MatrixGroup(mod, gens, label="%s(%d)" % (kind, m))
+
+    if ell == 2:
+        # w generates F_4^x; -1 = 1 + 2*(-1), 1 + 2w and (1 + 2w)^2 = -3 and
+        # 1 + 4w span the first two kernel layers, and squaring carries layer
+        # e - 1 onto layer e from e = 3 on
+        gens = [mreduce((a, -b, b, a - b), m) for a, b in ((0, 1), (-1, 0), (1, 2), (1, 4))]
+        if kind == "nonsplit-normalizer":
+            gens.append((1, m - 1, 0, m - 1))
         return MatrixGroup(mod, gens, label="%s(%d)" % (kind, m))
 
     eps = spec.resolved_epsilon()
@@ -623,9 +641,11 @@ def _right_coset_key(group, cap=DEFAULT_CAP):
     scan of all rows r in lexicographic order, stopping at the first with
     r*x^-1 in O; the first costs |O| steps, the second about (ell^2 - 1)/|O|,
     and the smaller is taken.  h = t_2*t_1 mod N is memoised per x mod ell,
-    and Filtration.reduce then puts each layer digit of h*x in normal form.
-    The chain's two orbit tables and the memo are the tables held;
-    EnumerationCapError is raised once any of them exceeds cap.
+    and Filtration.reduce then puts each layer digit of h*x in normal form;
+    the key reduced mod ell names the coset +-G(ell)*x mod ell, which is
+    all genus_XG reads of it.  The chain's two orbit tables and the memo are
+    the tables held; EnumerationCapError is raised once any of them exceeds
+    cap.
     """
     ell, m = group.ell, group.mod.modulus
     pm = group if group.contains_minus_identity(cap) else group.adjoin_minus_identity()

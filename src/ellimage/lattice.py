@@ -440,9 +440,9 @@ def _sift(filt, index, x):
     return letters[::-1]
 
 
-def _sylow_relators(group, cap=DEFAULT_CAP):
-    """(gens, words): the ell-Sylow sequence g_1, ..., g_k of _sylow_subgroup
-    and its relators, each a list of letters (i, f) standing for g_i^f.
+def _sylow_relators(group, gens, cap=DEFAULT_CAP):
+    """The relators of the ell-Sylow sequence gens = g_1, ..., g_k of
+    _sylow_subgroup, each a list of letters (i, f) standing for g_i^f.
 
     Each prefix of the sequence is normal in the next with index ell: the
     deeper layer rows generate G cap K_(e+1), normal in G, commutators of
@@ -454,7 +454,6 @@ def _sylow_relators(group, cap=DEFAULT_CAP):
     """
     filt = group.filtration(cap)
     ell, layer = group.mod.ell, group.mod.modulus
-    gens = _sylow_subgroup(group, cap)
     index = {g: i for i, g in enumerate(gens)}
     words = []
     for i, g in enumerate(gens):
@@ -462,7 +461,7 @@ def _sylow_relators(group, cap=DEFAULT_CAP):
         words.append(_sift(filt, index, mpow(g, ell, layer)) + [(i, ell)])
         words += [_sift(filt, index, mmul(mmul(g, h, layer), gi, layer))
                   + [(i, 1), (j, 1), (i, -1)] for j, h in enumerate(gens[:i])]
-    return gens, words
+    return words
 
 
 def _word_value(word, lifts, m, ell):
@@ -478,7 +477,7 @@ def _relator_digit(word, lifts, layer, ell):
     return _kernel_coords(_word_value(word, lifts, layer * ell, ell), layer, ell)
 
 
-def _sylow_relator_digits(group, cap=DEFAULT_CAP):
+def _sylow_relator_digits(group, gens, cap=DEFAULT_CAP):
     """The relators of _sylow_relators evaluated at lifts mod ell^(n+1): a
     list whose entry 0 holds the layer-n digit of every relator at the lifts
     g_i (entries in [0, ell^n)), and whose entry 1 + 4i + j holds them at
@@ -490,7 +489,7 @@ def _sylow_relator_digits(group, cap=DEFAULT_CAP):
     """
     ell, layer = group.mod.ell, group.mod.modulus
     m = layer * ell
-    gens, words = _sylow_relators(group, cap)
+    words = _sylow_relators(group, gens, cap)
     base = [_relator_digit(word, gens, layer, ell) for word in words]
     out = [base]
     for i, g in enumerate(gens):
@@ -546,9 +545,10 @@ def _split_solution(digits, U, ell):
                            % (U,))
 
 
-def _gaschutz_complement(group, cap=DEFAULT_CAP):
+def _gaschutz_complement(group, gens, cap=DEFAULT_CAP):
     """A function taking a solution of _split_system to the values at the
-    generators of G of a homomorphic section G -> P/N_U.
+    generators of G of a homomorphic section G -> P/N_U, for the ell-Sylow
+    sequence gens of _sylow_subgroup.
 
     The solution lifts the Sylow sequence g_i to g_i * (I + ell^n a_i),
     which satisfy its relators modulo N_U, so g_i -> lift_i extends to a
@@ -566,7 +566,6 @@ def _gaschutz_complement(group, cap=DEFAULT_CAP):
     ell, layer = mod.ell, mod.modulus
     m = layer * ell
     filt = group.filtration(cap)
-    gens = _sylow_subgroup(group, cap)
     index = {g: i for i, g in enumerate(gens)}
     u = gens[-1] if gens and mreduce(gens[-1], ell) != IDENTITY else None
     if u:
@@ -694,16 +693,18 @@ def preimage_rigidity(group, cap=DEFAULT_CAP):
         raise ValueError("rigidity needs a group of exponent >= 1")
     mod_high = PrimePowerModulus(ell, n + 1)
     order = group.order(cap)
-    # the Sylow relator digits and the coset lifts are built once, when a
-    # subspace first needs them; a complement is averaged once per solution
+    # the Sylow sequence, its relator digits and the coset lifts are built
+    # once, when a subspace first needs them; a complement is averaged once
+    # per solution
     digits = complement = None
     values = {}
     undecided = []
     subspaces = _rigidity_subspaces(group, cap)
     for checked, (U, v_basis) in enumerate(subspaces, 1):
         if digits is None:
-            digits = _sylow_relator_digits(group, cap)
-            complement = _gaschutz_complement(group, cap)
+            sylow = _sylow_subgroup(group, cap)
+            digits = _sylow_relator_digits(group, sylow, cap)
+            complement = _gaschutz_complement(group, sylow, cap)
         solution = _split_solution(digits, U, ell)
         if solution is None:
             continue  # Gaschutz: no complement anywhere

@@ -6,23 +6,28 @@ SL2(Z/N): mu is the coset count, nu2/nu3 count cosets fixed by the standard
 order-4/order-3 elements s = [0 -1; 1 0] and t = [0 -1; 1 -1], and nu_inf
 counts orbits of u = [1 1; 0 1].  X_G depends only on +-G, so H is taken as
 (G cap SL2) together with its negatives, which is +-G cap SL2.  Cosets here
-are right cosets Hx with the right multiplication action.  Hx is the part in
-SL2 of the coset +-G*x in GL2, whose canonical representative
-gl2._right_coset_key reads from the stabilizer chain of +-G(ell) and the
-layer reduction of the group's congruence filtration (gl2.Filtration), so
-neither SL2(Z/N) nor G is listed; an orbit BFS from H under s and u finds
-the mu cosets (P^1-style coset enumeration, as for Gamma0 in
-Diamond-Shurman ch. 3).  The Borel-vs-X0 and Gamma1-shape-vs-X1 oracle
-tests pin this convention against the closed formulas, and the tests keep
-an SL2-enumerating coset count as an oracle.
+are right cosets Hx with the right multiplication action, and Hx is the
+part in SL2 of the coset +-G*x in GL2.  Mod ell the cosets are found by an
+orbit BFS from H under s and u, each named by gl2._right_coset_key reduced
+mod ell (P^1-style coset enumeration, as for Gamma0 in Diamond-Shurman
+ch. 3).  From ell^j to ell^(j+1) the cosets over one coset form a fibre, an
+F_ell-space read off layer j of the group's congruence filtration
+(gl2.Filtration), on which an element fixing that coset acts affinely
+(Holt, Eick and O'Brien, ch. 8).  So only the cosets fixed by s, those
+fixed by t and one coset of each u-cycle are carried up the layers, and
+neither the mu cosets, SL2(Z/N) nor G is listed.  The Borel-vs-X0 and
+Gamma1-shape-vs-X1 oracle tests pin this convention against the closed
+formulas, and the tests keep the full-level coset BFS and an SL2-enumerating
+coset count as oracles.
 """
-
 from collections import namedtuple
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
+from .errors import EnumerationCapError
 from .gl2 import DEFAULT_CAP, _right_coset_key, ambient_order, orbit
-from .modarith import IDENTITY, factorize, mmul, mreduce
+from .modarith import IDENTITY, factorize, mdet, minv, mmul, mpow, mreduce
 
 
 def _euler_phi(n):
@@ -147,44 +152,143 @@ GenusProfile = namedtuple("GenusProfile", "mu nu2 nu3 nu_inf genus")
 _X1_PROFILE_LEVEL1 = GenusProfile(1, 1, 1, 1, 0)
 
 
+class _Layer:
+    """Congruence layer j >= 1 of the coset action, from level ell^j to
+    ell^(j+1).
+
+    Over a coset +-G*y mod ell^j, with det y in det G mod N, the cosets mod
+    ell^(j+1) are +-G*(I + ell^j*Y)*y for Y in A_j modulo the layer L_j of
+    +-G's filtration: A_j is M2(F_ell) when det G holds 1 + ell^j mod
+    ell^(j+1), since det(I + ell^j*Y) = 1 + ell^j*tr(Y), and sl2 otherwise.
+    `fibre` lists the Echelon normal forms of A_j modulo L_j, the vectors
+    that are zero at L_j's pivots.  An element w of SL2 that fixes +-G*y
+    mod ell^j acts on the fibre: with y*w*y^-1 = h*r, h in +-G and r in K_j,
+    +-G*(I + ell^j*Y)*y*w = +-G*(I + ell^j*(hbar^-1*Y*hbar + R))*y for R the
+    layer-j digit of r (Holt, Eick and O'Brien, ch. 8).
+    """
+
+    def __init__(self, filt, j, dets, cap):
+        ell = filt.ell
+        self.filt, self.q, self.echelon = filt, ell ** j, filt.layers[j - 1][0]
+        self.dets = {d % (self.q * ell): d for d in dets}
+        full = 1 + self.q in self.dets
+        pivots = {next(i for i, x in enumerate(b) if x) for b in self.echelon.rows}
+        if ell ** (4 - len(pivots) - (not full)) > cap:
+            raise EnumerationCapError("fibre of layer %d exceeded cap %d" % (j, cap))
+        self.fibre = [Y for Y in product(*[(0,) if i in pivots else range(ell)
+                                           for i in range(4)])
+                      if full or (Y[0] + Y[3]) % ell == 0]
+
+    def _orbits(self, y, w):
+        """(size, Y) for each orbit of w on the fibre over +-G*y, Y its first
+        member; ArithmeticError unless w fixes +-G*y mod ell^j."""
+        filt, q = self.filt, self.q
+        ell, m = filt.ell, filt.m
+        x = mmul(mmul(y, w, m), minv(y, m, ell), m)
+        lift = filt.lift(x)
+        r = filt.reduce(mmul(lift[1], x, m)) if lift else None
+        if r is None or any((a - i) % q for a, i in zip(r, IDENTITY)):
+            raise ArithmeticError("%r is not in +-G mod %d" % (x, q))
+        digit = [(a - i) // q for a, i in zip(r, IDENTITY)]
+        h = mreduce(x, ell)
+        hinv = minv(h, ell, ell)
+        seen = set()
+        for first in self.fibre:
+            size, Y = 0, first
+            while Y not in seen:
+                seen.add(Y)
+                conj = mmul(mmul(hinv, Y, ell), h, ell)
+                Y = self.echelon.reduce([(a + b) % ell for a, b in zip(conj, digit)])
+                size += 1
+            if size:
+                yield size, first
+
+    def lift(self, g, fixed_only, carried, cap):
+        """The (length, representative) of each cycle of g mod ell^(j+1) that
+        lies over one of the carried cycles mod ell^j, or only the fixed
+        cosets when fixed_only.  A cycle of length c splits into the orbits
+        of g^c on the fibre over its representative.  A representative
+        (I + ell^j*Y)*y is multiplied by diag(1, delta), delta = 1 mod
+        ell^(j+1), to bring its determinant into det G."""
+        m, q = self.filt.m, self.q
+        out = []
+        for c, y in carried:
+            for size, Y in self._orbits(y, mpow(g, c, m)):
+                if size == 1 or not fixed_only:
+                    z = mmul(tuple(i + q * a for i, a in zip(IDENTITY, Y)), y, m)
+                    out.append((c * size, _into_det(z, self.dets, q * self.filt.ell, m)))
+                    if len(out) > cap:
+                        raise EnumerationCapError("cosets carried to %d exceeded cap %d"
+                                                  % (q * self.filt.ell, cap))
+        return out
+
+
+def _into_det(z, dets, q, m):
+    """z * diag(1, delta) with delta = 1 mod q and determinant in det G, for
+    dets mapping det G mod q into det G mod m."""
+    d = mdet(z, m)
+    delta = dets[d % q] * pow(d, -1, m) % m
+    return z[0], z[1] * delta % m, z[2], z[3] * delta % m
+
+
 def genus_XG(group, cap=DEFAULT_CAP):
     """GenusProfile of the modular curve attached to a subgroup of GL2(Z/N).
 
     mu = [SL2(Z/N) : +-G cap SL2]; the level-1 marker yields the j-line.
-    The cosets are keyed by _right_coset_key and found by BFS from the
-    identity coset under s and u, which generate SL2(Z/N), recording each
-    image.  Since t = s*u^-1, a coset r is fixed by t exactly when r*s = r*u,
-    so nu3 needs no third generator.  The coset set is held beside the key's
-    tables, and EnumerationCapError is raised once it exceeds cap.
-    mu * |+-G| / |det G| = |SL2(Z/N)| is checked.
+    Mod ell the cosets are keyed by _right_coset_key reduced mod ell and
+    found by BFS from the identity coset under s and u, which generate SL2,
+    recording each image.  Since t = s*u^-1, a coset r is fixed by t exactly
+    when r*s = r*u, so nu3 needs no third generator.  Above ell only the
+    cosets fixed by s, those fixed by t and one coset of each u-cycle are
+    carried, one _Layer at a time, and mu = mu(ell) * prod |fibre_j|; the mu
+    cosets mod N are never listed.  mu * |+-G| / |det G| = |SL2(Z/N)| is
+    checked.  EnumerationCapError is raised once the chain's orbit tables,
+    the key memo, the cosets mod ell, a layer's carried cosets or a fibre
+    exceeds cap.
     """
     mod = group.mod
     if mod.exponent == 0:
         return _X1_PROFILE_LEVEL1
-    m = mod.modulus
+    ell, m = mod.ell, mod.modulus
     key, pm = _right_coset_key(group, cap)
-    s = mreduce((0, -1, 1, 0), m)
-    u = (1, 1 % m, 0, 1)
+    s, u = (0, ell - 1, 1, 0), (1, 1, 0, 1)
     step = {}
 
     def act(r, g):
-        y = step[r, g] = key(mmul(r, g, m))
+        y = step[r, g] = mreduce(key(mmul(r, g, ell)), ell)
         return y
 
-    cosets = orbit(key(IDENTITY), (s, u), act, cap)
+    cosets = orbit(mreduce(key(IDENTITY), ell), (s, u), act, cap)
+    dets = group.det_image()[0]
+    layers = [_Layer(pm.filtration(cap), j, dets, cap) for j in range(1, mod.exponent)]
     mu = len(cosets)
-    total, order, dets = ambient_order(mod, "SL2"), pm.order(cap), len(group.det_image()[0])
-    if mu * order != total * dets:
+    for layer in layers:
+        mu *= len(layer.fibre)
+    total, order = ambient_order(mod, "SL2"), pm.order(cap)
+    if mu * order != total * len(dets):
         raise ArithmeticError("%d cosets of |+-G| = %d with %d determinants do not fill "
-                              "|SL2| = %d" % (mu, order, dets, total))
-    nu2 = sum(1 for r in cosets if step[r, s] == r)
-    nu3 = sum(1 for r in cosets if step[r, s] == step[r, u])
-    nu_inf, seen = 0, set()
+                              "|SL2| = %d" % (mu, order, len(dets), total))
+    cusps, seen = [], set()
     for r in cosets:
         if r not in seen:
-            nu_inf += 1
+            c = 0
             while r not in seen:
                 seen.add(r)
-                r = step[r, u]
+                r, c = step[r, u], c + 1
+            cusps.append((c, r))
+    # per generator s, t, u: whether only its fixed cosets count, and the
+    # carried (cycle length, coset) pairs
+    carried = [((0, m - 1, 1, 0), True, [(1, r) for r in cosets if step[r, s] == r]),
+               ((0, m - 1, 1, m - 1), True,
+                [(1, r) for r in cosets if step[r, s] == step[r, u]]),
+               ((1, 1, 0, 1), False, cusps)]
+    if layers:
+        base = {d % ell: d for d in dets}
+        carried = [(g, fixed_only, [(c, _into_det(r, base, ell, m)) for c, r in cycles])
+                   for g, fixed_only, cycles in carried]
+    for layer in layers:
+        carried = [(g, fixed_only, layer.lift(g, fixed_only, cycles, cap))
+                   for g, fixed_only, cycles in carried]
+    nu2, nu3, nu_inf = (len(cycles) for _, _, cycles in carried)
     g = 1 + Fraction(mu, 12) - Fraction(nu2, 4) - Fraction(nu3, 3) - Fraction(nu_inf, 2)
     return GenusProfile(mu, nu2, nu3, nu_inf, _genus(g, group))

@@ -41,6 +41,15 @@ def test_info_cartan_epsilon():
     assert r.returncode == 1  # 2 is a square mod 7
 
 
+def test_info_nonsplit_cartan_mod_2():
+    # the nonsplit Cartan mod 2 is the index-2 subgroup 2.2.0.1
+    cartan = run("info", "--cartan", "nonsplit", "--mod", "2")
+    label = run("info", "--label", "2.2.0.1")
+    assert cartan.returncode == label.returncode == 0
+    assert cartan.stdout.splitlines()[0] == "label: nonsplit(2)"
+    assert cartan.stdout.splitlines()[1:] == label.stdout.splitlines()[1:]
+
+
 BUDGET_CHECK = """
 import resource, sys, time
 start = time.perf_counter()
@@ -73,6 +82,14 @@ def test_info_borel_101_within_budget():
     stdout = _info_within_budget("--cartan", "borel", "--mod", "101")
     assert "order: 1010000" in stdout
     assert "genus profile: mu=102 nu2=2 nu3=0 nu_inf=2 genus=8" in stdout
+
+
+def test_info_nonsplit_normalizer_1331_within_budget():
+    # mu = 805,255 cosets mod 1331, of which only the fixed ones and one per
+    # u-cycle are carried up the layers; the profile was checked once against
+    # the BFS over all of them
+    stdout = _info_within_budget("--cartan", "nonsplit-normalizer", "--mod", "1331")
+    assert "genus profile: mu=805255 nu2=727 nu3=1 nu_inf=605 genus=66621" in stdout
 
 
 def test_info_nonsplit_normalizer_101():

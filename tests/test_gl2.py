@@ -384,6 +384,27 @@ def test_cartan_orders_match_formula():
     assert build_cartan(CartanSpec("nonsplit-normalizer", M49)).order() == 4704
 
 
+def test_nonsplit_cartans_at_two(record_map):
+    # multiplication by a + b*w on Z[w]/2^n, w^2 + w + 1 = 0: the 3 * 4^(n-1)
+    # units, those of odd norm a^2 - ab + b^2; the normalizer adjoins the
+    # conjugation w -> w^2
+    for n in (1, 2, 3, 4):
+        mod = PrimePowerModulus(2, n)
+        m = mod.modulus
+        cartan = build_cartan(CartanSpec("nonsplit", mod))
+        units = {(a, -b % m, b, (a - b) % m) for a in range(m) for b in range(m)
+                 if (a * a - a * b + b * b) % 2}
+        assert cartan.order() == len(units) == 3 * 4 ** (n - 1)
+        assert set(cartan.elements()) == units
+        normalizer = build_cartan(CartanSpec("nonsplit-normalizer", mod))
+        assert normalizer.order() == 2 * cartan.order()
+        sigma = (1, m - 1, 0, m - 1)
+        assert all(mmul(mmul(sigma, g, m), sigma, m) in cartan for g in cartan.gens)
+    mod2 = PrimePowerModulus(2, 1)
+    assert is_conjugate(build_cartan(CartanSpec("nonsplit", mod2)),
+                        record_map["2.2.0.1"].group())[0]
+
+
 def test_section4_semidirect_order():
     for ell in (3, 5, 7):
         mod = PrimePowerModulus(ell, 2)
@@ -722,7 +743,7 @@ def _check_chain(mod, gens, members, probes):
         assert mreduce(t, ell) == c
         assert mmul(t, tinv, m) == IDENTITY
         assert t in oracle
-    transversal = filt.transversal()
+    transversal = list(filt.transversal())
     assert sorted(mreduce(t, ell) for t in transversal) == sorted(oracle.top)
     assert all(t in oracle for t in transversal)
     for x in list(members) + list(probes) + [(ell, 0, 0, 1)]:

@@ -785,18 +785,27 @@ def test_power_constraint_against_element_scan(record_map, special_records):
 # ---------------------------------------------------------------------------
 # The Sylow split test as one linear system, against the lift DFS it replaced
 
-def _split_verdicts(group):
-    """(linear verdict, DFS verdict) on the Sylow sequence for each subspace
-    preimage_rigidity examines, where the DFS tries at most 20,000/ell lifts
-    per generator (each lift costs about ell products)."""
-    ell, n, m = group.mod.ell, group.mod.exponent, group.mod.modulus
+@functools.lru_cache(maxsize=None)
+def _sylow_dfs_verdicts(mod, gens):
+    """(U, v_basis, whether the lift DFS finds a complement over the Sylow
+    sequence modulo N_U) for each subspace preimage_rigidity examines on
+    <gens>, where the DFS tries at most 20,000/ell lifts per generator (each
+    lift costs about ell products).  Cached, since the linear split test and
+    the averaged complement are checked against the same searches."""
+    group = MatrixGroup(mod, gens)
+    ell, n, m = mod.ell, mod.exponent, mod.modulus
     sylow = _sylow_subgroup(group)
-    digits = _sylow_relator_digits(group)
-    return [(_split_solution(digits, U, ell) is not None,
-             _complement_over_group(_Quotient(ell, n, U), sylow, m, v_basis, ell,
-                                    DEFAULT_CAP, 10 ** 6) is not None)
+    return [(U, v_basis, _complement_over_group(_Quotient(ell, n, U), sylow, m, v_basis, ell,
+                                                DEFAULT_CAP, 10 ** 6) is not None)
             for U, v_basis in _rigidity_subspaces(group)
             if ell ** (len(v_basis) + 1) <= 20000]
+
+
+def _split_verdicts(group):
+    "(linear verdict, DFS verdict) on the Sylow sequence for each subspace."
+    digits = _sylow_relator_digits(group, _sylow_subgroup(group))
+    return [(_split_solution(digits, U, group.ell) is not None, dfs)
+            for U, _, dfs in _sylow_dfs_verdicts(group.mod, group.gens)]
 
 
 def _relator_digits_in_full(group):
@@ -804,7 +813,8 @@ def _relator_digits_in_full(group):
     reference for _sylow_relator_digits, which evaluates again only the
     relators a changed lift appears in."""
     ell, layer = group.mod.ell, group.mod.modulus
-    gens, words = _sylow_relators(group)
+    gens = _sylow_subgroup(group)
+    words = _sylow_relators(group, gens)
     choices = [gens] + [gens[:i] + [mmul(g, _kernel_matrix(b, layer, layer * ell),
                                          layer * ell)] + gens[i + 1:]
                         for i, g in enumerate(gens) for b in M2_BASIS]
@@ -814,7 +824,7 @@ def _relator_digits_in_full(group):
 def test_relator_digits_against_full_evaluation(record_map):
     for group in (record_map["49.196.9.1"].group(), record_map["16.24.0.1"].group(),
                   build_cartan(CartanSpec("borel", M25))):
-        digits = _sylow_relator_digits(group)
+        digits = _sylow_relator_digits(group, _sylow_subgroup(group))
         assert len(digits) == 4 * len(_sylow_subgroup(group)) + 1
         assert digits == _relator_digits_in_full(group)
 
@@ -865,10 +875,10 @@ def test_linear_split_test_on_drawn_groups(group):
 
 
 def test_averaged_complement_against_dfs(rigidity_inputs):
-    """On every subspace preimage_rigidity examines, within _split_verdicts'
-    bound, the lift DFS finds a complement exactly when the linear system is
-    solvable: over the Sylow sequence, and over the generators of G for
-    |G| <= 100 (a closure per lift).  Every solution averages to a
+    """On every subspace preimage_rigidity examines, within the bound of
+    _sylow_dfs_verdicts, the lift DFS finds a complement exactly when the
+    linear system is solvable: over the Sylow sequence, and over the
+    generators of G for |G| <= 100 (a closure per lift).  Every solution averages to a
     complement over G, of order |G| * ell^dim U, that passes
     verify_counterexample when it is det-surjective."""
     verdicts, witnesses = set(), 0
@@ -876,19 +886,16 @@ def test_averaged_complement_against_dfs(rigidity_inputs):
         mod = group.mod
         ell, n, m = mod.ell, mod.exponent, mod.modulus
         mod_high = PrimePowerModulus(ell, n + 1)
-        digits = _sylow_relator_digits(group)
-        complement = _gaschutz_complement(group)
-        searches = [_sylow_subgroup(group)]
-        if group.order() <= 100:
-            searches.append(list(group.gens))
-        for U, v_basis in _rigidity_subspaces(group):
-            if ell ** (len(v_basis) + 1) > 20000:
-                continue
+        sylow = _sylow_subgroup(group)
+        digits = _sylow_relator_digits(group, sylow)
+        complement = _gaschutz_complement(group, sylow)
+        for U, v_basis, dfs in _sylow_dfs_verdicts(mod, group.gens):
             solution = _split_solution(digits, U, ell)
-            for gens in searches:
-                dfs = _complement_over_group(_Quotient(ell, n, U), gens, m, v_basis, ell,
-                                             DEFAULT_CAP, 10 ** 6)
-                assert (dfs is None) == (solution is None), (name, U, gens)
+            assert dfs == (solution is not None), (name, U, sylow)
+            if group.order() <= 100:
+                dfs = _complement_over_group(_Quotient(ell, n, U), list(group.gens), m,
+                                             v_basis, ell, DEFAULT_CAP, 10 ** 6)
+                assert (dfs is None) == (solution is None), (name, U, group.gens)
             verdicts.add(solution is not None)
             if solution is None:
                 continue
@@ -1017,7 +1024,8 @@ def test_section_at_generators_against_all_pairs(record_map, special_records):
         m = group.mod.modulus
         reps = {t: t for t in group.filtration().transversal()}
         old = _averaged_section_by_pairs(reps, m, m * group.ell, group.ell)
-        assert _gaschutz_complement(group)(()) == [old[x] for x in group.gens], name
+        complement = _gaschutz_complement(group, _sylow_subgroup(group))
+        assert complement(()) == [old[x] for x in group.gens], name
         compared.add(name)
     assert {"49.196.9.1", "9.54.1.1", "7.21.0.1", "5.10.0.1", "2.2.0.1"} <= compared
 

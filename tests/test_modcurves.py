@@ -1,10 +1,13 @@
-import pytest
-from hypothesis import given, settings, strategies as st
+from fractions import Fraction
 
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from ellimage import modcurves
 from ellimage.errors import EnumerationCapError
-from ellimage.gl2 import (CartanSpec, MatrixGroup, build_cartan, full_gl2, mulclose,
-                          unit_group_generators)
-from ellimage.modarith import PrimePowerModulus, mdet, minv, mmul, mreduce
+from ellimage.gl2 import (DEFAULT_CAP, CartanSpec, MatrixGroup, build_cartan, full_gl2,
+                          mulclose, orbit, unit_group_generators)
+from ellimage.modarith import IDENTITY, PrimePowerModulus, mdet, minv, mmul, mreduce
 from ellimage.modcurves import (GenusProfile, MapDegreeSpec, _right_coset_key, genus_X0,
                                 genus_X1, genus_XG, map_degree, map_degree_tower)
 
@@ -107,6 +110,35 @@ def test_profile_consistency():
         assert p.genus == 1 + (p.mu - 3 * p.nu2 - 4 * p.nu3 - 6 * p.nu_inf) // 12
 
 
+def _profile_by_coset_bfs(group):
+    """GenusProfile from a BFS over all mu right cosets +-G*x of SL2(Z/N),
+    keyed by _right_coset_key at the full level: what genus_XG did before
+    it lifted through the congruence layers."""
+    m = group.mod.modulus
+    key, _ = _right_coset_key(group)
+    s, u = mreduce((0, -1, 1, 0), m), (1, 1 % m, 0, 1)
+    step = {}
+
+    def act(r, g):
+        y = step[r, g] = key(mmul(r, g, m))
+        return y
+
+    cosets = orbit(key(IDENTITY), (s, u), act)
+    mu = len(cosets)
+    nu2 = sum(1 for r in cosets if step[r, s] == r)
+    nu3 = sum(1 for r in cosets if step[r, s] == step[r, u])
+    nu_inf, seen = 0, set()
+    for r in cosets:
+        if r not in seen:
+            nu_inf += 1
+            while r not in seen:
+                seen.add(r)
+                r = step[r, u]
+    g = 1 + Fraction(mu, 12) - Fraction(nu2, 4) - Fraction(nu3, 3) - Fraction(nu_inf, 2)
+    assert g.denominator == 1
+    return GenusProfile(mu, nu2, nu3, nu_inf, int(g))
+
+
 def _profile_by_sl2_enumeration(group):
     """GenusProfile from the right cosets of +-G cap SL2, found by listing all
     of SL2(Z/N): the enumeration genus_XG used before its coset BFS."""
@@ -163,7 +195,41 @@ def test_genus_XG_against_sl2_enumeration_catalog(records, special_records):
         group = rec.group()
         for a in range(1, group.mod.exponent + 1):
             red = group.reduce_to(a)
-            assert genus_XG(red) == _profile_by_sl2_enumeration(red), (rec.rszb_label, a)
+            prof = genus_XG(red)
+            assert prof == _profile_by_coset_bfs(red), (rec.rszb_label, a)
+            assert prof == _profile_by_sl2_enumeration(red), (rec.rszb_label, a)
+
+
+@pytest.mark.parametrize("N", [2, 4, 8, 16, 3, 9, 27, 81, 5, 25, 125, 7, 49, 121, 169, 289])
+def test_genus_XG_against_coset_bfs(N):
+    mod = PrimePowerModulus.from_int(N)
+    for kind in ("borel", "split", "split-normalizer", "nonsplit", "nonsplit-normalizer"):
+        group = build_cartan(CartanSpec(kind, mod))
+        assert genus_XG(group) == _profile_by_coset_bfs(group), kind
+
+
+def _into_sl2(a, m):
+    "a times diag(1, det(a)^-1), which has determinant 1"
+    return mmul(a, (1, 0, 0, pow(mdet(a, m), -1, m)), m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_genus_XG_against_coset_bfs_on_drawn_groups(data):
+    # the drawn generators may be moved into SL2, which leaves det G = {1},
+    # and -I may be adjoined or not
+    m = data.draw(st.sampled_from((4, 8, 16, 9, 27, 25, 49)))
+    mod = PrimePowerModulus.from_int(m)
+    unit = st.tuples(*[st.integers(0, m - 1)] * 4).filter(lambda a: mdet(a, mod.ell))
+    gens = data.draw(st.lists(unit, min_size=1, max_size=3))
+    if data.draw(st.booleans()):
+        gens = [_into_sl2(a, m) for a in gens]
+    if data.draw(st.booleans()):
+        gens.append((m - 1, 0, 0, m - 1))
+    group = MatrixGroup(mod, gens)
+    prof = genus_XG(group)
+    assume(prof.mu <= 5000)  # the oracle keys every coset
+    assert prof == _profile_by_coset_bfs(group)
 
 
 @settings(max_examples=100, deadline=None)
@@ -179,12 +245,7 @@ def test_coset_key_against_enumeration(data):
     except EnumerationCapError:
         return
     key, _ = _right_coset_key(MatrixGroup(mod, gens))
-
-    def sl2(a):
-        "a times diag(1, det(a)^-1), which has determinant 1"
-        return mmul(a, (1, 0, 0, pow(mdet(a, m), -1, m)), m)
-
-    xs = [sl2(a) for a in data.draw(st.lists(unit, min_size=2, max_size=6))]
+    xs = [_into_sl2(a, m) for a in data.draw(st.lists(unit, min_size=2, max_size=6))]
     for x in xs:
         k = key(x)
         assert mmul(k, minv(x, m, ell), m) in pm          # k lies in +-G*x
@@ -196,13 +257,29 @@ def test_coset_key_against_enumeration(data):
             assert (key(x) == key(y)) == same_coset
 
 
-@pytest.mark.parametrize("N", [81, 121, 125, 169, 343])
+@pytest.mark.parametrize("N", [81, 121, 125, 169, 343, 625, 729, 1331])
 def test_genus_XG_reach(N):
-    # a coset key per coset: no table holds SL2(Z/N) or the group
+    # no table holds the mu cosets, SL2(Z/N) or the group
     mod = PrimePowerModulus.from_int(N)
     assert genus_XG(build_cartan(CartanSpec("borel", mod))).genus == genus_X0(N)
-    if N != 343:
-        assert genus_XG(gamma1_shape(mod)).genus == genus_X1(N)
+    assert genus_XG(gamma1_shape(mod)).genus == genus_X1(N)
+
+
+def test_genus_XG_keys_only_the_cosets_mod_ell(special_records, monkeypatch):
+    # the identity and the images under s and u of the mu(7) = 28 cosets mod
+    # 7; the BFS over all 9604 cosets mod 49 keyed 2 * 9604 + 1
+    group = next(r.group() for r in special_records if r.rszb_label == "49.9604.694.1")
+    mu_ell = genus_XG(group.reduce_to(1)).mu
+    calls = []
+    real = modcurves._right_coset_key
+
+    def counting(group, cap):
+        key, pm = real(group, cap)
+        return lambda x: calls.append(x) or key(x), pm
+
+    monkeypatch.setattr(modcurves, "_right_coset_key", counting)
+    assert genus_XG(group).mu == 9604
+    assert len(calls) <= 2 * mu_ell + 1 == 57
 
 
 def test_genus_XG_checks_coset_count(monkeypatch):
@@ -213,26 +290,58 @@ def test_genus_XG_checks_coset_count(monkeypatch):
         genus_XG(borel)
 
 
+def test_layer_rejects_an_unfixed_coset():
+    # u^5 fixes the identity coset of the split Cartan mod 5 but not mod 25:
+    # its layer-1 digit [0 1; 0 0] is not diagonal, and the fibre map of
+    # layer 2 raises instead of reading a digit from the wrong layer
+    group = build_cartan(CartanSpec("split", PrimePowerModulus(5, 3)))
+    layer = modcurves._Layer(group.filtration(), 2, group.det_image()[0], DEFAULT_CAP)
+    with pytest.raises(ArithmeticError, match="is not in"):
+        list(layer._orbits(IDENTITY, (1, 5, 0, 1)))
+
+
+def test_carried_cosets_meet_sl2(monkeypatch):
+    # every representative carried up the layers keeps its determinant in
+    # det G = {1}, so each names a coset of +-G cap SL2
+    group = MatrixGroup(PrimePowerModulus(2, 4), [(1, 1, 0, 1), (3, 0, 0, 11)])
+    carried = []
+    real = modcurves._Layer.lift
+
+    def spy(self, *args):
+        out = real(self, *args)
+        carried.extend(y for _, y in out)
+        return out
+
+    monkeypatch.setattr(modcurves._Layer, "lift", spy)
+    assert genus_XG(group) == _profile_by_coset_bfs(group)
+    assert carried and all(mdet(y, 16) == 1 for y in carried)
+
+
 def test_genus_XG_honours_cap():
-    # genus_XG holds four tables: the two orbit tables of the stabilizer chain
-    # of +-G(ell), the coset key memo (one entry per x mod ell met) and the
-    # coset set.  It raises exactly when one of them is larger than the cap;
-    # each group here has a different largest table.
-    m49, m5 = PrimePowerModulus(7, 2), PrimePowerModulus(5, 1)
+    # genus_XG holds the two orbit tables of the stabilizer chain of +-G(ell),
+    # the coset key memo (one entry per x mod ell met), the cosets mod ell,
+    # the cosets carried through each layer and each layer's fibre.  It
+    # raises exactly when one of them is larger than the cap; each group here
+    # has a different largest table.  The memo holds r*s for every coset r
+    # mod ell and is filled first, so the cosets mod ell never raise first.
+    m49, m25, m5 = PrimePowerModulus(7, 2), PrimePowerModulus(5, 2), PrimePowerModulus(5, 1)
     cases = [(lambda: full_gl2(m49), 48, "orbit"),          # O_1: every nonzero row mod 7
              (lambda: MatrixGroup(m5, []), 90, "memo"),     # mu = 60 cosets of {+-I}
-             (lambda: gamma1_shape(m49), 1176, "mu")]
+             (lambda: gamma1_shape(m49), 60, "carried"),    # the 60 cusps of X1(49)
+             (lambda: build_cartan(CartanSpec("nonsplit-normalizer", m25)), 25, "fibre")]
     for make, largest, which in cases:
         group = make()
         orbits = group.adjoin_minus_identity().filtration().orbits
         prof = genus_XG(group)
-        others = max(len(orbits[0]), len(orbits[1]), prof.mu)
-        if which == "orbit":
-            assert largest == len(orbits[0]) == others
-        elif which == "mu":
-            assert largest == prof.mu == others
+        mu_ell = genus_XG(group.reduce_to(1)).mu
+        tables = {"orbit": max(len(orbits[0]), len(orbits[1])), "cosets": mu_ell,
+                  "carried": prof.nu_inf, "fibre": prof.mu // mu_ell}
+        if which == "memo":
+            assert largest > max(tables.values())
         else:
-            assert largest > others
+            assert largest == tables[which] == max(tables.values())
+            del tables[which]
+            assert largest > max(tables.values())
         with pytest.raises(EnumerationCapError):
             genus_XG(make(), cap=largest - 1)
         assert genus_XG(make(), cap=largest) == prof

@@ -332,7 +332,7 @@ def small_groups():
             try:
                 groups.append(build_cartan(CartanSpec(kind, mod)))
             except ValueError:
-                pass  # nonsplit kinds need an odd prime, the semidirect one ell^2
+                pass  # the semidirect kind needs an odd ell and exponent 2
     return groups
 
 

@@ -94,8 +94,9 @@ INVALID = [
     (CartanSpec, ("torus", M7), "unknown kind 'torus'"),
     (CartanSpec, ("borel", PrimePowerModulus(7, 0)), "modulus must have exponent >= 1"),
     (CartanSpec, ("section4-semidirect", M7), "section4-semidirect requires exponent 2"),
-    (CartanSpec, ("nonsplit", M2), "no quadratic non-residue mod 2"),
-    (CartanSpec, ("nonsplit", M2, 3), "nonsplit kinds need an odd prime"),
+    (CartanSpec, ("section4-semidirect", PrimePowerModulus(2, 2)),
+     "section4-semidirect needs an odd prime"),
+    (CartanSpec, ("nonsplit", M2, 3), "epsilon is not used at ell = 2"),
     (CartanSpec, ("nonsplit", M7, 2), "epsilon 2 is a quadratic residue mod 7"),
     (MapDegreeSpec, ("gamma2", 1, 7), "family must be gamma1 or gamma0"),
     (MapDegreeSpec, ("gamma0", 0, 7), "a, b must be >= 1"),
