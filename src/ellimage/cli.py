@@ -250,7 +250,8 @@ def _build_parser():
                             help="named construction instead of a label")
             sp.add_argument("--mod", type=int, help="prime-power modulus for --cartan")
             sp.add_argument("--eps", type=int, default=None,
-                            help="quadratic non-residue for nonsplit kinds")
+                            help="quadratic non-residue for the nonsplit kinds and "
+                                 "section4-semidirect")
         if family:
             sp.add_argument("--family", choices=("gamma1", "gamma0"), required=True)
         sp.add_argument("--gens-file", help="generator file replacing the bundled data")

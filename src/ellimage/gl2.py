@@ -16,20 +16,25 @@ hold.
 Orders, levels, membership and equality read one cached Filtration per
 group: for H <= GL2(Z/ell^n) the kernels K_e = ker(GL2(ell^n) -> GL2(ell^e))
 have elementary abelian quotients K_e/K_{e+1} ~ M2(F_ell).  The filtration
-holds a stabilizer chain of H(ell) acting on the rows of F_ell^2 (Sims 1970):
-the orbit O_1 of (1, 0) under H and the orbit O_2 of (0, 1) under the
-stabilizer of (1, 0), each row with an element of H that reaches it, so
-|H(ell)| = |O_1| * |O_2| and H(ell) itself is never listed.  For each layer
+holds a stabilizer chain of H(ell) acting on the rows of F_ell^2 (Sims 1970)
+with three tables, each row with an element of H that reaches it: the lines
+of P^1(F_ell) reached from the line through (1, 0) (at most ell + 1), the
+multiples lambda*(1, 0) reached by the stabilizer of that line (at most
+ell - 1), and the orbit of (0, 1) under the stabilizer of (1, 0) (at most
+ell*(ell - 1)).  |H(ell)| is the product of the three sizes and H(ell)
+itself is never listed.  The generators of H, as many as the presentation
+gives, meet only the lines, so the cost of the chain follows ell rather
+than the presentation.  For each layer
 it holds an F_ell basis of the image L_e of H cap K_e with elements of H
 that realise it; H cap K_1 is the normal closure of the residues the chain
 leaves.  Then |H| = |H(ell)| * prod ell^(dim L_e), the level is the
 smallest ell^d with L_e full for all e >= d, and g is in H when a lift of g
 mod ell comes out of the chain and the quotient sifts to I through the
 layers.  None of this enumerates H, which matters for full preimages, large
-ell and levels ell^3.  _right_coset_key keys right cosets +-G*x with the
-same chain and layer reduction; the conjugacy search and modcurves.genus_XG
-use it mod ell, where genus_XG then lifts through the layers of +-G's
-filtration.
+ell and levels ell^3.  _right_coset_key names a right coset +-G*x mod ell
+by its least element, read off the same chain; the conjugacy search and
+modcurves.genus_XG key the cosets mod ell with it, and genus_XG then lifts
+through the layers of +-G's filtration.
 
 The conjugacy search (_conjugating_matrix) lifts a conjugator one
 congruence level at a time and reads both groups only through their
@@ -38,8 +43,9 @@ conjugated generators through the target before it is returned, and a
 failed check raises CertificateError.
 """
 
+from bisect import bisect_left
 from collections import namedtuple
-from itertools import product
+from itertools import islice, product
 
 from .errors import (CertificateError, EnumerationCapError, ModulusMismatchError,
                      NotInvertibleError, SearchBudgetError)
@@ -348,38 +354,57 @@ class MatrixGroup:
         return tuple(gens)
 
 
+def _line(a, b, ell):
+    "The point of P^1(F_ell) through the nonzero row (a, b): (1, b/a) or (0, 1)."
+    a %= ell
+    return (1, b * pow(a, -1, ell) % ell) if a else (0, 1)
+
+
 class Filtration:
     """The congruence filtration of a group G <= GL2(Z/ell^n), n >= 1, over a
     stabilizer chain of G(ell).
 
-    G acts on row vectors mod ell from the right.  The chain has the base
-    rows (1, 0) and (0, 1) (Sims 1970; Holt, Eick and O'Brien, Handbook of
-    Computational Group Theory, 4.4): `orbits[0]` maps each row v of the
-    orbit O_1 of (1, 0) under G to (t, t^-1) with t in G and (1, 0)*t = v
-    mod ell, and `orbits[1]` does the same for the orbit O_2 of (0, 1) under
-    the stabilizer G_1 of (1, 0), with t in G_1.  The stabilizer of both rows
-    is G cap K_1, so |G(ell)| = |O_1| * |O_2| and lift() finds an element of
-    G over any c mod ell with one lookup in each table.  No table grows past
-    ell^2 - 1 rows, however large G(ell) is.
+    G acts on row vectors mod ell from the right.  The chain has three base
+    points (Sims 1970; Holt, Eick and O'Brien, Handbook of Computational
+    Group Theory, 4.4), each with a table that maps every point p of its
+    orbit to (t, t^-1), t an element of the stabilizer of the earlier points
+    that takes the base point to p:
+      `orbits[0]`, the lines of P^1(F_ell) that G reaches from the line
+          through (1, 0), keyed by _line: at most ell + 1 rows;
+      `orbits[1]`, the orbit Lambda*(1, 0) of (1, 0) under the stabilizer
+          G_L of that line, keyed by lambda: Lambda, the image of G_L under
+          its upper left entry, is a subgroup of F_ell^x, so at most ell - 1
+          rows;
+      `orbits[2]`, the orbit O_2 of (0, 1) under the stabilizer G_1 of
+          (1, 0): at most ell*(ell - 1) rows.
+    The stabilizer of all three points is G cap K_1, so |G(ell)| is the
+    product of the three table sizes, lift() finds an element of G over any
+    c mod ell with one lookup in each table, and the orbit O_1 of (1, 0)
+    under G is Lambda times the rows (1, 0)*t of the line table.
 
     For e = 1..n-1, `layers[e-1]` is (an Echelon of L_e, {row: [b^0, b^-1,
     ..., b^-(ell-1)]}) with b in G cap K_e of layer-e digit `row`; L_e is the
     image of G cap K_e in K_e/K_{e+1} ~ M2(F_ell), and the layer-e digit of x
     in K_e, (x - I)/ell^e mod ell, is the e-th base-ell digit of each entry.
 
-    The chain is built by sifting Schreier generators.  Those of O_1,
-    t(v)*g*t(vg)^-1, lie in G_1; one whose row (0, 1)*s is new to O_2
-    becomes a generator of G_1 and extends O_2, the others leave s*t(w)^-1
-    in G cap K_1.  Those residues and the Schreier generators of O_2 are
-    reduced through the layers; a residue b != I becomes a row of its first
-    nonzero layer, and b^ell, the commutators of b with the earlier rows and
-    the conjugates g*b*g^-1 by the generators g of G are sifted in turn.
-    The conjugates are needed: G_1 is spanned by the generators it keeps
-    and the residues, so G cap K_1 is spanned by the Schreier generators of
-    O_2 and the conjugates of the residues, not by the residues alone.  When
-    all of them sift to I, the products of rows in layer order form a normal
-    subgroup of G (Holt, Eick and O'Brien, ch. 8) that holds every residue,
-    so it is G cap K_1.
+    The chain is built by Schreier-Sims.  A Schreier generator t(p)*g*t(pg)^-1
+    of a table fixes its base point and is sifted down the tables below it;
+    one that reaches a point new to table j becomes a generator of table j
+    and of every table between, and one that sifts through the last table
+    leaves a residue in G cap K_1.  A generator found at the third table
+    joins the second: it fixes every point Lambda*(1, 0), so its conjugates
+    by the second table are Schreier generators of G_L that the first table
+    never makes.  The residues and the Schreier generators of the third
+    table are reduced through the layers; a residue b != I becomes a row of
+    its first nonzero layer, and b^ell, the commutators of b with the
+    earlier rows and the conjugates g*b*g^-1 by the generators g of G are
+    sifted in turn.  The conjugates are needed: the stabilizers in the chain
+    are spanned by the generators the tables keep and the residues, so G cap
+    K_1 is spanned by the Schreier generators of the last table and the
+    conjugates of the residues, not by the residues alone.  When all of them
+    sift to I, the products of rows in layer order form a normal subgroup of
+    G (Holt, Eick and O'Brien, ch. 8) that holds every residue, so it is G
+    cap K_1.
     """
 
     def __init__(self, gens, mod, cap=DEFAULT_CAP):
@@ -388,39 +413,59 @@ class Filtration:
         self.layers = [(Echelon(ell), {}) for _ in range(mod.exponent - 1)]
         self._rows = []
         self._gens = [(g, minv(g, m, ell)) for g in gens]
-        self.orbits = ({(1, 0): (IDENTITY, IDENTITY)}, {(0, 1): (IDENTITY, IDENTITY)})
-        self._chain_gens = ([], [])
+        one = (IDENTITY, IDENTITY)
+        self.orbits = ({(1, 0): one}, {1: one}, {(0, 1): one})
+        self._chain_gens = ([], [], [])
         self._extend(0, self._gens)
+
+    def _point(self, level, g):
+        "The image under g of the base point of table `level`."
+        ell = self.ell
+        if level == 0:
+            return _line(g[0], g[1], ell)
+        if level == 1:
+            return g[0] % ell
+        return g[2] % ell, g[3] % ell
 
     def _extend(self, level, new):
         """Adds the (generator, inverse) pairs `new` to the chain table
         `orbits[level]`: every row meets each new generator once and every new
         row meets all generators.  A Schreier generator t(v)*g*t(vg)^-1 != I
         goes on down the chain."""
-        ell, m = self.ell, self.m
+        m = self.m
         table, gens = self.orbits[level], self._chain_gens[level]
         gens += new
         todo = [(v, new) for v in table]
         for v, moves in todo:
             t, tinv = table[v]
             for g, ginv in moves:
-                w, tg = rowmul(v, g, ell), mmul(t, g, m)
+                tg = mmul(t, g, m)
+                w = self._point(level, tg)
                 old = table.get(w)
                 if old is None:
                     table[w] = (tg, mmul(ginv, tinv, m))
                     todo.append((w, gens))
                     if len(table) > self.cap:
                         raise EnumerationCapError("orbit table %d of G(%d) exceeded cap %d"
-                                                  % (level + 1, ell, self.cap))
+                                                  % (level + 1, self.ell, self.cap))
                 elif tg != old[0]:
-                    s = mmul(tg, old[1], m)
-                    if level == 0:
-                        lift = self.orbits[1].get((s[2] % ell, s[3] % ell))
-                        if lift is None:
-                            self._extend(1, [(s, minv(s, m, ell))])
-                            continue
-                        s = mmul(s, lift[1], m)
-                    self._sift_in([s])
+                    self._sift_down(level + 1, mmul(tg, old[1], m))
+
+    def _sift_down(self, level, s):
+        """Sifts s, which fixes the base points of the tables before `level`,
+        through the tables from `level` on.  At the first table that misses
+        its point, s becomes a generator of that table and of the ones
+        between; through all three it leaves a residue in G cap K_1."""
+        m = self.m
+        for j in range(level, 3):
+            hit = self.orbits[j].get(self._point(j, s))
+            if hit is None:
+                new = [(s, minv(s, m, self.ell))]
+                for i in range(j, level - 1, -1):
+                    self._extend(i, new)
+                return
+            s = mmul(s, hit[1], m)
+        self._sift_in([s])
 
     def _sift_in(self, todo):
         """Sifts each element of G cap K_1 in todo; a residue b != I becomes a
@@ -450,18 +495,25 @@ class Filtration:
 
     def lift(self, c):
         """(t, t^-1) for an element t of G with t = c mod ell, or None when c
-        mod ell is not in G(ell).  t = t_2 * t_1, where (1, 0)*t_1 is the
-        first row of c and (0, 1)*t_2 the second row of c*t_1^-1."""
+        mod ell is not in G(ell).  t = t_2 * t_1 * t_0, where (1, 0)*t_0 lies on
+        the line of the first row of c, (1, 0)*t_1 = (lambda, 0) is the first
+        row of r = c*t_0^-1, and (0, 1)*t_2 is the second row of r*t_1^-1."""
         ell, m = self.ell, self.m
-        one = self.orbits[0].get((c[0] % ell, c[1] % ell))
+        lines, scalars, seconds = self.orbits
+        one = lines.get(_line(c[0], c[1], ell))
         if one is None:
             return None
-        t1, t1inv = one
-        two = self.orbits[1].get(rowmul((c[2], c[3]), t1inv, ell))
+        t0, t0inv = one
+        r = mmul(c, t0inv, ell)
+        two = scalars.get(r[0])
         if two is None:
             return None
-        t2, t2inv = two
-        return mmul(t2, t1, m), mmul(t1inv, t2inv, m)
+        t1, t1inv = two
+        three = seconds.get(rowmul((r[2], r[3]), t1inv, ell))
+        if three is None:
+            return None
+        t2, t2inv = three
+        return mmul(mmul(t2, t1, m), t0, m), mmul(t0inv, mmul(t1inv, t2inv, m), m)
 
     def reduce(self, x, cinv=IDENTITY):
         """x times an element of G cap K_1 that puts every layer digit of x
@@ -482,16 +534,20 @@ class Filtration:
         return x
 
     def transversal(self):
-        """The |O_1| * |O_2| products t_2 * t_1 of the two tables, one element
-        of G over each element of G(ell), generated one at a time."""
+        """The products t_2 * t_1 * t_0 of the three tables, one element of G
+        over each element of G(ell), generated one at a time."""
         m = self.m
-        for t1, _ in self.orbits[0].values():
-            for t2, _ in self.orbits[1].values():
-                yield mmul(t2, t1, m)
+        lines, scalars, seconds = self.orbits
+        for t0, _ in lines.values():
+            for t1, _ in scalars.values():
+                t = mmul(t1, t0, m)
+                for t2, _ in seconds.values():
+                    yield mmul(t2, t, m)
 
     def sizes(self):
-        "(|G(ell)| = |O_1| * |O_2|, [dim L_1, ..., dim L_{n-1}])."
-        return (len(self.orbits[0]) * len(self.orbits[1]),
+        "(|G(ell)|, [dim L_1, ..., dim L_{n-1}]); |G(ell)| is the product of the table sizes."
+        lines, scalars, seconds = self.orbits
+        return (len(lines) * len(scalars) * len(seconds),
                 [len(echelon) for echelon, _ in self.layers])
 
 
@@ -515,6 +571,8 @@ class CartanSpec(namedtuple("CartanSpec", "kind modulus epsilon")):
             raise ValueError("modulus must have exponent >= 1")
         if kind == "section4-semidirect" and modulus.exponent != 2:
             raise ValueError("section4-semidirect requires exponent 2")
+        if kind in ("split", "split-normalizer", "borel") and epsilon is not None:
+            raise ValueError("epsilon is not used by %s" % kind)
         if kind.startswith("nonsplit") or kind == "section4-semidirect":
             ell = modulus.ell
             if ell != 2:
@@ -628,53 +686,110 @@ def build_cartan(spec, cap=DEFAULT_CAP):
 # ---------------------------------------------------------------------------
 # right cosets and conjugacy
 
-def _right_coset_key(group, cap=DEFAULT_CAP):
-    """(key, +-G): key(x) is a canonical representative of the right coset
-    +-G*x, for x in GL2(Z/N).
+def _sorted_cosets(sub, ell):
+    "{b: the coset b*sub in increasing order} for b in F_ell^x, sub <= F_ell^x."
+    out = {}
+    for a in range(1, ell):
+        if a not in out:
+            coset = sorted(a * s % ell for s in sub)
+            out.update(dict.fromkeys(coset, coset))
+    return out
 
-    Mod ell the representative is h*x with h in +-G chosen by the stabilizer
-    chain of +-G(ell) (Filtration.orbits): its first row is the least of
-    O_1*x, the rows v*x for v in O_1, and, with t_1 in the first table taking
-    (1, 0) to the v that attains it and x_1 = t_1*x, its second row is the
-    least of O_2*x_1.  Both sets depend on the coset only, and the two rows
-    fix h mod ell.  Each least row comes from a scan of the orbit O or from a
-    scan of all rows r in lexicographic order, stopping at the first with
-    r*x^-1 in O; the first costs |O| steps, the second about (ell^2 - 1)/|O|,
-    and the smaller is taken.  h = t_2*t_1 mod N is memoised per x mod ell,
-    and Filtration.reduce then puts each layer digit of h*x in normal form;
-    the key reduced mod ell names the coset +-G(ell)*x mod ell, which is
-    all genus_XG reads of it.  The chain's two orbit tables and the memo are
-    the tables held; EnumerationCapError is raised once any of them exceeds
-    cap.
+
+def _right_coset_key(group, cap=DEFAULT_CAP):
+    """(key, +-G): key(x), for x in GL2(Z/N), is the least element of the
+    right coset +-G(ell)*x mod ell, which names +-G*x mod ell.
+
+    It is read off the stabilizer chain of +-G(ell) (Filtration.orbits): its
+    first row is the least of O_1*x, the rows v*x for v in the orbit O_1 of
+    (1, 0), and, with t in the chain taking (1, 0) to the v that attains it
+    and x_1 = t*x, its second row is the least of O_2*x_1.
+
+    O_1 is read as Lambda times the rows u(L) = (1, 0)*t_0 of the line
+    table: on the line L the least of the rows lambda*u(L)*x is the least
+    multiple of its first nonzero entry in the coset of Lambda that holds
+    it.  So the least of O_1*x comes from a scan of the line table, or from
+    a scan of all rows r in lexicographic order, stopping at the first with
+    r*x^-1 in O_1, which takes about (ell^2 - 1)/|O_1| steps; the cheaper is
+    taken.  The stabilizer G_1 of (1, 0) lies in {[1 0; c d]}, and its lower
+    right entries form a subgroup D of F_ell^x.  O_2 is F_ell x D when G_1
+    holds every [1 0; c 1].  Otherwise G_1(ell) is isomorphic to D, of order
+    prime to ell, so it is the conjugate of diag(1, D) by [1 0; kappa 1] and
+    O_2 is the graph {(kappa*(d - 1), d)}.  Either way the least of O_2*x_1
+    takes no scan: on F_ell x D, c clears one entry of (c, d)*x_1 and d
+    makes the other the least multiple in a coset of D; on the graph,
+    (kappa*(d - 1), d)*x_1 = d*z - sigma, and a bisection in the sorted
+    coset of D finds the d whose first entry that varies is least.
+
+    Keys are memoised per x mod ell.  The chain's three tables and the memo
+    are the tables held; EnumerationCapError is raised once any of them
+    exceeds cap.
     """
-    ell, m = group.ell, group.mod.modulus
+    ell = group.ell
     pm = group if group.contains_minus_identity(cap) else group.adjoin_minus_identity()
-    filt = pm.filtration(cap)
+    lines, scalars, seconds = pm.filtration(cap).orbits
+    inv = [0] + [pow(a, -1, ell) for a in range(1, ell)]
+    reach = [(line, rowmul((1, 0), t, ell)) for line, (t, _) in lines.items()]
+    # least[b]: the lambda in Lambda with lambda*b least in the coset b*Lambda
+    least = {b: coset[0] * inv[b] % ell for b, coset in _sorted_cosets(scalars, ell).items()}
+    scan_lines = len(lines) ** 2 * len(scalars) <= ell * ell - 1
+    dset = {d for _, d in seconds}
+    cosets = _sorted_cosets(dset, ell)
+    graph = len(seconds) == len(dset)
+    kappa = next((c * inv[d - 1] % ell for c, d in seconds if d != 1), 0)
     memo = {}
 
-    def least(orbit, x, xinv):
-        "The row w of orbit with w*x least."
-        if len(orbit) ** 2 <= ell * ell - 1:
-            return min(orbit, key=lambda w: rowmul(w, x, ell))
-        for r in product(range(ell), repeat=2):
-            w = rowmul(r, xinv, ell)
-            if w in orbit:
-                return w
+    def first(x):
+        "(v*x, L, lambda) for the row v = lambda*u(L) of O_1 with v*x least."
+        if scan_lines:
+            a, b, c, d = x
+            best = None
+            for line, (u0, u1) in reach:
+                p, q = (u0 * a + u1 * c) % ell, (u0 * b + u1 * d) % ell
+                s = least[p or q]
+                row = (s * p % ell, s * q % ell)
+                if best is None or row < best[0]:
+                    best = row, line, s
+            return best
+        xi = minv(x, ell, ell)
+        # the rows (0, j) are the line through (0, 1)*x^-1: skipped when it is not in O_1
+        start = 1 if _line(xi[2], xi[3], ell) in lines else ell
+        for r in islice(product(range(ell), repeat=2), start, None):
+            v0, v1 = (r[0] * xi[0] + r[1] * xi[2]) % ell, (r[0] * xi[1] + r[1] * xi[3]) % ell
+            line = (1, v1 * inv[v0] % ell) if v0 else (0, 1)
+            hit = lines.get(line)
+            if hit is not None:
+                s = (v0 * hit[1][0] + v1 * hit[1][2]) % ell
+                if s in scalars:
+                    return r, line, s
+
+    def second(x):
+        "The least row w*x for w in O_2."
+        p, q, e, f = x
+        if not graph:
+            # O_2 = F_ell x D: c clears one entry of w*x_1 and d makes the other least
+            b = (f - e * q * inv[p]) % ell if p else e
+            d = cosets[b][0] * inv[b] % ell
+            c = -d * e * inv[p] % ell if p else -d * f * inv[q] % ell
+        else:
+            z, sigma = ((kappa * p + e) % ell, (kappa * q + f) % ell), (kappa * p, kappa * q)
+            i = 0 if z[0] else 1
+            coset = cosets[z[i]]
+            j = bisect_left(coset, sigma[i] % ell)
+            d = (coset[j] if j < len(coset) else coset[0]) * inv[z[i]] % ell
+            c = kappa * (d - 1) % ell
+        return (c * p + d * e) % ell, (c * q + d * f) % ell
 
     def key(x):
         c = mreduce(x, ell)
         got = memo.get(c)
         if got is None:
-            one, two = filt.orbits
-            cinv = minv(c, ell, ell)
-            t1, t1inv = one[least(one, c, cinv)]
-            t2 = two[least(two, mmul(t1, c, ell), mmul(cinv, t1inv, ell))][0]
-            h = mmul(t2, t1, m)
-            got = memo[c] = h, minv(mmul(h, c, ell), ell, ell)
+            v, line, s = first(c)
+            t = mmul(scalars[s][0], lines[line][0], ell)
+            got = memo[c] = v + second(mmul(t, c, ell))
             if len(memo) > cap:
                 raise EnumerationCapError("coset key memo exceeded cap %d" % cap)
-        h, hcinv = got
-        return filt.reduce(mmul(h, x, m), hcinv)
+        return got
 
     return key, pm
 

@@ -140,6 +140,7 @@ def candidate_pairs(group, family, cap=DEFAULT_CAP):
         recs = orbits(group, k, family)
         tables.append((level.modulus, KernelClasses(group, level, family).canon,
                        {c: rec.size for rec in recs for c in rec.points}))
+        map_degrees = [map_degree_tower(family, ell, a, k) for a in range(k + 1)]
         for rec in recs:
             deg_k = rec.size
             x, y = rec.representative
@@ -152,7 +153,7 @@ def candidate_pairs(group, family, cap=DEFAULT_CAP):
                     raise ArithmeticError("orbit of %r has size %d but degree %d at level %d"
                                           % (rec.representative, deg_k, deg_a, ell ** a))
             for a in range(0, k + 1):
-                if deg_k == tower[a] * map_degree_tower(family, ell, a, k):
+                if deg_k == tower[a] * map_degrees[a]:
                     pair_key = (a, tower[a])
                     prov = (k, rec.representative)
                     if pair_key in found:

@@ -8,14 +8,15 @@ counts orbits of u = [1 1; 0 1].  X_G depends only on +-G, so H is taken as
 (G cap SL2) together with its negatives, which is +-G cap SL2.  Cosets here
 are right cosets Hx with the right multiplication action, and Hx is the
 part in SL2 of the coset +-G*x in GL2.  Mod ell the cosets are found by an
-orbit BFS from H under s and u, each named by gl2._right_coset_key reduced
-mod ell (P^1-style coset enumeration, as for Gamma0 in Diamond-Shurman
-ch. 3).  From ell^j to ell^(j+1) the cosets over one coset form a fibre, an
-F_ell-space read off layer j of the group's congruence filtration
-(gl2.Filtration), on which an element fixing that coset acts affinely
-(Holt, Eick and O'Brien, ch. 8).  So only the cosets fixed by s, those
-fixed by t and one coset of each u-cycle are carried up the layers, and
-neither the mu cosets, SL2(Z/N) nor G is listed.  The Borel-vs-X0 and
+orbit BFS from H under s and u, each named by its least element mod ell,
+which gl2._right_coset_key reads off the chain (P^1-style coset
+enumeration, as for Gamma0 in Diamond-Shurman ch. 3).  From ell^j to
+ell^(j+1) the cosets over one coset form a fibre, an F_ell-space read off
+layer j of the group's congruence filtration (gl2.Filtration), on which an
+element fixing that coset acts affinely (Holt, Eick and O'Brien, ch. 8).
+So only the cosets fixed by s, those fixed by t and one coset of each
+u-cycle are carried up the layers, and neither the mu cosets, SL2(Z/N) nor
+G is listed.  The Borel-vs-X0 and
 Gamma1-shape-vs-X1 oracle tests pin this convention against the closed
 formulas, and the tests keep the full-level coset BFS and an SL2-enumerating
 coset count as oracles.
@@ -235,13 +236,13 @@ def genus_XG(group, cap=DEFAULT_CAP):
     """GenusProfile of the modular curve attached to a subgroup of GL2(Z/N).
 
     mu = [SL2(Z/N) : +-G cap SL2]; the level-1 marker yields the j-line.
-    Mod ell the cosets are keyed by _right_coset_key reduced mod ell and
-    found by BFS from the identity coset under s and u, which generate SL2,
-    recording each image.  Since t = s*u^-1, a coset r is fixed by t exactly
-    when r*s = r*u, so nu3 needs no third generator.  Above ell only the
-    cosets fixed by s, those fixed by t and one coset of each u-cycle are
-    carried, one _Layer at a time, and mu = mu(ell) * prod |fibre_j|; the mu
-    cosets mod N are never listed.  mu * |+-G| / |det G| = |SL2(Z/N)| is
+    Mod ell the cosets are keyed by _right_coset_key and found by BFS from
+    the identity coset under s and u, which generate SL2, recording each
+    image.  Since t = s*u^-1, a coset r is fixed by t exactly when r*s =
+    r*u, so nu3 needs no third generator.  Above ell only the cosets fixed
+    by s, those fixed by t and one coset of each u-cycle are carried, one
+    _Layer at a time, and mu = mu(ell) * prod |fibre_j|; the mu cosets mod
+    N are never listed.  mu * |+-G| / |det G| = |SL2(Z/N)| is
     checked.  EnumerationCapError is raised once the chain's orbit tables,
     the key memo, the cosets mod ell, a layer's carried cosets or a fibre
     exceeds cap.
@@ -255,10 +256,10 @@ def genus_XG(group, cap=DEFAULT_CAP):
     step = {}
 
     def act(r, g):
-        y = step[r, g] = mreduce(key(mmul(r, g, ell)), ell)
+        y = step[r, g] = key(mmul(r, g, ell))
         return y
 
-    cosets = orbit(mreduce(key(IDENTITY), ell), (s, u), act, cap)
+    cosets = orbit(key(IDENTITY), (s, u), act, cap)
     dets = group.det_image()[0]
     layers = [_Layer(pm.filtration(cap), j, dets, cap) for j in range(1, mod.exponent)]
     mu = len(cosets)

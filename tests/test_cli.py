@@ -39,6 +39,10 @@ def test_info_cartan_epsilon():
     assert "order: 48" in r.stdout
     r = run("info", "--cartan", "nonsplit", "--mod", "7", "--eps", "2")
     assert r.returncode == 1  # 2 is a square mod 7
+    # the split, split-normalizer and Borel constructions take no epsilon
+    r = run("info", "--cartan", "borel", "--mod", "7", "--eps", "2")
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr == "error: epsilon is not used by borel\n"
 
 
 def test_info_nonsplit_cartan_mod_2():
@@ -157,15 +161,17 @@ def test_batch_empty_file(tmp_path):
     assert "0 records\t0 nonempty" in r.stdout
 
 
-# The nonsplit Cartan normalizer mod 101 acts transitively on the 10,200
-# nonzero rows, so its first chain table is above --max-enum 10000 while
-# every table of the bundled records stays below it.
-CAPPED = "101.5050.384.1"
+# The Borel subgroup of lower triangular matrices mod 101 fixes the line
+# through (1, 0), and the stabilizer of (1, 0) in it takes (0, 1) to each of
+# the 10,100 rows (c, d) with d != 0, so the third chain table is above
+# --max-enum 10000 while every table of the bundled records stays below it.
+CAPPED = "101.102.8.1"
 
 
 def _capped_gens_file(tmp_path, records):
-    "A generator file of records plus the normalizer mod 101 as CAPPED."
-    group = build_cartan(CartanSpec("nonsplit-normalizer", PrimePowerModulus(101, 1)))
+    "A generator file of records plus the lower Borel mod 101 as CAPPED."
+    borel = build_cartan(CartanSpec("borel", PrimePowerModulus(101, 1)))
+    group = borel.conjugated_by((0, 1, 1, 0))
     gens = ";".join(",".join(str(e) for e in g) for g in group.gens)
     path = tmp_path / "capped.txt"
     path.write_text("".join(rec.to_line() + "\n" for rec in records)

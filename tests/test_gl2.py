@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from ellimage import gl2
 from ellimage.errors import EnumerationCapError, NotInvertibleError, SearchBudgetError
-from ellimage.gl2 import (CartanSpec, Filtration, MatrixGroup, ambient_order, build_cartan,
-                          conjugate_into, extend, full_gl2, is_conjugate, mulclose,
-                          unit_group_generators)
+from ellimage.gl2 import (CARTAN_KINDS, CartanSpec, Filtration, MatrixGroup, ambient_order,
+                          build_cartan, conjugate_into, extend, full_gl2, is_conjugate,
+                          mulclose, rowmul, unit_group_generators)
 from ellimage.modarith import (IDENTITY, Echelon, PrimePowerModulus, ResidueMatrix, lincomb,
                                mdet, minv, mmul, morder, mreduce, mtrace, nullspace_span)
 
@@ -427,6 +427,11 @@ def test_cartan_spec_validation():
         CartanSpec("nonsplit", M7, epsilon=2)  # 2 is a square mod 7
     with pytest.raises(ValueError):
         CartanSpec("weird", M7)
+    for kind in ("split", "split-normalizer", "borel"):
+        assert CartanSpec(kind, M7).epsilon is None
+        for eps in (2, 3):  # a square and a non-square mod 7: neither is used
+            with pytest.raises(ValueError, match="not used"):
+                CartanSpec(kind, M7, epsilon=eps)
 
 
 def test_unit_group_generators():
@@ -629,6 +634,17 @@ def _small_group(data):
 # The two hypothesis tests below run on this group first, every time.
 NORMAL_CLOSURE_CASE = (PrimePowerModulus(2, 2), [(0, 1, 1, 0), (0, 1, 1, 1)])
 
+# A generator that the chain finds at its third table (the orbit of (0, 1))
+# from a Schreier generator of the line table must join the second table
+# too: its conjugates by the second table are Schreier generators of the
+# line stabilizer that no table makes otherwise.  Without them the layer of
+# this mod-9 group comes out of dimension 2 instead of 3.  Mutation check:
+# with Filtration._sift_down extending only the table that misses its point,
+# this case fails test_chain_against_two_tables on every run; the drawn
+# groups alone caught it in one of three runs with an empty hypothesis
+# database.
+THIRD_TABLE_CASE = (PrimePowerModulus(3, 2), [(2, 3, 0, 1), (4, 0, 1, 1)])
+
 
 def _check_sifting(mod, gens, els, probes):
     """Order, level, index, -I and the membership of probes and of a
@@ -778,3 +794,157 @@ def test_chain_takes_the_normal_closure():
     group = MatrixGroup(*NORMAL_CLOSURE_CASE)
     assert group.order() == 96 == len(mulclose(group.gens, 4))
     assert len(_TableFiltration(group.gens, group.mod).top) == 6
+
+
+class _TwoTableFiltration(Filtration):
+    """The chain as built before the line table, kept as an oracle.  Its
+    base is the rows (1, 0) and (0, 1): `orbits[0]` is the orbit O_1 of
+    (1, 0) under G, up to ell^2 - 1 rows, and `orbits[1]` the orbit O_2 of
+    (0, 1) under the stabilizer G_1 of (1, 0).  The layers and their sifting
+    are Filtration's; `schreier` counts the Schreier generators sifted."""
+
+    def __init__(self, gens, mod):
+        ell, m = mod.ell, mod.modulus
+        self.ell, self.m = ell, m
+        self.layers = [(Echelon(ell), {}) for _ in range(mod.exponent - 1)]
+        self._rows = []
+        self._gens = [(g, minv(g, m, ell)) for g in gens]
+        self.orbits = ({(1, 0): (IDENTITY, IDENTITY)}, {(0, 1): (IDENTITY, IDENTITY)})
+        self._chain_gens = ([], [])
+        self.schreier = 0
+        self._extend(0, self._gens)
+
+    def _extend(self, level, new):
+        ell, m = self.ell, self.m
+        table, gens = self.orbits[level], self._chain_gens[level]
+        gens += new
+        todo = [(v, new) for v in table]
+        for v, moves in todo:
+            t, tinv = table[v]
+            for g, ginv in moves:
+                w, tg = rowmul(v, g, ell), mmul(t, g, m)
+                old = table.get(w)
+                if old is None:
+                    table[w] = (tg, mmul(ginv, tinv, m))
+                    todo.append((w, gens))
+                elif tg != old[0]:
+                    self.schreier += 1
+                    s = mmul(tg, old[1], m)
+                    if level == 0:
+                        lift = self.orbits[1].get((s[2] % ell, s[3] % ell))
+                        if lift is None:
+                            self._extend(1, [(s, minv(s, m, ell))])
+                            continue
+                        s = mmul(s, lift[1], m)
+                    self._sift_in([s])
+
+    def lift(self, c):
+        ell, m = self.ell, self.m
+        one = self.orbits[0].get((c[0] % ell, c[1] % ell))
+        if one is None:
+            return None
+        t1, t1inv = one
+        two = self.orbits[1].get(rowmul((c[2], c[3]), t1inv, ell))
+        if two is None:
+            return None
+        t2, t2inv = two
+        return mmul(t2, t1, m), mmul(t1inv, t2inv, m)
+
+    def transversal(self):
+        for t1, _ in self.orbits[0].values():
+            for t2, _ in self.orbits[1].values():
+                yield mmul(t2, t1, self.m)
+
+    def sizes(self):
+        return (len(self.orbits[0]) * len(self.orbits[1]),
+                [len(echelon) for echelon, _ in self.layers])
+
+    def __contains__(self, x):
+        lift = self.lift(x)
+        return lift is not None and self.reduce(mmul(lift[1], x, self.m)) == IDENTITY
+
+
+def _check_against_two_tables(mod, gens, probes=()):
+    """The chain of <gens> against the two-table oracle: sizes, the lift of
+    every element of G(ell), the transversal's coverage of G(ell), and the
+    membership of probes, of a sample of the transversal moved by each
+    kernel generator I + ell^j*E_i, and of a non-invertible matrix."""
+    m, ell = mod.modulus, mod.ell
+    oracle = _TwoTableFiltration(gens, mod)
+    group = MatrixGroup(mod, gens)
+    filt = group.filtration()
+    assert filt.sizes() == oracle.sizes()
+    top = sorted(mreduce(t, ell) for t in oracle.transversal())
+    for c in top:
+        t, tinv = filt.lift(c)
+        assert mreduce(t, ell) == c and mmul(t, tinv, m) == IDENTITY and t in oracle
+    transversal = list(filt.transversal())
+    assert sorted(mreduce(t, ell) for t in transversal) == top
+    kernel = [tuple((a + ell ** j * (i == k)) % m for k, a in enumerate(IDENTITY))
+              for j in range(1, mod.exponent) for i in range(4)]
+    sample = transversal[::max(1, len(transversal) // 16)]
+    moved = [mmul(t, k, m) for t in sample for k in kernel]
+    for x in sample + moved + list(probes) + [(ell, 0, 0, 1)]:
+        assert (x in group) == (x in oracle)
+
+
+def _random_unit(rng, mod):
+    "A random element of GL2(Z/ell^n)."
+    m = mod.modulus
+    while True:
+        c = tuple(rng.randrange(m) for _ in range(4))
+        if (c[0] * c[3] - c[1] * c[2]) % mod.ell:
+            return c
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def _two_tables_on_drawn_groups(data):
+    m = data.draw(st.sampled_from(SIFT_MODULI))
+    mod = PrimePowerModulus.from_int(m)
+    gens = data.draw(st.lists(_matrices(m, mod.ell), max_size=3))
+    _check_against_two_tables(mod, gens, data.draw(st.lists(_matrices(m, mod.ell), max_size=8)))
+
+
+def test_chain_against_two_tables():
+    mod, gens = THIRD_TABLE_CASE
+    assert Filtration(gens, mod).sizes() == (6, [3])
+    assert MatrixGroup(mod, gens).order() == 162 == len(mulclose(gens, 9))
+    for mod, gens in (THIRD_TABLE_CASE, NORMAL_CLOSURE_CASE):
+        _check_against_two_tables(mod, gens, _bfs_closure(gens, mod.modulus))
+    _two_tables_on_drawn_groups()
+
+
+def test_chain_against_two_tables_on_records(records, special_records):
+    rng = random.Random(43)
+    for rec in records + special_records:
+        group = rec.group()
+        for _ in range(5):
+            _check_against_two_tables(group.mod, group.conjugated_by(
+                _random_unit(rng, group.mod)).gens)
+
+
+def test_chain_against_two_tables_on_cartans():
+    for kind in CARTAN_KINDS:
+        for m in (7, 9, 25, 49, 289, 1331):
+            mod = PrimePowerModulus.from_int(m)
+            if kind != "section4-semidirect" or mod.exponent == 2:
+                _check_against_two_tables(mod, build_cartan(CartanSpec(kind, mod)).gens)
+
+
+def test_chain_cost_follows_ell(record_map, monkeypatch):
+    # 37.114.4.2 moves (1, 0) to 1,332 rows, so the two-table chain sifts
+    # about 1,450 Schreier generators; the three tables hold 37 + 36 + 12.
+    calls = []
+    real = Filtration._sift_down
+    monkeypatch.setattr(Filtration, "_sift_down",
+                        lambda self, level, s: calls.append(level) or real(self, level, s))
+    group = record_map["37.114.4.2"].group()
+    ell = group.ell
+    rng = random.Random(37)
+    for _ in range(10):
+        conj = group.conjugated_by(_random_unit(rng, group.mod))
+        del calls[:]
+        filt = conj.filtration()
+        assert sum(map(len, filt.orbits)) <= (ell + 1) + (ell - 1) + ell * (ell - 1)
+        assert len(calls) < 400 < _TwoTableFiltration(conj.gens, conj.mod).schreier

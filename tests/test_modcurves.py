@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -110,12 +111,29 @@ def test_profile_consistency():
         assert p.genus == 1 + (p.mu - 3 * p.nu2 - 4 * p.nu3 - 6 * p.nu_inf) // 12
 
 
+def _full_level_key(group):
+    """(key, +-G): key(x) names the right coset +-G*x mod N.  The least
+    element r of +-G(ell)*x mod ell (_right_coset_key) is h*x mod ell for an
+    h in +-G, and Filtration.reduce puts each layer digit of h*x in normal
+    form, whichever h the chain lifts r*x^-1 to."""
+    ell, m = group.ell, group.mod.modulus
+    least, pm = _right_coset_key(group)
+    filt = pm.filtration()
+
+    def key(x):
+        r = least(x)
+        h = filt.lift(mmul(r, minv(mreduce(x, ell), ell, ell), ell))[0]
+        return filt.reduce(mmul(h, x, m), minv(r, ell, ell))
+
+    return key, pm
+
+
 def _profile_by_coset_bfs(group):
     """GenusProfile from a BFS over all mu right cosets +-G*x of SL2(Z/N),
-    keyed by _right_coset_key at the full level: what genus_XG did before
-    it lifted through the congruence layers."""
+    keyed at the full level: what genus_XG did before it lifted through the
+    congruence layers."""
     m = group.mod.modulus
-    key, _ = _right_coset_key(group)
+    key, _ = _full_level_key(group)
     s, u = mreduce((0, -1, 1, 0), m), (1, 1 % m, 0, 1)
     step = {}
 
@@ -244,7 +262,8 @@ def test_coset_key_against_enumeration(data):
         pm = mulclose(gens + [(m - 1, 0, 0, m - 1)], m, 4000)
     except EnumerationCapError:
         return
-    key, _ = _right_coset_key(MatrixGroup(mod, gens))
+    least, _ = _right_coset_key(MatrixGroup(mod, gens))
+    key, _ = _full_level_key(MatrixGroup(mod, gens))
     xs = [_into_sl2(a, m) for a in data.draw(st.lists(unit, min_size=2, max_size=6))]
     for x in xs:
         k = key(x)
@@ -255,6 +274,30 @@ def test_coset_key_against_enumeration(data):
         for y in xs:
             same_coset = mmul(x, minv(y, m, ell), m) in pm
             assert (key(x) == key(y)) == same_coset
+    for x in xs:  # mod ell the key is the least element of +-G(ell)*x
+        assert least(x) == mreduce(key(x), ell) == min(mreduce(mmul(h, x, m), ell) for h in pm)
+
+
+def test_coset_key_is_least_mod_ell(records, special_records):
+    # The conjugacy search tries the cosets in the order of their keys, so
+    # printed witnesses depend on the key being the least element mod ell.
+    # The groups here have large ell; +-G(ell) is listed by the chain.  A
+    # random conjugate moves the stabilizer of (1, 0) off the diagonal.
+    rng = random.Random(5)
+    groups = [r.group() for r in records + special_records]
+    groups += [build_cartan(CartanSpec(kind, PrimePowerModulus.from_int(m)))
+               for kind in ("split", "split-normalizer", "nonsplit", "nonsplit-normalizer",
+                            "borel") for m in (7, 9, 25, 49)]
+    for group in groups:
+        ell, m = group.ell, group.mod.modulus
+        c = (0, 0, 0, 0)
+        while not mdet(c, ell):
+            c = tuple(rng.randrange(m) for _ in range(4))
+        key, pm = _right_coset_key(group.conjugated_by(c))
+        bar = {mreduce(t, ell) for t in pm.filtration().transversal()}
+        xs = [tuple(rng.randrange(m) for _ in range(4)) for _ in range(8)]
+        for x in [x for x in xs if mdet(x, ell)]:
+            assert key(x) == min(mmul(h, x, ell) for h in bar)
 
 
 @pytest.mark.parametrize("N", [81, 121, 125, 169, 343, 625, 729, 1331])
@@ -318,14 +361,14 @@ def test_carried_cosets_meet_sl2(monkeypatch):
 
 
 def test_genus_XG_honours_cap():
-    # genus_XG holds the two orbit tables of the stabilizer chain of +-G(ell),
+    # genus_XG holds the three tables of the stabilizer chain of +-G(ell),
     # the coset key memo (one entry per x mod ell met), the cosets mod ell,
     # the cosets carried through each layer and each layer's fibre.  It
     # raises exactly when one of them is larger than the cap; each group here
     # has a different largest table.  The memo holds r*s for every coset r
     # mod ell and is filled first, so the cosets mod ell never raise first.
     m49, m25, m5 = PrimePowerModulus(7, 2), PrimePowerModulus(5, 2), PrimePowerModulus(5, 1)
-    cases = [(lambda: full_gl2(m49), 48, "orbit"),          # O_1: every nonzero row mod 7
+    cases = [(lambda: full_gl2(m49), 42, "orbit"),          # O_2: every (c, d) mod 7, d != 0
              (lambda: MatrixGroup(m5, []), 90, "memo"),     # mu = 60 cosets of {+-I}
              (lambda: gamma1_shape(m49), 60, "carried"),    # the 60 cusps of X1(49)
              (lambda: build_cartan(CartanSpec("nonsplit-normalizer", m25)), 25, "fibre")]
@@ -334,7 +377,7 @@ def test_genus_XG_honours_cap():
         orbits = group.adjoin_minus_identity().filtration().orbits
         prof = genus_XG(group)
         mu_ell = genus_XG(group.reduce_to(1)).mu
-        tables = {"orbit": max(len(orbits[0]), len(orbits[1])), "cosets": mu_ell,
+        tables = {"orbit": max(map(len, orbits)), "cosets": mu_ell,
                   "carried": prof.nu_inf, "fibre": prof.mu // mu_ell}
         if which == "memo":
             assert largest > max(tables.values())
