@@ -19,8 +19,8 @@ _EXPORTS = {
                "gamma1_orbits"),
     "isolated": ("CandidatePair", "FilterReport", "analyze", "candidate_pairs",
                  "filter_genus_zero", "filter_riemann_roch"),
-    "labelio": ("GAMMA0_ISOLATED_J", "GAMMA1_ISOLATED_J", "ImageRecord", "KnownJRecord",
-                "parse_label", "parse_report_lines", "read_generators_file",
+    "knownj": ("GAMMA0_ISOLATED_J", "GAMMA1_ISOLATED_J", "KnownJRecord"),
+    "labelio": ("ImageRecord", "parse_label", "parse_report_lines", "read_generators_file",
                 "read_generators_text", "serialize_records", "validate_record"),
     "lattice": ("KernelModule", "RigidityResult", "SubgroupClass", "all_subgroups",
                 "preimage_rigidity", "proper_detsurjective_subgroups",

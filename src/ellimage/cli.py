@@ -28,7 +28,6 @@ from .gl2 import CARTAN_KINDS, CartanSpec, DEFAULT_CAP, build_cartan, is_conjuga
 from .labelio import (parse_label, read_generators_file, read_generators_text,
                       validate_record)
 from .modarith import PrimePowerModulus
-from .modcurves import genus_XG
 
 
 class RunConfig(namedtuple("RunConfig", "cap threads data_path out_path fmt")):
@@ -89,6 +88,7 @@ def _emit(text, config):
 # ---------------------------------------------------------------------------
 
 def cmd_info(args, config):
+    from .modcurves import genus_XG
     group = _resolve_group(args, config)
     dets, surj = group.det_image()
     prof = genus_XG(group, config.cap)
@@ -167,8 +167,6 @@ def cmd_lattice_check(args, config):
     from .lattice import (preimage_rigidity, proper_detsurjective_subgroups,
                           split_cartan_membership)
     group = _resolve_group(args, config)
-    if group.mod.modulus > 49:
-        raise EllimageError("lattice-check supports modulus <= 49")
     label = group.label or args.label or "(unlabeled)"
     lines = ["CERTIFICATE\t%s" % label,
              "VARIANT\tfixed-mod-ell-reduction"]

@@ -1,4 +1,4 @@
-"""Label parsing, generator data files, validation, and the shipped tables.
+"""Label parsing, generator data files and validation.
 
 Generator file grammar (one record per line, `#` starts a comment):
 
@@ -19,12 +19,10 @@ and parse back with parse_report_lines (comments pass through).
 """
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .errors import DataFileError, LabelError
 from .gl2 import DEFAULT_CAP, MatrixGroup
 from .modarith import PrimePowerModulus, ResidueMatrix
-from .modcurves import genus_XG
 
 
 def parse_label(text):
@@ -141,6 +139,7 @@ class ValidationReport(namedtuple("ValidationReport",
 
 def validate_record(rec, cap=DEFAULT_CAP):
     "Recompute level, index and genus and compare with the label fields."
+    from .modcurves import genus_XG
     n, i, g, _ = parse_label(rec.rszb_label)
     grp = rec.group()
     level = grp.level(cap).modulus
@@ -182,47 +181,3 @@ def parse_report_lines(text):
             out[(label, family)]["pairs"].append(
                 (int(level), int(degree), status, reason))
     return out
-
-
-# ---------------------------------------------------------------------------
-# the rational isolated j-invariants (shipped tables)
-
-# `ell` is None for CM rows: the statement is ell-free
-KnownJRecord = namedtuple("KnownJRecord", "j_invariant cm family ell citation")
-
-
-_CM_J = (
-    Fraction(0), Fraction(1728), Fraction(-3375), Fraction(8000),
-    Fraction(-32768), Fraction(54000), Fraction(287496), Fraction(-884736),
-    Fraction(-12288000), Fraction(16581375), Fraction(-884736000),
-    Fraction(-147197952000), Fraction(-262537412640768000),
-)
-
-_CM_CITE = "CM point; singular moduli are isolated in every prime-power tower"
-
-
-def _cm_rows(family):
-    return tuple(KnownJRecord(j, True, family, None, _CM_CITE) for j in _CM_J)
-
-
-GAMMA1_ISOLATED_J = _cm_rows("gamma1") + (
-    KnownJRecord(Fraction(-7 * 11 ** 3), False, "gamma1", 37,
-                 "degree-6 sporadic point on X1(37), van Hoeij"),
-    KnownJRecord(Fraction(-7 * 137 ** 3 * 2083 ** 3), False, "gamma1", 37,
-                 "degree-18 isolated point on X1(37)"),
-)
-
-GAMMA0_ISOLATED_J = _cm_rows("gamma0") + (
-    KnownJRecord(Fraction(-11 * 131 ** 3), False, "gamma0", 11,
-                 "rational point on X0(11)"),
-    KnownJRecord(Fraction(-11 ** 2), False, "gamma0", 11,
-                 "rational point on X0(11)"),
-    KnownJRecord(Fraction(-(17 ** 2) * 101 ** 3, 2), False, "gamma0", 17,
-                 "rational point on X0(17)"),
-    KnownJRecord(Fraction(-17 * 373 ** 3, 2 ** 17), False, "gamma0", 17,
-                 "rational point on X0(17)"),
-    KnownJRecord(Fraction(-7 * 11 ** 3), False, "gamma0", 37,
-                 "rational point on X0(37)"),
-    KnownJRecord(Fraction(-7 * 137 ** 3 * 2083 ** 3), False, "gamma0", 37,
-                 "rational point on X0(37)"),
-)

@@ -12,9 +12,10 @@ of a parent group:
   whatever |G|, subgroups that keep the full mod-ell image correspond, by
   Schur-Zassenhaus, to the G(ell)-stable subspaces W of the kernel part
   U = L_1 of G, one conjugacy class per W, realized as (complement over
-  the kernel) * N_W.  KernelModule.stable_subspaces spins one line per
-  G(ell)-orbit on the lines of U (conjugate lines have the same spin) and
-  closes the spins under joins.  The complement averages the cocycle of
+  the kernel) * N_W.  KernelModule.stable_subspaces walks the lattice of
+  these up from 0, each cover W + M of W read off the minimal submodules M
+  of U/W, which meet the eigenspaces of one generator's conjugation
+  action.  The complement averages the cocycle of
   the least lifts in G of the elements of G(ell) (_averaged_section, the
   case S = 1 of the Gaschutz average of preimage_rigidity), evaluated at
   the generators only and checked by the order of the group its values
@@ -27,7 +28,7 @@ of a parent group:
   the one-step full preimage reduces exactly onto G.  Candidate kernel
   intersections U are the G-stable subspaces of M2(F_ell) above the span
   of the ell-th-power image of G's top kernel layer L_{n-1}, a stable
-  floor, so only the lines of M2/floor are spun, one per orbit.  A
+  floor, and the walk starts there.  A
   subgroup over U exists iff V = (I + ell^n M2)/N_U has a complement,
   and by Gaschutz iff an ell-Sylow subgroup splits over V.  Its
   generators, the layer rows of G cap K_1 (deepest layer first) and a lift
@@ -48,14 +49,15 @@ of a parent group:
 
 F_ell linear algebra on kernel coordinate vectors goes through
 modarith.Echelon.  All search budgets are explicit and exhaustion is a hard
-error; every subgroup, section and counterexample the searches build is
-verified, and a failed verification raises CertificateError.
+error; the walks over Filtration.transversal() check |G(ell)| against the
+cap first.  Every subgroup, section and counterexample the searches build
+is verified, and a failed verification raises CertificateError.
 """
 
 from collections import namedtuple
 from itertools import product
 
-from .errors import CertificateError, SearchBudgetError
+from .errors import CertificateError, EnumerationCapError, SearchBudgetError
 from .gl2 import (CartanSpec, DEFAULT_CAP, MatrixGroup, build_cartan,
                   conjugate_into, extend, orbit)
 from .modarith import (IDENTITY, Echelon, PrimePowerModulus, lincomb, mdet, minv,
@@ -74,25 +76,48 @@ RigidityResult = namedtuple("RigidityResult", "rigid counterexample checked_subs
 # ---------------------------------------------------------------------------
 # stable subspaces of the kernel module F_ell^4
 
-def _conj_coords(gbar, v, ell):
-    "Conjugation action of a mod-ell matrix on a kernel coordinate vector."
-    gi = minv(gbar, ell, ell)
-    w = mmul(mmul(gbar, v, ell), gi, ell)
-    return w
-
-
-def _is_stable(basis, gens_bar, ell):
+def _is_stable(basis, action, ell):
+    "Whether the span of basis is stable under the action matrices."
     span = Echelon(ell, basis)
-    return all(_conj_coords(g, b, ell) in span for g in gens_bar for b in basis)
+    return all(_apply(b, cols, ell) in span for cols in action for b in basis)
 
 
 def _apply(v, cols, ell):
     "The image of a coordinate vector under a linear map given by its columns."
-    return tuple(sum(v[j] * cols[j][i] for j in range(4)) % ell for i in range(4))
+    a, b, c, d = v
+    return tuple((a * w + b * x + c * y + d * z) % ell for w, x, y, z in zip(*cols))
+
+
+def _conjugation(g, ell):
+    "Conjugation by a mod-ell matrix as a linear map, by its columns."
+    gi = minv(g, ell, ell)
+    return [mmul(mmul(g, b, ell), gi, ell) for b in M2_BASIS]
 
 
 def _trace_nonzero(basis, ell):
     return any((b[0] + b[3]) % ell for b in basis)
+
+
+def _lines(basis, ell):
+    "One vector of each line of the span of an independent basis."
+    k = len(basis)
+    for pivot in range(k):
+        for rest in product(range(ell), repeat=k - pivot - 1):
+            yield lincomb((0,) * pivot + (1,) + rest, basis, ell)
+
+
+def _complement(W, span, ell):
+    "An Echelon of W, and rows that complete it to a basis of span + W."
+    base, grown = Echelon(ell, W), Echelon(ell, W)
+    return base, [row for row in map(grown.add, span) if row is not None]
+
+
+def _solutions(pairs, ell):
+    """A basis of the vectors sum x_i c_i with sum x_i y_i = 0, for pairs
+    (y_i, c_i) with independent c_i: the c-parts of the echelon rows of the
+    concatenations y_i c_i whose y-part is zero."""
+    n = len(pairs[0][0]) if pairs else 0
+    return [r[n:] for r in Echelon(ell, [y + c for y, c in pairs]).rows if not any(r[:n])]
 
 
 class KernelModule(namedtuple("KernelModule", "ell gens_bar")):
@@ -103,20 +128,15 @@ class KernelModule(namedtuple("KernelModule", "ell gens_bar")):
 
     def _action_matrices(self):
         "Conjugation by each generator as a linear map on coordinate vectors."
-        ell = self.ell
-        mats = []
-        for g in self.gens_bar:
-            gi = minv(g, ell, ell)
-            cols = [mmul(mmul(g, b, ell), gi, ell) for b in M2_BASIS]
-            mats.append(cols)
-        return mats
+        return [_conjugation(g, self.ell) for g in self.gens_bar]
 
-    def spin(self, vectors, action=None):
-        "Smallest stable subspace containing the vectors, in canonical form."
+    def spin(self, vectors, action=None, floor=()):
+        """Smallest stable subspace containing the vectors and the stable
+        subspace spanned by `floor`, in canonical form."""
         ell = self.ell
         action = action or self._action_matrices()
-        span = Echelon(ell, vectors)
-        frontier = span.rows
+        span = Echelon(ell, floor)
+        frontier = [w for w in map(span.add, vectors) if w is not None]
         while frontier and len(span) < 4:
             new = []
             for v in frontier:
@@ -127,42 +147,112 @@ class KernelModule(namedtuple("KernelModule", "ell gens_bar")):
             frontier = new
         return span.rref()
 
-    def stable_subspaces(self, floor=(), span=M2_BASIS):
+    def _factors(self, g):
+        """(f(A), f is the quadratic) for each irreducible factor f over
+        F_ell of the characteristic polynomial (x - 1)^2 q(x) of conjugation
+        A by g, where q = x^2 - (t^2/d - 2)x + 1 for t = tr g and d = det g:
+        A - r for r = 1 and each root r of q, or q(A) when q has none."""
+        ell = self.ell
+        cols = _conjugation(g, ell)
+        s = ((g[0] + g[3]) ** 2 * pow(g[0] * g[3] - g[1] * g[2], -1, ell) - 2) % ell
+        roots = {r for r in range(ell) if (r * r - s * r + 1) % ell == 0}
+        # the columns of a*A^2 + b*A + c from those of A
+        poly = lambda a, b, c: [tuple((a * y + b * x + c * (i == j)) % ell
+                                      for i, (y, x) in enumerate(zip(_apply(v, cols, ell), v)))
+                                for j, v in enumerate(cols)]
+        if roots:
+            return [(poly(0, 1, -r), False) for r in sorted(roots | {1})]
+        return [(poly(0, 1, -1), False), (poly(1, -s, 1), True)]
+
+    def stable_subspaces(self, floor=(), span=M2_BASIS, cap=DEFAULT_CAP):
         """All stable subspaces W with floor <= W <= span, for stable RREF
         bases `floor` and `span` (the zero space and the whole module by
-        default), each in RREF.  Every such W is the join of floor and the
-        spins of floor + v for its vectors v, and for a stable floor the spin
-        of floor + g v g^-1 is the spin of floor + v: so one line per
-        G(ell)-orbit on the lines of span/floor is spun, and the join closure
-        of those spins over floor is the full list."""
+        default), each in RREF.  A breadth-first walk up the lattice from
+        floor: the covers of W are the W + M for the minimal submodules M of
+        span/W (Holt, Eick and O'Brien, ch. 7).  EnumerationCapError is
+        raised once the list holds more than cap subspaces.
+
+        Conjugation by one generator g has characteristic polynomial
+        (x - 1)^2 q(x) on M2, so every M meets the kernel on span/W of f(A)
+        for an irreducible factor f of it (_factors), and M is the spin of W
+        and any vector of M.  So the spins of one vector per line of those
+        kernels hold every cover; the others are stable too, and the walk
+        steps to all of them.  Two shortcuts: the kernel of q(A) for q
+        irreducible is F_ell[A]-cyclic, so one vector spins it; and a line
+        stable with character chi lists every cover that carries chi, the
+        lines of the joint eigenspace E_chi, without spins (Lux, Mueller and
+        Ringe 1994).  A kernel line in the sum of the E_chi listed lies in
+        one of them, or spins past a cover, so it is skipped.  g is the
+        generator whose kernels on span/floor hold the fewest lines; those
+        on span/W have no more, since dim ker f(A) is dim coker f(A), which
+        only drops on quotients.  For g non-central each kernel has
+        dimension <= 2."""
         ell = self.ell
-        if not _is_stable(floor, self.gens_bar, ell):
-            raise CertificateError("floor %r is not stable" % (floor,))
         action = self._action_matrices()
-        base, grown = Echelon(ell, floor), Echelon(ell, floor)
-        complement = [row for row in map(grown.add, span) if row is not None]
-        inverse = [0] + [pow(x, -1, ell) for x in range(1, ell)]
+        if not _is_stable(floor, action, ell):
+            raise CertificateError("floor %r is not stable" % (floor,))
+        start = tuple(Echelon(ell, floor).rref())
 
-        def line(v):
-            "The canonical vector of the line of v in span/floor: lead entry 1."
-            v = base.reduce(v)
-            lead = inverse[next(x for x in v if x)]
-            return tuple(x * lead % ell for x in v)
+        def lines(factors):
+            kernels = self._kernels(*_complement(start, span, ell), factors)
+            return sum(min(len(k), 1) if quadratic else (ell ** len(k) - 1) // (ell - 1)
+                       for k, (_, quadratic) in zip(kernels, factors))
 
-        seen, spins = set(), set()
-        dim = len(complement)
-        for pivot in range(dim):
-            for rest in product(range(ell), repeat=dim - pivot - 1):
-                v = line(lincomb((0,) * pivot + (1,) + rest, complement, ell))
-                if v not in seen:
-                    seen |= orbit(v, action, lambda w, cols: line(_apply(w, cols, ell)))
-                    spins.add(tuple(self.spin(list(floor) + [v], action)))
-        lattice = orbit(tuple(floor), spins, lambda a, b: tuple(Echelon(ell, a + b).rref()))
-        out = [list(s) for s in sorted(lattice, key=lambda s: (len(s), s))]
+        factors = min(map(self._factors, self.gens_bar or (IDENTITY,)), key=lines)
+        seen, frontier = {start}, [start]
+        while frontier:
+            new = []
+            for W in frontier:
+                for X in self._covers(W, span, action, factors):
+                    if X not in seen:
+                        seen.add(X)
+                        new.append(X)
+                        if len(seen) > cap:
+                            raise EnumerationCapError("stable subspaces exceeded cap %d" % cap)
+            frontier = new
+        out = [list(s) for s in sorted(seen, key=lambda s: (len(s), s))]
         for s in out:
-            if not _is_stable(s, self.gens_bar, ell):
-                raise CertificateError("join of stable subspaces %r is not stable" % (s,))
+            if not _is_stable(s, action, ell):
+                raise CertificateError("walked subspace %r is not stable" % (s,))
         return out
+
+    def _kernels(self, base, comp, factors):
+        "A basis of the kernel of each f(A) on the span of comp modulo base."
+        ell = self.ell
+        return [_solutions([(base.reduce(_apply(c, f, ell)), c) for c in comp], ell)
+                for f, _ in factors]
+
+    def _covers(self, W, span, action, factors):
+        """Stable subspaces X > W of span, in RREF, among them every cover of
+        W (stable_subspaces)."""
+        ell = self.ell
+        base, comp = _complement(W, span, ell)
+        if len(comp) == 1:  # span/W is a line, and span is stable
+            return [tuple(Echelon(ell, list(W) + comp).rref())]
+        # A v - x v mod W, for v reduced mod W
+        shifted = lambda v, cols, x: tuple((a - x * b) % ell for a, b in
+                                           zip(base.reduce(_apply(v, cols, ell)), v))
+        # W plus the joint eigenspaces listed so far, for distinct characters
+        found, listed = set(), Echelon(ell, W)
+        for kernel, (_, quadratic) in zip(self._kernels(base, comp, factors), factors):
+            if all(k in listed for k in kernel):
+                continue
+            for v in kernel[:1] if quadratic else _lines(kernel, ell):
+                if v in listed:
+                    continue
+                X = self.spin([v], action, W)
+                if quadratic or len(X) > len(W) + 1:
+                    found.add(tuple(X))
+                    continue
+                p = next(i for i, x in enumerate(v) if x)
+                chi = [base.reduce(_apply(v, cols, ell))[p] * pow(v[p], -1, ell) % ell
+                       for cols in action]
+                E = _solutions([(sum((shifted(c, cols, x) for cols, x in zip(action, chi)),
+                                     ()), c) for c in comp], ell)
+                for e in E:
+                    listed.add(e)
+                found.update(tuple(Echelon(ell, list(W) + [u]).rref()) for u in _lines(E, ell))
+        return found
 
     def class_size(self, u_basis, w_basis):
         """Number of G-conjugates of H = S * (I + ell*W), for G = S * K with S
@@ -351,14 +441,15 @@ def _stable_subspace_classes(group, index_bound, cap=DEFAULT_CAP):
     # G(ell), averaged; the lifts of t mod ell are t*(I + ell*U), and the
     # least of them has its digit in normal form modulo (t mod ell)*U
     least = _KernelQuotient(ell, 1, u_basis).canon
-    section = _averaged_section({mreduce(t, ell): least(t) for t in filt.transversal()},
+    section = _averaged_section({mreduce(t, ell): least(t)
+                                 for t in _transversal(filt, "averaged section", cap)},
                                 ell, m, ell, gens_bar)
     image = MatrixGroup(mod, section)
     if image.order(cap) != bar_order or image.reduce_to(1).order(cap) != bar_order:
         raise CertificateError("averaged section is not a homomorphism")
 
     out = []
-    for W in module.stable_subspaces(span=u_basis):
+    for W in module.stable_subspaces(span=u_basis, cap=cap):
         if len(W) == len(u_basis) or ell ** (len(u_basis) - len(W)) > index_bound:
             continue  # the parent itself, or an index over the bound
         rep_gens = section + [_kernel_matrix(w, ell, m) for w in W]
@@ -409,6 +500,16 @@ class _KernelQuotient:
         return tuple((base[i] + self.layer * d[i]) % self.m for i in range(4))
 
 
+def _transversal(filt, walk, cap):
+    """Filtration.transversal(), after checking |G(ell)| against cap; past
+    it EnumerationCapError names the walk and its size."""
+    size = filt.sizes()[0]
+    if size > cap:
+        raise EnumerationCapError("%s walks the %d products of the transversal, over cap %d"
+                                  % (walk, size, cap))
+    return filt.transversal()
+
+
 def _sylow_subgroup(group, cap=DEFAULT_CAP):
     """Generators of an ell-Sylow subgroup of the group, the preimage in G
     of an ell-Sylow subgroup of G(ell).  The ell-part of |GL2(F_ell)| is
@@ -418,7 +519,7 @@ def _sylow_subgroup(group, cap=DEFAULT_CAP):
     ell = group.mod.ell
     # each layer row keeps the powers of an inverse b^-1 of its realiser
     gens = [powers[1] for _, rows in reversed(filt.layers) for powers in rows.values()]
-    for t in filt.transversal():
+    for t in _transversal(filt, "Sylow subgroup", cap):
         n = ((t[0] - 1) % ell, t[1] % ell, t[2] % ell, (t[3] - 1) % ell)
         if any(n) and not any(mmul(n, n, ell)):
             return gens + [t]
@@ -582,7 +683,7 @@ def _gaschutz_complement(group, gens, cap=DEFAULT_CAP):
         return tuple((x - f * y) % ell for x, y in zip(c, d))
 
     reps = {}
-    for t in filt.transversal():
+    for t in _transversal(filt, "Gaschutz average", cap):
         reps.setdefault(key(mreduce(t, ell)), t)
     inverse = {k: minv(t, layer, ell) for k, t in reps.items()}
 
@@ -672,7 +773,7 @@ def _rigidity_subspaces(group, cap=DEFAULT_CAP):
     # the floor of the stable subspaces that contain it
     floor = Echelon(ell, top).rref()
     out = []
-    for U in sorted(KernelModule(ell, gens_bar).stable_subspaces(floor), key=len,
+    for U in sorted(KernelModule(ell, gens_bar).stable_subspaces(floor, cap=cap), key=len,
                     reverse=True):
         if len(U) < 4:
             span_u = Echelon(ell, U)

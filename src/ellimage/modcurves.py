@@ -22,7 +22,6 @@ formulas, and the tests keep the full-level coset BFS and an SL2-enumerating
 coset count as oracles.
 """
 from collections import namedtuple
-from fractions import Fraction
 from itertools import product
 from math import gcd
 
@@ -46,11 +45,19 @@ def _legendre(a, p):
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
-def _genus(g, what):
-    "g as an int; ArithmeticError unless it is a non-negative integer."
-    if g.denominator != 1 or g < 0:
-        raise ArithmeticError("genus of %s came out as %s" % (what, g))
-    return int(g)
+def _quotient(num, den, what, least=0):
+    """num/den as an int; ArithmeticError, naming `what` and the fraction in
+    lowest terms, unless it is an integer >= least."""
+    if num % den or num < least * den:
+        d = gcd(num, den)
+        value = num // d if d == den else "%d/%d" % (num // d, den // d)
+        raise ArithmeticError("%s came out as %s" % (what, value))
+    return num // den
+
+
+def _genus(mu, nu2, nu3, nu_inf, what):
+    "g = 1 + mu/12 - nu2/4 - nu3/3 - nu_inf/2, computed as 12g."
+    return _quotient(12 + mu - 3 * nu2 - 4 * nu3 - 6 * nu_inf, 12, "genus of %s" % (what,))
 
 
 def genus_X0(N):
@@ -83,8 +90,7 @@ def genus_X0(N):
                 break
             nu3 *= 1 + _legendre(-3, p)
     nu_inf = sum(_euler_phi(gcd(d, N // d)) for d in range(1, N + 1) if N % d == 0)
-    g = 1 + Fraction(mu, 12) - Fraction(nu2, 4) - Fraction(nu3, 3) - Fraction(nu_inf, 2)
-    return _genus(g, N)
+    return _genus(mu, nu2, nu3, nu_inf, N)
 
 
 def genus_X1(N):
@@ -93,13 +99,12 @@ def genus_X1(N):
         raise ValueError("N must be >= 1")
     if N <= 4:
         return 0
-    mu = Fraction(N * N, 2)
+    # mu = num / (2 den) and nu_inf = cusps / 2, so 24 den g is an integer
+    num, den = N * N, 1
     for p in factorize(N):
-        mu *= Fraction(p * p - 1, p * p)
-    nu_inf = Fraction(sum(_euler_phi(d) * _euler_phi(N // d)
-                          for d in range(1, N + 1) if N % d == 0), 2)
-    g = 1 + mu / 12 - nu_inf / 2
-    return _genus(g, N)
+        num, den = num * (p * p - 1), den * p * p
+    cusps = sum(_euler_phi(d) * _euler_phi(N // d) for d in range(1, N + 1) if N % d == 0)
+    return _quotient(24 * den + num - 6 * cusps * den, 24 * den, "genus of %s" % (N,))
 
 
 class MapDegreeSpec(namedtuple("MapDegreeSpec", "family a b")):
@@ -115,29 +120,29 @@ class MapDegreeSpec(namedtuple("MapDegreeSpec", "family a b")):
             raise ValueError("a, b must be >= 1")
         return super().__new__(cls, family, a, b)
 
+    def _c_f_denominator(self):
+        return 2 if self.family == "gamma1" and self.a <= 2 and self.a * self.b > 2 else 1
+
     @property
     def c_f(self):
-        if self.family == "gamma1" and self.a <= 2 and self.a * self.b > 2:
-            return Fraction(1, 2)
-        return Fraction(1)
+        from fractions import Fraction
+        return Fraction(1, self._c_f_denominator())
 
 
 def map_degree(spec):
     "Degree of the natural map described by a MapDegreeSpec; checked integral."
     a, b = spec.a, spec.b
     if spec.family == "gamma1":
-        deg = spec.c_f * b * b
+        num, den = b * b, spec._c_f_denominator()
         for p in factorize(b):
             if a % p:
-                deg *= Fraction(p * p - 1, p * p)
+                num, den = num * (p * p - 1), den * p * p
     else:
-        deg = Fraction(b)
+        num, den = b, 1
         for p in factorize(b):
             if a % p:
-                deg *= Fraction(p + 1, p)
-    if deg.denominator != 1 or deg < 1:
-        raise ArithmeticError("degree of %s came out as %s" % (spec, deg))
-    return int(deg)
+                num, den = num * (p + 1), den * p
+    return _quotient(num, den, "degree of %s" % (spec,), 1)
 
 
 def map_degree_tower(family, ell, a_exp, k_exp):
@@ -291,5 +296,4 @@ def genus_XG(group, cap=DEFAULT_CAP):
         carried = [(g, fixed_only, layer.lift(g, fixed_only, cycles, cap))
                    for g, fixed_only, cycles in carried]
     nu2, nu3, nu_inf = (len(cycles) for _, _, cycles in carried)
-    g = 1 + Fraction(mu, 12) - Fraction(nu2, 4) - Fraction(nu3, 3) - Fraction(nu_inf, 2)
-    return GenusProfile(mu, nu2, nu3, nu_inf, _genus(g, group))
+    return GenusProfile(mu, nu2, nu3, nu_inf, _genus(mu, nu2, nu3, nu_inf, group))

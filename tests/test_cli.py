@@ -2,6 +2,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from ellimage import gl2, lattice, modarith
 from ellimage.cli import _bundled_records, _special_records, main
 from ellimage.errors import EnumerationCapError
@@ -58,32 +60,34 @@ BUDGET_CHECK = """
 import resource, sys, time
 start = time.perf_counter()
 from ellimage.cli import main
-code = main(["info"] + sys.argv[1:])
+code = main(sys.argv[1:])
 print(code, time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
       file=sys.stderr)
 """
 
 
-def _info_within_budget(*args):
-    "stdout of `info args`, checked to exit 0 within 1 s and 100 MB of the child."
+def _within_budget(*args, code=0, seconds=1.0):
+    """(stdout, stderr) of the CLI verb and arguments `args`, checked to exit
+    with `code` within `seconds` and 100 MB of the child."""
     r = subprocess.run([sys.executable, "-c", BUDGET_CHECK] + list(args),
                        capture_output=True, text=True)
-    code, seconds, max_rss_kb = r.stderr.split()
-    assert code == "0"
-    assert float(seconds) < 1.0
+    *stderr, last = r.stderr.splitlines()
+    exit_code, elapsed, max_rss_kb = last.split()
+    assert int(exit_code) == code, r.stderr
+    assert float(elapsed) < seconds
     assert int(max_rss_kb) < 100 * 1024
-    return r.stdout
+    return r.stdout, stderr
 
 
 def test_info_borel_121_within_budget():
     # level ell^2 at ell = 11: |SL2(Z/121)| = 1,932,480, mu = 132
-    stdout = _info_within_budget("--cartan", "borel", "--mod", "121")
+    stdout, _ = _within_budget("info", "--cartan", "borel", "--mod", "121")
     assert "genus profile: mu=132 nu2=0 nu3=0 nu_inf=12 genus=6" in stdout
 
 
 def test_info_borel_101_within_budget():
     # |G(101)| = 1,010,000; the chain holds 10,100 + 100 rows
-    stdout = _info_within_budget("--cartan", "borel", "--mod", "101")
+    stdout, _ = _within_budget("info", "--cartan", "borel", "--mod", "101")
     assert "order: 1010000" in stdout
     assert "genus profile: mu=102 nu2=2 nu3=0 nu_inf=2 genus=8" in stdout
 
@@ -92,8 +96,28 @@ def test_info_nonsplit_normalizer_1331_within_budget():
     # mu = 805,255 cosets mod 1331, of which only the fixed ones and one per
     # u-cycle are carried up the layers; the profile was checked once against
     # the BFS over all of them
-    stdout = _info_within_budget("--cartan", "nonsplit-normalizer", "--mod", "1331")
+    stdout, _ = _within_budget("info", "--cartan", "nonsplit-normalizer", "--mod", "1331")
     assert "genus profile: mu=805255 nu2=727 nu3=1 nu_inf=605 genus=66621" in stdout
+
+
+@pytest.mark.parametrize("args, claim", [
+    # 223 proper stable subspaces, the first one that splits gives the witness
+    (["--cartan", "split", "--mod", "53"], "CLAIM\tpreimage-rigidity\tmodulus=2809\trigid=false"),
+    (["--cartan", "nonsplit-normalizer", "--mod", "169"],
+     "CLASS\tindex=13\tclass_size=13\tdet_surjective=true"),
+    (["--label", "37.114.4.1"], "CLAIM\tpreimage-rigidity\tmodulus=1369\trigid=false"),
+])
+def test_lattice_check_beyond_49_within_budget(args, claim):
+    stdout, _ = _within_budget("lattice-check", *args, seconds=2.0)
+    assert claim in stdout and stdout.endswith("RESULT\tcertified\n")
+
+
+def test_lattice_check_cap_error_before_transversal_walk():
+    # |Borel(1009)| = 1,025,208,576 transversal products, over the default cap
+    _, stderr = _within_budget("lattice-check", "--cartan", "borel", "--mod", "1009",
+                               code=1, seconds=2.0)
+    assert stderr == ["error: Sylow subgroup walks the 1025208576 products of the "
+                      "transversal, over cap 10000000"]
 
 
 def test_info_nonsplit_normalizer_101():

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from ellimage.errors import DataFileError, LabelError
-from ellimage.labelio import (GAMMA0_ISOLATED_J, GAMMA1_ISOLATED_J,
-                              ImageRecord, parse_label, read_generators_text,
+from ellimage.knownj import GAMMA0_ISOLATED_J, GAMMA1_ISOLATED_J
+from ellimage.labelio import (ImageRecord, parse_label, read_generators_text,
                               serialize_records, validate_record)
 from ellimage.modarith import PrimePowerModulus, ResidueMatrix
 

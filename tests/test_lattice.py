@@ -7,6 +7,7 @@ from itertools import combinations, permutations, product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from ellimage import lattice as lattice_module
 from ellimage.errors import EnumerationCapError, SearchBudgetError
 from ellimage.gl2 import (CartanSpec, DEFAULT_CAP, MatrixGroup, build_cartan,
                           extend, full_gl2, is_conjugate, mulclose, orbit)
@@ -580,7 +581,7 @@ def _stable_subspace_classes_by_elements(group, index_bound):
     for W in _subspaces_of(u_basis, ell):
         if len(W) == len(u_basis) or ell ** (len(u_basis) - len(W)) > index_bound:
             continue
-        if not _is_stable(W, gens_bar, ell):
+        if not _is_stable(W, module._action_matrices(), ell):
             continue
         rep = MatrixGroup(mod, [section[mreduce(g, ell)] for g in group.gens]
                           + [_kernel_matrix(w, ell, m) for w in W])
@@ -613,7 +614,7 @@ def test_structured_path_against_element_scan(record_map, special_records):
         subspaces = _subspaces_of(u_basis, ell)
         assert all(W == Echelon(ell, W).rref() for W in subspaces), name
         module = KernelModule(ell, tuple(mreduce(g, ell) for g in group.gens))
-        assert (sorted(W for W in subspaces if _is_stable(W, module.gens_bar, ell))
+        assert (sorted(W for W in subspaces if _is_stable(W, module._action_matrices(), ell))
                 == sorted(module.stable_subspaces(span=u_basis))), name
         new = _stable_subspace_classes(group, ell ** 4)
         assert ([(c.index_in_parent, c.class_size, c.det_surjective, c.representative.gens)
@@ -626,9 +627,9 @@ def test_structured_path_against_element_scan(record_map, special_records):
 
 @functools.lru_cache(maxsize=None)
 def _stable_subspaces_all_lines(module, span=M2_BASIS):
-    """KernelModule.stable_subspaces as it was before it spun one line per
-    orbit: the join closure of the spins of every line of the span (a
-    tuple).  Cached, since two tests read it on the same modules."""
+    """The stable subspaces by their definition, the oracle of the lattice
+    walk: the join closure of the spins of every line of the span (a tuple).
+    Cached, since several tests read it on the same modules."""
     ell, dim = module.ell, len(span)
     spins = set()
     for pivot in range(dim):
@@ -639,46 +640,124 @@ def _stable_subspaces_all_lines(module, span=M2_BASIS):
     return [list(s) for s in sorted(lattice, key=lambda s: (len(s), s))]
 
 
+def _inside(W, span, ell):
+    "Whether the rows of W lie in the span of the rows of span."
+    span = Echelon(ell, span)
+    return all(w in span for w in W)
+
+
 def test_stable_subspaces_against_all_lines(record_map, special_records):
-    """The orbit-representative lists equal the all-lines lists, in M2 and in
-    the kernel part U (test_power_constraint_against_element_scan compares
-    them over the power-constraint floor)."""
+    """The walked lists equal the all-lines lists, in M2 and in the kernel
+    part U, on every bundled and special record and a seeded conjugate, the
+    conjugate left out at ell = 37, where the oracle spins 52,060 lines
+    (test_power_constraint_against_element_scan compares them over the
+    power-constraint floor)."""
     compared = set()
-    for name, group in _oracle_groups(record_map, special_records, lambda g: g.ell <= 7):
+    for name, group in _oracle_groups(record_map, special_records, lambda g: True):
         ell = group.ell
+        if ell > 17 and name in compared:
+            continue
         module = KernelModule(ell, tuple(mreduce(g, ell) for g in group.gens))
-        assert module.stable_subspaces() == _stable_subspaces_all_lines(module), name
+        every = _stable_subspaces_all_lines(module)
+        assert module.stable_subspaces() == every, name
         if group.mod.exponent >= 2:
             u_basis = group.filtration().layers[0][0].rref()
             assert (module.stable_subspaces(span=u_basis)
-                    == _stable_subspaces_all_lines(module, tuple(u_basis))), name
+                    == [W for W in every if _inside(W, u_basis, ell)]), name
         compared.add(name)
-    assert {"49.196.9.1", "7.8.0.1", "2.2.0.1", "25.30.0.1"} <= compared
+    assert {r.rszb_label for r in list(record_map.values()) + special_records} <= compared
+    assert len(compared) >= 43
 
 
-def test_stable_subspaces_spin_only_lines_of_the_span(image49, monkeypatch):
-    spun = []
+@pytest.mark.parametrize("m", (5, 7, 9, 11, 13, 25, 27, 49))
+def test_stable_subspaces_of_cartans_against_all_lines(m):
+    """The walked lists equal the all-lines lists for the five --cartan
+    kinds: in M2, in the kernel part U, and above the power-constraint
+    floor that _rigidity_subspaces starts from."""
+    for kind in ("borel", "split", "split-normalizer", "nonsplit", "nonsplit-normalizer"):
+        group = build_cartan(CartanSpec(kind, PrimePowerModulus.from_int(m)))
+        ell = group.ell
+        module = KernelModule(ell, tuple(mreduce(g, ell) for g in group.gens))
+        every = _stable_subspaces_all_lines(module)
+        assert module.stable_subspaces() == every, kind
+        floor = []
+        if group.mod.exponent >= 2:
+            u_basis = group.filtration().layers[0][0].rref()
+            assert (module.stable_subspaces(span=u_basis)
+                    == [W for W in every if _inside(W, u_basis, ell)]), kind
+            floor = Echelon(ell, group.filtration().layers[-1][0].rows).rref()
+        assert ([U for U, _ in _rigidity_subspaces(group)]
+                == sorted((U for U in every if len(U) < 4 and _inside(floor, U, ell)),
+                          key=len, reverse=True)), kind
+
+
+@st.composite
+def _drawn_modules(draw):
+    """A KernelModule of up to three generators mod 2, 3, 5 or 7, each
+    invertible or scalar.  A scalar G(ell) makes every subspace stable; its
+    lattice, large by nature, is drawn at ell <= 3, where the all-lines
+    oracle's join closure stays small."""
+    ell = draw(st.sampled_from([2, 3, 5, 7]))
+    scalar = st.integers(1, ell - 1).map(lambda x: (x, 0, 0, x))
+    matrix = st.tuples(*[st.integers(0, ell - 1)] * 4).filter(
+        lambda g: (g[0] * g[3] - g[1] * g[2]) % ell)
+    gens = draw(st.lists(scalar | matrix, max_size=3))
+    assume(ell <= 3 or any(g[1] or g[2] or g[0] != g[3] for g in gens))
+    return KernelModule(ell, tuple(gens))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_drawn_modules())
+def test_stable_subspaces_on_drawn_generators(module):
+    assert module.stable_subspaces() == _stable_subspaces_all_lines(module)
+
+
+def test_stable_subspaces_of_scalar_group_and_cap():
+    # every subspace of F_3^4 is stable under a scalar group: 1 + 40 + 130 + 40 + 1
+    module = KernelModule(3, ((2, 0, 0, 2),))
+    assert len(module.stable_subspaces()) == 212
+    with pytest.raises(EnumerationCapError):
+        module.stable_subspaces(cap=211)
+
+
+def _edges(subspaces, ell):
+    """The number of covering pairs W < X in a list of subspaces: the
+    maximal members of the set below each X."""
+    below = {}
+    for X in subspaces:
+        span = Echelon(ell, X)
+        below[tuple(X)] = {tuple(W) for W in subspaces
+                           if len(W) < len(X) and all(w in span for w in W)}
+    return sum(len(b - set().union(*(below[W] for W in b))) for b in below.values())
+
+
+def test_stable_subspaces_walk_spins_per_edge(record_map, image49, monkeypatch):
+    """The walk neither orbits lines nor spins more than ell + 1 vectors per
+    edge of the lattice it returns, and spins only vectors of the span."""
+    spun, orbited = [], []
     spin = KernelModule.spin
 
-    def counting_spin(self, vectors, action=None):
-        spun.append(vectors)
-        return spin(self, vectors, action)
+    def counting_spin(self, *args, **kw):
+        spun.append(args)
+        return spin(self, *args, **kw)
 
     monkeypatch.setattr(KernelModule, "spin", counting_spin)
-    module = KernelModule(7, tuple(mreduce(g, 7) for g in image49.gens))
-    u_basis = image49.filtration().layers[0][0].rref()
-    inside = module.stable_subspaces(span=u_basis)
-    # G(7) has 11 orbits on the 57 lines of U and 46 on the 400 of M2(F_7)
-    assert len(u_basis) == 3 and len(spun) == 11
-    span = Echelon(7, u_basis)
-    assert all(v in span for vectors in spun for v in vectors)
-    spun.clear()
-    everything = module.stable_subspaces()
-    assert len(spun) == 46
-    assert inside == [W for W in everything if all(w in span for w in W)]
-    # the power constraint spans the 3-dimensional floor, so M2/floor has one line
-    spun.clear()
-    assert len(_rigidity_subspaces(image49)) == 1 and len(spun) == 1
+    monkeypatch.setattr(lattice_module, "orbit", lambda *args: orbited.append(args))
+    groups = [image49, record_map["37.114.4.1"].group()]
+    groups += [build_cartan(CartanSpec(kind, PrimePowerModulus(53, 1)))
+               for kind in ("borel", "split", "split-normalizer", "nonsplit",
+                            "nonsplit-normalizer")]
+    for group in groups:
+        ell = group.ell
+        module = KernelModule(ell, tuple(mreduce(g, ell) for g in group.gens))
+        spans = [M2_BASIS] + ([group.filtration().layers[0][0].rref()]
+                              if group.mod.exponent >= 2 else [])
+        for span in spans:
+            spun.clear()
+            subspaces = module.stable_subspaces(span=span)
+            assert len(spun) <= (ell + 1) * _edges(subspaces, ell), group.label
+            assert all(_inside(vectors, span, ell) for vectors, *_ in spun), group.label
+    assert orbited == []
 
 
 def _sylow_by_climb(group):

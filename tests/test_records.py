@@ -12,7 +12,8 @@ import pytest
 from ellimage.cli import RunConfig
 from ellimage.gl2 import CartanSpec, DEFAULT_CAP, MatrixGroup
 from ellimage.isolated import Annotation, CandidatePair, FilterReport
-from ellimage.labelio import ImageRecord, KnownJRecord, ValidationReport
+from ellimage.knownj import KnownJRecord
+from ellimage.labelio import ImageRecord, ValidationReport
 from ellimage.lattice import KernelModule, RigidityResult, SubgroupClass
 from ellimage.modarith import PrimePowerModulus, ResidueMatrix
 from ellimage.modcurves import GenusProfile, MapDegreeSpec

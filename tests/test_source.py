@@ -101,24 +101,26 @@ LOADED = """
 import json, sys
 %s
 print(json.dumps([sorted(m for m in sys.modules if m.split(".")[0] == "ellimage"),
-                  "dataclasses" in sys.modules]))
+                  "dataclasses" in sys.modules, "fractions" in sys.modules]))
 """
 
+# what `import ellimage.cli` loads; modcurves comes with a verb that computes a genus
 CORE = ["ellimage", "ellimage.errors", "ellimage.gl2", "ellimage.labelio",
-        "ellimage.modarith", "ellimage.modcurves"]
+        "ellimage.modarith"]
 
 
 def _loaded(code):
-    "The ellimage modules loaded by running code in a fresh interpreter, and dataclasses."
+    """The ellimage modules loaded by running code in a fresh interpreter,
+    and whether dataclasses and fractions were loaded."""
     r = subprocess.run([sys.executable, "-c", LOADED % code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
-    modules, dataclasses = json.loads(r.stdout.splitlines()[-1])
-    return modules, dataclasses
+    modules, dataclasses, fractions = json.loads(r.stdout.splitlines()[-1])
+    return modules, dataclasses, fractions
 
 
 def test_importing_the_package_loads_no_submodule():
-    assert _loaded("import ellimage") == (["ellimage"], False)
-    assert _loaded("import ellimage.cli") == (sorted(CORE + ["ellimage.cli"]), False)
+    assert _loaded("import ellimage") == (["ellimage"], False, False)
+    assert _loaded("import ellimage.cli") == (sorted(CORE + ["ellimage.cli"]), False, False)
 
 
 def test_cli_import_leaves_importlib_resources_unloaded():
@@ -143,19 +145,20 @@ def small_file(tmp_path_factory):
 
 
 @pytest.mark.parametrize("verb, args, extra", [
-    ("info", ["--cartan", "borel", "--mod", "7"], []),
-    ("validate", ["--gens-file", "{small}"], []),
+    ("info", ["--cartan", "borel", "--mod", "7"], ["ellimage.modcurves"]),
+    ("validate", ["--gens-file", "{small}"], ["ellimage.modcurves"]),
     ("filter", ["--family", "gamma1", "--cartan", "borel", "--mod", "7"],
-     ["ellimage.isolated", "ellimage.orbits"]),
+     ["ellimage.isolated", "ellimage.modcurves", "ellimage.orbits"]),
     ("batch", ["--family", "gamma0", "--gens-file", "{small}"],
-     ["ellimage.isolated", "ellimage.orbits"]),
+     ["ellimage.isolated", "ellimage.modcurves", "ellimage.orbits"]),
     ("lattice-check", ["--cartan", "borel", "--mod", "5"], ["ellimage.lattice"]),
 ])
 def test_verb_loads_only_its_modules(verb, args, extra, small_file):
+    # no verb loads dataclasses or fractions
     argv = [verb] + [a.format(small=small_file) for a in args]
     argv += ["--threads", "1", "--out", os.devnull]
     code = "from ellimage.cli import main\nassert main(%r) in (0, 10)" % argv
-    assert _loaded(code) == (sorted(CORE + ["ellimage.cli"] + extra), False)
+    assert _loaded(code) == (sorted(CORE + ["ellimage.cli"] + extra), False, False)
 
 
 def test_exports_resolve_to_the_submodule_objects():
@@ -163,8 +166,8 @@ def test_exports_resolve_to_the_submodule_objects():
     for name in ellimage.__all__:
         obj = getattr(ellimage, name)
         # the two j-invariant tables are the only exports that are not
-        # classes or functions; they live in labelio
-        home = importlib.import_module(getattr(obj, "__module__", "ellimage.labelio"))
+        # classes or functions; they live in knownj
+        home = importlib.import_module(getattr(obj, "__module__", "ellimage.knownj"))
         assert home.__name__.startswith("ellimage.") and getattr(home, name) is obj, name
         assert name in names
     with pytest.raises(AttributeError):
