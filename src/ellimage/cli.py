@@ -253,8 +253,12 @@ def _build_parser():
         if family:
             sp.add_argument("--family", choices=("gamma1", "gamma0"), required=True)
         sp.add_argument("--gens-file", help="generator file replacing the bundled data")
-        sp.add_argument("--max-enum", type=int, default=None)
-        sp.add_argument("--threads", type=int, default=None)
+        sp.add_argument("--max-enum", type=int, default=None,
+                        help="cap on each table a computation holds (default: "
+                             "ELLIMAGE_MAX_ENUM, else 10^7)")
+        sp.add_argument("--threads", type=int, default=None,
+                        help="worker processes, used by batch only (default: "
+                             "ELLIMAGE_THREADS, else the CPU count)")
         sp.add_argument("--format", dest="fmt", choices=("text", "lines"),
                         default="text")
         sp.add_argument("--out", help="write output to a file instead of stdout")

@@ -24,13 +24,13 @@ ell - 1), and the orbit of (0, 1) under the stabilizer of (1, 0) (at most
 ell*(ell - 1)).  |H(ell)| is the product of the three sizes and H(ell)
 itself is never listed.  The generators of H, as many as the presentation
 gives, meet only the lines, so the cost of the chain follows ell rather
-than the presentation.  For each layer
-it holds an F_ell basis of the image L_e of H cap K_e with elements of H
-that realise it; H cap K_1 is the normal closure of the residues the chain
-leaves.  Then |H| = |H(ell)| * prod ell^(dim L_e), the level is the
-smallest ell^d with L_e full for all e >= d, and g is in H when a lift of g
-mod ell comes out of the chain and the quotient sifts to I through the
-layers.  None of this enumerates H, which matters for full preimages, large
+than the presentation.  For each layer it holds an F_ell basis of the
+image L_e of H cap K_e, in the layer format of modarith (digit,
+kernel_element), with elements of H that realise it; H cap K_1 is the
+normal closure of the residues the chain leaves.  Then |H| = |H(ell)| *
+prod ell^(dim L_e), the level is the smallest ell^d with L_e full for all
+e >= d, and g is in H when a lift of g mod ell comes out of the chain and
+the quotient sifts to I through the layers.  None of this enumerates H, which matters for full preimages, large
 ell and levels ell^3.  _right_coset_key names a right coset +-G*x mod ell
 by its least element, read off the same chain; the conjugacy search and
 modcurves.genus_XG key the cosets mod ell with it, and genus_XG then lifts
@@ -49,8 +49,9 @@ from itertools import islice, product
 
 from .errors import (CertificateError, EnumerationCapError, ModulusMismatchError,
                      NotInvertibleError, SearchBudgetError)
-from .modarith import (IDENTITY, Echelon, PrimePowerModulus, ResidueMatrix, mdet, minv,
-                       mmul, mneg, morder, mpow, mreduce, rowmul)
+from .modarith import (IDENTITY, M2_BASIS, Echelon, PrimePowerModulus, ResidueMatrix,
+                       digit, kernel_element, mdet, minv, mmul, mneg, morder, mpow,
+                       mreduce, rowmul)
 
 DEFAULT_CAP = 10 ** 7
 
@@ -319,8 +320,7 @@ class MatrixGroup:
             return full_gl2(target, label=label)
         gens = list(self.gens)
         for j in range(self.mod.exponent, target.exponent):
-            s = self.ell ** j
-            gens += [(1 + s, 0, 0, 1), (1, s, 0, 1), (1, 0, s, 1), (1, 0, 0, 1 + s)]
+            gens += [kernel_element(b, self.ell ** j, target.modulus) for b in M2_BASIS]
         return MatrixGroup(target, gens, label=label)
 
     def conjugated_by(self, c):
@@ -383,9 +383,9 @@ class Filtration:
     under G is Lambda times the rows (1, 0)*t of the line table.
 
     For e = 1..n-1, `layers[e-1]` is (an Echelon of L_e, {row: [b^0, b^-1,
-    ..., b^-(ell-1)]}) with b in G cap K_e of layer-e digit `row`; L_e is the
-    image of G cap K_e in K_e/K_{e+1} ~ M2(F_ell), and the layer-e digit of x
-    in K_e, (x - I)/ell^e mod ell, is the e-th base-ell digit of each entry.
+    ..., b^-(ell-1)]}) with b in G cap K_e of layer-e digit `row`
+    (modarith.digit); L_e is the image of G cap K_e in K_e/K_{e+1} ~
+    M2(F_ell).
 
     The chain is built by Schreier-Sims.  A Schreier generator t(p)*g*t(pg)^-1
     of a table fixes its base point and is sifted down the tables below it;
@@ -478,10 +478,10 @@ class Filtration:
             if b == IDENTITY:
                 continue
             e, q = 1, ell
-            while not any(a // q % ell for a in b):
+            while not any(digit(b, q, ell)):
                 e, q = e + 1, q * ell
             echelon, powers = self.layers[e - 1]
-            row = echelon.add(tuple(a // q % ell for a in b))
+            row = echelon.add(digit(b, q, ell))
             binv = minv(b, m, ell)
             powers[row] = [IDENTITY]
             for _ in range(ell - 1):
@@ -515,22 +515,28 @@ class Filtration:
         t2, t2inv = three
         return mmul(mmul(t2, t1, m), t0, m), mmul(t0inv, mmul(t1inv, t2inv, m), m)
 
-    def reduce(self, x, cinv=IDENTITY):
+    def reduce(self, x, cinv=IDENTITY, steps=None):
         """x times an element of G cap K_1 that puts every layer digit of x
         in normal form, for x = c mod ell and cinv = c^-1 mod ell.
 
         Layer by layer, multiplying by k in G cap K_e moves the digit D of x
         by digit(k)*c, so D*cinv is brought to Echelon normal form modulo
         L_e.  Elements of one coset (G cap K_1)*x reduce to the same matrix;
-        with c = I the result is I exactly when x lies in G cap K_1.
+        with c = I the result is I exactly when x lies in G cap K_1.  When
+        `steps` is a list, the pairs (g, f) with reduce(x, cinv) = g_k^f_k *
+        ... * g_1^f_1 * x are appended to it, g the inverse b^-1 of a layer
+        row's realiser b.
         """
         ell, m = self.ell, self.m
         q = 1
         for echelon, powers in self.layers:
             q *= ell
-            digit = mmul(tuple(a // q for a in x), cinv, ell)
-            for row, f in echelon.decompose(digit)[1]:
+            rows = []
+            echelon.reduce(mmul(digit(x, q, ell), cinv, ell), rows)
+            for row, f in rows:
                 x = mmul(powers[row][f], x, m)
+                if steps is not None:
+                    steps.append((powers[row][1], f))
         return x
 
     def transversal(self):
@@ -657,8 +663,7 @@ def build_cartan(spec, cap=DEFAULT_CAP):
     if kind in ("nonsplit", "nonsplit-normalizer"):
         gens = [(a0, eps * b0 % m, b0, a0)]
         if n >= 2:
-            gens.append(((1 + ell) % m, 0, 0, (1 + ell) % m))
-            gens.append((1, eps * ell % m, ell, 1))
+            gens += [kernel_element(Y, ell, m) for Y in ((1, 0, 0, 1), (0, eps, 1, 0))]
         if kind == "nonsplit-normalizer":
             gens.append((1, 0, 0, m - 1))
         return MatrixGroup(mod, gens, label="%s(%d)" % (kind, m))
@@ -671,8 +676,7 @@ def build_cartan(spec, cap=DEFAULT_CAP):
                               % (teich, ell * ell - 1))
     sigma = (1, 0, 0, m - 1)
     shapes = [(1, 0, 0, 0), (0, eps, -1 % ell, 0), (0, 0, 0, 1)]
-    kgens = [((1 + ell * s[0]) % m, ell * s[1] % m, ell * s[2] % m, (1 + ell * s[3]) % m)
-             for s in shapes]
+    kgens = [kernel_element(s, ell, m) for s in shapes]
     group = MatrixGroup(mod, [teich, sigma] + kgens,
                         label="section4-semidirect(%d)" % m)
     expected = 2 * (ell * ell - 1) * ell ** 3
@@ -804,8 +808,8 @@ def _conjugating_matrix(h, big, cap, budget):
     GL2(F_ell) keyed by _right_coset_key, and must conjugate every generator
     into B(ell).  A c mod ell^j lifts to the candidates (I + ell^j*Y)*c mod
     ell^(j+1); scalars, B cap K_j on the left and h cap K_j on the right move
-    Y by span(I, L_j(B), cbar*L_j(h)*cbar^-1), so Y runs over the vectors
-    supported off the pivots of that span, and a candidate is kept when it
+    Y by span(I, L_j(B), cbar*L_j(h)*cbar^-1), so Y runs over the Echelon
+    normal forms modulo that span, and a candidate is kept when it
     conjugates every generator into B mod ell^(j+1).  The search backtracks
     when no Y fits (Holt, Eick and O'Brien, ch. 8).  Every coset and every Y
     tried counts against budget.
@@ -836,10 +840,8 @@ def _conjugating_matrix(h, big, cap, budget):
         cbarinv = minv(cbar, ell, ell)
         span = Echelon(ell, [IDENTITY] + big_layers[j - 1]
                        + [mmul(mmul(cbar, d, ell), cbarinv, ell) for d in h_layers[j - 1]])
-        pivots = {next(i for i in range(4) if b[i]) for b in span.rows}
         q, m = ell ** j, ell ** (j + 1)
-        ys = product(*[(0,) if i in pivots else range(ell) for i in range(4)])
-        return (mmul(tuple(a + q * b for a, b in zip(IDENTITY, y)), c, m) for y in ys)
+        return (mmul(kernel_element(y, q, m), c, m) for y in span.normal_forms(4))
 
     def search(c, j):
         "A witness mod ell^n over c mod ell^j, or None."

@@ -137,8 +137,8 @@ def candidate_pairs(group, family, cap=DEFAULT_CAP):
     tables = []                      # per level a >= 1: (ell^a, class canon, class -> orbit size)
     for k in range(1, max(m_exp, 1) + 1):
         level = PrimePowerModulus(ell, k)
-        recs = orbits(group, k, family)
-        tables.append((level.modulus, KernelClasses(group, level, family).canon,
+        recs = orbits(group, k, family, cap)
+        tables.append((level.modulus, KernelClasses(group, level, family, cap).canon,
                        {c: rec.size for rec in recs for c in rec.points}))
         map_degrees = [map_degree_tower(family, ell, a, k) for a in range(k + 1)]
         for rec in recs:

@@ -47,10 +47,11 @@ of a parent group:
   determinant image is rigid across complements unless G has nontrivial
   homomorphisms to F_ell, and that corner raises rather than guesses.
 
-F_ell linear algebra on kernel coordinate vectors goes through
-modarith.Echelon.  All search budgets are explicit and exhaustion is a hard
-error; the walks over Filtration.transversal() check |G(ell)| against the
-cap first.  Every subgroup, section and counterexample the searches build
+Kernel coordinates are modarith.digit and kernel_element, F_ell linear
+algebra on them is modarith.Echelon, and the word in the layer rows of an
+element of G cap K_1 is read off the steps of Filtration.reduce.  All
+search budgets are explicit and exhaustion is a hard error; the walks over
+Filtration.transversal() check |G(ell)| against the cap first.  Every subgroup, section and counterexample the searches build
 is verified, and a failed verification raises CertificateError.
 """
 
@@ -60,11 +61,11 @@ from itertools import product
 from .errors import CertificateError, EnumerationCapError, SearchBudgetError
 from .gl2 import (CartanSpec, DEFAULT_CAP, MatrixGroup, build_cartan,
                   conjugate_into, extend, orbit)
-from .modarith import (IDENTITY, Echelon, PrimePowerModulus, lincomb, mdet, minv,
-                       mmul, mpow, mreduce, nullspace_span)
+from .modarith import (IDENTITY, M2_BASIS, Echelon, PrimePowerModulus, digit,
+                       kernel_element, lincomb, mdet, minv, mmul, mpow, mreduce,
+                       nullspace_span)
 
 BRUTE_LIMIT = 1000
-M2_BASIS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 SubgroupClass = namedtuple("SubgroupClass",
@@ -323,17 +324,6 @@ def _det_surjective_set(elements, mod):
 # ---------------------------------------------------------------------------
 # Schur-Zassenhaus complement by cocycle averaging
 
-def _kernel_coords(x, layer, ell):
-    "(x - I) / layer mod ell for x = I mod layer."
-    ident = (1, 0, 0, 1)
-    return tuple((((x[i] - ident[i]) % (layer * ell)) // layer) % ell for i in range(4))
-
-
-def _kernel_matrix(coords, layer, m):
-    ident = (1, 0, 0, 1)
-    return tuple((ident[i] + layer * coords[i]) % m for i in range(4))
-
-
 def _averaged_section(reps, layer, m, ell, at, section=None):
     """Values at the elements `at`, which generate Q, of a homomorphic section
     of an extension of Q by a quotient V of the kernel I + layer*M2(F_ell)
@@ -357,9 +347,9 @@ def _averaged_section(reps, layer, m, ell, at, section=None):
         for ty in reps.values():
             prod = mmul(tx, ty, m)
             c = mmul(prod, minv(section(prod), m, ell), m)
-            acc = tuple(a + b for a, b in zip(acc, _kernel_coords(c, layer, ell)))
+            acc = tuple(a + b for a, b in zip(acc, digit(c, layer, ell)))
         eta = tuple((-inv_n * a) % ell for a in acc)
-        values.append(mmul(_kernel_matrix(eta, layer, m), tx, m))
+        values.append(mmul(kernel_element(eta, layer, m), tx, m))
     return values
 
 
@@ -420,6 +410,14 @@ def proper_detsurjective_subgroups(group, index_bound, fix_mod_ell_reduction=Tru
     return _stable_subspace_classes(group, index_bound, cap)
 
 
+def _least_lift(t, u_basis, ell):
+    """The least of the lifts t*(I + ell*u), u in U, of t mod ell^2: its top
+    digit is in normal form modulo (t mod ell)*U."""
+    tbar = mreduce(t, ell)
+    d = Echelon(ell, [mmul(tbar, u, ell) for u in u_basis]).reduce(digit(t, ell, ell))
+    return tuple(a + ell * b for a, b in zip(tbar, d))
+
+
 def _stable_subspace_classes(group, index_bound, cap=DEFAULT_CAP):
     """The structured path of proper_detsurjective_subgroups: one class per
     proper G(ell)-stable subspace W of the kernel part U = L_1 of the
@@ -438,10 +436,8 @@ def _stable_subspace_classes(group, index_bound, cap=DEFAULT_CAP):
     gens_bar = tuple(mreduce(g, ell) for g in group.gens)
     module = KernelModule(ell, gens_bar)
     # a complement of the kernel part: the least lift in G of each element of
-    # G(ell), averaged; the lifts of t mod ell are t*(I + ell*U), and the
-    # least of them has its digit in normal form modulo (t mod ell)*U
-    least = _KernelQuotient(ell, 1, u_basis).canon
-    section = _averaged_section({mreduce(t, ell): least(t)
+    # G(ell), averaged
+    section = _averaged_section({mreduce(t, ell): _least_lift(t, u_basis, ell)
                                  for t in _transversal(filt, "averaged section", cap)},
                                 ell, m, ell, gens_bar)
     image = MatrixGroup(mod, section)
@@ -452,7 +448,7 @@ def _stable_subspace_classes(group, index_bound, cap=DEFAULT_CAP):
     for W in module.stable_subspaces(span=u_basis, cap=cap):
         if len(W) == len(u_basis) or ell ** (len(u_basis) - len(W)) > index_bound:
             continue  # the parent itself, or an index over the bound
-        rep_gens = section + [_kernel_matrix(w, ell, m) for w in W]
+        rep_gens = section + [kernel_element(w, ell, m) for w in W]
         rep = MatrixGroup(mod, rep_gens)
         expected = bar_order * ell ** len(W)
         if rep.order(cap) != expected or not all(g in group for g in rep.gens):
@@ -475,30 +471,6 @@ def split_cartan_membership(h, cap=DEFAULT_CAP, budget=500_000):
 
 # ---------------------------------------------------------------------------
 # preimage rigidity
-
-class _KernelQuotient:
-    "Normal forms canon(x) of the cosets x * N_U, N_U = I + ell^n * U."
-
-    def __init__(self, ell, n, u_basis):
-        self.ell = ell
-        self.layer = ell ** n
-        self.m = self.layer * ell
-        self.u_basis = u_basis
-        self._bar_cache = {}
-
-    def _image_basis(self, xbar):
-        if xbar not in self._bar_cache:
-            vecs = [mmul(xbar, u, self.ell) for u in self.u_basis]
-            self._bar_cache[xbar] = Echelon(self.ell, vecs)
-        return self._bar_cache[xbar]
-
-    def canon(self, x):
-        base = tuple(e % self.layer for e in x)
-        d = tuple(((x[i] - base[i]) // self.layer) % self.ell for i in range(4))
-        if self.u_basis:
-            d = self._image_basis(tuple(e % self.ell for e in x)).reduce(d)
-        return tuple((base[i] + self.layer * d[i]) % self.m for i in range(4))
-
 
 def _transversal(filt, walk, cap):
     """Filtration.transversal(), after checking |G(ell)| against cap; past
@@ -526,19 +498,15 @@ def _sylow_subgroup(group, cap=DEFAULT_CAP):
     return gens
 
 
-def _sift(filt, index, x):
-    """Letters (i, f) of a word w in the layer rows of the filtration with
-    w * x = I, for x in G cap K_1; `index` numbers the rows' generators."""
-    ell, letters, q = filt.ell, [], 1
-    for echelon, powers in filt.layers:
-        q *= ell
-        for row, f in echelon.decompose(tuple(a // q % ell for a in x))[1]:
-            # the row's generator is g = powers[row][1], and powers[row][f] = g^f
-            x = mmul(powers[row][f], x, filt.m)
-            letters.append((index[powers[row][1]], f))
+def _letters(filt, index, x):
+    """Letters (i, f) of the word w in the layer rows of the filtration with
+    w * x = I, read off the steps of Filtration.reduce, for x in G cap K_1;
+    `index` numbers the rows' generators."""
+    steps = []
+    x = filt.reduce(x, steps=steps)
     if x != IDENTITY:
         raise CertificateError("%r does not sift through the layer rows" % (x,))
-    return letters[::-1]
+    return [(index[g], f) for g, f in reversed(steps)]
 
 
 def _sylow_relators(group, gens, cap=DEFAULT_CAP):
@@ -559,8 +527,8 @@ def _sylow_relators(group, gens, cap=DEFAULT_CAP):
     words = []
     for i, g in enumerate(gens):
         gi = minv(g, layer, ell)
-        words.append(_sift(filt, index, mpow(g, ell, layer)) + [(i, ell)])
-        words += [_sift(filt, index, mmul(mmul(g, h, layer), gi, layer))
+        words.append(_letters(filt, index, mpow(g, ell, layer)) + [(i, ell)])
+        words += [_letters(filt, index, mmul(mmul(g, h, layer), gi, layer))
                   + [(i, 1), (j, 1), (i, -1)] for j, h in enumerate(gens[:i])]
     return words
 
@@ -575,7 +543,7 @@ def _word_value(word, lifts, m, ell):
 
 def _relator_digit(word, lifts, layer, ell):
     "The layer digit of a relator word at lifts mod layer * ell."
-    return _kernel_coords(_word_value(word, lifts, layer * ell, ell), layer, ell)
+    return digit(_word_value(word, lifts, layer * ell, ell), layer, ell)
 
 
 def _sylow_relator_digits(group, gens, cap=DEFAULT_CAP):
@@ -596,7 +564,7 @@ def _sylow_relator_digits(group, gens, cap=DEFAULT_CAP):
     for i, g in enumerate(gens):
         uses = [w for w, word in enumerate(words) if any(j == i for j, _ in word)]
         for b in M2_BASIS:
-            lifts = gens[:i] + [mmul(g, _kernel_matrix(b, layer, m), m)] + gens[i + 1:]
+            lifts = gens[:i] + [mmul(g, kernel_element(b, layer, m), m)] + gens[i + 1:]
             digits = list(base)
             for w in uses:
                 digits[w] = _relator_digit(words[w], lifts, layer, ell)
@@ -657,7 +625,7 @@ def _gaschutz_complement(group, gens, cap=DEFAULT_CAP):
     last element u of the sequence, and S contains G cap K_1, so an element
     y of S is u^a * k with I + aN = y mod ell and k in G cap K_1, and
     sigma(y) = sigma(u)^a * sigma(w)^-1 for the word w with w * k = I that
-    _sift reads off.  The cosets of S in G are those of S(ell) in G(ell),
+    _letters reads off.  The cosets of S in G are those of S(ell) in G(ell),
     and c*S(ell) = {c + a*cN} is named by its member with entry q equal to
     0, q the first nonzero entry of cN.  One lift t of each, read off the
     filtration's transversal, and s(ty) = t * sigma(y) make the section that
@@ -688,7 +656,7 @@ def _gaschutz_complement(group, gens, cap=DEFAULT_CAP):
     inverse = {k: minv(t, layer, ell) for k, t in reps.items()}
 
     def complement(solution):
-        lifts = [mmul(g, _kernel_matrix(solution[4 * i:4 * i + 4], layer, m), m)
+        lifts = [mmul(g, kernel_element(solution[4 * i:4 * i + 4], layer, m), m)
                  for i, g in enumerate(gens)]
 
         def section(x):
@@ -697,7 +665,7 @@ def _gaschutz_complement(group, gens, cap=DEFAULT_CAP):
             if u:
                 a = (y[p] - IDENTITY[p]) * unit % ell
                 y = mmul(mpow(uinv, a, layer), y, layer)
-            sigma = minv(_word_value(_sift(filt, index, y), lifts, m, ell), m, ell)
+            sigma = minv(_word_value(_letters(filt, index, y), lifts, m, ell), m, ell)
             if a:
                 sigma = mmul(mpow(lifts[-1], a, m), sigma, m)
             return mmul(reps[k], sigma, m)
@@ -736,7 +704,7 @@ def _build_candidate(group, u_basis, complement_lifts, mod_high):
     layer = group.mod.modulus
     m = mod_high.modulus
     gens = list(complement_lifts)
-    gens += [_kernel_matrix(u, layer, m) for u in u_basis]
+    gens += [kernel_element(u, layer, m) for u in u_basis]
     return MatrixGroup(mod_high, gens)
 
 

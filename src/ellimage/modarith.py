@@ -5,18 +5,25 @@ re-canonicalizes, so equality and hashing are structural.  Hot loops work on
 plain 4-tuples (m11, m12, m21, m22) through the module-level helpers; the
 ResidueMatrix record is the hashable public wrapper.
 
+The format of the congruence layers lives here as well.  For q = ell^e the
+kernel K_e = {x = I mod q} has K_e/K_(e+1) ~ M2(F_ell): digit(x, q, ell) is the
+coordinate vector of x there, and kernel_element(Y, q, m) = I + q*Y is the
+element over a coordinate vector Y.
+
 All linear algebra of the package lives here too: nullspace_span solves
 linear systems over the chain ring Z/m, and Echelon is the one F_ell echelon
-form (span membership, reduction, canonical subspace bases).
+form (span membership, reduction, normal forms modulo a span, canonical
+subspace bases).
 """
 
 from collections import namedtuple
+from itertools import product
 from math import gcd
 
 from .errors import ModulusMismatchError, NotInvertibleError
 
-# Squares of entries must stay inside native 64-bit integers.  Every
-# computation in scope has m <= 343, so this is a generous ceiling.
+# Squares of entries must stay inside native 64-bit integers.  The tests run
+# moduli up to 1331 and lattice-check reaches Borel(1009), far below it.
 MAX_MODULUS = 3_037_000_499
 
 
@@ -94,6 +101,7 @@ class PrimePowerModulus(namedtuple("PrimePowerModulus", "ell exponent")):
 # tuple-level matrix helpers (hot paths)
 
 IDENTITY = (1, 0, 0, 1)
+M2_BASIS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 def mmul(a, b, m):
@@ -153,6 +161,17 @@ def mvec(a, v, m):
 def rowmul(v, a, m):
     "Row vector times a matrix (the matrix acting from the right)."
     return ((v[0] * a[0] + v[1] * a[2]) % m, (v[0] * a[1] + v[1] * a[3]) % m)
+
+
+def digit(x, q, ell):
+    """The base-ell digit at q of each entry of x.  For a matrix x = I mod q,
+    q = ell^e, this is the coordinate vector of x in K_e/K_(e+1) ~ M2(F_ell)."""
+    return tuple([a // q % ell for a in x])
+
+
+def kernel_element(Y, q, m):
+    "I + q*Y mod m: the element of K_e, q = ell^e, over the coordinate vector Y."
+    return (1 + q * Y[0]) % m, q * Y[1] % m, q * Y[2] % m, (1 + q * Y[3]) % m
 
 
 def factorize(n):
@@ -348,23 +367,28 @@ class Echelon:
     def rows(self):
         return [b for _, _, b in self._pivots]
 
-    def reduce(self, v):
+    def reduce(self, v, steps=None):
         """v minus the combination of rows that clears every pivot coordinate;
-        mod ell this is the normal form of v modulo the span."""
-        return self.decompose(v)[0]
-
-    def decompose(self, v):
-        """(reduce(v), steps): steps lists the pairs (row, f), in pivot
-        order, such that reduce(v) = v - sum of f*row."""
+        mod ell this is the normal form of v modulo the span.  When `steps` is
+        a list, the pairs (row, f) with reduce(v) = v - sum of f*row are
+        appended to it in pivot order."""
         ell = self.ell
-        v = list(v)
-        steps = []
+        if steps is None and len(self._pivots) == len(v):
+            return (0,) * len(v)  # the span is the whole space
         for p, inv, b in self._pivots:
-            if v[p] % ell:
-                f = v[p] * inv % ell
+            f = v[p] * inv % ell
+            if f:
                 v = [(x - f * y) % ell for x, y in zip(v, b)]
-                steps.append((b, f))
-        return tuple(v), steps
+                if steps is not None:
+                    steps.append((b, f))
+        return tuple(v)
+
+    def normal_forms(self, width):
+        """The vectors of length `width` over F_ell that are zero at every
+        pivot, lazily in itertools.product order: one in each coset of the
+        span, and each its own reduce()."""
+        pivots = {p for p, _, _ in self._pivots}
+        return product(*[(0,) if i in pivots else range(self.ell) for i in range(width)])
 
     def __contains__(self, v):
         return not any(x % self.ell for x in self.reduce(v))

@@ -11,23 +11,22 @@ part in SL2 of the coset +-G*x in GL2.  Mod ell the cosets are found by an
 orbit BFS from H under s and u, each named by its least element mod ell,
 which gl2._right_coset_key reads off the chain (P^1-style coset
 enumeration, as for Gamma0 in Diamond-Shurman ch. 3).  From ell^j to
-ell^(j+1) the cosets over one coset form a fibre, an F_ell-space read off
-layer j of the group's congruence filtration (gl2.Filtration), on which an
-element fixing that coset acts affinely (Holt, Eick and O'Brien, ch. 8).
-So only the cosets fixed by s, those fixed by t and one coset of each
-u-cycle are carried up the layers, and neither the mu cosets, SL2(Z/N) nor
-G is listed.  The Borel-vs-X0 and
-Gamma1-shape-vs-X1 oracle tests pin this convention against the closed
-formulas, and the tests keep the full-level coset BFS and an SL2-enumerating
-coset count as oracles.
+ell^(j+1) the cosets over one coset form a fibre, the Echelon normal forms
+modulo layer j of the group's congruence filtration (gl2.Filtration), on
+which an element fixing that coset acts affinely (Holt, Eick and O'Brien,
+ch. 8).  So only the cosets fixed by s, those fixed by t and one coset of
+each u-cycle are carried up the layers, and neither the mu cosets, SL2(Z/N)
+nor G is listed.  The Borel-vs-X0 and Gamma1-shape-vs-X1 oracle tests pin
+this convention against the closed formulas, and the tests keep the
+full-level coset BFS and an SL2-enumerating coset count as oracles.
 """
 from collections import namedtuple
-from itertools import product
 from math import gcd
 
 from .errors import EnumerationCapError
 from .gl2 import DEFAULT_CAP, _right_coset_key, ambient_order, orbit
-from .modarith import IDENTITY, factorize, mdet, minv, mmul, mpow, mreduce
+from .modarith import (IDENTITY, digit, factorize, kernel_element, mdet, minv, mmul, mpow,
+                       mreduce)
 
 
 def _euler_phi(n):
@@ -178,11 +177,9 @@ class _Layer:
         self.filt, self.q, self.echelon = filt, ell ** j, filt.layers[j - 1][0]
         self.dets = {d % (self.q * ell): d for d in dets}
         full = 1 + self.q in self.dets
-        pivots = {next(i for i, x in enumerate(b) if x) for b in self.echelon.rows}
-        if ell ** (4 - len(pivots) - (not full)) > cap:
+        if ell ** (4 - len(self.echelon) - (not full)) > cap:
             raise EnumerationCapError("fibre of layer %d exceeded cap %d" % (j, cap))
-        self.fibre = [Y for Y in product(*[(0,) if i in pivots else range(ell)
-                                           for i in range(4)])
+        self.fibre = [Y for Y in self.echelon.normal_forms(4)
                       if full or (Y[0] + Y[3]) % ell == 0]
 
     def _orbits(self, y, w):
@@ -193,9 +190,9 @@ class _Layer:
         x = mmul(mmul(y, w, m), minv(y, m, ell), m)
         lift = filt.lift(x)
         r = filt.reduce(mmul(lift[1], x, m)) if lift else None
-        if r is None or any((a - i) % q for a, i in zip(r, IDENTITY)):
+        if r is None or mreduce(r, q) != IDENTITY:
             raise ArithmeticError("%r is not in +-G mod %d" % (x, q))
-        digit = [(a - i) // q for a, i in zip(r, IDENTITY)]
+        d = digit(r, q, ell)
         h = mreduce(x, ell)
         hinv = minv(h, ell, ell)
         seen = set()
@@ -204,7 +201,7 @@ class _Layer:
             while Y not in seen:
                 seen.add(Y)
                 conj = mmul(mmul(hinv, Y, ell), h, ell)
-                Y = self.echelon.reduce([(a + b) % ell for a, b in zip(conj, digit)])
+                Y = self.echelon.reduce([(a + b) % ell for a, b in zip(conj, d)])
                 size += 1
             if size:
                 yield size, first
@@ -221,7 +218,7 @@ class _Layer:
         for c, y in carried:
             for size, Y in self._orbits(y, mpow(g, c, m)):
                 if size == 1 or not fixed_only:
-                    z = mmul(tuple(i + q * a for i, a in zip(IDENTITY, Y)), y, m)
+                    z = mmul(kernel_element(Y, q, m), y, m)
                     out.append((c * size, _into_det(z, self.dets, q * self.filt.ell, m)))
                     if len(out) > cap:
                         raise EnumerationCapError("cosets carried to %d exceeded cap %d"

@@ -19,16 +19,18 @@ carrier points in whole classes (KernelClasses), so every orbit is one
 gl2.orbit BFS over class normal forms, each the least carrier point of its
 class; the seeds are all the normal forms in sorted order, so each orbit's
 representative is its least carrier point, and its size is the sum of its
-class sizes.  Each OrbitRecord keeps its classes, so a caller that holds the
-orbits of every level reads the degree of a reduced point from them (the
-filter in `isolated` does).  The full-carrier BFS and the one-BFS-per-level
-degree tower are kept in the tests as references.
+class sizes.  The seeds and each orbit count against the enumeration cap.
+Each OrbitRecord keeps its classes, so a caller that holds the orbits of
+every level reads the degree of a reduced point from them (the filter in
+`isolated` does).  The full-carrier BFS and the one-BFS-per-level degree
+tower are kept in the tests as references.
 """
 
 from collections import namedtuple
 
-from .gl2 import orbit
-from .modarith import Echelon, PrimePowerModulus, mreduce, mvec
+from .errors import EnumerationCapError
+from .gl2 import DEFAULT_CAP, orbit
+from .modarith import Echelon, PrimePowerModulus, digit, mvec
 
 
 class TorsionVector(namedtuple("TorsionVector", "x y level")):
@@ -140,13 +142,7 @@ def _reduced_gens(group, level):
     if level.ell != group.mod.ell:
         raise ValueError("level prime %d does not match group prime %d"
                          % (level.ell, group.mod.ell))
-    m = level.modulus
-    gens = []
-    for g in group.gens:
-        r = mreduce(g, m)
-        if r != (1 % m, 0, 0, 1 % m) and r not in gens:
-            gens.append(r)
-    return gens
+    return group.reduce_to(level).gens
 
 
 class KernelClasses:
@@ -160,10 +156,11 @@ class KernelClasses:
     4.1 and ch. 8).  A class is stored by its least carrier point:
 
     - gamma1: the class of +-v is +-(v + ell^(k-1)*T), stored as the lesser
-      of low(v) and low(-v), where low(v) clears the pivots of the RREF of T
-      in the top base-ell digit of v; this is the least point of v +
-      ell^(k-1)*T.  It holds |T| carrier points, or |T|/2 when -v lies in
-      v + ell^(k-1)*T, which happens only for ell = 2, k = 2 and vbar in T.
+      of low(v) and low(-v), where low(v) puts the top base-ell digit of v in
+      Echelon normal form modulo T, which clears T's pivots; this is the
+      least point of v + ell^(k-1)*T.  It holds |T| carrier points, or |T|/2
+      when -v lies in v + ell^(k-1)*T, which happens only for ell = 2, k = 2
+      and vbar in T.
     - gamma0: the ell lines over one line mod ell^(k-1) form one class when
       T is not inside F_ell*vbar, stored as the least of them, which is the
       canonical generator mod ell^(k-1); otherwise each line is its own class.
@@ -171,42 +168,37 @@ class KernelClasses:
     At k = 1 every class is a single carrier point.
     """
 
-    def __init__(self, group, level, family):
-        self.family, self.level = family, level
+    def __init__(self, group, level, family, cap=DEFAULT_CAP):
+        self.family, self.level, self.cap = family, level, cap
         self.ell, self.k, self.m = level.ell, level.exponent, level.modulus
         self.q = self.m // self.ell
         self._point = _canon(family, level)
         if self.k > 1:
-            self._layer = group.filtration().layers[self.k - 2][0].rows
+            self._layer = group.filtration(cap).layers[self.k - 2][0].rows
             self._lower = PrimePowerModulus(self.ell, self.k - 1)
         self._spans = {}
 
     def _span(self, v):
-        "[(pivot, row)] of the RREF of T = L_(k-1)*vbar over F_ell^2."
+        "The Echelon of T = L_(k-1)*vbar <= F_ell^2."
         ell = self.ell
         key = (v[0] % ell, v[1] % ell)
-        rows = self._spans.get(key)
-        if rows is None:
+        span = self._spans.get(key)
+        if span is None:
             x, y = key
-            basis = Echelon(ell, [(a * x + b * y, c * x + d * y, 0, 0)
-                                  for a, b, c, d in self._layer]).rref()
-            rows = self._spans[key] = [(0 if r[0] else 1, r[:2]) for r in basis]
-        return rows
+            span = self._spans[key] = Echelon(ell, [(a * x + b * y, c * x + d * y)
+                                                    for a, b, c, d in self._layer])
+        return span
 
-    def _low(self, v):
-        "The least point of v + ell^(k-1)*T."
-        ell, q = self.ell, self.q
-        x, y = v
-        top = [x // q, y // q]
-        for p, (r0, r1) in self._span(v):
-            f = top[p]
-            top = [(top[0] - f * r0) % ell, (top[1] - f * r1) % ell]
-        return (x % q + q * top[0], y % q + q * top[1])
+    def _low(self, v, span):
+        "The least point of v + ell^(k-1)*T, for span the Echelon of T."
+        q = self.q
+        top = span.reduce(digit(v, q, self.ell))
+        return (v[0] % q + q * top[0], v[1] % q + q * top[1])
 
     def _moves(self, v):
         "Whether T leaves F_ell*vbar, i.e. N moves the line of v (gamma0)."
         x, y = v
-        return any((x * r1 - y * r0) % self.ell for _, (r0, r1) in self._span(v))
+        return any((x * r1 - y * r0) % self.ell for r0, r1 in self._span(v).rows)
 
     def canon(self, v):
         "The normal form of the class of v, a vector of exact order ell^k in [0, ell^k)^2."
@@ -214,7 +206,8 @@ class KernelClasses:
             return self._point(v)
         if self.family == "gamma1":
             m = self.m
-            w, u = self._low(v), self._low(((-v[0]) % m, (-v[1]) % m))
+            span = self._span(v)
+            w, u = self._low(v, span), self._low(((-v[0]) % m, (-v[1]) % m), span)
             return w if w <= u else u
         if self._moves(v):
             q = self.q
@@ -227,63 +220,67 @@ class KernelClasses:
             return 1
         if self.family == "gamma0":
             return self.ell if self._moves(c) else 1
-        m, n = self.m, self.ell ** len(self._span(c))
-        return n // 2 if self._low(((-c[0]) % m, (-c[1]) % m)) == c else n  # -c in c + ell^(k-1)*T
+        m, span = self.m, self._span(c)
+        n = self.ell ** len(span)
+        return n // 2 if self._low(((-c[0]) % m, (-c[1]) % m), span) == c else n  # -c in c + ell^(k-1)*T
 
     def seeds(self):
         """Every normal form, sorted.  Each is the normal form of a lift c +
-        ell^(k-1)*d of a carrier point c mod ell^(k-1), with the digit d zero
-        on the pivots of T (gamma1) or of T + F_ell*cbar (gamma0)."""
+        ell^(k-1)*d of a carrier point c mod ell^(k-1), with d an Echelon
+        normal form modulo T (gamma1) or T + F_ell*cbar (gamma0)."""
         if self.k == 1:
-            return _carrier_points(self.family, self.level)
-        ell, q = self.ell, self.q
-        out = set()
-        for c in _carrier_points(self.family, self._lower):
-            if self.family == "gamma1":
-                pivots = {p for p, _ in self._span(c)}
-            else:
-                pivots = {0, 1} if self._moves(c) else {0 if c[0] % ell else 1}
-            out.update(self.canon((c[0] + q * dx, c[1] + q * dy))
-                       for dx in ((0,) if 0 in pivots else range(ell))
-                       for dy in ((0,) if 1 in pivots else range(ell)))
+            out = _carrier_points(self.family, self.level)
+        else:
+            ell, q = self.ell, self.q
+            out = set()
+            for c in _carrier_points(self.family, self._lower):
+                span = self._span(c)
+                if self.family == "gamma0":
+                    span = Echelon(ell, span.rows + [(c[0] % ell, c[1] % ell)])
+                out.update(self.canon((c[0] + q * dx, c[1] + q * dy))
+                           for dx, dy in span.normal_forms(2))
+        if len(out) > self.cap:
+            raise EnumerationCapError("carrier classes at level %d exceeded cap %d"
+                                      % (self.m, self.cap))
         return sorted(out)
 
 
-def _orbits(group, k, family):
+def _orbits(group, k, family, cap):
     """OrbitRecords of the group mod ell^k on the family's carrier: one BFS
     over the KernelClasses normal forms per orbit, seeded in sorted order, so
-    each representative is the least carrier point of its orbit."""
+    each representative is the least carrier point of its orbit.  Raises
+    EnumerationCapError when the seeds or an orbit exceed cap."""
     level = PrimePowerModulus(group.mod.ell, k)
     m = level.modulus
     gens = _reduced_gens(group, level)
-    classes = KernelClasses(group, level, family)
+    classes = KernelClasses(group, level, family, cap)
     canon = classes.canon
     seen = set()
     out = []
     for c0 in classes.seeds():
         if c0 not in seen:
-            found = orbit(c0, gens, lambda c, g: canon(mvec(g, c, m)))
+            found = orbit(c0, gens, lambda c, g: canon(mvec(g, c, m)), cap)
             seen |= found
             out.append(OrbitRecord(family, level, c0, sum(map(classes.size, found)),
                                    frozenset(found)))
     return out
 
 
-def gamma1_orbits(group, k):
+def gamma1_orbits(group, k, cap=DEFAULT_CAP):
     """Orbits of <group mod ell^k, -I> on +-classes of exact order ell^k
     vectors; each orbit size is the degree of the induced point on X1(ell^k)."""
-    return _orbits(group, k, "gamma1")
+    return _orbits(group, k, "gamma1", cap)
 
 
-def gamma0_orbits(group, k):
+def gamma0_orbits(group, k, cap=DEFAULT_CAP):
     """Orbits of group mod ell^k on cyclic submodules of order ell^k; each
     orbit size is the degree of the induced point on X0(ell^k)."""
-    return _orbits(group, k, "gamma0")
+    return _orbits(group, k, "gamma0", cap)
 
 
-def orbits(group, k, family):
+def orbits(group, k, family, cap=DEFAULT_CAP):
     if family == "gamma1":
-        return gamma1_orbits(group, k)
+        return gamma1_orbits(group, k, cap)
     if family == "gamma0":
-        return gamma0_orbits(group, k)
+        return gamma0_orbits(group, k, cap)
     raise ValueError("family must be gamma1 or gamma0, got %r" % (family,))

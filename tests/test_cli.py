@@ -120,6 +120,16 @@ def test_lattice_check_cap_error_before_transversal_walk():
                       "transversal, over cap 10000000"]
 
 
+def test_filter_cap_error_in_orbit_classes(capsys):
+    # the nonsplit-Cartan normalizer mod 17^3 has 41,616 gamma1 classes at
+    # level 17^3, over --max-enum 10000
+    assert main(["filter", "--family", "gamma1", "--cartan", "nonsplit-normalizer",
+                 "--mod", "4913", "--max-enum", "10000"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: carrier classes at level 4913 exceeded cap 10000\n"
+
+
 def test_info_nonsplit_normalizer_101():
     r = run("info", "--cartan", "nonsplit-normalizer", "--mod", "101")
     assert r.returncode == 0

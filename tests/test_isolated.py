@@ -7,6 +7,7 @@ import pytest
 
 import ellimage.orbits as ORBITS
 from ellimage import gl2
+from ellimage.errors import EnumerationCapError
 from ellimage.gl2 import DEFAULT_CAP, CartanSpec, MatrixGroup, build_cartan, full_gl2
 from ellimage.isolated import (CandidatePair, analyze, candidate_pairs,
                                filter_genus_zero, filter_riemann_roch)
@@ -221,8 +222,8 @@ from ellimage.modarith import PrimePowerModulus
 assert False, "run this under python -O"
 real = isolated.orbits
 # a level-7 orbit of 25 points cannot be the image of an orbit of 1176
-isolated.orbits = lambda g, k, fam: [r._replace(size=25) if k == 1 else r
-                                     for r in real(g, k, fam)]
+isolated.orbits = lambda g, k, fam, cap: [r._replace(size=25) if k == 1 else r
+                                          for r in real(g, k, fam, cap)]
 try:
     g = build_cartan(CartanSpec("nonsplit-normalizer", PrimePowerModulus(7, 2)))
     isolated.candidate_pairs(g, "gamma1")
@@ -249,3 +250,12 @@ def test_genus_at_the_full_level_reuses_the_filtration(record_map, monkeypatch):
     monkeypatch.setattr(gl2, "Filtration", CountingFiltration)
     analyze(record_map["37.114.4.1"].group(), "gamma1")
     assert built == [PrimePowerModulus(37, 1)]
+
+
+def test_cap_bounds_the_orbit_classes():
+    # the nonsplit-Cartan normalizer mod 17^3 has one gamma1 orbit of 41,616
+    # classes at level 17^3, past a cap of 10^4
+    group = build_cartan(CartanSpec("nonsplit-normalizer", PrimePowerModulus(17, 3)))
+    with pytest.raises(EnumerationCapError):
+        candidate_pairs(group, "gamma1", 10 ** 4)
+    assert candidate_pairs(group, "gamma1")

@@ -15,15 +15,14 @@ from ellimage.labelio import read_generators_text
 from ellimage.lattice import (KernelModule, M2_BASIS, SubgroupClass, all_subgroups,
                               preimage_rigidity, proper_detsurjective_subgroups,
                               split_cartan_membership, verify_counterexample,
-                              _KernelQuotient, _averaged_section, _build_candidate,
+                              _averaged_section, _build_candidate,
                               _conjugacy_classes_of_subgroups, _det_surjective_set,
-                              _ell_hom_trivial, _is_stable,
-                              _kernel_coords, _kernel_matrix, _rigidity_subspaces,
+                              _ell_hom_trivial, _is_stable, _least_lift, _rigidity_subspaces,
                               _relator_digit, _stable_subspace_classes,
                               _gaschutz_complement, _split_solution,
                               _sylow_relator_digits, _sylow_relators, _sylow_subgroup)
-from ellimage.modarith import (Echelon, PrimePowerModulus, lincomb, minv, mmul, mpow,
-                               mreduce)
+from ellimage.modarith import (Echelon, PrimePowerModulus, digit, kernel_element, lincomb,
+                               minv, mmul, mpow, mreduce)
 
 M3 = PrimePowerModulus(3, 1)
 M5 = PrimePowerModulus(5, 1)
@@ -304,6 +303,31 @@ def test_brute_limit_is_hard_error(image49):
 # The generator-lift DFS that built the rigidity witnesses before the
 # Gaschutz average, kept as the oracle for whether a complement exists
 
+class _KernelQuotient:
+    """Normal forms canon(x) of the cosets x * N_U, N_U = I + ell^n * U; at
+    n = 1 the reference for lattice._least_lift."""
+
+    def __init__(self, ell, n, u_basis):
+        self.ell = ell
+        self.layer = ell ** n
+        self.m = self.layer * ell
+        self.u_basis = u_basis
+        self._bar_cache = {}
+
+    def _image_basis(self, xbar):
+        if xbar not in self._bar_cache:
+            vecs = [mmul(xbar, u, self.ell) for u in self.u_basis]
+            self._bar_cache[xbar] = Echelon(self.ell, vecs)
+        return self._bar_cache[xbar]
+
+    def canon(self, x):
+        base = tuple(e % self.layer for e in x)
+        d = tuple(((x[i] - base[i]) // self.layer) % self.ell for i in range(4))
+        if self.u_basis:
+            d = self._image_basis(tuple(e % self.ell for e in x)).reduce(d)
+        return tuple((base[i] + self.layer * d[i]) % self.m for i in range(4))
+
+
 class _Quotient(_KernelQuotient):
     "Arithmetic in P/N_U for P <= GL2(Z/ell^(n+1)), N_U = I + ell^n * U."
 
@@ -313,7 +337,7 @@ class _Quotient(_KernelQuotient):
     def kernel(self, coeffs, basis):
         "The class of I + layer * (the F_ell-combination of `basis`)."
         k = lincomb(coeffs, basis, self.ell)
-        return self.canon(_kernel_matrix(k, self.layer, self.m))
+        return self.canon(kernel_element(k, self.layer, self.m))
 
 
 def _complement_over_group(quot, gens, m, v_basis, ell, cap, budget):
@@ -550,9 +574,9 @@ def _averaged_section_by_pairs(reps, layer, m, ell):
         for ty in reps.values():
             prod = mmul(tx, ty, m)
             c = mmul(prod, minv(reps[mreduce(prod, layer)], m, ell), m)
-            acc = tuple(a + b for a, b in zip(acc, _kernel_coords(c, layer, ell)))
+            acc = tuple(a + b for a, b in zip(acc, digit(c, layer, ell)))
         eta = tuple((-inv_n * a) % ell for a in acc)
-        section[x] = mmul(_kernel_matrix(eta, layer, m), tx, m)
+        section[x] = mmul(kernel_element(eta, layer, m), tx, m)
     for x in reps:
         for y in reps:
             assert mmul(section[x], section[y], m) == section[mmul(x, y, layer)]
@@ -568,7 +592,7 @@ def _stable_subspace_classes_by_elements(group, index_bound):
     els = group.elements()
     ident = group.identity_tuple()
     kernel_part = [x for x in els if mreduce(x, ell) == (1, 0, 0, 1)]
-    u_basis = Echelon(ell, [_kernel_coords(x, ell, ell) for x in kernel_part
+    u_basis = Echelon(ell, [digit(x, ell, ell) for x in kernel_part
                             if x != ident]).rows
     bar_order = len(els) // len(kernel_part)
     gens_bar = tuple(mreduce(g, ell) for g in group.gens)
@@ -584,7 +608,7 @@ def _stable_subspace_classes_by_elements(group, index_bound):
         if not _is_stable(W, module._action_matrices(), ell):
             continue
         rep = MatrixGroup(mod, [section[mreduce(g, ell)] for g in group.gens]
-                          + [_kernel_matrix(w, ell, m) for w in W])
+                          + [kernel_element(w, ell, m) for w in W])
         expected = bar_order * ell ** len(W)
         assert rep.order() == expected and all(g in group for g in rep.gens)
         if rep.det_image()[1]:
@@ -599,18 +623,20 @@ def _structured_applies(group):
 
 def test_structured_path_against_element_scan(record_map, special_records):
     """The kernel part U is the RREF of L_1, the least element of G over each
-    element of G(ell) is the least lift canon() returns, the stable
-    subspaces of U are those _subspaces_of lists (each in RREF) that are
-    stable, and the classes are the same, representative generators
-    included."""
+    element of G(ell) is the least lift _least_lift returns and the coset
+    normal form _KernelQuotient.canon, the stable subspaces of U are those
+    _subspaces_of lists (each in RREF) that are stable, and the classes are
+    the same, representative generators included."""
     compared = set()
     for name, group in _oracle_groups(record_map, special_records, _structured_applies):
         ell = group.ell
         filt = group.filtration()
         u_basis, reps, classes = _stable_subspace_classes_by_elements(group, ell ** 4)
         assert u_basis == filt.layers[0][0].rref(), name
-        least = _KernelQuotient(ell, 1, u_basis).canon
-        assert reps == {mreduce(t, ell): least(t) for t in filt.transversal()}, name
+        least = {mreduce(t, ell): _least_lift(t, u_basis, ell) for t in filt.transversal()}
+        assert reps == least, name
+        canon = _KernelQuotient(ell, 1, u_basis).canon
+        assert least == {mreduce(t, ell): canon(t) for t in filt.transversal()}, name
         subspaces = _subspaces_of(u_basis, ell)
         assert all(W == Echelon(ell, W).rref() for W in subspaces), name
         module = KernelModule(ell, tuple(mreduce(g, ell) for g in group.gens))
@@ -894,7 +920,7 @@ def _relator_digits_in_full(group):
     ell, layer = group.mod.ell, group.mod.modulus
     gens = _sylow_subgroup(group)
     words = _sylow_relators(group, gens)
-    choices = [gens] + [gens[:i] + [mmul(g, _kernel_matrix(b, layer, layer * ell),
+    choices = [gens] + [gens[:i] + [mmul(g, kernel_element(b, layer, layer * ell),
                                          layer * ell)] + gens[i + 1:]
                         for i, g in enumerate(gens) for b in M2_BASIS]
     return [[_relator_digit(word, lifts, layer, ell) for word in words] for lifts in choices]
@@ -1069,7 +1095,7 @@ from ellimage.cli import _bundled_records
 from ellimage.errors import CertificateError
 assert False, "run this under python -O"
 # without the averaging correction the least lifts are not a homomorphism
-lattice._kernel_matrix = lambda coords, layer, m: (1, 0, 0, 1)
+lattice.kernel_element = lambda Y, q, m: (1, 0, 0, 1)
 group = {r.rszb_label: r for r in _bundled_records()}["49.196.9.1"].group()
 try:
     lattice.proper_detsurjective_subgroups(group, 49)
@@ -1092,8 +1118,9 @@ def test_section_at_generators_against_all_pairs(record_map, special_records):
     compared = set()
     for name, group in _oracle_groups(record_map, special_records, _structured_applies):
         ell, m = group.ell, group.mod.modulus
-        least = _KernelQuotient(ell, 1, group.filtration().layers[0][0].rref()).canon
-        reps = {mreduce(t, ell): least(t) for t in group.filtration().transversal()}
+        u_basis = group.filtration().layers[0][0].rref()
+        reps = {mreduce(t, ell): _least_lift(t, u_basis, ell)
+                for t in group.filtration().transversal()}
         at = [mreduce(g, ell) for g in group.gens]
         old = _averaged_section_by_pairs(reps, ell, m, ell)
         assert _averaged_section(reps, ell, m, ell, at) == [old[x] for x in at], name

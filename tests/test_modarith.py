@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from ellimage.errors import ModulusMismatchError, NotInvertibleError
 from ellimage.gl2 import ambient_order
-from ellimage.modarith import (IDENTITY, MAX_MODULUS, PrimePowerModulus, ResidueMatrix,
-                               factorize, is_prime, mdet, mmul, morder, mpow)
+from ellimage.modarith import (IDENTITY, MAX_MODULUS, Echelon, PrimePowerModulus,
+                               ResidueMatrix, digit, factorize, is_prime, kernel_element,
+                               mdet, mmul, morder, mpow, mreduce)
 
 M49 = PrimePowerModulus(7, 2)
 M7 = PrimePowerModulus(7, 1)
@@ -180,6 +181,42 @@ def test_echelon_against_brute_force_span():
             assert ech.rref() == Echelon(ell, vecs[::-1]).rref()
             for w in list(span)[:20] + [tuple(rng.randrange(ell) for _ in range(4))]:
                 assert (w in ech) == (w in span)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_digit_reads_back_kernel_element(data):
+    """I + q*Y lies in K_e, q = ell^e, and its digit at q is Y mod ell, at
+    every layer e of Z/ell^n."""
+    ell = data.draw(st.sampled_from((2, 3, 5, 7)))
+    n = data.draw(st.integers(2, 5))
+    e = data.draw(st.integers(1, n - 1))
+    q, m = ell ** e, ell ** n
+    Y = tuple(data.draw(st.lists(st.integers(0, m // q - 1), min_size=4, max_size=4)))
+    x = kernel_element(Y, q, m)
+    assert all(0 <= a < m for a in x)
+    assert mreduce(x, q) == IDENTITY
+    assert digit(x, q, ell) == tuple(y % ell for y in Y)
+    assert digit(kernel_element(digit(x, q, ell), q, m), q, ell) == digit(x, q, ell)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_echelon_normal_forms(data):
+    """The normal forms are the vectors that reduce to themselves, in
+    itertools.product order, one in each coset of the span."""
+    ell = data.draw(st.sampled_from((2, 3, 5, 7)))
+    width = data.draw(st.integers(1, 4))
+    vecs = data.draw(st.lists(st.lists(st.integers(0, ell * ell - 1), min_size=width,
+                                       max_size=width), max_size=4))
+    ech = Echelon(ell, vecs)
+    forms = list(ech.normal_forms(width))
+    assert forms == [v for v in product(range(ell), repeat=width) if ech.reduce(v) == v]
+    assert len(forms) == ell ** (width - len(ech))
+    span = _f_span(vecs, ell, width)
+    cosets = {frozenset(tuple((a + b) % ell for a, b in zip(v, w)) for w in span)
+              for v in forms}
+    assert len(cosets) == len(forms)
 
 
 def _f_solutions(rows, ell, width):

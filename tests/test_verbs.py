@@ -8,7 +8,6 @@ Run this file as a script to record the file again:
 import contextlib
 import io
 import os
-import sys
 
 from ellimage.cli import _bundled_records, _special_records, main
 
@@ -64,4 +63,3 @@ if __name__ == "__main__":
         for argv in _verbs():
             code, out = _run(argv)
             fh.write("$ %s\n%sexit %d\n" % (" ".join(argv), out, code))
-    sys.exit(0)
