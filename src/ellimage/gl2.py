@@ -25,16 +25,16 @@ ell*(ell - 1)).  |H(ell)| is the product of the three sizes and H(ell)
 itself is never listed.  The generators of H, as many as the presentation
 gives, meet only the lines, so the cost of the chain follows ell rather
 than the presentation.  For each layer it holds an F_ell basis of the
-image L_e of H cap K_e, in the layer format of modarith (digit,
-kernel_element), with elements of H that realise it; H cap K_1 is the
-normal closure of the residues the chain leaves.  Then |H| = |H(ell)| *
-prod ell^(dim L_e), the level is the smallest ell^d with L_e full for all
-e >= d, and g is in H when a lift of g mod ell comes out of the chain and
-the quotient sifts to I through the layers.  None of this enumerates H, which matters for full preimages, large
-ell and levels ell^3.  _right_coset_key names a right coset +-G*x mod ell
-by its least element, read off the same chain; the conjugacy search and
-modcurves.genus_XG key the cosets mod ell with it, and genus_XG then lifts
-through the layers of +-G's filtration.
+image L_e of H cap K_e, in the coordinates of modarith.digit, with
+elements of H that realise it; H cap K_1 is the normal closure of the
+residues the chain leaves.  Then |H| = |H(ell)| * prod ell^(dim L_e), the
+level is the smallest ell^d with L_e full for all e >= d, and g is in H
+when a lift of g mod ell comes out of the chain and the quotient sifts to
+I through the layers.  None of this enumerates H, which matters for full
+preimages, large ell and levels ell^3.  _right_coset_key names a right
+coset +-G*x mod ell by its least element, read off the same chain; the
+conjugacy search and modcurves.genus_XG key the cosets mod ell with it,
+and genus_XG then lifts through the layers of +-G's filtration.
 
 The conjugacy search (_conjugating_matrix) lifts a conjugator one
 congruence level at a time and reads both groups only through their

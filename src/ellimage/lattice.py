@@ -49,10 +49,11 @@ of a parent group:
 
 Kernel coordinates are modarith.digit and kernel_element, F_ell linear
 algebra on them is modarith.Echelon, and the word in the layer rows of an
-element of G cap K_1 is read off the steps of Filtration.reduce.  All
-search budgets are explicit and exhaustion is a hard error; the walks over
-Filtration.transversal() check |G(ell)| against the cap first.  Every subgroup, section and counterexample the searches build
-is verified, and a failed verification raises CertificateError.
+element of G cap K_1 is read off the steps of Filtration.reduce.  All search
+budgets are explicit and exhaustion is a hard error; the walks over
+Filtration.transversal() check |G(ell)| against the cap first.  Every
+subgroup, section and counterexample the searches build is verified, and a
+failed verification raises CertificateError.
 """
 
 from collections import namedtuple

@@ -3,17 +3,12 @@
 Matrices are stored as canonical representatives in [0, m); every operation
 re-canonicalizes, so equality and hashing are structural.  Hot loops work on
 plain 4-tuples (m11, m12, m21, m22) through the module-level helpers; the
-ResidueMatrix record is the hashable public wrapper.
-
-The format of the congruence layers lives here as well.  For q = ell^e the
-kernel K_e = {x = I mod q} has K_e/K_(e+1) ~ M2(F_ell): digit(x, q, ell) is the
-coordinate vector of x there, and kernel_element(Y, q, m) = I + q*Y is the
-element over a coordinate vector Y.
+ResidueMatrix record is the hashable public wrapper.  digit and
+kernel_element are the one format of the congruence layers K_e/K_(e+1).
 
 All linear algebra of the package lives here too: nullspace_span solves
 linear systems over the chain ring Z/m, and Echelon is the one F_ell echelon
-form (span membership, reduction, normal forms modulo a span, canonical
-subspace bases).
+form (span membership, reduction and normal forms, canonical subspace bases).
 """
 
 from collections import namedtuple
@@ -373,8 +368,6 @@ class Echelon:
         a list, the pairs (row, f) with reduce(v) = v - sum of f*row are
         appended to it in pivot order."""
         ell = self.ell
-        if steps is None and len(self._pivots) == len(v):
-            return (0,) * len(v)  # the span is the whole space
         for p, inv, b in self._pivots:
             f = v[p] * inv % ell
             if f:

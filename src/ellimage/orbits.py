@@ -179,26 +179,29 @@ class KernelClasses:
         self._spans = {}
 
     def _span(self, v):
-        "The Echelon of T = L_(k-1)*vbar <= F_ell^2."
+        """(the Echelon of T = L_(k-1)*vbar <= F_ell^2, the normal forms of
+        (1, 0) and (0, 1) modulo T); the latter are the rows of the linear
+        normal-form map, which _low applies without walking the Echelon."""
         ell = self.ell
         key = (v[0] % ell, v[1] % ell)
         span = self._spans.get(key)
         if span is None:
             x, y = key
-            span = self._spans[key] = Echelon(ell, [(a * x + b * y, c * x + d * y)
-                                                    for a, b, c, d in self._layer])
+            echelon = Echelon(ell, [(a * x + b * y, c * x + d * y) for a, b, c, d in self._layer])
+            span = self._spans[key] = (echelon, echelon.reduce((1, 0)) + echelon.reduce((0, 1)))
         return span
 
     def _low(self, v, span):
-        "The least point of v + ell^(k-1)*T, for span the Echelon of T."
-        q = self.q
-        top = span.reduce(digit(v, q, self.ell))
-        return (v[0] % q + q * top[0], v[1] % q + q * top[1])
+        "The least point of v + ell^(k-1)*T, for span = _span(v)."
+        ell, q = self.ell, self.q
+        d0, d1 = digit(v, q, ell)
+        a, b, c, d = span[1]
+        return (v[0] % q + q * ((d0 * a + d1 * c) % ell), v[1] % q + q * ((d0 * b + d1 * d) % ell))
 
     def _moves(self, v):
         "Whether T leaves F_ell*vbar, i.e. N moves the line of v (gamma0)."
         x, y = v
-        return any((x * r1 - y * r0) % self.ell for r0, r1 in self._span(v).rows)
+        return any((x * r1 - y * r0) % self.ell for r0, r1 in self._span(v)[0].rows)
 
     def canon(self, v):
         "The normal form of the class of v, a vector of exact order ell^k in [0, ell^k)^2."
@@ -221,7 +224,7 @@ class KernelClasses:
         if self.family == "gamma0":
             return self.ell if self._moves(c) else 1
         m, span = self.m, self._span(c)
-        n = self.ell ** len(span)
+        n = self.ell ** len(span[0])
         return n // 2 if self._low(((-c[0]) % m, (-c[1]) % m), span) == c else n  # -c in c + ell^(k-1)*T
 
     def seeds(self):
@@ -234,11 +237,13 @@ class KernelClasses:
             ell, q = self.ell, self.q
             out = set()
             for c in _carrier_points(self.family, self._lower):
-                span = self._span(c)
+                span = self._span(c)[0]
                 if self.family == "gamma0":
                     span = Echelon(ell, span.rows + [(c[0] % ell, c[1] % ell)])
                 out.update(self.canon((c[0] + q * dx, c[1] + q * dy))
                            for dx, dy in span.normal_forms(2))
+                if len(out) > self.cap:
+                    break
         if len(out) > self.cap:
             raise EnumerationCapError("carrier classes at level %d exceeded cap %d"
                                       % (self.m, self.cap))

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import ellimage.orbits as ORBITS
 from ellimage import gl2
 from ellimage.cli import _bundled_records, _special_records
+from ellimage.errors import EnumerationCapError
 from ellimage.gl2 import CARTAN_KINDS, CartanSpec, MatrixGroup, build_cartan, full_gl2, orbit
 from ellimage.isolated import CandidatePair, candidate_pairs
 from ellimage.modarith import PrimePowerModulus, mvec
@@ -393,6 +394,20 @@ def test_class_sizes_at_four():
         for family in ("gamma1", "gamma0"):
             assert [(r.representative, r.size) for r in orbits(group, 2, family)] == \
                 [(w.representative, w.size) for w in _point_orbits(group, 2, family)], label
+
+
+def test_seeds_stop_at_the_cap(monkeypatch):
+    """The nonsplit-Cartan normalizer mod 17^3 has 41,616 gamma1 classes at
+    level 17^3, one over each carrier point mod 17^2; at a cap of 10^4 the
+    seed list stops growing at the first class past the cap."""
+    level = PrimePowerModulus(17, 3)
+    group = build_cartan(CartanSpec("nonsplit-normalizer", level))
+    classes = KernelClasses(group, level, "gamma1", 10 ** 4)
+    calls, canon = [], classes.canon
+    monkeypatch.setattr(classes, "canon", lambda v: calls.append(v) or canon(v))
+    with pytest.raises(EnumerationCapError):
+        classes.seeds()
+    assert len(calls) == 10 ** 4 + 1
 
 
 def test_classes_against_point_orbits_on_records():
