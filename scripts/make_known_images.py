@@ -19,7 +19,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from ellimage.gl2 import CartanSpec, MatrixGroup, build_cartan
 from ellimage.isolated import analyze
 from ellimage.labelio import ImageRecord, serialize_records, validate_record
-from ellimage.modarith import PrimePowerModulus, ResidueMatrix
+from ellimage.modarith import PrimePowerModulus
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "ellimage", "data")
 
@@ -166,8 +166,7 @@ def main():
         else:
             counters[key] += 1
             label = "%d.%d.%d.%d" % (level, index, genus, counters[key])
-        gens = tuple(ResidueMatrix.make(t, group.mod) for t in group.gens)
-        rec = ImageRecord(label, group.mod, gens)
+        rec = ImageRecord(label, group.mod, group.gens)
         rep = validate_record(rec)
         assert rep.ok, (label, rep)
         records.append((name, rec))
@@ -213,8 +212,7 @@ def main():
     from ellimage.modcurves import genus_XG
     gns = genus_XG(printed).genus
     label = "%d.%d.%d.1" % (lvl, idx, gns)
-    gens = tuple(ResidueMatrix.make(t, m49) for t in printed.gens)
-    rec = ImageRecord(label, m49, gens)
+    rec = ImageRecord(label, m49, printed.gens)
     assert validate_record(rec).ok
     with open(os.path.join(OUT_DIR, "special_groups.txt"), "w", encoding="ascii") as fh:
         fh.write("# Reference subgroups that are not ell-adic images: the published\n"

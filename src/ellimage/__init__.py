@@ -10,7 +10,7 @@ _EXPORTS = {
     "errors": ("CertificateError", "DataFileError", "EllimageError", "EnumerationCapError",
                "LabelError", "ModulusMismatchError", "NotInvertibleError",
                "SearchBudgetError"),
-    "modarith": ("PrimePowerModulus", "ResidueMatrix"),
+    "modarith": ("PrimePowerModulus",),
     "gl2": ("CartanSpec", "MatrixGroup", "ambient_order", "build_cartan",
             "conjugate_into", "full_gl2", "is_conjugate"),
     "modcurves": ("GenusProfile", "MapDegreeSpec", "genus_X0", "genus_X1", "genus_XG",

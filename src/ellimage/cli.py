@@ -15,7 +15,9 @@ or VALIDATED then ends with "N failed" and each failure has a "# error"
 line; 5 wins over 4), 2 usage errors, 1 other errors.
 
 The enumeration cap and worker count read ELLIMAGE_MAX_ENUM and
-ELLIMAGE_THREADS from the environment; command-line flags win.
+ELLIMAGE_THREADS from the environment; command-line flags win.  batch runs
+in one process unless a worker count above 1 is asked for: on the bundled
+catalog a process pool costs more than the whole batch.
 """
 
 import argparse
@@ -133,7 +135,7 @@ def _batch_one(payload):
 def cmd_batch(args, config):
     records = _load_records(config)
     payloads = [(rec.rszb_label, rec.modulus.ell, rec.modulus.exponent,
-                 tuple(g.entries for g in rec.generators), args.family, config.cap,
+                 rec.generators, args.family, config.cap,
                  config.fmt == "text")
                 for rec in records]
     if config.threads > 1 and len(payloads) > 1:
@@ -181,7 +183,7 @@ def cmd_lattice_check(args, config):
         if classes:
             rep = classes[0].representative
             ok, index, witness = split_cartan_membership(rep, config.cap)
-            w = ",".join(str(e) for e in witness.entries) if witness else "-"
+            w = ",".join(str(e) for e in witness) if witness else "-"
             lines.append("CLAIM\tsplit-normalizer-membership\t%s\tindex=%s\twitness=%s"
                          % (str(ok).lower(), index if ok else "-", w))
             special = _special_records()
@@ -258,7 +260,7 @@ def _build_parser():
                              "ELLIMAGE_MAX_ENUM, else 10^7)")
         sp.add_argument("--threads", type=int, default=None,
                         help="worker processes, used by batch only (default: "
-                             "ELLIMAGE_THREADS, else the CPU count)")
+                             "ELLIMAGE_THREADS, else 1: no process pool)")
         sp.add_argument("--format", dest="fmt", choices=("text", "lines"),
                         default="text")
         sp.add_argument("--out", help="write output to a file instead of stdout")
@@ -279,7 +281,7 @@ def _config_from(args):
         cap = int(os.environ.get("ELLIMAGE_MAX_ENUM", DEFAULT_CAP))
     threads = args.threads
     if threads is None:
-        threads = int(os.environ.get("ELLIMAGE_THREADS", os.cpu_count() or 1))
+        threads = int(os.environ.get("ELLIMAGE_THREADS", 1))
     return RunConfig(cap=cap, threads=threads, data_path=args.gens_file,
                      out_path=args.out, fmt=args.fmt)
 

@@ -49,11 +49,12 @@ from itertools import islice, product
 
 from .errors import (CertificateError, EnumerationCapError, ModulusMismatchError,
                      NotInvertibleError, SearchBudgetError)
-from .modarith import (IDENTITY, M2_BASIS, Echelon, PrimePowerModulus, ResidueMatrix,
-                       digit, kernel_element, mdet, minv, mmul, mneg, morder, mpow,
-                       mreduce, rowmul)
+from .modarith import (IDENTITY, M2_BASIS, Echelon, PrimePowerModulus, digit,
+                       kernel_element, mdet, minv, mmul, mneg, morder, mpow, mreduce, rowmul)
 
 DEFAULT_CAP = 10 ** 7
+# cosets and lifts the conjugacy search may try before SearchBudgetError
+CONJUGACY_BUDGET = 500_000
 
 
 def ambient_order(mod, family="GL2"):
@@ -168,10 +169,6 @@ class MatrixGroup:
         m = mod.modulus
         seen, canon = set(), []
         for g in gens:
-            if isinstance(g, ResidueMatrix):
-                if g.mod != mod:
-                    raise ModulusMismatchError("generator %s not mod %s" % (g, mod))
-                g = g.entries
             g = mreduce(g, m)
             if mod.exponent >= 1 and mdet(g, m) % mod.ell == 0:
                 raise NotInvertibleError("generator %r not invertible mod %d" % (g, m))
@@ -189,9 +186,6 @@ class MatrixGroup:
     def ell(self):
         return self.mod.ell
 
-    def generator_matrices(self):
-        return tuple(ResidueMatrix.make(g, self.mod) for g in self.gens)
-
     def identity_tuple(self):
         m = self.mod.modulus
         return (1 % m, 0, 0, 1 % m)
@@ -203,9 +197,6 @@ class MatrixGroup:
             self._elements = tuple(sorted(els))
         return self._elements
 
-    def element_set(self, cap=DEFAULT_CAP):
-        return set(self.elements(cap))
-
     def filtration(self, cap=DEFAULT_CAP):
         "The congruence Filtration of the group (cached); needs exponent >= 1."
         if self._filtration is None:
@@ -213,8 +204,6 @@ class MatrixGroup:
         return self._filtration
 
     def __contains__(self, g):
-        if isinstance(g, ResidueMatrix):
-            g = g.entries
         return self._sifts(g, DEFAULT_CAP)
 
     def _sifts(self, g, cap):
@@ -325,8 +314,6 @@ class MatrixGroup:
 
     def conjugated_by(self, c):
         m = self.mod.modulus
-        if isinstance(c, ResidueMatrix):
-            c = c.entries
         ci = minv(c, m, self.ell)
         return MatrixGroup(self.mod, [mmul(mmul(c, g, m), ci, m) for g in self.gens])
 
@@ -798,7 +785,7 @@ def _right_coset_key(group, cap=DEFAULT_CAP):
     return key, pm
 
 
-def _conjugating_matrix(h, big, cap, budget):
+def _conjugating_matrix(h, big, cap):
     """Search for c with c*g*c^-1 in big for every generator g of h, one
     congruence level at a time; returns the witness 4-tuple mod ell^n or None.
 
@@ -812,7 +799,7 @@ def _conjugating_matrix(h, big, cap, budget):
     normal forms modulo that span, and a candidate is kept when it
     conjugates every generator into B mod ell^(j+1).  The search backtracks
     when no Y fits (Holt, Eick and O'Brien, ch. 8).  Every coset and every Y
-    tried counts against budget.
+    tried counts against CONJUGACY_BUDGET.
     """
     ell, n = h.mod.ell, h.mod.exponent
     levels = [big.reduce_to(e) for e in range(1, n)] + [big]
@@ -824,8 +811,8 @@ def _conjugating_matrix(h, big, cap, budget):
         "Whether c conjugates every generator of h into B mod ell^j."
         nonlocal nodes
         nodes += 1
-        if nodes > budget:
-            raise SearchBudgetError("conjugacy search exceeded %d nodes" % budget)
+        if nodes > CONJUGACY_BUDGET:
+            raise SearchBudgetError("conjugacy search exceeded %d nodes" % CONJUGACY_BUDGET)
         q = ell ** j
         ci = minv(c, q, ell)
         return all(levels[j - 1]._sifts(mmul(mmul(c, g, q), ci, q), cap) for g in h.gens)
@@ -857,8 +844,8 @@ def _conjugating_matrix(h, big, cap, budget):
     return search(None, 0)
 
 
-def is_conjugate(g, h, cap=DEFAULT_CAP, budget=500_000):
-    """Whether some c in GL2 conjugates g onto h; returns (bool, witness).
+def is_conjugate(g, h, cap=DEFAULT_CAP):
+    """Whether some c in GL2 conjugates g onto h; returns (bool, witness 4-tuple).
 
     For groups of equal order a conjugate of g inside h is h itself, so this
     is the order check plus conjugate_into.
@@ -867,24 +854,24 @@ def is_conjugate(g, h, cap=DEFAULT_CAP, budget=500_000):
         raise ModulusMismatchError("groups live over different moduli")
     if g.order(cap) != h.order(cap):
         return False, None
-    ok, witness, _ = conjugate_into(g, h, cap, budget)
+    ok, witness, _ = conjugate_into(g, h, cap)
     return ok, witness
 
 
-def conjugate_into(h, big, cap=DEFAULT_CAP, budget=500_000):
+def conjugate_into(h, big, cap=DEFAULT_CAP):
     """Whether some GL2-conjugate of h is a subgroup of big; returns
-    (bool, witness, index of the image in big).  The witness is checked by
-    sifting each conjugated generator of h through big."""
+    (bool, witness 4-tuple c, index of the image in big).  The witness is
+    checked by sifting each conjugated generator c*g*c^-1 of h through big."""
     if h.mod != big.mod:
         raise ModulusMismatchError("groups live over different moduli")
     mod = h.mod
     if mod.exponent == 0:  # two level-1 markers: both trivial
-        return True, ResidueMatrix.make(h.identity_tuple(), mod), 1
+        return True, h.identity_tuple(), 1
     m = mod.modulus
     ho, bo = h.order(cap), big.order(cap)
     if bo % ho:
         return False, None, None
-    c = _conjugating_matrix(h, big, cap, budget)
+    c = _conjugating_matrix(h, big, cap)
     if c is None:
         return False, None, None
     ci = minv(c, m, mod.ell)
@@ -892,4 +879,4 @@ def conjugate_into(h, big, cap=DEFAULT_CAP, budget=500_000):
     if any(mmul(mmul(c, g, m), ci, m) not in big for g in h.gens):
         raise CertificateError("conjugating matrix %r does not map %r into %r"
                                % (c, h, big))
-    return True, ResidueMatrix.make(c, mod), bo // ho
+    return True, c, bo // ho

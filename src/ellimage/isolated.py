@@ -23,7 +23,7 @@ import warnings
 from collections import namedtuple
 
 from .gl2 import DEFAULT_CAP
-from .modarith import PrimePowerModulus
+from .modarith import PrimePowerModulus, factorize
 from .modcurves import genus_X0, genus_X1, genus_XG, map_degree_tower
 from .orbits import KernelClasses, orbits
 
@@ -44,9 +44,6 @@ class CandidatePair(namedtuple("CandidatePair", "level_exp degree ell provenance
     @property
     def level(self):
         return self.ell ** self.level_exp
-
-    def key(self):
-        return (self.level_exp, self.degree)
 
 
 Annotation = namedtuple("Annotation", "level degree text")
@@ -83,29 +80,43 @@ class FilterReport(namedtuple("FilterReport", "label family ell pairs det_surjec
         return "\n".join(self.to_lines(comments)) + "\n"
 
 
-# Literature dispositions for pairs the filter cannot remove.  Citations
-# only; nothing here is derived by this package.
+# Literature dispositions for pairs the filter cannot remove: whether the
+# point is isolated, the non-CM rational j-invariants over it as (numerator,
+# denominator) pairs, and the citation, which prints them at its {} fields.
+# Citations only; nothing here is derived by this package.  knownj builds its
+# non-CM rows from these j-invariants.
 ANNOTATIONS = {
-    ("gamma1", 17, 4):
-        "every degree-4 point on X1(17) is P^1-parameterized "
-        "(Derickx-Kamienny-Mazur-van Hoeij modular symbol bounds)",
-    ("gamma1", 37, 6):
-        "a degree-6 sporadic point on X1(37) exists (van Hoeij); it is "
-        "isolated because 6 is below half the Q-gonality 18 of X1(37) "
-        "(Frey's criterion; gonality from Derickx-van Hoeij)",
-    ("gamma1", 37, 18):
-        "the degree-18 point on X1(37) above the degree-6 point is isolated "
-        "(degree-d classification literature for X1, 2025)",
-    ("gamma0", 11, 1):
-        "non-CM rational points on X0(11): j = -11*131^3 and -11^2; "
-        "X0(11)(Q) is finite (genus 1, rank 0), so both points are isolated",
-    ("gamma0", 17, 1):
-        "non-CM rational points on X0(17): j = -17^2*101^3/2 and "
-        "-17*373^3/2^17; X0(17)(Q) is finite, so both points are isolated",
-    ("gamma0", 37, 1):
-        "non-CM rational points on X0(37): j = -7*11^3 and "
-        "-7*137^3*2083^3; X0(37)(Q) is finite (genus 2), so both are isolated",
+    ("gamma1", 17, 4): (False, (),
+                        "every degree-4 point on X1(17) is P^1-parameterized "
+                        "(Derickx-Kamienny-Mazur-van Hoeij modular symbol bounds)"),
+    ("gamma1", 37, 6): (True, ((-7 * 11 ** 3, 1),),
+                        "a degree-6 sporadic point on X1(37) exists (van Hoeij); it is "
+                        "isolated because 6 is below half the Q-gonality 18 of X1(37) "
+                        "(Frey's criterion; gonality from Derickx-van Hoeij)"),
+    ("gamma1", 37, 18): (True, ((-7 * 137 ** 3 * 2083 ** 3, 1),),
+                         "the degree-18 point on X1(37) above the degree-6 point is "
+                         "isolated (degree-d classification literature for X1, 2025)"),
+    ("gamma0", 11, 1): (True, ((-11 * 131 ** 3, 1), (-11 ** 2, 1)),
+                        "non-CM rational points on X0(11): j = {} and {}; X0(11)(Q) is "
+                        "finite (genus 1, rank 0), so both points are isolated"),
+    ("gamma0", 17, 1): (True, ((-(17 ** 2) * 101 ** 3, 2), (-17 * 373 ** 3, 2 ** 17)),
+                        "non-CM rational points on X0(17): j = {} and {}; "
+                        "X0(17)(Q) is finite, so both points are isolated"),
+    ("gamma0", 37, 1): (True, ((-7 * 11 ** 3, 1), (-7 * 137 ** 3 * 2083 ** 3, 1)),
+                        "non-CM rational points on X0(37): j = {} and {}; "
+                        "X0(37)(Q) is finite (genus 2), so both are isolated"),
 }
+
+
+def _factored(n):
+    "The prime factorization of n > 1 as text, e.g. 11*131^3."
+    return "*".join(str(p) if e == 1 else "%d^%d" % (p, e) for p, e in factorize(n).items())
+
+
+def _j_text(num, den):
+    "The j-invariant num/den as the citations print it, e.g. -17*373^3/2^17."
+    text = ("-" if num < 0 else "") + _factored(abs(num))
+    return text + "/" + _factored(den) if den > 1 else text
 
 
 def _genus_at(family, N):
@@ -202,8 +213,9 @@ def analyze(group, family, label=None, cap=DEFAULT_CAP):
     notes = []
     for p in pairs:
         if p.elimination is None:
-            text = ANNOTATIONS.get((family, p.level, p.degree))
-            if text:
+            entry = ANNOTATIONS.get((family, p.level, p.degree))
+            if entry:
+                text = entry[2].format(*(_j_text(*j) for j in entry[1]))
                 notes.append(Annotation(p.level, p.degree, text))
     return FilterReport(label, family, group.mod.ell, tuple(pairs),
                         det_surj, tuple(notes))

@@ -1,10 +1,13 @@
 """The rational isolated j-invariants: the tables of the 15 Gamma1- and 19
 Gamma0-isolated rational j-invariants that the filter's surviving pairs are
-read against.  No CLI verb imports this module, so `fractions` stays out
-of every invocation."""
+read against.  The non-CM j-invariants are written once, next to the
+filter's citations in isolated.ANNOTATIONS.  No CLI verb imports this
+module, so `fractions` stays out of every invocation."""
 
 from collections import namedtuple
 from fractions import Fraction
+
+from .isolated import ANNOTATIONS
 
 # `ell` is None for CM rows: the statement is ell-free
 KnownJRecord = namedtuple("KnownJRecord", "j_invariant cm family ell citation")
@@ -24,24 +27,14 @@ def _cm_rows(family):
     return tuple(KnownJRecord(j, True, family, None, _CM_CITE) for j in _CM_J)
 
 
-GAMMA1_ISOLATED_J = _cm_rows("gamma1") + (
-    KnownJRecord(Fraction(-7 * 11 ** 3), False, "gamma1", 37,
-                 "degree-6 sporadic point on X1(37), van Hoeij"),
-    KnownJRecord(Fraction(-7 * 137 ** 3 * 2083 ** 3), False, "gamma1", 37,
-                 "degree-18 isolated point on X1(37)"),
-)
+def _non_cm_rows(family):
+    "The non-CM rows, one per j-invariant of isolated.ANNOTATIONS over a family pair."
+    return tuple(KnownJRecord(Fraction(num, den), False, family, level,
+                              "rational point on X0(%d)" % level if degree == 1
+                              else "degree-%d isolated point on X1(%d)" % (degree, level))
+                 for (fam, level, degree), (_, js, _) in ANNOTATIONS.items() if fam == family
+                 for num, den in js)
 
-GAMMA0_ISOLATED_J = _cm_rows("gamma0") + (
-    KnownJRecord(Fraction(-11 * 131 ** 3), False, "gamma0", 11,
-                 "rational point on X0(11)"),
-    KnownJRecord(Fraction(-11 ** 2), False, "gamma0", 11,
-                 "rational point on X0(11)"),
-    KnownJRecord(Fraction(-(17 ** 2) * 101 ** 3, 2), False, "gamma0", 17,
-                 "rational point on X0(17)"),
-    KnownJRecord(Fraction(-17 * 373 ** 3, 2 ** 17), False, "gamma0", 17,
-                 "rational point on X0(17)"),
-    KnownJRecord(Fraction(-7 * 11 ** 3), False, "gamma0", 37,
-                 "rational point on X0(37)"),
-    KnownJRecord(Fraction(-7 * 137 ** 3 * 2083 ** 3), False, "gamma0", 37,
-                 "rational point on X0(37)"),
-)
+
+GAMMA1_ISOLATED_J = _cm_rows("gamma1") + _non_cm_rows("gamma1")
+GAMMA0_ISOLATED_J = _cm_rows("gamma0") + _non_cm_rows("gamma0")

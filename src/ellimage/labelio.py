@@ -22,7 +22,7 @@ from collections import namedtuple
 
 from .errors import DataFileError, LabelError
 from .gl2 import DEFAULT_CAP, MatrixGroup
-from .modarith import PrimePowerModulus, ResidueMatrix
+from .modarith import PrimePowerModulus, mdet
 
 
 def parse_label(text):
@@ -44,7 +44,7 @@ def parse_label(text):
 
 
 class ImageRecord(namedtuple("ImageRecord", "rszb_label modulus generators")):
-    "A labelled image: its PrimePowerModulus and a tuple of ResidueMatrix."
+    "A labelled image: its PrimePowerModulus and a tuple of 4-tuple generators."
 
     __slots__ = ()
 
@@ -52,7 +52,7 @@ class ImageRecord(namedtuple("ImageRecord", "rszb_label modulus generators")):
         return MatrixGroup(self.modulus, list(self.generators), label=self.rszb_label)
 
     def to_line(self):
-        gens = ";".join(",".join(str(e) for e in g.entries) for g in self.generators)
+        gens = ";".join(",".join(str(e) for e in g) for g in self.generators)
         return "%s|%d|%s" % (self.rszb_label, self.modulus.modulus, gens)
 
 
@@ -87,10 +87,9 @@ def _parse_record_line(line, lineno):
         for v in vals:
             if not 0 <= v < modulus:
                 raise DataFileError("entry %d out of range [0, %d)" % (v, modulus), lineno)
-        mat = ResidueMatrix.make(vals, mod)
-        if not mat.is_invertible():
+        if mdet(vals, modulus) % mod.ell == 0:
             raise DataFileError("generator %r is not invertible" % (chunk,), lineno)
-        gens.append(mat)
+        gens.append(vals)
     return ImageRecord(label, mod, tuple(gens))
 
 

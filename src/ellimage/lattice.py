@@ -462,11 +462,11 @@ def _stable_subspace_classes(group, index_bound, cap=DEFAULT_CAP):
     return sorted(out, key=lambda c: (c.index_in_parent, c.representative.gens))
 
 
-def split_cartan_membership(h, cap=DEFAULT_CAP, budget=500_000):
-    """(conjugate-into flag, index of the image) against the normalizer of
-    the split Cartan at h's modulus."""
+def split_cartan_membership(h, cap=DEFAULT_CAP):
+    """(conjugate-into flag, index of the image, witness 4-tuple) against the
+    normalizer of the split Cartan at h's modulus."""
     big = build_cartan(CartanSpec("split-normalizer", h.mod), cap)
-    ok, witness, index = conjugate_into(h, big, cap, budget)
+    ok, witness, index = conjugate_into(h, big, cap)
     return ok, index, witness
 
 

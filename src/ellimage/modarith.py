@@ -1,10 +1,9 @@
 """Exact arithmetic for scalars and 2x2 matrices over Z/m, m a prime power.
 
-Matrices are stored as canonical representatives in [0, m); every operation
-re-canonicalizes, so equality and hashing are structural.  Hot loops work on
-plain 4-tuples (m11, m12, m21, m22) through the module-level helpers; the
-ResidueMatrix record is the hashable public wrapper.  digit and
-kernel_element are the one format of the congruence layers K_e/K_(e+1).
+A matrix is a plain 4-tuple (m11, m12, m21, m22) of representatives in
+[0, m); every helper re-canonicalizes, so equality and hashing are
+structural.  digit and kernel_element are the one format of the congruence
+layers K_e/K_(e+1).
 
 All linear algebra of the package lives here too: nullspace_span solves
 linear systems over the chain ring Z/m, and Echelon is the one F_ell echelon
@@ -15,7 +14,7 @@ from collections import namedtuple
 from itertools import product
 from math import gcd
 
-from .errors import ModulusMismatchError, NotInvertibleError
+from .errors import NotInvertibleError
 
 # Squares of entries must stay inside native 64-bit integers.  The tests run
 # moduli up to 1331 and lattice-check reaches Borel(1009), far below it.
@@ -76,9 +75,6 @@ class PrimePowerModulus(namedtuple("PrimePowerModulus", "ell exponent")):
             raise ValueError("%d is not a prime power" % m)
         return cls(ell, e)
 
-    def to_exponent(self, exponent):
-        return PrimePowerModulus(self.ell, exponent)
-
     def divides(self, other):
         return self.ell == other.ell and self.exponent <= other.exponent
 
@@ -93,7 +89,7 @@ class PrimePowerModulus(namedtuple("PrimePowerModulus", "ell exponent")):
 
 
 # ---------------------------------------------------------------------------
-# tuple-level matrix helpers (hot paths)
+# matrix helpers
 
 IDENTITY = (1, 0, 0, 1)
 M2_BASIS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
@@ -110,14 +106,6 @@ def mmul(a, b, m):
 
 def mdet(a, m):
     return (a[0] * a[3] - a[1] * a[2]) % m
-
-
-def mtrace(a, m):
-    return (a[0] + a[3]) % m
-
-
-def is_unit(x, ell):
-    return x % ell != 0
 
 
 def scalar_inv(x, m, ell):
@@ -216,74 +204,6 @@ def morder(a, mod):
 
 def mreduce(a, m_target):
     return (a[0] % m_target, a[1] % m_target, a[2] % m_target, a[3] % m_target)
-
-
-# ---------------------------------------------------------------------------
-# public wrapper
-
-class ResidueMatrix(namedtuple("ResidueMatrix", "m11 m12 m21 m22 mod")):
-    __slots__ = ()
-
-    def __new__(cls, m11, m12, m21, m22, mod):
-        m = mod.modulus
-        for x in (m11, m12, m21, m22):
-            if not 0 <= x < m:
-                raise ValueError("entry %d not reduced into [0, %d)" % (x, m))
-        return super().__new__(cls, m11, m12, m21, m22, mod)
-
-    @classmethod
-    def make(cls, entries, mod):
-        m = mod.modulus
-        a, b, c, d = entries
-        return cls(a % m, b % m, c % m, d % m, mod)
-
-    @classmethod
-    def identity(cls, mod):
-        m = mod.modulus
-        return cls(1 % m, 0, 0, 1 % m, mod)
-
-    @classmethod
-    def minus_identity(cls, mod):
-        m = mod.modulus
-        return cls((-1) % m, 0, 0, (-1) % m, mod)
-
-    @property
-    def entries(self):
-        return (self.m11, self.m12, self.m21, self.m22)
-
-    def is_invertible(self):
-        return is_unit(mdet(self.entries, self.mod.modulus), self.mod.ell)
-
-    def det(self):
-        return mdet(self.entries, self.mod.modulus)
-
-    def trace(self):
-        return mtrace(self.entries, self.mod.modulus)
-
-    def inv(self):
-        if not self.is_invertible():
-            raise NotInvertibleError("determinant %d is not a unit mod %d"
-                                     % (self.det(), self.mod.ell))
-        return ResidueMatrix.make(minv(self.entries, self.mod.modulus, self.mod.ell), self.mod)
-
-    def order(self):
-        return morder(self.entries, self.mod)
-
-    def __mul__(self, other):
-        if self.mod != other.mod:
-            raise ModulusMismatchError("%s vs %s" % (self.mod, other.mod))
-        return ResidueMatrix.make(mmul(self.entries, other.entries, self.mod.modulus), self.mod)
-
-    def __neg__(self):
-        return ResidueMatrix.make(mneg(self.entries, self.mod.modulus), self.mod)
-
-    def reduce_to(self, target):
-        if not target.divides(self.mod):
-            raise ModulusMismatchError("%s does not divide %s" % (target, self.mod))
-        return ResidueMatrix.make(mreduce(self.entries, target.modulus), target)
-
-    def __str__(self):
-        return "[%d %d; %d %d] mod %d" % (*self.entries, self.mod.modulus)
 
 
 # ---------------------------------------------------------------------------

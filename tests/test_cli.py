@@ -178,6 +178,25 @@ def test_batch_deterministic_across_threads(tmp_path):
     assert "SUMMARY\tgamma0\t42 records\t6 nonempty" in outs[0]
 
 
+DEFAULT_BATCH = """
+import sys
+from ellimage.cli import main
+code = main(["batch", "--family", "gamma0"])
+print("multiprocessing" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_batch_runs_in_one_process_by_default():
+    # no --threads and no ELLIMAGE_THREADS: no process pool, the same bytes
+    env = {k: v for k, v in os.environ.items() if k != "ELLIMAGE_THREADS"}
+    r = subprocess.run([sys.executable, "-c", DEFAULT_BATCH], capture_output=True, text=True,
+                       env=env)
+    assert r.returncode == 0 and r.stderr == "False\n", r.stderr
+    pooled = run("batch", "--family", "gamma0", "--threads", "3")
+    assert pooled.returncode == 0 and r.stdout == pooled.stdout
+
+
 def test_import_leaves_multiprocessing_unloaded():
     # the process pool is imported by batch only when it runs with threads > 1
     r = subprocess.run([sys.executable, "-c", "import sys, ellimage.cli; "

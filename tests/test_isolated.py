@@ -2,6 +2,7 @@ import random
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -9,8 +10,11 @@ import ellimage.orbits as ORBITS
 from ellimage import gl2
 from ellimage.errors import EnumerationCapError
 from ellimage.gl2 import DEFAULT_CAP, CartanSpec, MatrixGroup, build_cartan, full_gl2
-from ellimage.isolated import (CandidatePair, analyze, candidate_pairs,
+from ellimage import isolated
+from ellimage.cli import main
+from ellimage.isolated import (ANNOTATIONS, FAMILIES, CandidatePair, analyze, candidate_pairs,
                                filter_genus_zero, filter_riemann_roch)
+from ellimage.knownj import GAMMA0_ISOLATED_J, GAMMA1_ISOLATED_J
 from ellimage.labelio import parse_report_lines
 from ellimage.modarith import PrimePowerModulus
 from ellimage.modcurves import map_degree_tower
@@ -259,3 +263,77 @@ def test_cap_bounds_the_orbit_classes():
     with pytest.raises(EnumerationCapError):
         candidate_pairs(group, "gamma1", 10 ** 4)
     assert candidate_pairs(group, "gamma1")
+
+
+# ---------------------------------------------------------------------------
+# the paper's tables against the filter's surviving pairs
+
+def _cited_reports(text):
+    """(survivors, cites) per record of a batch output: the kept (level,
+    degree) pairs and the (pair, text) of each `# cite` line."""
+    survivors, cites = set(), []
+    for line in text.splitlines():
+        fields = line.split("\t")
+        if line.startswith("# cite "):
+            pair, note = line[len("# cite "):].split(" ", 1)
+            cites.append((tuple(int(x) for x in pair.split(":")), note))
+        elif len(fields) == 6 and fields[4] == "kept":
+            survivors.add((int(fields[2]), int(fields[3])))
+        elif fields[0] == "RESULT":
+            yield survivors, cites
+            survivors, cites = set(), []
+
+
+def _table_problems(outputs, annotations, tables):
+    """How the batch outputs (family -> stdout) disagree with the citation
+    table and the known-j tables (family -> rows); [] when they agree."""
+    problems = []
+    for family, text in outputs.items():
+        ours = {(lv, d): entry for (fam, lv, d), entry in annotations.items() if fam == family}
+        surviving = set()
+        for survivors, cites in _cited_reports(text):
+            surviving |= survivors
+            # every surviving pair carries exactly one citation, the table's
+            if sorted(pair for pair, _ in cites) != sorted(survivors):
+                problems.append("%s: cites %s for %s" % (family, cites, sorted(survivors)))
+            for pair, note in cites:
+                entry = ours.get(pair)
+                if entry is None or note != entry[2].format(
+                        *(isolated._j_text(*j) for j in entry[1])):
+                    problems.append("%s %s: cite %r" % (family, pair, note))
+        if set(ours) != surviving:
+            problems.append("%s: cited %s, surviving %s"
+                            % (family, sorted(ours), sorted(surviving)))
+        # the pairs marked isolated are exactly those the non-CM rows sit over
+        marked = {pair for pair, entry in ours.items() if entry[0]}
+        over = {Fraction(*j): pair for pair, entry in ours.items() for j in entry[1]}
+        rows = tables[family]
+        non_cm = {r.j_invariant for r in rows if not r.cm}
+        if {over.get(j) for j in non_cm} != marked:
+            problems.append("%s: non-CM rows over %s, isolated %s" % (family, non_cm, marked))
+        # 2 and 6 non-CM rows, and with the 13 CM rows the paper's 15 and 19
+        counts = (sum(r.cm for r in rows), len(non_cm), len({r.j_invariant for r in rows}))
+        if counts != {"gamma1": (13, 2, 15), "gamma0": (13, 6, 19)}[family]:
+            problems.append("%s: CM, non-CM and distinct rows %s" % (family, counts))
+    not_isolated = annotations.get(("gamma1", 17, 4), (True,))[0] is False
+    if not (not_isolated and "\tgamma1\t17\t4\tkept\t" in outputs["gamma1"]):
+        problems.append("gamma1 17:4 does not survive marked not isolated")
+    return problems
+
+
+def test_paper_tables_against_the_filter(tmp_path):
+    outputs = {}
+    for family in FAMILIES:
+        path = tmp_path / family
+        assert main(["batch", "--family", family, "--threads", "1", "--out", str(path)]) == 0
+        outputs[family] = path.read_text()
+    tables = {"gamma1": GAMMA1_ISOLATED_J, "gamma0": GAMMA0_ISOLATED_J}
+    assert _table_problems(outputs, ANNOTATIONS, tables) == []
+    # removing any row or any citation is caught
+    for family, rows in tables.items():
+        for i in range(len(rows)):
+            fewer = dict(tables, **{family: rows[:i] + rows[i + 1:]})
+            assert _table_problems(outputs, ANNOTATIONS, fewer), (family, rows[i])
+    for key in ANNOTATIONS:
+        fewer = {k: v for k, v in ANNOTATIONS.items() if k != key}
+        assert _table_problems(outputs, fewer, tables), key

@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from ellimage.errors import DataFileError, LabelError
+from ellimage.errors import DataFileError, LabelError, NotInvertibleError
+from ellimage.gl2 import MatrixGroup
 from ellimage.knownj import GAMMA0_ISOLATED_J, GAMMA1_ISOLATED_J
 from ellimage.labelio import (ImageRecord, parse_label, read_generators_text,
                               serialize_records, validate_record)
-from ellimage.modarith import PrimePowerModulus, ResidueMatrix
+from ellimage.modarith import PrimePowerModulus
 
 
 def test_parse_label_examples():
@@ -26,7 +27,7 @@ def test_read_generators_grammar():
     assert len(recs) == 1
     assert recs[0].rszb_label == "49.196.9.1"
     assert len(recs[0].generators) == 2
-    assert recs[0].generators[0].entries == (1, 0, 37, 48)
+    assert recs[0].generators == ((1, 0, 37, 48), (20, 4, 18, 21))
 
 
 def test_empty_file():
@@ -47,8 +48,15 @@ def test_grammar_errors():
         read_generators_text("49.196.9.1|48|1,0,0,1\n")     # modulus mismatch
     with pytest.raises(DataFileError):
         read_generators_text("49.196.9.1|49|1,0,0\n")       # arity
-    with pytest.raises(DataFileError):
-        read_generators_text("49.196.9.1|49|7,0,0,7\n")     # not invertible
+    with pytest.raises(DataFileError) as err:
+        read_generators_text("49.196.9.1|49|1,0,0,1;0,49,1,0\n")
+    assert str(err.value) == "line 1: entry 49 out of range [0, 49)"
+    with pytest.raises(DataFileError) as err:
+        read_generators_text("49.196.9.1|49|7,0,0,7\n")
+    assert str(err.value) == "line 1: generator '7,0,0,7' is not invertible"
+    # a group built from tuples makes the same check
+    with pytest.raises(NotInvertibleError):
+        MatrixGroup(PrimePowerModulus(7, 2), [(1, 0, 0, 1), (7, 0, 0, 7)])
     with pytest.raises(DataFileError):
         read_generators_text("49.196.9.1|49|1,0,0,1\n49.196.9.1|49|1,0,0,1\n")
 
@@ -71,7 +79,7 @@ def test_records_validate_at_level_ell_cubed(records, special_records):
     # genus
     for rec in records + special_records:
         pre = rec.group().full_preimage(max(3, rec.modulus.exponent))
-        big = ImageRecord(rec.rszb_label, pre.mod, pre.generator_matrices())
+        big = ImageRecord(rec.rszb_label, pre.mod, pre.gens)
         rep = validate_record(big)
         assert rep.ok, rep.to_line()
 
@@ -96,10 +104,8 @@ def test_validation_catches_injected_faults(record_map):
     assert not rep.index_ok
     # a level-7 group labeled as level 49
     m49 = PrimePowerModulus(7, 2)
-    gens = tuple(ResidueMatrix.make((1, 1, 0, 1), m49) for _ in range(1))
     pre = record_map["7.8.0.1"].group().full_preimage(m49)
-    rec = ImageRecord("49.%d.%d.1" % (pre.index_in_ambient(), 0), m49,
-                      tuple(ResidueMatrix.make(t, m49) for t in pre.gens))
+    rec = ImageRecord("49.%d.%d.1" % (pre.index_in_ambient(), 0), m49, pre.gens)
     rep = validate_record(rec)
     assert not rep.level_ok
 

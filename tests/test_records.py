@@ -15,7 +15,7 @@ from ellimage.isolated import Annotation, CandidatePair, FilterReport
 from ellimage.knownj import KnownJRecord
 from ellimage.labelio import ImageRecord, ValidationReport
 from ellimage.lattice import KernelModule, RigidityResult, SubgroupClass
-from ellimage.modarith import PrimePowerModulus, ResidueMatrix
+from ellimage.modarith import PrimePowerModulus
 from ellimage.modcurves import GenusProfile, MapDegreeSpec
 from ellimage.orbits import CyclicSubmodule, OrbitRecord, TorsionVector
 
@@ -24,16 +24,13 @@ M7 = PrimePowerModulus(7, 1)
 M49 = PrimePowerModulus(7, 2)
 M7_REPR = "PrimePowerModulus(ell=7, exponent=1)"
 GROUP = MatrixGroup(M7, [(3, 0, 0, 1)], label="7.x")
-SWAP = ResidueMatrix(0, 1, 1, 0, M7)
+SWAP = (0, 1, 1, 0)
 
 # (class, positional arguments, the same record spelled with every field as a
 # keyword, defaults included, its repr, a record that differs in one compared field)
 CASES = [
     (PrimePowerModulus, (7, 2), dict(ell=7, exponent=2),
      "PrimePowerModulus(ell=7, exponent=2)", PrimePowerModulus(7, 3)),
-    (ResidueMatrix, (0, 1, 6, 0, M7), dict(m11=0, m12=1, m21=6, m22=0, mod=M7),
-     "ResidueMatrix(m11=0, m12=1, m21=6, m22=0, mod=%s)" % M7_REPR,
-     ResidueMatrix(0, 1, 6, 0, M49)),
     (CartanSpec, ("borel", M7), dict(kind="borel", modulus=M7, epsilon=None),
      "CartanSpec(kind='borel', modulus=%s, epsilon=None)" % M7_REPR,
      CartanSpec("split", M7)),
@@ -90,8 +87,6 @@ INVALID = [
     (PrimePowerModulus, (4, 1), "ell = 4 is not prime"),
     (PrimePowerModulus, (7, -1), "exponent must be >= 0"),
     (PrimePowerModulus, (2, 40), "modulus 2**40 too large"),
-    (ResidueMatrix, (0, 7, 1, 0, M7), "entry 7 not reduced into [0, 7)"),
-    (ResidueMatrix, (0, 1, -1, 0, M7), "entry -1 not reduced into [0, 7)"),
     (CartanSpec, ("torus", M7), "unknown kind 'torus'"),
     (CartanSpec, ("borel", PrimePowerModulus(7, 0)), "modulus must have exponent >= 1"),
     (CartanSpec, ("section4-semidirect", M7), "section4-semidirect requires exponent 2"),
@@ -112,22 +107,18 @@ INVALID = [
 
 ORDERED = [
     [PrimePowerModulus(3, 2), PrimePowerModulus(2, 5), PrimePowerModulus(3, 1)],
-    [ResidueMatrix(1, 0, 0, 1, M7), ResidueMatrix(0, 6, 1, 0, M7),
-     ResidueMatrix(0, 6, 1, 0, M49), ResidueMatrix(0, 1, 6, 0, M7)],
     [TorsionVector(1, 0, M7), TorsionVector(0, 1, M49), TorsionVector(0, 1, M7)],
     [CyclicSubmodule(1, 3, M7), CyclicSubmodule(0, 1, M7), CyclicSubmodule(1, 0, M7)],
 ]
 SORTED = [
     [PrimePowerModulus(2, 5), PrimePowerModulus(3, 1), PrimePowerModulus(3, 2)],
-    [ResidueMatrix(0, 1, 6, 0, M7), ResidueMatrix(0, 6, 1, 0, M7),
-     ResidueMatrix(0, 6, 1, 0, M49), ResidueMatrix(1, 0, 0, 1, M7)],
     [TorsionVector(0, 1, M7), TorsionVector(0, 1, M49), TorsionVector(1, 0, M7)],
     [CyclicSubmodule(0, 1, M7), CyclicSubmodule(1, 0, M7), CyclicSubmodule(1, 3, M7)],
 ]
 
 
 def test_every_record_class_is_covered():
-    assert len({case[0] for case in CASES}) == len(CASES) == 18
+    assert len({case[0] for case in CASES}) == len(CASES) == 17
 
 
 @pytest.mark.parametrize("cls, args, keywords, text, other", CASES,
