@@ -149,7 +149,7 @@ def main():
     counters = {}
     records = []
     for name, group, pinned in entries:
-        level = group.level().modulus
+        level = group.level()
         index = group.index_in_ambient()
         from ellimage.modcurves import genus_XG
         genus = genus_XG(group).genus
@@ -207,7 +207,7 @@ def main():
     m49 = ppm(7, 2)
     printed = MatrixGroup(m49, [(1, 0, 37, 48), (20, 4, 18, 21), (31, 17, 3, 23),
                                 (22, 0, 0, 22), (34, 26, 19, 16), (33, 26, 19, 15)])
-    lvl = printed.level().modulus
+    lvl = printed.level()
     idx = printed.index_in_ambient()
     from ellimage.modcurves import genus_XG
     gns = genus_XG(printed).genus

@@ -97,7 +97,7 @@ def cmd_info(args, config):
     lines = [
         "label: %s" % (group.label or "(unlabeled)"),
         "modulus: %d" % group.mod.modulus,
-        "level: %d" % group.level(config.cap).modulus,
+        "level: %d" % group.level(config.cap),
         "order: %d" % group.order(config.cap),
         "index: %d" % group.index_in_ambient(config.cap),
         "det image: %s (%d of %d units)"

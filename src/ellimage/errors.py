@@ -14,7 +14,7 @@ class NotInvertibleError(EllimageError):
 
 
 class EnumerationCapError(EllimageError):
-    "Group enumeration exceeded the configured cap; use formula-based paths."
+    "A table the computation holds (elements, orbit, cosets, memo, fibre) passed the --max-enum cap."
 
 
 class SearchBudgetError(EllimageError):

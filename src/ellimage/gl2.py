@@ -58,10 +58,8 @@ CONJUGACY_BUDGET = 500_000
 
 
 def ambient_order(mod, family="GL2"):
-    """|GL2(Z/ell^n)| or |SL2(Z/ell^n)| for n >= 1."""
+    """|GL2(Z/ell^n)| or |SL2(Z/ell^n)|."""
     ell, n = mod.ell, mod.exponent
-    if n < 1:
-        raise ValueError("ambient order undefined at level 1")
     if family == "GL2":
         return ell ** (4 * n - 3) * (ell - 1) * (ell ** 2 - 1)
     if family == "SL2":
@@ -115,7 +113,7 @@ def extend(closed, g, mul, cap=DEFAULT_CAP):
 def mulclose(gens, m, cap=DEFAULT_CAP):
     """Closure of 4-tuple generators under multiplication mod m."""
     mul = lambda a, b: mmul(a, b, m)
-    els = {(1 % m, 0, 0, 1 % m)}
+    els = {IDENTITY}
     for g in gens:
         els = extend(els, g, mul, cap)
     return els
@@ -125,7 +123,7 @@ def unit_group_generators(mod):
     """Generators of (Z/ell^n)^x as a list of integers."""
     ell, n = mod.ell, mod.exponent
     m = mod.modulus
-    if n == 0 or m <= 2:
+    if m == 2:
         return []
     if ell == 2:
         if n == 2:
@@ -148,10 +146,8 @@ def unit_group_generators(mod):
 
 def full_gl2(mod, label=None):
     """GL2(Z/ell^n) as an explicit MatrixGroup."""
-    m = mod.modulus
-    gens = [(1, 1, 0, 1), (1, 0, 1, 1)]
-    gens += [(u, 0, 0, 1) for u in unit_group_generators(mod)]
-    return MatrixGroup(mod, [g for g in gens], label=label)
+    gens = [(1, 1, 0, 1), (1, 0, 1, 1)] + [(u, 0, 0, 1) for u in unit_group_generators(mod)]
+    return MatrixGroup(mod, gens, label=label)
 
 
 class MatrixGroup:
@@ -170,9 +166,9 @@ class MatrixGroup:
         seen, canon = set(), []
         for g in gens:
             g = mreduce(g, m)
-            if mod.exponent >= 1 and mdet(g, m) % mod.ell == 0:
+            if mdet(g, m) % mod.ell == 0:
                 raise NotInvertibleError("generator %r not invertible mod %d" % (g, m))
-            if g not in seen and g != (1 % m, 0, 0, 1 % m):
+            if g not in seen and g != IDENTITY:
                 seen.add(g)
                 canon.append(g)
         self.gens = tuple(canon)
@@ -186,10 +182,6 @@ class MatrixGroup:
     def ell(self):
         return self.mod.ell
 
-    def identity_tuple(self):
-        m = self.mod.modulus
-        return (1 % m, 0, 0, 1 % m)
-
     def elements(self, cap=DEFAULT_CAP):
         "Sorted tuple of all elements (cached)."
         if self._elements is None:
@@ -198,7 +190,7 @@ class MatrixGroup:
         return self._elements
 
     def filtration(self, cap=DEFAULT_CAP):
-        "The congruence Filtration of the group (cached); needs exponent >= 1."
+        "The congruence Filtration of the group (cached)."
         if self._filtration is None:
             self._filtration = Filtration(self.gens, self.mod, cap)
         return self._filtration
@@ -209,8 +201,6 @@ class MatrixGroup:
     def _sifts(self, g, cap):
         """Membership of g mod ell^n: g is in the group when its lift t of
         g mod ell exists and t^-1 * g reduces to I through the layers."""
-        if self.mod.exponent == 0:
-            return g == self.identity_tuple()
         filt = self.filtration(cap)
         lift = filt.lift(g)
         return lift is not None and filt.reduce(mmul(lift[1], g, self.mod.modulus)) == IDENTITY
@@ -231,10 +221,6 @@ class MatrixGroup:
     # -- order / level from the filtration ----------------------------
 
     def order(self, cap=DEFAULT_CAP):
-        if self.mod.exponent == 0:
-            return 1
-        if self._elements is not None:
-            return len(self._elements)
         base, dims = self.filtration(cap).sizes()
         return base * self.ell ** sum(dims)
 
@@ -246,19 +232,16 @@ class MatrixGroup:
         return total // order
 
     def level(self, cap=DEFAULT_CAP):
-        """Smallest ell^d such that the group is the full preimage of its
-        reduction mod ell^d (all layers from d on are full); the exponent-0
-        marker when the group is full."""
-        ell, n = self.ell, self.mod.exponent
-        if n == 0:
-            return self.mod
+        """The level, an int: the smallest ell^d such that the group is the
+        full preimage of its reduction mod ell^d (all layers from d on are
+        full), or 1 when it holds all of GL2 mod ell and every layer."""
         base, dims = self.filtration(cap).sizes()
-        d = n
+        d = self.mod.exponent
         while d > 1 and dims[d - 2] == 4:
             d -= 1
-        if d == 1 and base == ambient_order(PrimePowerModulus(ell, 1)):
-            d = 0
-        return PrimePowerModulus(ell, d)
+        if d == 1 and base == ambient_order(PrimePowerModulus(self.ell, 1)):
+            return 1
+        return self.ell ** d
 
     # -- determinant, -I ----------------------------------------------
 
@@ -266,19 +249,16 @@ class MatrixGroup:
         """(sorted tuple of unit residues generated by generator dets,
         surjectivity flag).  Equals the det set of the full enumeration."""
         m = self.mod.modulus
-        if self.mod.exponent == 0:
-            return (0,), True
         dets = [mdet(g, m) for g in self.gens]
         closure = orbit(1, dets, lambda x, d: x * d % m)
         return tuple(sorted(closure)), len(closure) == self.mod.unit_count()
 
     def contains_minus_identity(self, cap=DEFAULT_CAP):
-        return self._sifts(mneg(self.identity_tuple(), self.mod.modulus), cap)
+        return self._sifts(mneg(IDENTITY, self.mod.modulus), cap)
 
     def adjoin_minus_identity(self, label=None):
         "Group generated by the generators together with -I; idempotent."
-        m = self.mod.modulus
-        return MatrixGroup(self.mod, list(self.gens) + [mneg(self.identity_tuple(), m)],
+        return MatrixGroup(self.mod, list(self.gens) + [mneg(IDENTITY, self.mod.modulus)],
                            label=label if label is not None else self.label)
 
     # -- reduction / preimage / conjugation ----------------------------
@@ -289,8 +269,6 @@ class MatrixGroup:
             target = PrimePowerModulus(self.ell, target)
         if not target.divides(self.mod):
             raise ModulusMismatchError("%s does not divide %s" % (target, self.mod))
-        if target.exponent == 0:
-            return MatrixGroup(target, [])
         mt = target.modulus
         return MatrixGroup(target, [mreduce(g, mt) for g in self.gens])
 
@@ -305,8 +283,6 @@ class MatrixGroup:
             raise ModulusMismatchError("%s does not divide %s" % (self.mod, target))
         if target == self.mod:
             return MatrixGroup(target, list(self.gens), label=label)
-        if self.mod.exponent == 0:
-            return full_gl2(target, label=label)
         gens = list(self.gens)
         for j in range(self.mod.exponent, target.exponent):
             gens += [kernel_element(b, self.ell ** j, target.modulus) for b in M2_BASIS]
@@ -322,13 +298,12 @@ class MatrixGroup:
         deterministic (highest order first, then lexicographic)."""
         els = self.elements(cap)
         m = self.mod.modulus
-        ident = self.identity_tuple()
         if len(els) == 1:
             return ()
         ranked = sorted(els, key=lambda g: (-morder(g, self.mod), g))
         mul = lambda a, b: mmul(a, b, m)
         gens = []
-        closure = {ident}
+        closure = {IDENTITY}
         for g in ranked:
             if g in closure:
                 continue
@@ -560,8 +535,6 @@ class CartanSpec(namedtuple("CartanSpec", "kind modulus epsilon")):
         self = super().__new__(cls, kind, modulus, epsilon)
         if kind not in CARTAN_KINDS:
             raise ValueError("unknown kind %r" % (kind,))
-        if modulus.exponent < 1:
-            raise ValueError("modulus must have exponent >= 1")
         if kind == "section4-semidirect" and modulus.exponent != 2:
             raise ValueError("section4-semidirect requires exponent 2")
         if kind in ("split", "split-normalizer", "borel") and epsilon is not None:
@@ -865,8 +838,6 @@ def conjugate_into(h, big, cap=DEFAULT_CAP):
     if h.mod != big.mod:
         raise ModulusMismatchError("groups live over different moduli")
     mod = h.mod
-    if mod.exponent == 0:  # two level-1 markers: both trivial
-        return True, h.identity_tuple(), 1
     m = mod.modulus
     ho, bo = h.order(cap), big.order(cap)
     if bo % ho:

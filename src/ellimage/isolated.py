@@ -126,7 +126,7 @@ def _genus_at(family, N):
 def candidate_pairs(group, family, cap=DEFAULT_CAP):
     """Step 1: the deduplicated pre-filter pairs for the image.
 
-    Levels k beyond the level exponent of the group contribute nothing new
+    Levels ell^k beyond the level of the group contribute nothing new
     (their orbits are kernel-saturated and multiplicative down to the level),
     so the loop stops there; the level-stability tests exercise this.
 
@@ -143,10 +143,11 @@ def candidate_pairs(group, family, cap=DEFAULT_CAP):
     if not det_surj:
         warnings.warn("determinant image is not surjective; the degree "
                       "interpretation of orbit sizes is invalid", stacklevel=2)
-    m_exp = group.level(cap).exponent
+    group_level = group.level(cap)
+    top = next(k for k in range(1, group.mod.exponent + 1) if ell ** k >= group_level)
     found = {}
     tables = []                      # per level a >= 1: (ell^a, class canon, class -> orbit size)
-    for k in range(1, max(m_exp, 1) + 1):
+    for k in range(1, top + 1):
         level = PrimePowerModulus(ell, k)
         recs = orbits(group, k, family, cap)
         tables.append((level.modulus, KernelClasses(group, level, family, cap).canon,
@@ -190,7 +191,7 @@ def filter_riemann_roch(pairs, family):
 def filter_genus_zero(pairs, group, family, cap=DEFAULT_CAP):
     """Step 3: tag pairs whose reduced image has a genus-0 modular curve."""
     out = []
-    genus_cache = {}
+    genus_cache = {0: 0}   # every image is all of GL2 mod 1: the j-line X(1)
     for p in pairs:
         if p.elimination is None:
             a = p.level_exp

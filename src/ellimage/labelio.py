@@ -31,16 +31,16 @@ def parse_label(text):
     if len(parts) != 4:
         raise LabelError("label %r does not have four dot-separated fields" % (text,))
     try:
-        n, i, g, tiebreak = (int(p) for p in parts)
+        level, i, g, tiebreak = (int(p) for p in parts)
     except ValueError:
         raise LabelError("label %r has non-integer fields" % (text,)) from None
-    if n < 1 or i < 1 or g < 0 or tiebreak < 1:
+    if level < 1 or i < 1 or g < 0 or tiebreak < 1:
         raise LabelError("label %r has out-of-range fields" % (text,))
     try:
-        PrimePowerModulus.from_int(n)
+        PrimePowerModulus.from_int(level)
     except ValueError:
-        raise LabelError("label level %d is not a prime power" % (n,)) from None
-    return n, i, g, tiebreak
+        raise LabelError("label level %d is not a prime power" % (level,)) from None
+    return level, i, g, tiebreak
 
 
 class ImageRecord(namedtuple("ImageRecord", "rszb_label modulus generators")):
@@ -141,7 +141,7 @@ def validate_record(rec, cap=DEFAULT_CAP):
     from .modcurves import genus_XG
     n, i, g, _ = parse_label(rec.rszb_label)
     grp = rec.group()
-    level = grp.level(cap).modulus
+    level = grp.level(cap)
     index = grp.index_in_ambient(cap)
     genus = genus_XG(grp, cap).genus
     return ValidationReport(rec.rszb_label, level == n, index == i, genus == g,

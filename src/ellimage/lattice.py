@@ -284,11 +284,10 @@ def all_subgroups(group, cap=DEFAULT_CAP):
         raise SearchBudgetError("brute-force lattice limited to order <= %d" % BRUTE_LIMIT)
     m = group.mod.modulus
     mul = lambda a, b: mmul(a, b, m)
-    ident = group.identity_tuple()
     cyclics = {}
     for x in els:
         c = [x]
-        while c[-1] != ident:
+        while c[-1] != IDENTITY:
             c.append(mmul(c[-1], x, m))
         cyclics.setdefault(frozenset(c), x)
 
@@ -296,7 +295,7 @@ def all_subgroups(group, cap=DEFAULT_CAP):
         "S v <x>, by extending S with the one generator x."
         return S if x in S else frozenset(extend(S, x, mul, cap))
 
-    return orbit(frozenset([ident]), cyclics.values(), join, cap)
+    return orbit(frozenset([IDENTITY]), cyclics.values(), join, cap)
 
 
 def _conjugacy_classes_of_subgroups(subsets, group):
@@ -758,10 +757,8 @@ def preimage_rigidity(group, cap=DEFAULT_CAP):
     (exact reduction, surjective determinant, proper in the preimage).
     """
     mod = group.mod
-    ell, n = mod.ell, mod.exponent
-    if n < 1:
-        raise ValueError("rigidity needs a group of exponent >= 1")
-    mod_high = PrimePowerModulus(ell, n + 1)
+    ell = mod.ell
+    mod_high = PrimePowerModulus(ell, mod.exponent + 1)
     order = group.order(cap)
     # the Sylow sequence, its relator digits and the coset lifts are built
     # once, when a subspace first needs them; a complement is averaged once

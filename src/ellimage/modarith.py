@@ -17,7 +17,7 @@ from math import gcd
 from .errors import NotInvertibleError
 
 # Squares of entries must stay inside native 64-bit integers.  The tests run
-# moduli up to 1331 and lattice-check reaches Borel(1009), far below it.
+# moduli up to 4913 and lattice-check reaches Borel(1009), far below it.
 MAX_MODULUS = 3_037_000_499
 
 
@@ -46,15 +46,15 @@ def is_prime(n):
 
 
 class PrimePowerModulus(namedtuple("PrimePowerModulus", "ell exponent")):
-    """m = ell**exponent.  Exponent 0 is the degenerate level-1 marker."""
+    """m = ell**exponent with exponent >= 1."""
 
     __slots__ = ()
 
     def __new__(cls, ell, exponent):
         if not is_prime(ell):
             raise ValueError("ell = %r is not prime" % (ell,))
-        if exponent < 0:
-            raise ValueError("exponent must be >= 0")
+        if exponent < 1:
+            raise ValueError("exponent must be >= 1")
         if ell ** exponent > MAX_MODULUS:
             raise ValueError("modulus %d**%d too large" % (ell, exponent))
         return super().__new__(cls, ell, exponent)
@@ -79,9 +79,7 @@ class PrimePowerModulus(namedtuple("PrimePowerModulus", "ell exponent")):
         return self.ell == other.ell and self.exponent <= other.exponent
 
     def unit_count(self):
-        "Order of (Z/m)^x; 1 at level 1."
-        if self.exponent == 0:
-            return 1
+        "Order of (Z/m)^x."
         return self.ell ** (self.exponent - 1) * (self.ell - 1)
 
     def __str__(self):
@@ -123,7 +121,7 @@ def minv(a, m, ell):
 def mpow(a, e, m):
     if e < 0:
         raise ValueError("use minv for negative powers")
-    r = (1 % m, 0, 0, 1 % m)
+    r = IDENTITY
     while e:
         if e & 1:
             r = mmul(r, a, m)
@@ -180,10 +178,7 @@ def morder(a, mod):
     power maps into the (e+1)-th, so the order is k*ell^j for the least j
     with (a**k)**(ell^j) = I, and j <= n - 1.
     """
-    ell, n = mod.ell, mod.exponent
-    if n == 0:
-        return 1
-    m = mod.modulus
+    ell, n, m = mod.ell, mod.exponent, mod.modulus
     if mdet(a, m) % ell == 0:
         raise NotInvertibleError("matrix %r has non-unit determinant" % (a,))
     a1 = mreduce(a, ell)

@@ -154,9 +154,6 @@ def map_degree_tower(family, ell, a_exp, k_exp):
 GenusProfile = namedtuple("GenusProfile", "mu nu2 nu3 nu_inf genus")
 
 
-_X1_PROFILE_LEVEL1 = GenusProfile(1, 1, 1, 1, 0)
-
-
 class _Layer:
     """Congruence layer j >= 1 of the coset action, from level ell^j to
     ell^(j+1).
@@ -237,7 +234,7 @@ def _into_det(z, dets, q, m):
 def genus_XG(group, cap=DEFAULT_CAP):
     """GenusProfile of the modular curve attached to a subgroup of GL2(Z/N).
 
-    mu = [SL2(Z/N) : +-G cap SL2]; the level-1 marker yields the j-line.
+    mu = [SL2(Z/N) : +-G cap SL2].
     Mod ell the cosets are keyed by _right_coset_key and found by BFS from
     the identity coset under s and u, which generate SL2, recording each
     image.  Since t = s*u^-1, a coset r is fixed by t exactly when r*s =
@@ -250,8 +247,6 @@ def genus_XG(group, cap=DEFAULT_CAP):
     exceeds cap.
     """
     mod = group.mod
-    if mod.exponent == 0:
-        return _X1_PROFILE_LEVEL1
     ell, m = mod.ell, mod.modulus
     key, pm = _right_coset_key(group, cap)
     s, u = (0, ell - 1, 1, 0), (1, 1, 0, 1)

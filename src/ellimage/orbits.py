@@ -40,8 +40,6 @@ class TorsionVector(namedtuple("TorsionVector", "x y level")):
 
     def __new__(cls, x, y, level):
         ell = level.ell
-        if level.exponent < 1:
-            raise ValueError("exact order requires exponent >= 1")
         if x % ell == 0 and y % ell == 0:
             raise ValueError("(%d, %d) has order below %d" % (x, y, level.modulus))
         return super().__new__(cls, x, y, level)

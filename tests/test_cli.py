@@ -543,3 +543,39 @@ def test_integrality_checks_survive_optimize():
                        capture_output=True, text=True)
     assert r.returncode == 1
     assert r.stderr.startswith("raised: genus of 11 came out as 1/3")
+
+
+FULL_GROUP = ("7.1.0.1|7|1,1,0,1;1,0,1,1;3,0,0,1\n"
+              "49.1.0.1|49|1,1,0,1;1,0,1,1;3,0,0,1\n")
+FULL_INFO = ("label: {0}.1.0.1\nmodulus: {0}\nlevel: 1\norder: {1}\nindex: 1\n"
+             "det image: surjective ({2} of {2} units)\ncontains -I: yes\n"
+             "genus profile: mu=1 nu2=1 nu3=1 nu_inf=1 genus=0\n")
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (["info", "--label", "7.1.0.1"], 0, FULL_INFO.format(7, 2016, 6)),
+    (["info", "--label", "49.1.0.1"], 0, FULL_INFO.format(49, 4840416, 42)),
+    (["validate"], 4, "7.1.0.1\tMISMATCH\tlevel=1!\tindex=1\tgenus=0\n"
+                      "49.1.0.1\tMISMATCH\tlevel=1!\tindex=1\tgenus=0\n"
+                      "VALIDATED\t2 records\t2 mismatches\n"),
+] + [
+    (["filter", "--family", f, "--label", "%d.1.0.1" % m], 0,
+     "{0}.1.0.1\t{1}\t1\t1\teliminated\triemann_roch\nRESULT\t{0}.1.0.1\t{1}\tempty\n"
+     .format(m, f))
+    for m in (7, 49) for f in ("gamma1", "gamma0")
+] + [
+    (["lattice-check", "--label", "7.1.0.1"], 0,
+     "CERTIFICATE\t7.1.0.1\nVARIANT\tfixed-mod-ell-reduction\n"
+     "CLAIM\tsubgroup-classes\tindex_bound=49\tcount=0\n"
+     "CLAIM\tpreimage-rigidity\tmodulus=49\trigid=true\tchecked=3\nRESULT\tcertified\n"),
+    (["lattice-check", "--label", "49.1.0.1"], 3,
+     "CERTIFICATE\t49.1.0.1\nVARIANT\tfixed-mod-ell-reduction\n"
+     "RESULT\tFAILED\tstructured search needs |G(ell)| prime to ell\n"),
+])
+def test_full_group_through_the_cli(tmp_path, capsys, argv, code, out):
+    # GL2 itself, mod 7 and mod 49: level 1, the j-line's genus profile, and
+    # the one level-1 pair, which Riemann-Roch eliminates
+    path = tmp_path / "full.txt"
+    path.write_text(FULL_GROUP)
+    assert main(argv + ["--gens-file", str(path)]) == code
+    assert capsys.readouterr().out == out

@@ -21,8 +21,8 @@ from ellimage.lattice import (KernelModule, M2_BASIS, SubgroupClass, all_subgrou
                               _relator_digit, _stable_subspace_classes,
                               _gaschutz_complement, _split_solution,
                               _sylow_relator_digits, _sylow_relators, _sylow_subgroup)
-from ellimage.modarith import (Echelon, PrimePowerModulus, digit, kernel_element, lincomb,
-                               minv, mmul, mpow, mreduce)
+from ellimage.modarith import (IDENTITY, Echelon, PrimePowerModulus, digit, kernel_element,
+                               lincomb, minv, mmul, mpow, mreduce)
 
 M3 = PrimePowerModulus(3, 1)
 M5 = PrimePowerModulus(5, 1)
@@ -44,7 +44,7 @@ def _oracle_subgroups_by_triples(group):
     "Independent enumeration: closures of all generator triples."
     els = group.elements()
     m = group.mod.modulus
-    seen = {frozenset([group.identity_tuple()])}
+    seen = {frozenset([IDENTITY])}
     for a in els:
         ca = frozenset(mulclose([a], m))
         seen.add(ca)
@@ -590,10 +590,9 @@ def _stable_subspace_classes_by_elements(group, index_bound):
     mod = group.mod
     ell, m = mod.ell, mod.modulus
     els = group.elements()
-    ident = group.identity_tuple()
     kernel_part = [x for x in els if mreduce(x, ell) == (1, 0, 0, 1)]
     u_basis = Echelon(ell, [digit(x, ell, ell) for x in kernel_part
-                            if x != ident]).rows
+                            if x != IDENTITY]).rows
     bar_order = len(els) // len(kernel_part)
     gens_bar = tuple(mreduce(g, ell) for g in group.gens)
     module = KernelModule(ell, gens_bar)
@@ -797,7 +796,7 @@ def _sylow_by_climb(group):
         target *= ell
         ell_free //= ell
     sgens = []
-    sset = {group.identity_tuple()}
+    sset = {IDENTITY}
     while len(sset) < target:
         for y in els:
             yi = minv(y, m, ell)
@@ -850,12 +849,11 @@ def _rigidity_subspaces_by_elements(group):
     mod = group.mod
     ell, n = mod.ell, mod.exponent
     gens_bar = tuple(mreduce(g, ell) for g in group.gens)
-    ident = group.identity_tuple()
     pi_vecs = []
     layer_low = ell ** (n - 1)
     for x in group.elements() if n >= 2 else ():
-        if x != ident and mreduce(x, layer_low) == (1 % layer_low, 0, 0, 1 % layer_low):
-            a = tuple((((x[i] - ident[i]) % mod.modulus) // layer_low) % ell
+        if x != IDENTITY and mreduce(x, layer_low) == IDENTITY:
+            a = tuple((((x[i] - IDENTITY[i]) % mod.modulus) // layer_low) % ell
                       for i in range(4))
             if ell == 2 and n == 2:
                 sq = mmul(a, a, 2)

@@ -22,7 +22,6 @@ def test_modulus_validation():
         PrimePowerModulus(7, -1)
     with pytest.raises(ValueError):
         PrimePowerModulus(3, 40)  # beyond the machine-size ceiling
-    assert PrimePowerModulus(7, 0).modulus == 1
 
 
 def test_mul_identity_and_inverse():

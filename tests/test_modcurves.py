@@ -80,8 +80,7 @@ def test_genus_oracle_equivalence(ell, e):
 
 def test_genus_full_group_and_level_one():
     assert genus_XG(full_gl2(PrimePowerModulus(7, 1))).genus == 0
-    marker = full_gl2(PrimePowerModulus(7, 2)).reduce_to(0)
-    assert genus_XG(marker) == GenusProfile(1, 1, 1, 1, 0)
+    assert genus_XG(full_gl2(PrimePowerModulus(7, 2))) == GenusProfile(1, 1, 1, 1, 0)
 
 
 def test_genus_image49(image49):

@@ -25,8 +25,8 @@ def test_torsion_vector_validation():
     TorsionVector(7, 1, M49)
     with pytest.raises(ValueError):
         TorsionVector(7, 0, M49)   # order 7, not 49
-    with pytest.raises(ValueError):
-        TorsionVector(1, 0, PrimePowerModulus(7, 0))
+    with pytest.raises(ValueError, match="exponent must be >= 1"):
+        PrimePowerModulus(7, 0)  # no torsion vector lives over Z/1
 
 
 def test_cyclic_submodule_canonical_form():
@@ -37,8 +37,6 @@ def test_cyclic_submodule_canonical_form():
     for x, y in ((0, 0), (7, 0), (0, 7)):  # order below 49
         with pytest.raises(ValueError):
             CyclicSubmodule(x, y, M49)
-    with pytest.raises(ValueError):
-        CyclicSubmodule(0, 0, PrimePowerModulus(7, 0))
 
 
 def _unit_scan_line_canon(level):
@@ -162,6 +160,11 @@ def test_k_above_modulus_rejected():
         gamma1_orbits(full_gl2(M7), 2)
 
 
+def test_unknown_family_rejected():
+    with pytest.raises(ValueError, match="^family must be gamma1 or gamma0, got 'gamma2'$"):
+        orbits(full_gl2(M7), 1, "gamma2")
+
+
 # ---------------------------------------------------------------------------
 # references: the full-carrier BFS, one BFS per orbit and level for the
 # degree tower, and the filter's step 1 over carrier-point tables
@@ -212,7 +215,8 @@ def _candidate_pairs_by_points(group, family):
     ell = group.mod.ell
     found = {}
     tables = []
-    for k in range(1, max(group.level().exponent, 1) + 1):
+    top = next(k for k in range(1, group.mod.exponent + 1) if ell ** k >= group.level())
+    for k in range(1, top + 1):
         level = PrimePowerModulus(ell, k)
         recs = _point_orbits(group, k, family)
         tables.append((level, {p: rec.size for rec in recs for p in rec.points}))

@@ -85,10 +85,10 @@ CASES = [
 # (class, arguments, the ValueError text)
 INVALID = [
     (PrimePowerModulus, (4, 1), "ell = 4 is not prime"),
-    (PrimePowerModulus, (7, -1), "exponent must be >= 0"),
+    (PrimePowerModulus, (7, -1), "exponent must be >= 1"),
+    (PrimePowerModulus, (7, 0), "exponent must be >= 1"),
     (PrimePowerModulus, (2, 40), "modulus 2**40 too large"),
     (CartanSpec, ("torus", M7), "unknown kind 'torus'"),
-    (CartanSpec, ("borel", PrimePowerModulus(7, 0)), "modulus must have exponent >= 1"),
     (CartanSpec, ("section4-semidirect", M7), "section4-semidirect requires exponent 2"),
     (CartanSpec, ("section4-semidirect", PrimePowerModulus(2, 2)),
      "section4-semidirect needs an odd prime"),
@@ -97,7 +97,6 @@ INVALID = [
     (MapDegreeSpec, ("gamma2", 1, 7), "family must be gamma1 or gamma0"),
     (MapDegreeSpec, ("gamma0", 0, 7), "a, b must be >= 1"),
     (MapDegreeSpec, ("gamma0", 7, 0), "a, b must be >= 1"),
-    (TorsionVector, (1, 0, PrimePowerModulus(7, 0)), "exact order requires exponent >= 1"),
     (TorsionVector, (7, 14, M49), "(7, 14) has order below 49"),
     (CyclicSubmodule, (0, 7, M49), "(0, 7) has order below 49"),
     (CyclicSubmodule, (2, 6, M7), "(2, 6) is not the canonical generator (1, 3)"),

@@ -172,3 +172,28 @@ def test_exports_resolve_to_the_submodule_objects():
         assert name in names
     with pytest.raises(AttributeError):
         ellimage.no_such_name
+
+
+README = TESTS.parent / "README.md"
+
+
+def _readme_commands():
+    """(argv, documented exit code) for each line of the README's "Command
+    line" block; a line without an `# exit N` comment documents success."""
+    block = README.read_text().split("## Command line\n", 1)[1].split("```")[1]
+    out = []
+    for line in block.splitlines():
+        if line.startswith("ellimage "):
+            command, _, comment = line.partition("#")
+            code = re.match(r"\s*exit (\d+)", comment) if comment else None
+            out.append((command.split()[1:], int(code.group(1)) if code else 0))
+    return out
+
+
+def test_readme_commands_exit_as_documented(capsys):
+    from ellimage.cli import main
+    commands = _readme_commands()
+    assert ["filter", "--family", "gamma1", "--label", "17.72.1.2"] in [a for a, _ in commands]
+    for argv, code in commands:
+        assert main(argv) == code, " ".join(argv)
+        assert capsys.readouterr().out

@@ -31,6 +31,10 @@ def _verbs():
     out += [["validate"]]
     out += [["lattice-check", "--label", label] for label in labels]
     out += [["lattice-check"] + c for c in cartan((5, 7, 9, 11, 13, 17, 19, 23, 25, 49))]
+    semidirect = [["--cartan", "section4-semidirect", "--mod", str(m)] for m in (9, 25, 49)]
+    out += [verb + c for verb in (["info"], ["filter", "--family", "gamma1"],
+                                  ["filter", "--family", "gamma0"], ["lattice-check"])
+            for c in semidirect]
     return [argv for argv in out if " ".join(argv) not in SLOW]
 
 
