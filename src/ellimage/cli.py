@@ -119,13 +119,11 @@ def cmd_filter(args, config):
 
 
 def _batch_one(payload):
-    label, modulus_ell, modulus_exp, gens, family, cap, comments = payload
-    from .gl2 import MatrixGroup
+    rec, family, cap, comments = payload
     from .isolated import analyze
-    mod = PrimePowerModulus(modulus_ell, modulus_exp)
-    group = MatrixGroup(mod, list(gens), label=label)
+    label = rec.rszb_label
     try:
-        report = analyze(group, family, label=label, cap=cap)
+        report = analyze(rec.group(), family, label=label, cap=cap)
         final = sorted((p.level, p.degree) for p in report.final)
         return label, report.to_text(comments=comments), final, None
     except Exception as exc:  # per-record errors are collected, not fatal
@@ -134,10 +132,7 @@ def _batch_one(payload):
 
 def cmd_batch(args, config):
     records = _load_records(config)
-    payloads = [(rec.rszb_label, rec.modulus.ell, rec.modulus.exponent,
-                 rec.generators, args.family, config.cap,
-                 config.fmt == "text")
-                for rec in records]
+    payloads = [(rec, args.family, config.cap, config.fmt == "text") for rec in records]
     if config.threads > 1 and len(payloads) > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
         with ProcessPoolExecutor(max_workers=config.threads) as pool:

@@ -49,7 +49,7 @@ from itertools import islice, product
 
 from .errors import (CertificateError, EnumerationCapError, ModulusMismatchError,
                      NotInvertibleError, SearchBudgetError)
-from .modarith import (IDENTITY, M2_BASIS, Echelon, PrimePowerModulus, digit,
+from .modarith import (IDENTITY, M2_BASIS, Echelon, PrimePowerModulus, digit, factorize,
                        kernel_element, mdet, minv, mmul, mneg, morder, mpow, mreduce, rowmul)
 
 DEFAULT_CAP = 10 ** 7
@@ -129,15 +129,11 @@ def unit_group_generators(mod):
         if n == 2:
             return [3]
         return [m - 1, 5]
-    # smallest primitive root mod ell, corrected to stay primitive mod ell^n
+    # smallest primitive root mod ell, corrected to stay primitive mod ell^n:
+    # r has order ell - 1 when no r^((ell-1)/p) is 1, p a prime of ell - 1
+    primes = factorize(ell - 1)
     r = 2
-    while True:
-        seen, x = set(), 1
-        for _ in range(ell - 1):
-            x = x * r % ell
-            seen.add(x)
-        if len(seen) == ell - 1:
-            break
+    while any(pow(r, (ell - 1) // p, ell) == 1 for p in primes):
         r += 1
     if n >= 2 and pow(r, ell - 1, ell * ell) == 1:
         r += ell

@@ -4,8 +4,10 @@ Generator file grammar (one record per line, `#` starts a comment):
 
     label|modulus|m11,m12,m21,m22;m11,m12,m21,m22;...
 
-Labels have the shape N.i.g.n (level, index, genus, disambiguator); N must
-equal the modulus and be a prime power.  Lines are order-insensitive and
+Labels have the shape N.i.g.n (level, index, genus, disambiguator); N is 1
+or a prime power, and a level other than 1 must equal the modulus.  A
+level-1 record (GL2 itself, whose level is 1 at every modulus) may use any
+prime-power modulus.  Lines are order-insensitive and
 duplicate labels are rejected.  Matrix entries must be reduced
 representatives in [0, modulus) and every generator must be invertible; an
 empty generator field denotes the trivial group.
@@ -26,7 +28,7 @@ from .modarith import PrimePowerModulus, mdet
 
 
 def parse_label(text):
-    "N.i.g.n -> (N, i, g, n); N must be a prime power."
+    "N.i.g.n -> (N, i, g, n); N must be 1 or a prime power."
     parts = text.strip().split(".")
     if len(parts) != 4:
         raise LabelError("label %r does not have four dot-separated fields" % (text,))
@@ -36,10 +38,11 @@ def parse_label(text):
         raise LabelError("label %r has non-integer fields" % (text,)) from None
     if level < 1 or i < 1 or g < 0 or tiebreak < 1:
         raise LabelError("label %r has out-of-range fields" % (text,))
-    try:
-        PrimePowerModulus.from_int(level)
-    except ValueError:
-        raise LabelError("label level %d is not a prime power" % (level,)) from None
+    if level > 1:
+        try:
+            PrimePowerModulus.from_int(level)
+        except ValueError:
+            raise LabelError("label level %d is not a prime power" % (level,)) from None
     return level, i, g, tiebreak
 
 
@@ -69,9 +72,12 @@ def _parse_record_line(line, lineno):
         modulus = int(modtext)
     except ValueError:
         raise DataFileError("modulus %r is not an integer" % (modtext,), lineno) from None
-    if modulus != n:
+    if modulus != n and n != 1:
         raise DataFileError("label level %d does not match modulus %d" % (n, modulus), lineno)
-    mod = PrimePowerModulus.from_int(modulus)
+    try:
+        mod = PrimePowerModulus.from_int(modulus)
+    except ValueError as exc:
+        raise DataFileError(str(exc), lineno) from None
     gens = []
     for chunk in genstext.split(";"):
         chunk = chunk.strip()

@@ -64,7 +64,7 @@ from .gl2 import (CartanSpec, DEFAULT_CAP, MatrixGroup, build_cartan,
                   conjugate_into, extend, orbit)
 from .modarith import (IDENTITY, M2_BASIS, Echelon, PrimePowerModulus, digit,
                        kernel_element, lincomb, mdet, minv, mmul, mpow, mreduce,
-                       nullspace_span)
+                       nullspace, solutions)
 
 BRUTE_LIMIT = 1000
 
@@ -112,14 +112,6 @@ def _complement(W, span, ell):
     "An Echelon of W, and rows that complete it to a basis of span + W."
     base, grown = Echelon(ell, W), Echelon(ell, W)
     return base, [row for row in map(grown.add, span) if row is not None]
-
-
-def _solutions(pairs, ell):
-    """A basis of the vectors sum x_i c_i with sum x_i y_i = 0, for pairs
-    (y_i, c_i) with independent c_i: the c-parts of the echelon rows of the
-    concatenations y_i c_i whose y-part is zero."""
-    n = len(pairs[0][0]) if pairs else 0
-    return [r[n:] for r in Echelon(ell, [y + c for y, c in pairs]).rows if not any(r[:n])]
 
 
 class KernelModule(namedtuple("KernelModule", "ell gens_bar")):
@@ -221,7 +213,7 @@ class KernelModule(namedtuple("KernelModule", "ell gens_bar")):
     def _kernels(self, base, comp, factors):
         "A basis of the kernel of each f(A) on the span of comp modulo base."
         ell = self.ell
-        return [_solutions([(base.reduce(_apply(c, f, ell)), c) for c in comp], ell)
+        return [solutions([(base.reduce(_apply(c, f, ell)), c) for c in comp], ell)
                 for f, _ in factors]
 
     def _covers(self, W, span, action, factors):
@@ -249,7 +241,7 @@ class KernelModule(namedtuple("KernelModule", "ell gens_bar")):
                 p = next(i for i, x in enumerate(v) if x)
                 chi = [base.reduce(_apply(v, cols, ell))[p] * pow(v[p], -1, ell) % ell
                        for cols in action]
-                E = _solutions([(sum((shifted(c, cols, x) for cols, x in zip(action, chi)),
+                E = solutions([(sum((shifted(c, cols, x) for cols, x in zip(action, chi)),
                                      ()), c) for c in comp], ell)
                 for e in E:
                     listed.add(e)
@@ -258,20 +250,19 @@ class KernelModule(namedtuple("KernelModule", "ell gens_bar")):
 
     def class_size(self, u_basis, w_basis):
         """Number of G-conjugates of H = S * (I + ell*W), for G = S * K with S
-        of order prime to ell, K = I + ell*U abelian and normal and W <= U
-        stable.  G = H * K, so the class has [K : N_K(H)] members (Holt, Eick
-        and O'Brien, ch. 8), and I + ell*u normalizes H exactly when
-        g u g^-1 - u lies in W for every generator g.  N_K(H) is therefore
-        the solution space N of the annihilator of U and, per generator, the
-        annihilator of W pulled back along u -> g u g^-1 - u; the class has
+        of order prime to ell, K = I + ell*U abelian and normal, W <= U
+        stable and u_basis independent.  G = H * K, so the class has
+        [K : N_K(H)] members (Holt, Eick and O'Brien, ch. 8), and I + ell*u
+        normalizes H exactly when g u g^-1 - u lies in W for every generator
+        g.  N_K(H) is therefore the kernel N on U of the one linear map
+        u -> (g u g^-1 - u mod W) over the generators, and the class has
         ell^(dim U - dim N) members."""
         ell = self.ell
-        rows = nullspace_span(u_basis, ell, 4)
-        annihilator_w = nullspace_span(w_basis, ell, 4)
-        for cols in self._action_matrices():
-            rows += [tuple(sum(a[i] * cols[j][i] for i in range(4)) - a[j]
-                           for j in range(4)) for a in annihilator_w]
-        return ell ** (len(u_basis) - len(Echelon(ell, nullspace_span(rows, ell, 4))))
+        span_w, action = Echelon(ell, w_basis), self._action_matrices()
+        moved = lambda u: sum((span_w.reduce([(a - b) % ell
+                                              for a, b in zip(_apply(u, cols, ell), u)])
+                               for cols in action), ())
+        return ell ** (len(u_basis) - len(solutions([(moved(u), u) for u in u_basis], ell)))
 
 
 # ---------------------------------------------------------------------------
@@ -597,12 +588,12 @@ def _split_solution(digits, U, ell):
     the digits themselves."""
     columns, constant = _split_system(digits, U, ell)
     rows = [[column[e] for column in columns] + [c] for e, c in enumerate(constant)]
-    for x in nullspace_span(rows, ell, len(columns) + 1):
+    for x in nullspace(rows, ell, len(columns) + 1):
         if x[-1]:
             scale = pow(x[-1], -1, ell)
             return tuple(a * scale % ell for a in x[:-1])
     span_u = Echelon(ell, U)
-    for y in nullspace_span(columns, ell, len(constant)):
+    for y in nullspace(columns, ell, len(constant)):
         if sum(a * c for a, c in zip(y, constant)) % ell:
             pairs = {sum(a * x for a, x in zip(y, (x for v in d for x in span_u.reduce(v))))
                      % ell for d in digits}

@@ -5,14 +5,14 @@ A matrix is a plain 4-tuple (m11, m12, m21, m22) of representatives in
 structural.  digit and kernel_element are the one format of the congruence
 layers K_e/K_(e+1).
 
-All linear algebra of the package lives here too: nullspace_span solves
-linear systems over the chain ring Z/m, and Echelon is the one F_ell echelon
-form (span membership, reduction and normal forms, canonical subspace bases).
+All linear algebra of the package lives here too, and it is over F_ell
+only: Echelon is the one echelon form (span membership, reduction and normal
+forms, canonical subspace bases), and solutions, built on it, is the one
+solver of linear systems (nullspace is its row-system form).
 """
 
 from collections import namedtuple
 from itertools import product
-from math import gcd
 
 from .errors import NotInvertibleError
 
@@ -22,27 +22,8 @@ MAX_MODULUS = 3_037_000_499
 
 
 def is_prime(n):
-    """Deterministic Miller-Rabin, valid for n < 3.2e9 with bases 2,3,5,7."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    "Whether n is prime, by the trial division of factorize."
+    return factorize(n) == {n: 1}
 
 
 class PrimePowerModulus(namedtuple("PrimePowerModulus", "ell exponent")):
@@ -51,12 +32,13 @@ class PrimePowerModulus(namedtuple("PrimePowerModulus", "ell exponent")):
     __slots__ = ()
 
     def __new__(cls, ell, exponent):
-        if not is_prime(ell):
-            raise ValueError("ell = %r is not prime" % (ell,))
         if exponent < 1:
             raise ValueError("exponent must be >= 1")
+        # the size bound comes first: it bounds the trial division of is_prime
         if ell ** exponent > MAX_MODULUS:
             raise ValueError("modulus %d**%d too large" % (ell, exponent))
+        if not is_prime(ell):
+            raise ValueError("ell = %r is not prime" % (ell,))
         return super().__new__(cls, ell, exponent)
 
     @property
@@ -209,51 +191,6 @@ def lincomb(coeffs, vectors, m):
     return tuple(sum(c * v[i] for c, v in zip(coeffs, vectors)) % m for i in range(4))
 
 
-def nullspace_span(rows, m, width=None):
-    """Spanning vectors of {x in (Z/m)^w : r.x = 0 mod m for every row r},
-    for m a prime power; w is the length of the rows, or `width` when there
-    are none.
-
-    Smith form over the chain ring Z/m: each pivot is a remaining entry of
-    least valuation (smallest gcd with m), which divides every other
-    remaining entry, so each elimination is one exact division and every
-    entry stays in [0, m).  Only the column transform is kept (T[k] is its
-    k-th column); with x = T y the diagonal system d_k y_k = 0 is solved
-    coordinatewise.
-    """
-    width = len(rows[0]) if rows else width
-    A = [[x % m for x in r] for r in rows]
-    T = [[int(i == j) for j in range(width)] for i in range(width)]
-    diag = []
-    for k in range(width):
-        best = min(((gcd(A[i][j], m), i, j) for i in range(k, len(A))
-                    for j in range(k, width) if A[i][j]), default=None)
-        if best is None:
-            break
-        g, i, j = best
-        A[k], A[i] = A[i], A[k]
-        for r in A:
-            r[k], r[j] = r[j], r[k]
-        T[k], T[j] = T[j], T[k]
-        inv = pow(A[k][k] // g, -1, m)
-        for r in A[k + 1:]:
-            f = r[k] // g * inv % m
-            r[:] = [(x - f * y) % m for x, y in zip(r, A[k])]
-        # column operations clear row k, which is not read again; the rows
-        # below are already 0 in column k, so only the transform changes
-        for c in range(k + 1, width):
-            f = A[k][c] // g * inv % m
-            T[c] = [(x - f * y) % m for x, y in zip(T[c], T[k])]
-        diag.append(g)
-    span = []
-    for k in range(width):
-        scale = m // diag[k] if k < len(diag) else 1
-        vec = tuple(x * scale % m for x in T[k])
-        if any(vec):
-            span.append(vec)
-    return span
-
-
 class Echelon:
     """Echelon basis of the F_ell-span of coordinate vectors of one length.
 
@@ -320,3 +257,18 @@ class Echelon:
             b = done.reduce(b)
             done._pivots.insert(0, (p, 1, tuple(x * inv % ell for x in b)))
         return done.rows
+
+
+def solutions(pairs, ell):
+    """A basis of the vectors sum x_i c_i with sum x_i y_i = 0 over F_ell, for
+    pairs (y_i, c_i) with independent c_i: the c-parts of the echelon rows of
+    the concatenations y_i c_i whose y-part is zero.  This is the one linear
+    solver of the package."""
+    n = len(pairs[0][0]) if pairs else 0
+    return [r[n:] for r in Echelon(ell, [y + c for y, c in pairs]).rows if not any(r[:n])]
+
+
+def nullspace(rows, ell, width):
+    "A basis of {x in F_ell^width : r.x = 0 for every row r}."
+    unit = lambda i: tuple(int(i == j) for j in range(width))
+    return solutions([(tuple(r[i] for r in rows), unit(i)) for i in range(width)], ell)

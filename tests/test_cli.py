@@ -579,3 +579,13 @@ def test_full_group_through_the_cli(tmp_path, capsys, argv, code, out):
     path.write_text(FULL_GROUP)
     assert main(argv + ["--gens-file", str(path)]) == code
     assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("m", [7, 49])
+def test_full_group_validates_under_its_level_one_label(tmp_path, capsys, m):
+    # the correct label of GL2 has level 1, at any prime-power modulus
+    path = tmp_path / "full.txt"
+    path.write_text("1.1.0.1|%d|1,1,0,1;1,0,1,1;3,0,0,1\n" % m)
+    assert main(["validate", "--gens-file", str(path)]) == 0
+    assert capsys.readouterr().out == ("1.1.0.1\tok\tlevel=1\tindex=1\tgenus=0\n"
+                                       "VALIDATED\t1 records\t0 mismatches\n")

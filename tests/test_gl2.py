@@ -3,6 +3,7 @@ import time
 from collections import Counter
 from functools import reduce
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +13,8 @@ from ellimage.errors import EnumerationCapError, NotInvertibleError, SearchBudge
 from ellimage.gl2 import (CARTAN_KINDS, CartanSpec, Filtration, MatrixGroup, ambient_order,
                           build_cartan, conjugate_into, extend, full_gl2, is_conjugate,
                           mulclose, rowmul, unit_group_generators)
-from ellimage.modarith import (IDENTITY, Echelon, PrimePowerModulus, lincomb, mdet, minv, mmul,
-                               morder, mreduce, nullspace_span)
+from ellimage.modarith import (IDENTITY, Echelon, PrimePowerModulus, is_prime, lincomb, mdet,
+                               minv, mmul, morder, mreduce)
 
 M7 = PrimePowerModulus(7, 1)
 M49 = PrimePowerModulus(7, 2)
@@ -153,6 +154,52 @@ def test_conjugate_into_examples(printed_index49):
     nonsplit = build_cartan(CartanSpec("nonsplit", M7))
     borel = build_cartan(CartanSpec("borel", M7))
     assert conjugate_into(nonsplit, borel) == (False, None, None)
+
+
+def nullspace_span(rows, m, width=None):
+    """Spanning vectors of {x in (Z/m)^w : r.x = 0 mod m for every row r},
+    for m a prime power; w is the length of the rows, or `width` when there
+    are none.  The full-key conjugacy oracle below solves over Z/m itself,
+    which the package, working over F_ell only, never needs.
+
+    Smith form over the chain ring Z/m: each pivot is a remaining entry of
+    least valuation (smallest gcd with m), which divides every other
+    remaining entry, so each elimination is one exact division and every
+    entry stays in [0, m).  Only the column transform is kept (T[k] is its
+    k-th column); with x = T y the diagonal system d_k y_k = 0 is solved
+    coordinatewise.
+    """
+    width = len(rows[0]) if rows else width
+    A = [[x % m for x in r] for r in rows]
+    T = [[int(i == j) for j in range(width)] for i in range(width)]
+    diag = []
+    for k in range(width):
+        best = min(((gcd(A[i][j], m), i, j) for i in range(k, len(A))
+                    for j in range(k, width) if A[i][j]), default=None)
+        if best is None:
+            break
+        g, i, j = best
+        A[k], A[i] = A[i], A[k]
+        for r in A:
+            r[k], r[j] = r[j], r[k]
+        T[k], T[j] = T[j], T[k]
+        inv = pow(A[k][k] // g, -1, m)
+        for r in A[k + 1:]:
+            f = r[k] // g * inv % m
+            r[:] = [(x - f * y) % m for x, y in zip(r, A[k])]
+        # column operations clear row k, which is not read again; the rows
+        # below are already 0 in column k, so only the transform changes
+        for c in range(k + 1, width):
+            f = A[k][c] // g * inv % m
+            T[c] = [(x - f * y) % m for x, y in zip(T[c], T[k])]
+        diag.append(g)
+    span = []
+    for k in range(width):
+        scale = m // diag[k] if k < len(diag) else 1
+        vec = tuple(x * scale % m for x in T[k])
+        if any(vec):
+            span.append(vec)
+    return span
 
 
 def _conj_equation_rows(g, h, m):
@@ -435,6 +482,16 @@ def test_unit_group_generators():
                         new.append(y)
             frontier = new
         assert len(closure) == mod.unit_count()
+    # the least primitive root, as the search that listed its powers found it
+    for ell in range(3, 1000):
+        if not is_prime(ell):
+            continue
+        r = 2
+        while len({pow(r, k, ell) for k in range(1, ell)}) < ell - 1:
+            r += 1
+        assert unit_group_generators(PrimePowerModulus(ell, 1)) == [r]
+        lifted = r + ell if pow(r, ell - 1, ell * ell) == 1 else r
+        assert unit_group_generators(PrimePowerModulus(ell, 2)) == [lifted]
 
 
 def test_det_image_matches_enumeration():

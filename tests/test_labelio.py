@@ -19,6 +19,20 @@ def test_parse_label_examples():
         parse_label("6.5.0.1")   # 6 is not a prime power
     with pytest.raises(LabelError):
         parse_label("49.x.9.1")
+    assert parse_label("1.1.0.1") == (1, 1, 0, 1)  # GL2 itself, the j-line
+    with pytest.raises(LabelError):
+        parse_label("0.1.0.1")
+
+
+def test_level_one_records_take_any_prime_power_modulus():
+    for m in (7, 49, 8):
+        rec, = read_generators_text("1.1.0.1|%d|1,1,0,1;1,0,1,1;3,0,0,1\n" % m)
+        assert rec.modulus == PrimePowerModulus.from_int(m)
+    for m, err in ((6, "line 1: 6 is not a prime power"),
+                   (1, "line 1: modulus must be a prime power in [2, 3037000499], got 1")):
+        with pytest.raises(DataFileError) as exc:
+            read_generators_text("1.1.0.1|%d|\n" % m)
+        assert str(exc.value) == err
 
 
 def test_read_generators_grammar():

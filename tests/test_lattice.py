@@ -1015,7 +1015,7 @@ import sys
 from ellimage import lattice
 from ellimage.cli import _bundled_records
 from ellimage.errors import CertificateError
-from ellimage.modarith import nullspace_span
+from ellimage.modarith import nullspace
 assert False, "run this under python -O"
 system = lattice._split_system
 
@@ -1024,7 +1024,7 @@ def tampered(digits, U, ell):
     # moving the constant off the span of the columns along a coordinate
     # some y with y.columns = 0 reads makes the system inconsistent
     columns, constant = system(digits, U, ell)
-    y = nullspace_span(columns, ell, len(constant))[0]
+    y = nullspace(columns, ell, len(constant))[0]
     i = next(i for i, a in enumerate(y) if a)
     return columns, constant[:i] + [(constant[i] + 1) % ell] + constant[i + 1:]
 

@@ -9,7 +9,7 @@ from ellimage.errors import ModulusMismatchError, NotInvertibleError
 from ellimage.gl2 import MatrixGroup, ambient_order
 from ellimage.modarith import (IDENTITY, MAX_MODULUS, Echelon, PrimePowerModulus, digit,
                                factorize, is_prime, kernel_element, mdet, minv, mmul, morder,
-                               mpow, mreduce)
+                               mpow, mreduce, nullspace, solutions)
 
 M49 = PrimePowerModulus(7, 2)
 M7 = PrimePowerModulus(7, 1)
@@ -219,10 +219,13 @@ def _f_solutions(rows, ell, width):
 
 
 def test_echelon_and_nullspace_of_any_width():
-    from ellimage.modarith import Echelon, nullspace_span
     rng = random.Random(23)
     for ell in (2, 3, 5, 7):
         for width in range(1, 9):
+            # empty inputs: no equation leaves the whole space, no pair none
+            assert nullspace([], ell, width) == [tuple(int(i == j) for j in range(width))
+                                                 for i in range(width)]
+            assert solutions([], ell) == []
             for _ in range(4):
                 # few vectors, so that the brute-force span stays small
                 vecs = [tuple(rng.randrange(ell) for _ in range(width))
@@ -236,9 +239,34 @@ def test_echelon_and_nullspace_of_any_width():
                 # enough rows that the solution space stays small as well
                 rows = [tuple(rng.randrange(ell) for _ in range(width))
                         for _ in range(rng.randrange(max(0, width - 3), width + 2))]
-                null = nullspace_span(rows, ell, width)
+                null = nullspace(rows, ell, width)
                 assert all(len(v) == width for v in null)
+                assert len(Echelon(ell, null)) == len(null)  # a basis
                 assert _f_span(null, ell, width) == _f_solutions(rows, ell, width)
+                # solutions on pairs (y_i, c_i) with c_i independent, not unit
+                # vectors: the combinations sum x_i c_i with sum x_i y_i = 0
+                ys = [tuple(rng.randrange(ell) for _ in range(width)) for _ in ech.rows]
+                sols = solutions(list(zip(ys, ech.rows)), ell)
+                want = {tuple(sum(x * c[i] for x, c in zip(xs, ech.rows)) % ell
+                              for i in range(width))
+                        for xs in product(range(ell), repeat=len(ys))
+                        if not any(sum(x * y[i] for x, y in zip(xs, ys)) % ell
+                                   for i in range(width))}
+                assert len(Echelon(ell, sols)) == len(sols)
+                assert _f_span(sols, ell, width) == want
+
+
+def test_is_prime_against_sieve():
+    sieve = [False, False] + [True] * (10 ** 4 - 2)
+    for p in range(2, 100):
+        if sieve[p]:
+            sieve[p * p::p] = [False] * len(range(p * p, 10 ** 4, p))
+    assert [n for n in range(-5, 10 ** 4) if is_prime(n)] == \
+        [n for n in range(10 ** 4) if sieve[n]]
+    for carmichael in (561, 1105, 41041):
+        assert not is_prime(carmichael)
+    assert is_prime(3_037_000_493)  # the largest prime below MAX_MODULUS
+    assert not is_prime(MAX_MODULUS)
 
 
 def test_factorize_and_from_int():
