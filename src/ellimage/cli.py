@@ -15,9 +15,11 @@ or VALIDATED then ends with "N failed" and each failure has a "# error"
 line; 5 wins over 4), 2 usage errors, 1 other errors.
 
 The enumeration cap and worker count read ELLIMAGE_MAX_ENUM and
-ELLIMAGE_THREADS from the environment; command-line flags win.  batch runs
-in one process unless a worker count above 1 is asked for: on the bundled
-catalog a process pool costs more than the whole batch.
+ELLIMAGE_THREADS from the environment; command-line flags win.  A value that
+is not an integer exits 1 with an error naming the variable, e.g. "error:
+ELLIMAGE_THREADS must be an integer, got 'abc'".  batch runs in one process
+unless a worker count above 1 is asked for: on the bundled catalog a process
+pool costs more than the whole batch.
 """
 
 import argparse
@@ -27,8 +29,7 @@ from collections import namedtuple
 
 from .errors import CertificateError, EllimageError, SearchBudgetError
 from .gl2 import CARTAN_KINDS, CartanSpec, DEFAULT_CAP, build_cartan, is_conjugate
-from .labelio import (parse_label, read_generators_file, read_generators_text,
-                      validate_record)
+from .labelio import format_generators, parse_label, read_generators_file, validate_record
 from .modarith import PrimePowerModulus
 
 
@@ -43,36 +44,30 @@ class RunConfig(namedtuple("RunConfig", "cap threads data_path out_path fmt")):
         return super().__new__(cls, cap, threads, data_path, out_path, fmt)
 
 
-def _data_records(name):
-    "The records of a generator file bundled in the package's data directory."
-    path = os.path.join(os.path.dirname(__file__), "data", name)
-    with open(path, encoding="utf-8") as fh:
-        return read_generators_text(fh.read())
+_DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
-def _bundled_records():
-    return _data_records("known_images.txt")
+def _bundled_records(path=None):
+    "The records of the generator file at `path`, by default the bundled catalog."
+    return read_generators_file(path or os.path.join(_DATA, "known_images.txt"))
 
 
 def _special_records():
-    return _data_records("special_groups.txt")
+    "The bundled special groups: reference subgroups outside the catalog."
+    return read_generators_file(os.path.join(_DATA, "special_groups.txt"))
 
 
-def _load_records(config):
-    if config.data_path:
-        return read_generators_file(config.data_path)
-    return _bundled_records()
-
-
-def _resolve_group(args, config):
-    if getattr(args, "label", None):
+def _resolve_group(args, config, special=None):
+    """The group of --label, looked up in the records and then in `special`
+    (the special groups, read here unless given), or of --cartan/--mod."""
+    if args.label:
         parse_label(args.label)
-        for rec in _load_records(config) + _special_records():
+        for rec in _bundled_records(config.data_path) + (special or _special_records()):
             if rec.rszb_label == args.label:
                 return rec.group()
         raise EllimageError("unknown label %s" % args.label)
-    if getattr(args, "cartan", None):
-        if not getattr(args, "mod", None):
+    if args.cartan:
+        if not args.mod:
             raise EllimageError("--cartan needs --mod")
         mod = PrimePowerModulus.from_int(args.mod)
         return build_cartan(CartanSpec(args.cartan, mod, args.eps), config.cap)
@@ -131,7 +126,7 @@ def _batch_one(payload):
 
 
 def cmd_batch(args, config):
-    records = _load_records(config)
+    records = _bundled_records(config.data_path)
     payloads = [(rec, args.family, config.cap, config.fmt == "text") for rec in records]
     if config.threads > 1 and len(payloads) > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
@@ -156,14 +151,11 @@ def cmd_batch(args, config):
     return 5 if errors else 0
 
 
-def _gens_syntax(group):
-    return ";".join(",".join(str(e) for e in g) for g in group.gens)
-
-
 def cmd_lattice_check(args, config):
     from .lattice import (preimage_rigidity, proper_detsurjective_subgroups,
                           split_cartan_membership)
-    group = _resolve_group(args, config)
+    special = _special_records()
+    group = _resolve_group(args, config, special)
     label = group.label or args.label or "(unlabeled)"
     lines = ["CERTIFICATE\t%s" % label,
              "VARIANT\tfixed-mod-ell-reduction"]
@@ -174,14 +166,13 @@ def cmd_lattice_check(args, config):
             lines.append("CLASS\tindex=%d\tclass_size=%d\tdet_surjective=%s\tgens=%s"
                          % (cls.index_in_parent, cls.class_size,
                             str(cls.det_surjective).lower(),
-                            _gens_syntax(cls.representative)))
+                            format_generators(cls.representative.gens)))
         if classes:
             rep = classes[0].representative
             ok, index, witness = split_cartan_membership(rep, config.cap)
-            w = ",".join(str(e) for e in witness) if witness else "-"
+            w = format_generators([witness]) if witness else "-"
             lines.append("CLAIM\tsplit-normalizer-membership\t%s\tindex=%s\twitness=%s"
                          % (str(ok).lower(), index if ok else "-", w))
-            special = _special_records()
             for rec in special:
                 if rec.modulus == group.mod:
                     printed = rec.group()
@@ -195,7 +186,7 @@ def cmd_lattice_check(args, config):
                          % (target, rig.checked_subspaces))
         else:
             lines.append("CLAIM\tpreimage-rigidity\tmodulus=%d\trigid=false\twitness=%s"
-                         % (target, _gens_syntax(rig.counterexample)))
+                         % (target, format_generators(rig.counterexample.gens)))
         lines.append("RESULT\tcertified")
         _emit("\n".join(lines) + "\n", config)
         return 0
@@ -206,10 +197,9 @@ def cmd_lattice_check(args, config):
 
 
 def cmd_validate(args, config):
-    if config.data_path:
-        records = read_generators_file(config.data_path)
-    else:
-        records = _bundled_records() + _special_records()
+    records = _bundled_records(config.data_path)
+    if not config.data_path:
+        records += _special_records()
     lines = []
     errors = []
     bad = 0
@@ -270,15 +260,21 @@ def _build_parser():
     return p
 
 
+def _setting(flag, name, default):
+    """The flag's value when given, else the integer in environment variable
+    `name`, else `default`."""
+    if flag is not None:
+        return flag
+    try:
+        return int(os.environ.get(name, default))
+    except ValueError:
+        raise ValueError("%s must be an integer, got %r" % (name, os.environ[name])) from None
+
+
 def _config_from(args):
-    cap = args.max_enum
-    if cap is None:
-        cap = int(os.environ.get("ELLIMAGE_MAX_ENUM", DEFAULT_CAP))
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("ELLIMAGE_THREADS", 1))
-    return RunConfig(cap=cap, threads=threads, data_path=args.gens_file,
-                     out_path=args.out, fmt=args.fmt)
+    return RunConfig(cap=_setting(args.max_enum, "ELLIMAGE_MAX_ENUM", DEFAULT_CAP),
+                     threads=_setting(args.threads, "ELLIMAGE_THREADS", 1),
+                     data_path=args.gens_file, out_path=args.out, fmt=args.fmt)
 
 
 def main(argv=None):

@@ -192,14 +192,7 @@ class MatrixGroup:
         return self._filtration
 
     def __contains__(self, g):
-        return self._sifts(g, DEFAULT_CAP)
-
-    def _sifts(self, g, cap):
-        """Membership of g mod ell^n: g is in the group when its lift t of
-        g mod ell exists and t^-1 * g reduces to I through the layers."""
-        filt = self.filtration(cap)
-        lift = filt.lift(g)
-        return lift is not None and filt.reduce(mmul(lift[1], g, self.mod.modulus)) == IDENTITY
+        return self.filtration().sift(g) == IDENTITY
 
     def __eq__(self, other):
         """Same modulus, same order, and every generator of one lies in the
@@ -250,7 +243,7 @@ class MatrixGroup:
         return tuple(sorted(closure)), len(closure) == self.mod.unit_count()
 
     def contains_minus_identity(self, cap=DEFAULT_CAP):
-        return self._sifts(mneg(IDENTITY, self.mod.modulus), cap)
+        return self.filtration(cap).sift(mneg(IDENTITY, self.mod.modulus)) == IDENTITY
 
     def adjoin_minus_identity(self, label=None):
         "Group generated by the generators together with -I; idempotent."
@@ -472,6 +465,12 @@ class Filtration:
             return None
         t2, t2inv = three
         return mmul(mmul(t2, t1, m), t0, m), mmul(t0inv, mmul(t1inv, t2inv, m), m)
+
+    def sift(self, g):
+        """The residue of g: t^-1 * g reduced through the layers, t the lift of
+        g mod ell, or None when g mod ell is not in G(ell); I exactly for g in G."""
+        lift = self.lift(g)
+        return None if lift is None else self.reduce(mmul(lift[1], g, self.m))
 
     def reduce(self, x, cinv=IDENTITY, steps=None):
         """x times an element of G cap K_1 that puts every layer digit of x
@@ -784,7 +783,8 @@ def _conjugating_matrix(h, big, cap):
             raise SearchBudgetError("conjugacy search exceeded %d nodes" % CONJUGACY_BUDGET)
         q = ell ** j
         ci = minv(c, q, ell)
-        return all(levels[j - 1]._sifts(mmul(mmul(c, g, q), ci, q), cap) for g in h.gens)
+        filt = levels[j - 1].filtration(cap)
+        return all(filt.sift(mmul(mmul(c, g, q), ci, q)) == IDENTITY for g in h.gens)
 
     def lifts(c, j):
         "The candidates mod ell^(j+1) over c mod ell^j; the cosets for j = 0."

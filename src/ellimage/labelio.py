@@ -7,10 +7,11 @@ Generator file grammar (one record per line, `#` starts a comment):
 Labels have the shape N.i.g.n (level, index, genus, disambiguator); N is 1
 or a prime power, and a level other than 1 must equal the modulus.  A
 level-1 record (GL2 itself, whose level is 1 at every modulus) may use any
-prime-power modulus.  Lines are order-insensitive and
-duplicate labels are rejected.  Matrix entries must be reduced
-representatives in [0, modulus) and every generator must be invertible; an
-empty generator field denotes the trivial group.
+prime-power modulus.  Lines are order-insensitive and duplicate labels are
+rejected.  Matrix entries must be reduced representatives in [0, modulus)
+and every generator must be invertible; an empty generator field denotes
+the trivial group.  read_generators_file is the one reader of every
+generator file, the bundled ones and a user's alike, and reads ASCII.
 
 Filter reports serialize as tab-separated lines
 
@@ -55,29 +56,29 @@ class ImageRecord(namedtuple("ImageRecord", "rszb_label modulus generators")):
         return MatrixGroup(self.modulus, list(self.generators), label=self.rszb_label)
 
     def to_line(self):
-        gens = ";".join(",".join(str(e) for e in g) for g in self.generators)
-        return "%s|%d|%s" % (self.rszb_label, self.modulus.modulus, gens)
+        return "%s|%d|%s" % (self.rszb_label, self.modulus.modulus,
+                             format_generators(self.generators))
 
 
-def _parse_record_line(line, lineno):
+def format_generators(gens):
+    "The generator field m11,m12,m21,m22;... of the file grammar."
+    return ";".join(",".join(str(e) for e in g) for g in gens)
+
+
+def _parse_record_line(line):
+    "The ImageRecord of one record line; LabelError or ValueError says what is wrong."
     fields = line.split("|")
     if len(fields) != 3:
-        raise DataFileError("expected 3 |-separated fields, got %d" % len(fields), lineno)
+        raise ValueError("expected 3 |-separated fields, got %d" % len(fields))
     label, modtext, genstext = (f.strip() for f in fields)
-    try:
-        n, _, _, _ = parse_label(label)
-    except LabelError as exc:
-        raise DataFileError(str(exc), lineno) from None
+    n, _, _, _ = parse_label(label)
     try:
         modulus = int(modtext)
     except ValueError:
-        raise DataFileError("modulus %r is not an integer" % (modtext,), lineno) from None
+        raise ValueError("modulus %r is not an integer" % (modtext,)) from None
     if modulus != n and n != 1:
-        raise DataFileError("label level %d does not match modulus %d" % (n, modulus), lineno)
-    try:
-        mod = PrimePowerModulus.from_int(modulus)
-    except ValueError as exc:
-        raise DataFileError(str(exc), lineno) from None
+        raise ValueError("label level %d does not match modulus %d" % (n, modulus))
+    mod = PrimePowerModulus.from_int(modulus)
     gens = []
     for chunk in genstext.split(";"):
         chunk = chunk.strip()
@@ -85,16 +86,16 @@ def _parse_record_line(line, lineno):
             continue
         entries = chunk.split(",")
         if len(entries) != 4:
-            raise DataFileError("matrix %r does not have 4 entries" % (chunk,), lineno)
+            raise ValueError("matrix %r does not have 4 entries" % (chunk,))
         try:
             vals = tuple(int(e) for e in entries)
         except ValueError:
-            raise DataFileError("non-integer entry in %r" % (chunk,), lineno) from None
+            raise ValueError("non-integer entry in %r" % (chunk,)) from None
         for v in vals:
             if not 0 <= v < modulus:
-                raise DataFileError("entry %d out of range [0, %d)" % (v, modulus), lineno)
+                raise ValueError("entry %d out of range [0, %d)" % (v, modulus))
         if mdet(vals, modulus) % mod.ell == 0:
-            raise DataFileError("generator %r is not invertible" % (chunk,), lineno)
+            raise ValueError("generator %r is not invertible" % (chunk,))
         gens.append(vals)
     return ImageRecord(label, mod, tuple(gens))
 
@@ -106,7 +107,10 @@ def read_generators_text(text):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        rec = _parse_record_line(line, lineno)
+        try:
+            rec = _parse_record_line(line)
+        except (LabelError, ValueError) as exc:
+            raise DataFileError(str(exc), lineno) from None
         if rec.rszb_label in seen:
             raise DataFileError("duplicate label %s" % rec.rszb_label, lineno)
         seen.add(rec.rszb_label)

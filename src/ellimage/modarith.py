@@ -48,14 +48,14 @@ class PrimePowerModulus(namedtuple("PrimePowerModulus", "ell exponent")):
     @classmethod
     def from_int(cls, m):
         """The modulus ell**e equal to m; ValueError unless m is a prime power
-        in [2, MAX_MODULUS]."""
+        in [2, MAX_MODULUS].  factorize(m) proves ell prime: no __new__ check."""
         if not 2 <= m <= MAX_MODULUS:
             raise ValueError("modulus must be a prime power in [2, %d], got %d"
                              % (MAX_MODULUS, m))
         (ell, e), *rest = factorize(m).items()
         if rest:
             raise ValueError("%d is not a prime power" % m)
-        return cls(ell, e)
+        return cls._make((ell, e))
 
     def divides(self, other):
         return self.ell == other.ell and self.exponent <= other.exponent

@@ -185,8 +185,7 @@ class _Layer:
         filt, q = self.filt, self.q
         ell, m = filt.ell, filt.m
         x = mmul(mmul(y, w, m), minv(y, m, ell), m)
-        lift = filt.lift(x)
-        r = filt.reduce(mmul(lift[1], x, m)) if lift else None
+        r = filt.sift(x)
         if r is None or mreduce(r, q) != IDENTITY:
             raise ArithmeticError("%r is not in +-G mod %d" % (x, q))
         d = digit(r, q, ell)

@@ -4,12 +4,13 @@ import sys
 
 import pytest
 
-from ellimage import gl2, lattice, modarith
+from ellimage import gl2, labelio, lattice, modarith
 from ellimage.cli import _bundled_records, _special_records, main
 from ellimage.errors import EnumerationCapError
 from ellimage.gl2 import CartanSpec, build_cartan
 from ellimage.isolated import analyze
-from ellimage.labelio import read_generators_file, validate_record
+from ellimage.labelio import (format_generators, read_generators_file, serialize_records,
+                              validate_record)
 from ellimage.modarith import PrimePowerModulus, minv, mmul
 
 BASE = [sys.executable, "-m", "ellimage.cli"]
@@ -225,10 +226,9 @@ def _capped_gens_file(tmp_path, records):
     "A generator file of records plus the lower Borel mod 101 as CAPPED."
     borel = build_cartan(CartanSpec("borel", PrimePowerModulus(101, 1)))
     group = borel.conjugated_by((0, 1, 1, 0))
-    gens = ";".join(",".join(str(e) for e in g) for g in group.gens)
     path = tmp_path / "capped.txt"
     path.write_text("".join(rec.to_line() + "\n" for rec in records)
-                    + "%s|101|%s\n" % (CAPPED, gens))
+                    + "%s|101|%s\n" % (CAPPED, format_generators(group.gens)))
     return path, read_generators_file(str(path))
 
 
@@ -287,6 +287,36 @@ def test_env_override_cap():
     assert r.returncode == 1  # config floor rejects sub-10^4 caps
     r = run("info", "--label", "2.6.0.1", env={"ELLIMAGE_MAX_ENUM": "20000"})
     assert r.returncode == 0
+
+
+@pytest.mark.parametrize("name, value", [("ELLIMAGE_THREADS", "abc"),
+                                         ("ELLIMAGE_MAX_ENUM", "1e7")])
+def test_env_error_names_the_variable(name, value):
+    r = run("info", "--cartan", "borel", "--mod", "7", env={name: value})
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr == "error: %s must be an integer, got '%s'\n" % (name, value)
+
+
+def test_lattice_check_parses_each_file_once(tmp_path, monkeypatch, capsys):
+    # the --gens-file once and the special groups once: the label lookup and
+    # the conjugate-to claims share one parse of the special groups
+    path = tmp_path / "one.txt"
+    path.write_text(serialize_records([r for r in _bundled_records()
+                                       if r.rszb_label == "49.196.9.1"]))
+    texts, read = [], labelio.read_generators_text
+    monkeypatch.setattr(labelio, "read_generators_text",
+                        lambda text: texts.append(text) or read(text))
+    assert main(["lattice-check", "--label", "49.196.9.1", "--gens-file", str(path)]) == 0
+    assert "CLAIM\tconjugate-to-49.9604.694.1\ttrue\n" in capsys.readouterr().out
+    assert len(texts) == 2
+
+
+def test_reading_the_records_factors_at_most_twice_per_record(monkeypatch):
+    # the label level and the modulus, each factored once by from_int
+    calls, factorize = [], modarith.factorize
+    monkeypatch.setattr(modarith, "factorize", lambda n: calls.append(n) or factorize(n))
+    records = _bundled_records() + _special_records()
+    assert len(records) == 43 and len(calls) <= 2 * len(records)
 
 
 def test_lattice_check_gl2():

@@ -56,23 +56,23 @@ def test_range_error_carries_line_number():
 
 
 def test_grammar_errors():
-    with pytest.raises(DataFileError):
-        read_generators_text("49.196.9.1|49\n")
-    with pytest.raises(DataFileError):
-        read_generators_text("49.196.9.1|48|1,0,0,1\n")     # modulus mismatch
-    with pytest.raises(DataFileError):
-        read_generators_text("49.196.9.1|49|1,0,0\n")       # arity
-    with pytest.raises(DataFileError) as err:
-        read_generators_text("49.196.9.1|49|1,0,0,1;0,49,1,0\n")
-    assert str(err.value) == "line 1: entry 49 out of range [0, 49)"
-    with pytest.raises(DataFileError) as err:
-        read_generators_text("49.196.9.1|49|7,0,0,7\n")
-    assert str(err.value) == "line 1: generator '7,0,0,7' is not invertible"
+    for text, message in [
+            ("49.196.9.1|49\n", "line 1: expected 3 |-separated fields, got 2"),
+            ("49.196.9|49|\n", "line 1: label '49.196.9' does not have four dot-separated fields"),
+            ("49.196.9.1|4x9|\n", "line 1: modulus '4x9' is not an integer"),
+            ("49.196.9.1|48|1,0,0,1\n", "line 1: label level 49 does not match modulus 48"),
+            ("49.196.9.1|49|1,0,0\n", "line 1: matrix '1,0,0' does not have 4 entries"),
+            ("49.196.9.1|49|1,a,0,1\n", "line 1: non-integer entry in '1,a,0,1'"),
+            ("49.196.9.1|49|1,0,0,1;0,49,1,0\n", "line 1: entry 49 out of range [0, 49)"),
+            ("49.196.9.1|49|7,0,0,7\n", "line 1: generator '7,0,0,7' is not invertible"),
+            ("49.196.9.1|49|1,0,0,1\n49.196.9.1|49|1,0,0,1\n",
+             "line 2: duplicate label 49.196.9.1")]:
+        with pytest.raises(DataFileError) as err:
+            read_generators_text(text)
+        assert str(err.value) == message
     # a group built from tuples makes the same check
     with pytest.raises(NotInvertibleError):
         MatrixGroup(PrimePowerModulus(7, 2), [(1, 0, 0, 1), (7, 0, 0, 7)])
-    with pytest.raises(DataFileError):
-        read_generators_text("49.196.9.1|49|1,0,0,1\n49.196.9.1|49|1,0,0,1\n")
 
 
 def test_round_trip(records):

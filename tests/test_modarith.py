@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ellimage import modarith
 from ellimage.errors import ModulusMismatchError, NotInvertibleError
 from ellimage.gl2 import MatrixGroup, ambient_order
 from ellimage.modarith import (IDENTITY, MAX_MODULUS, Echelon, PrimePowerModulus, digit,
@@ -269,7 +270,7 @@ def test_is_prime_against_sieve():
     assert not is_prime(MAX_MODULUS)
 
 
-def test_factorize_and_from_int():
+def test_factorize_and_from_int(monkeypatch):
     cases = {1: {}, 12: {2: 2, 3: 1}, 2 ** 10: {2: 10}, 343: {7: 3},
              3_037_000_493: {3_037_000_493: 1}}
     for n, want in cases.items():
@@ -283,7 +284,17 @@ def test_factorize_and_from_int():
     assert prod == MAX_MODULUS + 1
     assert PrimePowerModulus.from_int(2 ** 10) == PrimePowerModulus(2, 10)
     assert PrimePowerModulus.from_int(343) == PrimePowerModulus(7, 3)
-    assert PrimePowerModulus.from_int(3_037_000_493) == PrimePowerModulus(3_037_000_493, 1)
-    for bad in (1, 12, MAX_MODULUS + 1):
-        with pytest.raises(ValueError):
+    # from_int factors m once: ell needs no second primality proof
+    calls = []
+    monkeypatch.setattr(modarith, "factorize", lambda n: calls.append(n) or factorize(n))
+    top = PrimePowerModulus.from_int(3_037_000_493)
+    assert calls == [3_037_000_493]
+    assert top == PrimePowerModulus(3_037_000_493, 1)
+    range_error = "modulus must be a prime power in [2, 3037000499], got %d"
+    for bad, message in ((1, range_error % 1), (6, "6 is not a prime power"),
+                         (12, "12 is not a prime power"),
+                         (MAX_MODULUS + 1, range_error % (MAX_MODULUS + 1)),
+                         (3_037_000_507, range_error % 3_037_000_507)):  # a prime
+        with pytest.raises(ValueError) as err:
             PrimePowerModulus.from_int(bad)
+        assert str(err.value) == message
