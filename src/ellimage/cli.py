@@ -237,6 +237,8 @@ def _build_parser():
             sp.add_argument("--eps", type=int, default=None,
                             help="quadratic non-residue for the nonsplit kinds and "
                                  "section4-semidirect")
+        if label and cartan:
+            sp.set_defaults(usage_error=sp.error)
         if family:
             sp.add_argument("--family", choices=("gamma1", "gamma0"), required=True)
         sp.add_argument("--gens-file", help="generator file replacing the bundled data")
@@ -279,6 +281,9 @@ def _config_from(args):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    given = [f for f in ("cartan", "mod", "eps") if getattr(args, f, None) is not None]
+    if given and getattr(args, "label", None):
+        args.usage_error("argument --label: not allowed with argument --%s" % given[0])
     try:
         config = _config_from(args)
         handler = {

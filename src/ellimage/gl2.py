@@ -9,9 +9,8 @@ action mod ell behind genus_XG, determinant images and lattice join
 closures run through it.  extend() is the one group closure: it adds one
 element to a closed finite group by Dimino's coset extension (Holt, Eick
 and O'Brien, Handbook of Computational Group Theory, 4.1), each new left
-coset entering whole.  mulclose is a fold of extend over the generators;
-subgroup joins and greedy generating sets extend the closure they already
-hold.
+coset entering whole.  mulclose is a fold of extend over the generators,
+and subgroup joins extend the closure they already hold.
 
 Orders, levels, membership and equality read one cached Filtration per
 group: for H <= GL2(Z/ell^n) the kernels K_e = ker(GL2(ell^n) -> GL2(ell^e))
@@ -45,12 +44,13 @@ failed check raises CertificateError.
 
 from bisect import bisect_left
 from collections import namedtuple
-from itertools import islice, product
+from itertools import chain, islice, product
 
 from .errors import (CertificateError, EnumerationCapError, ModulusMismatchError,
                      NotInvertibleError, SearchBudgetError)
 from .modarith import (IDENTITY, M2_BASIS, Echelon, PrimePowerModulus, digit, factorize,
-                       kernel_element, mdet, minv, mmul, mneg, morder, mpow, mreduce, rowmul)
+                       kernel_element, mdet, minv, mmul, mneg, morder, mpow, mpowers,
+                       mreduce, rowmul)
 
 DEFAULT_CAP = 10 ** 7
 # cosets and lifts the conjugacy search may try before SearchBudgetError
@@ -282,28 +282,6 @@ class MatrixGroup:
         ci = minv(c, m, self.ell)
         return MatrixGroup(self.mod, [mmul(mmul(c, g, m), ci, m) for g in self.gens])
 
-    def small_generating_set(self, cap=DEFAULT_CAP):
-        """Greedy small generating set chosen from the element enumeration;
-        deterministic (highest order first, then lexicographic)."""
-        els = self.elements(cap)
-        m = self.mod.modulus
-        if len(els) == 1:
-            return ()
-        ranked = sorted(els, key=lambda g: (-morder(g, self.mod), g))
-        mul = lambda a, b: mmul(a, b, m)
-        gens = []
-        closure = {IDENTITY}
-        for g in ranked:
-            if g in closure:
-                continue
-            gens.append(g)
-            closure = extend(closure, g, mul, cap)
-            if len(closure) == len(els):
-                break
-        if len(gens) >= len(self.gens) and self.gens:
-            return self.gens
-        return tuple(gens)
-
 
 def _line(a, b, ell):
     "The point of P^1(F_ell) through the nonzero row (a, b): (1, b/a) or (0, 1)."
@@ -355,19 +333,24 @@ class Filtration:
     conjugates of the residues, not by the residues alone.  When all of them
     sift to I, the products of rows in layer order form a normal subgroup of
     G (Holt, Eick and O'Brien, ch. 8) that holds every residue, so it is G
-    cap K_1.
+    cap K_1.  Each layer is then put on the RREF rows of L_e.  The element
+    that represents each coset of G cap K_1 (canonical_lift), each row of a
+    layer, and G itself (generators) is a function of G alone, not of its
+    presentation.
     """
 
     def __init__(self, gens, mod, cap=DEFAULT_CAP):
         ell, m = mod.ell, mod.modulus
-        self.ell, self.m, self.cap = ell, m, cap
+        self.mod, self.ell, self.m, self.cap = mod, ell, m, cap
         self.layers = [(Echelon(ell), {}) for _ in range(mod.exponent - 1)]
         self._rows = []
         self._gens = [(g, minv(g, m, ell)) for g in gens]
         one = (IDENTITY, IDENTITY)
         self.orbits = ({(1, 0): one}, {1: one}, {(0, 1): one})
         self._chain_gens = ([], [], [])
+        self._generators = None
         self._extend(0, self._gens)
+        self._canonical_rows()
 
     def _point(self, level, g):
         "The image under g of the base point of table `level`."
@@ -434,15 +417,30 @@ class Filtration:
             echelon, powers = self.layers[e - 1]
             row = echelon.add(digit(b, q, ell))
             binv = minv(b, m, ell)
-            powers[row] = [IDENTITY]
-            for _ in range(ell - 1):
-                powers[row].append(mmul(powers[row][-1], binv, m))
+            powers[row] = mpowers(binv, ell, m)
             todo.append(mpow(b, ell, m))
             for c in self._rows:
                 todo.append(mmul(mmul(binv, minv(c, m, ell), m), mmul(b, c, m), m))
             for g, ginv in self._gens:
                 todo.append(mmul(mmul(g, b, m), ginv, m))
             self._rows.append(b)
+
+    def _canonical_rows(self):
+        """Puts each layer on the RREF rows of L_e, the realiser of a row the
+        normal form of the coset (G cap K_(e+1))*b of any b in G cap K_e
+        over it, which depends on G alone."""
+        ell, m = self.ell, self.m
+        for e, (echelon, powers) in enumerate(self.layers):
+            # with layer e emptied, reduce() normalises the deeper digits only
+            self.layers[e] = (Echelon(ell), {})
+            rows = {}
+            for r in echelon.rref():
+                steps, b = [], IDENTITY
+                echelon.reduce(r, steps)
+                for row, f in steps:
+                    b = mmul(powers[row][-f % ell], b, m)
+                rows[r] = mpowers(minv(self.reduce(b), m, ell), ell, m)
+            self.layers[e] = (Echelon(ell, rows), rows)
 
     def lift(self, c):
         """(t, t^-1) for an element t of G with t = c mod ell, or None when c
@@ -496,16 +494,43 @@ class Filtration:
                     steps.append((powers[row][1], f))
         return x
 
-    def transversal(self):
-        """The products t_2 * t_1 * t_0 of the three tables, one element of G
-        over each element of G(ell), generated one at a time."""
-        m = self.m
+    def canonical_lift(self, c):
+        """The element of G over c mod ell whose layer digits are in normal
+        form: reduce() of any lift, so a function of G and c alone; None when
+        c mod ell is not in G(ell)."""
+        lift = self.lift(c)
+        return lift and self.reduce(lift[0], mreduce(lift[1], self.ell))
+
+    def generators(self):
+        """The canonical generating set of G (cached): the canonical lifts of
+        the least element over each point of the three tables, tables in
+        order and points sorted, then the realisers of the layer rows, each
+        kept unless the ones kept before generate it.  The walk stops once
+        they generate G, since every later one would be dropped."""
+        if self._generators is not None:
+            return self._generators
+        ell, m = self.ell, self.m
         lines, scalars, seconds = self.orbits
-        for t0, _ in lines.values():
-            for t1, _ in scalars.values():
-                t = mmul(t1, t0, m)
-                for t2, _ in seconds.values():
-                    yield mmul(t2, t, m)
+
+        def least(t, level):
+            "The least element of H*t mod ell, H the stabilizer of the points before `level`."
+            if level == 1:  # the least first row lambda*(1, 0)*t comes first
+                t = mmul(scalars[min(scalars, key=lambda s: rowmul((s, 0), t, ell))][0], t, ell)
+            return rowmul((1, 0), t, ell) + min(rowmul(w, t, ell) for w in seconds)
+
+        tops = chain((least(lines[p][0], 1) for p in sorted(lines)),
+                     (least(scalars[s][0], 2) for s in sorted(scalars)),
+                     ((1, 0) + p for p in sorted(seconds)))
+        rows = (minv(powers[1], m, ell) for _, layer in self.layers for powers in layer.values())
+        kept, sub = [], Filtration((), self.mod, self.cap)
+        for g in chain(map(self.canonical_lift, tops), rows):
+            if sub.sizes() == self.sizes():
+                break
+            if sub.sift(g) != IDENTITY:
+                kept.append(g)
+                sub = Filtration(kept, self.mod, self.cap)
+        self._generators = tuple(kept)
+        return self._generators
 
     def sizes(self):
         "(|G(ell)|, [dim L_1, ..., dim L_{n-1}]); |G(ell)| is the product of the table sizes."

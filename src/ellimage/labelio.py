@@ -28,8 +28,8 @@ from .gl2 import DEFAULT_CAP, MatrixGroup
 from .modarith import PrimePowerModulus, mdet
 
 
-def parse_label(text):
-    "N.i.g.n -> (N, i, g, n); N must be 1 or a prime power."
+def _label_fields(text):
+    "N.i.g.n -> (N, i, g, n), each in range; the level is not factored."
     parts = text.strip().split(".")
     if len(parts) != 4:
         raise LabelError("label %r does not have four dot-separated fields" % (text,))
@@ -39,12 +39,22 @@ def parse_label(text):
         raise LabelError("label %r has non-integer fields" % (text,)) from None
     if level < 1 or i < 1 or g < 0 or tiebreak < 1:
         raise LabelError("label %r has out-of-range fields" % (text,))
-    if level > 1:
-        try:
-            PrimePowerModulus.from_int(level)
-        except ValueError:
-            raise LabelError("label level %d is not a prime power" % (level,)) from None
     return level, i, g, tiebreak
+
+
+def _level_modulus(level):
+    "The PrimePowerModulus of a label level, None for 1; LabelError unless a prime power."
+    try:
+        return PrimePowerModulus.from_int(level) if level > 1 else None
+    except ValueError:
+        raise LabelError("label level %d is not a prime power" % (level,)) from None
+
+
+def parse_label(text):
+    "N.i.g.n -> (N, i, g, n); N must be 1 or a prime power."
+    fields = _label_fields(text)
+    _level_modulus(fields[0])
+    return fields
 
 
 class ImageRecord(namedtuple("ImageRecord", "rszb_label modulus generators")):
@@ -71,14 +81,15 @@ def _parse_record_line(line):
     if len(fields) != 3:
         raise ValueError("expected 3 |-separated fields, got %d" % len(fields))
     label, modtext, genstext = (f.strip() for f in fields)
-    n, _, _, _ = parse_label(label)
+    n, _, _, _ = _label_fields(label)
+    mod = _level_modulus(n)  # a level other than 1 is the modulus: factored once
     try:
         modulus = int(modtext)
     except ValueError:
         raise ValueError("modulus %r is not an integer" % (modtext,)) from None
     if modulus != n and n != 1:
         raise ValueError("label level %d does not match modulus %d" % (n, modulus))
-    mod = PrimePowerModulus.from_int(modulus)
+    mod = mod or PrimePowerModulus.from_int(modulus)
     gens = []
     for chunk in genstext.split(";"):
         chunk = chunk.strip()
@@ -149,7 +160,9 @@ class ValidationReport(namedtuple("ValidationReport",
 def validate_record(rec, cap=DEFAULT_CAP):
     "Recompute level, index and genus and compare with the label fields."
     from .modcurves import genus_XG
-    n, i, g, _ = parse_label(rec.rszb_label)
+    n, i, g, _ = _label_fields(rec.rszb_label)
+    if n not in (1, rec.modulus.modulus):  # else the reader checked the level
+        parse_label(rec.rszb_label)
     grp = rec.group()
     level = grp.level(cap)
     index = grp.index_in_ambient(cap)

@@ -15,10 +15,10 @@ of a parent group:
   the kernel) * N_W.  KernelModule.stable_subspaces walks the lattice of
   these up from 0, each cover W + M of W read off the minimal submodules M
   of U/W, which meet the eigenspaces of one generator's conjugation
-  action.  The complement averages the cocycle of
-  the least lifts in G of the elements of G(ell) (_averaged_section, the
-  case S = 1 of the Gaschutz average of preimage_rigidity), evaluated at
-  the generators only and checked by the order of the group its values
+  action.  The complement averages the cocycle of the canonical lifts in G
+  of the elements of G(ell) (_averaged_section, the case S = 1 of the
+  Gaschutz average of preimage_rigidity), evaluated at the canonical
+  generators only and checked by the order of the group its values
   generate.  The class has [K : N_K(H)] members for K = I + ell*U, read off
   the kernel action (KernelModule.class_size).  Other parents of order <=
   BRUTE_LIMIT get the brute-force lattice (cyclic subgroups, then join
@@ -31,8 +31,9 @@ of a parent group:
   floor, and the walk starts there.  A
   subgroup over U exists iff V = (I + ell^n M2)/N_U has a complement,
   and by Gaschutz iff an ell-Sylow subgroup splits over V.  Its
-  generators, the layer rows of G cap K_1 (deepest layer first) and a lift
-  of one unipotent I + N of G(ell), form a polycyclic sequence; its power
+  generators, the layer rows of G cap K_1 (deepest layer first) and the
+  canonical lift of one unipotent I + N of G(ell), form a polycyclic
+  sequence; its power
   and conjugation relators, sifted into words in earlier generators, are
   affine in the lifts g_i * (I + ell^n v_i), so one linear system over
   F_ell decides the split (the layer step of the Cannon-Cox-Holt lifting
@@ -40,20 +41,23 @@ of a parent group:
   the columns and not the constant certifies "no complement" and is
   checked on the relator values.  A solution lifts the sequence to a
   complement over S, and averaging the cocycle of the section it induces
-  over one lift of each coset of S in G turns it into a complement over G
-  (Gaschutz 1952), evaluated at the generators of G and checked by the
-  order of the group it generates with N_U.  Determinant surjectivity of
-  that complement settles the det-surjective variant; for traceless U the
-  determinant image is rigid across complements unless G has nontrivial
-  homomorphisms to F_ell, and that corner raises rather than guesses.
+  over the canonical lift of each coset of S in G turns it into a
+  complement over G (Gaschutz 1952), evaluated at the canonical generators
+  of G and checked by the order of the group it generates with N_U.
+  Determinant surjectivity of that complement settles the det-surjective
+  variant; for traceless U the determinant image is rigid across
+  complements unless G has nontrivial homomorphisms to F_ell, and that
+  corner raises rather than guesses.
 
-Kernel coordinates are modarith.digit and kernel_element, F_ell linear
-algebra on them is modarith.Echelon, and the word in the layer rows of an
-element of G cap K_1 is read off the steps of Filtration.reduce.  All search
-budgets are explicit and exhaustion is a hard error; the walks over
-Filtration.transversal() check |G(ell)| against the cap first.  Every
-subgroup, section and counterexample the searches build is verified, and a
-failed verification raises CertificateError.
+Lifts and generators are the filtration's canonical ones, so every
+representative and witness is a function of the group.  Kernel coordinates
+are modarith.digit and kernel_element, F_ell linear algebra on them is
+modarith.Echelon, and the word in the layer rows of an element of G cap K_1
+is read off the steps of Filtration.reduce.  All search budgets are
+explicit and exhaustion is a hard error; a walk over G(ell) or its cosets
+is an orbit BFS bounded by the cap.  Every subgroup, section and
+counterexample the searches build is verified, and a failed verification
+raises CertificateError.
 """
 
 from collections import namedtuple
@@ -63,8 +67,8 @@ from .errors import CertificateError, EnumerationCapError, SearchBudgetError
 from .gl2 import (CartanSpec, DEFAULT_CAP, MatrixGroup, build_cartan,
                   conjugate_into, extend, orbit)
 from .modarith import (IDENTITY, M2_BASIS, Echelon, PrimePowerModulus, digit,
-                       kernel_element, lincomb, mdet, minv, mmul, mpow, mreduce,
-                       nullspace, solutions)
+                       kernel_element, lincomb, mdet, minv, mmul, mpow, mpowers,
+                       mreduce, nullspace, solutions)
 
 BRUTE_LIMIT = 1000
 
@@ -269,24 +273,29 @@ class KernelModule(namedtuple("KernelModule", "ell gens_bar")):
 # brute-force subgroup lattice (small groups)
 
 def all_subgroups(group, cap=DEFAULT_CAP):
-    """Every subgroup of a small group, as frozensets of element tuples."""
+    """Every subgroup of a small group, as frozensets of element tuples; the
+    joins run on element positions through one table of all products."""
     els = group.elements(cap)
     if len(els) > BRUTE_LIMIT:
         raise SearchBudgetError("brute-force lattice limited to order <= %d" % BRUTE_LIMIT)
     m = group.mod.modulus
-    mul = lambda a, b: mmul(a, b, m)
+    where = {x: i for i, x in enumerate(els)}
+    table = [[where[mmul(a, b, m)] for b in els] for a in els]
+    mul = lambda a, b: table[a][b]
+    one = where[IDENTITY]
     cyclics = {}
-    for x in els:
+    for x in range(len(els)):
         c = [x]
-        while c[-1] != IDENTITY:
-            c.append(mmul(c[-1], x, m))
+        while c[-1] != one:
+            c.append(table[c[-1]][x])
         cyclics.setdefault(frozenset(c), x)
 
     def join(S, x):
         "S v <x>, by extending S with the one generator x."
         return S if x in S else frozenset(extend(S, x, mul, cap))
 
-    return orbit(frozenset([IDENTITY]), cyclics.values(), join, cap)
+    subs = orbit(frozenset([one]), cyclics.values(), join, cap)
+    return {frozenset(els[i] for i in S) for S in subs}
 
 
 def _conjugacy_classes_of_subgroups(subsets, group):
@@ -393,20 +402,12 @@ def proper_detsurjective_subgroups(group, index_bound, fix_mod_ell_reduction=Tru
         classes = _conjugacy_classes_of_subgroups(picked, group)
         out = []
         for rep_set, size in classes:
-            rep = MatrixGroup(mod, sorted(rep_set))
-            rep = MatrixGroup(mod, rep.small_generating_set(cap))
+            rep = MatrixGroup(mod, sorted(rep_set)).filtration(cap).generators()
+            rep = MatrixGroup(mod, rep)
             out.append(SubgroupClass(rep, parent_order // len(rep_set), True, size))
         return sorted(out, key=lambda c: (c.index_in_parent, c.representative.gens))
 
     return _stable_subspace_classes(group, index_bound, cap)
-
-
-def _least_lift(t, u_basis, ell):
-    """The least of the lifts t*(I + ell*u), u in U, of t mod ell^2: its top
-    digit is in normal form modulo (t mod ell)*U."""
-    tbar = mreduce(t, ell)
-    d = Echelon(ell, [mmul(tbar, u, ell) for u in u_basis]).reduce(digit(t, ell, ell))
-    return tuple(a + ell * b for a, b in zip(tbar, d))
 
 
 def _stable_subspace_classes(group, index_bound, cap=DEFAULT_CAP):
@@ -424,13 +425,12 @@ def _stable_subspace_classes(group, index_bound, cap=DEFAULT_CAP):
     if bar_order % ell == 0:
         raise SearchBudgetError("structured search needs |G(ell)| prime to ell")
     order = bar_order * ell ** len(u_basis)
-    gens_bar = tuple(mreduce(g, ell) for g in group.gens)
+    gens_bar = tuple(mreduce(g, ell) for g in filt.generators())
     module = KernelModule(ell, gens_bar)
-    # a complement of the kernel part: the least lift in G of each element of
+    # a complement of the kernel part: the canonical lift of each element of
     # G(ell), averaged
-    section = _averaged_section({mreduce(t, ell): _least_lift(t, u_basis, ell)
-                                 for t in _transversal(filt, "averaged section", cap)},
-                                ell, m, ell, gens_bar)
+    bar = orbit(IDENTITY, gens_bar, lambda c, g: mmul(c, g, ell), cap)
+    section = _averaged_section({c: filt.canonical_lift(c) for c in bar}, ell, m, ell, gens_bar)
     image = MatrixGroup(mod, section)
     if image.order(cap) != bar_order or image.reduce_to(1).order(cap) != bar_order:
         raise CertificateError("averaged section is not a homomorphism")
@@ -463,29 +463,20 @@ def split_cartan_membership(h, cap=DEFAULT_CAP):
 # ---------------------------------------------------------------------------
 # preimage rigidity
 
-def _transversal(filt, walk, cap):
-    """Filtration.transversal(), after checking |G(ell)| against cap; past
-    it EnumerationCapError names the walk and its size."""
-    size = filt.sizes()[0]
-    if size > cap:
-        raise EnumerationCapError("%s walks the %d products of the transversal, over cap %d"
-                                  % (walk, size, cap))
-    return filt.transversal()
-
-
 def _sylow_subgroup(group, cap=DEFAULT_CAP):
     """Generators of an ell-Sylow subgroup of the group, the preimage in G
     of an ell-Sylow subgroup of G(ell).  The ell-part of |GL2(F_ell)| is
     ell, so these are the layer rows of G cap K_1 (deepest layer first) and
-    a lift of one unipotent I + N != I of G(ell) if there is one."""
+    the canonical lift of the first I + N_L in G(ell), N_L = p'^T p for p on
+    the line L and p' = (-p_1, p_0): the unipotents that fix L are its powers."""
     filt = group.filtration(cap)
     ell = group.mod.ell
     # each layer row keeps the powers of an inverse b^-1 of its realiser
     gens = [powers[1] for _, rows in reversed(filt.layers) for powers in rows.values()]
-    for t in _transversal(filt, "Sylow subgroup", cap):
-        n = ((t[0] - 1) % ell, t[1] % ell, t[2] % ell, (t[3] - 1) % ell)
-        if any(n) and not any(mmul(n, n, ell)):
-            return gens + [t]
+    for p0, p1 in [(0, 1)] + [(1, a) for a in range(ell)]:
+        u = ((1 - p1 * p0) % ell, -p1 * p1 % ell, p0 * p0, (1 + p0 * p1) % ell)
+        if filt.lift(u) is not None:
+            return gens + [filt.canonical_lift(u)]
     return gens
 
 
@@ -618,9 +609,10 @@ def _gaschutz_complement(group, gens, cap=DEFAULT_CAP):
     sigma(y) = sigma(u)^a * sigma(w)^-1 for the word w with w * k = I that
     _letters reads off.  The cosets of S in G are those of S(ell) in G(ell),
     and c*S(ell) = {c + a*cN} is named by its member with entry q equal to
-    0, q the first nonzero entry of cN.  One lift t of each, read off the
-    filtration's transversal, and s(ty) = t * sigma(y) make the section that
-    _averaged_section corrects.
+    0, q the first nonzero entry of cN.  One orbit BFS of G(ell) on these
+    names lists the [G(ell) : S(ell)] cosets, the canonical lift t of each
+    name and s(ty) = t * sigma(y) make the section that _averaged_section
+    corrects, and it is evaluated at the canonical generators of G.
     """
     mod = group.mod
     ell, layer = mod.ell, mod.modulus
@@ -631,7 +623,7 @@ def _gaschutz_complement(group, gens, cap=DEFAULT_CAP):
     if u:
         nbar = ((u[0] - 1) % ell, u[1] % ell, u[2] % ell, (u[3] - 1) % ell)
         p = next(i for i, x in enumerate(nbar) if x)
-        unit, uinv = pow(nbar[p], -1, ell), minv(u, layer, ell)
+        unit, uinv_powers = pow(nbar[p], -1, ell), mpowers(minv(u, layer, ell), ell, layer)
 
     def key(c):
         if not u:
@@ -641,27 +633,28 @@ def _gaschutz_complement(group, gens, cap=DEFAULT_CAP):
         f = c[q] * pow(d[q], -1, ell)
         return tuple((x - f * y) % ell for x, y in zip(c, d))
 
-    reps = {}
-    for t in _transversal(filt, "Gaschutz average", cap):
-        reps.setdefault(key(mreduce(t, ell)), t)
-    inverse = {k: minv(t, layer, ell) for k, t in reps.items()}
+    at = filt.generators()
+    cosets = orbit(key(IDENTITY), [mreduce(g, ell) for g in at],
+                   lambda k, g: key(mmul(g, k, ell)), cap)
+    reps = {k: filt.canonical_lift(k) for k in cosets}
 
     def complement(solution):
         lifts = [mmul(g, kernel_element(solution[4 * i:4 * i + 4], layer, m), m)
                  for i, g in enumerate(gens)]
+        lift_powers = mpowers(lifts[-1], ell, m) if u else None
 
         def section(x):
             k = key(mreduce(x, ell))
-            y, a = mmul(inverse[k], x, layer), 0
+            y, a = mmul(minv(reps[k], layer, ell), x, layer), 0
             if u:
                 a = (y[p] - IDENTITY[p]) * unit % ell
-                y = mmul(mpow(uinv, a, layer), y, layer)
+                y = mmul(uinv_powers[a], y, layer)
             sigma = minv(_word_value(_letters(filt, index, y), lifts, m, ell), m, ell)
             if a:
-                sigma = mmul(mpow(lifts[-1], a, m), sigma, m)
+                sigma = mmul(lift_powers[a], sigma, m)
             return mmul(reps[k], sigma, m)
 
-        return _averaged_section(reps, layer, m, ell, group.gens, section)
+        return _averaged_section(reps, layer, m, ell, at, section)
 
     return complement
 

@@ -112,6 +112,14 @@ def mpow(a, e, m):
     return r
 
 
+def mpowers(a, k, m):
+    "[a^0, a^1, ..., a^(k-1)] mod m."
+    out = [IDENTITY]
+    for _ in range(k - 1):
+        out.append(mmul(out[-1], a, m))
+    return out
+
+
 def mneg(a, m):
     return ((-a[0]) % m, (-a[1]) % m, (-a[2]) % m, (-a[3]) % m)
 

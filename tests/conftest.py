@@ -2,7 +2,7 @@ import pytest
 
 from ellimage.cli import _bundled_records, _special_records
 from ellimage.gl2 import CartanSpec, build_cartan
-from ellimage.modarith import PrimePowerModulus
+from ellimage.modarith import PrimePowerModulus, mmul
 
 
 @pytest.fixture(scope="session")
@@ -41,3 +41,16 @@ def rigidity_inputs(records, special_records):
             spec = CartanSpec(kind, PrimePowerModulus.from_int(m))
             named.append(("%s(%d)" % (kind, m), build_cartan(spec)))
     return named
+
+
+def transversal(filt):
+    """The products t_2 * t_1 * t_0 of the three tables of a Filtration, one
+    element of G over each element of G(ell), generated one at a time: the
+    walk over G(ell) the lattice searches made before they walked cosets."""
+    m = filt.m
+    lines, scalars, seconds = filt.orbits
+    for t0, _ in lines.values():
+        for t1, _ in scalars.values():
+            t = mmul(t1, t0, m)
+            for t2, _ in seconds.values():
+                yield mmul(t2, t, m)

@@ -113,12 +113,22 @@ def test_lattice_check_beyond_49_within_budget(args, claim):
     assert claim in stdout and stdout.endswith("RESULT\tcertified\n")
 
 
-def test_lattice_check_cap_error_before_transversal_walk():
-    # |Borel(1009)| = 1,025,208,576 transversal products, over the default cap
+def test_lattice_check_borel_101_within_budget():
+    # the rigidity witness averages over the 10,000 cosets of the Sylow image
+    # in G(101), not over its 1,010,000 elements
+    stdout, _ = _within_budget("lattice-check", "--cartan", "borel", "--mod", "101")
+    assert "CLAIM\tpreimage-rigidity\tmodulus=10201\trigid=false" in stdout
+    assert stdout.endswith("RESULT\tcertified\n")
+
+
+def test_lattice_check_borel_1009_walks_the_cosets():
+    # G(1009) has 1,025,208,576 elements, over the default cap, and its Sylow
+    # image 1,016,064 cosets, under it: the certificate comes out (in about
+    # two minutes and 400 MB), and under --max-enum 10000 the walk over the
+    # cosets stops on that cap
     _, stderr = _within_budget("lattice-check", "--cartan", "borel", "--mod", "1009",
-                               code=1, seconds=2.0)
-    assert stderr == ["error: Sylow subgroup walks the 1025208576 products of the "
-                      "transversal, over cap 10000000"]
+                               "--max-enum", "10000", code=1, seconds=2.0)
+    assert stderr == ["error: orbit exceeded cap 10000"]
 
 
 def test_filter_cap_error_in_orbit_classes(capsys):
@@ -135,6 +145,24 @@ def test_info_nonsplit_normalizer_101():
     r = run("info", "--cartan", "nonsplit-normalizer", "--mod", "101")
     assert r.returncode == 0
     assert "genus profile: mu=5050 nu2=50 nu3=1 nu_inf=50 genus=384" in r.stdout
+
+
+@pytest.mark.parametrize("verb", [["info"], ["filter", "--family", "gamma1"], ["lattice-check"]])
+@pytest.mark.parametrize("extra", [["--cartan", "borel", "--mod", "7"], ["--mod", "7"],
+                                   ["--eps", "3"]])
+def test_label_with_cartan_flags_is_a_usage_error(verb, extra, capsys):
+    # --label used to win silently over --cartan, --mod and --eps
+    with pytest.raises(SystemExit) as exc:
+        main(verb + ["--label", "49.196.9.1"] + extra)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.endswith(": error: argument --label: not allowed with argument %s\n" % extra[0])
+
+
+def test_label_with_cartan_exits_2():
+    r = run("info", "--label", "49.196.9.1", "--cartan", "borel", "--mod", "7")
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("usage: ellimage info ")
 
 
 def test_info_unknown_label():
@@ -476,8 +504,8 @@ def test_lattice_check_enumerates_no_parent(monkeypatch, capsys):
 
 def test_preimage_rigidity_enumerates_nothing(rigidity_inputs, monkeypatch):
     # the split test is a linear system and the witness a Gaschutz average
-    # over the filtration's transversal: no parent is listed, no generating
-    # set chosen, no closure extended and no element ordered
+    # over the cosets of the Sylow image: no parent is listed, no closure
+    # extended and no element ordered
     calls = []
 
     def counting(name, fn):
@@ -486,8 +514,7 @@ def test_preimage_rigidity_enumerates_nothing(rigidity_inputs, monkeypatch):
             return fn(*args, **kw)
         return wrapped
 
-    for owner, name in ((gl2.MatrixGroup, "elements"),
-                        (gl2.MatrixGroup, "small_generating_set"), (lattice, "extend"),
+    for owner, name in ((gl2.MatrixGroup, "elements"), (lattice, "extend"),
                         (gl2, "morder"), (modarith, "morder")):
         monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
     verdicts = {lattice.preimage_rigidity(group).rigid for _, group in rigidity_inputs}

@@ -13,8 +13,10 @@ from ellimage.errors import EnumerationCapError, NotInvertibleError, SearchBudge
 from ellimage.gl2 import (CARTAN_KINDS, CartanSpec, Filtration, MatrixGroup, ambient_order,
                           build_cartan, conjugate_into, extend, full_gl2, is_conjugate,
                           mulclose, rowmul, unit_group_generators)
-from ellimage.modarith import (IDENTITY, Echelon, PrimePowerModulus, is_prime, lincomb, mdet,
-                               minv, mmul, morder, mreduce)
+from ellimage.modarith import (IDENTITY, Echelon, PrimePowerModulus, digit, is_prime, lincomb,
+                               mdet, minv, mmul, morder, mreduce)
+
+from conftest import transversal
 
 M7 = PrimePowerModulus(7, 1)
 M49 = PrimePowerModulus(7, 2)
@@ -274,7 +276,7 @@ def _conjugate_into_by_full_keys(h, hkeys, big, bkeys, budget=500_000):
     if Counter(hkeys.values()) - Counter(bkeys.values()):
         return False, None, None
     c = _conjugating_matrix_by_full_keys(
-        {g: hkeys[g] for g in h.small_generating_set()}, bkeys, mod, budget)
+        {g: hkeys[g] for g in h.filtration().generators()}, bkeys, mod, budget)
     if c is None:
         return False, None, None
     m = mod.modulus
@@ -501,11 +503,52 @@ def test_det_image_matches_enumeration():
         assert set(g.det_image()[0]) == dets
 
 
-def test_small_generating_set():
-    g = build_cartan(CartanSpec("split-normalizer", M49))
-    small = g.small_generating_set()
-    assert len(small) <= len(g.gens)
-    assert MatrixGroup(M49, list(small)).elements() == g.elements()
+def _normal_digits(filt, x, c):
+    "Whether every layer digit D of x, over c mod ell, has D*c^-1 in normal form."
+    ell = filt.ell
+    cinv = minv(c, ell, ell)
+    return all(echelon.reduce(mmul(digit(x, ell ** e, ell), cinv, ell))
+               == mmul(digit(x, ell ** e, ell), cinv, ell)
+               for e, (echelon, _) in enumerate(filt.layers, 1))
+
+
+def test_canonical_generators(records, special_records):
+    """The filtration's generating set generates the group, and it, the
+    canonical lifts and the layer rows with their realisers are the same
+    under reversed, rotated and redundant generator lists and a change of
+    the conjugate drawn; each canonical lift lies over its element of G(ell)
+    and has its digits in normal form, and each realiser lies over its RREF
+    row with its deeper digits in normal form."""
+    rng = random.Random(11)
+    groups = [r.group() for r in records + special_records]
+    groups += [build_cartan(CartanSpec(kind, mod)) for kind in CARTAN_KINDS[:5]
+               for mod in (M49, PrimePowerModulus(3, 3), PrimePowerModulus(2, 4))]
+    for group in groups:
+        mod, ell, m = group.mod, group.ell, group.mod.modulus
+        filt = group.filtration()
+        gens = filt.generators()
+        assert MatrixGroup(mod, gens) == group and all(g in group for g in gens), group
+        lists = [group.gens[::-1], group.gens[1:] + group.gens[:1],
+                 group.gens + tuple(mmul(a, b, m) for a, b in zip(group.gens, group.gens[1:]))]
+        bar = sorted(mreduce(t, ell) for t in transversal(filt))
+        probes = rng.sample(bar, min(len(bar), 20))
+        lifts = [filt.canonical_lift(c) for c in probes]
+        for c, t in zip(probes, lifts):
+            assert mreduce(t, ell) == c and t in group and _normal_digits(filt, t, c)
+        for e, (echelon, rows) in enumerate(filt.layers, 1):
+            assert echelon.rows == echelon.rref() == list(rows)
+            for r, powers in rows.items():
+                b = minv(powers[1], m, ell)
+                assert mreduce(b, ell ** e) == IDENTITY and digit(b, ell ** e, ell) == r
+                deeper = Filtration((), mod)
+                deeper.layers[e:] = filt.layers[e:]
+                assert _normal_digits(deeper, b, IDENTITY) and b in group
+        for other in lists:
+            other = MatrixGroup(mod, other).filtration()
+            assert other.generators() == gens, group
+            assert [other.canonical_lift(c) for c in probes] == lifts, group
+            assert [(e.rows, list(r.values())) for e, r in other.layers] \
+                == [(e.rows, list(r.values())) for e, r in filt.layers], group
 
 
 def _random_invertible(rng, m, ell):
@@ -800,9 +843,9 @@ def _check_chain(mod, gens, members, probes):
         assert mreduce(t, ell) == c
         assert mmul(t, tinv, m) == IDENTITY
         assert t in oracle
-    transversal = list(filt.transversal())
-    assert sorted(mreduce(t, ell) for t in transversal) == sorted(oracle.top)
-    assert all(t in oracle for t in transversal)
+    lifts = list(transversal(filt))
+    assert sorted(mreduce(t, ell) for t in lifts) == sorted(oracle.top)
+    assert all(t in oracle for t in lifts)
     for x in list(members) + list(probes) + [(ell, 0, 0, 1)]:
         assert (filt.lift(x) is None) == (mreduce(x, ell) not in oracle.top)
         assert (x in group) == (x in oracle)
@@ -919,11 +962,11 @@ def _check_against_two_tables(mod, gens, probes=()):
     for c in top:
         t, tinv = filt.lift(c)
         assert mreduce(t, ell) == c and mmul(t, tinv, m) == IDENTITY and t in oracle
-    transversal = list(filt.transversal())
-    assert sorted(mreduce(t, ell) for t in transversal) == top
+    lifts = list(transversal(filt))
+    assert sorted(mreduce(t, ell) for t in lifts) == top
     kernel = [tuple((a + ell ** j * (i == k)) % m for k, a in enumerate(IDENTITY))
               for j in range(1, mod.exponent) for i in range(4)]
-    sample = transversal[::max(1, len(transversal) // 16)]
+    sample = lifts[::max(1, len(lifts) // 16)]
     moved = [mmul(t, k, m) for t in sample for k in kernel]
     for x in sample + moved + list(probes) + [(ell, 0, 0, 1)]:
         assert (x in group) == (x in oracle)

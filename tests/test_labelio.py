@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from ellimage import modarith
+from ellimage.cli import main
 from ellimage.errors import DataFileError, LabelError, NotInvertibleError
 from ellimage.gl2 import MatrixGroup
 from ellimage.knownj import GAMMA0_ISOLATED_J, GAMMA1_ISOLATED_J
@@ -59,6 +61,8 @@ def test_grammar_errors():
     for text, message in [
             ("49.196.9.1|49\n", "line 1: expected 3 |-separated fields, got 2"),
             ("49.196.9|49|\n", "line 1: label '49.196.9' does not have four dot-separated fields"),
+            ("6.5.0.1|6|\n", "line 1: label level 6 is not a prime power"),
+            ("6.5.0.1|7|\n", "line 1: label level 6 is not a prime power"),
             ("49.196.9.1|4x9|\n", "line 1: modulus '4x9' is not an integer"),
             ("49.196.9.1|48|1,0,0,1\n", "line 1: label level 49 does not match modulus 48"),
             ("49.196.9.1|49|1,0,0\n", "line 1: matrix '1,0,0' does not have 4 entries"),
@@ -122,6 +126,21 @@ def test_validation_catches_injected_faults(record_map):
     rec = ImageRecord("49.%d.%d.1" % (pre.index_in_ambient(), 0), m49, pre.gens)
     rep = validate_record(rec)
     assert not rep.level_ok
+    # a label the reader would refuse is refused here too
+    with pytest.raises(LabelError, match="label level 6 is not a prime power"):
+        validate_record(ImageRecord("6.8.0.1", good.modulus, good.generators))
+
+
+def test_validate_factors_each_record_once(monkeypatch, capsys):
+    # the bundled validate factors each of the 43 record moduli once, when
+    # the reader checks the label level; validate_record does not factor the
+    # level again, and the other 31 calls prove ell prime for the
+    # PrimePowerModulus(ell, 1) of MatrixGroup.level
+    calls, factorize = [], modarith.factorize
+    monkeypatch.setattr(modarith, "factorize", lambda n: calls.append(n) or factorize(n))
+    assert main(["validate"]) == 0
+    assert capsys.readouterr().out.endswith("VALIDATED\t43 records\t0 mismatches\n")
+    assert len(calls) == 74
 
 
 def test_known_j_tables():

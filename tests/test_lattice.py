@@ -17,12 +17,14 @@ from ellimage.lattice import (KernelModule, M2_BASIS, SubgroupClass, all_subgrou
                               split_cartan_membership, verify_counterexample,
                               _averaged_section, _build_candidate,
                               _conjugacy_classes_of_subgroups, _det_surjective_set,
-                              _ell_hom_trivial, _is_stable, _least_lift, _rigidity_subspaces,
+                              _ell_hom_trivial, _is_stable, _rigidity_subspaces,
                               _relator_digit, _stable_subspace_classes,
                               _gaschutz_complement, _split_solution,
                               _sylow_relator_digits, _sylow_relators, _sylow_subgroup)
 from ellimage.modarith import (IDENTITY, Echelon, PrimePowerModulus, digit, kernel_element,
                                lincomb, minv, mmul, mpow, mreduce)
+
+from conftest import transversal
 
 M3 = PrimePowerModulus(3, 1)
 M5 = PrimePowerModulus(5, 1)
@@ -304,8 +306,7 @@ def test_brute_limit_is_hard_error(image49):
 # Gaschutz average, kept as the oracle for whether a complement exists
 
 class _KernelQuotient:
-    """Normal forms canon(x) of the cosets x * N_U, N_U = I + ell^n * U; at
-    n = 1 the reference for lattice._least_lift."""
+    "Normal forms canon(x) of the cosets x * N_U, N_U = I + ell^n * U."
 
     def __init__(self, ell, n, u_basis):
         self.ell = ell
@@ -443,7 +444,7 @@ def test_complement_dfs_against_product_search(name, conj, image49):
     if conj:
         group = group.conjugated_by(conj)
     ell, n, m = group.mod.ell, group.mod.exponent, group.mod.modulus
-    generator_lists = [_sylow_subgroup(group), group.small_generating_set()]
+    generator_lists = [_sylow_subgroup(group), group.filtration().generators()]
     compared = 0
     for U, v_basis in _rigidity_subspaces(group):
         quot = _Quotient(ell, n, U)
@@ -584,9 +585,10 @@ def _averaged_section_by_pairs(reps, layer, m, ell):
 
 
 def _stable_subspace_classes_by_elements(group, index_bound):
-    """The structured path as it read the element list: U from the sorted
-    kernel elements, the least element over each element of G(ell), and
-    every subspace of U tested for stability.  Returns (U, lifts, classes)."""
+    """The structured path as it reads the element list: U from the sorted
+    kernel elements, over each element c of G(ell) the one element x of G
+    whose digit D has D*c^-1 in normal form modulo U, and every subspace of
+    U tested for stability.  Returns (U, lifts, classes)."""
     mod = group.mod
     ell, m = mod.ell, mod.modulus
     els = group.elements()
@@ -596,9 +598,13 @@ def _stable_subspace_classes_by_elements(group, index_bound):
     bar_order = len(els) // len(kernel_part)
     gens_bar = tuple(mreduce(g, ell) for g in group.gens)
     module = KernelModule(ell, gens_bar)
-    reps = {}
+    span_u, reps = Echelon(ell, u_basis), {}
     for x in els:
-        reps.setdefault(mreduce(x, ell), x)
+        c = mreduce(x, ell)
+        d = mmul(digit(x, ell, ell), minv(c, ell, ell), ell)
+        if span_u.reduce(d) == d:
+            assert c not in reps
+            reps[c] = x
     section = _averaged_section_by_pairs(reps, ell, m, ell)
     out = []
     for W in _subspaces_of(u_basis, ell):
@@ -606,7 +612,7 @@ def _stable_subspace_classes_by_elements(group, index_bound):
             continue
         if not _is_stable(W, module._action_matrices(), ell):
             continue
-        rep = MatrixGroup(mod, [section[mreduce(g, ell)] for g in group.gens]
+        rep = MatrixGroup(mod, [section[mreduce(g, ell)] for g in group.filtration().generators()]
                           + [kernel_element(w, ell, m) for w in W])
         expected = bar_order * ell ** len(W)
         assert rep.order() == expected and all(g in group for g in rep.gens)
@@ -621,21 +627,18 @@ def _structured_applies(group):
 
 
 def test_structured_path_against_element_scan(record_map, special_records):
-    """The kernel part U is the RREF of L_1, the least element of G over each
-    element of G(ell) is the least lift _least_lift returns and the coset
-    normal form _KernelQuotient.canon, the stable subspaces of U are those
-    _subspaces_of lists (each in RREF) that are stable, and the classes are
-    the same, representative generators included."""
+    """The kernel part U is the RREF of L_1, the element of G over each
+    element of G(ell) with its digit in normal form is the canonical lift,
+    the stable subspaces of U are those _subspaces_of lists (each in RREF)
+    that are stable, and the classes are the same, representative
+    generators included."""
     compared = set()
     for name, group in _oracle_groups(record_map, special_records, _structured_applies):
         ell = group.ell
         filt = group.filtration()
         u_basis, reps, classes = _stable_subspace_classes_by_elements(group, ell ** 4)
         assert u_basis == filt.layers[0][0].rref(), name
-        least = {mreduce(t, ell): _least_lift(t, u_basis, ell) for t in filt.transversal()}
-        assert reps == least, name
-        canon = _KernelQuotient(ell, 1, u_basis).canon
-        assert least == {mreduce(t, ell): canon(t) for t in filt.transversal()}, name
+        assert reps == {c: filt.canonical_lift(c) for c in reps}, name
         subspaces = _subspaces_of(u_basis, ell)
         assert all(W == Echelon(ell, W).rref() for W in subspaces), name
         module = KernelModule(ell, tuple(mreduce(g, ell) for g in group.gens))
@@ -1067,7 +1070,7 @@ def perturbed(digits, U, ell):
 
 
 lattice._split_solution = perturbed
-group = {r.rszb_label: r for r in _bundled_records()}["4.12.0.1"].group()
+group = {r.rszb_label: r for r in _bundled_records()}["25.30.0.1"].group()
 try:
     result = lattice.preimage_rigidity(group)
 except CertificateError as exc:
@@ -1077,7 +1080,7 @@ print(result.counterexample.gens)
 
 
 def test_complement_order_check_survives_optimize():
-    # lifts off the solution space of 4.12.0.1's first subspace average to
+    # lifts off the solution space of 25.30.0.1's first subspace average to
     # values that generate too large a group with N_U; no witness comes out
     r = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_COMPLEMENT_CHECK],
                        capture_output=True, text=True)
@@ -1111,25 +1114,25 @@ def test_section_order_check_survives_optimize():
 
 def test_section_at_generators_against_all_pairs(record_map, special_records):
     """The section at the generators equals the O(|Q|^2) section there: on
-    the structured path (Q = G(ell), least lifts) and on the Gaschutz average
-    of preimage_rigidity for S = 1 (Q = G, lifted to itself one level up)."""
+    the structured path (Q = G(ell), canonical lifts) and on the Gaschutz
+    average of preimage_rigidity for S = 1 (Q = G, lifted to itself one
+    level up), each at the canonical generators."""
     compared = set()
     for name, group in _oracle_groups(record_map, special_records, _structured_applies):
         ell, m = group.ell, group.mod.modulus
-        u_basis = group.filtration().layers[0][0].rref()
-        reps = {mreduce(t, ell): _least_lift(t, u_basis, ell)
-                for t in group.filtration().transversal()}
-        at = [mreduce(g, ell) for g in group.gens]
+        filt = group.filtration()
+        reps = {mreduce(t, ell): filt.canonical_lift(t) for t in transversal(filt)}
+        at = [mreduce(g, ell) for g in filt.generators()]
         old = _averaged_section_by_pairs(reps, ell, m, ell)
         assert _averaged_section(reps, ell, m, ell, at) == [old[x] for x in at], name
         compared.add(name)
     for name, group in _oracle_groups(record_map, special_records,
                                       lambda g: g.order() % g.ell and g.order() <= 200):
         m = group.mod.modulus
-        reps = {t: t for t in group.filtration().transversal()}
+        reps = {t: t for t in group.elements()}
         old = _averaged_section_by_pairs(reps, m, m * group.ell, group.ell)
         complement = _gaschutz_complement(group, _sylow_subgroup(group))
-        assert complement(()) == [old[x] for x in group.gens], name
+        assert complement(()) == [old[x] for x in group.filtration().generators()], name
         compared.add(name)
     assert {"49.196.9.1", "9.54.1.1", "7.21.0.1", "5.10.0.1", "2.2.0.1"} <= compared
 
