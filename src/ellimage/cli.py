@@ -87,7 +87,7 @@ def _emit(text, config):
 def cmd_info(args, config):
     from .modcurves import genus_XG
     group = _resolve_group(args, config)
-    dets, surj = group.det_image()
+    dets, surj = group.det_image(config.cap)
     prof = genus_XG(group, config.cap)
     lines = [
         "label: %s" % (group.label or "(unlabeled)"),

@@ -31,7 +31,7 @@ level is the smallest ell^d with L_e full for all e >= d, and g is in H
 when a lift of g mod ell comes out of the chain and the quotient sifts to
 I through the layers.  None of this enumerates H, which matters for full
 preimages, large ell and levels ell^3.  _right_coset_key names a right
-coset +-G*x mod ell by its least element, read off the same chain; the
+coset +-G*x mod ell by its least element, Filtration.least of +-G; the
 conjugacy search and modcurves.genus_XG key the cosets mod ell with it,
 and genus_XG then lifts through the layers of +-G's filtration.
 
@@ -44,6 +44,7 @@ failed check raises CertificateError.
 
 from bisect import bisect_left
 from collections import namedtuple
+from functools import cached_property
 from itertools import chain, islice, product
 
 from .errors import (CertificateError, EnumerationCapError, ModulusMismatchError,
@@ -149,12 +150,12 @@ def full_gl2(mod, label=None):
 class MatrixGroup:
     """A subgroup of GL2(Z/ell^n) given by modulus and generators.
 
-    Immutable after construction; the element enumeration and the
-    congruence filtration are computed once, on first use, and cached
-    (read-only thereafter, safe to share).
+    Immutable after construction; the element enumeration, the determinant
+    image and the congruence filtration are computed once, on first use, and
+    cached (read-only thereafter, safe to share).
     """
 
-    __slots__ = ("mod", "gens", "label", "_elements", "_filtration")
+    __slots__ = ("mod", "gens", "label", "_elements", "_det_image", "_filtration")
 
     def __init__(self, mod, gens, label=None):
         self.mod = mod
@@ -169,8 +170,7 @@ class MatrixGroup:
                 canon.append(g)
         self.gens = tuple(canon)
         self.label = label
-        self._elements = None
-        self._filtration = None
+        self._elements = self._det_image = self._filtration = None
 
     # -- basic views --------------------------------------------------
 
@@ -234,13 +234,15 @@ class MatrixGroup:
 
     # -- determinant, -I ----------------------------------------------
 
-    def det_image(self):
+    def det_image(self, cap=DEFAULT_CAP):
         """(sorted tuple of unit residues generated by generator dets,
-        surjectivity flag).  Equals the det set of the full enumeration."""
-        m = self.mod.modulus
-        dets = [mdet(g, m) for g in self.gens]
-        closure = orbit(1, dets, lambda x, d: x * d % m)
-        return tuple(sorted(closure)), len(closure) == self.mod.unit_count()
+        surjectivity flag), cached.  Equals the det set of the full
+        enumeration; EnumerationCapError past cap units."""
+        if self._det_image is None:
+            m = self.mod.modulus
+            closure = orbit(1, [mdet(g, m) for g in self.gens], lambda x, d: x * d % m, cap)
+            self._det_image = tuple(sorted(closure)), len(closure) == self.mod.unit_count()
+        return self._det_image
 
     def contains_minus_identity(self, cap=DEFAULT_CAP):
         return self.filtration(cap).sift(mneg(IDENTITY, self.mod.modulus)) == IDENTITY
@@ -287,6 +289,16 @@ def _line(a, b, ell):
     "The point of P^1(F_ell) through the nonzero row (a, b): (1, b/a) or (0, 1)."
     a %= ell
     return (1, b * pow(a, -1, ell) % ell) if a else (0, 1)
+
+
+def _sorted_cosets(sub, ell):
+    "{b: the coset b*sub in increasing order} for b in F_ell^x, sub <= F_ell^x."
+    out = {}
+    for a in range(1, ell):
+        if a not in out:
+            coset = sorted(a * s % ell for s in sub)
+            out.update(dict.fromkeys(coset, coset))
+    return out
 
 
 class Filtration:
@@ -336,7 +348,8 @@ class Filtration:
     cap K_1.  Each layer is then put on the RREF rows of L_e.  The element
     that represents each coset of G cap K_1 (canonical_lift), each row of a
     layer, and G itself (generators) is a function of G alone, not of its
-    presentation.
+    presentation.  least() gives the coset keys of the conjugacy search and
+    genus_XG and the table points of generators(); nothing else reads them.
     """
 
     def __init__(self, gens, mod, cap=DEFAULT_CAP):
@@ -501,25 +514,100 @@ class Filtration:
         lift = self.lift(c)
         return lift and self.reduce(lift[0], mreduce(lift[1], self.ell))
 
+    @cached_property
+    def least(self):
+        """least(x, level=0) is the least element mod ell of H*x, for x in
+        GL2(Z/ell^n) and H the stabilizer in G(ell) of the base points before
+        table `level`: G(ell), G_L or G_1 at level 0, 1 or 2.  Its first row
+        is the least v*x for v in the orbit of (1, 0) under H (O_1,
+        Lambda*(1, 0) or (1, 0)), and with t in H taking (1, 0) to that v and
+        x_1 = t*x, its second row is the least of O_2*x_1.  On the line L the
+        least of the rows lambda*u(L)*x, u(L) = (1, 0)*t_0, is the least
+        multiple of its first nonzero entry in the coset of Lambda that holds
+        it.  So the least of O_1*x comes from a scan of the line table, or
+        from a scan of all rows r in lexicographic order, stopping at the
+        first with r*x^-1 in O_1, about (ell^2 - 1)/|O_1| steps; the cheaper
+        is taken.  G_1 lies in {[1 0; c d]}, with lower right entries in a
+        subgroup D of F_ell^x.  O_2 is F_ell x D when G_1 holds every [1 0;
+        c 1]; otherwise G_1(ell) is isomorphic to D, of order prime to ell,
+        so it is the conjugate of diag(1, D) by [1 0; kappa 1] and O_2 is the
+        graph {(kappa*(d - 1), d)}.  On F_ell x D, c clears one entry of (c,
+        d)*x_1 and d makes the other the least multiple in a coset of D; on
+        the graph, (kappa*(d - 1), d)*x_1 = d*z - sigma, and a bisection in
+        the sorted coset of D finds the d whose first entry that varies is
+        least.  The closed forms and their tables are built on first use.
+        """
+        ell = self.ell
+        lines, scalars, seconds = self.orbits
+        inv = [0] + [pow(a, -1, ell) for a in range(1, ell)]
+        reach = [(line, rowmul((1, 0), t, ell)) for line, (t, _) in lines.items()]
+        # scale[b]: the lambda in Lambda with lambda*b least in the coset b*Lambda
+        scale = {b: coset[0] * inv[b] % ell for b, coset in _sorted_cosets(scalars, ell).items()}
+        scan_lines = len(lines) ** 2 * len(scalars) <= ell * ell - 1
+        dset = {d for _, d in seconds}
+        cosets = _sorted_cosets(dset, ell)
+        graph = len(seconds) == len(dset)
+        kappa = next((c * inv[d - 1] % ell for c, d in seconds if d != 1), 0)
+
+        def first(x, level):
+            "(L, lambda) for v = lambda*u(L) in O_1 (Lambda*(1, 0) at level 1) with v*x least."
+            if scan_lines or level:
+                best = ((ell, 0),)  # above every row
+                for line, u in (reach[:1] if level else reach):  # reach[0]: t_0 = I
+                    p, q = rowmul(u, x, ell)
+                    s = scale[p or q]
+                    best = min(best, ((s * p % ell, s * q % ell), line, s))
+                return best[1:]
+            xi = minv(x, ell, ell)
+            # the rows (0, j) are the line through (0, 1)*x^-1: skipped when it is not in O_1
+            start = 1 if _line(xi[2], xi[3], ell) in lines else ell
+            for r in islice(product(range(ell), repeat=2), start, None):
+                v0, v1 = (r[0] * xi[0] + r[1] * xi[2]) % ell, (r[0] * xi[1] + r[1] * xi[3]) % ell
+                line = (1, v1 * inv[v0] % ell) if v0 else (0, 1)
+                hit = lines.get(line)
+                if hit is not None:
+                    s = (v0 * hit[1][0] + v1 * hit[1][2]) % ell
+                    if s in scalars:
+                        return line, s
+
+        def second(x):
+            "The least row w*x for w in O_2."
+            p, q, e, f = x
+            if not graph:
+                # O_2 = F_ell x D: c clears one entry of w*x_1 and d makes the other least
+                b = (f - e * q * inv[p]) % ell if p else e
+                d = cosets[b][0] * inv[b] % ell
+                c = -d * e * inv[p] % ell if p else -d * f * inv[q] % ell
+            else:
+                z, sigma = ((kappa * p + e) % ell, (kappa * q + f) % ell), (kappa * p, kappa * q)
+                i = 0 if z[0] else 1
+                coset = cosets[z[i]]
+                j = bisect_left(coset, sigma[i] % ell)
+                d = (coset[j] if j < len(coset) else coset[0]) * inv[z[i]] % ell
+                c = kappa * (d - 1) % ell
+            return (c * p + d * e) % ell, (c * q + d * f) % ell
+
+        def least(x, level=0):
+            c = mreduce(x, ell)
+            if level < 2:
+                line, s = first(c, level)
+                c = mmul(mmul(scalars[s][0], lines[line][0], ell), c, ell)
+            return c[:2] + second(c)
+
+        return least
+
     def generators(self):
         """The canonical generating set of G (cached): the canonical lifts of
-        the least element over each point of the three tables, tables in
-        order and points sorted, then the realisers of the layer rows, each
+        the least element (least) over each point of the three tables, tables
+        in order and points sorted, then the realisers of the layer rows, each
         kept unless the ones kept before generate it.  The walk stops once
         they generate G, since every later one would be dropped."""
         if self._generators is not None:
             return self._generators
         ell, m = self.ell, self.m
         lines, scalars, seconds = self.orbits
-
-        def least(t, level):
-            "The least element of H*t mod ell, H the stabilizer of the points before `level`."
-            if level == 1:  # the least first row lambda*(1, 0)*t comes first
-                t = mmul(scalars[min(scalars, key=lambda s: rowmul((s, 0), t, ell))][0], t, ell)
-            return rowmul((1, 0), t, ell) + min(rowmul(w, t, ell) for w in seconds)
-
-        tops = chain((least(lines[p][0], 1) for p in sorted(lines)),
-                     (least(scalars[s][0], 2) for s in sorted(scalars)),
+        tops = chain((self.least(lines[p][0], 1) for p in sorted(lines)),
+                     (self.least(scalars[s][0], 2) for s in sorted(scalars)),
                      ((1, 0) + p for p in sorted(seconds)))
         rows = (minv(powers[1], m, ell) for _, layer in self.layers for powers in layer.values())
         kept, sub = [], Filtration((), self.mod, self.cap)
@@ -670,107 +758,19 @@ def build_cartan(spec, cap=DEFAULT_CAP):
 # ---------------------------------------------------------------------------
 # right cosets and conjugacy
 
-def _sorted_cosets(sub, ell):
-    "{b: the coset b*sub in increasing order} for b in F_ell^x, sub <= F_ell^x."
-    out = {}
-    for a in range(1, ell):
-        if a not in out:
-            coset = sorted(a * s % ell for s in sub)
-            out.update(dict.fromkeys(coset, coset))
-    return out
-
-
 def _right_coset_key(group, cap=DEFAULT_CAP):
-    """(key, +-G): key(x), for x in GL2(Z/N), is the least element of the
-    right coset +-G(ell)*x mod ell, which names +-G*x mod ell.
-
-    It is read off the stabilizer chain of +-G(ell) (Filtration.orbits): its
-    first row is the least of O_1*x, the rows v*x for v in the orbit O_1 of
-    (1, 0), and, with t in the chain taking (1, 0) to the v that attains it
-    and x_1 = t*x, its second row is the least of O_2*x_1.
-
-    O_1 is read as Lambda times the rows u(L) = (1, 0)*t_0 of the line
-    table: on the line L the least of the rows lambda*u(L)*x is the least
-    multiple of its first nonzero entry in the coset of Lambda that holds
-    it.  So the least of O_1*x comes from a scan of the line table, or from
-    a scan of all rows r in lexicographic order, stopping at the first with
-    r*x^-1 in O_1, which takes about (ell^2 - 1)/|O_1| steps; the cheaper is
-    taken.  The stabilizer G_1 of (1, 0) lies in {[1 0; c d]}, and its lower
-    right entries form a subgroup D of F_ell^x.  O_2 is F_ell x D when G_1
-    holds every [1 0; c 1].  Otherwise G_1(ell) is isomorphic to D, of order
-    prime to ell, so it is the conjugate of diag(1, D) by [1 0; kappa 1] and
-    O_2 is the graph {(kappa*(d - 1), d)}.  Either way the least of O_2*x_1
-    takes no scan: on F_ell x D, c clears one entry of (c, d)*x_1 and d
-    makes the other the least multiple in a coset of D; on the graph,
-    (kappa*(d - 1), d)*x_1 = d*z - sigma, and a bisection in the sorted
-    coset of D finds the d whose first entry that varies is least.
-
-    Keys are memoised per x mod ell.  The chain's three tables and the memo
-    are the tables held; EnumerationCapError is raised once any of them
-    exceeds cap.
-    """
+    """(key, +-G): key(x), for x in GL2(Z/N), is Filtration.least of +-G, the
+    least element of +-G(ell)*x mod ell, which names +-G*x mod ell; memoised
+    per x mod ell, EnumerationCapError once a chain table or the memo passes cap."""
     ell = group.ell
     pm = group if group.contains_minus_identity(cap) else group.adjoin_minus_identity()
-    lines, scalars, seconds = pm.filtration(cap).orbits
-    inv = [0] + [pow(a, -1, ell) for a in range(1, ell)]
-    reach = [(line, rowmul((1, 0), t, ell)) for line, (t, _) in lines.items()]
-    # least[b]: the lambda in Lambda with lambda*b least in the coset b*Lambda
-    least = {b: coset[0] * inv[b] % ell for b, coset in _sorted_cosets(scalars, ell).items()}
-    scan_lines = len(lines) ** 2 * len(scalars) <= ell * ell - 1
-    dset = {d for _, d in seconds}
-    cosets = _sorted_cosets(dset, ell)
-    graph = len(seconds) == len(dset)
-    kappa = next((c * inv[d - 1] % ell for c, d in seconds if d != 1), 0)
-    memo = {}
-
-    def first(x):
-        "(v*x, L, lambda) for the row v = lambda*u(L) of O_1 with v*x least."
-        if scan_lines:
-            a, b, c, d = x
-            best = None
-            for line, (u0, u1) in reach:
-                p, q = (u0 * a + u1 * c) % ell, (u0 * b + u1 * d) % ell
-                s = least[p or q]
-                row = (s * p % ell, s * q % ell)
-                if best is None or row < best[0]:
-                    best = row, line, s
-            return best
-        xi = minv(x, ell, ell)
-        # the rows (0, j) are the line through (0, 1)*x^-1: skipped when it is not in O_1
-        start = 1 if _line(xi[2], xi[3], ell) in lines else ell
-        for r in islice(product(range(ell), repeat=2), start, None):
-            v0, v1 = (r[0] * xi[0] + r[1] * xi[2]) % ell, (r[0] * xi[1] + r[1] * xi[3]) % ell
-            line = (1, v1 * inv[v0] % ell) if v0 else (0, 1)
-            hit = lines.get(line)
-            if hit is not None:
-                s = (v0 * hit[1][0] + v1 * hit[1][2]) % ell
-                if s in scalars:
-                    return r, line, s
-
-    def second(x):
-        "The least row w*x for w in O_2."
-        p, q, e, f = x
-        if not graph:
-            # O_2 = F_ell x D: c clears one entry of w*x_1 and d makes the other least
-            b = (f - e * q * inv[p]) % ell if p else e
-            d = cosets[b][0] * inv[b] % ell
-            c = -d * e * inv[p] % ell if p else -d * f * inv[q] % ell
-        else:
-            z, sigma = ((kappa * p + e) % ell, (kappa * q + f) % ell), (kappa * p, kappa * q)
-            i = 0 if z[0] else 1
-            coset = cosets[z[i]]
-            j = bisect_left(coset, sigma[i] % ell)
-            d = (coset[j] if j < len(coset) else coset[0]) * inv[z[i]] % ell
-            c = kappa * (d - 1) % ell
-        return (c * p + d * e) % ell, (c * q + d * f) % ell
+    least, memo = pm.filtration(cap).least, {}
 
     def key(x):
         c = mreduce(x, ell)
         got = memo.get(c)
         if got is None:
-            v, line, s = first(c)
-            t = mmul(scalars[s][0], lines[line][0], ell)
-            got = memo[c] = v + second(mmul(t, c, ell))
+            got = memo[c] = least(c)
             if len(memo) > cap:
                 raise EnumerationCapError("coset key memo exceeded cap %d" % cap)
         return got

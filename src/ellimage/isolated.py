@@ -139,7 +139,7 @@ def candidate_pairs(group, family, cap=DEFAULT_CAP):
     if family not in FAMILIES:
         raise ValueError("family must be gamma1 or gamma0")
     ell = group.mod.ell
-    _, det_surj = group.det_image()
+    _, det_surj = group.det_image(cap)
     if not det_surj:
         warnings.warn("determinant image is not surjective; the degree "
                       "interpretation of orbit sizes is invalid", stacklevel=2)
@@ -207,7 +207,7 @@ def filter_genus_zero(pairs, group, family, cap=DEFAULT_CAP):
 def analyze(group, family, label=None, cap=DEFAULT_CAP):
     """Run the full pipeline and assemble the report."""
     label = label or group.label or "unlabeled"
-    _, det_surj = group.det_image()
+    _, det_surj = group.det_image(cap)
     pairs = candidate_pairs(group, family, cap)
     pairs = filter_riemann_roch(pairs, family)
     pairs = filter_genus_zero(pairs, group, family, cap)

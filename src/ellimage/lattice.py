@@ -445,7 +445,7 @@ def _stable_subspace_classes(group, index_bound, cap=DEFAULT_CAP):
         if rep.order(cap) != expected or not all(g in group for g in rep.gens):
             raise CertificateError("subgroup over W = %r is not a subgroup of order "
                                    "%d in the parent" % (W, expected))
-        if not rep.det_image()[1]:
+        if not rep.det_image(cap)[1]:
             continue
         out.append(SubgroupClass(rep, order // expected, True,
                                  module.class_size(u_basis, W)))
@@ -696,7 +696,7 @@ def verify_counterexample(group, candidate, cap=DEFAULT_CAP):
     "Checks reduction, determinant surjectivity and properness of a witness."
     if candidate.reduce_to(group.mod.exponent) != group:
         return False
-    if not candidate.det_image()[1]:
+    if not candidate.det_image(cap)[1]:
         return False
     full = group.order(cap) * group.mod.ell ** 4
     return candidate.order(cap) < full
@@ -765,7 +765,7 @@ def preimage_rigidity(group, cap=DEFAULT_CAP):
         if candidate.order(cap) != order * ell ** len(U):
             raise CertificateError("averaged complement over U = %r is not a complement"
                                    % (U,))
-        if candidate.det_image()[1]:
+        if candidate.det_image(cap)[1]:
             if not verify_counterexample(group, candidate, cap):
                 raise CertificateError("counterexample over U = %r failed "
                                        "verification" % (U,))

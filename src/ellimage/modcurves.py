@@ -9,8 +9,8 @@ counts orbits of u = [1 1; 0 1].  X_G depends only on +-G, so H is taken as
 are right cosets Hx with the right multiplication action, and Hx is the
 part in SL2 of the coset +-G*x in GL2.  Mod ell the cosets are found by an
 orbit BFS from H under s and u, each named by its least element mod ell,
-which gl2._right_coset_key reads off the chain (P^1-style coset
-enumeration, as for Gamma0 in Diamond-Shurman ch. 3).  From ell^j to
+which gl2._right_coset_key takes from Filtration.least of +-G (P^1-style
+coset enumeration, as for Gamma0 in Diamond-Shurman ch. 3).  From ell^j to
 ell^(j+1) the cosets over one coset form a fibre, the Echelon normal forms
 modulo layer j of the group's congruence filtration (gl2.Filtration), on
 which an element fixing that coset acts affinely (Holt, Eick and O'Brien,
@@ -242,8 +242,8 @@ def genus_XG(group, cap=DEFAULT_CAP):
     _Layer at a time, and mu = mu(ell) * prod |fibre_j|; the mu cosets mod
     N are never listed.  mu * |+-G| / |det G| = |SL2(Z/N)| is
     checked.  EnumerationCapError is raised once the chain's orbit tables,
-    the key memo, the cosets mod ell, a layer's carried cosets or a fibre
-    exceeds cap.
+    the key memo, the determinant image, the cosets mod ell, a layer's
+    carried cosets or a fibre exceeds cap.
     """
     mod = group.mod
     ell, m = mod.ell, mod.modulus
@@ -256,7 +256,7 @@ def genus_XG(group, cap=DEFAULT_CAP):
         return y
 
     cosets = orbit(key(IDENTITY), (s, u), act, cap)
-    dets = group.det_image()[0]
+    dets = group.det_image(cap)[0]
     layers = [_Layer(pm.filtration(cap), j, dets, cap) for j in range(1, mod.exponent)]
     mu = len(cosets)
     for layer in layers:

@@ -141,6 +141,33 @@ def test_filter_cap_error_in_orbit_classes(capsys):
     assert err == "error: carrier classes at level 4913 exceeded cap 10000\n"
 
 
+def test_info_cap_error_in_the_determinant_image(capsys):
+    # Borel(101^2) has all 10,100 units as determinants, over --max-enum
+    # 10000, while each of its chain tables holds at most 101 rows
+    assert main(["info", "--cartan", "borel", "--mod", "10201", "--max-enum", "10000"]) == 1
+    assert capsys.readouterr() == ("", "error: orbit exceeded cap 10000\n")
+
+
+@pytest.mark.parametrize("argv", [["info", "--label", "49.196.9.1"],
+                                  ["filter", "--family", "gamma1", "--label", "49.196.9.1"],
+                                  ["lattice-check", "--label", "5.6.0.1"],
+                                  ["batch", "--family", "gamma0", "--threads", "1"]])
+def test_one_determinant_bfs_per_group(argv, monkeypatch, capsys):
+    # the determinant image is cached on the group: a verb runs its BFS, the
+    # one orbit seeded at the unit 1, once for each group it asks
+    asked, seeds = [], []
+    det_image, orbit = gl2.MatrixGroup.det_image, gl2.orbit
+    monkeypatch.setattr(gl2.MatrixGroup, "det_image",
+                        lambda self, *a: asked.append(self) or det_image(self, *a))
+    monkeypatch.setattr(gl2, "orbit", lambda seed, *a: seeds.append(seed) or orbit(seed, *a))
+    assert main(argv) in (0, 10)
+    capsys.readouterr()
+    groups = {id(group) for group in asked}
+    assert seeds.count(1) == len(groups) >= 1
+    if argv[0] == "info":
+        assert len(groups) == 1
+
+
 def test_info_nonsplit_normalizer_101():
     r = run("info", "--cartan", "nonsplit-normalizer", "--mod", "101")
     assert r.returncode == 0

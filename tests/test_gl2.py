@@ -2,7 +2,7 @@ import random
 import time
 from collections import Counter
 from functools import reduce
-from itertools import product
+from itertools import chain, product
 from math import gcd
 
 import pytest
@@ -549,6 +549,55 @@ def test_canonical_generators(records, special_records):
             assert [other.canonical_lift(c) for c in probes] == lifts, group
             assert [(e.rows, list(r.values())) for e, r in other.layers] \
                 == [(e.rows, list(r.values())) for e, r in filt.layers], group
+
+
+def _least_by_scan(filt, x, level):
+    """The least element of H*x mod ell, H the stabilizer in G(ell) of the
+    base points before table `level` (1 or 2), by a scan of the scalar and
+    third tables: what generators() read before Filtration.least."""
+    ell = filt.ell
+    _, scalars, seconds = filt.orbits
+    if level == 1:  # the least first row lambda*(1, 0)*x comes first
+        x = mmul(scalars[min(scalars, key=lambda s: rowmul((s, 0), x, ell))][0], x, ell)
+    return rowmul((1, 0), x, ell) + min(rowmul(w, x, ell) for w in seconds)
+
+
+class _ScanFiltration(Filtration):
+    "A Filtration whose generators() take the table-point representatives from the scan."
+    least = _least_by_scan
+
+
+def _check_least(group):
+    """Filtration.least at levels 1 and 2 against the scan at every point of
+    the line and scalar tables, and generators() against the generating set
+    the scan builds."""
+    filt = group.filtration()
+    lines, scalars, _ = filt.orbits
+    for t, _ in chain(lines.values(), scalars.values()):
+        for level in (1, 2):
+            assert filt.least(t, level) == _least_by_scan(filt, t, level), (group, t, level)
+    assert filt.generators() == _ScanFiltration(group.gens, group.mod).generators(), group
+
+
+def test_least_against_the_scan(records, special_records):
+    groups = [r.group() for r in records + special_records]
+    groups += [build_cartan(CartanSpec(kind, PrimePowerModulus.from_int(m)))
+               for kind in CARTAN_KINDS[:5]
+               for m in (2, 4, 8, 3, 9, 27, 5, 25, 7, 49, 11, 13, 121)]
+    groups += [full_gl2(PrimePowerModulus(ell, 1)) for ell in (2, 3, 5, 7, 11, 13)]
+    for group in groups:
+        _check_least(group)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_least_against_the_scan_on_drawn_groups(data):
+    m = data.draw(st.sampled_from(SIFT_MODULI + (11, 13, 121)))
+    ell = next(p for p in (2, 3, 5, 7, 11, 13) if m % p == 0)
+    gens = data.draw(st.lists(_matrices(m, ell), max_size=3))
+    group = MatrixGroup(PrimePowerModulus.from_int(m), gens)
+    _check_least(group)
+    _check_least(group.adjoin_minus_identity())
 
 
 def _random_invertible(rng, m, ell):

@@ -46,6 +46,21 @@ def _absolute_imports():
                 yield "%s:%d %s" % (path.name, node.lineno, name)
 
 
+def test_only_the_filtration_reads_the_chain_tables():
+    # the stabilizer chain's tables are read through Filtration's methods
+    # (lift, least, generators, sizes): no code outside class Filtration
+    # reads the attribute `.orbits`
+    found = []
+    for path, tree in _trees():
+        inside = {id(node) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.name == "Filtration"
+                  for node in ast.walk(cls)}
+        found += ["%s:%d" % (path.name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "orbits"
+                  and isinstance(node.ctx, ast.Load) and id(node) not in inside]
+    assert found == []
+
+
 def test_no_third_party_dependencies():
     # the package is pure Python: pyproject declares no dependencies and
     # every import is package-relative or from the standard library
