@@ -14,7 +14,7 @@ class NotInvertibleError(EllimageError):
 
 
 class EnumerationCapError(EllimageError):
-    "A table the computation holds (elements, orbit, cosets, memo, fibre) passed the --max-enum cap."
+    "A table the computation holds (elements, orbit, cosets, fibre) passed the --max-enum cap."
 
 
 class SearchBudgetError(EllimageError):

@@ -30,10 +30,9 @@ residues the chain leaves.  Then |H| = |H(ell)| * prod ell^(dim L_e), the
 level is the smallest ell^d with L_e full for all e >= d, and g is in H
 when a lift of g mod ell comes out of the chain and the quotient sifts to
 I through the layers.  None of this enumerates H, which matters for full
-preimages, large ell and levels ell^3.  _right_coset_key names a right
-coset +-G*x mod ell by its least element, Filtration.least of +-G; the
-conjugacy search and modcurves.genus_XG key the cosets mod ell with it,
-and genus_XG then lifts through the layers of +-G's filtration.
+preimages, large ell and levels ell^3.  The conjugacy search and
+modcurves.genus_XG name a right coset +-G*x mod ell by Filtration.least of
++-G, and genus_XG then lifts through the layers of +-G's filtration.
 
 The conjugacy search (_conjugating_matrix) lifts a conjugator one
 congruence level at a time and reads both groups only through their
@@ -68,10 +67,10 @@ def ambient_order(mod, family="GL2"):
     raise ValueError("family must be GL2 or SL2, got %r" % (family,))
 
 
-def orbit(seed, gens, act, cap=DEFAULT_CAP):
+def orbit(seed, gens, act, cap=DEFAULT_CAP, name="orbit"):
     """The set reached from seed under x -> act(x, g) for g in gens, by BFS:
-    an orbit for a group action, a join closure for x -> x v g.  Raises
-    EnumerationCapError once it holds more than cap points."""
+    an orbit for a group action, a join closure for x -> x v g.  Past cap
+    points it raises EnumerationCapError, which names the walk by `name`."""
     seen = {seed}
     frontier = [seed]
     while frontier:
@@ -83,7 +82,7 @@ def orbit(seed, gens, act, cap=DEFAULT_CAP):
                     seen.add(y)
                     new.append(y)
                     if len(seen) > cap:
-                        raise EnumerationCapError("orbit exceeded cap %d" % cap)
+                        raise EnumerationCapError("%s exceeded cap %d" % (name, cap))
         frontier = new
     return seen
 
@@ -210,8 +209,7 @@ class MatrixGroup:
     # -- order / level from the filtration ----------------------------
 
     def order(self, cap=DEFAULT_CAP):
-        base, dims = self.filtration(cap).sizes()
-        return base * self.ell ** sum(dims)
+        return self.filtration(cap).order()
 
     def index_in_ambient(self, cap=DEFAULT_CAP):
         total = ambient_order(self.mod)
@@ -240,17 +238,19 @@ class MatrixGroup:
         enumeration; EnumerationCapError past cap units."""
         if self._det_image is None:
             m = self.mod.modulus
-            closure = orbit(1, [mdet(g, m) for g in self.gens], lambda x, d: x * d % m, cap)
+            closure = orbit(1, [mdet(g, m) for g in self.gens], lambda x, d: x * d % m, cap,
+                            "determinant image")
             self._det_image = tuple(sorted(closure)), len(closure) == self.mod.unit_count()
         return self._det_image
 
     def contains_minus_identity(self, cap=DEFAULT_CAP):
         return self.filtration(cap).sift(mneg(IDENTITY, self.mod.modulus)) == IDENTITY
 
-    def adjoin_minus_identity(self, label=None):
-        "Group generated by the generators together with -I; idempotent."
-        return MatrixGroup(self.mod, list(self.gens) + [mneg(IDENTITY, self.mod.modulus)],
-                           label=label if label is not None else self.label)
+    def adjoin_minus_identity(self, cap=DEFAULT_CAP):
+        "+-G: the group itself when it holds -I, else the one its generators and -I generate."
+        if self.contains_minus_identity(cap):
+            return self
+        return MatrixGroup(self.mod, self.gens + (mneg(IDENTITY, self.mod.modulus),), self.label)
 
     # -- reduction / preimage / conjugation ----------------------------
 
@@ -328,42 +328,53 @@ class Filtration:
     (modarith.digit); L_e is the image of G cap K_e in K_e/K_{e+1} ~
     M2(F_ell).
 
-    The chain is built by Schreier-Sims.  A Schreier generator t(p)*g*t(pg)^-1
-    of a table fixes its base point and is sifted down the tables below it;
-    one that reaches a point new to table j becomes a generator of table j
-    and of every table between, and one that sifts through the last table
-    leaves a residue in G cap K_1.  A generator found at the third table
-    joins the second: it fixes every point Lambda*(1, 0), so its conjugates
-    by the second table are Schreier generators of G_L that the first table
-    never makes.  The residues and the Schreier generators of the third
-    table are reduced through the layers; a residue b != I becomes a row of
-    its first nonzero layer, and b^ell, the commutators of b with the
-    earlier rows and the conjugates g*b*g^-1 by the generators g of G are
-    sifted in turn.  The conjugates are needed: the stabilizers in the chain
-    are spanned by the generators the tables keep and the residues, so G cap
-    K_1 is spanned by the Schreier generators of the last table and the
-    conjugates of the residues, not by the residues alone.  When all of them
-    sift to I, the products of rows in layer order form a normal subgroup of
-    G (Holt, Eick and O'Brien, ch. 8) that holds every residue, so it is G
-    cap K_1.  Each layer is then put on the RREF rows of L_e.  The element
-    that represents each coset of G cap K_1 (canonical_lift), each row of a
-    layer, and G itself (generators) is a function of G alone, not of its
-    presentation.  least() gives the coset keys of the conjugacy search and
-    genus_XG and the table points of generators(); nothing else reads them.
+    The constructor adjoins the generators to the empty chain (adjoin), and
+    the chain grows by Schreier-Sims.  A Schreier generator t(p)*g*t(pg)^-1 of
+    a table fixes its base point and is sifted down the tables below it; one
+    that reaches a point new to table j becomes a generator of table j and of
+    every table between, and one that sifts through the last table leaves a
+    residue in G cap K_1.  A generator found at the third table joins the
+    second: it fixes every point Lambda*(1, 0), so its conjugates by the
+    second table are Schreier generators of G_L that the first table never
+    makes.  The residues and the Schreier generators of the third table are
+    reduced through the layers; a residue b != I becomes a row of its first
+    nonzero layer, and b^ell, the commutators of b with the earlier rows and
+    the conjugates g*b*g^-1 by the generators g of G are sifted in turn
+    (adjoin conjugates the rows by a later generator too).  The conjugates are
+    needed: the stabilizers in the chain are spanned by the generators the
+    tables keep and the residues, so G cap K_1 is spanned by the Schreier
+    generators of the last table and the conjugates of the residues, not by
+    the residues alone.  When all of them sift to I, the products of rows in
+    layer order form a normal subgroup of G (Holt, Eick and O'Brien, ch. 8)
+    that holds every residue, so it is G cap K_1.  Each layer is then put on
+    the RREF rows of L_e.  The element that represents each coset of G cap K_1
+    (canonical_lift), each row of a layer, and G itself (generators) is a
+    function of G alone, not of its presentation.  least() gives the coset
+    keys of the conjugacy search and genus_XG and the table points of
+    generators(); nothing else reads them.
     """
 
     def __init__(self, gens, mod, cap=DEFAULT_CAP):
-        ell, m = mod.ell, mod.modulus
-        self.mod, self.ell, self.m, self.cap = mod, ell, m, cap
-        self.layers = [(Echelon(ell), {}) for _ in range(mod.exponent - 1)]
-        self._rows = []
-        self._gens = [(g, minv(g, m, ell)) for g in gens]
+        self.mod, self.ell, self.m, self.cap = mod, mod.ell, mod.modulus, cap
+        self.layers = [(Echelon(mod.ell), {}) for _ in range(mod.exponent - 1)]
+        self._rows, self._gens = [], []
         one = (IDENTITY, IDENTITY)
         self.orbits = ({(1, 0): one}, {1: one}, {(0, 1): one})
-        self._chain_gens = ([], [], [])
+        self._chain_gens = (self._gens, [], [])  # the line table meets every generator
         self._generators = None
-        self._extend(0, self._gens)
+        self.adjoin(gens)
         self._canonical_rows()
+
+    def adjoin(self, gens):
+        """Grows the chain in place to that of <G, gens>: the new generators
+        join the line table and conjugate the layer rows.  The rows it adds
+        are not normalised, so canonical_lift, least and generators() are for
+        constructed chains; the chain a MatrixGroup caches is never grown."""
+        m = self.m
+        new = [(g, minv(g, m, self.ell)) for g in gens]
+        conjugates = [mmul(mmul(g, b, m), ginv, m) for b in self._rows for g, ginv in new]
+        self._extend(0, new)
+        self._sift_in(conjugates)
 
     def _point(self, level, g):
         "The image under g of the base point of table `level`."
@@ -441,8 +452,10 @@ class Filtration:
     def _canonical_rows(self):
         """Puts each layer on the RREF rows of L_e, the realiser of a row the
         normal form of the coset (G cap K_(e+1))*b of any b in G cap K_e
-        over it, which depends on G alone."""
+        over it, which depends on G alone; the realisers, in layer order,
+        become the rows."""
         ell, m = self.ell, self.m
+        self._rows = []
         for e, (echelon, powers) in enumerate(self.layers):
             # with layer e emptied, reduce() normalises the deeper digits only
             self.layers[e] = (Echelon(ell), {})
@@ -452,7 +465,8 @@ class Filtration:
                 echelon.reduce(r, steps)
                 for row, f in steps:
                     b = mmul(powers[row][-f % ell], b, m)
-                rows[r] = mpowers(minv(self.reduce(b), m, ell), ell, m)
+                self._rows.append(self.reduce(b))
+                rows[r] = mpowers(minv(self._rows[-1], m, ell), ell, m)
             self.layers[e] = (Echelon(ell, rows), rows)
 
     def lift(self, c):
@@ -597,27 +611,16 @@ class Filtration:
         return least
 
     def generators(self):
-        """The canonical generating set of G (cached): the canonical lifts of
-        the least element (least) over each point of the three tables, tables
-        in order and points sorted, then the realisers of the layer rows, each
-        kept unless the ones kept before generate it.  The walk stops once
-        they generate G, since every later one would be dropped."""
-        if self._generators is not None:
-            return self._generators
-        ell, m = self.ell, self.m
-        lines, scalars, seconds = self.orbits
-        tops = chain((self.least(lines[p][0], 1) for p in sorted(lines)),
-                     (self.least(scalars[s][0], 2) for s in sorted(scalars)),
-                     ((1, 0) + p for p in sorted(seconds)))
-        rows = (minv(powers[1], m, ell) for _, layer in self.layers for powers in layer.values())
-        kept, sub = [], Filtration((), self.mod, self.cap)
-        for g in chain(map(self.canonical_lift, tops), rows):
-            if sub.sizes() == self.sizes():
-                break
-            if sub.sift(g) != IDENTITY:
-                kept.append(g)
-                sub = Filtration(kept, self.mod, self.cap)
-        self._generators = tuple(kept)
+        """The canonical generating set of G (cached): greedy_generators of the
+        canonical lifts of the least element over each point of the three
+        tables, tables in order and points sorted, then of the rows' realisers."""
+        if self._generators is None:
+            lines, scalars, seconds = self.orbits
+            tops = chain((self.least(lines[p][0], 1) for p in sorted(lines)),
+                         (self.least(scalars[s][0], 2) for s in sorted(scalars)),
+                         ((1, 0) + p for p in sorted(seconds)))
+            elements = chain(map(self.canonical_lift, tops), self._rows)
+            self._generators = greedy_generators(elements, self.mod, self.order(), self.cap)
         return self._generators
 
     def sizes(self):
@@ -625,6 +628,24 @@ class Filtration:
         lines, scalars, seconds = self.orbits
         return (len(lines) * len(scalars) * len(seconds),
                 [len(echelon) for echelon, _ in self.layers])
+
+    def order(self):
+        base, dims = self.sizes()
+        return base * self.ell ** sum(dims)
+
+
+def greedy_generators(elements, mod, order, cap=DEFAULT_CAP):
+    """The tuple of the elements, in order, that the ones kept before them do
+    not generate, each kept one adjoined to one growing chain; the walk stops
+    once the chain has `order` elements, when every later one would drop."""
+    kept, sub = [], Filtration((), mod, cap)
+    for g in elements:
+        if sub.order() == order:
+            break
+        if sub.sift(g) != IDENTITY:
+            kept.append(g)
+            sub.adjoin([g])
+    return tuple(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -758,26 +779,6 @@ def build_cartan(spec, cap=DEFAULT_CAP):
 # ---------------------------------------------------------------------------
 # right cosets and conjugacy
 
-def _right_coset_key(group, cap=DEFAULT_CAP):
-    """(key, +-G): key(x), for x in GL2(Z/N), is Filtration.least of +-G, the
-    least element of +-G(ell)*x mod ell, which names +-G*x mod ell; memoised
-    per x mod ell, EnumerationCapError once a chain table or the memo passes cap."""
-    ell = group.ell
-    pm = group if group.contains_minus_identity(cap) else group.adjoin_minus_identity()
-    least, memo = pm.filtration(cap).least, {}
-
-    def key(x):
-        c = mreduce(x, ell)
-        got = memo.get(c)
-        if got is None:
-            got = memo[c] = least(c)
-            if len(memo) > cap:
-                raise EnumerationCapError("coset key memo exceeded cap %d" % cap)
-        return got
-
-    return key, pm
-
-
 def _conjugating_matrix(h, big, cap):
     """Search for c with c*g*c^-1 in big for every generator g of h, one
     congruence level at a time; returns the witness 4-tuple mod ell^n or None.
@@ -785,14 +786,14 @@ def _conjugating_matrix(h, big, cap):
     When c is a witness, so is s*b*c*k for a scalar s, b in big and k in h.
     Mod ell, c therefore runs over one representative of each right coset
     +-B(ell)*x of GL2(F_ell), found by an orbit BFS under the generators of
-    GL2(F_ell) keyed by _right_coset_key, and must conjugate every generator
-    into B(ell).  A c mod ell^j lifts to the candidates (I + ell^j*Y)*c mod
-    ell^(j+1); scalars, B cap K_j on the left and h cap K_j on the right move
-    Y by span(I, L_j(B), cbar*L_j(h)*cbar^-1), so Y runs over the Echelon
-    normal forms modulo that span, and a candidate is kept when it
-    conjugates every generator into B mod ell^(j+1).  The search backtracks
-    when no Y fits (Holt, Eick and O'Brien, ch. 8).  Every coset and every Y
-    tried counts against CONJUGACY_BUDGET.
+    GL2(F_ell) keyed by Filtration.least of +-B, and must conjugate every
+    generator into B(ell).  A c mod ell^j lifts to the candidates (I +
+    ell^j*Y)*c mod ell^(j+1); scalars, B cap K_j on the left and h cap K_j
+    on the right move Y by span(I, L_j(B), cbar*L_j(h)*cbar^-1), so Y runs
+    over the Echelon normal forms modulo that span, and a candidate is kept
+    when it conjugates every generator into B mod ell^(j+1).  The search
+    backtracks when no Y fits (Holt, Eick and O'Brien, ch. 8).  Every coset
+    and every Y tried counts against CONJUGACY_BUDGET.
     """
     ell, n = h.mod.ell, h.mod.exponent
     levels = [big.reduce_to(e) for e in range(1, n)] + [big]
@@ -814,9 +815,10 @@ def _conjugating_matrix(h, big, cap):
     def lifts(c, j):
         "The candidates mod ell^(j+1) over c mod ell^j; the cosets for j = 0."
         if j == 0:
-            key, _ = _right_coset_key(levels[0], cap)
-            return sorted(orbit(key(IDENTITY), full_gl2(PrimePowerModulus(ell, 1)).gens,
-                                lambda r, g: key(mmul(r, g, ell)), cap))
+            least = levels[0].adjoin_minus_identity(cap).filtration(cap).least
+            return sorted(orbit(least(IDENTITY), full_gl2(PrimePowerModulus(ell, 1)).gens,
+                                lambda r, g: least(mmul(r, g, ell)), cap,
+                                "cosets of +-B mod %d" % ell))
         cbar = mreduce(c, ell)
         cbarinv = minv(cbar, ell, ell)
         span = Echelon(ell, [IDENTITY] + big_layers[j - 1]

@@ -64,8 +64,8 @@ from collections import namedtuple
 from itertools import product
 
 from .errors import CertificateError, EnumerationCapError, SearchBudgetError
-from .gl2 import (CartanSpec, DEFAULT_CAP, MatrixGroup, build_cartan,
-                  conjugate_into, extend, orbit)
+from .gl2 import (CartanSpec, DEFAULT_CAP, Filtration, MatrixGroup, build_cartan,
+                  conjugate_into, extend, greedy_generators, orbit)
 from .modarith import (IDENTITY, M2_BASIS, Echelon, PrimePowerModulus, digit,
                        kernel_element, lincomb, mdet, minv, mmul, mpow, mpowers,
                        mreduce, nullspace, solutions)
@@ -294,7 +294,7 @@ def all_subgroups(group, cap=DEFAULT_CAP):
         "S v <x>, by extending S with the one generator x."
         return S if x in S else frozenset(extend(S, x, mul, cap))
 
-    subs = orbit(frozenset([one]), cyclics.values(), join, cap)
+    subs = orbit(frozenset([one]), cyclics.values(), join, cap, "subgroup joins")
     return {frozenset(els[i] for i in S) for S in subs}
 
 
@@ -309,7 +309,7 @@ def _conjugacy_classes_of_subgroups(subsets, group):
     for S in sorted(subsets, key=lambda s: (len(s), tuple(sorted(s)))):
         if S in seen:
             continue
-        points = orbit(S, group.gens, conj)
+        points = orbit(S, group.gens, conj, DEFAULT_CAP, "conjugates of a subgroup")
         seen |= points
         classes.append((min(points, key=lambda s: tuple(sorted(s))), len(points)))
     return classes
@@ -402,8 +402,8 @@ def proper_detsurjective_subgroups(group, index_bound, fix_mod_ell_reduction=Tru
         classes = _conjugacy_classes_of_subgroups(picked, group)
         out = []
         for rep_set, size in classes:
-            rep = MatrixGroup(mod, sorted(rep_set)).filtration(cap).generators()
-            rep = MatrixGroup(mod, rep)
+            rep = MatrixGroup(mod, greedy_generators(sorted(rep_set), mod, len(rep_set), cap))
+            rep = MatrixGroup(mod, rep.filtration(cap).generators())
             out.append(SubgroupClass(rep, parent_order // len(rep_set), True, size))
         return sorted(out, key=lambda c: (c.index_in_parent, c.representative.gens))
 
@@ -429,7 +429,7 @@ def _stable_subspace_classes(group, index_bound, cap=DEFAULT_CAP):
     module = KernelModule(ell, gens_bar)
     # a complement of the kernel part: the canonical lift of each element of
     # G(ell), averaged
-    bar = orbit(IDENTITY, gens_bar, lambda c, g: mmul(c, g, ell), cap)
+    bar = orbit(IDENTITY, gens_bar, lambda c, g: mmul(c, g, ell), cap, "elements of G(%d)" % ell)
     section = _averaged_section({c: filt.canonical_lift(c) for c in bar}, ell, m, ell, gens_bar)
     image = MatrixGroup(mod, section)
     if image.order(cap) != bar_order or image.reduce_to(1).order(cap) != bar_order:
@@ -635,7 +635,7 @@ def _gaschutz_complement(group, gens, cap=DEFAULT_CAP):
 
     at = filt.generators()
     cosets = orbit(key(IDENTITY), [mreduce(g, ell) for g in at],
-                   lambda k, g: key(mmul(g, k, ell)), cap)
+                   lambda k, g: key(mmul(g, k, ell)), cap, "Sylow cosets in G(%d)" % ell)
     reps = {k: filt.canonical_lift(k) for k in cosets}
 
     def complement(solution):
@@ -672,15 +672,15 @@ def _ell_hom_trivial(group, cap=DEFAULT_CAP):
         for b in gens:
             bi = minv(b, m, ell)
             seeds.append(mmul(mmul(a, b, m), mmul(ai, bi, m), m))
-    closure = MatrixGroup(mod, seeds)
+    closure = Filtration(seeds, mod, cap)
     # normal closure: conjugates of every generator found, by every g in G
     for s in seeds:
         for g in gens:
             c = mmul(mmul(g, s, m), minv(g, m, ell), m)
-            if c not in closure:
+            if closure.sift(c) != IDENTITY:
                 seeds.append(c)
-                closure = MatrixGroup(mod, seeds)
-    return closure.order(cap) == group.order(cap)
+                closure.adjoin([c])
+    return closure.order() == group.order(cap)
 
 
 def _build_candidate(group, u_basis, complement_lifts, mod_high):

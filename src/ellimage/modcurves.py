@@ -9,8 +9,8 @@ counts orbits of u = [1 1; 0 1].  X_G depends only on +-G, so H is taken as
 are right cosets Hx with the right multiplication action, and Hx is the
 part in SL2 of the coset +-G*x in GL2.  Mod ell the cosets are found by an
 orbit BFS from H under s and u, each named by its least element mod ell,
-which gl2._right_coset_key takes from Filtration.least of +-G (P^1-style
-coset enumeration, as for Gamma0 in Diamond-Shurman ch. 3).  From ell^j to
+Filtration.least of +-G (P^1-style coset enumeration, as for Gamma0 in
+Diamond-Shurman ch. 3).  From ell^j to
 ell^(j+1) the cosets over one coset form a fibre, the Echelon normal forms
 modulo layer j of the group's congruence filtration (gl2.Filtration), on
 which an element fixing that coset acts affinely (Holt, Eick and O'Brien,
@@ -24,7 +24,7 @@ from collections import namedtuple
 from math import gcd
 
 from .errors import EnumerationCapError
-from .gl2 import DEFAULT_CAP, _right_coset_key, ambient_order, orbit
+from .gl2 import DEFAULT_CAP, ambient_order, orbit
 from .modarith import (IDENTITY, digit, factorize, kernel_element, mdet, minv, mmul, mpow,
                        mreduce)
 
@@ -234,28 +234,25 @@ def genus_XG(group, cap=DEFAULT_CAP):
     """GenusProfile of the modular curve attached to a subgroup of GL2(Z/N).
 
     mu = [SL2(Z/N) : +-G cap SL2].
-    Mod ell the cosets are keyed by _right_coset_key and found by BFS from
-    the identity coset under s and u, which generate SL2, recording each
-    image.  Since t = s*u^-1, a coset r is fixed by t exactly when r*s =
-    r*u, so nu3 needs no third generator.  Above ell only the cosets fixed
-    by s, those fixed by t and one coset of each u-cycle are carried, one
-    _Layer at a time, and mu = mu(ell) * prod |fibre_j|; the mu cosets mod
-    N are never listed.  mu * |+-G| / |det G| = |SL2(Z/N)| is
-    checked.  EnumerationCapError is raised once the chain's orbit tables,
-    the key memo, the determinant image, the cosets mod ell, a layer's
-    carried cosets or a fibre exceeds cap.
+    Mod ell the cosets are keyed by Filtration.least of +-G and found by
+    BFS from the identity coset under s and u, which generate SL2,
+    recording each image.  Since t = s*u^-1, a coset r is fixed by t
+    exactly when r*s = r*u, so nu3 needs no third generator.  Above ell
+    only the cosets fixed by s, those fixed by t and one coset of each
+    u-cycle are carried, one _Layer at a time, and mu = mu(ell) * prod
+    |fibre_j|; the mu cosets mod N are never listed.  mu * |+-G| / |det G|
+    = |SL2(Z/N)| is checked.  EnumerationCapError is raised once the
+    chain's orbit tables, the determinant image, the cosets mod ell, a
+    layer's carried cosets or a fibre exceeds cap.
     """
     mod = group.mod
     ell, m = mod.ell, mod.modulus
-    key, pm = _right_coset_key(group, cap)
+    pm = group.adjoin_minus_identity(cap)
+    least = pm.filtration(cap).least
     s, u = (0, ell - 1, 1, 0), (1, 1, 0, 1)
-    step = {}
-
-    def act(r, g):
-        y = step[r, g] = key(mmul(r, g, ell))
-        return y
-
-    cosets = orbit(key(IDENTITY), (s, u), act, cap)
+    step = {}  # the image of each coset under s and u
+    act = lambda r, g: step.setdefault((r, g), least(mmul(r, g, ell)))
+    cosets = orbit(least(IDENTITY), (s, u), act, cap, "cosets of +-G mod %d" % ell)
     dets = group.det_image(cap)[0]
     layers = [_Layer(pm.filtration(cap), j, dets, cap) for j in range(1, mod.exponent)]
     mu = len(cosets)

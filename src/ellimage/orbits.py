@@ -262,7 +262,8 @@ def _orbits(group, k, family, cap):
     out = []
     for c0 in classes.seeds():
         if c0 not in seen:
-            found = orbit(c0, gens, lambda c, g: canon(mvec(g, c, m)), cap)
+            found = orbit(c0, gens, lambda c, g: canon(mvec(g, c, m)), cap,
+                          "%s orbit mod %d" % (family, m))
             seen |= found
             out.append(OrbitRecord(family, level, c0, sum(map(classes.size, found)),
                                    frozenset(found)))

@@ -128,7 +128,7 @@ def test_lattice_check_borel_1009_walks_the_cosets():
     # cosets stops on that cap
     _, stderr = _within_budget("lattice-check", "--cartan", "borel", "--mod", "1009",
                                "--max-enum", "10000", code=1, seconds=2.0)
-    assert stderr == ["error: orbit exceeded cap 10000"]
+    assert stderr == ["error: Sylow cosets in G(1009) exceeded cap 10000"]
 
 
 def test_filter_cap_error_in_orbit_classes(capsys):
@@ -145,7 +145,7 @@ def test_info_cap_error_in_the_determinant_image(capsys):
     # Borel(101^2) has all 10,100 units as determinants, over --max-enum
     # 10000, while each of its chain tables holds at most 101 rows
     assert main(["info", "--cartan", "borel", "--mod", "10201", "--max-enum", "10000"]) == 1
-    assert capsys.readouterr() == ("", "error: orbit exceeded cap 10000\n")
+    assert capsys.readouterr() == ("", "error: determinant image exceeded cap 10000\n")
 
 
 @pytest.mark.parametrize("argv", [["info", "--label", "49.196.9.1"],

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from ellimage import gl2
 from ellimage.errors import EnumerationCapError, NotInvertibleError, SearchBudgetError
 from ellimage.gl2 import (CARTAN_KINDS, CartanSpec, Filtration, MatrixGroup, ambient_order,
-                          build_cartan, conjugate_into, extend, full_gl2, is_conjugate,
-                          mulclose, rowmul, unit_group_generators)
+                          build_cartan, conjugate_into, extend, full_gl2, greedy_generators,
+                          is_conjugate, mulclose, rowmul, unit_group_generators)
 from ellimage.modarith import (IDENTITY, Echelon, PrimePowerModulus, digit, is_prime, lincomb,
                                mdet, minv, mmul, morder, mreduce)
 
@@ -79,10 +79,16 @@ def test_adjoin_minus_identity():
     trivial = MatrixGroup(M7, [(1, 0, 0, 1)])
     pm = trivial.adjoin_minus_identity()
     assert pm.order() == 2
-    assert pm.adjoin_minus_identity().elements() == pm.elements()
+    # a group that holds -I is its own +-G
+    assert pm.adjoin_minus_identity() is pm
     for kind in ("borel", "nonsplit", "split-normalizer"):
         g = build_cartan(CartanSpec(kind, M7))
-        assert g.adjoin_minus_identity().order() in (g.order(), 2 * g.order())
+        assert g.contains_minus_identity() and g.adjoin_minus_identity() is g
+    sl2ish = MatrixGroup(M7, [(1, 1, 0, 1), (1, 0, 1, 1)])
+    assert sl2ish.adjoin_minus_identity() is sl2ish
+    unipotent = MatrixGroup(M49, [(1, 1, 0, 1)])
+    pm = unipotent.adjoin_minus_identity()
+    assert pm is not unipotent and pm.order() == 2 * unipotent.order()
 
 
 def test_reduce_group(image49):
@@ -927,6 +933,57 @@ def test_chain_takes_the_normal_closure():
     group = MatrixGroup(*NORMAL_CLOSURE_CASE)
     assert group.order() == 96 == len(mulclose(group.gens, 4))
     assert len(_TableFiltration(group.gens, group.mod).top) == 6
+
+
+def _check_adjoin(mod, gens, extra, probes=()):
+    """Filtration(gens) grown by adjoin, by the first of extra and then by
+    the rest, against Filtration(gens + extra): the same sizes and the same
+    membership verdicts on the probes, on a sample of the transversal and on
+    that sample moved by each kernel generator I + ell^j*E_i.  Then
+    greedy_generators of gens + extra: each kept element, in input order,
+    lies outside the group the ones before it generate, and together they
+    generate the group of gens + extra."""
+    m, ell = mod.modulus, mod.ell
+    whole = Filtration(gens + extra, mod)
+    grown = Filtration(gens, mod)
+    grown.adjoin(extra[:1])
+    grown.adjoin(extra[1:])
+    assert grown.sizes() == whole.sizes()
+    lifts = list(transversal(whole))
+    sample = lifts[::max(1, len(lifts) // 16)]
+    kernel = [tuple((a + ell ** j * (i == k)) % m for k, a in enumerate(IDENTITY))
+              for j in range(1, mod.exponent) for i in range(4)]
+    for x in sample + [mmul(t, k, m) for t in sample for k in kernel] + list(probes):
+        assert (grown.sift(x) == IDENTITY) == (whole.sift(x) == IDENTITY), x
+    kept = greedy_generators(gens + extra, mod, whole.order())
+    rest = iter(gens + extra)
+    assert all(g in rest for g in kept)  # a subsequence of the input
+    assert all(g not in MatrixGroup(mod, kept[:i]) for i, g in enumerate(kept))
+    assert MatrixGroup(mod, kept) == MatrixGroup(mod, gens + extra)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_adjoin_against_the_constructor(data):
+    m = data.draw(st.sampled_from(SIFT_MODULI))
+    mod = PrimePowerModulus.from_int(m)
+    gens, extra, probes = (data.draw(st.lists(_matrices(m, mod.ell), max_size=size))
+                           for size in (3, 3, 8))
+    _check_adjoin(mod, gens, extra, probes)
+
+
+def test_adjoin_on_the_chain_cases():
+    # the residues of NORMAL_CLOSURE_CASE need their conjugates, and
+    # THIRD_TABLE_CASE finds a generator at its third table: split each
+    # generating list at every point, so that adjoin meets both on a chain
+    # that already holds layer rows.  In the mod-9 case only the conjugates
+    # of the first generator's layer row by the second fill the layer:
+    # without them the grown layer has dimension 1, not 3.
+    for mod, gens in (NORMAL_CLOSURE_CASE, THIRD_TABLE_CASE,
+                      (PrimePowerModulus(3, 2), [(4, 6, 0, 4), (1, 3, 5, 4)])):
+        gens = gens + [mmul(a, b, mod.modulus) for a, b in zip(gens, gens[1:])]
+        for k in range(len(gens) + 1):
+            _check_adjoin(mod, gens[:k], gens[k:], _bfs_closure(gens, mod.modulus) or ())
 
 
 class _TwoTableFiltration(Filtration):

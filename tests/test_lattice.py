@@ -8,8 +8,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ellimage import lattice as lattice_module
+from ellimage.cli import main
 from ellimage.errors import EnumerationCapError, SearchBudgetError
-from ellimage.gl2 import (CartanSpec, DEFAULT_CAP, MatrixGroup, build_cartan,
+from ellimage.gl2 import (CartanSpec, DEFAULT_CAP, Filtration, MatrixGroup, build_cartan,
                           extend, full_gl2, is_conjugate, mulclose, orbit)
 from ellimage.labelio import read_generators_text
 from ellimage.lattice import (KernelModule, M2_BASIS, SubgroupClass, all_subgroups,
@@ -23,6 +24,7 @@ from ellimage.lattice import (KernelModule, M2_BASIS, SubgroupClass, all_subgrou
                               _sylow_relator_digits, _sylow_relators, _sylow_subgroup)
 from ellimage.modarith import (IDENTITY, Echelon, PrimePowerModulus, digit, kernel_element,
                                lincomb, minv, mmul, mpow, mreduce)
+from ellimage.modcurves import genus_XG
 
 from conftest import transversal
 
@@ -521,6 +523,48 @@ def test_ell_hom_trivial_against_reclosing():
     answers = [_ell_hom_trivial(g) for g in groups]
     assert answers == [_ell_hom_trivial_by_reclosing(g) for g in groups]
     assert True in answers and False in answers
+
+
+@pytest.mark.parametrize("walk, message", [
+    (lambda: genus_XG(MatrixGroup(M7, []), cap=30), "cosets of +-G mod 7 exceeded cap 30"),
+    (lambda: is_conjugate(build_cartan(CartanSpec("split", M7)),
+                          build_cartan(CartanSpec("split", M7)).conjugated_by((1, 1, 0, 1)),
+                          cap=10), "cosets of +-B mod 7 exceeded cap 10"),
+    (lambda: _stable_subspace_classes(build_cartan(CartanSpec("split", M49)), 100, cap=10),
+     "elements of G(7) exceeded cap 10"),
+    (lambda: all_subgroups(build_cartan(CartanSpec("borel", PrimePowerModulus(2, 3))), cap=200),
+     "subgroup joins exceeded cap 200"),
+])
+def test_cap_errors_name_the_walk(walk, message):
+    # each orbit walk that can pass the cap says which one stopped
+    with pytest.raises(EnumerationCapError) as stopped:
+        walk()
+    assert str(stopped.value) == message
+
+
+def test_growing_loops_build_one_chain(monkeypatch, capsys):
+    # generators() and _ell_hom_trivial each grow one chain by adjoining
+    # what they keep, where they used to build a chain per kept element:
+    # 6 for the generators of Borel(7), 3 for the normal closure of the
+    # GL2(F_5) generating set below, which needs two rounds of conjugation;
+    # the brute-force lattice of 8.12.0.1 made 1,332 chains in all
+    built = []
+    init = Filtration.__init__
+    monkeypatch.setattr(Filtration, "__init__",
+                        lambda self, *args: built.append(self) or init(self, *args))
+    filt = build_cartan(CartanSpec("borel", M7)).filtration()
+    group = MatrixGroup(M5, [(1, 1, 1, 0), (2, 3, 1, 3)])
+    group.filtration()
+    del built[:]
+    filt.generators()
+    assert len(built) == 1
+    del built[:]
+    assert _ell_hom_trivial(group)
+    assert len(built) == 1
+    del built[:]
+    assert main(["lattice-check", "--label", "8.12.0.1"]) == 0
+    assert capsys.readouterr().out.endswith("RESULT\tcertified\n")
+    assert len(built) <= 795
 
 
 # ---------------------------------------------------------------------------

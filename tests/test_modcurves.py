@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ellimage import modcurves
+from ellimage import gl2, modcurves
 from ellimage.errors import EnumerationCapError
 from ellimage.gl2 import (DEFAULT_CAP, CartanSpec, MatrixGroup, build_cartan, full_gl2,
                           mulclose, orbit, unit_group_generators)
 from ellimage.modarith import IDENTITY, PrimePowerModulus, mdet, minv, mmul, mreduce
-from ellimage.modcurves import (GenusProfile, MapDegreeSpec, _right_coset_key, genus_X0,
-                                genus_X1, genus_XG, map_degree, map_degree_tower)
+from ellimage.modcurves import (GenusProfile, MapDegreeSpec, genus_X0, genus_X1, genus_XG,
+                                map_degree, map_degree_tower)
 
 from conftest import transversal
 
@@ -114,12 +114,13 @@ def test_profile_consistency():
 
 def _full_level_key(group):
     """(key, +-G): key(x) names the right coset +-G*x mod N.  The least
-    element r of +-G(ell)*x mod ell (_right_coset_key) is h*x mod ell for an
-    h in +-G, and Filtration.reduce puts each layer digit of h*x in normal
-    form, whichever h the chain lifts r*x^-1 to."""
+    element r of +-G(ell)*x mod ell (Filtration.least of +-G) is h*x mod ell
+    for an h in +-G, and Filtration.reduce puts each layer digit of h*x in
+    normal form, whichever h the chain lifts r*x^-1 to."""
     ell, m = group.ell, group.mod.modulus
-    least, pm = _right_coset_key(group)
+    pm = group.adjoin_minus_identity()
     filt = pm.filtration()
+    least = filt.least
 
     def key(x):
         r = least(x)
@@ -263,7 +264,7 @@ def test_coset_key_against_enumeration(data):
         pm = mulclose(gens + [(m - 1, 0, 0, m - 1)], m, 4000)
     except EnumerationCapError:
         return
-    least, _ = _right_coset_key(MatrixGroup(mod, gens))
+    least = MatrixGroup(mod, gens).adjoin_minus_identity().filtration().least
     key, _ = _full_level_key(MatrixGroup(mod, gens))
     xs = [_into_sl2(a, m) for a in data.draw(st.lists(unit, min_size=2, max_size=6))]
     for x in xs:
@@ -294,7 +295,8 @@ def test_coset_key_is_least_mod_ell(records, special_records):
         c = (0, 0, 0, 0)
         while not mdet(c, ell):
             c = tuple(rng.randrange(m) for _ in range(4))
-        key, pm = _right_coset_key(group.conjugated_by(c))
+        pm = group.conjugated_by(c).adjoin_minus_identity()
+        key = pm.filtration().least
         bar = {mreduce(t, ell) for t in transversal(pm.filtration())}
         xs = [tuple(rng.randrange(m) for _ in range(4)) for _ in range(8)]
         for x in [x for x in xs if mdet(x, ell)]:
@@ -315,13 +317,13 @@ def test_genus_XG_keys_only_the_cosets_mod_ell(special_records, monkeypatch):
     group = next(r.group() for r in special_records if r.rszb_label == "49.9604.694.1")
     mu_ell = genus_XG(group.reduce_to(1)).mu
     calls = []
-    real = modcurves._right_coset_key
+    real = gl2.Filtration.least.func
 
-    def counting(group, cap):
-        key, pm = real(group, cap)
-        return lambda x: calls.append(x) or key(x), pm
+    def counting(filt):
+        least = real(filt)
+        return lambda x, level=0: calls.append(x) or least(x, level)
 
-    monkeypatch.setattr(modcurves, "_right_coset_key", counting)
+    monkeypatch.setattr(gl2.Filtration, "least", property(counting))
     assert genus_XG(group).mu == 9604
     assert len(calls) <= 2 * mu_ell + 1 == 57
 
@@ -363,14 +365,12 @@ def test_carried_cosets_meet_sl2(monkeypatch):
 
 def test_genus_XG_honours_cap():
     # genus_XG holds the three tables of the stabilizer chain of +-G(ell),
-    # the coset key memo (one entry per x mod ell met), the cosets mod ell,
-    # the cosets carried through each layer and each layer's fibre.  It
-    # raises exactly when one of them is larger than the cap; each group here
-    # has a different largest table.  The memo holds r*s for every coset r
-    # mod ell and is filled first, so the cosets mod ell never raise first.
+    # the cosets mod ell, the cosets carried through each layer and each
+    # layer's fibre.  It raises exactly when one of them is larger than the
+    # cap; each group here has a different largest table.
     m49, m25, m5 = PrimePowerModulus(7, 2), PrimePowerModulus(5, 2), PrimePowerModulus(5, 1)
     cases = [(lambda: full_gl2(m49), 42, "orbit"),          # O_2: every (c, d) mod 7, d != 0
-             (lambda: MatrixGroup(m5, []), 90, "memo"),     # mu = 60 cosets of {+-I}
+             (lambda: MatrixGroup(m5, []), 60, "cosets"),   # mu = 60 cosets of {+-I}
              (lambda: gamma1_shape(m49), 60, "carried"),    # the 60 cusps of X1(49)
              (lambda: build_cartan(CartanSpec("nonsplit-normalizer", m25)), 25, "fibre")]
     for make, largest, which in cases:
@@ -380,12 +380,9 @@ def test_genus_XG_honours_cap():
         mu_ell = genus_XG(group.reduce_to(1)).mu
         tables = {"orbit": max(map(len, orbits)), "cosets": mu_ell,
                   "carried": prof.nu_inf, "fibre": prof.mu // mu_ell}
-        if which == "memo":
-            assert largest > max(tables.values())
-        else:
-            assert largest == tables[which] == max(tables.values())
-            del tables[which]
-            assert largest > max(tables.values())
+        assert largest == tables[which] == max(tables.values())
+        del tables[which]
+        assert largest > max(tables.values())
         with pytest.raises(EnumerationCapError):
             genus_XG(make(), cap=largest - 1)
         assert genus_XG(make(), cap=largest) == prof

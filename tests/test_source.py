@@ -1,5 +1,5 @@
 import ast
-import importlib
+import importlib.util
 import json
 import os
 import re
@@ -212,3 +212,43 @@ def test_readme_commands_exit_as_documented(capsys):
     for argv, code in commands:
         assert main(argv) == code, " ".join(argv)
         assert capsys.readouterr().out
+
+
+NETLINES = TESTS.parent / "scripts" / "netlines.py"
+
+
+def _netlines(*args):
+    "The rows of scripts/netlines.py's table: {name: [numbers...]}."
+    r = subprocess.run([sys.executable, str(NETLINES), *args], capture_output=True, text=True,
+                       check=True)
+    return {name: [int(x) for x in rest] for name, *rest in
+            (line.split() for line in r.stdout.splitlines()[1:])}
+
+
+def test_netlines_counts_the_package():
+    spec = importlib.util.spec_from_file_location("netlines", NETLINES)
+    netlines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(netlines)
+    source = ('"""Module docstring."""\n\nimport os  # comment\n\n\ndef f(x):\n'
+              '    """Function\n    docstring."""\n    # comment\n    s = """a string\n'
+              '    that is code"""\n    return s\n')
+    # code: the import, the def, the two lines of s = ... and the return
+    assert netlines.counts(source) == (12, 5)
+    rows = _netlines()
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert sorted(rows) == sorted([p.name for p in paths] + ["package"])
+    for path in paths:
+        total, code = rows[path.name]
+        assert total == len(path.read_text().splitlines()) and 0 < code < total, path.name
+    assert rows["package"] == [sum(rows[p.name][i] for p in paths) for i in (0, 1)]
+
+
+def test_netlines_against_a_revision():
+    if subprocess.run(["git", "rev-parse", "HEAD"], cwd=TESTS.parent,
+                      capture_output=True).returncode:
+        pytest.skip("not a git checkout")
+    now = _netlines()
+    rows = _netlines("--against", "HEAD")
+    for name, (total, code, total0, code0, net_total, net_code) in rows.items():
+        assert [total, code] == now.get(name, [0, 0])
+        assert (net_total, net_code) == (total - total0, code - code0)
