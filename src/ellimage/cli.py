@@ -17,7 +17,9 @@ line; 5 wins over 4), 2 usage errors, 1 other errors.
 The enumeration cap and worker count read ELLIMAGE_MAX_ENUM and
 ELLIMAGE_THREADS from the environment; command-line flags win.  A value that
 is not an integer exits 1 with an error naming the variable, e.g. "error:
-ELLIMAGE_THREADS must be an integer, got 'abc'".  batch runs in one process
+ELLIMAGE_THREADS must be an integer, got 'abc'".  The cap is given to each
+group the run makes, and every group derived from one carries it on; it
+bounds every table of the run.  batch runs in one process
 unless a worker count above 1 is asked for: on the bundled catalog a process
 pool costs more than the whole batch.
 """
@@ -64,7 +66,7 @@ def _resolve_group(args, config, special=None):
         parse_label(args.label)
         for rec in _bundled_records(config.data_path) + (special or _special_records()):
             if rec.rszb_label == args.label:
-                return rec.group()
+                return rec.group(config.cap)
         raise EllimageError("unknown label %s" % args.label)
     if args.cartan:
         if not args.mod:
@@ -87,17 +89,17 @@ def _emit(text, config):
 def cmd_info(args, config):
     from .modcurves import genus_XG
     group = _resolve_group(args, config)
-    dets, surj = group.det_image(config.cap)
-    prof = genus_XG(group, config.cap)
+    dets, surj = group.det_image()
+    prof = genus_XG(group)
     lines = [
         "label: %s" % (group.label or "(unlabeled)"),
         "modulus: %d" % group.mod.modulus,
-        "level: %d" % group.level(config.cap),
-        "order: %d" % group.order(config.cap),
-        "index: %d" % group.index_in_ambient(config.cap),
+        "level: %d" % group.level(),
+        "order: %d" % group.order(),
+        "index: %d" % group.index_in_ambient(),
         "det image: %s (%d of %d units)"
         % ("surjective" if surj else "proper", len(dets), group.mod.unit_count()),
-        "contains -I: %s" % ("yes" if group.contains_minus_identity(config.cap) else "no"),
+        "contains -I: %s" % ("yes" if group.contains_minus_identity() else "no"),
         "genus profile: mu=%d nu2=%d nu3=%d nu_inf=%d genus=%d"
         % (prof.mu, prof.nu2, prof.nu3, prof.nu_inf, prof.genus),
     ]
@@ -108,7 +110,7 @@ def cmd_info(args, config):
 def cmd_filter(args, config):
     from .isolated import analyze
     group = _resolve_group(args, config)
-    report = analyze(group, args.family, cap=config.cap)
+    report = analyze(group, args.family)
     _emit(report.to_text(comments=config.fmt == "text"), config)
     return 10 if report.final else 0
 
@@ -118,7 +120,7 @@ def _batch_one(payload):
     from .isolated import analyze
     label = rec.rszb_label
     try:
-        report = analyze(rec.group(), family, label=label, cap=cap)
+        report = analyze(rec.group(cap), family, label=label)
         final = sorted((p.level, p.degree) for p in report.final)
         return label, report.to_text(comments=comments), final, None
     except Exception as exc:  # per-record errors are collected, not fatal
@@ -160,7 +162,7 @@ def cmd_lattice_check(args, config):
     lines = ["CERTIFICATE\t%s" % label,
              "VARIANT\tfixed-mod-ell-reduction"]
     try:
-        classes = proper_detsurjective_subgroups(group, 49, True, config.cap)
+        classes = proper_detsurjective_subgroups(group, 49, True)
         lines.append("CLAIM\tsubgroup-classes\tindex_bound=49\tcount=%d" % len(classes))
         for cls in classes:
             lines.append("CLASS\tindex=%d\tclass_size=%d\tdet_surjective=%s\tgens=%s"
@@ -169,17 +171,17 @@ def cmd_lattice_check(args, config):
                             format_generators(cls.representative.gens)))
         if classes:
             rep = classes[0].representative
-            ok, index, witness = split_cartan_membership(rep, config.cap)
+            ok, index, witness = split_cartan_membership(rep)
             w = format_generators([witness]) if witness else "-"
             lines.append("CLAIM\tsplit-normalizer-membership\t%s\tindex=%s\twitness=%s"
                          % (str(ok).lower(), index if ok else "-", w))
             for rec in special:
                 if rec.modulus == group.mod:
-                    printed = rec.group()
-                    same, _ = is_conjugate(rep, printed, config.cap)
+                    printed = rec.group(config.cap)
+                    same, _ = is_conjugate(rep, printed)
                     lines.append("CLAIM\tconjugate-to-%s\t%s"
                                  % (rec.rszb_label, str(same).lower()))
-        rig = preimage_rigidity(group, cap=config.cap)
+        rig = preimage_rigidity(group)
         target = group.mod.ell ** (group.mod.exponent + 1)
         if rig.rigid:
             lines.append("CLAIM\tpreimage-rigidity\tmodulus=%d\trigid=true\tchecked=%d"
@@ -243,8 +245,9 @@ def _build_parser():
             sp.add_argument("--family", choices=("gamma1", "gamma0"), required=True)
         sp.add_argument("--gens-file", help="generator file replacing the bundled data")
         sp.add_argument("--max-enum", type=int, default=None,
-                        help="cap on each table a computation holds (default: "
-                             "ELLIMAGE_MAX_ENUM, else 10^7)")
+                        help="enumeration cap of the run: each group made carries it, "
+                             "and it bounds every table that group's computations "
+                             "hold (default: ELLIMAGE_MAX_ENUM, else 10^7)")
         sp.add_argument("--threads", type=int, default=None,
                         help="worker processes, used by batch only (default: "
                              "ELLIMAGE_THREADS, else 1: no process pool)")
@@ -262,21 +265,23 @@ def _build_parser():
     return p
 
 
-def _setting(flag, name, default):
+def _setting(flag, name):
     """The flag's value when given, else the integer in environment variable
-    `name`, else `default`."""
-    if flag is not None:
+    `name`, else None."""
+    if flag is not None or name not in os.environ:
         return flag
     try:
-        return int(os.environ.get(name, default))
+        return int(os.environ[name])
     except ValueError:
         raise ValueError("%s must be an integer, got %r" % (name, os.environ[name])) from None
 
 
 def _config_from(args):
-    return RunConfig(cap=_setting(args.max_enum, "ELLIMAGE_MAX_ENUM", DEFAULT_CAP),
-                     threads=_setting(args.threads, "ELLIMAGE_THREADS", 1),
-                     data_path=args.gens_file, out_path=args.out, fmt=args.fmt)
+    "The RunConfig of the arguments; a setting given nowhere keeps RunConfig's default."
+    given = {field: value for field, value in (
+        ("cap", _setting(args.max_enum, "ELLIMAGE_MAX_ENUM")),
+        ("threads", _setting(args.threads, "ELLIMAGE_THREADS"))) if value is not None}
+    return RunConfig(data_path=args.gens_file, out_path=args.out, fmt=args.fmt, **given)
 
 
 def main(argv=None):

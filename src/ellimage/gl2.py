@@ -1,16 +1,21 @@
 """Subgroups of GL2(Z/ell^n) given by generators.
 
-Provides BFS enumeration, order/index/level/membership via the congruence
-filtration, determinant image, -I handling, reduction and full preimage,
-conjugacy search, and the named Cartan/Borel constructions.
+Provides order/index/level/membership via the congruence filtration,
+determinant image, -I handling, reduction and full preimage, conjugacy
+search, and the named Cartan/Borel constructions.  No group is listed
+element by element here.
 
 orbit() is the one orbit BFS of the package: torsion orbits, the coset
-action mod ell behind genus_XG, determinant images and lattice join
-closures run through it.  extend() is the one group closure: it adds one
-element to a closed finite group by Dimino's coset extension (Holt, Eick
-and O'Brien, Handbook of Computational Group Theory, 4.1), each new left
-coset entering whole.  mulclose is a fold of extend over the generators,
-and subgroup joins extend the closure they already hold.
+action mod ell behind genus_XG, determinant images, the brute-force
+lattice's listing of a small parent and its join closures run through it.
+extend() is the one group closure: it adds one element to a closed finite
+group by Dimino's coset extension (Holt, Eick and O'Brien, Handbook of
+Computational Group Theory, 4.1), each new left coset entering whole; the
+subgroup joins extend the closure they already hold.
+
+Each MatrixGroup carries the enumeration cap of its run, set where it
+enters the program and passed on to every group derived from it; the cap
+bounds every table its computations hold.
 
 Orders, levels, membership and equality read one cached Filtration per
 group: for H <= GL2(Z/ell^n) the kernels K_e = ker(GL2(ell^n) -> GL2(ell^e))
@@ -110,15 +115,6 @@ def extend(closed, g, mul, cap=DEFAULT_CAP):
     return els
 
 
-def mulclose(gens, m, cap=DEFAULT_CAP):
-    """Closure of 4-tuple generators under multiplication mod m."""
-    mul = lambda a, b: mmul(a, b, m)
-    els = {IDENTITY}
-    for g in gens:
-        els = extend(els, g, mul, cap)
-    return els
-
-
 def unit_group_generators(mod):
     """Generators of (Z/ell^n)^x as a list of integers."""
     ell, n = mod.ell, mod.exponent
@@ -147,17 +143,19 @@ def full_gl2(mod, label=None):
 
 
 class MatrixGroup:
-    """A subgroup of GL2(Z/ell^n) given by modulus and generators.
+    """A subgroup of GL2(Z/ell^n) given by modulus and generators, with the
+    enumeration cap that bounds every table its computations hold; the groups
+    derived from it carry the same cap.
 
-    Immutable after construction; the element enumeration, the determinant
-    image and the congruence filtration are computed once, on first use, and
-    cached (read-only thereafter, safe to share).
+    Immutable after construction; the determinant image and the congruence
+    filtration are computed once, on first use, and cached (read-only
+    thereafter, safe to share).
     """
 
-    __slots__ = ("mod", "gens", "label", "_elements", "_det_image", "_filtration")
+    __slots__ = ("mod", "gens", "label", "cap", "_det_image", "_filtration")
 
-    def __init__(self, mod, gens, label=None):
-        self.mod = mod
+    def __init__(self, mod, gens, label=None, cap=DEFAULT_CAP):
+        self.mod, self.cap = mod, cap
         m = mod.modulus
         seen, canon = set(), []
         for g in gens:
@@ -169,7 +167,7 @@ class MatrixGroup:
                 canon.append(g)
         self.gens = tuple(canon)
         self.label = label
-        self._elements = self._det_image = self._filtration = None
+        self._det_image = self._filtration = None
 
     # -- basic views --------------------------------------------------
 
@@ -177,17 +175,10 @@ class MatrixGroup:
     def ell(self):
         return self.mod.ell
 
-    def elements(self, cap=DEFAULT_CAP):
-        "Sorted tuple of all elements (cached)."
-        if self._elements is None:
-            els = mulclose(self.gens, self.mod.modulus, cap)
-            self._elements = tuple(sorted(els))
-        return self._elements
-
-    def filtration(self, cap=DEFAULT_CAP):
+    def filtration(self):
         "The congruence Filtration of the group (cached)."
         if self._filtration is None:
-            self._filtration = Filtration(self.gens, self.mod, cap)
+            self._filtration = Filtration(self.gens, self.mod, self.cap)
         return self._filtration
 
     def __contains__(self, g):
@@ -208,21 +199,21 @@ class MatrixGroup:
 
     # -- order / level from the filtration ----------------------------
 
-    def order(self, cap=DEFAULT_CAP):
-        return self.filtration(cap).order()
+    def order(self):
+        return self.filtration().order()
 
-    def index_in_ambient(self, cap=DEFAULT_CAP):
+    def index_in_ambient(self):
         total = ambient_order(self.mod)
-        order = self.order(cap)
+        order = self.order()
         if total % order:
             raise ArithmeticError("order %d does not divide ambient %d" % (order, total))
         return total // order
 
-    def level(self, cap=DEFAULT_CAP):
+    def level(self):
         """The level, an int: the smallest ell^d such that the group is the
         full preimage of its reduction mod ell^d (all layers from d on are
         full), or 1 when it holds all of GL2 mod ell and every layer."""
-        base, dims = self.filtration(cap).sizes()
+        base, dims = self.filtration().sizes()
         d = self.mod.exponent
         while d > 1 and dims[d - 2] == 4:
             d -= 1
@@ -232,25 +223,26 @@ class MatrixGroup:
 
     # -- determinant, -I ----------------------------------------------
 
-    def det_image(self, cap=DEFAULT_CAP):
+    def det_image(self):
         """(sorted tuple of unit residues generated by generator dets,
         surjectivity flag), cached.  Equals the det set of the full
-        enumeration; EnumerationCapError past cap units."""
+        enumeration; EnumerationCapError past the cap."""
         if self._det_image is None:
             m = self.mod.modulus
-            closure = orbit(1, [mdet(g, m) for g in self.gens], lambda x, d: x * d % m, cap,
-                            "determinant image")
+            closure = orbit(1, [mdet(g, m) for g in self.gens], lambda x, d: x * d % m,
+                            self.cap, "determinant image")
             self._det_image = tuple(sorted(closure)), len(closure) == self.mod.unit_count()
         return self._det_image
 
-    def contains_minus_identity(self, cap=DEFAULT_CAP):
-        return self.filtration(cap).sift(mneg(IDENTITY, self.mod.modulus)) == IDENTITY
+    def contains_minus_identity(self):
+        return self.filtration().sift(mneg(IDENTITY, self.mod.modulus)) == IDENTITY
 
-    def adjoin_minus_identity(self, cap=DEFAULT_CAP):
+    def adjoin_minus_identity(self):
         "+-G: the group itself when it holds -I, else the one its generators and -I generate."
-        if self.contains_minus_identity(cap):
+        if self.contains_minus_identity():
             return self
-        return MatrixGroup(self.mod, self.gens + (mneg(IDENTITY, self.mod.modulus),), self.label)
+        return MatrixGroup(self.mod, self.gens + (mneg(IDENTITY, self.mod.modulus),), self.label,
+                           self.cap)
 
     # -- reduction / preimage / conjugation ----------------------------
 
@@ -261,7 +253,7 @@ class MatrixGroup:
         if not target.divides(self.mod):
             raise ModulusMismatchError("%s does not divide %s" % (target, self.mod))
         mt = target.modulus
-        return MatrixGroup(target, [mreduce(g, mt) for g in self.gens])
+        return MatrixGroup(target, [mreduce(g, mt) for g in self.gens], cap=self.cap)
 
     def full_preimage(self, target, label=None):
         """Full preimage in GL2(Z/ell^t): lifted generators plus the kernel
@@ -273,16 +265,17 @@ class MatrixGroup:
         if not self.mod.divides(target):
             raise ModulusMismatchError("%s does not divide %s" % (self.mod, target))
         if target == self.mod:
-            return MatrixGroup(target, list(self.gens), label=label)
+            return MatrixGroup(target, list(self.gens), label, self.cap)
         gens = list(self.gens)
         for j in range(self.mod.exponent, target.exponent):
             gens += [kernel_element(b, self.ell ** j, target.modulus) for b in M2_BASIS]
-        return MatrixGroup(target, gens, label=label)
+        return MatrixGroup(target, gens, label, self.cap)
 
     def conjugated_by(self, c):
         m = self.mod.modulus
         ci = minv(c, m, self.ell)
-        return MatrixGroup(self.mod, [mmul(mmul(c, g, m), ci, m) for g in self.gens])
+        return MatrixGroup(self.mod, [mmul(mmul(c, g, m), ci, m) for g in self.gens],
+                           cap=self.cap)
 
 
 def _line(a, b, ell):
@@ -369,12 +362,27 @@ class Filtration:
         """Grows the chain in place to that of <G, gens>: the new generators
         join the line table and conjugate the layer rows.  The rows it adds
         are not normalised, so canonical_lift, least and generators() are for
-        constructed chains; the chain a MatrixGroup caches is never grown."""
+        constructed chains and those that grow() leaves; the chain a
+        MatrixGroup caches is never grown."""
         m = self.m
         new = [(g, minv(g, m, self.ell)) for g in gens]
         conjugates = [mmul(mmul(g, b, m), ginv, m) for b in self._rows for g, ginv in new]
         self._extend(0, new)
         self._sift_in(conjugates)
+
+    def grow(self, elements, order):
+        """Adjoins, in order, each of the elements that the chain does not
+        hold, until it has `order` elements, and puts the rows in canonical
+        form; returns the tuple of the elements adjoined."""
+        kept = []
+        for g in elements:
+            if self.order() == order:
+                break
+            if self.sift(g) != IDENTITY:
+                kept.append(g)
+                self.adjoin([g])
+        self._canonical_rows()
+        return tuple(kept)
 
     def _point(self, level, g):
         "The image under g of the base point of table `level`."
@@ -636,16 +644,10 @@ class Filtration:
 
 def greedy_generators(elements, mod, order, cap=DEFAULT_CAP):
     """The tuple of the elements, in order, that the ones kept before them do
-    not generate, each kept one adjoined to one growing chain; the walk stops
-    once the chain has `order` elements, when every later one would drop."""
-    kept, sub = [], Filtration((), mod, cap)
-    for g in elements:
-        if sub.order() == order:
-            break
-        if sub.sift(g) != IDENTITY:
-            kept.append(g)
-            sub.adjoin([g])
-    return tuple(kept)
+    not generate, each kept one adjoined to one growing chain (grow); the
+    walk stops once the chain has `order` elements, when every later one
+    would drop."""
+    return Filtration((), mod, cap).grow(elements, order)
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +711,7 @@ def _crt_exponent(coprime_order, ell):
 
 
 def build_cartan(spec, cap=DEFAULT_CAP):
-    """Construct the group described by a CartanSpec.
+    """Construct the group described by a CartanSpec, carrying the cap.
 
     nonsplit            {[a eps*b; b a]}, (a,b) != (0,0) mod ell; for ell = 2
                         {[a -b; b a-b]}, multiplication by a + b*w on
@@ -735,7 +737,7 @@ def build_cartan(spec, cap=DEFAULT_CAP):
             gens.append((0, 1, 1, 0))
         if kind == "borel":
             gens.append((1, 1, 0, 1))
-        return MatrixGroup(mod, gens, label="%s(%d)" % (kind, m))
+        return MatrixGroup(mod, gens, "%s(%d)" % (kind, m), cap)
 
     if ell == 2:
         # w generates F_4^x; -1 = 1 + 2*(-1), 1 + 2w and (1 + 2w)^2 = -3 and
@@ -744,7 +746,7 @@ def build_cartan(spec, cap=DEFAULT_CAP):
         gens = [mreduce((a, -b, b, a - b), m) for a, b in ((0, 1), (-1, 0), (1, 2), (1, 4))]
         if kind == "nonsplit-normalizer":
             gens.append((1, m - 1, 0, m - 1))
-        return MatrixGroup(mod, gens, label="%s(%d)" % (kind, m))
+        return MatrixGroup(mod, gens, "%s(%d)" % (kind, m), cap)
 
     eps = spec.resolved_epsilon()
     a0, b0 = _nonsplit_base_pair(ell, eps)
@@ -755,7 +757,7 @@ def build_cartan(spec, cap=DEFAULT_CAP):
             gens += [kernel_element(Y, ell, m) for Y in ((1, 0, 0, 1), (0, eps, 1, 0))]
         if kind == "nonsplit-normalizer":
             gens.append((1, 0, 0, m - 1))
-        return MatrixGroup(mod, gens, label="%s(%d)" % (kind, m))
+        return MatrixGroup(mod, gens, "%s(%d)" % (kind, m), cap)
 
     # section4-semidirect, n == 2
     g0 = (a0, eps * b0 % m, b0, a0)
@@ -766,10 +768,9 @@ def build_cartan(spec, cap=DEFAULT_CAP):
     sigma = (1, 0, 0, m - 1)
     shapes = [(1, 0, 0, 0), (0, eps, -1 % ell, 0), (0, 0, 0, 1)]
     kgens = [kernel_element(s, ell, m) for s in shapes]
-    group = MatrixGroup(mod, [teich, sigma] + kgens,
-                        label="section4-semidirect(%d)" % m)
+    group = MatrixGroup(mod, [teich, sigma] + kgens, "section4-semidirect(%d)" % m, cap)
     expected = 2 * (ell * ell - 1) * ell ** 3
-    got = group.order(cap)
+    got = group.order()
     if got != expected:
         raise ArithmeticError("semidirect construction has order %d, expected %d"
                               % (got, expected))
@@ -779,7 +780,7 @@ def build_cartan(spec, cap=DEFAULT_CAP):
 # ---------------------------------------------------------------------------
 # right cosets and conjugacy
 
-def _conjugating_matrix(h, big, cap):
+def _conjugating_matrix(h, big):
     """Search for c with c*g*c^-1 in big for every generator g of h, one
     congruence level at a time; returns the witness 4-tuple mod ell^n or None.
 
@@ -793,12 +794,13 @@ def _conjugating_matrix(h, big, cap):
     over the Echelon normal forms modulo that span, and a candidate is kept
     when it conjugates every generator into B mod ell^(j+1).  The search
     backtracks when no Y fits (Holt, Eick and O'Brien, ch. 8).  Every coset
-    and every Y tried counts against CONJUGACY_BUDGET.
+    and every Y tried counts against CONJUGACY_BUDGET; the cosets, like
+    every table of big's computations, are bounded by big's cap.
     """
     ell, n = h.mod.ell, h.mod.exponent
     levels = [big.reduce_to(e) for e in range(1, n)] + [big]
-    h_layers = [echelon.rows for echelon, _ in h.filtration(cap).layers]
-    big_layers = [echelon.rows for echelon, _ in big.filtration(cap).layers]
+    h_layers = [echelon.rows for echelon, _ in h.filtration().layers]
+    big_layers = [echelon.rows for echelon, _ in big.filtration().layers]
     nodes = 0
 
     def fits(c, j):
@@ -809,15 +811,15 @@ def _conjugating_matrix(h, big, cap):
             raise SearchBudgetError("conjugacy search exceeded %d nodes" % CONJUGACY_BUDGET)
         q = ell ** j
         ci = minv(c, q, ell)
-        filt = levels[j - 1].filtration(cap)
+        filt = levels[j - 1].filtration()
         return all(filt.sift(mmul(mmul(c, g, q), ci, q)) == IDENTITY for g in h.gens)
 
     def lifts(c, j):
         "The candidates mod ell^(j+1) over c mod ell^j; the cosets for j = 0."
         if j == 0:
-            least = levels[0].adjoin_minus_identity(cap).filtration(cap).least
+            least = levels[0].adjoin_minus_identity().filtration().least
             return sorted(orbit(least(IDENTITY), full_gl2(PrimePowerModulus(ell, 1)).gens,
-                                lambda r, g: least(mmul(r, g, ell)), cap,
+                                lambda r, g: least(mmul(r, g, ell)), big.cap,
                                 "cosets of +-B mod %d" % ell))
         cbar = mreduce(c, ell)
         cbarinv = minv(cbar, ell, ell)
@@ -840,7 +842,7 @@ def _conjugating_matrix(h, big, cap):
     return search(None, 0)
 
 
-def is_conjugate(g, h, cap=DEFAULT_CAP):
+def is_conjugate(g, h):
     """Whether some c in GL2 conjugates g onto h; returns (bool, witness 4-tuple).
 
     For groups of equal order a conjugate of g inside h is h itself, so this
@@ -848,13 +850,13 @@ def is_conjugate(g, h, cap=DEFAULT_CAP):
     """
     if g.mod != h.mod:
         raise ModulusMismatchError("groups live over different moduli")
-    if g.order(cap) != h.order(cap):
+    if g.order() != h.order():
         return False, None
-    ok, witness, _ = conjugate_into(g, h, cap)
+    ok, witness, _ = conjugate_into(g, h)
     return ok, witness
 
 
-def conjugate_into(h, big, cap=DEFAULT_CAP):
+def conjugate_into(h, big):
     """Whether some GL2-conjugate of h is a subgroup of big; returns
     (bool, witness 4-tuple c, index of the image in big).  The witness is
     checked by sifting each conjugated generator c*g*c^-1 of h through big."""
@@ -862,10 +864,10 @@ def conjugate_into(h, big, cap=DEFAULT_CAP):
         raise ModulusMismatchError("groups live over different moduli")
     mod = h.mod
     m = mod.modulus
-    ho, bo = h.order(cap), big.order(cap)
+    ho, bo = h.order(), big.order()
     if bo % ho:
         return False, None, None
-    c = _conjugating_matrix(h, big, cap)
+    c = _conjugating_matrix(h, big)
     if c is None:
         return False, None, None
     ci = minv(c, m, mod.ell)

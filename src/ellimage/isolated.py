@@ -22,7 +22,6 @@ a static citation table and are never computed.
 import warnings
 from collections import namedtuple
 
-from .gl2 import DEFAULT_CAP
 from .modarith import PrimePowerModulus, factorize
 from .modcurves import genus_X0, genus_X1, genus_XG, map_degree_tower
 from .orbits import KernelClasses, orbits
@@ -123,7 +122,7 @@ def _genus_at(family, N):
     return genus_X1(N) if family == "gamma1" else genus_X0(N)
 
 
-def candidate_pairs(group, family, cap=DEFAULT_CAP):
+def candidate_pairs(group, family):
     """Step 1: the deduplicated pre-filter pairs for the image.
 
     Levels ell^k beyond the level of the group contribute nothing new
@@ -139,18 +138,18 @@ def candidate_pairs(group, family, cap=DEFAULT_CAP):
     if family not in FAMILIES:
         raise ValueError("family must be gamma1 or gamma0")
     ell = group.mod.ell
-    _, det_surj = group.det_image(cap)
+    _, det_surj = group.det_image()
     if not det_surj:
         warnings.warn("determinant image is not surjective; the degree "
                       "interpretation of orbit sizes is invalid", stacklevel=2)
-    group_level = group.level(cap)
+    group_level = group.level()
     top = next(k for k in range(1, group.mod.exponent + 1) if ell ** k >= group_level)
     found = {}
     tables = []                      # per level a >= 1: (ell^a, class canon, class -> orbit size)
     for k in range(1, top + 1):
         level = PrimePowerModulus(ell, k)
-        recs = orbits(group, k, family, cap)
-        tables.append((level.modulus, KernelClasses(group, level, family, cap).canon,
+        recs = orbits(group, k, family)
+        tables.append((level.modulus, KernelClasses(group, level, family).canon,
                        {c: rec.size for rec in recs for c in rec.points}))
         map_degrees = [map_degree_tower(family, ell, a, k) for a in range(k + 1)]
         for rec in recs:
@@ -188,7 +187,7 @@ def filter_riemann_roch(pairs, family):
     return out
 
 
-def filter_genus_zero(pairs, group, family, cap=DEFAULT_CAP):
+def filter_genus_zero(pairs, group, family):
     """Step 3: tag pairs whose reduced image has a genus-0 modular curve."""
     out = []
     genus_cache = {0: 0}   # every image is all of GL2 mod 1: the j-line X(1)
@@ -197,20 +196,20 @@ def filter_genus_zero(pairs, group, family, cap=DEFAULT_CAP):
             a = p.level_exp
             if a not in genus_cache:
                 image = group if a == group.mod.exponent else group.reduce_to(a)
-                genus_cache[a] = genus_XG(image, cap).genus
+                genus_cache[a] = genus_XG(image).genus
             if genus_cache[a] == 0:
                 p = p._replace(elimination=ELIM_GENUS_ZERO)
         out.append(p)
     return out
 
 
-def analyze(group, family, label=None, cap=DEFAULT_CAP):
+def analyze(group, family, label=None):
     """Run the full pipeline and assemble the report."""
     label = label or group.label or "unlabeled"
-    _, det_surj = group.det_image(cap)
-    pairs = candidate_pairs(group, family, cap)
+    _, det_surj = group.det_image()
+    pairs = candidate_pairs(group, family)
     pairs = filter_riemann_roch(pairs, family)
-    pairs = filter_genus_zero(pairs, group, family, cap)
+    pairs = filter_genus_zero(pairs, group, family)
     notes = []
     for p in pairs:
         if p.elimination is None:

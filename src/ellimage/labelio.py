@@ -62,8 +62,9 @@ class ImageRecord(namedtuple("ImageRecord", "rszb_label modulus generators")):
 
     __slots__ = ()
 
-    def group(self):
-        return MatrixGroup(self.modulus, list(self.generators), label=self.rszb_label)
+    def group(self, cap=DEFAULT_CAP):
+        "The MatrixGroup of the record, carrying the enumeration cap."
+        return MatrixGroup(self.modulus, list(self.generators), self.rszb_label, cap)
 
     def to_line(self):
         return "%s|%d|%s" % (self.rszb_label, self.modulus.modulus,
@@ -163,10 +164,10 @@ def validate_record(rec, cap=DEFAULT_CAP):
     n, i, g, _ = _label_fields(rec.rszb_label)
     if n not in (1, rec.modulus.modulus):  # else the reader checked the level
         parse_label(rec.rszb_label)
-    grp = rec.group()
-    level = grp.level(cap)
-    index = grp.index_in_ambient(cap)
-    genus = genus_XG(grp, cap).genus
+    grp = rec.group(cap)
+    level = grp.level()
+    index = grp.index_in_ambient()
+    genus = genus_XG(grp).genus
     return ValidationReport(rec.rszb_label, level == n, index == i, genus == g,
                             (level, index, genus))
 
@@ -177,29 +178,27 @@ def validate_record(rec, cap=DEFAULT_CAP):
 def parse_report_lines(text):
     """Parse serialized filter reports back into dicts keyed by
     (label, family): {'pairs': [(level, degree, status, reason)],
-    'final': [(level, degree)]}."""
+    'final': [(level, degree)]}.  A line with the wrong number of fields or
+    a level or degree that is not an integer raises DataFileError."""
     out = {}
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         fields = line.split("\t")
-        if fields[0] == "RESULT":
-            if len(fields) != 4:
-                raise DataFileError("malformed RESULT line %r" % (line,))
-            _, label, family, pairs = fields
-            final = []
-            if pairs != "empty":
-                for chunk in pairs.split(","):
+        kind = "RESULT" if fields[0] == "RESULT" else "report"
+        try:
+            if kind == "RESULT":
+                _, label, family, pairs = fields
+                final = []
+                for chunk in pairs.split(",") if pairs != "empty" else ():
                     lv, deg = chunk.split(":")
                     final.append((int(lv), int(deg)))
-            out.setdefault((label, family), {"pairs": [], "final": None})
-            out[(label, family)]["final"] = final
-        else:
-            if len(fields) != 6:
-                raise DataFileError("malformed report line %r" % (line,))
-            label, family, level, degree, status, reason = fields
-            out.setdefault((label, family), {"pairs": [], "final": None})
-            out[(label, family)]["pairs"].append(
-                (int(level), int(degree), status, reason))
+                out.setdefault((label, family), {"pairs": [], "final": None})["final"] = final
+            else:
+                label, family, level, degree, status, reason = fields
+                pair = (int(level), int(degree), status, reason)
+                out.setdefault((label, family), {"pairs": [], "final": None})["pairs"].append(pair)
+        except ValueError:
+            raise DataFileError("malformed %s line %r" % (kind, line)) from None
     return out

@@ -5,7 +5,7 @@ The searches read the layered structure of subgroups of GL2(Z/ell^n) from
 the congruence filtration of gl2 (group.filtration(): G(ell) as a
 stabilizer chain and an Echelon of each kernel layer L_e; Holt, Eick and
 O'Brien, 4.4 and ch. 8).  Only the brute-force lattice lists the elements
-of a parent group:
+of a parent group, by one orbit walk bounded by the group's cap:
 
 * proper_detsurjective_subgroups classifies H <= G up to G-conjugacy.
   For exponent-2 moduli whose mod-ell quotient has order prime to ell,
@@ -55,7 +55,7 @@ are modarith.digit and kernel_element, F_ell linear algebra on them is
 modarith.Echelon, and the word in the layer rows of an element of G cap K_1
 is read off the steps of Filtration.reduce.  All search budgets are
 explicit and exhaustion is a hard error; a walk over G(ell) or its cosets
-is an orbit BFS bounded by the cap.  Every subgroup, section and
+is an orbit BFS bounded by the group's cap.  Every subgroup, section and
 counterexample the searches build is verified, and a failed verification
 raises CertificateError.
 """
@@ -65,7 +65,7 @@ from itertools import product
 
 from .errors import CertificateError, EnumerationCapError, SearchBudgetError
 from .gl2 import (CartanSpec, DEFAULT_CAP, Filtration, MatrixGroup, build_cartan,
-                  conjugate_into, extend, greedy_generators, orbit)
+                  conjugate_into, extend, orbit)
 from .modarith import (IDENTITY, M2_BASIS, Echelon, PrimePowerModulus, digit,
                        kernel_element, lincomb, mdet, minv, mmul, mpow, mpowers,
                        mreduce, nullspace, solutions)
@@ -272,13 +272,15 @@ class KernelModule(namedtuple("KernelModule", "ell gens_bar")):
 # ---------------------------------------------------------------------------
 # brute-force subgroup lattice (small groups)
 
-def all_subgroups(group, cap=DEFAULT_CAP):
-    """Every subgroup of a small group, as frozensets of element tuples; the
-    joins run on element positions through one table of all products."""
-    els = group.elements(cap)
+def all_subgroups(group):
+    """Every subgroup of a small group, as frozensets of element tuples.  The
+    group is listed by one orbit walk from I under its generators; the joins
+    run on element positions through one table of all products."""
+    m = group.mod.modulus
+    els = sorted(orbit(IDENTITY, group.gens, lambda x, g: mmul(x, g, m), group.cap,
+                       "elements of G mod %d" % m))
     if len(els) > BRUTE_LIMIT:
         raise SearchBudgetError("brute-force lattice limited to order <= %d" % BRUTE_LIMIT)
-    m = group.mod.modulus
     where = {x: i for i, x in enumerate(els)}
     table = [[where[mmul(a, b, m)] for b in els] for a in els]
     mul = lambda a, b: table[a][b]
@@ -292,9 +294,9 @@ def all_subgroups(group, cap=DEFAULT_CAP):
 
     def join(S, x):
         "S v <x>, by extending S with the one generator x."
-        return S if x in S else frozenset(extend(S, x, mul, cap))
+        return S if x in S else frozenset(extend(S, x, mul, group.cap))
 
-    subs = orbit(frozenset([one]), cyclics.values(), join, cap, "subgroup joins")
+    subs = orbit(frozenset([one]), cyclics.values(), join, group.cap, "subgroup joins")
     return {frozenset(els[i] for i in S) for S in subs}
 
 
@@ -309,16 +311,10 @@ def _conjugacy_classes_of_subgroups(subsets, group):
     for S in sorted(subsets, key=lambda s: (len(s), tuple(sorted(s)))):
         if S in seen:
             continue
-        points = orbit(S, group.gens, conj, DEFAULT_CAP, "conjugates of a subgroup")
+        points = orbit(S, group.gens, conj, group.cap, "conjugates of a subgroup")
         seen |= points
         classes.append((min(points, key=lambda s: tuple(sorted(s))), len(points)))
     return classes
-
-
-def _det_surjective_set(elements, mod):
-    m = mod.modulus
-    dets = {mdet(x, m) for x in elements}
-    return len(dets) == mod.unit_count()
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +352,7 @@ def _averaged_section(reps, layer, m, ell, at, section=None):
 # ---------------------------------------------------------------------------
 # low-index det-surjective subgroup classification
 
-def proper_detsurjective_subgroups(group, index_bound, fix_mod_ell_reduction=True,
-                                   cap=DEFAULT_CAP):
+def proper_detsurjective_subgroups(group, index_bound, fix_mod_ell_reduction=True):
     """Conjugacy classes (under the parent) of proper subgroups with
     surjective determinant and index <= index_bound.
 
@@ -368,8 +363,8 @@ def proper_detsurjective_subgroups(group, index_bound, fix_mod_ell_reduction=Tru
     small parents.
     """
     mod = group.mod
-    ell = mod.ell
-    parent_order = group.order(cap)
+    ell, m = mod.ell, mod.modulus
+    parent_order = group.order()
 
     if fix_mod_ell_reduction and mod.exponent == 1:
         # mod-ell reduction of a subgroup equals the subgroup itself, so only
@@ -377,40 +372,32 @@ def proper_detsurjective_subgroups(group, index_bound, fix_mod_ell_reduction=Tru
         return []
     # the structured path takes every parent it applies to, whatever its order
     if not fix_mod_ell_reduction or (parent_order <= BRUTE_LIMIT and not (
-            mod.exponent == 2 and group.filtration(cap).sizes()[0] % ell)):
+            mod.exponent == 2 and group.filtration().sizes()[0] % ell)):
         if parent_order > BRUTE_LIMIT:
             raise SearchBudgetError(
                 "unconstrained subgroup search needs |G| <= %d, got %d"
                 % (BRUTE_LIMIT, parent_order))
-        subs = all_subgroups(group, cap)
-        parent_set = frozenset(group.elements(cap))
-        bar_parent = None
-        if fix_mod_ell_reduction:
-            bar_parent = frozenset(mreduce(x, ell) for x in parent_set)
-        picked = []
-        for S in subs:
-            if S == parent_set:
-                continue
-            if parent_order // len(S) > index_bound:
-                continue
-            if not _det_surjective_set(S, mod):
-                continue
-            if bar_parent is not None:
-                if frozenset(mreduce(x, ell) for x in S) != bar_parent:
-                    continue
-            picked.append(S)
-        classes = _conjugacy_classes_of_subgroups(picked, group)
+        # S <= G, so S is G when it is as large, and S mod ell is G(ell) when
+        # it has |G(ell)| elements
+        bar_order = group.filtration().sizes()[0]
+        picked = [S for S in all_subgroups(group)
+                  if len(S) < parent_order and parent_order // len(S) <= index_bound
+                  and len({mdet(x, m) for x in S}) == mod.unit_count()
+                  and not (fix_mod_ell_reduction
+                           and len({mreduce(x, ell) for x in S}) != bar_order)]
         out = []
-        for rep_set, size in classes:
-            rep = MatrixGroup(mod, greedy_generators(sorted(rep_set), mod, len(rep_set), cap))
-            rep = MatrixGroup(mod, rep.filtration(cap).generators())
+        for rep_set, size in _conjugacy_classes_of_subgroups(picked, group):
+            # the chain grown from the class's elements names its canonical generators
+            chain = Filtration((), mod, group.cap)
+            chain.grow(sorted(rep_set), len(rep_set))
+            rep = MatrixGroup(mod, chain.generators(), cap=group.cap)
             out.append(SubgroupClass(rep, parent_order // len(rep_set), True, size))
         return sorted(out, key=lambda c: (c.index_in_parent, c.representative.gens))
 
-    return _stable_subspace_classes(group, index_bound, cap)
+    return _stable_subspace_classes(group, index_bound)
 
 
-def _stable_subspace_classes(group, index_bound, cap=DEFAULT_CAP):
+def _stable_subspace_classes(group, index_bound):
     """The structured path of proper_detsurjective_subgroups: one class per
     proper G(ell)-stable subspace W of the kernel part U = L_1 of the
     filtration, for exponent 2 and |G(ell)| prime to ell."""
@@ -419,7 +406,7 @@ def _stable_subspace_classes(group, index_bound, cap=DEFAULT_CAP):
     if mod.exponent != 2:
         raise SearchBudgetError("structured search supports exponent-2 moduli only")
 
-    filt = group.filtration(cap)
+    filt = group.filtration()
     u_basis = filt.layers[0][0].rref()
     bar_order = filt.sizes()[0]
     if bar_order % ell == 0:
@@ -429,47 +416,48 @@ def _stable_subspace_classes(group, index_bound, cap=DEFAULT_CAP):
     module = KernelModule(ell, gens_bar)
     # a complement of the kernel part: the canonical lift of each element of
     # G(ell), averaged
-    bar = orbit(IDENTITY, gens_bar, lambda c, g: mmul(c, g, ell), cap, "elements of G(%d)" % ell)
+    bar = orbit(IDENTITY, gens_bar, lambda c, g: mmul(c, g, ell), group.cap,
+                "elements of G(%d)" % ell)
     section = _averaged_section({c: filt.canonical_lift(c) for c in bar}, ell, m, ell, gens_bar)
-    image = MatrixGroup(mod, section)
-    if image.order(cap) != bar_order or image.reduce_to(1).order(cap) != bar_order:
+    image = MatrixGroup(mod, section, cap=group.cap)
+    if image.order() != bar_order or image.reduce_to(1).order() != bar_order:
         raise CertificateError("averaged section is not a homomorphism")
 
     out = []
-    for W in module.stable_subspaces(span=u_basis, cap=cap):
+    for W in module.stable_subspaces(span=u_basis, cap=group.cap):
         if len(W) == len(u_basis) or ell ** (len(u_basis) - len(W)) > index_bound:
             continue  # the parent itself, or an index over the bound
         rep_gens = section + [kernel_element(w, ell, m) for w in W]
-        rep = MatrixGroup(mod, rep_gens)
+        rep = MatrixGroup(mod, rep_gens, cap=group.cap)
         expected = bar_order * ell ** len(W)
-        if rep.order(cap) != expected or not all(g in group for g in rep.gens):
+        if rep.order() != expected or not all(g in group for g in rep.gens):
             raise CertificateError("subgroup over W = %r is not a subgroup of order "
                                    "%d in the parent" % (W, expected))
-        if not rep.det_image(cap)[1]:
+        if not rep.det_image()[1]:
             continue
         out.append(SubgroupClass(rep, order // expected, True,
                                  module.class_size(u_basis, W)))
     return sorted(out, key=lambda c: (c.index_in_parent, c.representative.gens))
 
 
-def split_cartan_membership(h, cap=DEFAULT_CAP):
+def split_cartan_membership(h):
     """(conjugate-into flag, index of the image, witness 4-tuple) against the
-    normalizer of the split Cartan at h's modulus."""
-    big = build_cartan(CartanSpec("split-normalizer", h.mod), cap)
-    ok, witness, index = conjugate_into(h, big, cap)
+    normalizer of the split Cartan at h's modulus, built with h's cap."""
+    big = build_cartan(CartanSpec("split-normalizer", h.mod), h.cap)
+    ok, witness, index = conjugate_into(h, big)
     return ok, index, witness
 
 
 # ---------------------------------------------------------------------------
 # preimage rigidity
 
-def _sylow_subgroup(group, cap=DEFAULT_CAP):
+def _sylow_subgroup(group):
     """Generators of an ell-Sylow subgroup of the group, the preimage in G
     of an ell-Sylow subgroup of G(ell).  The ell-part of |GL2(F_ell)| is
     ell, so these are the layer rows of G cap K_1 (deepest layer first) and
     the canonical lift of the first I + N_L in G(ell), N_L = p'^T p for p on
     the line L and p' = (-p_1, p_0): the unipotents that fix L are its powers."""
-    filt = group.filtration(cap)
+    filt = group.filtration()
     ell = group.mod.ell
     # each layer row keeps the powers of an inverse b^-1 of its realiser
     gens = [powers[1] for _, rows in reversed(filt.layers) for powers in rows.values()]
@@ -491,7 +479,7 @@ def _letters(filt, index, x):
     return [(index[g], f) for g, f in reversed(steps)]
 
 
-def _sylow_relators(group, gens, cap=DEFAULT_CAP):
+def _sylow_relators(group, gens):
     """The relators of the ell-Sylow sequence gens = g_1, ..., g_k of
     _sylow_subgroup, each a list of letters (i, f) standing for g_i^f.
 
@@ -503,7 +491,7 @@ def _sylow_relators(group, gens, cap=DEFAULT_CAP):
     are the relators of a polycyclic presentation (Holt, Eick and O'Brien,
     8.1).
     """
-    filt = group.filtration(cap)
+    filt = group.filtration()
     ell, layer = group.mod.ell, group.mod.modulus
     index = {g: i for i, g in enumerate(gens)}
     words = []
@@ -528,7 +516,7 @@ def _relator_digit(word, lifts, layer, ell):
     return digit(_word_value(word, lifts, layer * ell, ell), layer, ell)
 
 
-def _sylow_relator_digits(group, gens, cap=DEFAULT_CAP):
+def _sylow_relator_digits(group, gens):
     """The relators of _sylow_relators evaluated at lifts mod ell^(n+1): a
     list whose entry 0 holds the layer-n digit of every relator at the lifts
     g_i (entries in [0, ell^n)), and whose entry 1 + 4i + j holds them at
@@ -540,7 +528,7 @@ def _sylow_relator_digits(group, gens, cap=DEFAULT_CAP):
     """
     ell, layer = group.mod.ell, group.mod.modulus
     m = layer * ell
-    words = _sylow_relators(group, gens, cap)
+    words = _sylow_relators(group, gens)
     base = [_relator_digit(word, gens, layer, ell) for word in words]
     out = [base]
     for i, g in enumerate(gens):
@@ -596,7 +584,7 @@ def _split_solution(digits, U, ell):
                            % (U,))
 
 
-def _gaschutz_complement(group, gens, cap=DEFAULT_CAP):
+def _gaschutz_complement(group, gens):
     """A function taking a solution of _split_system to the values at the
     generators of G of a homomorphic section G -> P/N_U, for the ell-Sylow
     sequence gens of _sylow_subgroup.
@@ -617,7 +605,7 @@ def _gaschutz_complement(group, gens, cap=DEFAULT_CAP):
     mod = group.mod
     ell, layer = mod.ell, mod.modulus
     m = layer * ell
-    filt = group.filtration(cap)
+    filt = group.filtration()
     index = {g: i for i, g in enumerate(gens)}
     u = gens[-1] if gens and mreduce(gens[-1], ell) != IDENTITY else None
     if u:
@@ -635,7 +623,7 @@ def _gaschutz_complement(group, gens, cap=DEFAULT_CAP):
 
     at = filt.generators()
     cosets = orbit(key(IDENTITY), [mreduce(g, ell) for g in at],
-                   lambda k, g: key(mmul(g, k, ell)), cap, "Sylow cosets in G(%d)" % ell)
+                   lambda k, g: key(mmul(g, k, ell)), group.cap, "Sylow cosets in G(%d)" % ell)
     reps = {k: filt.canonical_lift(k) for k in cosets}
 
     def complement(solution):
@@ -659,7 +647,7 @@ def _gaschutz_complement(group, gens, cap=DEFAULT_CAP):
     return complement
 
 
-def _ell_hom_trivial(group, cap=DEFAULT_CAP):
+def _ell_hom_trivial(group):
     """Whether Hom(G, F_ell) = 0, via the normal closure of powers and
     commutators; a conjugate that does not sift through the closure joins
     its generators."""
@@ -672,7 +660,7 @@ def _ell_hom_trivial(group, cap=DEFAULT_CAP):
         for b in gens:
             bi = minv(b, m, ell)
             seeds.append(mmul(mmul(a, b, m), mmul(ai, bi, m), m))
-    closure = Filtration(seeds, mod, cap)
+    closure = Filtration(seeds, mod, group.cap)
     # normal closure: conjugates of every generator found, by every g in G
     for s in seeds:
         for g in gens:
@@ -680,7 +668,7 @@ def _ell_hom_trivial(group, cap=DEFAULT_CAP):
             if closure.sift(c) != IDENTITY:
                 seeds.append(c)
                 closure.adjoin([c])
-    return closure.order() == group.order(cap)
+    return closure.order() == group.order()
 
 
 def _build_candidate(group, u_basis, complement_lifts, mod_high):
@@ -689,20 +677,20 @@ def _build_candidate(group, u_basis, complement_lifts, mod_high):
     m = mod_high.modulus
     gens = list(complement_lifts)
     gens += [kernel_element(u, layer, m) for u in u_basis]
-    return MatrixGroup(mod_high, gens)
+    return MatrixGroup(mod_high, gens, cap=group.cap)
 
 
-def verify_counterexample(group, candidate, cap=DEFAULT_CAP):
+def verify_counterexample(group, candidate):
     "Checks reduction, determinant surjectivity and properness of a witness."
     if candidate.reduce_to(group.mod.exponent) != group:
         return False
-    if not candidate.det_image(cap)[1]:
+    if not candidate.det_image()[1]:
         return False
-    full = group.order(cap) * group.mod.ell ** 4
-    return candidate.order(cap) < full
+    full = group.order() * group.mod.ell ** 4
+    return candidate.order() < full
 
 
-def _rigidity_subspaces(group, cap=DEFAULT_CAP):
+def _rigidity_subspaces(group):
     """The kernel intersections U that preimage_rigidity examines, in scan
     order, each with the basis v_basis of a complement V of U in M2(F_ell).
 
@@ -717,7 +705,7 @@ def _rigidity_subspaces(group, cap=DEFAULT_CAP):
     # element of G lands in the new kernel, with the same coordinates (the
     # top layer L_{n-1} of the filtration) except for ell = 2 at exponent 2,
     # where squaring I + 2A contributes A + A^2, which is not linear in A
-    top = group.filtration(cap).layers[-1][0].rows if n >= 2 else []
+    top = group.filtration().layers[-1][0].rows if n >= 2 else []
     if ell == 2 and n == 2:
         top = [lincomb(c, top, 2) for c in product(range(2), repeat=len(top))]
         top = [lincomb((1, 1), (a, mmul(a, a, 2)), 2) for a in top]
@@ -725,7 +713,7 @@ def _rigidity_subspaces(group, cap=DEFAULT_CAP):
     # the floor of the stable subspaces that contain it
     floor = Echelon(ell, top).rref()
     out = []
-    for U in sorted(KernelModule(ell, gens_bar).stable_subspaces(floor, cap=cap), key=len,
+    for U in sorted(KernelModule(ell, gens_bar).stable_subspaces(floor, cap=group.cap), key=len,
                     reverse=True):
         if len(U) < 4:
             span_u = Echelon(ell, U)
@@ -733,7 +721,7 @@ def _rigidity_subspaces(group, cap=DEFAULT_CAP):
     return out
 
 
-def preimage_rigidity(group, cap=DEFAULT_CAP):
+def preimage_rigidity(group):
     """Whether only the full preimage of the group, one ell-power level up,
     reduces exactly onto it with surjective determinant.
 
@@ -743,34 +731,34 @@ def preimage_rigidity(group, cap=DEFAULT_CAP):
     mod = group.mod
     ell = mod.ell
     mod_high = PrimePowerModulus(ell, mod.exponent + 1)
-    order = group.order(cap)
+    order = group.order()
     # the Sylow sequence, its relator digits and the coset lifts are built
     # once, when a subspace first needs them; a complement is averaged once
     # per solution
     digits = complement = None
     values = {}
     undecided = []
-    subspaces = _rigidity_subspaces(group, cap)
+    subspaces = _rigidity_subspaces(group)
     for checked, (U, v_basis) in enumerate(subspaces, 1):
         if digits is None:
-            sylow = _sylow_subgroup(group, cap)
-            digits = _sylow_relator_digits(group, sylow, cap)
-            complement = _gaschutz_complement(group, sylow, cap)
+            sylow = _sylow_subgroup(group)
+            digits = _sylow_relator_digits(group, sylow)
+            complement = _gaschutz_complement(group, sylow)
         solution = _split_solution(digits, U, ell)
         if solution is None:
             continue  # Gaschutz: no complement anywhere
         if solution not in values:
             values[solution] = complement(solution)
         candidate = _build_candidate(group, U, values[solution], mod_high)
-        if candidate.order(cap) != order * ell ** len(U):
+        if candidate.order() != order * ell ** len(U):
             raise CertificateError("averaged complement over U = %r is not a complement"
                                    % (U,))
-        if candidate.det_image(cap)[1]:
-            if not verify_counterexample(group, candidate, cap):
+        if candidate.det_image()[1]:
+            if not verify_counterexample(group, candidate):
                 raise CertificateError("counterexample over U = %r failed "
                                        "verification" % (U,))
             return RigidityResult(False, candidate, checked)
-        if _trace_nonzero(v_basis, ell) and not _ell_hom_trivial(group, cap):
+        if _trace_nonzero(v_basis, ell) and not _ell_hom_trivial(group):
             # determinant images of other complements over this subspace may
             # differ; a later subspace can still produce a definite witness,
             # so only give up if the whole scan ends with this unresolved

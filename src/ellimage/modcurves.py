@@ -24,7 +24,7 @@ from collections import namedtuple
 from math import gcd
 
 from .errors import EnumerationCapError
-from .gl2 import DEFAULT_CAP, ambient_order, orbit
+from .gl2 import ambient_order, orbit
 from .modarith import (IDENTITY, digit, factorize, kernel_element, mdet, minv, mmul, mpow,
                        mreduce)
 
@@ -169,8 +169,8 @@ class _Layer:
     layer-j digit of r (Holt, Eick and O'Brien, ch. 8).
     """
 
-    def __init__(self, filt, j, dets, cap):
-        ell = filt.ell
+    def __init__(self, filt, j, dets):
+        ell, cap = filt.ell, filt.cap
         self.filt, self.q, self.echelon = filt, ell ** j, filt.layers[j - 1][0]
         self.dets = {d % (self.q * ell): d for d in dets}
         full = 1 + self.q in self.dets
@@ -202,14 +202,14 @@ class _Layer:
             if size:
                 yield size, first
 
-    def lift(self, g, fixed_only, carried, cap):
+    def lift(self, g, fixed_only, carried):
         """The (length, representative) of each cycle of g mod ell^(j+1) that
         lies over one of the carried cycles mod ell^j, or only the fixed
         cosets when fixed_only.  A cycle of length c splits into the orbits
         of g^c on the fibre over its representative.  A representative
         (I + ell^j*Y)*y is multiplied by diag(1, delta), delta = 1 mod
         ell^(j+1), to bring its determinant into det G."""
-        m, q = self.filt.m, self.q
+        m, q, cap = self.filt.m, self.q, self.filt.cap
         out = []
         for c, y in carried:
             for size, Y in self._orbits(y, mpow(g, c, m)):
@@ -230,7 +230,7 @@ def _into_det(z, dets, q, m):
     return z[0], z[1] * delta % m, z[2], z[3] * delta % m
 
 
-def genus_XG(group, cap=DEFAULT_CAP):
+def genus_XG(group):
     """GenusProfile of the modular curve attached to a subgroup of GL2(Z/N).
 
     mu = [SL2(Z/N) : +-G cap SL2].
@@ -243,22 +243,22 @@ def genus_XG(group, cap=DEFAULT_CAP):
     |fibre_j|; the mu cosets mod N are never listed.  mu * |+-G| / |det G|
     = |SL2(Z/N)| is checked.  EnumerationCapError is raised once the
     chain's orbit tables, the determinant image, the cosets mod ell, a
-    layer's carried cosets or a fibre exceeds cap.
+    layer's carried cosets or a fibre exceeds the group's cap.
     """
     mod = group.mod
     ell, m = mod.ell, mod.modulus
-    pm = group.adjoin_minus_identity(cap)
-    least = pm.filtration(cap).least
+    pm = group.adjoin_minus_identity()
+    filt = pm.filtration()
     s, u = (0, ell - 1, 1, 0), (1, 1, 0, 1)
     step = {}  # the image of each coset under s and u
-    act = lambda r, g: step.setdefault((r, g), least(mmul(r, g, ell)))
-    cosets = orbit(least(IDENTITY), (s, u), act, cap, "cosets of +-G mod %d" % ell)
-    dets = group.det_image(cap)[0]
-    layers = [_Layer(pm.filtration(cap), j, dets, cap) for j in range(1, mod.exponent)]
+    act = lambda r, g: step.setdefault((r, g), filt.least(mmul(r, g, ell)))
+    cosets = orbit(filt.least(IDENTITY), (s, u), act, group.cap, "cosets of +-G mod %d" % ell)
+    dets = group.det_image()[0]
+    layers = [_Layer(filt, j, dets) for j in range(1, mod.exponent)]
     mu = len(cosets)
     for layer in layers:
         mu *= len(layer.fibre)
-    total, order = ambient_order(mod, "SL2"), pm.order(cap)
+    total, order = ambient_order(mod, "SL2"), pm.order()
     if mu * order != total * len(dets):
         raise ArithmeticError("%d cosets of |+-G| = %d with %d determinants do not fill "
                               "|SL2| = %d" % (mu, order, len(dets), total))
@@ -281,7 +281,7 @@ def genus_XG(group, cap=DEFAULT_CAP):
         carried = [(g, fixed_only, [(c, _into_det(r, base, ell, m)) for c, r in cycles])
                    for g, fixed_only, cycles in carried]
     for layer in layers:
-        carried = [(g, fixed_only, layer.lift(g, fixed_only, cycles, cap))
+        carried = [(g, fixed_only, layer.lift(g, fixed_only, cycles))
                    for g, fixed_only, cycles in carried]
     nu2, nu3, nu_inf = (len(cycles) for _, _, cycles in carried)
     return GenusProfile(mu, nu2, nu3, nu_inf, _genus(mu, nu2, nu3, nu_inf, group))

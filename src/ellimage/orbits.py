@@ -19,7 +19,7 @@ carrier points in whole classes (KernelClasses), so every orbit is one
 gl2.orbit BFS over class normal forms, each the least carrier point of its
 class; the seeds are all the normal forms in sorted order, so each orbit's
 representative is its least carrier point, and its size is the sum of its
-class sizes.  The seeds and each orbit count against the enumeration cap.
+class sizes.  The seeds and each orbit count against the group's cap.
 Each OrbitRecord keeps its classes, so a caller that holds the orbits of
 every level reads the degree of a reduced point from them (the filter in
 `isolated` does).  The full-carrier BFS and the one-BFS-per-level degree
@@ -29,7 +29,7 @@ tower are kept in the tests as references.
 from collections import namedtuple
 
 from .errors import EnumerationCapError
-from .gl2 import DEFAULT_CAP, orbit
+from .gl2 import orbit
 from .modarith import Echelon, PrimePowerModulus, digit, mvec
 
 
@@ -166,13 +166,13 @@ class KernelClasses:
     At k = 1 every class is a single carrier point.
     """
 
-    def __init__(self, group, level, family, cap=DEFAULT_CAP):
-        self.family, self.level, self.cap = family, level, cap
+    def __init__(self, group, level, family):
+        self.family, self.level, self.cap = family, level, group.cap
         self.ell, self.k, self.m = level.ell, level.exponent, level.modulus
         self.q = self.m // self.ell
         self._point = _canon(family, level)
         if self.k > 1:
-            self._layer = group.filtration(cap).layers[self.k - 2][0].rows
+            self._layer = group.filtration().layers[self.k - 2][0].rows
             self._lower = PrimePowerModulus(self.ell, self.k - 1)
         self._spans = {}
 
@@ -248,21 +248,21 @@ class KernelClasses:
         return sorted(out)
 
 
-def _orbits(group, k, family, cap):
+def _orbits(group, k, family):
     """OrbitRecords of the group mod ell^k on the family's carrier: one BFS
     over the KernelClasses normal forms per orbit, seeded in sorted order, so
     each representative is the least carrier point of its orbit.  Raises
-    EnumerationCapError when the seeds or an orbit exceed cap."""
+    EnumerationCapError when the seeds or an orbit exceed the group's cap."""
     level = PrimePowerModulus(group.mod.ell, k)
     m = level.modulus
     gens = _reduced_gens(group, level)
-    classes = KernelClasses(group, level, family, cap)
+    classes = KernelClasses(group, level, family)
     canon = classes.canon
     seen = set()
     out = []
     for c0 in classes.seeds():
         if c0 not in seen:
-            found = orbit(c0, gens, lambda c, g: canon(mvec(g, c, m)), cap,
+            found = orbit(c0, gens, lambda c, g: canon(mvec(g, c, m)), group.cap,
                           "%s orbit mod %d" % (family, m))
             seen |= found
             out.append(OrbitRecord(family, level, c0, sum(map(classes.size, found)),
@@ -270,21 +270,21 @@ def _orbits(group, k, family, cap):
     return out
 
 
-def gamma1_orbits(group, k, cap=DEFAULT_CAP):
+def gamma1_orbits(group, k):
     """Orbits of <group mod ell^k, -I> on +-classes of exact order ell^k
     vectors; each orbit size is the degree of the induced point on X1(ell^k)."""
-    return _orbits(group, k, "gamma1", cap)
+    return _orbits(group, k, "gamma1")
 
 
-def gamma0_orbits(group, k, cap=DEFAULT_CAP):
+def gamma0_orbits(group, k):
     """Orbits of group mod ell^k on cyclic submodules of order ell^k; each
     orbit size is the degree of the induced point on X0(ell^k)."""
-    return _orbits(group, k, "gamma0", cap)
+    return _orbits(group, k, "gamma0")
 
 
-def orbits(group, k, family, cap=DEFAULT_CAP):
+def orbits(group, k, family):
     if family == "gamma1":
-        return gamma1_orbits(group, k, cap)
+        return gamma1_orbits(group, k)
     if family == "gamma0":
-        return gamma0_orbits(group, k, cap)
+        return gamma0_orbits(group, k)
     raise ValueError("family must be gamma1 or gamma0, got %r" % (family,))

@@ -1,8 +1,8 @@
 import pytest
 
 from ellimage.cli import _bundled_records, _special_records
-from ellimage.gl2 import CartanSpec, build_cartan
-from ellimage.modarith import PrimePowerModulus, mmul
+from ellimage.gl2 import DEFAULT_CAP, CartanSpec, build_cartan, extend
+from ellimage.modarith import IDENTITY, PrimePowerModulus, mdet, mmul
 
 
 @pytest.fixture(scope="session")
@@ -54,3 +54,24 @@ def transversal(filt):
             t = mmul(t1, t0, m)
             for t2, _ in seconds.values():
                 yield mmul(t2, t, m)
+
+
+def mulclose(gens, m, cap=DEFAULT_CAP):
+    """The closure of 4-tuple generators under multiplication mod m, a fold
+    of gl2.extend over the generators: the element listing the tests check
+    the filtration and the lattice against."""
+    mul = lambda a, b: mmul(a, b, m)
+    els = {IDENTITY}
+    for g in gens:
+        els = extend(els, g, mul, cap)
+    return els
+
+
+def elements(group):
+    "The sorted tuple of all elements of a MatrixGroup, listed under its cap."
+    return tuple(sorted(mulclose(group.gens, group.mod.modulus, group.cap)))
+
+
+def det_surjective(elements, mod):
+    "Whether the determinants of the elements, matrices mod `mod`, are all its units."
+    return len({mdet(x, mod.modulus) for x in elements}) == mod.unit_count()

@@ -12,11 +12,12 @@ from ellimage.gl2 import (CartanSpec, MatrixGroup, build_cartan, full_gl2,
 from ellimage.isolated import analyze, candidate_pairs
 from ellimage.lattice import (all_subgroups, preimage_rigidity,
                               proper_detsurjective_subgroups,
-                              split_cartan_membership, _det_surjective_set)
+                              split_cartan_membership)
 from ellimage.modarith import PrimePowerModulus
 from ellimage.modcurves import genus_X0, genus_X1, genus_XG, map_degree_tower
 from ellimage.orbits import gamma0_orbits, gamma1_orbits
 
+from conftest import det_surjective, elements
 from test_orbits import orbit_degree_tower
 
 
@@ -185,12 +186,12 @@ def test_criterion_09_subgroup_search_oracle():
     subs = all_subgroups(g3)
     ok = len(subs) == 55
     classes = proper_detsurjective_subgroups(g3, 8, fix_mod_ell_reduction=False)
-    parent = frozenset(g3.elements())
+    parent = frozenset(elements(g3))
     direct = [s for s in subs
               if s != parent and 48 % len(s) == 0 and 48 // len(s) <= 8
-              and _det_surjective_set(s, g3.mod)]
+              and det_surjective(s, g3.mod)]
     ok = ok and sum(c.class_size for c in classes) == len(direct)
-    reps = {frozenset(c.representative.elements()) for c in classes}
+    reps = {frozenset(elements(c.representative)) for c in classes}
     ok = ok and reps <= subs
     _report(9, ok, "GL2(Z/3) lattice matches brute force (55 subgroups)", t0)
 

@@ -292,7 +292,7 @@ def test_batch_reports_failed_records(tmp_path):
     expected = set()
     for rec in records:
         try:
-            analyze(rec.group(), "gamma1", cap=10000)
+            analyze(rec.group(10000), "gamma1")
         except EnumerationCapError:
             expected.add(rec.rszb_label)
     assert expected == {CAPPED}
@@ -497,35 +497,32 @@ def test_old_and_new_rigidity_witnesses_verify():
 
 
 def test_lattice_check_enumerates_no_parent(monkeypatch, capsys):
-    # the certificate of 49.196.9.1 (order 24,696) lists no group and, since
-    # the Sylow split test is a linear system, builds no closure at all
-    closures = []
-    mulclose, extend = gl2.mulclose, gl2.extend
+    # the certificate of 49.196.9.1 (order 24,696) lists no group: it runs
+    # neither the brute-force lattice nor its walk over the elements of a
+    # parent, and, since the Sylow split test is a linear system, it builds
+    # no closure at all
+    closures, walks = [], []
+    extend, orbit = gl2.extend, gl2.orbit
 
-    def recording(closure):
-        def wrapped(*args):
-            els = closure(*args)
-            closures.append(len(els))
-            return els
-        return wrapped
+    def recording_extend(*args):
+        els = extend(*args)
+        closures.append(len(els))
+        return els
 
-    recording_extend = recording(extend)
+    def recording_orbit(seed, gens, act, cap, name):
+        walks.append(name)
+        return orbit(seed, gens, act, cap, name)
 
-    monkeypatch.setattr(gl2, "mulclose", recording(mulclose))
-    monkeypatch.setattr(gl2, "extend", recording_extend)
-    monkeypatch.setattr(lattice, "extend", recording_extend)
-    enumerated = []
-    elements = gl2.MatrixGroup.elements
+    def refuse(group):
+        raise AssertionError("the certificate ran the brute-force lattice")
 
-    def recording_elements(self, *args):
-        if self._elements is None:
-            enumerated.append(self.order())
-        return elements(self, *args)
-
-    monkeypatch.setattr(gl2.MatrixGroup, "elements", recording_elements)
+    for module in (gl2, lattice):
+        monkeypatch.setattr(module, "extend", recording_extend)
+        monkeypatch.setattr(module, "orbit", recording_orbit)
+    monkeypatch.setattr(lattice, "all_subgroups", refuse)
     assert main(["lattice-check", "--label", "49.196.9.1"]) == 0
     assert "RESULT\tcertified" in capsys.readouterr().out
-    assert enumerated == []
+    assert walks and not [name for name in walks if name.startswith("elements of G mod")]
     assert closures == []
 
 
@@ -541,7 +538,7 @@ def test_preimage_rigidity_enumerates_nothing(rigidity_inputs, monkeypatch):
             return fn(*args, **kw)
         return wrapped
 
-    for owner, name in ((gl2.MatrixGroup, "elements"), (lattice, "extend"),
+    for owner, name in ((lattice, "all_subgroups"), (lattice, "extend"),
                         (gl2, "morder"), (modarith, "morder")):
         monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
     verdicts = {lattice.preimage_rigidity(group).rigid for _, group in rigidity_inputs}

@@ -12,11 +12,11 @@ from ellimage import gl2
 from ellimage.errors import EnumerationCapError, NotInvertibleError, SearchBudgetError
 from ellimage.gl2 import (CARTAN_KINDS, CartanSpec, Filtration, MatrixGroup, ambient_order,
                           build_cartan, conjugate_into, extend, full_gl2, greedy_generators,
-                          is_conjugate, mulclose, rowmul, unit_group_generators)
+                          is_conjugate, rowmul, unit_group_generators)
 from ellimage.modarith import (IDENTITY, Echelon, PrimePowerModulus, digit, is_prime, lincomb,
                                mdet, minv, mmul, morder, mreduce)
 
-from conftest import transversal
+from conftest import elements, mulclose, transversal
 
 M7 = PrimePowerModulus(7, 1)
 M49 = PrimePowerModulus(7, 2)
@@ -32,13 +32,13 @@ def test_ambient_orders():
 
 def test_enumerate_trivial_and_cartan():
     trivial = MatrixGroup(M7, [(1, 0, 0, 1)])
-    assert trivial.elements() == ((1, 0, 0, 1),)
+    assert elements(trivial) == ((1, 0, 0, 1),)
     cns = build_cartan(CartanSpec("nonsplit", M7, epsilon=3))
     assert cns.order() == 48
 
 
 def test_enumerate_image49(image49):
-    assert len(image49.elements()) == 24696
+    assert len(elements(image49)) == 24696
     assert image49.index_in_ambient() == 196
 
 
@@ -93,7 +93,7 @@ def test_adjoin_minus_identity():
 
 def test_reduce_group(image49):
     cns = build_cartan(CartanSpec("nonsplit", M7))
-    assert cns.reduce_to(1).elements() == cns.elements()
+    assert elements(cns.reduce_to(1)) == elements(cns)
     # the mod-7 image of the exceptional group is the full normalizer of a
     # split Cartan (order 72; it cannot fit in the order-96 nonsplit one)
     red = image49.reduce_to(1)
@@ -104,7 +104,7 @@ def test_reduce_group(image49):
 
 def test_full_preimage(image49):
     cns = build_cartan(CartanSpec("nonsplit", M7))
-    assert cns.full_preimage(M7).elements() == cns.elements()
+    assert elements(cns.full_preimage(M7)) == elements(cns)
     trivial = MatrixGroup(M7, [(1, 0, 0, 1)])
     kernel = trivial.full_preimage(M49)
     assert kernel.order() == 7 ** 4
@@ -121,7 +121,7 @@ def test_enumeration_generator_order_independent():
     gens = list(g.gens)
     for _ in range(3):
         rng.shuffle(gens)
-        assert MatrixGroup(M49, gens).elements() == g.elements()
+        assert elements(MatrixGroup(M49, gens)) == elements(g)
 
 
 def test_is_conjugate_examples():
@@ -136,7 +136,7 @@ def test_is_conjugate_examples():
     assert ok and len(c) == 4
     # the witness 4-tuple conjugates elementwise
     ci = minv(c, 7, 7)
-    assert {mmul(mmul(c, x, 7), ci, 7) for x in a.elements()} == set(b.elements())
+    assert {mmul(mmul(c, x, 7), ci, 7) for x in elements(a)} == set(elements(b))
 
 
 def test_is_conjugate_is_equivalence_on_sample():
@@ -300,7 +300,7 @@ def _check_against_full_keys(h, big, keys):
     for g in (h, big):
         if id(g) not in keys:
             keys[id(g)] = {x: (morder(x, mod), mdet(x, m), (x[0] + x[3]) % m)
-                           for x in g.elements()}
+                           for x in elements(g)}
     hkeys, bkeys = keys[id(h)], keys[id(big)]
     ok, witness, index = conjugate_into(h, big)
     want = _conjugate_into_by_full_keys(h, hkeys, big, bkeys)
@@ -392,6 +392,27 @@ def test_conjugate_kernel_into_itself():
         assert ok and witness is not None and index == 1
 
 
+def test_derived_groups_keep_the_cap():
+    # the cap belongs to the group and passes to every group derived from
+    # it: Borel(101) holds 100 multiples lambda*(1, 0) in its second chain
+    # table, past a cap of 50, whether or not a default-cap twin with the
+    # same generators has built its chain first
+    m101 = PrimePowerModulus(101, 1)
+    gens = build_cartan(CartanSpec("borel", m101)).gens
+    message = "orbit table 2 of G(101) exceeded cap 50"
+    for twin_first in (False, True):
+        g, twin = MatrixGroup(m101, gens, cap=50), MatrixGroup(m101, gens)
+        if twin_first:
+            assert twin.order() == 100 * 100 * 101
+        for use in (g.order, lambda: g == twin, lambda: twin.gens[0] in g, lambda: hash(g),
+                    lambda: g.reduce_to(1).order(),
+                    lambda: g.conjugated_by((1, 0, 0, 3)).order(),
+                    lambda: g.full_preimage(PrimePowerModulus(101, 2)).order()):
+            with pytest.raises(EnumerationCapError) as err:
+                use()
+            assert str(err.value) == message
+
+
 def test_conjugacy_search_budget(monkeypatch):
     borel = build_cartan(CartanSpec("borel", M49))
     monkeypatch.setattr(gl2, "CONJUGACY_BUDGET", 2)
@@ -400,12 +421,21 @@ def test_conjugacy_search_budget(monkeypatch):
 
 
 def test_conjugacy_reads_no_element_list(monkeypatch):
+    # the search builds no closure, orders no element and walks the cosets
+    # of +-B(ell), never the elements of a group
+    orbit = gl2.orbit
+
     def refuse(*args):
         raise AssertionError("the conjugacy search listed a group")
 
-    for name in ("mulclose", "morder"):
+    def walk(seed, gens, act, cap, name):
+        if name.startswith("elements of"):
+            refuse()
+        return orbit(seed, gens, act, cap, name)
+
+    for name in ("extend", "morder"):
         monkeypatch.setattr(gl2, name, refuse)
-    monkeypatch.setattr(gl2.MatrixGroup, "elements", refuse)
+    monkeypatch.setattr(gl2, "orbit", walk)
     borel = build_cartan(CartanSpec("borel", M49))
     start = time.perf_counter()
     ok, _ = is_conjugate(borel, borel.conjugated_by((1, 2, 3, 5)))
@@ -434,7 +464,7 @@ def test_nonsplit_cartans_at_two(record_map):
         units = {(a, -b % m, b, (a - b) % m) for a in range(m) for b in range(m)
                  if (a * a - a * b + b * b) % 2}
         assert cartan.order() == len(units) == 3 * 4 ** (n - 1)
-        assert set(cartan.elements()) == units
+        assert set(elements(cartan)) == units
         normalizer = build_cartan(CartanSpec("nonsplit-normalizer", mod))
         assert normalizer.order() == 2 * cartan.order()
         sigma = (1, m - 1, 0, m - 1)
@@ -455,9 +485,8 @@ def test_section4_semidirect_order():
 
 def test_section4_semidirect_checked_without_enumeration():
     # build_cartan checks the order from the filtration; at modulus 121 the
-    # group has 319,440 elements
-    g = build_cartan(CartanSpec("section4-semidirect", PrimePowerModulus(11, 2)))
-    assert g._elements is None
+    # group has 319,440 elements, so a listing would pass the cap of 10^4
+    g = build_cartan(CartanSpec("section4-semidirect", PrimePowerModulus(11, 2)), 10 ** 4)
     assert g.order() == 2 * 120 * 11 ** 3
 
 
@@ -505,7 +534,7 @@ def test_unit_group_generators():
 def test_det_image_matches_enumeration():
     for kind in ("borel", "split-normalizer", "nonsplit"):
         g = build_cartan(CartanSpec(kind, M49))
-        dets = {mdet(x, 49) for x in g.elements()}
+        dets = {mdet(x, 49) for x in elements(g)}
         assert set(g.det_image()[0]) == dets
 
 
@@ -669,7 +698,7 @@ def test_layered_order_matches_enumeration():
         g = build_cartan(CartanSpec(kind, M49))
         h = MatrixGroup(M49, list(g.gens))
         layered = h.order()           # computed before any enumeration
-        assert layered == len(g.elements())
+        assert layered == len(elements(g))
 
 
 def test_is_conjugate_random_conjugates():
@@ -841,7 +870,6 @@ def test_equality_without_enumeration(data):
     assert (a == b) == (b == a) == (els == other_els)
     if els == other_els:
         assert hash(a) == hash(b)
-    assert a._elements is None and b._elements is None
     assert a != MatrixGroup(PrimePowerModulus(ell, mod.exponent + 1), gens)
 
 

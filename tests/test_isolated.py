@@ -9,7 +9,7 @@ import pytest
 import ellimage.orbits as ORBITS
 from ellimage import gl2
 from ellimage.errors import EnumerationCapError
-from ellimage.gl2 import DEFAULT_CAP, CartanSpec, MatrixGroup, build_cartan, full_gl2
+from ellimage.gl2 import CartanSpec, MatrixGroup, build_cartan, full_gl2
 from ellimage import isolated
 from ellimage.cli import main
 from ellimage.isolated import (ANNOTATIONS, FAMILIES, CandidatePair, analyze, candidate_pairs,
@@ -158,12 +158,12 @@ def test_bad_family_rejected():
         candidate_pairs(full_gl2(M7), "gamma2")
 
 
-def _candidate_pairs_by_tower(group, family, cap=DEFAULT_CAP):
+def _candidate_pairs_by_tower(group, family):
     """Step 1 as it was before the per-level orbit tables: each orbit's
     degrees come from orbit_degree_tower, one fresh BFS per level."""
     ell = group.mod.ell
     found = {}
-    top = next(k for k in range(1, group.mod.exponent + 1) if ell ** k >= group.level(cap))
+    top = next(k for k in range(1, group.mod.exponent + 1) if ell ** k >= group.level())
     for k in range(1, top + 1):
         for rec in orbits(group, k, family):
             tower = dict(orbit_degree_tower(group, rec))
@@ -227,8 +227,8 @@ from ellimage.modarith import PrimePowerModulus
 assert False, "run this under python -O"
 real = isolated.orbits
 # a level-7 orbit of 25 points cannot be the image of an orbit of 1176
-isolated.orbits = lambda g, k, fam, cap: [r._replace(size=25) if k == 1 else r
-                                          for r in real(g, k, fam, cap)]
+isolated.orbits = lambda g, k, fam: [r._replace(size=25) if k == 1 else r
+                                     for r in real(g, k, fam)]
 try:
     g = build_cartan(CartanSpec("nonsplit-normalizer", PrimePowerModulus(7, 2)))
     isolated.candidate_pairs(g, "gamma1")
@@ -260,10 +260,10 @@ def test_genus_at_the_full_level_reuses_the_filtration(record_map, monkeypatch):
 def test_cap_bounds_the_orbit_classes():
     # the nonsplit-Cartan normalizer mod 17^3 has one gamma1 orbit of 41,616
     # classes at level 17^3, past a cap of 10^4
-    group = build_cartan(CartanSpec("nonsplit-normalizer", PrimePowerModulus(17, 3)))
+    spec = CartanSpec("nonsplit-normalizer", PrimePowerModulus(17, 3))
     with pytest.raises(EnumerationCapError):
-        candidate_pairs(group, "gamma1", 10 ** 4)
-    assert candidate_pairs(group, "gamma1")
+        candidate_pairs(build_cartan(spec, 10 ** 4), "gamma1")
+    assert candidate_pairs(build_cartan(spec), "gamma1")
 
 
 # ---------------------------------------------------------------------------

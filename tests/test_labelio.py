@@ -7,8 +7,8 @@ from ellimage.cli import main
 from ellimage.errors import DataFileError, LabelError, NotInvertibleError
 from ellimage.gl2 import MatrixGroup
 from ellimage.knownj import GAMMA0_ISOLATED_J, GAMMA1_ISOLATED_J
-from ellimage.labelio import (ImageRecord, parse_label, read_generators_text,
-                              serialize_records, validate_record)
+from ellimage.labelio import (ImageRecord, parse_label, parse_report_lines,
+                              read_generators_text, serialize_records, validate_record)
 from ellimage.modarith import PrimePowerModulus
 
 
@@ -77,6 +77,16 @@ def test_grammar_errors():
     # a group built from tuples makes the same check
     with pytest.raises(NotInvertibleError):
         MatrixGroup(PrimePowerModulus(7, 2), [(1, 0, 0, 1), (7, 0, 0, 7)])
+
+
+@pytest.mark.parametrize("line", ["RESULT\tx\tgamma1\t17", "RESULT\tx\tgamma1\t17:a",
+                                  "x\tgamma1\t17\tfour\tkept\tnone"])
+def test_report_line_with_a_bad_number(line):
+    # a level:degree pair without its colon, a degree and a level that are
+    # not integers: each a DataFileError that quotes the line
+    with pytest.raises(DataFileError) as err:
+        parse_report_lines("# comment\n%s\n" % line)
+    assert repr(line) in str(err.value)
 
 
 def test_round_trip(records):

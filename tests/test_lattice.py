@@ -11,13 +11,13 @@ from ellimage import lattice as lattice_module
 from ellimage.cli import main
 from ellimage.errors import EnumerationCapError, SearchBudgetError
 from ellimage.gl2 import (CartanSpec, DEFAULT_CAP, Filtration, MatrixGroup, build_cartan,
-                          extend, full_gl2, is_conjugate, mulclose, orbit)
+                          extend, full_gl2, is_conjugate, orbit)
 from ellimage.labelio import read_generators_text
 from ellimage.lattice import (KernelModule, M2_BASIS, SubgroupClass, all_subgroups,
                               preimage_rigidity, proper_detsurjective_subgroups,
                               split_cartan_membership, verify_counterexample,
                               _averaged_section, _build_candidate,
-                              _conjugacy_classes_of_subgroups, _det_surjective_set,
+                              _conjugacy_classes_of_subgroups,
                               _ell_hom_trivial, _is_stable, _rigidity_subspaces,
                               _relator_digit, _stable_subspace_classes,
                               _gaschutz_complement, _split_solution,
@@ -26,7 +26,7 @@ from ellimage.modarith import (IDENTITY, Echelon, PrimePowerModulus, digit, kern
                                lincomb, minv, mmul, mpow, mreduce)
 from ellimage.modcurves import genus_XG
 
-from conftest import transversal
+from conftest import det_surjective, elements, mulclose, transversal
 
 M3 = PrimePowerModulus(3, 1)
 M5 = PrimePowerModulus(5, 1)
@@ -46,7 +46,7 @@ def test_all_subgroups_gl2_f3():
 
 def _oracle_subgroups_by_triples(group):
     "Independent enumeration: closures of all generator triples."
-    els = group.elements()
+    els = elements(group)
     m = group.mod.modulus
     seen = {frozenset([IDENTITY])}
     for a in els:
@@ -73,15 +73,15 @@ def test_subgroup_search_matches_brute_force_oracle():
     assert oracle == all_subgroups(g3)
     # the classified det-surjective classes agree with a direct filter
     classes = proper_detsurjective_subgroups(g3, 8, fix_mod_ell_reduction=False)
-    parent = frozenset(g3.elements())
+    parent = frozenset(elements(g3))
     direct = [s for s in oracle
               if s != parent and 48 // len(s) <= 8 and 48 % len(s) == 0
-              and _det_surjective_set(s, M3)]
+              and det_surjective(s, M3)]
     # count conjugacy classes of the direct list
     total = sum(c.class_size for c in classes)
     assert total == len(direct)
     for c in classes:
-        assert frozenset(c.representative.elements()) in oracle
+        assert frozenset(elements(c.representative)) in oracle
 
 
 def test_unique_index49_class(image49, printed_index49):
@@ -93,7 +93,7 @@ def test_unique_index49_class(image49, printed_index49):
     rep = cls.representative
     assert rep.order() == 504
     # representative really is a subgroup of the parent
-    assert set(rep.elements()) <= set(image49.elements())
+    assert set(elements(rep)) <= set(elements(image49))
     ok, _ = is_conjugate(rep, printed_index49)
     assert ok
 
@@ -156,7 +156,7 @@ def test_class_size_against_orbit(name, record_map):
         classes = _stable_subspace_classes(g, ell ** 4)
         assert classes
         for cls in classes:
-            rep_set = frozenset(cls.representative.elements())
+            rep_set = frozenset(elements(cls.representative))
             (_, size), = _conjugacy_classes_of_subgroups([rep_set], g)
             assert cls.class_size == size, cls
         if g.order() <= 144:
@@ -293,7 +293,7 @@ def test_counterexample_reduction_and_properness():
     g = build_cartan(CartanSpec("nonsplit-normalizer", M7))
     res = preimage_rigidity(g)
     h = res.counterexample
-    assert set(h.reduce_to(1).elements()) == set(g.elements())
+    assert set(elements(h.reduce_to(1))) == set(elements(g))
     assert h.det_image()[1]
     assert h.order() < g.order() * 7 ** 4
 
@@ -526,14 +526,17 @@ def test_ell_hom_trivial_against_reclosing():
 
 
 @pytest.mark.parametrize("walk, message", [
-    (lambda: genus_XG(MatrixGroup(M7, []), cap=30), "cosets of +-G mod 7 exceeded cap 30"),
-    (lambda: is_conjugate(build_cartan(CartanSpec("split", M7)),
-                          build_cartan(CartanSpec("split", M7)).conjugated_by((1, 1, 0, 1)),
-                          cap=10), "cosets of +-B mod 7 exceeded cap 10"),
-    (lambda: _stable_subspace_classes(build_cartan(CartanSpec("split", M49)), 100, cap=10),
+    (lambda: genus_XG(MatrixGroup(M7, [], cap=30)), "cosets of +-G mod 7 exceeded cap 30"),
+    (lambda: is_conjugate(build_cartan(CartanSpec("split", M7), 10),
+                          build_cartan(CartanSpec("split", M7), 10).conjugated_by((1, 1, 0, 1))),
+     "cosets of +-B mod 7 exceeded cap 10"),
+    (lambda: _stable_subspace_classes(build_cartan(CartanSpec("split", M49), 10), 100),
      "elements of G(7) exceeded cap 10"),
-    (lambda: all_subgroups(build_cartan(CartanSpec("borel", PrimePowerModulus(2, 3))), cap=200),
+    (lambda: all_subgroups(build_cartan(CartanSpec("borel", PrimePowerModulus(2, 3)), 200)),
      "subgroup joins exceeded cap 200"),
+    # Borel mod 8 has 128 elements
+    (lambda: all_subgroups(build_cartan(CartanSpec("borel", PrimePowerModulus(2, 3)), 100)),
+     "elements of G mod 8 exceeded cap 100"),
 ])
 def test_cap_errors_name_the_walk(walk, message):
     # each orbit walk that can pass the cap says which one stopped
@@ -546,8 +549,12 @@ def test_growing_loops_build_one_chain(monkeypatch, capsys):
     # generators() and _ell_hom_trivial each grow one chain by adjoining
     # what they keep, where they used to build a chain per kept element:
     # 6 for the generators of Borel(7), 3 for the normal closure of the
-    # GL2(F_5) generating set below, which needs two rounds of conjugation;
-    # the brute-force lattice of 8.12.0.1 made 1,332 chains in all
+    # GL2(F_5) generating set below, which needs two rounds of conjugation.
+    # The brute-force lattice of 8.12.0.1 made 1,332 chains in all, then 795
+    # with three per subgroup class (the greedy chain of the class, the
+    # chain of the group it generates and the one its generators() grew);
+    # the greedy chain now names the canonical generators itself, two per
+    # class for its 263 classes
     built = []
     init = Filtration.__init__
     monkeypatch.setattr(Filtration, "__init__",
@@ -564,7 +571,7 @@ def test_growing_loops_build_one_chain(monkeypatch, capsys):
     del built[:]
     assert main(["lattice-check", "--label", "8.12.0.1"]) == 0
     assert capsys.readouterr().out.endswith("RESULT\tcertified\n")
-    assert len(built) <= 795
+    assert len(built) <= 532
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +642,7 @@ def _stable_subspace_classes_by_elements(group, index_bound):
     U tested for stability.  Returns (U, lifts, classes)."""
     mod = group.mod
     ell, m = mod.ell, mod.modulus
-    els = group.elements()
+    els = elements(group)
     kernel_part = [x for x in els if mreduce(x, ell) == (1, 0, 0, 1)]
     u_basis = Echelon(ell, [digit(x, ell, ell) for x in kernel_part
                             if x != IDENTITY]).rows
@@ -834,7 +841,7 @@ def test_stable_subspaces_walk_spins_per_edge(record_map, image49, monkeypatch):
 
 def _sylow_by_climb(group):
     "Generators of an ell-Sylow subgroup of the group, by normalizer climbing."
-    els = group.elements()
+    els = elements(group)
     mod = group.mod
     ell, m = mod.ell, mod.modulus
     mul = lambda a, b: mmul(a, b, m)
@@ -898,7 +905,7 @@ def _rigidity_subspaces_by_elements(group):
     gens_bar = tuple(mreduce(g, ell) for g in group.gens)
     pi_vecs = []
     layer_low = ell ** (n - 1)
-    for x in group.elements() if n >= 2 else ():
+    for x in elements(group) if n >= 2 else ():
         if x != IDENTITY and mreduce(x, layer_low) == IDENTITY:
             a = tuple((((x[i] - IDENTITY[i]) % mod.modulus) // layer_low) % ell
                       for i in range(4))
@@ -1173,7 +1180,7 @@ def test_section_at_generators_against_all_pairs(record_map, special_records):
     for name, group in _oracle_groups(record_map, special_records,
                                       lambda g: g.order() % g.ell and g.order() <= 200):
         m = group.mod.modulus
-        reps = {t: t for t in group.elements()}
+        reps = {t: t for t in elements(group)}
         old = _averaged_section_by_pairs(reps, m, m * group.ell, group.ell)
         complement = _gaschutz_complement(group, _sylow_subgroup(group))
         assert complement(()) == [old[x] for x in group.filtration().generators()], name
@@ -1221,10 +1228,10 @@ def test_structured_classes_match_brute_force_representatives(name, record_map):
     conj = lambda T, g: frozenset(mmul(mmul(g, x, m), inv[g], m) for x in T)
     matched = []
     for cls in new:
-        points = orbit(frozenset(cls.representative.elements()), group.gens, conj)
+        points = orbit(frozenset(elements(cls.representative)), group.gens, conj)
         hits = [i for i, (index, size, rep) in enumerate(old)
                 if (index, size) == (cls.index_in_parent, cls.class_size)
-                and frozenset(rep.elements()) in points]
+                and frozenset(elements(rep)) in points]
         assert len(hits) == 1, cls
         assert is_conjugate(cls.representative, old[hits[0]][2])[0]
         matched += hits

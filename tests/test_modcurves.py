@@ -7,12 +7,12 @@ from hypothesis import assume, given, settings, strategies as st
 from ellimage import gl2, modcurves
 from ellimage.errors import EnumerationCapError
 from ellimage.gl2 import (DEFAULT_CAP, CartanSpec, MatrixGroup, build_cartan, full_gl2,
-                          mulclose, orbit, unit_group_generators)
+                          orbit, unit_group_generators)
 from ellimage.modarith import IDENTITY, PrimePowerModulus, mdet, minv, mmul, mreduce
 from ellimage.modcurves import (GenusProfile, MapDegreeSpec, genus_X0, genus_X1, genus_XG,
                                 map_degree, map_degree_tower)
 
-from conftest import transversal
+from conftest import elements, mulclose, transversal
 
 
 def test_genus_tables():
@@ -163,7 +163,7 @@ def _profile_by_sl2_enumeration(group):
     """GenusProfile from the right cosets of +-G cap SL2, found by listing all
     of SL2(Z/N): the enumeration genus_XG used before its coset BFS."""
     m = group.mod.modulus
-    H = sorted(x for x in group.adjoin_minus_identity().elements()
+    H = sorted(x for x in elements(group.adjoin_minus_identity())
                if mdet(x, m) == 1)
     coset_of, reps = {}, []
     for x in sorted(mulclose([(1, 1, 0, 1), (1, 0, 1, 1)], m)):
@@ -331,7 +331,7 @@ def test_genus_XG_keys_only_the_cosets_mod_ell(special_records, monkeypatch):
 def test_genus_XG_checks_coset_count(monkeypatch):
     # mu * |+-G| / |det G| must be |SL2(Z/N)|; a wrong group order breaks it
     borel = build_cartan(CartanSpec("borel", PrimePowerModulus(7, 2)))
-    monkeypatch.setattr(MatrixGroup, "order", lambda self, cap=None: 49)
+    monkeypatch.setattr(MatrixGroup, "order", lambda self: 49)
     with pytest.raises(ArithmeticError, match="do not fill"):
         genus_XG(borel)
 
@@ -341,7 +341,7 @@ def test_layer_rejects_an_unfixed_coset():
     # its layer-1 digit [0 1; 0 0] is not diagonal, and the fibre map of
     # layer 2 raises instead of reading a digit from the wrong layer
     group = build_cartan(CartanSpec("split", PrimePowerModulus(5, 3)))
-    layer = modcurves._Layer(group.filtration(), 2, group.det_image()[0], DEFAULT_CAP)
+    layer = modcurves._Layer(group.filtration(), 2, group.det_image()[0])
     with pytest.raises(ArithmeticError, match="is not in"):
         list(layer._orbits(IDENTITY, (1, 5, 0, 1)))
 
@@ -367,14 +367,17 @@ def test_genus_XG_honours_cap():
     # genus_XG holds the three tables of the stabilizer chain of +-G(ell),
     # the cosets mod ell, the cosets carried through each layer and each
     # layer's fibre.  It raises exactly when one of them is larger than the
-    # cap; each group here has a different largest table.
+    # group's cap; each group here has a different largest table.  make(cap)
+    # gives the group with that cap.
     m49, m25, m5 = PrimePowerModulus(7, 2), PrimePowerModulus(5, 2), PrimePowerModulus(5, 1)
-    cases = [(lambda: full_gl2(m49), 42, "orbit"),          # O_2: every (c, d) mod 7, d != 0
-             (lambda: MatrixGroup(m5, []), 60, "cosets"),   # mu = 60 cosets of {+-I}
-             (lambda: gamma1_shape(m49), 60, "carried"),    # the 60 cusps of X1(49)
-             (lambda: build_cartan(CartanSpec("nonsplit-normalizer", m25)), 25, "fibre")]
+    cases = [(lambda cap: MatrixGroup(m49, full_gl2(m49).gens, cap=cap), 42, "orbit"),  # O_2
+             (lambda cap: MatrixGroup(m5, [], cap=cap), 60, "cosets"),  # mu = 60 cosets of {+-I}
+             (lambda cap: MatrixGroup(m49, gamma1_shape(m49).gens, cap=cap), 60,
+              "carried"),                                               # the 60 cusps of X1(49)
+             (lambda cap: build_cartan(CartanSpec("nonsplit-normalizer", m25), cap), 25,
+              "fibre")]
     for make, largest, which in cases:
-        group = make()
+        group = make(DEFAULT_CAP)
         orbits = group.adjoin_minus_identity().filtration().orbits
         prof = genus_XG(group)
         mu_ell = genus_XG(group.reduce_to(1)).mu
@@ -384,5 +387,5 @@ def test_genus_XG_honours_cap():
         del tables[which]
         assert largest > max(tables.values())
         with pytest.raises(EnumerationCapError):
-            genus_XG(make(), cap=largest - 1)
-        assert genus_XG(make(), cap=largest) == prof
+            genus_XG(make(largest - 1))
+        assert genus_XG(make(largest)) == prof

@@ -405,8 +405,8 @@ def test_seeds_stop_at_the_cap(monkeypatch):
     level 17^3, one over each carrier point mod 17^2; at a cap of 10^4 the
     seed list stops growing at the first class past the cap."""
     level = PrimePowerModulus(17, 3)
-    group = build_cartan(CartanSpec("nonsplit-normalizer", level))
-    classes = KernelClasses(group, level, "gamma1", 10 ** 4)
+    group = build_cartan(CartanSpec("nonsplit-normalizer", level), 10 ** 4)
+    classes = KernelClasses(group, level, "gamma1")
     calls, canon = [], classes.canon
     monkeypatch.setattr(classes, "canon", lambda v: calls.append(v) or canon(v))
     with pytest.raises(EnumerationCapError):

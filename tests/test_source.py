@@ -61,6 +61,41 @@ def test_only_the_filtration_reads_the_chain_tables():
     assert found == []
 
 
+def _functions(node, prefix=""):
+    "(qualified name, node) of every function and method defined under node."
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(child, ast.FunctionDef):
+                yield prefix + child.name, child
+            yield from _functions(child, prefix + child.name + ".")
+        else:
+            yield from _functions(child, prefix)
+
+
+# the enumeration cap is carried by each group: only the walk primitives and
+# the entry points that make a group take it as a parameter
+CAP_PARAMETERS = {"gl2.orbit", "gl2.extend", "gl2.Filtration.__init__", "gl2.greedy_generators",
+                  "lattice.KernelModule.stable_subspaces", "gl2.MatrixGroup.__init__",
+                  "gl2.build_cartan", "labelio.ImageRecord.group", "labelio.validate_record",
+                  "cli.RunConfig.__new__"}
+
+
+def test_only_walks_and_group_makers_take_a_cap():
+    takers, explicit = set(), []
+    for path, tree in _trees():
+        for name, node in _functions(tree):
+            args = node.args
+            if "cap" in [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]:
+                takers.add("%s.%s" % (path.stem, name))
+        # a call that passes DEFAULT_CAP would set aside the cap of a group
+        explicit += ["%s:%d" % (path.name, node.lineno) for node in ast.walk(tree)
+                     if isinstance(node, ast.Call) and any(
+                         isinstance(value, ast.Name) and value.id == "DEFAULT_CAP"
+                         for value in node.args + [k.value for k in node.keywords])]
+    assert takers == CAP_PARAMETERS
+    assert explicit == []
+
+
 def test_no_third_party_dependencies():
     # the package is pure Python: pyproject declares no dependencies and
     # every import is package-relative or from the standard library
