@@ -69,11 +69,11 @@ def _resolve_group(args, config, special=None):
                 return rec.group(config.cap)
         raise EllimageError("unknown label %s" % args.label)
     if args.cartan:
-        if not args.mod:
-            raise EllimageError("--cartan needs --mod")
+        if args.mod is None:
+            args.usage_error("--cartan needs --mod")
         mod = PrimePowerModulus.from_int(args.mod)
         return build_cartan(CartanSpec(args.cartan, mod, args.eps), config.cap)
-    raise EllimageError("give --label or --cartan/--mod")
+    args.usage_error("give --label or --cartan/--mod")
 
 
 def _emit(text, config):

@@ -15,9 +15,9 @@ of a parent group, by one orbit walk bounded by the group's cap:
   the kernel) * N_W.  KernelModule.stable_subspaces walks the lattice of
   these up from 0, each cover W + M of W read off the minimal submodules M
   of U/W, which meet the eigenspaces of one generator's conjugation
-  action.  The complement averages the cocycle of the canonical lifts in G
-  of the elements of G(ell) (_averaged_section, the case S = 1 of the
-  Gaschutz average of preimage_rigidity), evaluated at the canonical
+  action.  The complement is the Gaschutz average of preimage_rigidity
+  over the layer ell (_layer_step; S = 1, so every W splits and the average
+  runs over the canonical lifts in G of G(ell)), evaluated at the canonical
   generators only and checked by the order of the group its values
   generate.  The class has [K : N_K(H)] members for K = I + ell*U, read off
   the kernel action (KernelModule.class_size).  Other parents of order <=
@@ -26,38 +26,37 @@ of a parent group, by one orbit walk bounded by the group's cap:
 
 * preimage_rigidity decides whether any proper det-surjective subgroup of
   the one-step full preimage reduces exactly onto G.  Candidate kernel
-  intersections U are the G-stable subspaces of M2(F_ell) above the span
-  of the ell-th-power image of G's top kernel layer L_{n-1}, a stable
-  floor, and the walk starts there.  A
-  subgroup over U exists iff V = (I + ell^n M2)/N_U has a complement,
-  and by Gaschutz iff an ell-Sylow subgroup splits over V.  Its
-  generators, the layer rows of G cap K_1 (deepest layer first) and the
-  canonical lift of one unipotent I + N of G(ell), form a polycyclic
-  sequence; its power
-  and conjugation relators, sifted into words in earlier generators, are
-  affine in the lifts g_i * (I + ell^n v_i), so one linear system over
-  F_ell decides the split (the layer step of the Cannon-Cox-Holt lifting
-  method; Holt, Eick and O'Brien, 7.6 and ch. 8).  A vector y that kills
-  the columns and not the constant certifies "no complement" and is
-  checked on the relator values.  A solution lifts the sequence to a
-  complement over S, and averaging the cocycle of the section it induces
-  over the canonical lift of each coset of S in G turns it into a
-  complement over G (Gaschutz 1952), evaluated at the canonical generators
-  of G and checked by the order of the group it generates with N_U.
-  Determinant surjectivity of that complement settles the det-surjective
-  variant; for traceless U the determinant image is rigid across
-  complements unless G has nontrivial homomorphisms to F_ell, and that
-  corner raises rather than guesses.
+  intersections U are the G-stable subspaces of M2(F_ell) above the span of
+  the ell-th-power image of G's top kernel layer L_{n-1}, a stable floor,
+  and the walk starts there.  A subgroup over U exists iff
+  V = (I + ell^n M2)/N_U has a complement, and by Gaschutz iff an ell-Sylow
+  subgroup splits over V.  Its generators, the layer rows of G cap K_1
+  (deepest layer first) and the canonical lift of one unipotent I + N of
+  G(ell), form a polycyclic sequence; its power and conjugation relators,
+  sifted into words in earlier generators, are affine in the lifts
+  g_i * (I + ell^n v_i), so one linear system over F_ell decides the split
+  (the layer step of the Cannon-Cox-Holt lifting method, _layer_step;
+  Holt, Eick and O'Brien, 7.6 and ch. 8).  A vector y that kills the
+  columns and not the constant certifies "no complement" and is checked on
+  the relator values.  A solution lifts the sequence to a complement over
+  S, and averaging the cocycle of the section it induces over the
+  canonical lift of each coset of S in G turns it into a complement over G
+  (Gaschutz 1952), evaluated at the canonical generators of G and checked
+  by the order of the group it generates with N_U.  Determinant
+  surjectivity of that complement settles the det-surjective variant; for
+  traceless U the determinant image is rigid across complements unless G
+  has nontrivial homomorphisms to F_ell, and that corner raises rather
+  than guesses.
 
 Lifts and generators are the filtration's canonical ones, so every
 representative and witness is a function of the group.  Kernel coordinates
 are modarith.digit and kernel_element, F_ell linear algebra on them is
 modarith.Echelon, and the word in the layer rows of an element of G cap K_1
 is read off the steps of Filtration.reduce.  All search budgets are
-explicit and exhaustion is a hard error; a walk over G(ell) or its cosets
-is an orbit BFS bounded by the group's cap.  Every subgroup, section and
-counterexample the searches build is verified, and a failed verification
-raises CertificateError.
+explicit and exhaustion is a hard error; the walk over the cosets of a
+Sylow subgroup in G(ell) is an orbit BFS bounded by the group's cap.
+Every subgroup, section and counterexample the searches build is
+verified, and a failed verification raises CertificateError.
 """
 
 from collections import namedtuple
@@ -320,7 +319,7 @@ def _conjugacy_classes_of_subgroups(subsets, group):
 # ---------------------------------------------------------------------------
 # Schur-Zassenhaus complement by cocycle averaging
 
-def _averaged_section(reps, layer, m, ell, at, section=None):
+def _averaged_section(reps, layer, m, ell, at, section):
     """Values at the elements `at`, which generate Q, of a homomorphic section
     of an extension of Q by a quotient V of the kernel I + layer*M2(F_ell)
     (Gaschutz 1952; Holt, Eick and O'Brien, ch. 7).
@@ -328,13 +327,11 @@ def _averaged_section(reps, layer, m, ell, at, section=None):
     `reps` holds a lift mod m = layer*ell of one element t of each coset tS
     of a subgroup S of Q of index prime to ell, and `section(x)` lifts each
     x in Q to s(x), with s(t) the lift in `reps` and s(ty) = s(t)*sigma(y)
-    for a homomorphic section sigma over S.  By default S = 1 and `reps`
-    maps each x (mod layer) to s(x).  The cocycle s(x)s(t)s(xt)^-1 is then
-    constant on each coset tS, and the lift of each x in `at` is corrected
-    by its average over the cosets, so the cost is |at| * [Q : S] products.
-    The callers check the values by the order of the group they generate.
+    for a homomorphic section sigma over S.  The cocycle s(x)s(t)s(xt)^-1 is
+    then constant on each coset tS, and the lift of each x in `at` is
+    corrected by its average over the cosets, so the cost is |at| * [Q : S]
+    products.  The caller checks the values.
     """
-    section = section or (lambda x: reps[mreduce(x, layer)])
     inv_n = pow(len(reps), -1, ell)
     values = []
     for x in at:
@@ -402,7 +399,7 @@ def _stable_subspace_classes(group, index_bound):
     proper G(ell)-stable subspace W of the kernel part U = L_1 of the
     filtration, for exponent 2 and |G(ell)| prime to ell."""
     mod = group.mod
-    ell, m = mod.ell, mod.modulus
+    ell = mod.ell
     if mod.exponent != 2:
         raise SearchBudgetError("structured search supports exponent-2 moduli only")
 
@@ -412,23 +409,22 @@ def _stable_subspace_classes(group, index_bound):
     if bar_order % ell == 0:
         raise SearchBudgetError("structured search needs |G(ell)| prime to ell")
     order = bar_order * ell ** len(u_basis)
-    gens_bar = tuple(mreduce(g, ell) for g in filt.generators())
-    module = KernelModule(ell, gens_bar)
-    # a complement of the kernel part: the canonical lift of each element of
-    # G(ell), averaged
-    bar = orbit(IDENTITY, gens_bar, lambda c, g: mmul(c, g, ell), group.cap,
-                "elements of G(%d)" % ell)
-    section = _averaged_section({c: filt.canonical_lift(c) for c in bar}, ell, m, ell, gens_bar)
-    image = MatrixGroup(mod, section, cap=group.cap)
+    module = KernelModule(ell, tuple(mreduce(g, ell) for g in filt.generators()))
+
+    def subspaces():
+        yield ()  # the complement alone, checked before the walk
+        yield from module.stable_subspaces(span=u_basis, cap=group.cap)
+
+    # the layer ell of G: G(ell) has no ell-Sylow sequence, so every W splits
+    steps = _layer_step(group, 1, subspaces())
+    _, image = next(steps)
     if image.order() != bar_order or image.reduce_to(1).order() != bar_order:
         raise CertificateError("averaged section is not a homomorphism")
 
     out = []
-    for W in module.stable_subspaces(span=u_basis, cap=group.cap):
+    for W, rep in steps:
         if len(W) == len(u_basis) or ell ** (len(u_basis) - len(W)) > index_bound:
             continue  # the parent itself, or an index over the bound
-        rep_gens = section + [kernel_element(w, ell, m) for w in W]
-        rep = MatrixGroup(mod, rep_gens, cap=group.cap)
         expected = bar_order * ell ** len(W)
         if rep.order() != expected or not all(g in group for g in rep.gens):
             raise CertificateError("subgroup over W = %r is not a subgroup of order "
@@ -451,16 +447,16 @@ def split_cartan_membership(h):
 # ---------------------------------------------------------------------------
 # preimage rigidity
 
-def _sylow_subgroup(group):
-    """Generators of an ell-Sylow subgroup of the group, the preimage in G
-    of an ell-Sylow subgroup of G(ell).  The ell-part of |GL2(F_ell)| is
-    ell, so these are the layer rows of G cap K_1 (deepest layer first) and
-    the canonical lift of the first I + N_L in G(ell), N_L = p'^T p for p on
-    the line L and p' = (-p_1, p_0): the unipotents that fix L are its powers."""
+def _sylow_subgroup(group, e):
+    """Generators of an ell-Sylow subgroup of G mod ell^e, the preimage of
+    one of G(ell).  The ell-part of |GL2(F_ell)| is ell, so these are the
+    rows of the layers L_(e-1), ..., L_1 and the canonical lift of the first
+    I + N_L in G(ell), N_L = p'^T p for p on the line L and p' = (-p_1, p_0):
+    the unipotents that fix L are its powers."""
     filt = group.filtration()
     ell = group.mod.ell
     # each layer row keeps the powers of an inverse b^-1 of its realiser
-    gens = [powers[1] for _, rows in reversed(filt.layers) for powers in rows.values()]
+    gens = [powers[1] for _, rows in reversed(filt.layers[:e - 1]) for powers in rows.values()]
     for p0, p1 in [(0, 1)] + [(1, a) for a in range(ell)]:
         u = ((1 - p1 * p0) % ell, -p1 * p1 % ell, p0 * p0, (1 + p0 * p1) % ell)
         if filt.lift(u) is not None:
@@ -479,9 +475,9 @@ def _letters(filt, index, x):
     return [(index[g], f) for g, f in reversed(steps)]
 
 
-def _sylow_relators(group, gens):
-    """The relators of the ell-Sylow sequence gens = g_1, ..., g_k of
-    _sylow_subgroup, each a list of letters (i, f) standing for g_i^f.
+def _sylow_relators(group, e, gens):
+    """The relators of the ell-Sylow sequence gens = g_1, ..., g_k of G mod
+    ell^e (_sylow_subgroup), each a list of letters (i, f) standing for g_i^f.
 
     Each prefix of the sequence is normal in the next with index ell: the
     deeper layer rows generate G cap K_(e+1), normal in G, commutators of
@@ -492,7 +488,7 @@ def _sylow_relators(group, gens):
     8.1).
     """
     filt = group.filtration()
-    ell, layer = group.mod.ell, group.mod.modulus
+    ell, layer = group.ell, group.ell ** e
     index = {g: i for i, g in enumerate(gens)}
     words = []
     for i, g in enumerate(gens):
@@ -516,19 +512,19 @@ def _relator_digit(word, lifts, layer, ell):
     return digit(_word_value(word, lifts, layer * ell, ell), layer, ell)
 
 
-def _sylow_relator_digits(group, gens):
-    """The relators of _sylow_relators evaluated at lifts mod ell^(n+1): a
-    list whose entry 0 holds the layer-n digit of every relator at the lifts
-    g_i (entries in [0, ell^n)), and whose entry 1 + 4i + j holds them at
-    the lifts with g_i replaced by g_i * (I + ell^n E_j).  A relator's value
-    at lifts g_i * (I + ell^n v_i) lies in I + ell^n M2, and its digit is
+def _sylow_relator_digits(group, e, gens):
+    """The relators of _sylow_relators evaluated at lifts mod ell^(e+1): a
+    list whose entry 0 holds the layer-e digit of every relator at the lifts
+    g_i (entries in [0, ell^e)), and whose entry 1 + 4i + j holds them at
+    the lifts with g_i replaced by g_i * (I + ell^e E_j).  A relator's value
+    at lifts g_i * (I + ell^e v_i) lies in I + ell^e M2, and its digit is
     affine in the v_i over F_ell, since that kernel is abelian and G acts on
     it through G(ell).  Changing the lift of g_i changes only the digits of
     the relators with a letter i, so only those are evaluated again.
     """
-    ell, layer = group.mod.ell, group.mod.modulus
+    ell, layer = group.ell, group.ell ** e
     m = layer * ell
-    words = _sylow_relators(group, gens)
+    words = _sylow_relators(group, e, gens)
     base = [_relator_digit(word, gens, layer, ell) for word in words]
     out = [base]
     for i, g in enumerate(gens):
@@ -544,7 +540,7 @@ def _sylow_relator_digits(group, gens):
 
 def _split_system(digits, U, ell):
     """(columns, constant) of the linear system over F_ell whose solutions a
-    are the lifts g_i * (I + ell^n sum_j a_(4i+j) E_j) of the Sylow sequence
+    are the lifts g_i * (I + ell^e sum_j a_(4i+j) E_j) of the Sylow sequence
     that satisfy every relator modulo N_U: the relator digits reduced
     modulo U are constant + sum of a_u * columns[u]."""
     span_u = Echelon(ell, U)
@@ -556,7 +552,7 @@ def _split_system(digits, U, ell):
 
 def _split_solution(digits, U, ell):
     """A solution a of the system of _split_system, or None when the
-    ell-Sylow subgroup does not split over V = (I + ell^n M2)/N_U.
+    ell-Sylow subgroup does not split over V = (I + ell^e M2)/N_U.
 
     A solution is x/x_0 for a null vector (x, x_0) of the columns and the
     constant with x_0 != 0.  If there is none, some y with y.columns = 0
@@ -584,26 +580,26 @@ def _split_solution(digits, U, ell):
                            % (U,))
 
 
-def _gaschutz_complement(group, gens):
+def _gaschutz_complement(group, e, gens):
     """A function taking a solution of _split_system to the values at the
-    generators of G of a homomorphic section G -> P/N_U, for the ell-Sylow
-    sequence gens of _sylow_subgroup.
+    canonical generators of G of a homomorphic section Q -> E/N_U, for
+    Q = G mod ell^e (e is 1 or the exponent n of G), E its full preimage
+    mod ell^(e+1) and the ell-Sylow sequence gens of Q (_sylow_subgroup).
 
-    The solution lifts the Sylow sequence g_i to g_i * (I + ell^n a_i),
+    The solution lifts the Sylow sequence g_i to g_i * (I + ell^e a_i),
     which satisfy its relators modulo N_U, so g_i -> lift_i extends to a
     homomorphism sigma over S.  S(ell) is 1 or <I + N>, N^2 = 0, for the
     last element u of the sequence, and S contains G cap K_1, so an element
     y of S is u^a * k with I + aN = y mod ell and k in G cap K_1, and
     sigma(y) = sigma(u)^a * sigma(w)^-1 for the word w with w * k = I that
-    _letters reads off.  The cosets of S in G are those of S(ell) in G(ell),
-    and c*S(ell) = {c + a*cN} is named by its member with entry q equal to
-    0, q the first nonzero entry of cN.  One orbit BFS of G(ell) on these
-    names lists the [G(ell) : S(ell)] cosets, the canonical lift t of each
-    name and s(ty) = t * sigma(y) make the section that _averaged_section
-    corrects, and it is evaluated at the canonical generators of G.
+    _letters reads off (k = I for e = 1).  The cosets of S in Q are those
+    of S(ell) in G(ell), and c*S(ell) = {c + a*cN} is named by its member
+    with entry q equal to 0, q the first nonzero entry of cN.  One orbit BFS
+    of G(ell) on these names lists the [G(ell) : S(ell)] cosets, and the
+    canonical lift t in G of each name and s(ty) = t * sigma(y) make the
+    section that _averaged_section corrects: with S = 1, the values lie in G.
     """
-    mod = group.mod
-    ell, layer = mod.ell, mod.modulus
+    ell, layer = group.ell, group.ell ** e
     m = layer * ell
     filt = group.filtration()
     index = {g: i for i, g in enumerate(gens)}
@@ -633,6 +629,8 @@ def _gaschutz_complement(group, gens):
 
         def section(x):
             k = key(mreduce(x, ell))
+            if not gens:
+                return reps[k]  # S = 1
             y, a = mmul(minv(reps[k], layer, ell), x, layer), 0
             if u:
                 a = (y[p] - IDENTITY[p]) * unit % ell
@@ -645,6 +643,27 @@ def _gaschutz_complement(group, gens):
         return _averaged_section(reps, layer, m, ell, at, section)
 
     return complement
+
+
+def _layer_step(group, e, subspaces):
+    """(W, <C, I + ell^e W> mod ell^(e+1)) for each stable subspace W read
+    from `subspaces`, C the complement of _gaschutz_complement over the
+    layer ell^e, or (W, None) where the ell-Sylow sequence of G mod ell^e
+    does not split over W.  The Sylow sequence, relator digits and coset
+    lifts are built on the first request, before `subspaces` is read, and C
+    is averaged once per solution; the callers check the candidates."""
+    ell, layer, high = group.ell, group.ell ** e, PrimePowerModulus(group.ell, e + 1)
+    sylow = _sylow_subgroup(group, e)
+    digits = _sylow_relator_digits(group, e, sylow)
+    complement = _gaschutz_complement(group, e, sylow)
+    values = {}
+    for W in subspaces:
+        solution = _split_solution(digits, W, ell)
+        if solution is not None and solution not in values:
+            values[solution] = complement(solution)
+        kernel = [kernel_element(w, layer, high.modulus) for w in W]
+        yield W, None if solution is None else MatrixGroup(high, values[solution] + kernel,
+                                                           cap=group.cap)
 
 
 def _ell_hom_trivial(group):
@@ -669,15 +688,6 @@ def _ell_hom_trivial(group):
                 seeds.append(c)
                 closure.adjoin([c])
     return closure.order() == group.order()
-
-
-def _build_candidate(group, u_basis, complement_lifts, mod_high):
-    "MatrixGroup mod ell^(n+1) generated by complement lifts plus N_U."
-    layer = group.mod.modulus
-    m = mod_high.modulus
-    gens = list(complement_lifts)
-    gens += [kernel_element(u, layer, m) for u in u_basis]
-    return MatrixGroup(mod_high, gens, cap=group.cap)
 
 
 def verify_counterexample(group, candidate):
@@ -730,26 +740,14 @@ def preimage_rigidity(group):
     """
     mod = group.mod
     ell = mod.ell
-    mod_high = PrimePowerModulus(ell, mod.exponent + 1)
     order = group.order()
-    # the Sylow sequence, its relator digits and the coset lifts are built
-    # once, when a subspace first needs them; a complement is averaged once
-    # per solution
-    digits = complement = None
-    values = {}
     undecided = []
     subspaces = _rigidity_subspaces(group)
-    for checked, (U, v_basis) in enumerate(subspaces, 1):
-        if digits is None:
-            sylow = _sylow_subgroup(group)
-            digits = _sylow_relator_digits(group, sylow)
-            complement = _gaschutz_complement(group, sylow)
-        solution = _split_solution(digits, U, ell)
-        if solution is None:
+    # the new layer ell^n of the one-step preimage
+    steps = _layer_step(group, mod.exponent, [U for U, _ in subspaces])
+    for checked, ((U, v_basis), (_, candidate)) in enumerate(zip(subspaces, steps), 1):
+        if candidate is None:
             continue  # Gaschutz: no complement anywhere
-        if solution not in values:
-            values[solution] = complement(solution)
-        candidate = _build_candidate(group, U, values[solution], mod_high)
         if candidate.order() != order * ell ** len(U):
             raise CertificateError("averaged complement over U = %r is not a complement"
                                    % (U,))

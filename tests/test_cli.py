@@ -186,6 +186,30 @@ def test_label_with_cartan_flags_is_a_usage_error(verb, extra, capsys):
     assert err.endswith(": error: argument --label: not allowed with argument %s\n" % extra[0])
 
 
+@pytest.mark.parametrize("verb", [["info"], ["filter", "--family", "gamma1"], ["lattice-check"]])
+@pytest.mark.parametrize("flags, message", [
+    ([], "give --label or --cartan/--mod"),
+    (["--mod", "7"], "give --label or --cartan/--mod"),
+    (["--cartan", "borel"], "--cartan needs --mod")])
+def test_missing_group_flags_are_usage_errors(verb, flags, message, capsys):
+    # both used to exit 1 with a bare "error: ..." line
+    with pytest.raises(SystemExit) as exc:
+        main(verb + flags)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith("usage: ellimage %s " % verb[0])
+    assert err.endswith(": error: %s\n" % message)
+
+
+@pytest.mark.parametrize("mod", ["0", "1", "-7"])
+def test_cartan_modulus_out_of_range(mod, capsys):
+    # --mod 0 used to read as a missing --mod
+    assert main(["info", "--cartan", "borel", "--mod", mod]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: modulus must be a prime power in [2, 3037000499], got %s\n" % mod
+
+
 def test_label_with_cartan_exits_2():
     r = run("info", "--label", "49.196.9.1", "--cartan", "borel", "--mod", "7")
     assert r.returncode == 2 and r.stdout == ""

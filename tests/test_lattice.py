@@ -16,11 +16,11 @@ from ellimage.labelio import read_generators_text
 from ellimage.lattice import (KernelModule, M2_BASIS, SubgroupClass, all_subgroups,
                               preimage_rigidity, proper_detsurjective_subgroups,
                               split_cartan_membership, verify_counterexample,
-                              _averaged_section, _build_candidate,
                               _conjugacy_classes_of_subgroups,
-                              _ell_hom_trivial, _is_stable, _rigidity_subspaces,
-                              _relator_digit, _stable_subspace_classes,
-                              _gaschutz_complement, _split_solution,
+                              _ell_hom_trivial, _is_stable, _layer_step,
+                              _rigidity_subspaces, _relator_digit,
+                              _stable_subspace_classes, _gaschutz_complement,
+                              _split_solution,
                               _sylow_relator_digits, _sylow_relators, _sylow_subgroup)
 from ellimage.modarith import (IDENTITY, Echelon, PrimePowerModulus, digit, kernel_element,
                                lincomb, minv, mmul, mpow, mreduce)
@@ -186,10 +186,10 @@ assert False, "run this under python -O"
 averaged = lattice._averaged_section
 
 
-def moved_section(reps, layer, m, ell, at):
+def moved_section(reps, layer, m, ell, at, section):
     # conjugating the complement by I + ell*E11 moves it out of the parent
     c, ci = (1 + ell, 0, 0, 1), (1 - ell, 0, 0, 1)
-    return [mmul(mmul(c, t, m), ci, m) for t in averaged(reps, layer, m, ell, at)]
+    return [mmul(mmul(c, t, m), ci, m) for t in averaged(reps, layer, m, ell, at, section)]
 
 
 lattice._averaged_section = moved_section
@@ -446,7 +446,7 @@ def test_complement_dfs_against_product_search(name, conj, image49):
     if conj:
         group = group.conjugated_by(conj)
     ell, n, m = group.mod.ell, group.mod.exponent, group.mod.modulus
-    generator_lists = [_sylow_subgroup(group), group.filtration().generators()]
+    generator_lists = [_sylow_subgroup(group, n), group.filtration().generators()]
     compared = 0
     for U, v_basis in _rigidity_subspaces(group):
         quot = _Quotient(ell, n, U)
@@ -469,7 +469,7 @@ def test_sylow_complement_search_builds_no_rejected_closure(conj, image49, monke
     that is then rejected, whatever the presentation."""
     group = image49 if conj is None else image49.conjugated_by(conj)
     ell, n, m = group.mod.ell, group.mod.exponent, group.mod.modulus
-    sylow = _sylow_subgroup(group)
+    sylow = _sylow_subgroup(group, n)
     rejected = []
     original = extend
 
@@ -531,7 +531,7 @@ def test_ell_hom_trivial_against_reclosing():
                           build_cartan(CartanSpec("split", M7), 10).conjugated_by((1, 1, 0, 1))),
      "cosets of +-B mod 7 exceeded cap 10"),
     (lambda: _stable_subspace_classes(build_cartan(CartanSpec("split", M49), 10), 100),
-     "elements of G(7) exceeded cap 10"),
+     "Sylow cosets in G(7) exceeded cap 10"),
     (lambda: all_subgroups(build_cartan(CartanSpec("borel", PrimePowerModulus(2, 3)), 200)),
      "subgroup joins exceeded cap 200"),
     # Borel mod 8 has 128 elements
@@ -881,7 +881,7 @@ def test_sylow_subgroup_against_climb(record_map, special_records):
         ell_part = 1
         while group.order() % (ell_part * ell) == 0:
             ell_part *= ell
-        sylow = _sylow_subgroup(group)
+        sylow = _sylow_subgroup(group, n)
         assert all(g in group for g in sylow), name
         assert MatrixGroup(group.mod, sylow).order() == ell_part, name
         climb = _sylow_by_climb(group)
@@ -951,7 +951,7 @@ def _sylow_dfs_verdicts(mod, gens):
     the averaged complement are checked against the same searches."""
     group = MatrixGroup(mod, gens)
     ell, n, m = mod.ell, mod.exponent, mod.modulus
-    sylow = _sylow_subgroup(group)
+    sylow = _sylow_subgroup(group, n)
     return [(U, v_basis, _complement_over_group(_Quotient(ell, n, U), sylow, m, v_basis, ell,
                                                 DEFAULT_CAP, 10 ** 6) is not None)
             for U, v_basis in _rigidity_subspaces(group)
@@ -960,7 +960,8 @@ def _sylow_dfs_verdicts(mod, gens):
 
 def _split_verdicts(group):
     "(linear verdict, DFS verdict) on the Sylow sequence for each subspace."
-    digits = _sylow_relator_digits(group, _sylow_subgroup(group))
+    n = group.mod.exponent
+    digits = _sylow_relator_digits(group, n, _sylow_subgroup(group, n))
     return [(_split_solution(digits, U, group.ell) is not None, dfs)
             for U, _, dfs in _sylow_dfs_verdicts(group.mod, group.gens)]
 
@@ -969,9 +970,9 @@ def _relator_digits_in_full(group):
     """Every relator evaluated at each of the 4k + 1 lift choices, the
     reference for _sylow_relator_digits, which evaluates again only the
     relators a changed lift appears in."""
-    ell, layer = group.mod.ell, group.mod.modulus
-    gens = _sylow_subgroup(group)
-    words = _sylow_relators(group, gens)
+    ell, n, layer = group.mod.ell, group.mod.exponent, group.mod.modulus
+    gens = _sylow_subgroup(group, n)
+    words = _sylow_relators(group, n, gens)
     choices = [gens] + [gens[:i] + [mmul(g, kernel_element(b, layer, layer * ell),
                                          layer * ell)] + gens[i + 1:]
                         for i, g in enumerate(gens) for b in M2_BASIS]
@@ -981,8 +982,9 @@ def _relator_digits_in_full(group):
 def test_relator_digits_against_full_evaluation(record_map):
     for group in (record_map["49.196.9.1"].group(), record_map["16.24.0.1"].group(),
                   build_cartan(CartanSpec("borel", M25))):
-        digits = _sylow_relator_digits(group, _sylow_subgroup(group))
-        assert len(digits) == 4 * len(_sylow_subgroup(group)) + 1
+        sylow = _sylow_subgroup(group, group.mod.exponent)
+        digits = _sylow_relator_digits(group, group.mod.exponent, sylow)
+        assert len(digits) == 4 * len(sylow) + 1
         assert digits == _relator_digits_in_full(group)
 
 
@@ -1025,7 +1027,7 @@ def _groups_with_kernel_elements(draw):
 @settings(max_examples=30, deadline=None)
 @given(_groups_with_kernel_elements())
 def test_linear_split_test_on_drawn_groups(group):
-    sylow = _sylow_subgroup(group)
+    sylow = _sylow_subgroup(group, group.mod.exponent)
     assume(group.ell ** len(sylow) <= 7 ** 4)  # the DFS closes each lift choice
     for linear, dfs in _split_verdicts(group):
         assert linear == dfs
@@ -1042,21 +1044,17 @@ def test_averaged_complement_against_dfs(rigidity_inputs):
     for name, group in rigidity_inputs:
         mod = group.mod
         ell, n, m = mod.ell, mod.exponent, mod.modulus
-        mod_high = PrimePowerModulus(ell, n + 1)
-        sylow = _sylow_subgroup(group)
-        digits = _sylow_relator_digits(group, sylow)
-        complement = _gaschutz_complement(group, sylow)
-        for U, v_basis, dfs in _sylow_dfs_verdicts(mod, group.gens):
-            solution = _split_solution(digits, U, ell)
-            assert dfs == (solution is not None), (name, U, sylow)
+        scanned = _sylow_dfs_verdicts(mod, group.gens)
+        steps = _layer_step(group, n, [U for U, _, _ in scanned])
+        for (U, v_basis, dfs), (_, candidate) in zip(scanned, steps):
+            assert dfs == (candidate is not None), (name, U)
             if group.order() <= 100:
                 dfs = _complement_over_group(_Quotient(ell, n, U), list(group.gens), m,
                                              v_basis, ell, DEFAULT_CAP, 10 ** 6)
-                assert (dfs is None) == (solution is None), (name, U, group.gens)
-            verdicts.add(solution is not None)
-            if solution is None:
+                assert (dfs is None) == (candidate is None), (name, U, group.gens)
+            verdicts.add(candidate is not None)
+            if candidate is None:
                 continue
-            candidate = _build_candidate(group, U, complement(solution), mod_high)
             assert candidate.order() == group.order() * ell ** len(U), (name, U)
             if candidate.det_image()[1]:
                 assert verify_counterexample(group, candidate), (name, U)
@@ -1164,25 +1162,26 @@ def test_section_order_check_survives_optimize():
 
 
 def test_section_at_generators_against_all_pairs(record_map, special_records):
-    """The section at the generators equals the O(|Q|^2) section there: on
-    the structured path (Q = G(ell), canonical lifts) and on the Gaschutz
-    average of preimage_rigidity for S = 1 (Q = G, lifted to itself one
-    level up), each at the canonical generators."""
+    """The Gaschutz average at the generators equals the O(|Q|^2) section
+    there, for S = 1: over the layer ell on the structured path (Q = G(ell),
+    canonical lifts) and over the layer ell^n of preimage_rigidity (Q = G,
+    lifted to itself one level up), each at the canonical generators."""
     compared = set()
     for name, group in _oracle_groups(record_map, special_records, _structured_applies):
         ell, m = group.ell, group.mod.modulus
         filt = group.filtration()
         reps = {mreduce(t, ell): filt.canonical_lift(t) for t in transversal(filt)}
-        at = [mreduce(g, ell) for g in filt.generators()]
         old = _averaged_section_by_pairs(reps, ell, m, ell)
-        assert _averaged_section(reps, ell, m, ell, at) == [old[x] for x in at], name
+        complement = _gaschutz_complement(group, 1, _sylow_subgroup(group, 1))
+        assert complement(()) == [old[mreduce(g, ell)] for g in filt.generators()], name
         compared.add(name)
     for name, group in _oracle_groups(record_map, special_records,
                                       lambda g: g.order() % g.ell and g.order() <= 200):
         m = group.mod.modulus
         reps = {t: t for t in elements(group)}
         old = _averaged_section_by_pairs(reps, m, m * group.ell, group.ell)
-        complement = _gaschutz_complement(group, _sylow_subgroup(group))
+        n = group.mod.exponent
+        complement = _gaschutz_complement(group, n, _sylow_subgroup(group, n))
         assert complement(()) == [old[x] for x in group.filtration().generators()], name
         compared.add(name)
     assert {"49.196.9.1", "9.54.1.1", "7.21.0.1", "5.10.0.1", "2.2.0.1"} <= compared

@@ -96,6 +96,25 @@ def test_only_walks_and_group_makers_take_a_cap():
     assert explicit == []
 
 
+def test_one_layer_step_builds_the_complements():
+    # the structured classification and preimage rigidity take their
+    # candidates from one layer step, which averages in one place, and no
+    # walk lists the elements of G(ell)
+    tree = ast.parse((PACKAGE / "lattice.py").read_text())
+    functions = dict(_functions(tree))
+    calls = lambda node, callee: [call for call in ast.walk(node) if isinstance(call, ast.Call)
+                                  and isinstance(call.func, ast.Name) and call.func.id == callee]
+    averaging = [call for _, module in _trees() for call in calls(module, "_averaged_section")]
+    assert len(averaging) == 1
+    assert "_build_candidate" not in functions
+    assert sorted(name for name, node in functions.items() if calls(node, "_layer_step")) == [
+        "_stable_subspace_classes", "preimage_rigidity"]
+    walks = [node.value for call in calls(tree, "orbit") for node in ast.walk(call)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    assert "subgroup joins" in walks
+    assert not [name for name in walks if name.startswith("elements of G(")]
+
+
 def test_no_third_party_dependencies():
     # the package is pure Python: pyproject declares no dependencies and
     # every import is package-relative or from the standard library
