@@ -98,7 +98,7 @@ def cmd_info(args, config):
         "order: %d" % group.order(),
         "index: %d" % group.index_in_ambient(),
         "det image: %s (%d of %d units)"
-        % ("surjective" if surj else "proper", len(dets), group.mod.unit_count()),
+        % ("surjective" if surj else "proper", dets.order(), group.mod.unit_count()),
         "contains -I: %s" % ("yes" if group.contains_minus_identity() else "no"),
         "genus profile: mu=%d nu2=%d nu3=%d nu_inf=%d genus=%d"
         % (prof.mu, prof.nu2, prof.nu3, prof.nu_inf, prof.genus),

@@ -6,8 +6,9 @@ search, and the named Cartan/Borel constructions.  No group is listed
 element by element here.
 
 orbit() is the one orbit BFS of the package: torsion orbits, the coset
-action mod ell behind genus_XG, determinant images, the brute-force
-lattice's listing of a small parent and its join closures run through it.
+action mod ell behind genus_XG, the brute-force lattice's listing of a
+small parent and its join closures run through it; det G is a group like
+any other, D = <diag(det g, 1)>, and no unit is listed.
 extend() is the one group closure: it adds one element to a closed finite
 group by Dimino's coset extension (Holt, Eick and O'Brien, Handbook of
 Computational Group Theory, 4.1), each new left coset entering whole; the
@@ -224,14 +225,13 @@ class MatrixGroup:
     # -- determinant, -I ----------------------------------------------
 
     def det_image(self):
-        """(sorted tuple of unit residues generated by generator dets,
-        surjectivity flag), cached.  Equals the det set of the full
-        enumeration; EnumerationCapError past the cap."""
+        """(D, surjective), cached: D = <diag(det g, 1) : g a generator>, a
+        MatrixGroup isomorphic to det G through its upper left entry, and
+        whether det G is all of (Z/ell^n)^x.  No unit is listed."""
         if self._det_image is None:
             m = self.mod.modulus
-            closure = orbit(1, [mdet(g, m) for g in self.gens], lambda x, d: x * d % m,
-                            self.cap, "determinant image")
-            self._det_image = tuple(sorted(closure)), len(closure) == self.mod.unit_count()
+            dets = MatrixGroup(self.mod, [(mdet(g, m), 0, 0, 1) for g in self.gens], cap=self.cap)
+            self._det_image = dets, dets.order() == self.mod.unit_count()
         return self._det_image
 
     def contains_minus_identity(self):
@@ -619,16 +619,18 @@ class Filtration:
         return least
 
     def generators(self):
-        """The canonical generating set of G (cached): greedy_generators of the
-        canonical lifts of the least element over each point of the three
-        tables, tables in order and points sorted, then of the rows' realisers."""
+        """The canonical generating set of G (cached): the canonical lifts of
+        the least element over each point of the three tables, tables in
+        order and points sorted, then the rows' realisers, each kept when
+        the ones kept before it do not generate it; one chain grows by the
+        kept elements (grow) and the walk stops once it has |G| elements."""
         if self._generators is None:
             lines, scalars, seconds = self.orbits
             tops = chain((self.least(lines[p][0], 1) for p in sorted(lines)),
                          (self.least(scalars[s][0], 2) for s in sorted(scalars)),
                          ((1, 0) + p for p in sorted(seconds)))
             elements = chain(map(self.canonical_lift, tops), self._rows)
-            self._generators = greedy_generators(elements, self.mod, self.order(), self.cap)
+            self._generators = Filtration((), self.mod, self.cap).grow(elements, self.order())
         return self._generators
 
     def sizes(self):
@@ -640,14 +642,6 @@ class Filtration:
     def order(self):
         base, dims = self.sizes()
         return base * self.ell ** sum(dims)
-
-
-def greedy_generators(elements, mod, order, cap=DEFAULT_CAP):
-    """The tuple of the elements, in order, that the ones kept before them do
-    not generate, each kept one adjoined to one growing chain (grow); the
-    walk stops once the chain has `order` elements, when every later one
-    would drop."""
-    return Filtration((), mod, cap).grow(elements, order)
 
 
 # ---------------------------------------------------------------------------

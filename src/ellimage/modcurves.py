@@ -154,6 +154,18 @@ def map_degree_tower(family, ell, a_exp, k_exp):
 GenusProfile = namedtuple("GenusProfile", "mu nu2 nu3 nu_inf genus")
 
 
+def _cycles(points, step):
+    "(length, first point) of each cycle of the permutation `step` of the points, in order."
+    seen = set()
+    for first in points:
+        size, x = 0, first
+        while x not in seen:
+            seen.add(x)
+            x, size = step(x), size + 1
+        if size:
+            yield size, first
+
+
 class _Layer:
     """Congruence layer j >= 1 of the coset action, from level ell^j to
     ell^(j+1).
@@ -162,18 +174,23 @@ class _Layer:
     ell^(j+1) are +-G*(I + ell^j*Y)*y for Y in A_j modulo the layer L_j of
     +-G's filtration: A_j is M2(F_ell) when det G holds 1 + ell^j mod
     ell^(j+1), since det(I + ell^j*Y) = 1 + ell^j*tr(Y), and sl2 otherwise.
-    `fibre` lists the Echelon normal forms of A_j modulo L_j, the vectors
-    that are zero at L_j's pivots.  An element w of SL2 that fixes +-G*y
-    mod ell^j acts on the fibre: with y*w*y^-1 = h*r, h in +-G and r in K_j,
-    +-G*(I + ell^j*Y)*y*w = +-G*(I + ell^j*(hbar^-1*Y*hbar + R))*y for R the
-    layer-j digit of r (Holt, Eick and O'Brien, ch. 8).
+    det G holds it when layer j of `dets`, the filtration of D =
+    det_image()[0], is not empty; units[t], the unit of det G over 1 +
+    t*ell^j, is then the upper left entry of b^(t - ell) (b^0 at t = 0),
+    kept by D's chain for the realiser b of that row.  `fibre` lists the
+    Echelon normal forms of A_j modulo L_j, the vectors that are zero at
+    L_j's pivots.  An element w of SL2 that fixes +-G*y mod ell^j acts on
+    the fibre: with y*w*y^-1 = h*r, h in +-G and r in K_j, +-G*(I +
+    ell^j*Y)*y*w = +-G*(I + ell^j*(hbar^-1*Y*hbar + R))*y for R the layer-j
+    digit of r (Holt, Eick and O'Brien, ch. 8).
     """
 
     def __init__(self, filt, j, dets):
         ell, cap = filt.ell, filt.cap
         self.filt, self.q, self.echelon = filt, ell ** j, filt.layers[j - 1][0]
-        self.dets = {d % (self.q * ell): d for d in dets}
-        full = 1 + self.q in self.dets
+        powers = next(iter(dets.layers[j - 1][1].values()), [IDENTITY])
+        self.units = [b[0] for b in powers[:1] + powers[:0:-1]]
+        full = len(self.units) > 1
         if ell ** (4 - len(self.echelon) - (not full)) > cap:
             raise EnumerationCapError("fibre of layer %d exceeded cap %d" % (j, cap))
         self.fibre = [Y for Y in self.echelon.normal_forms(4)
@@ -191,16 +208,9 @@ class _Layer:
         d = digit(r, q, ell)
         h = mreduce(x, ell)
         hinv = minv(h, ell, ell)
-        seen = set()
-        for first in self.fibre:
-            size, Y = 0, first
-            while Y not in seen:
-                seen.add(Y)
-                conj = mmul(mmul(hinv, Y, ell), h, ell)
-                Y = self.echelon.reduce([(a + b) % ell for a, b in zip(conj, d)])
-                size += 1
-            if size:
-                yield size, first
+        reduce = self.echelon.reduce
+        return _cycles(self.fibre, lambda Y: reduce(
+            [(a + b) % ell for a, b in zip(mmul(mmul(hinv, Y, ell), h, ell), d)]))
 
     def lift(self, g, fixed_only, carried):
         """The (length, representative) of each cycle of g mod ell^(j+1) that
@@ -208,25 +218,28 @@ class _Layer:
         cosets when fixed_only.  A cycle of length c splits into the orbits
         of g^c on the fibre over its representative.  A representative
         (I + ell^j*Y)*y is multiplied by diag(1, delta), delta = 1 mod
-        ell^(j+1), to bring its determinant into det G."""
-        m, q, cap = self.filt.m, self.q, self.filt.cap
+        ell^(j+1), to bring its determinant to det y * units[tr Y]."""
+        ell, m, q, cap, units = self.filt.ell, self.filt.m, self.q, self.filt.cap, self.units
         out = []
         for c, y in carried:
             for size, Y in self._orbits(y, mpow(g, c, m)):
                 if size == 1 or not fixed_only:
                     z = mmul(kernel_element(Y, q, m), y, m)
-                    out.append((c * size, _into_det(z, self.dets, q * self.filt.ell, m)))
+                    t = (Y[0] + Y[3]) % ell
+                    e = mdet(y, m) * units[t] % m if t < len(units) else None
+                    out.append((c * size, _into_det(z, e, m)))
                     if len(out) > cap:
                         raise EnumerationCapError("cosets carried to %d exceeded cap %d"
-                                                  % (q * self.filt.ell, cap))
+                                                  % (q * ell, cap))
         return out
 
 
-def _into_det(z, dets, q, m):
-    """z * diag(1, delta) with delta = 1 mod q and determinant in det G, for
-    dets mapping det G mod q into det G mod m."""
+def _into_det(z, e, m):
+    "z * diag(1, e / det z), of determinant e in det G; ArithmeticError when e is None."
     d = mdet(z, m)
-    delta = dets[d % q] * pow(d, -1, m) % m
+    if e is None:
+        raise ArithmeticError("det %d of %r has no lift into det G" % (d, z))
+    delta = e * pow(d, -1, m) % m
     return z[0], z[1] * delta % m, z[2], z[3] * delta % m
 
 
@@ -242,8 +255,8 @@ def genus_XG(group):
     u-cycle are carried, one _Layer at a time, and mu = mu(ell) * prod
     |fibre_j|; the mu cosets mod N are never listed.  mu * |+-G| / |det G|
     = |SL2(Z/N)| is checked.  EnumerationCapError is raised once the
-    chain's orbit tables, the determinant image, the cosets mod ell, a
-    layer's carried cosets or a fibre exceeds the group's cap.
+    chain's orbit tables, the cosets mod ell, a layer's carried cosets or
+    a fibre exceeds the group's cap; det G, a group, lists no unit.
     """
     mod = group.mod
     ell, m = mod.ell, mod.modulus
@@ -253,33 +266,26 @@ def genus_XG(group):
     step = {}  # the image of each coset under s and u
     act = lambda r, g: step.setdefault((r, g), filt.least(mmul(r, g, ell)))
     cosets = orbit(filt.least(IDENTITY), (s, u), act, group.cap, "cosets of +-G mod %d" % ell)
-    dets = group.det_image()[0]
+    dets = group.det_image()[0].filtration()
     layers = [_Layer(filt, j, dets) for j in range(1, mod.exponent)]
     mu = len(cosets)
     for layer in layers:
         mu *= len(layer.fibre)
     total, order = ambient_order(mod, "SL2"), pm.order()
-    if mu * order != total * len(dets):
+    if mu * order != total * dets.order():
         raise ArithmeticError("%d cosets of |+-G| = %d with %d determinants do not fill "
-                              "|SL2| = %d" % (mu, order, len(dets), total))
-    cusps, seen = [], set()
-    for r in cosets:
-        if r not in seen:
-            c = 0
-            while r not in seen:
-                seen.add(r)
-                r, c = step[r, u], c + 1
-            cusps.append((c, r))
+                              "|SL2| = %d" % (mu, order, dets.order(), total))
+    cusps = list(_cycles(cosets, lambda r: step[r, u]))
     # per generator s, t, u: whether only its fixed cosets count, and the
     # carried (cycle length, coset) pairs
     carried = [((0, m - 1, 1, 0), True, [(1, r) for r in cosets if step[r, s] == r]),
                ((0, m - 1, 1, m - 1), True,
                 [(1, r) for r in cosets if step[r, s] == step[r, u]]),
                ((1, 1, 0, 1), False, cusps)]
-    if layers:
-        base = {d % ell: d for d in dets}
-        carried = [(g, fixed_only, [(c, _into_det(r, base, ell, m)) for c, r in cycles])
-                   for g, fixed_only, cycles in carried]
+    # mod ell, D's lift of diag(det r, 1) is diag(e, 1) with e in det G over det r
+    lift = lambda r: (dets.canonical_lift((mdet(r, m), 0, 0, 1)) or (None,))[0]
+    carried = [(g, fixed_only, [(c, _into_det(r, lift(r), m)) for c, r in cycles])
+               for g, fixed_only, cycles in carried]
     for layer in layers:
         carried = [(g, fixed_only, layer.lift(g, fixed_only, cycles))
                    for g, fixed_only, cycles in carried]

@@ -1,7 +1,8 @@
 import pytest
 
 from ellimage.cli import _bundled_records, _special_records
-from ellimage.gl2 import DEFAULT_CAP, CartanSpec, build_cartan, extend
+from ellimage.gl2 import (DEFAULT_CAP, CartanSpec, Filtration, MatrixGroup, build_cartan,
+                          extend, orbit)
 from ellimage.modarith import IDENTITY, PrimePowerModulus, mdet, mmul
 
 
@@ -75,3 +76,35 @@ def elements(group):
 def det_surjective(elements, mod):
     "Whether the determinants of the elements, matrices mod `mod`, are all its units."
     return len({mdet(x, mod.modulus) for x in elements}) == mod.unit_count()
+
+
+def det_units(group):
+    """The set of determinants of a MatrixGroup, by a BFS over the units from
+    1 under the generators' determinants, bounded by the group's cap: the
+    walk MatrixGroup.det_image made before it held det G as a group."""
+    m = group.mod.modulus
+    return orbit(1, [mdet(g, m) for g in group.gens], lambda x, d: x * d % m, group.cap,
+                 "units of det G")
+
+
+def count_chains(monkeypatch):
+    """Counts the Filtrations built from here on, by modulus, in two lists:
+    the chains of the determinant groups D, which MatrixGroup.det_image
+    builds, and every other chain.  Returns (other chains, det chains)."""
+    chains, dets, inside = [], [], []
+    init, det_image = Filtration.__init__, MatrixGroup.det_image
+
+    def counting_init(self, gens, mod, *args):
+        (dets if inside else chains).append(mod)
+        init(self, gens, mod, *args)
+
+    def counting_det_image(self):
+        inside.append(self)
+        try:
+            return det_image(self)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Filtration, "__init__", counting_init)
+    monkeypatch.setattr(MatrixGroup, "det_image", counting_det_image)
+    return chains, dets

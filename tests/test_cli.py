@@ -13,6 +13,8 @@ from ellimage.labelio import (format_generators, read_generators_file, serialize
                               validate_record)
 from ellimage.modarith import PrimePowerModulus, minv, mmul
 
+from conftest import count_chains
+
 BASE = [sys.executable, "-m", "ellimage.cli"]
 
 
@@ -143,9 +145,13 @@ def test_filter_cap_error_in_orbit_classes(capsys):
 
 def test_info_cap_error_in_the_determinant_image(capsys):
     # Borel(101^2) has all 10,100 units as determinants, over --max-enum
-    # 10000, while each of its chain tables holds at most 101 rows
-    assert main(["info", "--cartan", "borel", "--mod", "10201", "--max-enum", "10000"]) == 1
-    assert capsys.readouterr() == ("", "error: determinant image exceeded cap 10000\n")
+    # 10000; det G is held as a group whose chain tables, like Borel's own,
+    # hold at most 101 rows, so no table passes the cap
+    assert main(["info", "--cartan", "borel", "--mod", "10201", "--max-enum", "10000"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "det image: surjective (10100 of 10100 units)\n" in out
+    assert out.endswith("genus=808\n")
 
 
 @pytest.mark.parametrize("argv", [["info", "--label", "49.196.9.1"],
@@ -153,17 +159,16 @@ def test_info_cap_error_in_the_determinant_image(capsys):
                                   ["lattice-check", "--label", "5.6.0.1"],
                                   ["batch", "--family", "gamma0", "--threads", "1"]])
 def test_one_determinant_bfs_per_group(argv, monkeypatch, capsys):
-    # the determinant image is cached on the group: a verb runs its BFS, the
-    # one orbit seeded at the unit 1, once for each group it asks
-    asked, seeds = [], []
-    det_image, orbit = gl2.MatrixGroup.det_image, gl2.orbit
+    # the determinant image is cached on the group: a verb builds the chain
+    # of D = <diag(det g, 1)> once for each group it asks, and lists no unit
+    _, dets = count_chains(monkeypatch)
+    asked, det_image = [], gl2.MatrixGroup.det_image
     monkeypatch.setattr(gl2.MatrixGroup, "det_image",
-                        lambda self, *a: asked.append(self) or det_image(self, *a))
-    monkeypatch.setattr(gl2, "orbit", lambda seed, *a: seeds.append(seed) or orbit(seed, *a))
+                        lambda self: asked.append(self) or det_image(self))
     assert main(argv) in (0, 10)
     capsys.readouterr()
     groups = {id(group) for group in asked}
-    assert seeds.count(1) == len(groups) >= 1
+    assert len(dets) == len(groups) >= 1
     if argv[0] == "info":
         assert len(groups) == 1
 

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from ellimage import gl2
 from ellimage.errors import EnumerationCapError, NotInvertibleError, SearchBudgetError
 from ellimage.gl2 import (CARTAN_KINDS, CartanSpec, Filtration, MatrixGroup, ambient_order,
-                          build_cartan, conjugate_into, extend, full_gl2, greedy_generators,
-                          is_conjugate, rowmul, unit_group_generators)
+                          build_cartan, conjugate_into, extend, full_gl2, is_conjugate,
+                          rowmul, unit_group_generators)
 from ellimage.modarith import (IDENTITY, Echelon, PrimePowerModulus, digit, is_prime, lincomb,
                                mdet, minv, mmul, morder, mreduce)
 
@@ -67,12 +67,19 @@ def test_level_of_preimage_round_trips():
 
 
 def test_det_image(image49):
+    # det G is the group D of the diag(det g, 1), cached on G
     trivial = MatrixGroup(M7, [(1, 0, 0, 1)])
     dets, surj = trivial.det_image()
-    assert dets == (1,) and not surj
-    assert image49.det_image()[1]
+    assert dets.order() == 1 and not surj and dets.gens == ()
+    assert image49.det_image()[1] and image49.det_image()[0].order() == 42
+    assert image49.det_image() is image49.det_image()
     sl2ish = MatrixGroup(M7, [(1, 1, 0, 1), (1, 0, 1, 1)])
-    assert sl2ish.det_image() == ((1,), False)
+    dets, surj = sl2ish.det_image()
+    assert (dets.order(), surj) == (1, False)
+    half = MatrixGroup(M49, [(1, 1, 0, 1), (2, 0, 0, 1)])  # 2 has order 21 mod 49
+    dets, surj = half.det_image()
+    assert (dets.order(), surj) == (21, False) and (2, 0, 0, 1) in dets
+    assert (3, 0, 0, 1) not in dets
 
 
 def test_adjoin_minus_identity():
@@ -532,10 +539,13 @@ def test_unit_group_generators():
 
 
 def test_det_image_matches_enumeration():
+    # the determinants of the listed elements are the units d with diag(d, 1) in D
     for kind in ("borel", "split-normalizer", "nonsplit"):
         g = build_cartan(CartanSpec(kind, M49))
         dets = {mdet(x, 49) for x in elements(g)}
-        assert set(g.det_image()[0]) == dets
+        image = g.det_image()[0]
+        assert image.order() == len(dets)
+        assert dets == {d for d in range(49) if d % 7 and (d, 0, 0, 1) in image}
 
 
 def _normal_digits(filt, x, c):
@@ -967,8 +977,8 @@ def _check_adjoin(mod, gens, extra, probes=()):
     """Filtration(gens) grown by adjoin, by the first of extra and then by
     the rest, against Filtration(gens + extra): the same sizes and the same
     membership verdicts on the probes, on a sample of the transversal and on
-    that sample moved by each kernel generator I + ell^j*E_i.  Then
-    greedy_generators of gens + extra: each kept element, in input order,
+    that sample moved by each kernel generator I + ell^j*E_i.  Then an empty
+    chain grown by gens + extra: each kept element, in input order,
     lies outside the group the ones before it generate, and together they
     generate the group of gens + extra."""
     m, ell = mod.modulus, mod.ell
@@ -983,7 +993,7 @@ def _check_adjoin(mod, gens, extra, probes=()):
               for j in range(1, mod.exponent) for i in range(4)]
     for x in sample + [mmul(t, k, m) for t in sample for k in kernel] + list(probes):
         assert (grown.sift(x) == IDENTITY) == (whole.sift(x) == IDENTITY), x
-    kept = greedy_generators(gens + extra, mod, whole.order())
+    kept = Filtration((), mod).grow(gens + extra, whole.order())
     rest = iter(gens + extra)
     assert all(g in rest for g in kept)  # a subsequence of the input
     assert all(g not in MatrixGroup(mod, kept[:i]) for i, g in enumerate(kept))

@@ -20,6 +20,7 @@ from ellimage.modarith import PrimePowerModulus
 from ellimage.modcurves import map_degree_tower
 from ellimage.orbits import orbits
 
+from conftest import count_chains
 from test_orbits import orbit_degree_tower
 
 M7 = PrimePowerModulus(7, 1)
@@ -245,16 +246,12 @@ def test_table_checks_survive_optimize():
 
 
 def test_genus_at_the_full_level_reuses_the_filtration(record_map, monkeypatch):
-    built = []
-
-    class CountingFiltration(gl2.Filtration):
-        def __init__(self, *args):
-            built.append(args[1])
-            super().__init__(*args)
-
-    monkeypatch.setattr(gl2, "Filtration", CountingFiltration)
+    # one chain of the group, and one of its determinant group D, which the
+    # genus at the full level reads from the cache
+    built, dets = count_chains(monkeypatch)
     analyze(record_map["37.114.4.1"].group(), "gamma1")
     assert built == [PrimePowerModulus(37, 1)]
+    assert dets == [PrimePowerModulus(37, 1)]
 
 
 def test_cap_bounds_the_orbit_classes():

@@ -10,8 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 from ellimage import lattice as lattice_module
 from ellimage.cli import main
 from ellimage.errors import EnumerationCapError, SearchBudgetError
-from ellimage.gl2 import (CartanSpec, DEFAULT_CAP, Filtration, MatrixGroup, build_cartan,
-                          extend, full_gl2, is_conjugate, orbit)
+from ellimage.gl2 import (CartanSpec, DEFAULT_CAP, MatrixGroup, build_cartan, extend, full_gl2,
+                          is_conjugate, orbit)
 from ellimage.labelio import read_generators_text
 from ellimage.lattice import (KernelModule, M2_BASIS, SubgroupClass, all_subgroups,
                               preimage_rigidity, proper_detsurjective_subgroups,
@@ -26,7 +26,7 @@ from ellimage.modarith import (IDENTITY, Echelon, PrimePowerModulus, digit, kern
                                lincomb, minv, mmul, mpow, mreduce)
 from ellimage.modcurves import genus_XG
 
-from conftest import det_surjective, elements, mulclose, transversal
+from conftest import count_chains, det_surjective, elements, mulclose, transversal
 
 M3 = PrimePowerModulus(3, 1)
 M5 = PrimePowerModulus(5, 1)
@@ -554,11 +554,10 @@ def test_growing_loops_build_one_chain(monkeypatch, capsys):
     # with three per subgroup class (the greedy chain of the class, the
     # chain of the group it generates and the one its generators() grew);
     # the greedy chain now names the canonical generators itself, two per
-    # class for its 263 classes
-    built = []
-    init = Filtration.__init__
-    monkeypatch.setattr(Filtration, "__init__",
-                        lambda self, *args: built.append(self) or init(self, *args))
+    # class for its 263 classes.  The chains of the determinant groups D are
+    # counted apart: lattice-check asks det_image of one group, the
+    # rigidity candidate mod 16
+    built, dets = count_chains(monkeypatch)
     filt = build_cartan(CartanSpec("borel", M7)).filtration()
     group = MatrixGroup(M5, [(1, 1, 1, 0), (2, 3, 1, 3)])
     group.filtration()
@@ -568,10 +567,12 @@ def test_growing_loops_build_one_chain(monkeypatch, capsys):
     del built[:]
     assert _ell_hom_trivial(group)
     assert len(built) == 1
+    assert dets == []
     del built[:]
     assert main(["lattice-check", "--label", "8.12.0.1"]) == 0
     assert capsys.readouterr().out.endswith("RESULT\tcertified\n")
     assert len(built) <= 532
+    assert dets == [PrimePowerModulus(2, 4)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from ellimage.modarith import IDENTITY, PrimePowerModulus, mdet, minv, mmul, mre
 from ellimage.modcurves import (GenusProfile, MapDegreeSpec, genus_X0, genus_X1, genus_XG,
                                 map_degree, map_degree_tower)
 
-from conftest import elements, mulclose, transversal
+from conftest import det_units, elements, mulclose, transversal
 
 
 def test_genus_tables():
@@ -341,15 +341,21 @@ def test_layer_rejects_an_unfixed_coset():
     # its layer-1 digit [0 1; 0 0] is not diagonal, and the fibre map of
     # layer 2 raises instead of reading a digit from the wrong layer
     group = build_cartan(CartanSpec("split", PrimePowerModulus(5, 3)))
-    layer = modcurves._Layer(group.filtration(), 2, group.det_image()[0])
+    layer = modcurves._Layer(group.filtration(), 2, group.det_image()[0].filtration())
     with pytest.raises(ArithmeticError, match="is not in"):
         list(layer._orbits(IDENTITY, (1, 5, 0, 1)))
 
 
 def test_carried_cosets_meet_sl2(monkeypatch):
     # every representative carried up the layers keeps its determinant in
-    # det G = {1}, so each names a coset of +-G cap SL2
-    group = MatrixGroup(PrimePowerModulus(2, 4), [(1, 1, 0, 1), (3, 0, 0, 11)])
+    # det G, so each names a coset of +-G cap SL2.  det G is {1}; <5> mod
+    # 16, whose first layer is empty and the next two full; <7> mod 16, full
+    # at the first layer only; <6> mod 25, trivial mod 5 over a full layer;
+    # {+-1} mod 25, proper mod 5 over an empty layer; <7> mod 25, all of
+    # F_5^x over an empty layer
+    u = (1, 1, 0, 1)
+    cases = [(16, [u, (3, 0, 0, 11)]), (16, [u, (5, 0, 0, 1)]), (16, [u, (1, 0, 0, 7)]),
+             (25, [u, (6, 0, 0, 1)]), (25, [u, (1, 0, 0, 24)]), (25, [u, (7, 0, 0, 1)])]
     carried = []
     real = modcurves._Layer.lift
 
@@ -359,8 +365,85 @@ def test_carried_cosets_meet_sl2(monkeypatch):
         return out
 
     monkeypatch.setattr(modcurves._Layer, "lift", spy)
-    assert genus_XG(group) == _profile_by_coset_bfs(group)
-    assert carried and all(mdet(y, 16) == 1 for y in carried)
+    for m, gens in cases:
+        group = MatrixGroup(PrimePowerModulus.from_int(m), gens)
+        del carried[:]
+        assert genus_XG(group) == _profile_by_coset_bfs(group), gens
+        units = det_units(group)
+        assert carried and all(mdet(y, m) in units for y in carried), gens
+
+
+def _check_det_image(group):
+    """det_image and the lifts into det G that genus_XG takes from it, against
+    the unit BFS det_units: D's order, the surjective flag and whether
+    diag(d, 1) lies in D for every unit d; at level ell, D's lift of diag(d,
+    1) for each d mod ell; at each layer j, whether it is full against 1 +
+    ell^j and the unit of det G over 1 + t*ell^j for each t it holds."""
+    mod = group.mod
+    ell, m = mod.ell, mod.modulus
+    units = det_units(group)
+    dets, surjective = group.det_image()
+    assert dets.order() == len(units)
+    assert surjective == (len(units) == mod.unit_count())
+    assert {d for d in range(1, m) if d % ell and (d, 0, 0, 1) in dets} == units
+    chain = dets.filtration()
+    for d in range(1, ell):
+        lift = chain.lift((d, 0, 0, 1))
+        if d not in {e % ell for e in units}:
+            assert lift is None
+        else:
+            e = lift[0][0]
+            assert lift[0] == (e, 0, 0, 1) and e in units and e % ell == d
+    filt = group.adjoin_minus_identity().filtration()
+    for j in range(1, mod.exponent):
+        q = ell ** j
+        layer = modcurves._Layer(filt, j, chain)
+        full = (1 + q) in {e % (q * ell) for e in units}
+        assert len(layer.units) == (ell if full else 1)
+        for t, e in enumerate(layer.units):
+            assert e in units and (e - 1 - t * q) % (q * ell) == 0
+
+
+def test_det_image_against_the_unit_bfs(records, special_records):
+    groups = []
+    for rec in records + special_records:
+        group = rec.group()
+        groups += [group.reduce_to(e) for e in range(1, group.mod.exponent + 1)]
+    for m in (2, 3, 5, 7, 11, 13, 25, 49, 121, 169):
+        mod = PrimePowerModulus.from_int(m)
+        groups += [build_cartan(CartanSpec(kind, mod)) for kind in
+                   ("borel", "split", "split-normalizer", "nonsplit", "nonsplit-normalizer")]
+    # at ell = 2 the units are {+-1} x <5>: det G = <-1>, <5>, <-5> and all of them
+    for m in (8, 16, 32):
+        mod = PrimePowerModulus.from_int(m)
+        for shape in ((m - 1,), (5,), (m - 5,), (m - 1, 5)):
+            groups.append(MatrixGroup(mod, [(1, 1, 0, 1)] + [(1, 0, 0, d) for d in shape]))
+    for group in groups:
+        _check_det_image(group)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_det_image_against_the_unit_bfs_on_drawn_unit_sets(data):
+    m = data.draw(st.sampled_from((2, 4, 8, 16, 32, 3, 9, 27, 81, 5, 25, 125, 7, 49, 343, 121)))
+    mod = PrimePowerModulus.from_int(m)
+    unit = st.integers(1, m - 1).filter(lambda d: d % mod.ell)
+    dets = data.draw(st.lists(unit, max_size=3))
+    _check_det_image(MatrixGroup(mod, [(1, 1, 0, 1)] + [(d, 1, 0, 1) for d in dets]))
+
+
+def test_a_missing_lift_into_det_g_raises():
+    # a determinant with no lift into det G raises ArithmeticError, at level
+    # ell (D's lift of diag(d, 1) is None) and at a layer whose units stop
+    # at t = 0 while the fibre holds a Y of nonzero trace
+    with pytest.raises(ArithmeticError, match="no lift into det G"):
+        modcurves._into_det((2, 0, 0, 1), None, 25)
+    group = MatrixGroup(PrimePowerModulus(5, 2), [(1, 1, 0, 1), (6, 0, 0, 1)])
+    layer = modcurves._Layer(group.filtration(), 1, group.det_image()[0].filtration())
+    assert layer.units == [1, 6, 11, 16, 21]
+    layer.units = layer.units[:1]
+    with pytest.raises(ArithmeticError, match="no lift into det G"):
+        layer.lift((1, 0, 0, 1), False, [(1, IDENTITY)])
 
 
 def test_genus_XG_honours_cap():

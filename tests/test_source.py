@@ -74,7 +74,7 @@ def _functions(node, prefix=""):
 
 # the enumeration cap is carried by each group: only the walk primitives and
 # the entry points that make a group take it as a parameter
-CAP_PARAMETERS = {"gl2.orbit", "gl2.extend", "gl2.Filtration.__init__", "gl2.greedy_generators",
+CAP_PARAMETERS = {"gl2.orbit", "gl2.extend", "gl2.Filtration.__init__",
                   "lattice.KernelModule.stable_subspaces", "gl2.MatrixGroup.__init__",
                   "gl2.build_cartan", "labelio.ImageRecord.group", "labelio.validate_record",
                   "cli.RunConfig.__new__"}
@@ -113,6 +113,22 @@ def test_one_layer_step_builds_the_complements():
              if isinstance(node, ast.Constant) and isinstance(node.value, str)]
     assert "subgroup joins" in walks
     assert not [name for name in walks if name.startswith("elements of G(")]
+
+
+def test_det_g_lists_no_unit():
+    # det G is held as a group, D = <diag(det g, 1)>: no orbit walk of the
+    # package lists the units of det G, and modcurves keys no dict by
+    # determinant residues
+    walks = [node.value for _, tree in _trees() for call in ast.walk(tree)
+             if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+             and call.func.id == "orbit"
+             for node in ast.walk(call) if isinstance(node, ast.Constant)
+             and isinstance(node.value, str)]
+    assert walks and not [name for name in walks if "determinant" in name]
+    tree = ast.parse((PACKAGE / "modcurves.py").read_text())
+    residue_keys = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.DictComp)
+                    and isinstance(node.key, ast.BinOp) and isinstance(node.key.op, ast.Mod)]
+    assert residue_keys == []
 
 
 def test_no_third_party_dependencies():
