@@ -13,16 +13,17 @@ transitive, which is exactly the multiplicativity the filter exploits.
 
 from ellimage import (CartanSpec, PrimePowerModulus, build_cartan,
                       gamma0_orbits, gamma1_orbits)
-from ellimage.orbits import KernelClasses
 
 
-def degree_at(group, k, v):
-    """Degree on X1(ell^k) of the point through v: the size of the level-k
-    orbit record whose classes hold the class of v mod ell^k."""
-    level = PrimePowerModulus(group.ell, k)
-    m = level.modulus
-    c = KernelClasses(group, level, "gamma1").canon((v[0] % m, v[1] % m))
-    return next(r.size for r in gamma1_orbits(group, k) if c in r.points)
+def degree_tower(rec):
+    """Degrees of the point of an orbit on X1(ell^a) for a = k down to 0:
+    the orbit's size and the sizes of its ancestors in the orbit tree, each
+    the orbit one level down that it reduces onto; 1 on the j-line."""
+    out = []
+    while rec is not None:
+        out.append((rec.level.exponent, rec.size))
+        rec = rec.parent
+    return out + [(0, 1)]
 
 
 for ell in (5, 7, 17):
@@ -37,9 +38,7 @@ for ell in (5, 7, 17):
         f0 = (ell + 1) * ell ** (k - 1)
         print("  k=%d  X1-degrees %-12s formula %-8d X0-degrees %-8s formula %d"
               % (k, sorted(g1), f1, sorted(g0), f0))
-    rec = gamma1_orbits(pre, 2)[0]
-    print("  degree tower of one orbit:",
-          [(k, degree_at(pre, k, rec.representative)) for k in (2, 1)] + [(0, 1)])
+    print("  degree tower of one orbit:", degree_tower(gamma1_orbits(pre, 2)[0]))
     print()
 
 print("contrast: a Borel-type image fixes a line, so X0 degrees start at 1")

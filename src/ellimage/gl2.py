@@ -74,23 +74,25 @@ def ambient_order(mod, family="GL2"):
 
 
 def orbit(seed, gens, act, cap=DEFAULT_CAP, name="orbit"):
-    """The set reached from seed under x -> act(x, g) for g in gens, by BFS:
-    an orbit for a group action, a join closure for x -> x v g.  Past cap
-    points it raises EnumerationCapError, which names the walk by `name`."""
-    seen = {seed}
+    """The points reached from seed under x -> act(x, g) for g in gens, by
+    BFS: an orbit for a group action, a join closure for x -> x v g.  A dict
+    in BFS order that maps each point y to the (x, g) that first reached it,
+    y = act(x, g), and seed to None.  Past cap points it raises
+    EnumerationCapError, which names the walk by `name`."""
+    reached = {seed: None}
     frontier = [seed]
     while frontier:
         new = []
         for x in frontier:
             for g in gens:
                 y = act(x, g)
-                if y not in seen:
-                    seen.add(y)
+                if y not in reached:
+                    reached[y] = (x, g)
                     new.append(y)
-                    if len(seen) > cap:
+                    if len(reached) > cap:
                         raise EnumerationCapError("%s exceeded cap %d" % (name, cap))
         frontier = new
-    return seen
+    return reached
 
 
 def extend(closed, g, mul, cap=DEFAULT_CAP):

@@ -8,8 +8,8 @@ to:
   1. for every k up to the level exponent and every orbit at level ell^k,
      push the point down to the smallest ell^a where its degree is
      multiplicative through the natural map (degree = orbit size, read at
-     each level a from the orbits of level a; the tests keep one BFS per
-     level as the reference);
+     each level a off the orbit's ancestor in the orbit tree; the tests keep
+     one BFS per level as the reference);
   2. discard pairs with degree above the genus of X1(ell^a) / X0(ell^a)
      (Riemann-Roch gives a pencil);
   3. discard pairs whose reduced image corresponds to a genus-0 curve.
@@ -22,9 +22,9 @@ a static citation table and are never computed.
 import warnings
 from collections import namedtuple
 
-from .modarith import PrimePowerModulus, factorize
+from .modarith import factorize
 from .modcurves import genus_X0, genus_X1, genus_XG, map_degree_tower
-from .orbits import KernelClasses, orbits
+from .orbits import orbits
 
 FAMILIES = ("gamma1", "gamma0")
 
@@ -129,11 +129,11 @@ def candidate_pairs(group, family):
     (their orbits are kernel-saturated and multiplicative down to the level),
     so the loop stops there; the level-stability tests exercise this.
 
-    The degree of an orbit's point at each level a <= k is read from the
-    orbits of level a, found earlier in the same loop, through a table keyed
-    by the KernelClasses normal form of the representative mod ell^a:
-    reduction mod ell^a is an equivariant map from the level-k orbit onto
-    that orbit, so its degree divides the level-k one, which is checked.
+    The orbits of every level come from one orbit tree: the orbits at the
+    top level, their parents, and so on down to level ell, each level in
+    the order `orbits` gives it.  The degree of an orbit's point at each
+    level a <= k is the size of its ancestor at level a, and the sizes at
+    each level are checked to add up to the number of carrier points.
     """
     if family not in FAMILIES:
         raise ValueError("family must be gamma1 or gamma0")
@@ -144,37 +144,25 @@ def candidate_pairs(group, family):
                       "interpretation of orbit sizes is invalid", stacklevel=2)
     group_level = group.level()
     top = next(k for k in range(1, group.mod.exponent + 1) if ell ** k >= group_level)
+    levels = [orbits(group, top, family)]
+    while levels[0][0].parent is not None:
+        levels.insert(0, list(dict.fromkeys(rec.parent for rec in levels[0])))
     found = {}
-    tables = []                      # per level a >= 1: (ell^a, class canon, class -> orbit size)
-    for k in range(1, top + 1):
-        level = PrimePowerModulus(ell, k)
-        recs = orbits(group, k, family)
-        tables.append((level.modulus, KernelClasses(group, level, family).canon,
-                       {c: rec.size for rec in recs for c in rec.points}))
+    for k, recs in enumerate(levels, 1):
         map_degrees = [map_degree_tower(family, ell, a, k) for a in range(k + 1)]
+        total = sum(rec.size for rec in recs)
+        if total != map_degrees[0]:
+            raise ArithmeticError("%s orbit sizes at level %d add up to %d, not %d"
+                                  % (family, ell ** k, total, map_degrees[0]))
         for rec in recs:
-            deg_k = rec.size
-            x, y = rec.representative
-            tower = [1] + [sizes[canon((x % m, y % m))] for m, canon, sizes in tables]
-            if tower[k] != deg_k:
-                raise ArithmeticError("orbit of %r has size %d but table degree %d"
-                                      % (rec.representative, deg_k, tower[k]))
-            for a, deg_a in enumerate(tower):
-                if deg_k % deg_a:
-                    raise ArithmeticError("orbit of %r has size %d but degree %d at level %d"
-                                          % (rec.representative, deg_k, deg_a, ell ** a))
+            tower, up = [1] * (k + 1), rec
+            for a in range(k, 0, -1):
+                tower[a], up = up.size, up.parent
             for a in range(0, k + 1):
-                if deg_k == tower[a] * map_degrees[a]:
-                    pair_key = (a, tower[a])
-                    prov = (k, rec.representative)
-                    if pair_key in found:
-                        found[pair_key] = found[pair_key] + (prov,)
-                    else:
-                        found[pair_key] = (prov,)
+                if rec.size == tower[a] * map_degrees[a]:
+                    found[a, tower[a]] = found.get((a, tower[a]), ()) + ((k, rec.representative),)
                     break
-    pairs = [CandidatePair(a, d, ell, provenance=found[(a, d)])
-             for (a, d) in sorted(found)]
-    return pairs
+    return [CandidatePair(a, d, ell, provenance=found[a, d]) for (a, d) in sorted(found)]
 
 
 def filter_riemann_roch(pairs, family):

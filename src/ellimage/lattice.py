@@ -276,10 +276,11 @@ def all_subgroups(group):
     group is listed by one orbit walk from I under its generators; the joins
     run on element positions through one table of all products."""
     m = group.mod.modulus
+    if group.order() > BRUTE_LIMIT:
+        raise SearchBudgetError("brute-force lattice limited to order <= %d, got %d"
+                                % (BRUTE_LIMIT, group.order()))
     els = sorted(orbit(IDENTITY, group.gens, lambda x, g: mmul(x, g, m), group.cap,
                        "elements of G mod %d" % m))
-    if len(els) > BRUTE_LIMIT:
-        raise SearchBudgetError("brute-force lattice limited to order <= %d" % BRUTE_LIMIT)
     where = {x: i for i, x in enumerate(els)}
     table = [[where[mmul(a, b, m)] for b in els] for a in els]
     mul = lambda a, b: table[a][b]
@@ -311,7 +312,7 @@ def _conjugacy_classes_of_subgroups(subsets, group):
         if S in seen:
             continue
         points = orbit(S, group.gens, conj, group.cap, "conjugates of a subgroup")
-        seen |= points
+        seen.update(points)
         classes.append((min(points, key=lambda s: tuple(sorted(s))), len(points)))
     return classes
 
@@ -370,10 +371,6 @@ def proper_detsurjective_subgroups(group, index_bound, fix_mod_ell_reduction=Tru
     # the structured path takes every parent it applies to, whatever its order
     if not fix_mod_ell_reduction or (parent_order <= BRUTE_LIMIT and not (
             mod.exponent == 2 and group.filtration().sizes()[0] % ell)):
-        if parent_order > BRUTE_LIMIT:
-            raise SearchBudgetError(
-                "unconstrained subgroup search needs |G| <= %d, got %d"
-                % (BRUTE_LIMIT, parent_order))
         # S <= G, so S is G when it is as large, and S mod ell is G(ell) when
         # it has |G(ell)| elements
         bar_order = group.filtration().sizes()[0]

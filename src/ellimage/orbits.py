@@ -14,23 +14,33 @@ group theory and do not check this.
 A carrier point is stored in normal form: a +-class as the lesser of v and
 -v, a line as its lexicographically least generator, which has the closed
 form (1, y/x) for x a unit, (ell^j, y/x' mod ell^(k-j)) for x = ell^j x' and
-(0, 1) for x = 0.  For k >= 2 the congruence kernel of G mod ell^k moves the
-carrier points in whole classes (KernelClasses), so every orbit is one
-gl2.orbit BFS over class normal forms, each the least carrier point of its
-class; the seeds are all the normal forms in sorted order, so each orbit's
-representative is its least carrier point, and its size is the sum of its
-class sizes.  The seeds and each orbit count against the group's cap.
-Each OrbitRecord keeps its classes, so a caller that holds the orbits of
-every level reads the degree of a reduced point from them (the filter in
-`isolated` does).  The full-carrier BFS and the one-BFS-per-level degree
-tower are kept in the tests as references.
+(0, 1) for x = 0.
+
+The orbits of all levels form one tree (Holt, Eick and O'Brien, Handbook of
+Computational Group Theory, 4.1): reduction mod ell^(k-1) maps an orbit at
+level ell^k onto one orbit at level ell^(k-1), its parent.  The orbits at
+level ell are those of G on the carrier mod ell.  Over an orbit with
+representative w at level ell^(k-1), the fibre is the set of normal forms of
+the ell^2 lifts w + ell^(k-1)*d, and the children are the orbits of the
+stabilizer G_w on the fibre.  Each orbit is one gl2.orbit walk from the
+least fibre point not yet reached, so its representative is the least
+point of its fibre orbit: at level ell the least point of the orbit, above
+it not in general.  A child holds |parent| * |fibre orbit| carrier points,
+and the Schreier generators of its walk, sifted into a Filtration until the
+chain has |G_w| / |fibre orbit| elements, generate its stabilizer (|G| at
+the root).  Each OrbitRecord links its parent, so the degrees of an orbit's
+reductions are the sizes of its ancestors (the filter in `isolated` reads
+them so).  The group's cap bounds each walk, the number of orbits at each
+level and each stabilizer chain.  The full-carrier BFS and the
+one-BFS-per-level degree tower are kept in the tests as references.
 """
 
 from collections import namedtuple
+from itertools import product
 
 from .errors import EnumerationCapError
-from .gl2 import orbit
-from .modarith import Echelon, PrimePowerModulus, digit, mvec
+from .gl2 import Filtration, orbit
+from .modarith import IDENTITY, PrimePowerModulus, minv, mmul, mvec
 
 
 class TorsionVector(namedtuple("TorsionVector", "x y level")):
@@ -58,12 +68,12 @@ class CyclicSubmodule(namedtuple("CyclicSubmodule", "x y level")):
         return super().__new__(cls, x, y, level)
 
 
-class OrbitRecord(namedtuple("OrbitRecord", "family level representative size points",
-                             defaults=(frozenset(),))):
+class OrbitRecord(namedtuple("OrbitRecord", "family level representative size parent",
+                             defaults=(None,))):
     """An orbit of a family ("gamma1" | "gamma0") at a level: its canonical
     vector (gamma1) or line generator (gamma0), the number of carrier points
-    in it, and the normal forms of its classes, which ==, hash and repr
-    leave out."""
+    in it, and its parent, the orbit one level down that it reduces onto
+    (None at level ell), which ==, hash and repr leave out."""
 
     __slots__ = ()
 
@@ -116,158 +126,108 @@ def _canon(family, level):
     raise ValueError("family must be gamma1 or gamma0, got %r" % (family,))
 
 
-def _carrier_points(family, level):
-    """The carrier points in normal form, sorted: the v of exact order ell^k
-    with v <= -v (gamma1), or (0, 1), the (1, y) and the (ell^j, y) with y a
-    unit mod ell^(k-j) (gamma0)."""
-    ell, m, k = level.ell, level.modulus, level.exponent
-    out = []
+def _fibre(family, level, w):
+    """The carrier points mod ell^k over the point w mod ell^(k-1), sorted:
+    the normal forms of the lifts w + ell^(k-1)*d.  For w = None (k = 1)
+    they are the carrier mod ell, which the d in lexicographic order meet
+    in sorted order.  The lines over w are one per class of d modulo
+    F_ell*wbar, so for gamma0 d runs over one line of F_ell^2 other than
+    F_ell*wbar, and at k = 1 over (0, 1) and the (1, t)."""
+    ell, q = level.ell, level.modulus // level.ell
+    canon = _canon(family, level)
     if family == "gamma1":
-        for x in range(m // 2 + 1):
-            top = m // 2 + 1 if 2 * x % m == 0 else m  # x = -x: then y <= -y
-            out += [(x, y) for y in range(top) if x % ell or y % ell]
-        return out
-    out.append((0, 1))
-    for j in range(k):
-        q = ell ** (k - j)
-        out += [(ell ** j, y) for y in range(q) if j == 0 or y % ell]
-    return out
+        ds = product(range(ell), repeat=2)
+    elif w is None:
+        ds = [(0, 1)] + [(1, t) for t in range(ell)]
+    else:
+        ds = [(0, t) if w[0] % ell else (t, 0) for t in range(ell)]
+    if w is None:
+        return (d for d in ds if any(d) and canon(d) == d)
+    return sorted({canon((w[0] + q * dx, w[1] + q * dy)) for dx, dy in ds})
 
 
-def _reduced_gens(group, level):
-    if level.exponent > group.mod.exponent:
-        raise ValueError("level %s exceeds the group modulus %s" % (level, group.mod))
-    if level.ell != group.mod.ell:
-        raise ValueError("level prime %d does not match group prime %d"
-                         % (level.ell, group.mod.ell))
-    return group.reduce_to(level).gens
+def _schreier_generators(reached, gens, act, m, ell):
+    """The Schreier generators u(y)^-1 * g * u(x) of the walk `reached`
+    (gl2.orbit), for g in gens, y = act(x, g) and x from the last point
+    reached back to the seed; they generate the stabilizer in <gens> of the
+    seed of the walk.  u(x) is the product of the generators along the path
+    that first reached x, found when first asked for, so a caller that
+    stops early holds only the paths it used.  The last points close the
+    longest cycles of the walk: on the nonsplit-Cartan normalizer mod 401^2
+    the stabilizer of the least point mod 401 takes 5 of them, against
+    60,107 from the seed on."""
+    path = {next(iter(reached)): IDENTITY}
+
+    def u(y):
+        chain = [y]
+        while chain[-1] not in path:
+            chain.append(reached[chain[-1]][0])
+        for z in reversed(chain[:-1]):
+            x, g = reached[z]
+            path[z] = mmul(g, path[x], m)
+        return path[y]
+
+    for x in reversed(reached):
+        for g in gens:
+            y = act(x, g)
+            if reached[y] != (x, g):
+                yield mmul(minv(u(y), m, ell), mmul(g, u(x), m), m)
 
 
-class KernelClasses:
-    """The carrier at level ell^k cut into classes of the congruence kernel.
-
-    For k >= 2 the kernel N = G cap K_(k-1) of G mod ell^k -> G mod ell^(k-1)
-    is normal in G and acts by translations, v -> v + ell^(k-1)*X*vbar for X
-    in the layer L_(k-1) and vbar = v mod ell.  So the N-orbit of v is
-    v + ell^(k-1)*T, where T = L_(k-1)*vbar <= F_ell^2, and G permutes these
-    classes (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
-    4.1 and ch. 8).  A class is stored by its least carrier point:
-
-    - gamma1: the class of +-v is +-(v + ell^(k-1)*T), stored as the lesser
-      of low(v) and low(-v), where low(v) puts the top base-ell digit of v in
-      Echelon normal form modulo T, which clears T's pivots; this is the
-      least point of v + ell^(k-1)*T.  It holds |T| carrier points, or |T|/2
-      when -v lies in v + ell^(k-1)*T, which happens only for ell = 2, k = 2
-      and vbar in T.
-    - gamma0: the ell lines over one line mod ell^(k-1) form one class when
-      T is not inside F_ell*vbar, stored as the least of them, which is the
-      canonical generator mod ell^(k-1); otherwise each line is its own class.
-
-    At k = 1 every class is a single carrier point.
-    """
-
-    def __init__(self, group, level, family):
-        self.family, self.level, self.cap = family, level, group.cap
-        self.ell, self.k, self.m = level.ell, level.exponent, level.modulus
-        self.q = self.m // self.ell
-        self._point = _canon(family, level)
-        if self.k > 1:
-            self._layer = group.filtration().layers[self.k - 2][0].rows
-            self._lower = PrimePowerModulus(self.ell, self.k - 1)
-        self._spans = {}
-
-    def _span(self, v):
-        """(the Echelon of T = L_(k-1)*vbar <= F_ell^2, the normal forms of
-        (1, 0) and (0, 1) modulo T); the latter are the rows of the linear
-        normal-form map, which _low applies without walking the Echelon."""
-        ell = self.ell
-        key = (v[0] % ell, v[1] % ell)
-        span = self._spans.get(key)
-        if span is None:
-            x, y = key
-            echelon = Echelon(ell, [(a * x + b * y, c * x + d * y) for a, b, c, d in self._layer])
-            span = self._spans[key] = (echelon, echelon.reduce((1, 0)) + echelon.reduce((0, 1)))
-        return span
-
-    def _low(self, v, span):
-        "The least point of v + ell^(k-1)*T, for span = _span(v)."
-        ell, q = self.ell, self.q
-        d0, d1 = digit(v, q, ell)
-        a, b, c, d = span[1]
-        return (v[0] % q + q * ((d0 * a + d1 * c) % ell), v[1] % q + q * ((d0 * b + d1 * d) % ell))
-
-    def _moves(self, v):
-        "Whether T leaves F_ell*vbar, i.e. N moves the line of v (gamma0)."
-        x, y = v
-        return any((x * r1 - y * r0) % self.ell for r0, r1 in self._span(v)[0].rows)
-
-    def canon(self, v):
-        "The normal form of the class of v, a vector of exact order ell^k in [0, ell^k)^2."
-        if self.k == 1:
-            return self._point(v)
-        if self.family == "gamma1":
-            m = self.m
-            span = self._span(v)
-            w, u = self._low(v, span), self._low(((-v[0]) % m, (-v[1]) % m), span)
-            return w if w <= u else u
-        if self._moves(v):
-            q = self.q
-            return _line_canon((v[0] % q, v[1] % q), self._lower)
-        return self._point(v)
-
-    def size(self, c):
-        "The number of carrier points in the class of normal form c."
-        if self.k == 1:
-            return 1
-        if self.family == "gamma0":
-            return self.ell if self._moves(c) else 1
-        m, span = self.m, self._span(c)
-        n = self.ell ** len(span[0])
-        return n // 2 if self._low(((-c[0]) % m, (-c[1]) % m), span) == c else n  # -c in c + ell^(k-1)*T
-
-    def seeds(self):
-        """Every normal form, sorted.  Each is the normal form of a lift c +
-        ell^(k-1)*d of a carrier point c mod ell^(k-1), with d an Echelon
-        normal form modulo T (gamma1) or T + F_ell*cbar (gamma0)."""
-        if self.k == 1:
-            out = _carrier_points(self.family, self.level)
-        else:
-            ell, q = self.ell, self.q
-            out = set()
-            for c in _carrier_points(self.family, self._lower):
-                span = self._span(c)[0]
-                if self.family == "gamma0":
-                    span = Echelon(ell, span.rows + [(c[0] % ell, c[1] % ell)])
-                out.update(self.canon((c[0] + q * dx, c[1] + q * dy))
-                           for dx, dy in span.normal_forms(2))
-                if len(out) > self.cap:
-                    break
-        if len(out) > self.cap:
-            raise EnumerationCapError("carrier classes at level %d exceeded cap %d"
-                                      % (self.m, self.cap))
-        return sorted(out)
+def _stabilizer(image, reached, gens, act, order):
+    """Generators of the stabilizer of the seed of the walk `reached` under
+    <gens>, a group of the given order: the parent's generators when the
+    walk stays at its seed, else the Schreier generators sifted into a
+    chain until it has that order.  Raises ArithmeticError when they run
+    out first."""
+    if len(reached) == 1:
+        return gens
+    chain = Filtration((), image.mod, image.cap)
+    kept = chain.grow(_schreier_generators(reached, gens, act, image.mod.modulus, image.ell),
+                      order)
+    if chain.order() != order:
+        raise ArithmeticError("the stabilizer of %r has %d elements, not %d"
+                              % (next(iter(reached)), chain.order(), order))
+    return kept
 
 
 def _orbits(group, k, family):
-    """OrbitRecords of the group mod ell^k on the family's carrier: one BFS
-    over the KernelClasses normal forms per orbit, seeded in sorted order, so
-    each representative is the least carrier point of its orbit.  Raises
-    EnumerationCapError when the seeds or an orbit exceed the group's cap."""
-    level = PrimePowerModulus(group.mod.ell, k)
-    m = level.modulus
-    gens = _reduced_gens(group, level)
-    classes = KernelClasses(group, level, family)
-    canon = classes.canon
-    seen = set()
-    out = []
-    for c0 in classes.seeds():
-        if c0 not in seen:
-            found = orbit(c0, gens, lambda c, g: canon(mvec(g, c, m)), group.cap,
-                          "%s orbit mod %d" % (family, m))
-            seen |= found
-            out.append(OrbitRecord(family, level, c0, sum(map(classes.size, found)),
-                                   frozenset(found)))
-    return out
+    """OrbitRecords of the group mod ell^k on the family's carrier, down the
+    orbit tree: level by level, one walk per orbit of the stabilizer of each
+    parent's representative on the fibre over it, seeded in sorted order.
+    Raises EnumerationCapError when a walk, the orbits at a level or a
+    stabilizer chain exceed the group's cap."""
+    ell, n = group.ell, group.mod.exponent
+    level = PrimePowerModulus(ell, k)
+    if k > n:
+        raise ValueError("level %s exceeds the group modulus %s" % (level, group.mod))
+    image = group if k == n else group.reduce_to(level)
+    # (orbit, generators and order of the stabilizer of its representative)
+    nodes = [(None, image.gens, image.order())]
+    for j in range(1, k + 1):
+        level = PrimePowerModulus(ell, j)
+        m = level.modulus
+        canon = _canon(family, level)
+        act = lambda c, g: canon(mvec(g, c, m))
+        name = "%s %sorbit mod %d" % (family, "fibre " if j > 1 else "", m)
+        children = []
+        for parent, gens, order in nodes:
+            below = parent.size if parent else 1
+            seen = set()
+            for c in _fibre(family, level, parent and parent.representative):
+                if c not in seen:
+                    reached = orbit(c, gens, act, image.cap, name)
+                    seen.update(reached)
+                    size = len(reached)
+                    stabilizer = _stabilizer(image, reached, gens, act, order // size) \
+                        if j < k else None
+                    children.append((OrbitRecord(family, level, c, below * size, parent),
+                                     stabilizer, order // size))
+                    if len(children) > image.cap:
+                        raise EnumerationCapError("%s orbits at level %d exceeded cap %d"
+                                                  % (family, m, image.cap))
+        nodes = children
+    return [rec for rec, _, _ in nodes]
 
 
 def gamma1_orbits(group, k):

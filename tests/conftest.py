@@ -83,8 +83,8 @@ def det_units(group):
     1 under the generators' determinants, bounded by the group's cap: the
     walk MatrixGroup.det_image made before it held det G as a group."""
     m = group.mod.modulus
-    return orbit(1, [mdet(g, m) for g in group.gens], lambda x, d: x * d % m, group.cap,
-                 "units of det G")
+    return set(orbit(1, [mdet(g, m) for g in group.gens], lambda x, d: x * d % m, group.cap,
+                     "units of det G"))
 
 
 def count_chains(monkeypatch):

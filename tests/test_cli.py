@@ -134,13 +134,13 @@ def test_lattice_check_borel_1009_walks_the_cosets():
 
 
 def test_filter_cap_error_in_orbit_classes(capsys):
-    # the nonsplit-Cartan normalizer mod 17^3 has 41,616 gamma1 classes at
-    # level 17^3, over --max-enum 10000
+    # the nonsplit-Cartan normalizer mod 1009 has one gamma1 orbit of
+    # 509,040 +-classes, over --max-enum 10000
     assert main(["filter", "--family", "gamma1", "--cartan", "nonsplit-normalizer",
-                 "--mod", "4913", "--max-enum", "10000"]) == 1
+                 "--mod", "1009", "--max-enum", "10000"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: carrier classes at level 4913 exceeded cap 10000\n"
+    assert err == "error: gamma1 orbit mod 1009 exceeded cap 10000\n"
 
 
 def test_info_cap_error_in_the_determinant_image(capsys):

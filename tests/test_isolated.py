@@ -227,8 +227,8 @@ from ellimage.gl2 import CartanSpec, build_cartan
 from ellimage.modarith import PrimePowerModulus
 assert False, "run this under python -O"
 real = isolated.orbits
-# a level-7 orbit of 25 points cannot be the image of an orbit of 1176
-isolated.orbits = lambda g, k, fam: [r._replace(size=25) if k == 1 else r
+# level-7 orbits of 25 points cannot hold the 24 +-classes mod 7
+isolated.orbits = lambda g, k, fam: [r._replace(parent=r.parent._replace(size=25))
                                      for r in real(g, k, fam)]
 try:
     g = build_cartan(CartanSpec("nonsplit-normalizer", PrimePowerModulus(7, 2)))
@@ -242,7 +242,7 @@ def test_table_checks_survive_optimize():
     r = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_TABLE_CHECK],
                        capture_output=True, text=True)
     assert r.returncode == 1, r.stderr
-    assert r.stderr.startswith("raised: orbit of (0, 1) has size 1176 but degree 25 at level 7")
+    assert r.stderr.startswith("raised: gamma1 orbit sizes at level 7 add up to 25, not 24")
 
 
 def test_genus_at_the_full_level_reuses_the_filtration(record_map, monkeypatch):
@@ -255,11 +255,11 @@ def test_genus_at_the_full_level_reuses_the_filtration(record_map, monkeypatch):
 
 
 def test_cap_bounds_the_orbit_classes():
-    # the nonsplit-Cartan normalizer mod 17^3 has one gamma1 orbit of 41,616
-    # classes at level 17^3, past a cap of 10^4
-    spec = CartanSpec("nonsplit-normalizer", PrimePowerModulus(17, 3))
-    with pytest.raises(EnumerationCapError):
-        candidate_pairs(build_cartan(spec, 10 ** 4), "gamma1")
+    # the nonsplit-Cartan normalizer mod 101^2 has one gamma1 orbit of 5,100
+    # +-classes at level 101, past a cap of 5,000
+    spec = CartanSpec("nonsplit-normalizer", PrimePowerModulus(101, 2))
+    with pytest.raises(EnumerationCapError, match="^gamma1 orbit mod 101 exceeded cap 5000$"):
+        candidate_pairs(build_cartan(spec, 5000), "gamma1")
     assert candidate_pairs(build_cartan(spec), "gamma1")
 
 

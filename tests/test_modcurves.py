@@ -446,6 +446,28 @@ def test_a_missing_lift_into_det_g_raises():
         layer.lift((1, 0, 0, 1), False, [(1, IDENTITY)])
 
 
+def test_a_sift_residue_outside_pm_g_raises(monkeypatch):
+    # a layer reads the action of w on the fibre over +-G*y off the residue
+    # of y*w*y^-1, which is I mod ell^j when w fixes +-G*y; one that is not
+    # raises ArithmeticError
+    group = build_cartan(CartanSpec("borel", PrimePowerModulus(5, 2)))
+    filt = group.adjoin_minus_identity().filtration()
+    layer = modcurves._Layer(filt, 1, group.det_image()[0].filtration())
+    monkeypatch.setattr(filt, "sift", lambda g: (1, 1, 0, 1))
+    with pytest.raises(ArithmeticError, match=r"^\(1, 0, 0, 1\) is not in \+-G mod 5$"):
+        layer._orbits(IDENTITY, IDENTITY)
+
+
+def test_a_missing_canonical_lift_of_d_raises(monkeypatch):
+    # genus_XG brings each coset carried from level ell into det G by D's
+    # canonical lift of diag(det r, 1); a lift that is None raises
+    group = build_cartan(CartanSpec("borel", PrimePowerModulus(5, 2)))
+    monkeypatch.setattr(group.det_image()[0].filtration(), "canonical_lift", lambda c: None)
+    with pytest.raises(ArithmeticError,
+                       match=r"^det \d+ of \(\d+, \d+, \d+, \d+\) has no lift into det G$"):
+        genus_XG(group)
+
+
 def test_genus_XG_honours_cap():
     # genus_XG holds the three tables of the stabilizer chain of +-G(ell),
     # the cosets mod ell, the cosets carried through each layer and each

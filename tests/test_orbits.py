@@ -1,5 +1,6 @@
 import random
 import warnings
+from collections import namedtuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,11 +11,10 @@ from ellimage.cli import _bundled_records, _special_records
 from ellimage.errors import EnumerationCapError
 from ellimage.gl2 import CARTAN_KINDS, CartanSpec, MatrixGroup, build_cartan, full_gl2, orbit
 from ellimage.isolated import CandidatePair, candidate_pairs
-from ellimage.modarith import PrimePowerModulus, mvec
+from ellimage.modarith import PrimePowerModulus, mmul, mvec
 from ellimage.modcurves import genus_XG, map_degree_tower
-from ellimage.orbits import (CyclicSubmodule, KernelClasses, OrbitRecord, TorsionVector,
-                             _canon, _carrier_points, _line_canon, _reduced_gens,
-                             gamma0_orbits, gamma1_orbits, orbits)
+from ellimage.orbits import (CyclicSubmodule, TorsionVector, _canon, _line_canon, gamma0_orbits,
+                             gamma1_orbits, orbits)
 
 M7 = PrimePowerModulus(7, 1)
 M49 = PrimePowerModulus(7, 2)
@@ -70,6 +70,24 @@ def _exact_vectors(level):
             if x % ell or y % ell]
 
 
+def _carrier_points(family, level):
+    """The carrier points in normal form, sorted: the v of exact order ell^k
+    with v <= -v (gamma1), or (0, 1), the (1, y) and the (ell^j, y) with y a
+    unit mod ell^(k-j) (gamma0)."""
+    ell, m, k = level.ell, level.modulus, level.exponent
+    out = []
+    if family == "gamma1":
+        for x in range(m // 2 + 1):
+            top = m // 2 + 1 if 2 * x % m == 0 else m  # x = -x: then y <= -y
+            out += [(x, y) for y in range(top) if x % ell or y % ell]
+        return out
+    out.append((0, 1))
+    for j in range(k):
+        q = ell ** (k - j)
+        out += [(ell ** j, y) for y in range(q) if j == 0 or y % ell]
+    return out
+
+
 @pytest.mark.parametrize("ell,k", [(2, 1), (2, 4), (3, 3), (5, 2), (7, 2), (17, 2)])
 def test_carrier_points_against_canonicalised_vectors(ell, k):
     level = PrimePowerModulus(ell, k)
@@ -80,34 +98,25 @@ def test_carrier_points_against_canonicalised_vectors(ell, k):
         assert all(canon(v) == v for v in want)
 
 
-def _expanded(group, level, family):
-    "{class normal form: its carrier points, sorted}, by canonicalising every carrier point."
-    canon = KernelClasses(group, level, family).canon
-    out = {}
-    for p in _carrier_points(family, level):
-        out.setdefault(canon(p), []).append(p)
-    return out
-
-
-def test_orbit_records_carry_their_points():
+def test_orbit_records_link_their_parents():
     g = build_cartan(CartanSpec("borel", M49))
     for family in ("gamma1", "gamma0"):
-        for k in (1, 2):
-            level = PrimePowerModulus(7, k)
-            expanded = _expanded(g, level, family)
-            recs = orbits(g, k, family)
-            points = [sorted(p for c in r.points for p in expanded[c]) for r in recs]
-            assert sorted(p for ps in points for p in ps) == _carrier_points(family, level)
-            for r, ps in zip(recs, points):
-                assert r.representative == min(r.points) == ps[0] and r.size == len(ps)
-                # the classes are left out of equality, hashing and repr
-                bare = type(r)(r.family, r.level, r.representative, r.size)
-                assert r == bare and hash(r) == hash(bare) and repr(r) == repr(bare)
+        low = orbits(g, 1, family)
+        assert all(r.parent is None for r in low)
+        recs = orbits(g, 2, family)
+        # every level-7 orbit has a child, and the children come in the order of their parents
+        assert list(dict.fromkeys(r.parent for r in recs)) == low
+        for r in recs:
+            assert r.parent.level == M7 and r.size % r.parent.size == 0
+            # the parent is left out of equality, hashing and repr
+            bare = r._replace(parent=None)
+            assert r == bare and hash(r) == hash(bare) and repr(r) == repr(bare)
 
 
-def test_bfs_visits_classes_not_points(monkeypatch):
-    # layer 1 of the nonsplit normalizer mod 17^2 moves every vbar onto all
-    # of F_17^2: 144 classes of 289 +-classes, 18 classes of 17 lines
+def test_bfs_visits_fibres_not_points(monkeypatch):
+    # the nonsplit normalizer mod 17^2 is transitive at each level: one walk
+    # over the 144 +-classes mod 17 and one over the 289 points of a fibre
+    # find the orbit of 41,616 +-classes mod 17^2; for lines, 18 and 17 of 306
     g = build_cartan(CartanSpec("nonsplit-normalizer", PrimePowerModulus(17, 2)))
     visited = []
 
@@ -117,9 +126,9 @@ def test_bfs_visits_classes_not_points(monkeypatch):
         return found
 
     monkeypatch.setattr(ORBITS, "orbit", counting_orbit)
-    for get, classes, points in ((gamma1_orbits, 144, 41616), (gamma0_orbits, 18, 306)):
+    for get, walks, points in ((gamma1_orbits, [144, 289], 41616), (gamma0_orbits, [18, 17], 306)):
         visited.clear()
-        assert sum(r.size for r in get(g, 2)) == points and sum(visited) == classes
+        assert sum(r.size for r in get(g, 2)) == points and visited == walks
 
 
 def test_gamma1_full_image():
@@ -169,8 +178,20 @@ def test_unknown_family_rejected():
 # references: the full-carrier BFS, one BFS per orbit and level for the
 # degree tower, and the filter's step 1 over carrier-point tables
 
+PointOrbit = namedtuple("PointOrbit", "representative size points")
+
+
+def _reduced_gens(group, level):
+    if level.exponent > group.mod.exponent:
+        raise ValueError("level %s exceeds the group modulus %s" % (level, group.mod))
+    if level.ell != group.mod.ell:
+        raise ValueError("level prime %d does not match group prime %d"
+                         % (level.ell, group.mod.ell))
+    return group.reduce_to(level).gens
+
+
 def _point_orbits(group, k, family):
-    "OrbitRecords by one gl2.orbit BFS over every carrier point; points holds the orbit."
+    "PointOrbits by one gl2.orbit BFS over every carrier point; points holds the orbit."
     level = PrimePowerModulus(group.mod.ell, k)
     m = level.modulus
     canon = _canon(family, level)
@@ -180,8 +201,8 @@ def _point_orbits(group, k, family):
     for v0 in _carrier_points(family, level):
         if v0 not in seen:
             points = orbit(v0, gens, lambda w, g: canon(mvec(g, w, m)))
-            seen |= points
-            out.append(OrbitRecord(family, level, v0, len(points), frozenset(points)))
+            seen.update(points)
+            out.append(PointOrbit(v0, len(points), frozenset(points)))
     return out
 
 
@@ -362,56 +383,100 @@ def test_invariants_under_random_conjugation(small_groups, data):
 
 
 # ---------------------------------------------------------------------------
-# the class BFS against the full-carrier BFS
+# the orbit tree against the full-carrier BFS
 
 def _assert_matches_point_orbits(group):
-    """For every level ell^k, k <= n, and both families: the expanded classes
-    partition the carrier as the full-carrier BFS does, with equal
-    representatives and sizes, each class holds `size` carrier points with
-    its normal form least, and the filter's step 1 is unchanged."""
+    """For every level ell^k, k <= n, and both families, against the
+    full-carrier BFS: the multiset of orbit sizes; one record per oracle
+    orbit, its representative in that orbit and the least point of its
+    fibre orbit, the points of the orbit over the parent's representative;
+    the degree tower of each record, its ancestors' sizes, each ancestor
+    holding the reduction of the representative; and the filter's step 1
+    up to the choice of representative."""
     ell, n = group.mod.ell, group.mod.exponent
     for family in ("gamma1", "gamma0"):
+        holder = {}  # k -> {carrier point mod ell^k: its oracle orbit}
         for k in range(1, n + 1):
-            level = PrimePowerModulus(ell, k)
-            classes = KernelClasses(group, level, family)
-            expanded = _expanded(group, level, family)
-            assert classes.seeds() == sorted(expanded)
-            for c, ps in expanded.items():
-                assert ps[0] == c and classes.size(c) == len(ps), (c, ps)
-            recs, want = orbits(group, k, family), _point_orbits(group, k, family)
-            assert [(r.representative, r.size) for r in recs] == \
-                [(w.representative, w.size) for w in want]
-            assert [frozenset(p for c in r.points for p in expanded[c]) for r in recs] == \
-                [w.points for w in want]
+            want = _point_orbits(group, k, family)
+            holder[k] = {p: w for w in want for p in w.points}
+            recs = orbits(group, k, family)
+            assert sorted(r.size for r in recs) == sorted(w.size for w in want)
+            assert len({holder[k][r.representative] for r in recs}) == len(want)
+            for r in recs:
+                points = holder[k][r.representative].points
+                if k > 1:
+                    low = PrimePowerModulus(ell, k - 1)
+                    q, canon = low.modulus, _canon(family, low)
+                    points = [p for p in points
+                              if canon((p[0] % q, p[1] % q)) == r.parent.representative]
+                assert r.representative == min(points)
+                up = r
+                for a in range(k, 0, -1):
+                    level = PrimePowerModulus(ell, a)
+                    m = level.modulus
+                    w = holder[a][_canon(family, level)((r.representative[0] % m,
+                                                         r.representative[1] % m))]
+                    assert up.level == level and up.size == w.size and up.representative in w.points
+                    up = up.parent
+                assert up is None
+        least = lambda pairs: [(p.level_exp, p.degree, sorted(
+            (k, holder[k][v].representative) for k, v in p.provenance)) for p in pairs]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # subgroups need not have surjective det
-            assert candidate_pairs(group, family) == _candidate_pairs_by_points(group, family)
+            assert least(candidate_pairs(group, family)) == \
+                least(_candidate_pairs_by_points(group, family))
 
 
 def test_class_sizes_at_four():
-    """At ell = 2, k = 2 the class of +-v holds |T|/2 points when vbar lies in
-    T, because -v = v + 2*vbar; assuming |T| doubles the orbit sizes of these
-    five records at level 4."""
+    """At ell = 2, k = 2 the +-class of a lift of vbar holds one point of
+    the fibre over vbar when vbar = -vbar mod 2, so a fibre there has 2
+    points, not 4; counting 4 doubles the orbit sizes of these five records
+    at level 4."""
     records = {r.rszb_label: r for r in _bundled_records()}
     for label in ("4.12.0.1", "4.6.0.1", "8.12.0.1", "8.48.1.1", "16.24.0.1"):
         group = records[label].group()
         for family in ("gamma1", "gamma0"):
-            assert [(r.representative, r.size) for r in orbits(group, 2, family)] == \
-                [(w.representative, w.size) for w in _point_orbits(group, 2, family)], label
+            assert sorted(r.size for r in orbits(group, 2, family)) == \
+                sorted(w.size for w in _point_orbits(group, 2, family)), label
 
 
-def test_seeds_stop_at_the_cap(monkeypatch):
-    """The nonsplit-Cartan normalizer mod 17^3 has 41,616 gamma1 classes at
-    level 17^3, one over each carrier point mod 17^2; at a cap of 10^4 the
-    seed list stops growing at the first class past the cap."""
-    level = PrimePowerModulus(17, 3)
-    group = build_cartan(CartanSpec("nonsplit-normalizer", level), 10 ** 4)
-    classes = KernelClasses(group, level, "gamma1")
-    calls, canon = [], classes.canon
-    monkeypatch.setattr(classes, "canon", lambda v: calls.append(v) or canon(v))
-    with pytest.raises(EnumerationCapError):
-        classes.seeds()
-    assert len(calls) == 10 ** 4 + 1
+def test_cap_bounds_the_walks_and_the_orbit_count():
+    # one walk of 5,100 +-classes mod 101, a fibre of 289 points over the
+    # one orbit mod 17, and 24 orbits of one point under <-I> mod 7
+    cases = ((CartanSpec("nonsplit-normalizer", PrimePowerModulus(101, 1)), 1, 1000,
+              "gamma1 orbit mod 101 exceeded cap 1000"),
+             (CartanSpec("nonsplit-normalizer", PrimePowerModulus(17, 2)), 2, 200,
+              "gamma1 fibre orbit mod 289 exceeded cap 200"))
+    for spec, k, cap, message in cases:
+        with pytest.raises(EnumerationCapError, match="^%s$" % message):
+            gamma1_orbits(build_cartan(spec, cap), k)
+    assert len(gamma1_orbits(MatrixGroup(M7, [(6, 0, 0, 6)], cap=24), 1)) == 24
+    with pytest.raises(EnumerationCapError, match="^gamma1 orbits at level 7 exceeded cap 23$"):
+        gamma1_orbits(MatrixGroup(M7, [(6, 0, 0, 6)], cap=23), 1)
+
+
+def test_cap_bounds_each_stabilizer_chain():
+    # a stabilizer's chain tables are orbits of a subgroup of G, no larger
+    # than G's own, so only a cap that G's chain itself passes stops them:
+    # built under a cap of 5, the chain of the stabilizer of +-(0, 1) in GL2
+    # mod 7, whose second and third tables hold 6 and 14 rows, stops
+    group = full_gl2(M7)
+    act = lambda c, g: _canon("gamma1", M7)(mvec(g, c, 7))
+    reached = orbit((0, 1), group.gens, act)
+    assert len(ORBITS._stabilizer(group, reached, group.gens, act, 2016 // 24)) >= 1
+    small = MatrixGroup(M7, group.gens, cap=5)
+    with pytest.raises(EnumerationCapError, match="^orbit table [23] of G\\(7\\) exceeded cap 5$"):
+        ORBITS._stabilizer(small, reached, group.gens, act, 2016 // 24)
+
+
+def test_schreier_generators_that_run_short_raise():
+    # the walk from (0, 1) under GL2 mod 7 asked for a stabilizer twice as large
+    group = full_gl2(M7)
+    act = lambda c, g: _canon("gamma1", M7)(mvec(g, c, 7))
+    reached = orbit((0, 1), group.gens, act)
+    with pytest.raises(ArithmeticError, match="^the stabilizer of \\(0, 1\\) has 84 elements, "
+                                              "not 168$"):
+        ORBITS._stabilizer(group, reached, group.gens, act, 168)
 
 
 def test_classes_against_point_orbits_on_records():
@@ -429,6 +494,46 @@ def test_classes_against_point_orbits_on_records():
 
 def test_classes_against_point_orbits_borel_81():
     _assert_matches_point_orbits(build_cartan(CartanSpec("borel", PrimePowerModulus(3, 4))))
+
+
+@pytest.mark.parametrize("ell,n", [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (2, 2),
+                                   (3, 2), (5, 2), (7, 2), (2, 3), (3, 3), (5, 3), (7, 3),
+                                   (2, 5)])
+def test_tree_against_point_orbits_on_named_groups(ell, n):
+    for kind in CARTAN_KINDS:
+        try:
+            group = build_cartan(CartanSpec(kind, PrimePowerModulus(ell, n)))
+        except ValueError:
+            continue  # the semidirect kind needs an odd ell and exponent 2
+        _assert_matches_point_orbits(group)
+
+
+def _lineages(group, k, family):
+    "Each level-k record with its ancestors, down to level ell."
+    out = []
+    for rec in orbits(group, k, family):
+        line = []
+        while rec is not None:
+            line.append(rec)
+            rec = rec.parent
+        out.append(line)
+    return out
+
+
+def test_records_are_a_function_of_the_group():
+    # the same group from a shuffled and enlarged generating set: the same
+    # records in the same order, with the same parents
+    rng = random.Random(4242)
+    for rec in _bundled_records() + _special_records():
+        group = rec.group()
+        m = group.mod.modulus
+        gens = list(group.gens)
+        more = gens + [mmul(a, b, m) for a, b in zip(gens, gens[1:] + gens[:1])]
+        rng.shuffle(more)
+        other = MatrixGroup(group.mod, more)
+        for family in ("gamma1", "gamma0"):
+            for k in range(1, group.mod.exponent + 1):
+                assert _lineages(group, k, family) == _lineages(other, k, family), rec.rszb_label
 
 
 @settings(max_examples=40, deadline=None)

@@ -44,7 +44,7 @@ CASES = [
     (CyclicSubmodule, (1, 3, M7), dict(x=1, y=3, level=M7),
      "CyclicSubmodule(x=1, y=3, level=%s)" % M7_REPR, CyclicSubmodule(0, 1, M7)),
     (OrbitRecord, ("gamma0", M7, (0, 1), 1),
-     dict(family="gamma0", level=M7, representative=(0, 1), size=1, points=frozenset()),
+     dict(family="gamma0", level=M7, representative=(0, 1), size=1, parent=None),
      "OrbitRecord(family='gamma0', level=%s, representative=(0, 1), size=1)" % M7_REPR,
      OrbitRecord("gamma0", M7, (0, 1), 2)),
     (CandidatePair, (1, 3, 7),
@@ -142,10 +142,10 @@ def test_record_order():
         assert expected[0] < expected[1] <= expected[2] and expected[2] > expected[0]
 
 
-def test_orbit_record_points_are_not_compared():
-    bare = OrbitRecord("gamma1", M7, (0, 1), 3)
-    full = OrbitRecord("gamma1", M7, (0, 1), 3, frozenset({(0, 1), (0, 2)}))
-    assert full.points == frozenset({(0, 1), (0, 2)}) and bare.points == frozenset()
+def test_orbit_record_parent_is_not_compared():
+    bare = OrbitRecord("gamma1", M49, (0, 1), 3)
+    full = OrbitRecord("gamma1", M49, (0, 1), 3, OrbitRecord("gamma1", M7, (0, 1), 1))
+    assert full.parent.size == 1 and bare.parent is None
     assert full == bare and not full != bare and hash(full) == hash(bare)
     assert repr(full) == repr(bare)
     assert len({full, bare}) == 1
