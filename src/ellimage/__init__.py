@@ -13,10 +13,9 @@ _EXPORTS = {
     "modarith": ("PrimePowerModulus",),
     "gl2": ("CartanSpec", "MatrixGroup", "ambient_order", "build_cartan",
             "conjugate_into", "full_gl2", "is_conjugate"),
-    "modcurves": ("GenusProfile", "MapDegreeSpec", "genus_X0", "genus_X1", "genus_XG",
-                  "map_degree", "map_degree_tower"),
-    "orbits": ("CyclicSubmodule", "OrbitRecord", "TorsionVector", "gamma0_orbits",
-               "gamma1_orbits"),
+    "modcurves": ("GenusProfile", "genus_X0", "genus_X1", "genus_XG", "map_degree",
+                  "map_degree_tower"),
+    "orbits": ("OrbitRecord", "gamma0_orbits", "gamma1_orbits"),
     "isolated": ("CandidatePair", "FilterReport", "analyze", "candidate_pairs",
                  "filter_genus_zero", "filter_riemann_roch"),
     "knownj": ("GAMMA0_ISOLATED_J", "GAMMA1_ISOLATED_J", "KnownJRecord"),

@@ -364,47 +364,45 @@ def proper_detsurjective_subgroups(group, index_bound, fix_mod_ell_reduction=Tru
     ell, m = mod.ell, mod.modulus
     parent_order = group.order()
 
-    if fix_mod_ell_reduction and mod.exponent == 1:
-        # mod-ell reduction of a subgroup equals the subgroup itself, so only
-        # the parent survives the constraint
-        return []
-    # the structured path takes every parent it applies to, whatever its order
-    if not fix_mod_ell_reduction or (parent_order <= BRUTE_LIMIT and not (
-            mod.exponent == 2 and group.filtration().sizes()[0] % ell)):
-        # S <= G, so S is G when it is as large, and S mod ell is G(ell) when
-        # it has |G(ell)| elements
-        bar_order = group.filtration().sizes()[0]
-        picked = [S for S in all_subgroups(group)
-                  if len(S) < parent_order and parent_order // len(S) <= index_bound
-                  and len({mdet(x, m) for x in S}) == mod.unit_count()
-                  and not (fix_mod_ell_reduction
-                           and len({mreduce(x, ell) for x in S}) != bar_order)]
-        out = []
-        for rep_set, size in _conjugacy_classes_of_subgroups(picked, group):
-            # the chain grown from the class's elements names its canonical generators
-            chain = Filtration((), mod, group.cap)
-            chain.grow(sorted(rep_set), len(rep_set))
-            rep = MatrixGroup(mod, chain.generators(), cap=group.cap)
-            out.append(SubgroupClass(rep, parent_order // len(rep_set), True, size))
-        return sorted(out, key=lambda c: (c.index_in_parent, c.representative.gens))
-
-    return _stable_subspace_classes(group, index_bound)
+    if fix_mod_ell_reduction:
+        if mod.exponent == 1:
+            # mod-ell reduction of a subgroup equals the subgroup itself, so
+            # only the parent survives the constraint
+            return []
+        # the structured path takes every parent it applies to, whatever its
+        # order; the brute-force lattice takes the others up to BRUTE_LIMIT
+        if mod.exponent == 2 and group.filtration().sizes()[0] % ell:
+            return _stable_subspace_classes(group, index_bound)
+        if parent_order > BRUTE_LIMIT:
+            raise SearchBudgetError("structured search supports exponent-2 moduli only"
+                                    if mod.exponent != 2 else
+                                    "structured search needs |G(ell)| prime to ell")
+    # S <= G, so S is G when it is as large, and S mod ell is G(ell) when
+    # it has |G(ell)| elements
+    bar_order = group.filtration().sizes()[0]
+    picked = [S for S in all_subgroups(group)
+              if len(S) < parent_order and parent_order // len(S) <= index_bound
+              and len({mdet(x, m) for x in S}) == mod.unit_count()
+              and not (fix_mod_ell_reduction
+                       and len({mreduce(x, ell) for x in S}) != bar_order)]
+    out = []
+    for rep_set, size in _conjugacy_classes_of_subgroups(picked, group):
+        # the chain grown from the class's elements names its canonical generators
+        chain = Filtration((), mod, group.cap)
+        chain.grow(sorted(rep_set), len(rep_set))
+        rep = MatrixGroup(mod, chain.generators(), cap=group.cap)
+        out.append(SubgroupClass(rep, parent_order // len(rep_set), True, size))
+    return sorted(out, key=lambda c: (c.index_in_parent, c.representative.gens))
 
 
 def _stable_subspace_classes(group, index_bound):
     """The structured path of proper_detsurjective_subgroups: one class per
     proper G(ell)-stable subspace W of the kernel part U = L_1 of the
     filtration, for exponent 2 and |G(ell)| prime to ell."""
-    mod = group.mod
-    ell = mod.ell
-    if mod.exponent != 2:
-        raise SearchBudgetError("structured search supports exponent-2 moduli only")
-
+    ell = group.mod.ell
     filt = group.filtration()
     u_basis = filt.layers[0][0].rref()
     bar_order = filt.sizes()[0]
-    if bar_order % ell == 0:
-        raise SearchBudgetError("structured search needs |G(ell)| prime to ell")
     order = bar_order * ell ** len(u_basis)
     module = KernelModule(ell, tuple(mreduce(g, ell) for g in filt.generators()))
 

@@ -106,33 +106,16 @@ def genus_X1(N):
     return _quotient(24 * den + num - 6 * cusps * den, 24 * den, "genus of %s" % (N,))
 
 
-class MapDegreeSpec(namedtuple("MapDegreeSpec", "family a b")):
-    """Natural map X_family(a*b) -> X_family(a); c_f is 1/2 exactly when
-    family is Gamma1, a <= 2 and a*b > 2."""
-
-    __slots__ = ()
-
-    def __new__(cls, family, a, b):
-        if family not in ("gamma1", "gamma0"):
-            raise ValueError("family must be gamma1 or gamma0")
-        if a < 1 or b < 1:
-            raise ValueError("a, b must be >= 1")
-        return super().__new__(cls, family, a, b)
-
-    def _c_f_denominator(self):
-        return 2 if self.family == "gamma1" and self.a <= 2 and self.a * self.b > 2 else 1
-
-    @property
-    def c_f(self):
-        from fractions import Fraction
-        return Fraction(1, self._c_f_denominator())
-
-
-def map_degree(spec):
-    "Degree of the natural map described by a MapDegreeSpec; checked integral."
-    a, b = spec.a, spec.b
-    if spec.family == "gamma1":
-        num, den = b * b, spec._c_f_denominator()
+def map_degree(family, a, b):
+    """Degree of the natural map X_family(a*b) -> X_family(a); checked
+    integral.  The gamma1 degree is halved exactly when a <= 2 and a*b > 2:
+    then -I lies in Gamma1(a) but not in Gamma1(a*b)."""
+    if family not in ("gamma1", "gamma0"):
+        raise ValueError("family must be gamma1 or gamma0")
+    if a < 1 or b < 1:
+        raise ValueError("a, b must be >= 1")
+    if family == "gamma1":
+        num, den = b * b, 2 if a <= 2 and a * b > 2 else 1
         for p in factorize(b):
             if a % p:
                 num, den = num * (p * p - 1), den * p * p
@@ -141,14 +124,14 @@ def map_degree(spec):
         for p in factorize(b):
             if a % p:
                 num, den = num * (p + 1), den * p
-    return _quotient(num, den, "degree of %s" % (spec,), 1)
+    return _quotient(num, den, "degree of X_%s(%d) -> X_%s(%d)" % (family, a * b, family, a), 1)
 
 
 def map_degree_tower(family, ell, a_exp, k_exp):
     "Degree of X_family(ell^k) -> X_family(ell^a) for exponents a <= k."
     if a_exp > k_exp:
         raise ValueError("need a <= k")
-    return map_degree(MapDegreeSpec(family, ell ** a_exp, ell ** (k_exp - a_exp)))
+    return map_degree(family, ell ** a_exp, ell ** (k_exp - a_exp))
 
 
 GenusProfile = namedtuple("GenusProfile", "mu nu2 nu3 nu_inf genus")

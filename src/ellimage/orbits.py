@@ -28,10 +28,17 @@ point of its fibre orbit: at level ell the least point of the orbit, above
 it not in general.  A child holds |parent| * |fibre orbit| carrier points,
 and the Schreier generators of its walk, sifted into a Filtration until the
 chain has |G_w| / |fibre orbit| elements, generate its stabilizer (|G| at
-the root).  Each OrbitRecord links its parent, so the degrees of an orbit's
-reductions are the sizes of its ancestors (the filter in `isolated` reads
-them so).  The group's cap bounds each walk, the number of orbits at each
-level and each stabilizer chain.  The full-carrier BFS and the
+the root).  At the top level k >= 2 only sizes and representatives are
+read, and a fibre the kernel fills is not walked: for Y in layer k-1 of
+the filtration of G mod ell^k, I + ell^(k-1)*Y lies in G cap K_(k-1),
+inside G_w, and moves the lift w + ell^(k-1)*d to w + ell^(k-1)*(d +
+Y*wbar) (Holt, Eick and O'Brien, ch. 8).  When the Y*wbar, with wbar
+itself for lines, span F_ell^2, the fibre is one orbit, of ell^2
++-classes (2 when ell = 2 and k = 2) or of ell lines, and its least point
+is w itself.  Each OrbitRecord links its parent, so the degrees of an
+orbit's reductions are the sizes of its ancestors (the filter in
+`isolated` reads them so).  The group's cap bounds each walk, the number
+of orbits at each level and each stabilizer chain.  The full-carrier BFS and the
 one-BFS-per-level degree tower are kept in the tests as references.
 """
 
@@ -40,32 +47,7 @@ from itertools import product
 
 from .errors import EnumerationCapError
 from .gl2 import Filtration, orbit
-from .modarith import IDENTITY, PrimePowerModulus, minv, mmul, mvec
-
-
-class TorsionVector(namedtuple("TorsionVector", "x y level")):
-    "A point of exact order ell^k in (Z/ell^k)^2."
-
-    __slots__ = ()
-
-    def __new__(cls, x, y, level):
-        ell = level.ell
-        if x % ell == 0 and y % ell == 0:
-            raise ValueError("(%d, %d) has order below %d" % (x, y, level.modulus))
-        return super().__new__(cls, x, y, level)
-
-
-class CyclicSubmodule(namedtuple("CyclicSubmodule", "x y level")):
-    "A cyclic submodule of order ell^k, stored by its canonical generator."
-
-    __slots__ = ()
-
-    def __new__(cls, x, y, level):
-        TorsionVector(x, y, level)  # the generator has exact order ell^k
-        canon = _line_canon((x, y), level)
-        if canon != (x, y):
-            raise ValueError("(%d, %d) is not the canonical generator %r" % (x, y, canon))
-        return super().__new__(cls, x, y, level)
+from .modarith import IDENTITY, Echelon, PrimePowerModulus, minv, mmul, mvec
 
 
 class OrbitRecord(namedtuple("OrbitRecord", "family level representative size parent",
@@ -88,10 +70,6 @@ class OrbitRecord(namedtuple("OrbitRecord", "family level representative size pa
 
     def __repr__(self):
         return "OrbitRecord(family=%r, level=%r, representative=%r, size=%r)" % self[:4]
-
-    def typed_representative(self):
-        cls = TorsionVector if self.family == "gamma1" else CyclicSubmodule
-        return cls(self.representative[0], self.representative[1], self.level)
 
 
 def _pm_canon(v, m):
@@ -191,12 +169,22 @@ def _stabilizer(image, reached, gens, act, order):
     return kept
 
 
+def _filled(family, rows, p, ell):
+    """Whether the translations Y*pbar, for Y in the rows, together with
+    pbar itself for gamma0, span F_ell^2, pbar = p mod ell."""
+    pbar = (p[0] % ell, p[1] % ell)
+    moves = [mvec(Y, pbar, ell) for Y in rows] + ([pbar] if family == "gamma0" else [])
+    return len(Echelon(ell, moves)) == 2
+
+
 def _orbits(group, k, family):
     """OrbitRecords of the group mod ell^k on the family's carrier, down the
     orbit tree: level by level, one walk per orbit of the stabilizer of each
-    parent's representative on the fibre over it, seeded in sorted order.
-    Raises EnumerationCapError when a walk, the orbits at a level or a
-    stabilizer chain exceed the group's cap."""
+    parent's representative on the fibre over it, seeded in sorted order;
+    at the top level k >= 2, a fibre that the top layer's translations fill
+    is one orbit, recorded without a walk.  Raises EnumerationCapError when
+    a walk, the orbits at a level or a stabilizer chain exceed the group's
+    cap."""
     ell, n = group.ell, group.mod.exponent
     level = PrimePowerModulus(ell, k)
     if k > n:
@@ -204,28 +192,40 @@ def _orbits(group, k, family):
     image = group if k == n else group.reduce_to(level)
     # (orbit, generators and order of the stabilizer of its representative)
     nodes = [(None, image.gens, image.order())]
+    top = image.filtration().layers[-1][0].rows if k > 1 else []
+    width = ell if family == "gamma0" else 2 if (ell, k) == (2, 2) else ell * ell
     for j in range(1, k + 1):
         level = PrimePowerModulus(ell, j)
         m = level.modulus
         canon = _canon(family, level)
         act = lambda c, g: canon(mvec(g, c, m))
         name = "%s %sorbit mod %d" % (family, "fibre " if j > 1 else "", m)
-        children = []
-        for parent, gens, order in nodes:
-            below = parent.size if parent else 1
+
+        def walks(parent, gens, order):
+            "(seed, size, stabilizer generators) of each walk on the fibre over parent."
             seen = set()
             for c in _fibre(family, level, parent and parent.representative):
                 if c not in seen:
                     reached = orbit(c, gens, act, image.cap, name)
                     seen.update(reached)
                     size = len(reached)
-                    stabilizer = _stabilizer(image, reached, gens, act, order // size) \
+                    yield c, size, _stabilizer(image, reached, gens, act, order // size) \
                         if j < k else None
-                    children.append((OrbitRecord(family, level, c, below * size, parent),
-                                     stabilizer, order // size))
-                    if len(children) > image.cap:
-                        raise EnumerationCapError("%s orbits at level %d exceeded cap %d"
-                                                  % (family, m, image.cap))
+
+        children = []
+        for parent, gens, order in nodes:
+            below = parent.size if parent else 1
+            if j == k > 1 and _filled(family, top, parent.representative, ell):
+                # its least point, where a walk would start, is the parent's representative
+                found = [(parent.representative, width, None)]
+            else:
+                found = walks(parent, gens, order)
+            for c, size, stabilizer in found:
+                children.append((OrbitRecord(family, level, c, below * size, parent),
+                                 stabilizer, order // size))
+                if len(children) > image.cap:
+                    raise EnumerationCapError("%s orbits at level %d exceeded cap %d"
+                                              % (family, m, image.cap))
         nodes = children
     return [rec for rec, _, _ in nodes]
 

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ellimage import gl2
-from ellimage.errors import EnumerationCapError, NotInvertibleError, SearchBudgetError
+from ellimage.errors import (CertificateError, EnumerationCapError, NotInvertibleError,
+                             SearchBudgetError)
 from ellimage.gl2 import (CARTAN_KINDS, CartanSpec, Filtration, MatrixGroup, ambient_order,
                           build_cartan, conjugate_into, extend, full_gl2, is_conjugate,
                           rowmul, unit_group_generators)
@@ -169,6 +170,16 @@ def test_conjugate_into_examples(printed_index49):
     nonsplit = build_cartan(CartanSpec("nonsplit", M7))
     borel = build_cartan(CartanSpec("borel", M7))
     assert conjugate_into(nonsplit, borel) == (False, None, None)
+
+
+def test_conjugate_into_checks_its_witness(monkeypatch):
+    # a search that returned the swap, which takes B(7) to the lower
+    # triangular matrices, is caught by the sift of the conjugated generators
+    borel = build_cartan(CartanSpec("borel", M7))
+    monkeypatch.setattr(gl2, "_conjugating_matrix", lambda h, big: (0, 1, 1, 0))
+    with pytest.raises(CertificateError, match="^conjugating matrix \\(0, 1, 1, 0\\) does not "
+                                               "map MatrixGroup\\(mod 7, .*\\) into "):
+        conjugate_into(borel, borel)
 
 
 def nullspace_span(rows, m, width=None):

@@ -1,5 +1,6 @@
 import functools
 import random
+import re
 import subprocess
 import sys
 from itertools import combinations, permutations, product
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ellimage import lattice as lattice_module
 from ellimage.cli import main
-from ellimage.errors import EnumerationCapError, SearchBudgetError
+from ellimage.errors import CertificateError, EnumerationCapError, SearchBudgetError
 from ellimage.gl2 import (CartanSpec, DEFAULT_CAP, MatrixGroup, build_cartan, extend, full_gl2,
                           is_conjugate, orbit)
 from ellimage.labelio import read_generators_text
@@ -17,7 +18,7 @@ from ellimage.lattice import (KernelModule, M2_BASIS, SubgroupClass, all_subgrou
                               preimage_rigidity, proper_detsurjective_subgroups,
                               split_cartan_membership, verify_counterexample,
                               _conjugacy_classes_of_subgroups,
-                              _ell_hom_trivial, _is_stable, _layer_step,
+                              _ell_hom_trivial, _is_stable, _layer_step, _letters,
                               _rigidity_subspaces, _relator_digit,
                               _stable_subspace_classes, _gaschutz_complement,
                               _split_solution,
@@ -168,12 +169,16 @@ def test_class_size_against_orbit(name, record_map):
 
 
 def test_structured_path_needs_prime_to_ell_reduction(record_map):
-    # G(3) has order divisible by 3 here, so only the brute-force lattice
-    # classifies these
-    for group in (record_map["9.12.0.1"].group(),
-                  build_cartan(CartanSpec("borel", PrimePowerModulus(3, 2)))):
-        with pytest.raises(SearchBudgetError):
-            _stable_subspace_classes(group, 81)
+    # G(ell) has order divisible by ell here and |G| > 1000, so neither the
+    # structured path nor the brute-force lattice classifies these; the
+    # exponent is named first
+    borel = lambda ell, n: build_cartan(CartanSpec("borel", PrimePowerModulus(ell, n)))
+    for group, message in ((record_map["25.30.0.1"].group(), "needs |G(ell)| prime to ell"),
+                           (borel(11, 2), "needs |G(ell)| prime to ell"),
+                           (borel(3, 3), "supports exponent-2 moduli only")):
+        assert group.order() > 1000
+        with pytest.raises(SearchBudgetError, match="^structured search %s$" % re.escape(message)):
+            proper_detsurjective_subgroups(group, 81)
 
 
 OPTIMIZED_REPRESENTATIVE_CHECK = """
@@ -272,6 +277,26 @@ def test_rigidity_nonsplit_normalizer_mod3():
     assert verify_counterexample(g, res.counterexample)
     big = build_cartan(CartanSpec("nonsplit-normalizer", PrimePowerModulus(3, 2)))
     assert verify_counterexample(g, big)
+
+
+def test_letters_need_an_element_of_the_first_kernel():
+    # I + 7*E21 is in K_1 but not in the Borel group, so the layer rows
+    # leave a residue
+    borel = build_cartan(CartanSpec("borel", PrimePowerModulus(7, 2)))
+    with pytest.raises(CertificateError, match="^\\(1, 0, 7, 1\\) does not sift through the "
+                                               "layer rows$"):
+        _letters(borel.filtration(), {}, (1, 0, 7, 1))
+
+
+def test_rigidity_verifies_its_counterexample(record_map, monkeypatch, capsys):
+    # 37.114.4.1 is not rigid; a witness that fails verification stops the
+    # certificate, on the command line with exit 3
+    monkeypatch.setattr(lattice_module, "verify_counterexample", lambda group, candidate: False)
+    with pytest.raises(CertificateError, match="^counterexample over U = .* failed verification$"):
+        preimage_rigidity(record_map["37.114.4.1"].group())
+    assert main(["lattice-check", "--label", "37.114.4.1"]) == 3
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert re.match("^RESULT\tFAILED\tcounterexample over U = .* failed verification$", last)
 
 
 def test_rigidity_conjugation_invariant():

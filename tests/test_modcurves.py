@@ -9,8 +9,8 @@ from ellimage.errors import EnumerationCapError
 from ellimage.gl2 import (DEFAULT_CAP, CartanSpec, MatrixGroup, build_cartan, full_gl2,
                           orbit, unit_group_generators)
 from ellimage.modarith import IDENTITY, PrimePowerModulus, mdet, minv, mmul, mreduce
-from ellimage.modcurves import (GenusProfile, MapDegreeSpec, genus_X0, genus_X1, genus_XG,
-                                map_degree, map_degree_tower)
+from ellimage.modcurves import (GenusProfile, genus_X0, genus_X1, genus_XG, map_degree,
+                                map_degree_tower)
 
 from conftest import det_units, elements, mulclose, transversal
 
@@ -32,21 +32,23 @@ def test_genus_small_and_known_values():
 
 
 def test_map_degree_examples():
-    assert map_degree(MapDegreeSpec("gamma1", 1, 37)) == 684
-    assert map_degree(MapDegreeSpec("gamma1", 7, 7)) == 49
-    assert map_degree(MapDegreeSpec("gamma0", 1, 49)) == 56
-    assert map_degree(MapDegreeSpec("gamma1", 2, 2)) == 2
+    assert map_degree("gamma1", 1, 37) == 684
+    assert map_degree("gamma1", 7, 7) == 49
+    assert map_degree("gamma0", 1, 49) == 56
+    assert map_degree("gamma1", 2, 2) == 2
     with pytest.raises(ValueError):
-        MapDegreeSpec("gamma1", 0, 5)
+        map_degree("gamma1", 0, 5)
 
 
 def test_map_degree_c_factor():
-    # 1/2 exactly when a <= 2 and ab > 2
-    assert MapDegreeSpec("gamma1", 1, 2).c_f == 1
-    assert MapDegreeSpec("gamma1", 2, 2).c_f == 0.5
-    assert MapDegreeSpec("gamma1", 1, 3).c_f == 0.5
-    assert MapDegreeSpec("gamma1", 3, 9).c_f == 1
-    assert MapDegreeSpec("gamma0", 1, 3).c_f == 1
+    # the gamma1 degree is halved exactly when a <= 2 and ab > 2: against
+    # b^2 * prod (1 - 1/p^2) over the primes p of b prime to a, and b * prod
+    # (1 + 1/p) for gamma0
+    assert map_degree("gamma1", 1, 2) == 3     # 4 * 3/4
+    assert map_degree("gamma1", 2, 2) == 2     # 4 / 2
+    assert map_degree("gamma1", 1, 3) == 4     # 9 * 8/9 / 2
+    assert map_degree("gamma1", 3, 9) == 81
+    assert map_degree("gamma0", 1, 3) == 4     # 3 * 4/3
 
 
 def test_map_degree_multiplicative_in_towers():

@@ -13,30 +13,24 @@ from ellimage.gl2 import CARTAN_KINDS, CartanSpec, MatrixGroup, build_cartan, fu
 from ellimage.isolated import CandidatePair, candidate_pairs
 from ellimage.modarith import PrimePowerModulus, mmul, mvec
 from ellimage.modcurves import genus_XG, map_degree_tower
-from ellimage.orbits import (CyclicSubmodule, TorsionVector, _canon, _line_canon, gamma0_orbits,
-                             gamma1_orbits, orbits)
+from ellimage.orbits import _canon, _line_canon, gamma0_orbits, gamma1_orbits, orbits
 
 M7 = PrimePowerModulus(7, 1)
 M49 = PrimePowerModulus(7, 2)
 
 
-def test_torsion_vector_validation():
-    TorsionVector(1, 0, M49)
-    TorsionVector(7, 1, M49)
-    with pytest.raises(ValueError):
-        TorsionVector(7, 0, M49)   # order 7, not 49
-    with pytest.raises(ValueError, match="exponent must be >= 1"):
-        PrimePowerModulus(7, 0)  # no torsion vector lives over Z/1
-
-
-def test_cyclic_submodule_canonical_form():
-    CyclicSubmodule(1, 3, M7)
-    CyclicSubmodule(7, 1, M49)
-    with pytest.raises(ValueError):
-        CyclicSubmodule(2, 6, M7)  # 2*(1,3): not the canonical generator
-    for x, y in ((0, 0), (7, 0), (0, 7)):  # order below 49
-        with pytest.raises(ValueError):
-            CyclicSubmodule(x, y, M49)
+@pytest.mark.parametrize("family", ["gamma1", "gamma0"])
+def test_representatives_are_canonical_of_exact_order(family):
+    # each representative is a carrier point in normal form: a vector mod
+    # ell^k of exact order ell^k, reduced, that its own _canon leaves as it is
+    groups = [rec.group() for rec in _bundled_records()] + [
+        full_gl2(M7), build_cartan(CartanSpec("nonsplit-normalizer", PrimePowerModulus(17, 2)))]
+    for group in groups:
+        for k in range(1, group.mod.exponent + 1):
+            for r in orbits(group, k, family):
+                v, ell, m = r.representative, r.level.ell, r.level.modulus
+                assert _canon(family, r.level)(v) == v
+                assert all(0 <= x < m for x in v) and (v[0] % ell or v[1] % ell)
 
 
 def _unit_scan_line_canon(level):
@@ -114,10 +108,12 @@ def test_orbit_records_link_their_parents():
 
 
 def test_bfs_visits_fibres_not_points(monkeypatch):
-    # the nonsplit normalizer mod 17^2 is transitive at each level: one walk
-    # over the 144 +-classes mod 17 and one over the 289 points of a fibre
-    # find the orbit of 41,616 +-classes mod 17^2; for lines, 18 and 17 of 306
-    g = build_cartan(CartanSpec("nonsplit-normalizer", PrimePowerModulus(17, 2)))
+    # the nonsplit normalizer mod 17^3 is transitive at each level: one walk
+    # over the 144 +-classes mod 17 finds the orbit of 41,616 +-classes mod
+    # 17^2, whose fibres the top layer fills; up to 17^3 a walk over the 289
+    # points of a fibre mod 17^2 is still needed for its stabilizer.  For
+    # lines, 18 and 17 of 306 and 5,202
+    g = build_cartan(CartanSpec("nonsplit-normalizer", PrimePowerModulus(17, 3)))
     visited = []
 
     def counting_orbit(*args, **kwargs):
@@ -126,20 +122,17 @@ def test_bfs_visits_fibres_not_points(monkeypatch):
         return found
 
     monkeypatch.setattr(ORBITS, "orbit", counting_orbit)
-    for get, walks, points in ((gamma1_orbits, [144, 289], 41616), (gamma0_orbits, [18, 17], 306)):
+    for get, k, walks, points in ((gamma1_orbits, 2, [144], 41616),
+                                  (gamma1_orbits, 3, [144, 289], 41616 * 289),
+                                  (gamma0_orbits, 2, [18], 306),
+                                  (gamma0_orbits, 3, [18, 17], 306 * 17)):
         visited.clear()
-        assert sum(r.size for r in get(g, 2)) == points and visited == walks
+        assert sum(r.size for r in get(g, k)) == points and visited == walks
 
 
 def test_gamma1_full_image():
     recs = gamma1_orbits(full_gl2(M7), 1)
     assert [r.size for r in recs] == [24]
-    assert isinstance(recs[0].typed_representative(), TorsionVector)
-
-
-def test_gamma0_typed_representative():
-    recs = gamma0_orbits(full_gl2(M7), 1)
-    assert isinstance(recs[0].typed_representative(), CyclicSubmodule)
 
 
 def test_gamma0_full_image():
@@ -442,14 +435,18 @@ def test_class_sizes_at_four():
 
 def test_cap_bounds_the_walks_and_the_orbit_count():
     # one walk of 5,100 +-classes mod 101, a fibre of 289 points over the
-    # one orbit mod 17, and 24 orbits of one point under <-I> mod 7
+    # one orbit mod 17, walked below 17^3 for its stabilizer, and 24 orbits
+    # of one point under <-I> mod 7
     cases = ((CartanSpec("nonsplit-normalizer", PrimePowerModulus(101, 1)), 1, 1000,
               "gamma1 orbit mod 101 exceeded cap 1000"),
-             (CartanSpec("nonsplit-normalizer", PrimePowerModulus(17, 2)), 2, 200,
+             (CartanSpec("nonsplit-normalizer", PrimePowerModulus(17, 3)), 3, 200,
               "gamma1 fibre orbit mod 289 exceeded cap 200"))
     for spec, k, cap, message in cases:
         with pytest.raises(EnumerationCapError, match="^%s$" % message):
             gamma1_orbits(build_cartan(spec, cap), k)
+    # the kernel fills the fibre of 10,201 points mod 101^2, which no walk then holds
+    group = build_cartan(CartanSpec("nonsplit-normalizer", PrimePowerModulus(101, 2)), 10 ** 4)
+    assert [r.size for r in gamma1_orbits(group, 2)] == [5100 * 10201]
     assert len(gamma1_orbits(MatrixGroup(M7, [(6, 0, 0, 6)], cap=24), 1)) == 24
     with pytest.raises(EnumerationCapError, match="^gamma1 orbits at level 7 exceeded cap 23$"):
         gamma1_orbits(MatrixGroup(M7, [(6, 0, 0, 6)], cap=23), 1)
@@ -497,8 +494,8 @@ def test_classes_against_point_orbits_borel_81():
 
 
 @pytest.mark.parametrize("ell,n", [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (2, 2),
-                                   (3, 2), (5, 2), (7, 2), (2, 3), (3, 3), (5, 3), (7, 3),
-                                   (2, 5)])
+                                   (3, 2), (5, 2), (7, 2), (11, 2), (13, 2), (2, 3), (3, 3),
+                                   (5, 3), (7, 3), (2, 5)])
 def test_tree_against_point_orbits_on_named_groups(ell, n):
     for kind in CARTAN_KINDS:
         try:

@@ -1,5 +1,6 @@
 """The value records of the package: repr text, construction, read-only
-fields, equality and hashing, order, and the checks at construction."""
+fields, equality and hashing, order, and the checks at construction and
+of map_degree's arguments."""
 
 import ast
 import subprocess
@@ -16,8 +17,8 @@ from ellimage.knownj import KnownJRecord
 from ellimage.labelio import ImageRecord, ValidationReport
 from ellimage.lattice import KernelModule, RigidityResult, SubgroupClass
 from ellimage.modarith import PrimePowerModulus
-from ellimage.modcurves import GenusProfile, MapDegreeSpec
-from ellimage.orbits import CyclicSubmodule, OrbitRecord, TorsionVector
+from ellimage.modcurves import GenusProfile, map_degree
+from ellimage.orbits import OrbitRecord
 
 M2 = PrimePowerModulus(2, 1)
 M7 = PrimePowerModulus(7, 1)
@@ -34,15 +35,8 @@ CASES = [
     (CartanSpec, ("borel", M7), dict(kind="borel", modulus=M7, epsilon=None),
      "CartanSpec(kind='borel', modulus=%s, epsilon=None)" % M7_REPR,
      CartanSpec("split", M7)),
-    (MapDegreeSpec, ("gamma1", 1, 7), dict(family="gamma1", a=1, b=7),
-     "MapDegreeSpec(family='gamma1', a=1, b=7)", MapDegreeSpec("gamma0", 1, 7)),
     (GenusProfile, (1, 1, 1, 1, 0), dict(mu=1, nu2=1, nu3=1, nu_inf=1, genus=0),
      "GenusProfile(mu=1, nu2=1, nu3=1, nu_inf=1, genus=0)", GenusProfile(1, 1, 1, 1, 1)),
-    (TorsionVector, (7, 1, M49), dict(x=7, y=1, level=M49),
-     "TorsionVector(x=7, y=1, level=PrimePowerModulus(ell=7, exponent=2))",
-     TorsionVector(7, 2, M49)),
-    (CyclicSubmodule, (1, 3, M7), dict(x=1, y=3, level=M7),
-     "CyclicSubmodule(x=1, y=3, level=%s)" % M7_REPR, CyclicSubmodule(0, 1, M7)),
     (OrbitRecord, ("gamma0", M7, (0, 1), 1),
      dict(family="gamma0", level=M7, representative=(0, 1), size=1, parent=None),
      "OrbitRecord(family='gamma0', level=%s, representative=(0, 1), size=1)" % M7_REPR,
@@ -82,7 +76,7 @@ CASES = [
      RunConfig(threads=2)),
 ]
 
-# (class, arguments, the ValueError text)
+# (class or function, arguments, the ValueError text)
 INVALID = [
     (PrimePowerModulus, (4, 1), "ell = 4 is not prime"),
     (PrimePowerModulus, (7, -1), "exponent must be >= 1"),
@@ -94,30 +88,23 @@ INVALID = [
      "section4-semidirect needs an odd prime"),
     (CartanSpec, ("nonsplit", M2, 3), "epsilon is not used at ell = 2"),
     (CartanSpec, ("nonsplit", M7, 2), "epsilon 2 is a quadratic residue mod 7"),
-    (MapDegreeSpec, ("gamma2", 1, 7), "family must be gamma1 or gamma0"),
-    (MapDegreeSpec, ("gamma0", 0, 7), "a, b must be >= 1"),
-    (MapDegreeSpec, ("gamma0", 7, 0), "a, b must be >= 1"),
-    (TorsionVector, (7, 14, M49), "(7, 14) has order below 49"),
-    (CyclicSubmodule, (0, 7, M49), "(0, 7) has order below 49"),
-    (CyclicSubmodule, (2, 6, M7), "(2, 6) is not the canonical generator (1, 3)"),
+    (map_degree, ("gamma2", 1, 7), "family must be gamma1 or gamma0"),
+    (map_degree, ("gamma0", 0, 7), "a, b must be >= 1"),
+    (map_degree, ("gamma0", 7, 0), "a, b must be >= 1"),
     (RunConfig, (9999,), "enumeration cap must be >= 10^4"),
     (RunConfig, (DEFAULT_CAP, 0), "thread count must be >= 1"),
 ]
 
 ORDERED = [
     [PrimePowerModulus(3, 2), PrimePowerModulus(2, 5), PrimePowerModulus(3, 1)],
-    [TorsionVector(1, 0, M7), TorsionVector(0, 1, M49), TorsionVector(0, 1, M7)],
-    [CyclicSubmodule(1, 3, M7), CyclicSubmodule(0, 1, M7), CyclicSubmodule(1, 0, M7)],
 ]
 SORTED = [
     [PrimePowerModulus(2, 5), PrimePowerModulus(3, 1), PrimePowerModulus(3, 2)],
-    [TorsionVector(0, 1, M7), TorsionVector(0, 1, M49), TorsionVector(1, 0, M7)],
-    [CyclicSubmodule(0, 1, M7), CyclicSubmodule(1, 0, M7), CyclicSubmodule(1, 3, M7)],
 ]
 
 
 def test_every_record_class_is_covered():
-    assert len({case[0] for case in CASES}) == len(CASES) == 17
+    assert len({case[0] for case in CASES}) == len(CASES) == 14
 
 
 @pytest.mark.parametrize("cls, args, keywords, text, other", CASES,
@@ -154,9 +141,9 @@ def test_orbit_record_parent_is_not_compared():
 def _invalid_messages():
     "The ValueError text of each INVALID construction, None where none is raised."
     out = []
-    for cls, args, _ in INVALID:
+    for make, args, _ in INVALID:
         try:
-            cls(*args)
+            make(*args)
         except ValueError as exc:
             out.append(str(exc))
         else:
