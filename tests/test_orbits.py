@@ -33,6 +33,25 @@ def test_representatives_are_canonical_of_exact_order(family):
                 assert all(0 <= x < m for x in v) and (v[0] % ell or v[1] % ell)
 
 
+def test_cyclic_submodule_canonical_form():
+    # a line is stored as its canonical generator: the normal form of
+    # (1, 3) mod 7 and of (7, 1) mod 49 is the vector itself, and a unit
+    # multiple such as 2*(1, 3) is not in normal form
+    assert _line_canon((1, 3), M7) == (1, 3)
+    assert _line_canon((7, 1), M49) == (7, 1)
+    assert _line_canon((2, 6), M7) == (1, 3) != (2, 6)
+    for u in range(1, 49):
+        if u % 7:
+            assert _line_canon((7 * u % 49, u), M49) == (7, 1)
+
+
+def test_gamma0_typed_representative():
+    recs = gamma0_orbits(full_gl2(M7), 1)
+    v = recs[0].representative
+    assert isinstance(v, tuple) and len(v) == 2
+    assert _line_canon(v, M7) == v and (v[0] % 7 or v[1] % 7)
+
+
 def _unit_scan_line_canon(level):
     "v -> least unit multiple of v for every exact-order v, by scanning all units."
     ell, m = level.ell, level.modulus
