@@ -5,10 +5,14 @@ determinant image, -I handling, reduction and full preimage, conjugacy
 search, and the named Cartan/Borel constructions.  No group is listed
 element by element here.
 
-orbit() is the one orbit BFS of the package: torsion orbits, the coset
-action mod ell behind genus_XG, the brute-force lattice's listing of a
-small parent and its join closures run through it; det G is a group like
-any other, D = <diag(det g, 1)>, and no unit is listed.
+orbit() is the one orbit BFS of the package, and partition() splits a set
+of points into orbits by one orbit() walk from each point that no earlier
+walk reached.  Through them run the torsion orbits on each fibre of the
+orbit tree; the cosets mod ell behind genus_XG, their u-cycles (the cusps)
+and the cycles on each layer's fibre; and the brute-force lattice's listing
+of a small parent, its cyclic subgroups, join closures and subgroup
+classes.  det G is a group like any other, D = <diag(det g, 1)>, and no
+unit is listed.
 extend() is the one group closure: it adds one element to a closed finite
 group by Dimino's coset extension (Holt, Eick and O'Brien, Handbook of
 Computational Group Theory, 4.1), each new left coset entering whole; the
@@ -80,19 +84,28 @@ def orbit(seed, gens, act, cap=DEFAULT_CAP, name="orbit"):
     y = act(x, g), and seed to None.  Past cap points it raises
     EnumerationCapError, which names the walk by `name`."""
     reached = {seed: None}
-    frontier = [seed]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = act(x, g)
-                if y not in reached:
-                    reached[y] = (x, g)
-                    new.append(y)
-                    if len(reached) > cap:
-                        raise EnumerationCapError("%s exceeded cap %d" % (name, cap))
-        frontier = new
+    todo = [seed]
+    for x in todo:
+        for g in gens:
+            y = act(x, g)
+            if y not in reached:
+                reached[y] = (x, g)
+                todo.append(y)
+                if len(reached) > cap:
+                    raise EnumerationCapError("%s exceeded cap %d" % (name, cap))
     return reached
+
+
+def partition(points, gens, act, cap=DEFAULT_CAP, name="orbit"):
+    """The orbits of <gens> that meet `points`: for each point that no
+    earlier walk reached, in the order of `points`, the orbit() walk from
+    it, which lists that point first."""
+    seen = set()
+    for p in points:
+        if p not in seen:
+            reached = orbit(p, gens, act, cap, name)
+            seen.update(reached)
+            yield reached
 
 
 def extend(closed, g, mul, cap=DEFAULT_CAP):
@@ -209,6 +222,7 @@ class MatrixGroup:
         total = ambient_order(self.mod)
         order = self.order()
         if total % order:
+            # construction invariant: a chain's order is that of a subgroup of GL2 (Lagrange)
             raise ArithmeticError("order %d does not divide ambient %d" % (order, total))
         return total // order
 
@@ -697,6 +711,7 @@ def _nonsplit_base_pair(ell, eps):
             g = (a, eps * b % ell, b, a)
             if mdet(g, ell) % ell and morder(g, mod1) == full:
                 return a, b
+    # construction invariant: F_ell[sqrt(eps)]^x is cyclic for the non-residue CartanSpec checks
     raise ArithmeticError("no generator found for nonsplit Cartan mod %d" % ell)
 
 
@@ -759,6 +774,7 @@ def build_cartan(spec, cap=DEFAULT_CAP):
     g0 = (a0, eps * b0 % m, b0, a0)
     teich = mpow(g0, _crt_exponent(ell * ell - 1, ell), m)
     if morder(teich, mod) != ell * ell - 1:
+        # construction invariant: g0 has order (ell^2 - 1)*ell^j and the power kills the ell-part
         raise ArithmeticError("Teichmuller lift %r does not have order %d"
                               % (teich, ell * ell - 1))
     sigma = (1, 0, 0, m - 1)
@@ -768,6 +784,7 @@ def build_cartan(spec, cap=DEFAULT_CAP):
     expected = 2 * (ell * ell - 1) * ell ** 3
     got = group.order()
     if got != expected:
+        # construction invariant: teich, sigma and the three shapes give this order for odd ell
         raise ArithmeticError("semidirect construction has order %d, expected %d"
                               % (got, expected))
     return group

@@ -22,7 +22,8 @@ of a parent group, by one orbit walk bounded by the group's cap:
   generate.  The class has [K : N_K(H)] members for K = I + ell*U, read off
   the kernel action (KernelModule.class_size).  Other parents of order <=
   BRUTE_LIMIT get the brute-force lattice (cyclic subgroups, then join
-  closure), whose subgroups are orbited under the generators.
+  closure), whose subgroups are split into conjugacy classes by
+  gl2.partition under the generators.
 
 * preimage_rigidity decides whether any proper det-surjective subgroup of
   the one-step full preimage reduces exactly onto G.  Candidate kernel
@@ -64,7 +65,7 @@ from itertools import product
 
 from .errors import CertificateError, EnumerationCapError, SearchBudgetError
 from .gl2 import (CartanSpec, DEFAULT_CAP, Filtration, MatrixGroup, build_cartan,
-                  conjugate_into, extend, orbit)
+                  conjugate_into, extend, orbit, partition)
 from .modarith import (IDENTITY, M2_BASIS, Echelon, PrimePowerModulus, digit,
                        kernel_element, lincomb, mdet, minv, mmul, mpow, mpowers,
                        mreduce, nullspace, solutions)
@@ -273,8 +274,9 @@ class KernelModule(namedtuple("KernelModule", "ell gens_bar")):
 
 def all_subgroups(group):
     """Every subgroup of a small group, as frozensets of element tuples.  The
-    group is listed by one orbit walk from I under its generators; the joins
-    run on element positions through one table of all products."""
+    group is listed by one orbit walk from I under its generators, and each
+    cyclic subgroup by the walk from I under one element; the joins run on
+    element positions through one table of all products."""
     m = group.mod.modulus
     if group.order() > BRUTE_LIMIT:
         raise SearchBudgetError("brute-force lattice limited to order <= %d, got %d"
@@ -287,13 +289,12 @@ def all_subgroups(group):
     one = where[IDENTITY]
     cyclics = {}
     for x in range(len(els)):
-        c = [x]
-        while c[-1] != one:
-            c.append(table[c[-1]][x])
-        cyclics.setdefault(frozenset(c), x)
+        cyclics.setdefault(frozenset(orbit(one, (x,), mul, group.cap, "powers of an element")), x)
 
     def join(S, x):
-        "S v <x>, by extending S with the one generator x."
+        """S v <x>, by extending S with the one generator x.  The join lies
+        in G, whose listing above passed the same cap, so extend's cap never
+        fires here."""
         return S if x in S else frozenset(extend(S, x, mul, group.cap))
 
     subs = orbit(frozenset([one]), cyclics.values(), join, group.cap, "subgroup joins")
@@ -306,15 +307,10 @@ def _conjugacy_classes_of_subgroups(subsets, group):
     ell = group.mod.ell
     inv = {g: minv(g, m, ell) for g in group.gens}
     conj = lambda T, g: frozenset(mmul(mmul(g, x, m), inv[g], m) for x in T)
-    classes = []
-    seen = set()
-    for S in sorted(subsets, key=lambda s: (len(s), tuple(sorted(s)))):
-        if S in seen:
-            continue
-        points = orbit(S, group.gens, conj, group.cap, "conjugates of a subgroup")
-        seen.update(points)
-        classes.append((min(points, key=lambda s: tuple(sorted(s))), len(points)))
-    return classes
+    key = lambda s: tuple(sorted(s))
+    return [(min(points, key=key), len(points))
+            for points in partition(sorted(subsets, key=lambda s: (len(s), key(s))), group.gens,
+                                    conj, group.cap, "conjugates of a subgroup")]
 
 
 # ---------------------------------------------------------------------------

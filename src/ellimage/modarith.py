@@ -183,6 +183,7 @@ def morder(a, mod):
         b = mpow(b, ell, m)
         order *= ell
     if b != IDENTITY:
+        # construction invariant: the ell-th power maps each kernel layer into the next
         raise ArithmeticError("order computation failed for %r mod %d" % (a, m))
     return order
 

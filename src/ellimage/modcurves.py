@@ -10,23 +10,26 @@ are right cosets Hx with the right multiplication action, and Hx is the
 part in SL2 of the coset +-G*x in GL2.  Mod ell the cosets are found by an
 orbit BFS from H under s and u, each named by its least element mod ell,
 Filtration.least of +-G (P^1-style coset enumeration, as for Gamma0 in
-Diamond-Shurman ch. 3).  From ell^j to
-ell^(j+1) the cosets over one coset form a fibre, the Echelon normal forms
-modulo layer j of the group's congruence filtration (gl2.Filtration), on
-which an element fixing that coset acts affinely (Holt, Eick and O'Brien,
-ch. 8).  So only the cosets fixed by s, those fixed by t and one coset of
-each u-cycle are carried up the layers, and neither the mu cosets, SL2(Z/N)
-nor G is listed.  The Borel-vs-X0 and Gamma1-shape-vs-X1 oracle tests pin
-this convention against the closed formulas, and the tests keep the
-full-level coset BFS and an SL2-enumerating coset count as oracles.
+Diamond-Shurman ch. 3).  From ell^j to ell^(j+1) the cosets over one
+coset form a fibre, the Echelon normal forms modulo layer j of the group's
+congruence filtration (gl2.Filtration), on which an element fixing that
+coset acts affinely (Holt, Eick and O'Brien, ch. 8).  So only the cosets
+fixed by s, those fixed by t and one coset of each u-cycle are carried up
+the layers, and neither the mu cosets, SL2(Z/N) nor G is listed.  Every
+walk here is a gl2.orbit walk bounded by the group's cap: the cosets mod
+ell, and through gl2.partition the u-cycles on them (the cusps) and the
+cycles of an element on each layer's fibre.  The Borel-vs-X0 and
+Gamma1-shape-vs-X1 oracle tests pin this convention against the closed
+formulas, and the tests keep the full-level coset BFS, an SL2-enumerating
+coset count and the cycle walk that partition replaced as oracles.
 """
 from collections import namedtuple
 from math import gcd
 
 from .errors import EnumerationCapError
-from .gl2 import ambient_order, orbit
-from .modarith import (IDENTITY, digit, factorize, kernel_element, mdet, minv, mmul, mpow,
-                       mreduce)
+from .gl2 import ambient_order, orbit, partition
+from .modarith import (IDENTITY, M2_BASIS, digit, factorize, kernel_element, mdet, minv, mmul,
+                       mpow, mreduce)
 
 
 def _euler_phi(n):
@@ -137,18 +140,6 @@ def map_degree_tower(family, ell, a_exp, k_exp):
 GenusProfile = namedtuple("GenusProfile", "mu nu2 nu3 nu_inf genus")
 
 
-def _cycles(points, step):
-    "(length, first point) of each cycle of the permutation `step` of the points, in order."
-    seen = set()
-    for first in points:
-        size, x = 0, first
-        while x not in seen:
-            seen.add(x)
-            x, size = step(x), size + 1
-        if size:
-            yield size, first
-
-
 class _Layer:
     """Congruence layer j >= 1 of the coset action, from level ell^j to
     ell^(j+1).
@@ -165,7 +156,8 @@ class _Layer:
     L_j's pivots.  An element w of SL2 that fixes +-G*y mod ell^j acts on
     the fibre: with y*w*y^-1 = h*r, h in +-G and r in K_j, +-G*(I +
     ell^j*Y)*y*w = +-G*(I + ell^j*(hbar^-1*Y*hbar + R))*y for R the layer-j
-    digit of r (Holt, Eick and O'Brien, ch. 8).
+    digit of r (Holt, Eick and O'Brien, ch. 8).  The normal form modulo L_j
+    is linear, so w acts by an affine map of Y.
     """
 
     def __init__(self, filt, j, dets):
@@ -180,8 +172,8 @@ class _Layer:
                       if full or (Y[0] + Y[3]) % ell == 0]
 
     def _orbits(self, y, w):
-        """(size, Y) for each orbit of w on the fibre over +-G*y, Y its first
-        member; ArithmeticError unless w fixes +-G*y mod ell^j."""
+        """The orbits of w on the fibre over +-G*y, each the walk from its
+        first member; ArithmeticError unless w fixes +-G*y mod ell^j."""
         filt, q = self.filt, self.q
         ell, m = filt.ell, filt.m
         x = mmul(mmul(y, w, m), minv(y, m, ell), m)
@@ -191,9 +183,14 @@ class _Layer:
         d = digit(r, q, ell)
         h = mreduce(x, ell)
         hinv = minv(h, ell, ell)
-        reduce = self.echelon.reduce
-        return _cycles(self.fibre, lambda Y: reduce(
-            [(a + b) % ell for a, b in zip(mmul(mmul(hinv, Y, ell), h, ell), d)]))
+        image = lambda Y: self.echelon.reduce(
+            [(a + b) % ell for a, b in zip(mmul(mmul(hinv, Y, ell), h, ell), d)])
+        # affine: the image of 0 and the columns of the linear part give every image
+        zero = image((0, 0, 0, 0))
+        rows = list(zip(zero, *([(a - b) % ell for a, b in zip(image(e), zero)] for e in M2_BASIS)))
+        return partition(self.fibre, (w,), lambda Y, _: tuple([
+            (z + Y[0] * a + Y[1] * b + Y[2] * c + Y[3] * e) % ell for z, a, b, c, e in rows]),
+            filt.cap, "cycles on a fibre mod %d" % (q * ell))
 
     def lift(self, g, fixed_only, carried):
         """The (length, representative) of each cycle of g mod ell^(j+1) that
@@ -205,7 +202,8 @@ class _Layer:
         ell, m, q, cap, units = self.filt.ell, self.filt.m, self.q, self.filt.cap, self.units
         out = []
         for c, y in carried:
-            for size, Y in self._orbits(y, mpow(g, c, m)):
+            for walk in self._orbits(y, mpow(g, c, m)):
+                size, Y = len(walk), next(iter(walk))
                 if size == 1 or not fixed_only:
                     z = mmul(kernel_element(Y, q, m), y, m)
                     t = (Y[0] + Y[3]) % ell
@@ -258,7 +256,8 @@ def genus_XG(group):
     if mu * order != total * dets.order():
         raise ArithmeticError("%d cosets of |+-G| = %d with %d determinants do not fill "
                               "|SL2| = %d" % (mu, order, dets.order(), total))
-    cusps = list(_cycles(cosets, lambda r: step[r, u]))
+    cusps = [(len(walk), next(iter(walk))) for walk in partition(
+        cosets, (u,), lambda r, g: step[r, g], group.cap, "u-cycles mod %d" % ell)]
     # per generator s, t, u: whether only its fixed cosets count, and the
     # carried (cycle length, coset) pairs
     carried = [((0, m - 1, 1, 0), True, [(1, r) for r in cosets if step[r, s] == r]),

@@ -23,9 +23,9 @@ level ell are those of G on the carrier mod ell.  Over an orbit with
 representative w at level ell^(k-1), the fibre is the set of normal forms of
 the ell^2 lifts w + ell^(k-1)*d, and the children are the orbits of the
 stabilizer G_w on the fibre.  Each orbit is one gl2.orbit walk from the
-least fibre point not yet reached, so its representative is the least
-point of its fibre orbit: at level ell the least point of the orbit, above
-it not in general.  A child holds |parent| * |fibre orbit| carrier points,
+least fibre point not yet reached (gl2.partition), so its representative
+is the least point of its fibre orbit: at level ell the least point of the
+orbit, above it not in general.  A child holds |parent| * |fibre orbit| carrier points,
 and the Schreier generators of its walk, sifted into a Filtration until the
 chain has |G_w| / |fibre orbit| elements, generate its stabilizer (|G| at
 the root).  At the top level k >= 2 only sizes and representatives are
@@ -46,7 +46,7 @@ from collections import namedtuple
 from itertools import product
 
 from .errors import EnumerationCapError
-from .gl2 import Filtration, orbit
+from .gl2 import Filtration, partition
 from .modarith import IDENTITY, Echelon, PrimePowerModulus, minv, mmul, mvec
 
 
@@ -203,14 +203,11 @@ def _orbits(group, k, family):
 
         def walks(parent, gens, order):
             "(seed, size, stabilizer generators) of each walk on the fibre over parent."
-            seen = set()
-            for c in _fibre(family, level, parent and parent.representative):
-                if c not in seen:
-                    reached = orbit(c, gens, act, image.cap, name)
-                    seen.update(reached)
-                    size = len(reached)
-                    yield c, size, _stabilizer(image, reached, gens, act, order // size) \
-                        if j < k else None
+            for reached in partition(_fibre(family, level, parent and parent.representative),
+                                     gens, act, image.cap, name):
+                size = len(reached)
+                yield next(iter(reached)), size, \
+                    _stabilizer(image, reached, gens, act, order // size) if j < k else None
 
         children = []
         for parent, gens, order in nodes:

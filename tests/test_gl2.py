@@ -796,6 +796,14 @@ def test_mulclose_and_extend_against_bfs(data):
             extend(closed, g, mul, len(old) - 1)
 
 
+def test_extend_raises_past_its_cap():
+    # <1> in Z/6 under addition: the sixth element would pass a cap of 5
+    add = lambda a, b: (a + b) % 6
+    assert extend({0}, 1, add, 6) == set(range(6))
+    with pytest.raises(EnumerationCapError, match="^closure exceeded cap 5$"):
+        extend({0}, 1, add, 5)
+
+
 def _level_by_enumeration(els, mod):
     "Level from the element set: the least ell^d whose full preimage it is, or 1."
     ell, n = mod.ell, mod.exponent

@@ -212,11 +212,12 @@ def test_one_orbit_bfs_per_orbit_and_level(monkeypatch):
         assert [len(orbits(g, k, family)) for k in (1, 2, 3)] == [1, 1, 1]
         seeds = []
 
-        def counting_orbit(seed, *args, _orbit=gl2.orbit, **kwargs):
-            seeds.append(seed)
-            return _orbit(seed, *args, **kwargs)
+        def counting_partition(*args, _partition=gl2.partition, **kwargs):
+            for reached in _partition(*args, **kwargs):
+                seeds.append(next(iter(reached)))
+                yield reached
 
-        monkeypatch.setattr(ORBITS, "orbit", counting_orbit)
+        monkeypatch.setattr(ORBITS, "partition", counting_partition)
         candidate_pairs(g, family)
         monkeypatch.undo()
         assert len(seeds) == 2

@@ -1,4 +1,6 @@
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -167,3 +169,19 @@ def test_known_j_tables():
         if not r.cm:
             assert r.ell in (11, 17, 37)
             assert r.j_invariant.denominator in (1, 2, 2 ** 17)
+
+
+def test_bundled_data_is_what_the_script_makes(tmp_path, capsys):
+    # scripts/make_known_images.py rebuilds both bundled catalogs from their
+    # recipes; what it writes must be the shipped files, byte for byte
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "make_known_images", root / "scripts" / "make_known_images.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.OUT_DIR = str(tmp_path)
+    script.main()
+    capsys.readouterr()
+    for name in ("known_images.txt", "special_groups.txt"):
+        assert (tmp_path / name).read_bytes() == \
+            (root / "src" / "ellimage" / "data" / name).read_bytes(), name

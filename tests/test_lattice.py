@@ -324,8 +324,58 @@ def test_counterexample_reduction_and_properness():
 
 
 def test_brute_limit_is_hard_error(image49):
-    with pytest.raises(SearchBudgetError):
+    with pytest.raises(SearchBudgetError,
+                       match="^brute-force lattice limited to order <= 1000, got 24696$"):
         proper_detsurjective_subgroups(image49, 49, fix_mod_ell_reduction=False)
+
+
+def test_stable_subspace_walk_checks_its_subspaces(image49, monkeypatch):
+    # the kernel module of 49.196.9.1 has eight stable subspaces, and the
+    # line of E12 is not one of them
+    module = KernelModule(7, tuple(mreduce(t, 7) for t in image49.gens))
+    assert len(module.stable_subspaces(cap=8)) == 8
+    with pytest.raises(EnumerationCapError, match="^stable subspaces exceeded cap 7$"):
+        module.stable_subspaces(cap=7)
+    with pytest.raises(CertificateError, match=r"^floor \[\(0, 1, 0, 0\)\] is not stable$"):
+        module.stable_subspaces(floor=[(0, 1, 0, 0)])
+    covers = KernelModule._covers
+    monkeypatch.setattr(KernelModule, "_covers",
+                        lambda self, W, *args: set(covers(self, W, *args)) | {((0, 1, 0, 0),)})
+    with pytest.raises(CertificateError,
+                       match=r"^walked subspace \[\(0, 1, 0, 0\)\] is not stable$"):
+        module.stable_subspaces()
+
+
+def _last_line(argv, capsys):
+    "The exit code of the command line and the last line it printed."
+    code = main(argv)
+    return code, capsys.readouterr().out.splitlines()[-1]
+
+
+def test_split_system_neither_solved_nor_refuted(image49, monkeypatch, capsys):
+    # with no null vector at all the split system of the first subspace
+    # has neither a solution nor a no-complement certificate
+    monkeypatch.setattr(lattice_module, "nullspace", lambda *args: [])
+    message = "split system over U = () is neither solved nor refuted"
+    with pytest.raises(CertificateError, match="^%s$" % re.escape(message)):
+        proper_detsurjective_subgroups(image49, 49)
+    assert _last_line(["lattice-check", "--label", "49.196.9.1"], capsys) == (
+        3, "RESULT\tFAILED\t" + message)
+
+
+def test_rigidity_that_cannot_decide_raises(record_map, monkeypatch, capsys):
+    # 37.114.4.1 is not rigid; when no candidate mod 37^2 has surjective
+    # determinant, each has a trace and G maps onto F_37, no subspace decides
+    det_image = MatrixGroup.det_image
+    monkeypatch.setattr(MatrixGroup, "det_image", lambda self: (
+        det_image(self)[0], det_image(self)[1] and self.mod.modulus != 37 * 37))
+    monkeypatch.setattr(lattice_module, "_trace_nonzero", lambda basis, ell: True)
+    monkeypatch.setattr(lattice_module, "_ell_hom_trivial", lambda group: False)
+    pattern = "^undecided: split subspaces with variable determinant image: \\[\\[.*\\]\\]$"
+    with pytest.raises(SearchBudgetError, match=pattern):
+        preimage_rigidity(record_map["37.114.4.1"].group())
+    code, last = _last_line(["lattice-check", "--label", "37.114.4.1"], capsys)
+    assert code == 3 and re.match(pattern.replace("^", "^RESULT\tFAILED\t"), last)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -334,7 +335,8 @@ def test_genus_XG_checks_coset_count(monkeypatch):
     # mu * |+-G| / |det G| must be |SL2(Z/N)|; a wrong group order breaks it
     borel = build_cartan(CartanSpec("borel", PrimePowerModulus(7, 2)))
     monkeypatch.setattr(MatrixGroup, "order", lambda self: 49)
-    with pytest.raises(ArithmeticError, match="do not fill"):
+    with pytest.raises(ArithmeticError, match=r"^56 cosets of \|\+-G\| = 49 with 42 "
+                                              r"determinants do not fill \|SL2\| = 115248$"):
         genus_XG(borel)
 
 
@@ -475,15 +477,17 @@ def test_genus_XG_honours_cap():
     # the cosets mod ell, the cosets carried through each layer and each
     # layer's fibre.  It raises exactly when one of them is larger than the
     # group's cap; each group here has a different largest table.  make(cap)
-    # gives the group with that cap.
+    # gives the group with that cap, and the cap error names the table.
     m49, m25, m5 = PrimePowerModulus(7, 2), PrimePowerModulus(5, 2), PrimePowerModulus(5, 1)
-    cases = [(lambda cap: MatrixGroup(m49, full_gl2(m49).gens, cap=cap), 42, "orbit"),  # O_2
-             (lambda cap: MatrixGroup(m5, [], cap=cap), 60, "cosets"),  # mu = 60 cosets of {+-I}
+    cases = [(lambda cap: MatrixGroup(m49, full_gl2(m49).gens, cap=cap), 42, "orbit",
+              "orbit table 3 of G(7)"),                                 # O_2
+             (lambda cap: MatrixGroup(m5, [], cap=cap), 60, "cosets",
+              "cosets of +-G mod 5"),                                   # mu = 60 cosets of {+-I}
              (lambda cap: MatrixGroup(m49, gamma1_shape(m49).gens, cap=cap), 60,
-              "carried"),                                               # the 60 cusps of X1(49)
+              "carried", "cosets carried to 49"),                       # the 60 cusps of X1(49)
              (lambda cap: build_cartan(CartanSpec("nonsplit-normalizer", m25), cap), 25,
-              "fibre")]
-    for make, largest, which in cases:
+              "fibre", "fibre of layer 1")]
+    for make, largest, which, table in cases:
         group = make(DEFAULT_CAP)
         orbits = group.adjoin_minus_identity().filtration().orbits
         prof = genus_XG(group)
@@ -493,6 +497,48 @@ def test_genus_XG_honours_cap():
         assert largest == tables[which] == max(tables.values())
         del tables[which]
         assert largest > max(tables.values())
-        with pytest.raises(EnumerationCapError):
+        with pytest.raises(EnumerationCapError,
+                           match="^%s exceeded cap %d$" % (re.escape(table), largest - 1)):
             genus_XG(make(largest - 1))
         assert genus_XG(make(largest)) == prof
+
+
+def _cycles(points, step):
+    """(length, first point) of each cycle of the permutation `step` of the
+    points, in order: the walk genus_XG ran before gl2.partition, kept as
+    the oracle for the cusps and the fibre cycles."""
+    seen = set()
+    for first in points:
+        size, x = 0, first
+        while x not in seen:
+            seen.add(x)
+            x, size = step(x), size + 1
+        if size:
+            yield size, first
+
+
+def test_partition_walks_match_the_cycle_oracle(records, special_records, monkeypatch):
+    # every partition genus_XG takes, the u-cycles on the cosets mod ell and
+    # the cycles on each layer's fibre, gives the (length, first point)
+    # sequence of the cycle oracle, on every bundled and special record and
+    # each named kind at ell^2 <= 169
+    walked = {"u-cycles": 0, "cycles on a fibre": 0}
+
+    def checked(points, gens, act, cap, name):
+        points = list(points)
+        walks = list(gl2.partition(points, gens, act, cap, name))
+        (g,) = gens
+        assert [(len(w), next(iter(w))) for w in walks] == \
+            list(_cycles(points, lambda x: act(x, g))), name
+        walked[next(kind for kind in walked if name.startswith(kind))] += 1
+        return iter(walks)
+
+    groups = [r.group() for r in records + special_records]
+    for ell in (2, 3, 5, 7, 11, 13):
+        for kind in gl2.CARTAN_KINDS:
+            if ell > 2 or kind != "section4-semidirect":
+                groups.append(build_cartan(CartanSpec(kind, PrimePowerModulus(ell, 2))))
+    monkeypatch.setattr(modcurves, "partition", checked)
+    for group in groups:
+        genus_XG(group)
+    assert min(walked.values()) > 0

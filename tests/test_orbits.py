@@ -135,12 +135,12 @@ def test_bfs_visits_fibres_not_points(monkeypatch):
     g = build_cartan(CartanSpec("nonsplit-normalizer", PrimePowerModulus(17, 3)))
     visited = []
 
-    def counting_orbit(*args, **kwargs):
-        found = gl2.orbit(*args, **kwargs)
-        visited.append(len(found))
-        return found
+    def counting_partition(*args, **kwargs):
+        for found in gl2.partition(*args, **kwargs):
+            visited.append(len(found))
+            yield found
 
-    monkeypatch.setattr(ORBITS, "orbit", counting_orbit)
+    monkeypatch.setattr(ORBITS, "partition", counting_partition)
     for get, k, walks, points in ((gamma1_orbits, 2, [144], 41616),
                                   (gamma1_orbits, 3, [144, 289], 41616 * 289),
                                   (gamma0_orbits, 2, [18], 306),

@@ -74,7 +74,7 @@ def _functions(node, prefix=""):
 
 # the enumeration cap is carried by each group: only the walk primitives and
 # the entry points that make a group take it as a parameter
-CAP_PARAMETERS = {"gl2.orbit", "gl2.extend", "gl2.Filtration.__init__",
+CAP_PARAMETERS = {"gl2.orbit", "gl2.partition", "gl2.extend", "gl2.Filtration.__init__",
                   "lattice.KernelModule.stable_subspaces", "gl2.MatrixGroup.__init__",
                   "gl2.build_cartan", "labelio.ImageRecord.group", "labelio.validate_record",
                   "cli.RunConfig.__new__"}
@@ -129,6 +129,79 @@ def test_det_g_lists_no_unit():
     residue_keys = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.DictComp)
                     and isinstance(node.key, ast.BinOp) and isinstance(node.key.op, ast.Mod)]
     assert residue_keys == []
+
+
+# the guarded errors: a raise of one of them is a check the program makes
+GUARDED = {"CertificateError", "SearchBudgetError", "EnumerationCapError", "ArithmeticError"}
+# raise sites that no injection reaches without breaking the inputs of the
+# computation they check; each has a comment in src that starts with
+# "construction invariant:" on the line above it and says why
+CONSTRUCTION_INVARIANTS = {
+    "gl2.py": {"order %d does not divide ambient %d",
+               "no generator found for nonsplit Cartan mod %d",
+               "Teichmuller lift %r does not have order %d",
+               "semidirect construction has order %d, expected %d"},
+    "modarith.py": {"order computation failed for %r mod %d"},
+}
+
+
+def _messages(node):
+    "The format strings the message of a raise can take."
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+        return _messages(node.left)
+    if isinstance(node, ast.IfExp):
+        return _messages(node.body) + _messages(node.orelse)
+    return []
+
+
+def _guard_sites():
+    "(module, line, format string) of each raise of a guarded error in the package."
+    for path, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) \
+                    and getattr(node.exc.func, "id", None) in GUARDED:
+                messages = _messages(node.exc.args[0]) if node.exc.args else []
+                assert messages, "%s:%d has no literal message" % (path.name, node.lineno)
+                for message in messages:
+                    yield path.name, node.lineno, message
+
+
+def _test_texts():
+    """The texts a test can match a message in: the string constants of
+    each top-level statement of the other test modules, joined in source
+    order with their regex escapes dropped, and each expected-output file
+    under tests/data."""
+    texts = [path.read_text() for path in sorted((TESTS / "data").glob("*.txt"))]
+    for path in sorted(TESTS.glob("test_*.py")):
+        if path.name == Path(__file__).name:
+            continue
+        for statement in ast.parse(path.read_text()).body:
+            strings = sorted((node.lineno, node.col_offset, node.value)
+                             for node in ast.walk(statement) if isinstance(node, ast.Constant)
+                             and isinstance(node.value, str))
+            texts.append("\n".join(re.sub(r"\\(.)", r"\1", s) for _, _, s in strings))
+    return texts
+
+
+def test_every_guard_is_reached_or_an_invariant():
+    # a check no test can make fail is a check nobody knows works: each
+    # raise of a guarded error has a test whose strings hold its message,
+    # its conversions read as wildcards, or is a listed construction invariant
+    texts = _test_texts()
+    unreached, invariants = [], {}
+    for name, lineno, message in _guard_sites():
+        above = (PACKAGE / name).read_text().splitlines()[lineno - 2].strip()
+        if above.startswith("# construction invariant:"):
+            invariants.setdefault(name, set()).add(message)
+            continue
+        pieces = [re.escape(p.strip()) for p in re.split(r"%[-\d.]*[a-z]", message) if p.strip()]
+        pattern = re.compile(".*".join(pieces), re.DOTALL)
+        if not any(pattern.search(text) for text in texts):
+            unreached.append("%s:%d %s" % (name, lineno, message))
+    assert unreached == []
+    assert invariants == CONSTRUCTION_INVARIANTS
 
 
 def test_no_third_party_dependencies():
