@@ -18,8 +18,10 @@ of a parent group, by one orbit walk bounded by the group's cap:
   action.  The complement is the Gaschutz average of preimage_rigidity
   over the layer ell (_layer_step; S = 1, so every W splits and the average
   runs over the canonical lifts in G of G(ell)), evaluated at the canonical
-  generators only and checked by the order of the group its values
-  generate.  The class has [K : N_K(H)] members for K = I + ell*U, read off
+  generators only.  Only the W of proper index <= the bound go to the layer
+  step, which checks the order of each representative; the caller checks
+  that its generators lie in G and that it reduces onto G(ell).  The class
+  has [K : N_K(H)] members for K = I + ell*U, read off
   the kernel action (KernelModule.class_size).  Other parents of order <=
   BRUTE_LIMIT get the brute-force lattice (cyclic subgroups, then join
   closure), whose subgroups are split into conjugacy classes by
@@ -42,12 +44,15 @@ of a parent group, by one orbit walk bounded by the group's cap:
   the relator values.  A solution lifts the sequence to a complement over
   S, and averaging the cocycle of the section it induces over the
   canonical lift of each coset of S in G turns it into a complement over G
-  (Gaschutz 1952), evaluated at the canonical generators of G and checked
-  by the order of the group it generates with N_U.  Determinant
-  surjectivity of that complement settles the det-surjective variant; for
-  traceless U the determinant image is rigid across complements unless G
-  has nontrivial homomorphisms to F_ell, and that corner raises rather
-  than guesses.
+  (Gaschutz 1952), evaluated at the canonical generators of G; the layer
+  step checks the order of the group it generates with N_U.  Determinant
+  surjectivity of that complement settles the det-surjective variant.  A
+  subgroup over G has det G as its determinant mod ell^n, so for G not
+  det-surjective the rigidity claim holds vacuously.  For det-surjective G
+  a complement without surjective determinant lies over a traceless U,
+  whose determinant image is rigid across complements unless G has
+  nontrivial homomorphisms to F_ell, and that corner raises rather than
+  guesses.
 
 Lifts and generators are the filtration's canonical ones, so every
 representative and witness is a function of the group.  Kernel coordinates
@@ -98,10 +103,6 @@ def _conjugation(g, ell):
     "Conjugation by a mod-ell matrix as a linear map, by its columns."
     gi = minv(g, ell, ell)
     return [mmul(mmul(g, b, ell), gi, ell) for b in M2_BASIS]
-
-
-def _trace_nonzero(basis, ell):
-    return any((b[0] + b[3]) % ell for b in basis)
 
 
 def _lines(basis, ell):
@@ -394,36 +395,25 @@ def proper_detsurjective_subgroups(group, index_bound, fix_mod_ell_reduction=Tru
 def _stable_subspace_classes(group, index_bound):
     """The structured path of proper_detsurjective_subgroups: one class per
     proper G(ell)-stable subspace W of the kernel part U = L_1 of the
-    filtration, for exponent 2 and |G(ell)| prime to ell."""
+    filtration with index <= index_bound, for exponent 2 and |G(ell)| prime
+    to ell.  The layer step checks each representative's order; here its
+    generators are checked to lie in G and to reduce onto G(ell)."""
     ell = group.mod.ell
     filt = group.filtration()
     u_basis = filt.layers[0][0].rref()
     bar_order = filt.sizes()[0]
-    order = bar_order * ell ** len(u_basis)
     module = KernelModule(ell, tuple(mreduce(g, ell) for g in filt.generators()))
-
-    def subspaces():
-        yield ()  # the complement alone, checked before the walk
-        yield from module.stable_subspaces(span=u_basis, cap=group.cap)
-
-    # the layer ell of G: G(ell) has no ell-Sylow sequence, so every W splits
-    steps = _layer_step(group, 1, subspaces())
-    _, image = next(steps)
-    if image.order() != bar_order or image.reduce_to(1).order() != bar_order:
-        raise CertificateError("averaged section is not a homomorphism")
-
+    index = lambda W: ell ** (len(u_basis) - len(W))
+    printable = [W for W in module.stable_subspaces(span=u_basis, cap=group.cap)
+                 if len(W) < len(u_basis) and index(W) <= index_bound]
     out = []
-    for W, rep in steps:
-        if len(W) == len(u_basis) or ell ** (len(u_basis) - len(W)) > index_bound:
-            continue  # the parent itself, or an index over the bound
-        expected = bar_order * ell ** len(W)
-        if rep.order() != expected or not all(g in group for g in rep.gens):
-            raise CertificateError("subgroup over W = %r is not a subgroup of order "
-                                   "%d in the parent" % (W, expected))
-        if not rep.det_image()[1]:
-            continue
-        out.append(SubgroupClass(rep, order // expected, True,
-                                 module.class_size(u_basis, W)))
+    # the layer ell of G: G(ell) has no ell-Sylow sequence, so every W splits
+    for W, rep in _layer_step(group, 1, printable):
+        if not all(g in group for g in rep.gens) or rep.reduce_to(1).order() != bar_order:
+            raise CertificateError("subgroup over W = %r does not lie in the parent over "
+                                   "G(%d)" % (W, ell))
+        if rep.det_image()[1]:
+            out.append(SubgroupClass(rep, index(W), True, module.class_size(u_basis, W)))
     return sorted(out, key=lambda c: (c.index_in_parent, c.representative.gens))
 
 
@@ -642,19 +632,30 @@ def _layer_step(group, e, subspaces):
     layer ell^e, or (W, None) where the ell-Sylow sequence of G mod ell^e
     does not split over W.  The Sylow sequence, relator digits and coset
     lifts are built on the first request, before `subspaces` is read, and C
-    is averaged once per solution; the callers check the candidates."""
+    is averaged once per solution.  C lies over the canonical generators of
+    G mod ell^e, so each candidate reduces onto G mod ell^e and is a
+    complement over W exactly when its order is |G mod ell^e| * ell^dim W,
+    which is checked here."""
     ell, layer, high = group.ell, group.ell ** e, PrimePowerModulus(group.ell, e + 1)
+    base, dims = group.filtration().sizes()
+    size = base * ell ** sum(dims[:e - 1])
     sylow = _sylow_subgroup(group, e)
     digits = _sylow_relator_digits(group, e, sylow)
     complement = _gaschutz_complement(group, e, sylow)
     values = {}
     for W in subspaces:
         solution = _split_solution(digits, W, ell)
-        if solution is not None and solution not in values:
+        if solution is None:
+            yield W, None
+            continue
+        if solution not in values:
             values[solution] = complement(solution)
         kernel = [kernel_element(w, layer, high.modulus) for w in W]
-        yield W, None if solution is None else MatrixGroup(high, values[solution] + kernel,
-                                                           cap=group.cap)
+        candidate = MatrixGroup(high, values[solution] + kernel, cap=group.cap)
+        if candidate.order() != size * ell ** len(W):
+            raise CertificateError("averaged complement over W = %r mod %d does not have "
+                                   "order %d" % (W, high.modulus, size * ell ** len(W)))
+        yield W, candidate
 
 
 def _ell_hom_trivial(group):
@@ -693,11 +694,9 @@ def verify_counterexample(group, candidate):
 
 def _rigidity_subspaces(group):
     """The kernel intersections U that preimage_rigidity examines, in scan
-    order, each with the basis v_basis of a complement V of U in M2(F_ell).
-
-    U runs over the proper G-stable subspaces that contain the power
-    constraint, by descending dimension, the order checked_subspaces counts
-    in; the rigid verdict examines them all.
+    order: the proper G-stable subspaces that contain the power constraint,
+    by descending dimension, the order checked_subspaces counts in; the
+    rigid verdict examines them all.
     """
     mod = group.mod
     ell, n = mod.ell, mod.exponent
@@ -713,13 +712,8 @@ def _rigidity_subspaces(group):
     # the set of constraint vectors is stable (L_(n-1) is), so its span is
     # the floor of the stable subspaces that contain it
     floor = Echelon(ell, top).rref()
-    out = []
-    for U in sorted(KernelModule(ell, gens_bar).stable_subspaces(floor, cap=group.cap), key=len,
-                    reverse=True):
-        if len(U) < 4:
-            span_u = Echelon(ell, U)
-            out.append((U, Echelon(ell, [span_u.reduce(v) for v in M2_BASIS]).rows))
-    return out
+    stable = KernelModule(ell, gens_bar).stable_subspaces(floor, cap=group.cap)
+    return [U for U in sorted(stable, key=len, reverse=True) if len(U) < 4]
 
 
 def preimage_rigidity(group):
@@ -727,30 +721,28 @@ def preimage_rigidity(group):
     reduces exactly onto it with surjective determinant.
 
     Returns RigidityResult; when not rigid the counterexample is verified
-    (exact reduction, surjective determinant, proper in the preimage).
+    (exact reduction, surjective determinant, proper in the preimage), and
+    the layer step has checked its order.  For G not det-surjective no
+    subgroup over G is, and the claim holds vacuously.
     """
-    mod = group.mod
-    ell = mod.ell
-    order = group.order()
     undecided = []
     subspaces = _rigidity_subspaces(group)
     # the new layer ell^n of the one-step preimage
-    steps = _layer_step(group, mod.exponent, [U for U, _ in subspaces])
-    for checked, ((U, v_basis), (_, candidate)) in enumerate(zip(subspaces, steps), 1):
+    for checked, (U, candidate) in enumerate(_layer_step(group, group.mod.exponent,
+                                                         subspaces), 1):
         if candidate is None:
             continue  # Gaschutz: no complement anywhere
-        if candidate.order() != order * ell ** len(U):
-            raise CertificateError("averaged complement over U = %r is not a complement"
-                                   % (U,))
         if candidate.det_image()[1]:
             if not verify_counterexample(group, candidate):
                 raise CertificateError("counterexample over U = %r failed "
                                        "verification" % (U,))
             return RigidityResult(False, candidate, checked)
-        if _trace_nonzero(v_basis, ell) and not _ell_hom_trivial(group):
-            # determinant images of other complements over this subspace may
-            # differ; a later subspace can still produce a definite witness,
-            # so only give up if the whole scan ends with this unresolved
+        if group.det_image()[1] and not _ell_hom_trivial(group):
+            # U is traceless: I + ell^n u with tr u != 0 would fill the top
+            # unit layer above det G.  Determinant images of other
+            # complements over U may differ; a later subspace can still
+            # produce a definite witness, so only give up if the whole scan
+            # ends with this unresolved
             undecided.append(U)
         # otherwise the determinant image is rigid across complements here
     if undecided:

@@ -212,8 +212,7 @@ def test_representative_check_survives_optimize():
     r = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_REPRESENTATIVE_CHECK],
                        capture_output=True, text=True)
     assert r.returncode == 1
-    assert r.stderr.startswith("subgroup over W = ")
-    assert r.stderr.endswith("is not a subgroup of order 504 in the parent\n")
+    assert r.stderr == "subgroup over W = [(1, 0, 0, 1)] does not lie in the parent over G(7)\n"
 
 
 def test_gl2_f7_has_no_constrained_classes():
@@ -354,22 +353,38 @@ def _last_line(argv, capsys):
 
 def test_split_system_neither_solved_nor_refuted(image49, monkeypatch, capsys):
     # with no null vector at all the split system of the first subspace
-    # has neither a solution nor a no-complement certificate
+    # within the index bound, the scalar line of index 49, has neither a
+    # solution nor a no-complement certificate
     monkeypatch.setattr(lattice_module, "nullspace", lambda *args: [])
-    message = "split system over U = () is neither solved nor refuted"
+    message = "split system over U = [(1, 0, 0, 1)] is neither solved nor refuted"
     with pytest.raises(CertificateError, match="^%s$" % re.escape(message)):
         proper_detsurjective_subgroups(image49, 49)
     assert _last_line(["lattice-check", "--label", "49.196.9.1"], capsys) == (
         3, "RESULT\tFAILED\t" + message)
 
 
+@pytest.mark.parametrize("label, modulus, checked", [("5.96.0.1", 25, 19), ("7.288.0.1", 49, 25),
+                                                     ("25.12000.12.1", 125, 13)])
+def test_rigidity_without_surjective_determinant_is_vacuous(label, modulus, checked, tmp_path,
+                                                            capsys):
+    # det G = 1, so no subgroup over G is det-surjective and the claim holds
+    # without a witness, though complements over traced subspaces exist;
+    # the scan still counts every subspace it examines
+    gens_file = tmp_path / "unipotent.txt"
+    gens_file.write_text("5.96.0.1|5|1,1,0,1\n7.288.0.1|7|1,1,0,1\n25.12000.12.1|25|1,1,0,1\n")
+    assert main(["lattice-check", "--gens-file", str(gens_file), "--label", label]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["CLAIM\tpreimage-rigidity\tmodulus=%d\trigid=true\tchecked=%d"
+                          % (modulus, checked), "RESULT\tcertified"]
+
+
 def test_rigidity_that_cannot_decide_raises(record_map, monkeypatch, capsys):
-    # 37.114.4.1 is not rigid; when no candidate mod 37^2 has surjective
-    # determinant, each has a trace and G maps onto F_37, no subspace decides
+    # 37.114.4.1 is not rigid; when G is det-surjective, no candidate mod
+    # 37^2 has surjective determinant and G maps onto F_37, no subspace
+    # decides
     det_image = MatrixGroup.det_image
     monkeypatch.setattr(MatrixGroup, "det_image", lambda self: (
         det_image(self)[0], det_image(self)[1] and self.mod.modulus != 37 * 37))
-    monkeypatch.setattr(lattice_module, "_trace_nonzero", lambda basis, ell: True)
     monkeypatch.setattr(lattice_module, "_ell_hom_trivial", lambda group: False)
     pattern = "^undecided: split subspaces with variable determinant image: \\[\\[.*\\]\\]$"
     with pytest.raises(SearchBudgetError, match=pattern):
@@ -416,6 +431,13 @@ class _Quotient(_KernelQuotient):
         "The class of I + layer * (the F_ell-combination of `basis`)."
         k = lincomb(coeffs, basis, self.ell)
         return self.canon(kernel_element(k, self.layer, self.m))
+
+
+def _complement_basis(U, ell):
+    """The basis of a complement V of U in M2(F_ell) that the lift DFS adjusts
+    along: the rows of the normal forms of M2_BASIS modulo U."""
+    span_u = Echelon(ell, U)
+    return Echelon(ell, [span_u.reduce(v) for v in M2_BASIS]).rows
 
 
 def _complement_over_group(quot, gens, m, v_basis, ell, cap, budget):
@@ -523,8 +545,8 @@ def test_complement_dfs_against_product_search(name, conj, image49):
     ell, n, m = group.mod.ell, group.mod.exponent, group.mod.modulus
     generator_lists = [_sylow_subgroup(group, n), group.filtration().generators()]
     compared = 0
-    for U, v_basis in _rigidity_subspaces(group):
-        quot = _Quotient(ell, n, U)
+    for U in _rigidity_subspaces(group):
+        quot, v_basis = _Quotient(ell, n, U), _complement_basis(U, ell)
         for gens in generator_lists:
             if ell ** (len(v_basis) * len(gens)) > 1000:
                 continue  # beyond what the product search gets through
@@ -557,8 +579,8 @@ def test_sylow_complement_search_builds_no_rejected_closure(conj, image49, monke
 
     monkeypatch.setattr(sys.modules[__name__], "extend", counting_extend)
     searched = 0
-    for U, v_basis in _rigidity_subspaces(group):
-        quot = _Quotient(ell, n, U)
+    for U in _rigidity_subspaces(group):
+        quot, v_basis = _Quotient(ell, n, U), _complement_basis(U, ell)
         for gens in permutations(sylow):
             _complement_over_group(quot, list(gens), m, v_basis, ell, DEFAULT_CAP, 10 ** 6)
             searched += 1
@@ -841,7 +863,7 @@ def test_stable_subspaces_of_cartans_against_all_lines(m):
             assert (module.stable_subspaces(span=u_basis)
                     == [W for W in every if _inside(W, u_basis, ell)]), kind
             floor = Echelon(ell, group.filtration().layers[-1][0].rows).rref()
-        assert ([U for U, _ in _rigidity_subspaces(group)]
+        assert (_rigidity_subspaces(group)
                 == sorted((U for U in every if len(U) < 4 and _inside(floor, U, ell)),
                           key=len, reverse=True)), kind
 
@@ -964,8 +986,8 @@ def test_sylow_subgroup_against_climb(record_map, special_records):
         assert len(mulclose(climb, m)) == ell_part, name
         if group.order() > 1000 or ell > 7:
             continue  # a closure per lift, and up to ell^4 lifts per generator
-        for U, v_basis in _rigidity_subspaces(group):
-            quot = _Quotient(ell, n, U)
+        for U in _rigidity_subspaces(group):
+            quot, v_basis = _Quotient(ell, n, U), _complement_basis(U, ell)
             verdicts = {_complement_over_group(quot, gens, m, v_basis, ell, DEFAULT_CAP,
                                                10 ** 6) is None for gens in (sylow, climb)}
             assert len(verdicts) == 1, (name, U)
@@ -994,12 +1016,8 @@ def _rigidity_subspaces_by_elements(group):
     for U in sorted(_stable_subspaces_all_lines(KernelModule(ell, gens_bar)), key=len,
                     reverse=True):
         span_u = Echelon(ell, U)
-        if len(U) == 4 or not all(v in span_u for v in pi_basis):
-            continue
-        v_basis = Echelon(ell, [span_u.reduce(v) for v in
-                                ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
-                          ).rows
-        out.append((U, v_basis))
+        if len(U) < 4 and all(v in span_u for v in pi_basis):
+            out.append(U)
     return out
 
 
@@ -1028,10 +1046,10 @@ def _sylow_dfs_verdicts(mod, gens):
     group = MatrixGroup(mod, gens)
     ell, n, m = mod.ell, mod.exponent, mod.modulus
     sylow = _sylow_subgroup(group, n)
+    bases = [(U, _complement_basis(U, ell)) for U in _rigidity_subspaces(group)]
     return [(U, v_basis, _complement_over_group(_Quotient(ell, n, U), sylow, m, v_basis, ell,
                                                 DEFAULT_CAP, 10 ** 6) is not None)
-            for U, v_basis in _rigidity_subspaces(group)
-            if ell ** (len(v_basis) + 1) <= 20000]
+            for U, v_basis in bases if ell ** (len(v_basis) + 1) <= 20000]
 
 
 def _split_verdicts(group):
@@ -1138,6 +1156,38 @@ def test_averaged_complement_against_dfs(rigidity_inputs):
     assert verdicts == {True, False} and witnesses
 
 
+def test_layer_step_candidates_reduce_onto_the_parent(record_map, special_records):
+    """The layer step checks each candidate's order, which certifies a
+    complement only for a group that reduces onto G mod ell^e; that is left
+    to construction, the averaged values lying over the canonical
+    generators.  Every candidate does: at e = 1 over each proper stable
+    subspace of the kernel part U, on every bundled or special record the
+    structured path takes, and at e = n over the subspaces preimage_rigidity
+    examines on every bundled record."""
+    reduced = {"structured": set(), "rigidity": set()}
+    for record in list(record_map.values()) + special_records:
+        group = record.group()
+        ell, n = group.ell, group.mod.exponent
+        calls = []
+        if record in record_map.values():
+            calls.append(("rigidity", n, _rigidity_subspaces(group)))
+        if _structured_applies(group):
+            filt = group.filtration()
+            u_basis = filt.layers[0][0].rref()
+            module = KernelModule(ell, tuple(mreduce(g, ell) for g in filt.generators()))
+            calls.append(("structured", 1, [W for W in module.stable_subspaces(span=u_basis)
+                                            if len(W) < len(u_basis)]))
+        for caller, e, subspaces in calls:
+            target = group.reduce_to(e)
+            for W, candidate in _layer_step(group, e, subspaces):
+                if candidate is not None:
+                    assert candidate.reduce_to(e) == target, (record.rszb_label, caller, W)
+                    reduced[caller].add(record.rszb_label)
+    assert {"49.196.9.1", "9.54.1.1", "9.27.0.1", "49.9604.694.1"} <= reduced["structured"]
+    assert {"4.12.0.1", "8.12.0.1", "16.24.0.1", "25.30.0.1", "9.54.1.1",
+            "7.8.0.1"} <= reduced["rigidity"]
+
+
 OPTIMIZED_SPLIT_CHECK = """
 import sys
 from ellimage import lattice
@@ -1206,12 +1256,13 @@ print(result.counterexample.gens)
 
 def test_complement_order_check_survives_optimize():
     # lifts off the solution space of 25.30.0.1's first subspace average to
-    # values that generate too large a group with N_U; no witness comes out
+    # values that generate too large a group with N_U; the layer step
+    # refuses them, and no witness comes out
     r = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_COMPLEMENT_CHECK],
                        capture_output=True, text=True)
     assert r.returncode == 1 and r.stdout == ""
-    assert r.stderr.startswith("averaged complement over U = ")
-    assert r.stderr.endswith("is not a complement\n")
+    assert r.stderr == ("averaged complement over W = [(1, 0, 0, 0), (0, 1, 0, 0), "
+                        "(0, 0, 0, 1)] mod 125 does not have order 1250000\n")
 
 
 OPTIMIZED_SECTION_CHECK = """
@@ -1231,10 +1282,14 @@ except CertificateError as exc:
 
 
 def test_section_order_check_survives_optimize():
+    # the uncorrected lifts and I in place of the kernel rows generate a
+    # group of the wrong order over the plane of index 7; the layer step
+    # refuses it on the structured path
     r = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SECTION_CHECK],
                        capture_output=True, text=True)
     assert r.returncode == 1
-    assert r.stderr == "averaged section is not a homomorphism\n"
+    assert r.stderr == ("averaged complement over W = [(0, 1, 0, 0), (0, 0, 1, 0)] mod 49 "
+                        "does not have order 3528\n")
 
 
 def test_section_at_generators_against_all_pairs(record_map, special_records):
